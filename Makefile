@@ -3,7 +3,7 @@
 #   make build          compile everything
 #   make test           tier-1 verify: build + full test suite
 #   make lint           grlint analyzer suite over ./... (DESIGN.md §12)
-#   make ci             local approximation of the CI gates: fmt, vet, lint, test, race
+#   make ci             local approximation of the CI gates: fmt, vet, lint, test, race, perfbench
 #   make race           race-test every package
 #   make bench          full benchmark pass (benchstat-comparable output)
 #   make sweep          multi-seed realization sweep on all cores
@@ -11,7 +11,7 @@
 #   make serve          run the HTTP realization service
 #   make loadgen        drive a running service with mixed traffic
 #   make bench-compare  bench HEAD vs BASE and gate like CI does
-#   make bench-record   record the scheduler-driver snapshot (BENCH_<sha>.json)
+#   make perfbench      vet and self-test the serving benchmark (nested module)
 #
 # Service knobs: ADDR, QUEUE, JOB_TIMEOUT, DATA_DIR (non-empty = durable
 # jobs with crash recovery); loadgen knobs: CONC, REQS, MIX.
@@ -30,13 +30,12 @@ CONC        ?= 64
 REQS        ?= 500
 MIX         ?= degree,tree,connectivity
 BASE        ?= main
-SCHEDULER   ?= barrier
 BENCH_ARGS  := -short -run '^$$' -bench . -benchtime 3x -count 5 . ./internal/wire
 # The merge base may predate internal/wire; benchgate only compares
 # benchmarks present on both sides, so the base run probes for the package.
 BENCH_ARGS_BASE := -short -run '^$$' -bench . -benchtime 3x -count 5 . $$([ -d internal/wire ] && echo ./internal/wire)
 
-.PHONY: build test lint ci race bench bench-sched bench-record sweep tables vet fmt-check serve loadgen loadgen-async bench-compare clean
+.PHONY: build test lint ci race bench perfbench sweep tables vet fmt-check serve loadgen loadgen-async bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -54,7 +53,7 @@ lint:
 
 # Every gate a PR must pass that runs in minutes: what the CI test and lint
 # jobs check, minus the multi-version matrix and the e2e/bench jobs.
-ci: fmt-check vet lint test race
+ci: fmt-check vet lint test race perfbench
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -66,31 +65,22 @@ race:
 # Pipe consecutive runs into benchstat to compare engine changes; the
 # delivery/barrier benchmarks track allocs/op, the batch benchmark the
 # Runner speedup over a serial loop. -short skips the ~40s/iteration
-# n=65536 batch-runner case; bench-sched measures exactly that, once,
-# under both drivers.
+# n=65536 batch-runner case.
 bench:
 	$(GO) test -short -run '^$$' -bench . -benchmem ./...
 
-bench-sched:
-	$(GO) test -run '^$$' -bench BenchmarkBatchRunner -benchtime 1x -count 2 .
-
-# Record the committed scheduler-driver benchmark snapshot: BatchRunner at
-# every size plus the pure wake/park cost (BarrierOverhead), all three
-# drivers, with -benchmem so allocation deltas are part of the record. The
-# output file name carries the commit so stale snapshots are obvious.
-bench-record:
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchRunner|BenchmarkBarrierOverhead' \
-		-benchtime 1x -count 3 -benchmem . ./internal/ncc/ > /tmp/graphrealize-bench-record.txt
-	cat /tmp/graphrealize-bench-record.txt
-	$(GO) run ./cmd/benchrecord -in /tmp/graphrealize-bench-record.txt \
-		-commit $$(git rev-parse --short HEAD) -out BENCH_$$(git rev-parse --short HEAD).json
-	@echo wrote BENCH_$$(git rev-parse --short HEAD).json
+# The serving benchmark is a nested module, outside the root ./...: vet it
+# and run its self-tests so an API change that breaks it fails here. Run a
+# workload with: bash perfbench/run.sh --workload cold-mix --seed 1 --seconds 30 --trace 0
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 sweep:
 	$(GO) run ./cmd/degreal -n $(N) -family $(FAMILY) -seeds $(SEEDS) -workers $(WORKERS)
 
 tables:
-	$(GO) run ./cmd/benchtab -scale $(SCALE) -workers $(WORKERS) -scheduler $(SCHEDULER)
+	$(GO) run ./cmd/benchtab -scale $(SCALE) -workers $(WORKERS)
 
 # The HTTP realization service and its load generator (same commands the CI
 # e2e-smoke job runs). Set DATA_DIR to persist async jobs across restarts.

@@ -109,18 +109,14 @@ func BenchmarkBatchRealization(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchRunner compares the simulator drivers on the serving
-// workload: a batch of independent realizations executing concurrently on a
-// fresh Runner (cold cache, one worker per job — the grserved shape, where
-// co-scheduled simulations compete for the machine). Tree realization is the
-// workload because its engine profile matches the paper's algorithms (many
-// rounds, shifting active sets) while staying tractable at n=65536, where
-// degree realization's O(√n) Havel–Hakimi phases would take minutes per
-// iteration. The batch shrinks as n grows so one iteration stays bounded;
-// within an n, all drivers run the identical job list, so ns/op is a direct
-// driver comparison: at large n the barrier driver keeps jobs × active-set
-// goroutines runnable at once, the pool driver holds each job to a bounded
-// window, and the flat driver spends no goroutines on nodes at all.
+// BenchmarkBatchRunner measures the serving workload: a batch of independent
+// realizations executing concurrently on a fresh Runner (cold cache, one
+// worker per job — the grserved shape, where co-scheduled simulations
+// compete for the machine). Tree realization is the workload because its
+// engine profile matches the paper's algorithms (many rounds, shifting
+// active sets) while staying tractable at n=65536, where degree
+// realization's O(√n) Havel–Hakimi phases would take minutes per iteration.
+// The batch shrinks as n grows so one iteration stays bounded.
 func BenchmarkBatchRunner(b *testing.B) {
 	cases := []struct{ n, jobs int }{
 		{256, 8},
@@ -130,31 +126,28 @@ func BenchmarkBatchRunner(b *testing.B) {
 	for _, c := range cases {
 		if c.n > 4096 && testing.Short() {
 			// ~1 min per iteration: the repeated-count regression sweeps run
-			// with -short and skip it; CI measures the full sizes once in a
-			// dedicated per-driver step.
+			// with -short and skip it.
 			continue
 		}
-		for _, sched := range []graphrealize.Scheduler{graphrealize.BarrierScheduler, graphrealize.PoolScheduler, graphrealize.FlatScheduler} {
-			jobs := make([]graphrealize.Job, c.jobs)
-			for i := range jobs {
-				jobs[i] = graphrealize.Job{
-					Kind: graphrealize.JobChainTree,
-					Seq:  gen.TreeSequence(c.n, int64(i+1)),
-					Opt:  &graphrealize.Options{Seed: int64(i + 1), Scheduler: sched},
-				}
+		jobs := make([]graphrealize.Job, c.jobs)
+		for i := range jobs {
+			jobs[i] = graphrealize.Job{
+				Kind: graphrealize.JobChainTree,
+				Seq:  gen.TreeSequence(c.n, int64(i+1)),
+				Opt:  &graphrealize.Options{Seed: int64(i + 1)},
 			}
-			b.Run("n="+strconv.Itoa(c.n)+"/sched="+sched.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					r := graphrealize.NewRunner(len(jobs))
-					for _, res := range r.RealizeAll(jobs) {
-						if res.Err != nil {
-							b.Fatal(res.Err)
-						}
+		}
+		b.Run("n="+strconv.Itoa(c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := graphrealize.NewRunner(len(jobs))
+				for _, res := range r.RealizeAll(jobs) {
+					if res.Err != nil {
+						b.Fatal(res.Err)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"graphrealize"
 	"graphrealize/internal/harness"
 )
 
@@ -25,15 +24,8 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	only := flag.String("only", "", "comma-separated experiment IDs (e.g. T5,F2); empty = all")
 	workers := flag.Int("workers", 0, "parallel realization jobs per sweep (0 = GOMAXPROCS)")
-	scheduler := flag.String("scheduler", "barrier", "simulator driver: barrier, pool or flat (identical tables, different wall-clock)")
 	flag.Parse()
 	harness.SetWorkers(*workers)
-	sched, err := graphrealize.ParseScheduler(*scheduler)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-		os.Exit(2)
-	}
-	harness.SetScheduler(sched)
 
 	scale := harness.Quick
 	switch strings.ToLower(*scaleFlag) {

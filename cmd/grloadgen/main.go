@@ -45,7 +45,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"graphrealize"
 	"graphrealize/internal/gen"
 	"graphrealize/internal/jobs"
 	"graphrealize/internal/obs"
@@ -61,15 +60,7 @@ type scenario struct {
 	job func(n int, seed int64) any
 }
 
-func scenarios(variantEvery int, scheduler string) map[string]scenario {
-	// opts assembles one request's options map; a non-empty -scheduler is
-	// stamped onto every request so a whole load run can target one driver.
-	opts := func(kv map[string]any) map[string]any {
-		if scheduler != "" {
-			kv["scheduler"] = scheduler
-		}
-		return kv
-	}
+func scenarios(variantEvery int) map[string]scenario {
 	return map[string]scenario{
 		"degree": {
 			name: "degree",
@@ -82,7 +73,7 @@ func scenarios(variantEvery int, scheduler string) map[string]scenario {
 				return map[string]any{
 					"sequence": gen.FromRandomGraph(n, 8.0/float64(n), seed),
 					"variant":  variant,
-					"options":  opts(map[string]any{"seed": seed}),
+					"options":  map[string]any{"seed": seed},
 				}
 			},
 			job: func(n int, seed int64) any {
@@ -93,7 +84,7 @@ func scenarios(variantEvery int, scheduler string) map[string]scenario {
 				return map[string]any{
 					"kind":     kind,
 					"sequence": gen.FromRandomGraph(n, 8.0/float64(n), seed),
-					"options":  opts(map[string]any{"seed": seed}),
+					"options":  map[string]any{"seed": seed},
 				}
 			},
 		},
@@ -108,7 +99,7 @@ func scenarios(variantEvery int, scheduler string) map[string]scenario {
 				return map[string]any{
 					"sequence": gen.TreeSequence(n, seed),
 					"variant":  variant,
-					"options":  opts(map[string]any{"seed": seed}),
+					"options":  map[string]any{"seed": seed},
 				}
 			},
 			job: func(n int, seed int64) any {
@@ -119,7 +110,7 @@ func scenarios(variantEvery int, scheduler string) map[string]scenario {
 				return map[string]any{
 					"kind":     kind,
 					"sequence": gen.TreeSequence(n, seed),
-					"options":  opts(map[string]any{"seed": seed}),
+					"options":  map[string]any{"seed": seed},
 				}
 			},
 		},
@@ -129,14 +120,14 @@ func scenarios(variantEvery int, scheduler string) map[string]scenario {
 			body: func(n int, seed int64) any {
 				return map[string]any{
 					"sequence": gen.UniformRho(n, 4, seed),
-					"options":  opts(map[string]any{"seed": seed, "model": "ncc1"}),
+					"options":  map[string]any{"seed": seed, "model": "ncc1"},
 				}
 			},
 			job: func(n int, seed int64) any {
 				return map[string]any{
 					"kind":     "connectivity",
 					"sequence": gen.UniformRho(n, 4, seed),
-					"options":  opts(map[string]any{"seed": seed, "model": "ncc1"}),
+					"options":  map[string]any{"seed": seed, "model": "ncc1"},
 				}
 			},
 		},
@@ -149,9 +140,6 @@ func scenarios(variantEvery int, scheduler string) map[string]scenario {
 					"sequence":   gen.FromRandomGraph(n, 8.0/float64(n), seed),
 					"seed_count": 4,
 					"seed_start": seed,
-				}
-				if scheduler != "" {
-					req["options"] = opts(map[string]any{})
 				}
 				return req
 			},
@@ -178,18 +166,13 @@ func main() {
 	wireFmt := flag.Bool("wire", false, "negotiate application/x-graphwire responses on the sync endpoints (async flows stay JSON); streams are decoded and validated")
 	async := flag.Bool("async", false, "drive every other request through the async job API (submit/poll/stream/cancel)")
 	traceIDs := flag.Bool("trace-ids", false, "send a deterministic X-Request-Id per request and verify the server echoes it")
-	scheduler := flag.String("scheduler", "", "simulator driver to request: barrier, pool or flat (empty = server default)")
 	flag.Parse()
 
 	if *requests <= 0 || *conc <= 0 {
 		fmt.Fprintln(os.Stderr, "grloadgen: -requests and -c must be positive")
 		os.Exit(2)
 	}
-	if _, err := graphrealize.ParseScheduler(*scheduler); err != nil {
-		fmt.Fprintf(os.Stderr, "grloadgen: %v\n", err)
-		os.Exit(2)
-	}
-	all := scenarios(5, *scheduler)
+	all := scenarios(5)
 	var slots []scenario
 	for _, entry := range strings.Split(*mixFlag, ",") {
 		name, weightStr, hasWeight := strings.Cut(strings.TrimSpace(entry), ":")

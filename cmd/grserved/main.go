@@ -93,7 +93,6 @@ func main() {
 	jobGC := flag.Duration("job-gc", 0, "async job GC sweep interval (0 = job-ttl/4, capped at 30s)")
 	maxJobs := flag.Int("max-jobs", 4096, "retained async job records before eviction/backpressure")
 	dataDir := flag.String("data-dir", "", "directory for durable async job state (empty = in-memory only)")
-	scheduler := flag.String("scheduler", "barrier", "default simulator driver for requests that don't pick one: barrier, pool or flat")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	pprofAddr := flag.String("pprof-addr", "", "separate listen address for net/http/pprof (empty = disabled)")
 	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator: no local engine, jobs route to joined workers")
@@ -107,10 +106,6 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "grserved: ", log.LstdFlags)
-	defSched, err := graphrealize.ParseScheduler(*scheduler)
-	if err != nil {
-		logger.Fatalf("-scheduler: %v", err)
-	}
 	if *coordinator && *join != "" {
 		logger.Fatalf("-coordinator and -join are mutually exclusive (a coordinator is never also a worker)")
 	}
@@ -170,12 +165,11 @@ func main() {
 			*dataDir, js.RecoveredTerminal, js.RecoveredRequeued, js.RecoveredReassigned, js.Store.ReplayErrors)
 	}
 	cfg := serve.Config{
-		Backend:          backend,
-		Jobs:             manager,
-		MaxN:             *maxN,
-		MaxSeeds:         *maxSeeds,
-		DefaultScheduler: defSched,
-		Cluster:          clusterBackend,
+		Backend:  backend,
+		Jobs:     manager,
+		MaxN:     *maxN,
+		MaxSeeds: *maxSeeds,
+		Cluster:  clusterBackend,
 	}
 	if !*quiet {
 		// One structured JSON record per request on stderr: trace_id, route,
@@ -221,8 +215,8 @@ func main() {
 		logger.Printf("coordinator listening on %s (suspect-after=%s dead-after=%s max-n=%d job-ttl=%s)",
 			*addr, *suspectAfter, *deadAfter, *maxN, *jobTTL)
 	} else {
-		logger.Printf("listening on %s (workers=%d queue=%d job-timeout=%s max-n=%d job-ttl=%s scheduler=%s)",
-			*addr, max(*workers, 0), *queue, *jobTimeout, *maxN, *jobTTL, defSched)
+		logger.Printf("listening on %s (workers=%d queue=%d job-timeout=%s max-n=%d job-ttl=%s)",
+			*addr, max(*workers, 0), *queue, *jobTimeout, *maxN, *jobTTL)
 		if *workers <= 0 {
 			logger.Printf("worker pool sized to GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
 		}

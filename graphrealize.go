@@ -5,10 +5,11 @@
 // edge-connectivity thresholds in the Node Capacitated Clique (NCC) model.
 //
 // The package is a facade over an executable NCC simulator: every call
-// spins up n protocol goroutines (one per simulated node), runs the paper's
-// distributed algorithm under the model's knowledge and capacity rules, and
-// returns the realized overlay together with the round/message statistics
-// that are the paper's figures of merit.
+// simulates n nodes, each stepping the paper's distributed algorithm round by
+// round under the model's knowledge and capacity rules, and returns the
+// realized overlay together with the round/message statistics that are the
+// paper's figures of merit. The whole simulation runs on the calling
+// goroutine; it starts no goroutine per node.
 //
 //	g, stats, err := graphrealize.RealizeDegrees([]int{3, 3, 2, 2, 2, 2}, nil)
 //	// g.Adj is the realized overlay; stats.Rounds its round complexity.
@@ -23,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"graphrealize/internal/connectivity"
@@ -45,56 +45,6 @@ const (
 	// NCC1 gives every node all IDs (the SPAA'19 NCC model).
 	NCC1
 )
-
-// Scheduler selects the simulator's concurrency driver. All drivers produce
-// byte-identical results for the same Options; they differ only in how node
-// protocols are suspended and resumed, i.e. in speed and in how heavily a
-// run leans on the Go runtime scheduler.
-type Scheduler int
-
-const (
-	// BarrierScheduler makes every released node's goroutine runnable at
-	// once each round — the default, and the reference driver.
-	BarrierScheduler Scheduler = iota
-	// PoolScheduler multiplexes node run-slices onto GOMAXPROCS workers in
-	// bounded batches, keeping the runnable set small regardless of n. Pick
-	// it for large simulations or when many jobs share one process.
-	PoolScheduler
-	// FlatScheduler runs the whole simulation with zero per-node goroutines:
-	// protocols execute as resumable state machines stepped by a tight loop
-	// over the runnable set. Fastest driver and the highest concurrent-job
-	// ceiling; see DESIGN.md §2.
-	FlatScheduler
-)
-
-// String returns the stable driver name used in flags and wire formats.
-func (s Scheduler) String() string {
-	switch s {
-	case PoolScheduler:
-		return "pool"
-	case FlatScheduler:
-		return "flat"
-	default:
-		return "barrier"
-	}
-}
-
-// ParseScheduler resolves a driver name as used in flags and wire formats,
-// case-insensitively; the empty string selects the default (barrier). It is
-// the single parser shared by the HTTP layer and every CLI so the accepted
-// spellings cannot drift apart.
-func ParseScheduler(s string) (Scheduler, error) {
-	switch strings.ToLower(s) {
-	case "", "barrier":
-		return BarrierScheduler, nil
-	case "pool":
-		return PoolScheduler, nil
-	case "flat":
-		return FlatScheduler, nil
-	default:
-		return 0, fmt.Errorf("graphrealize: unknown scheduler %q (want barrier, pool or flat)", s)
-	}
-}
 
 // SortMethod selects the §3.1.2 sorting implementation used inside the
 // realization algorithms.
@@ -138,14 +88,11 @@ type Options struct {
 	Progress func(round, msgs int)
 	// Profile, when non-nil, receives every completed round's wall-time split
 	// into compute, delivery, and barrier phases — the observability hook the
-	// server uses to feed per-driver phase histograms. Like Progress it runs
+	// server uses to feed its engine phase histograms. Like Progress it runs
 	// on the simulation's driver goroutine, must be fast, never affects the
 	// result (timings stay out of Stats and traces), and is excluded from
 	// Runner cache keys: a job served from the cache reports no phases.
 	Profile func(compute, delivery, barrier time.Duration)
-	// Scheduler selects the simulator's concurrency driver. The choice never
-	// affects the result — only execution speed and memory behaviour.
-	Scheduler Scheduler
 }
 
 // Stats reports the cost of a run in the NCC model's currency.
@@ -276,13 +223,6 @@ func (o Options) simConfig(ctx context.Context, n int, inputs []any) ncc.Config 
 	if o.Model == NCC1 {
 		model = ncc.NCC1
 	}
-	sched := ncc.SchedBarrier
-	switch o.Scheduler {
-	case PoolScheduler:
-		sched = ncc.SchedPool
-	case FlatScheduler:
-		sched = ncc.SchedFlat
-	}
 	return ncc.Config{
 		N:         n,
 		Model:     model,
@@ -294,7 +234,6 @@ func (o Options) simConfig(ctx context.Context, n int, inputs []any) ncc.Config 
 		Stop:      ctx.Done(),
 		Progress:  o.Progress,
 		Profile:   o.Profile,
-		Sched:     sched,
 	}
 }
 

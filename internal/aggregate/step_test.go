@@ -40,7 +40,7 @@ func TestGlobalStepsMatchBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d blocking: %v", n, err)
 		}
-		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Sched: ncc.SchedFlat})
+		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
 				return BroadcastStep(nd, &tree, tree.IsRoot, int64(nd.ID()), func(root int64) ncc.Op {

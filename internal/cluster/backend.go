@@ -256,9 +256,8 @@ type realizeBody struct {
 	Options  *optionsBody `json:"options,omitempty"`
 }
 
-// optionsBody mirrors the workers' options schema. The scheduler is always
-// sent explicitly so a worker's -scheduler default can never fork the
-// route key's namespace (CLUSTER.md §5.2).
+// optionsBody mirrors the workers' options schema: the route key's option
+// fields and nothing else (CLUSTER.md §5.2).
 type optionsBody struct {
 	Model     string `json:"model,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`
@@ -266,7 +265,6 @@ type optionsBody struct {
 	CapMul    int    `json:"cap_mul,omitempty"`
 	Sort      string `json:"sort,omitempty"`
 	MaxRounds int    `json:"max_rounds,omitempty"`
-	Scheduler string `json:"scheduler,omitempty"`
 }
 
 func optionsFor(o *graphrealize.Options) *optionsBody {
@@ -278,7 +276,6 @@ func optionsFor(o *graphrealize.Options) *optionsBody {
 		Strict:    o.Strict,
 		CapMul:    o.CapMul,
 		MaxRounds: o.MaxRounds,
-		Scheduler: o.Scheduler.String(),
 	}
 	if o.Model == graphrealize.NCC1 {
 		out.Model = "ncc1"

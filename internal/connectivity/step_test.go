@@ -21,7 +21,7 @@ func runConnStepFlat(t *testing.T, rho []int, model ncc.Model, seed int64) (*ncc
 	for i, v := range rho {
 		inputs[i] = v
 	}
-	s := ncc.New(ncc.Config{N: n, Seed: seed, Model: model, Strict: true, Inputs: inputs, Sched: ncc.SchedFlat})
+	s := ncc.New(ncc.Config{N: n, Seed: seed, Model: model, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
 	return s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		rho := nd.Input().(int)

@@ -20,7 +20,7 @@ func runRealizeStepFlat(t *testing.T, d []int, mode Mode, explicit bool, seed in
 	for i, v := range d {
 		inputs[i] = v
 	}
-	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs, Sched: ncc.SchedFlat})
+	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
 	return s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		return SetupStep(nd, sortnet.Oracle, func(env *Env) ncc.Op {

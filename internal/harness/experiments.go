@@ -251,7 +251,7 @@ func T5ImplicitRealization(sc Scale) *Table {
 				Opt: &graphrealize.Options{Seed: int64(n) + 7}, Label: name,
 			})
 		}
-		for _, res := range realizeAll(jobs) {
+		for _, res := range runner().RealizeAll(jobs) {
 			d := res.Job.Seq
 			m := seq.SumDegrees(d) / 2
 			delta := seq.MaxDegree(d)
@@ -299,7 +299,7 @@ func T6ExplicitRealization(sc Scale) *Table {
 				})
 			}
 		}
-		results := realizeAll(jobs)
+		results := runner().RealizeAll(jobs)
 		for i := 0; i < len(results); i += 2 {
 			resI, resE := mustRealize(results[i]), mustRealize(results[i+1])
 			d := resI.Job.Seq
@@ -331,7 +331,7 @@ func T7UpperEnvelope(sc Scale) *Table {
 			Opt: &graphrealize.Options{Seed: int64(n) + 9},
 		})
 	}
-	for _, res := range realizeAll(jobs) {
+	for _, res := range runner().RealizeAll(jobs) {
 		res = mustRealize(res)
 		d := res.Job.Seq
 		n := len(d)
@@ -377,7 +377,7 @@ func T8TreeRealization(sc Scale) *Table {
 				})
 			}
 		}
-		results := realizeAll(jobs)
+		results := runner().RealizeAll(jobs)
 		for i := 0; i < len(results); i += 2 {
 			res4, res5 := mustRealize(results[i]), mustRealize(results[i+1])
 			t.AddRow(res4.Job.Label, n, res4.Stats.Rounds, res4.Graph.TreeDiameter(),

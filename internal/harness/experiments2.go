@@ -60,7 +60,7 @@ func T9ConnectivityNCC1(sc Scale) *Table {
 	for _, n := range sizes {
 		jobs = append(jobs, connectivityJob(gen.UniformRho(n, n/4, int64(n)), graphrealize.NCC1, int64(n)+1))
 	}
-	for _, res := range realizeAll(jobs) {
+	for _, res := range runner().RealizeAll(jobs) {
 		res = mustRealize(res)
 		rho := res.Job.Seq
 		n := len(rho)
@@ -91,7 +91,7 @@ func T10ConnectivityNCC0(sc Scale) *Table {
 			rhoMax = append(rhoMax, maxRho)
 		}
 	}
-	for i, res := range realizeAll(jobs) {
+	for i, res := range runner().RealizeAll(jobs) {
 		res = mustRealize(res)
 		rho := res.Job.Seq
 		n := len(rho)
@@ -127,7 +127,7 @@ func T11LowerBounds(sc Scale) *Table {
 			Opt: &graphrealize.Options{Seed: int64(n) + 4}, Label: "Δ-regular explicit",
 		})
 	}
-	for _, res := range realizeAll(jobs) {
+	for _, res := range runner().RealizeAll(jobs) {
 		res = mustRealize(res)
 		d := res.Job.Seq
 		n := len(d)

@@ -105,7 +105,6 @@ func (s Scale) sizes(quick, full []int) []int {
 var (
 	poolMu      sync.Mutex
 	poolWorkers int
-	poolSched   graphrealize.Scheduler
 	pool        *graphrealize.Runner
 )
 
@@ -119,15 +118,6 @@ func SetWorkers(n int) {
 	pool = nil
 }
 
-// SetScheduler selects the simulator driver the experiment sweeps run on
-// (benchtab -scheduler). The driver never affects measured rounds or
-// messages — only wall-clock — so tables stay comparable across drivers.
-func SetScheduler(s graphrealize.Scheduler) {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	poolSched = s
-}
-
 // runner returns the shared batch runner, creating it on first use.
 func runner() *graphrealize.Runner {
 	poolMu.Lock()
@@ -136,25 +126,6 @@ func runner() *graphrealize.Runner {
 		pool = graphrealize.NewRunner(poolWorkers)
 	}
 	return pool
-}
-
-// realizeAll stamps the configured scheduler onto every job and runs the
-// batch on the shared runner — the single funnel all experiment sweeps use.
-func realizeAll(jobs []graphrealize.Job) []graphrealize.Result {
-	poolMu.Lock()
-	sched := poolSched
-	poolMu.Unlock()
-	if sched != graphrealize.BarrierScheduler {
-		for i := range jobs {
-			var o graphrealize.Options
-			if jobs[i].Opt != nil {
-				o = *jobs[i].Opt
-			}
-			o.Scheduler = sched
-			jobs[i].Opt = &o
-		}
-	}
-	return runner().RealizeAll(jobs)
 }
 
 // Experiment pairs an ID with its runner, for enumeration.

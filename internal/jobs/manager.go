@@ -302,6 +302,9 @@ func (m *Manager) Submit(j graphrealize.Job) (Snapshot, error) {
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	rec.cancel = cancel
+	// The initial snapshot is taken before admission: once the backend has
+	// the job it may already be running (or done) by the time Submit returns.
+	initial := rec.snapshot()
 
 	ch, err := m.cfg.Backend.SubmitCtx(ctx, m.instrument(rec, j))
 	if err != nil {
@@ -324,7 +327,7 @@ func (m *Manager) Submit(j graphrealize.Job) (Snapshot, error) {
 	m.persistMu.RUnlock()
 	m.wg.Add(1)
 	go m.watch(rec, ch)
-	return rec.snapshot(), nil
+	return initial, nil
 }
 
 // reloadTerminal rebuilds a finished job from its durable form: the result

@@ -22,10 +22,10 @@ import (
 
 // PersistedOptions is the JSON-serializable projection of
 // graphrealize.Options: the same field set as the Runner's cache key — every
-// outcome-affecting field plus the scheduler driver (outcome-neutral, but a
-// recovered job should re-run on the driver its client chose) — and nothing
-// else. In particular the Progress hook is reattached by the Manager on
-// recovery, never persisted.
+// outcome-affecting field — and nothing else. In particular the Progress hook
+// is reattached by the Manager on recovery, never persisted. Records written
+// when the engine had several drivers also carry a "scheduler" number; the
+// decoder ignores it, so they replay on the one driver.
 type PersistedOptions struct {
 	Model     int   `json:"model,omitempty"`
 	Seed      int64 `json:"seed,omitempty"`
@@ -33,7 +33,6 @@ type PersistedOptions struct {
 	CapMul    int   `json:"cap_mul,omitempty"`
 	Sort      int   `json:"sort,omitempty"`
 	MaxRounds int   `json:"max_rounds,omitempty"`
-	Scheduler int   `json:"scheduler,omitempty"`
 }
 
 func persistedOptions(o *graphrealize.Options) *PersistedOptions {
@@ -47,7 +46,6 @@ func persistedOptions(o *graphrealize.Options) *PersistedOptions {
 		CapMul:    o.CapMul,
 		Sort:      int(o.Sort),
 		MaxRounds: o.MaxRounds,
-		Scheduler: int(o.Scheduler),
 	}
 }
 
@@ -62,7 +60,6 @@ func (p *PersistedOptions) options() *graphrealize.Options {
 		CapMul:    p.CapMul,
 		Sort:      graphrealize.SortMethod(p.Sort),
 		MaxRounds: p.MaxRounds,
-		Scheduler: graphrealize.Scheduler(p.Scheduler),
 	}
 }
 

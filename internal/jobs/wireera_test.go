@@ -2,6 +2,8 @@ package jobs_test
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -163,5 +165,52 @@ func TestCorruptGraphWireSurfacesAsFailure(t *testing.T) {
 	}
 	if snap.Result != nil {
 		t.Fatalf("corrupt graph_wire still served a result: %+v", snap.Result)
+	}
+}
+
+// TestRetiredSchedulerFieldReplays: records written when the engine had
+// several drivers persist the chosen one as options.scheduler (2 was the
+// pool driver). The field is gone from PersistedOptions; such a record must
+// still replay — a queued job from the WAL re-runs to exactly the result a
+// fresh run of the same job produces, and a done job in the snapshot is
+// served as stored.
+func TestRetiredSchedulerFieldReplays(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := `{"format":1,"wal_seq":1,"saved_at":"2026-09-01T00:00:00Z","jobs":[` +
+		`{"id":"j1-0000000000a1","kind":0,"seq":[3,2,2,1],"options":{"seed":7,"scheduler":2},"state":"done",` +
+		`"created":"2026-09-01T00:00:00Z","finished":"2026-09-01T00:00:01Z",` +
+		`"result":{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2]],"stats":{"Rounds":3}}}]}`
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(snapshot), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	payload := `{"seq":2,"op":"submit","job":{"id":"j2-0000000000b2","kind":0,"seq":[3,3,2,2,2,2],` +
+		`"options":{"seed":11,"scheduler":2},"state":"queued","created":"2026-09-01T00:00:02Z"}}`
+	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(line), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	m := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: openFileStore(t, dir)})
+	defer crashClose(m)
+	if st := m.StatsSnapshot().Store; st.ReplayErrors != 0 {
+		t.Fatalf("replay dropped %d records", st.ReplayErrors)
+	}
+
+	done := waitStateFor(t, m, "j1-0000000000a1", jobs.StateDone, 5*time.Second)
+	if done.Result == nil || !reflect.DeepEqual(done.Result.Graph.Adj, [][]int{{1, 2, 3}, {0, 2}, {0, 1}, {0}}) {
+		t.Fatalf("snapshot job with a scheduler field recovered as %+v", done)
+	}
+
+	rerun := waitStateFor(t, m, "j2-0000000000b2", jobs.StateDone, 10*time.Second)
+	fresh := graphrealize.Execute(t.Context(), graphrealize.Job{
+		Kind: graphrealize.JobDegrees, Seq: []int{3, 3, 2, 2, 2, 2}, Opt: &graphrealize.Options{Seed: 11},
+	})
+	if fresh.Err != nil {
+		t.Fatal(fresh.Err)
+	}
+	if !rerun.Recovered || rerun.Result == nil ||
+		!reflect.DeepEqual(rerun.Result.Graph.Edges(), fresh.Graph.Edges()) ||
+		!reflect.DeepEqual(rerun.Result.Stats, fresh.Stats) {
+		t.Fatalf("replayed job differs from a fresh run:\n got %+v\nwant %+v", rerun.Result, fresh)
 	}
 }

@@ -8,7 +8,7 @@ import (
 // D001 — nondeterminism in trace-affecting packages.
 //
 // The engine guarantees byte-identical traces for a given (instance, seed)
-// across all three scheduler drivers; the cluster layer replays failed-over
+// under both drivers and on every run; the cluster layer replays failed-over
 // jobs on that guarantee (CLUSTER.md §6.5). Inside the engine and the
 // protocol packages, three constructs silently break it:
 //

@@ -20,11 +20,10 @@ import (
 // or method inside a reachable body is an edge, whether or not it is a call
 // (a stored function value can be invoked later). It also under-approximates
 // at dynamic dispatch: calls through interfaces (Scheduler) or function
-// values (Cont, hooks) are not followed — goroutine-spawning scheduler
-// implementations live behind exactly that interface seam, by design. A
-// deliberate edge out of the zero-goroutine world (RunProgram's fallback to
-// Sim.Run on the goroutine drivers) is severed with //grlint:allow G001 on
-// the call line.
+// values (Cont, hooks) are not followed — the goroutine-barrier driver that
+// Sim.Run uses lives behind exactly that interface seam, by design. A
+// deliberate edge out of the zero-goroutine world is severed with
+// //grlint:allow G001 on the call line.
 type G001 struct {
 	// Pkg is the engine package import path.
 	Pkg string

@@ -5,13 +5,18 @@ import (
 	"testing"
 )
 
-// benchSchedulers enumerates the drivers every engine benchmark runs under,
-// so benchstat output compares them side by side.
-var benchSchedulers = []SchedKind{SchedBarrier, SchedPool, SchedFlat}
-
-// Benchmarks run step-form protocols through RunProgram so all drivers —
-// including flat, which cannot host blocking calls — execute the identical
-// protocol representation and ns/op is a pure driver comparison.
+// benchDrivers runs the same step-form protocol under both drivers, so
+// benchstat output compares them side by side: "barrier" is Sim.Run over
+// RunOps (one goroutine per node), "flat" is Sim.RunProgram (none).
+var benchDrivers = []struct {
+	name string
+	run  func(s *Sim, entry Proto) (*Trace, error)
+}{
+	{"barrier", func(s *Sim, entry Proto) (*Trace, error) {
+		return s.Run(func(nd *Node) { RunOps(nd, entry(nd)) })
+	}},
+	{"flat", (*Sim).RunProgram},
+}
 
 // BenchmarkDeliveryPooling drives the densest delivery workload — every node
 // sends to its successor every round — so allocs/op tracks the receive-buffer
@@ -19,12 +24,12 @@ var benchSchedulers = []SchedKind{SchedBarrier, SchedPool, SchedFlat}
 // regressions.
 func BenchmarkDeliveryPooling(b *testing.B) {
 	const n, rounds = 256, 64
-	for _, sched := range benchSchedulers {
-		b.Run("sched="+sched.String(), func(b *testing.B) {
+	for _, drv := range benchDrivers {
+		b.Run("sched="+drv.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := New(Config{N: n, Seed: 1, Sched: sched})
-				_, err := s.RunProgram(func(nd *Node) Op {
+				s := New(Config{N: n, Seed: 1})
+				_, err := drv.run(s, func(nd *Node) Op {
 					var loop func(r int) Op
 					loop = func(r int) Op {
 						if r >= rounds {
@@ -48,17 +53,16 @@ func BenchmarkDeliveryPooling(b *testing.B) {
 // BenchmarkBarrierOverhead measures the scheduler's wake/park round trip
 // with no messages in flight — n nodes spinning through empty rounds — at the
 // sizes the batch-runner benchmarks use. This isolates exactly the cost the
-// pool and flat drivers exist to cut: per-round wakeup of the whole active
-// set.
+// flat driver exists to cut: per-round wakeup of the whole active set.
 func BenchmarkBarrierOverhead(b *testing.B) {
 	const rounds = 64
 	for _, n := range []int{256, 4096, 65536} {
-		for _, sched := range benchSchedulers {
-			b.Run("n="+strconv.Itoa(n)+"/sched="+sched.String(), func(b *testing.B) {
+		for _, drv := range benchDrivers {
+			b.Run("n="+strconv.Itoa(n)+"/sched="+drv.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s := New(Config{N: n, Seed: 1, Sched: sched})
-					_, err := s.RunProgram(func(nd *Node) Op {
+					s := New(Config{N: n, Seed: 1})
+					_, err := drv.run(s, func(nd *Node) Op {
 						var loop func(r int) Op
 						loop = func(r int) Op {
 							if r >= rounds {

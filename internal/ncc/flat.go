@@ -5,17 +5,18 @@ import (
 	"runtime/debug"
 )
 
-// flat.go is the zero-goroutine columnar Scheduler. The barrier and pool
-// drivers suspend a blocking protocol by parking its goroutine; the flat
-// driver runs step-form protocols (program.go) instead, so a node's
-// between-round state is nothing but its stored continuation. All per-node
+// flat.go is the zero-goroutine columnar Scheduler behind Sim.RunProgram,
+// and so behind every realization the facade runs. The barrier driver
+// suspends a blocking protocol by parking its goroutine; the flat driver
+// runs step-form protocols (program.go) instead, so a node's between-round
+// state is nothing but its stored continuation. All per-node
 // "scheduler state" lives in struct-of-arrays slices indexed by Gk position —
 // one continuation column and one op-kind column — and Release is a tight
 // loop on the engine goroutine that invokes each released node's continuation
 // inline. No node goroutines exist, so AwaitAll has nothing to wait for and
 // the whole simulation is a single goroutine regardless of n.
 //
-// Trace identity with the goroutine drivers is achieved by mirroring, step by
+// Trace identity with the barrier driver is achieved by mirroring, step by
 // step, exactly what a blocking node observes around a park:
 //
 //	park entry:  recycle retired inbox → write state/wakeRound → check in
@@ -30,7 +31,7 @@ import (
 // Phase profiling (Config.Profile): Release steps every node inline, so the
 // whole round's protocol work happens inside the engine's compute span
 // (Release → AwaitAll, where AwaitAll is a no-op here). Compute therefore
-// means the same thing on every driver — time spent running node slices —
+// means the same thing on both drivers — time spent running node slices —
 // and barrier shrinks to pure engine bookkeeping.
 type flatScheduler struct {
 	sim   *Sim
@@ -45,24 +46,6 @@ type flatScheduler struct {
 	panics chan error
 }
 
-func newFlatScheduler() *flatScheduler { return &flatScheduler{} }
-
-// runFlat is RunProgram's flat path: Run's shape with the Spawn replaced by a
-// direct Release of the full node set (step starts each node's protocol on
-// first release, mirroring the pool driver's lazy body start).
-func (s *Sim) runFlat(f *flatScheduler, entry Proto) (*Trace, error) {
-	f.sim = s
-	f.entry = entry
-	f.conts = make([]Cont, s.n)
-	f.kinds = make([]opKind, s.n)
-	f.panics = make(chan error, s.n)
-	s.active = append(s.active[:0], s.nodes...)
-	f.Release(s.active)
-	s.drive(f.panics)
-	s.sched.Shutdown()
-	return s.buildTrace(), s.firstErr
-}
-
 // Release advances every released node by one step, inline on the engine
 // goroutine. The engine passes the set already in deterministic order.
 func (f *flatScheduler) Release(nodes []*Node) {
@@ -74,29 +57,16 @@ func (f *flatScheduler) Release(nodes []*Node) {
 // AwaitAll is a no-op: Release already ran every check-in synchronously.
 func (f *flatScheduler) AwaitAll() {}
 
-// Shutdown is a no-op: the flat driver owns no goroutines at all.
-func (f *flatScheduler) Shutdown() {}
-
-// Spawn would start blocking bodies; the flat driver has no way to suspend
-// them. Sim.Run refuses flat sims before ever reaching this.
-func (f *flatScheduler) Spawn(nodes []*Node, body func(*Node)) {
-	panic("ncc: the flat driver runs step-form protocols only; use Sim.RunProgram")
-}
-
-// Park/Depart are node-side barrier entries; a step-form protocol has no
-// goroutine to block, so reaching them means a continuation called into the
-// blocking Node API. The panic surfaces through step's recover as a protocol
-// error on the offending node.
+// Park is the node-side barrier entry; a step-form protocol has no goroutine
+// to block, so reaching it means a continuation called into the blocking
+// Node API. The panic surfaces through step's recover as a protocol error on
+// the offending node.
 func (f *flatScheduler) Park(nd *Node) {
 	panic("ncc: blocking Node call (NextRound/AwaitMessage/SkipRounds/Collective) inside a flat-driver step; return an Op instead")
 }
 
-func (f *flatScheduler) Depart(nd *Node) {
-	panic("ncc: blocking Node call (NextRound/AwaitMessage/SkipRounds/Collective) inside a flat-driver step; return an Op instead")
-}
-
 // finish retires a node: the flat analogue of the body goroutine returning
-// (or unwinding) into the deferred Depart.
+// (or unwinding) into its final check-in.
 func (f *flatScheduler) finish(nd *Node) {
 	nd.state = stateDone
 	f.conts[nd.idx] = nil

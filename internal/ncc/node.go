@@ -23,26 +23,21 @@ type Node struct {
 	id  ID
 	idx int // internal index in Gk order; not exposed to protocols
 
-	rng   *rand.Rand
+	rng   *rand.Rand      // seeded on first Rand call; most nodes never draw
 	known map[ID]struct{} // NCC0 knowledge set; nil in NCC1
 
 	initialSucc ID  // Gk successor (None for the tail)
 	input       any // protocol input (e.g. required degree), set by the runner
 
-	// Barrier plumbing. The protocol goroutine writes state/outbox/collIn and
-	// then checks in; the driver reads them, fills inbox/collOut, and wakes.
+	// Barrier plumbing. The protocol writes state/outbox/collIn and then
+	// checks in; the driver reads them, fills inbox/collOut, and wakes. wake
+	// is the node goroutine's park channel, created by Sim.Run only; started
+	// records that the flat driver has run the node's entry step.
 	wake      chan struct{}
 	state     nodeState
 	wakeRound int
 	killed    bool
-
-	// Pool-driver plumbing (pool.go): started records that the body's
-	// goroutine exists (bodies start lazily at first release), and poolW is
-	// the worker whose batch countdown this node checks in to, rewritten by
-	// the dispatching worker before every wake. The barrier driver leaves
-	// both untouched.
-	started bool
-	poolW   *poolWorker
+	started   bool
 
 	outbox  []Message
 	inbox   []Message
@@ -88,8 +83,15 @@ func (nd *Node) Capacity() int { return nd.sim.capacity }
 // compute slice before any message has been delivered.
 func (nd *Node) Round() int { return nd.sim.round }
 
-// Rand returns this node's deterministic private random source.
-func (nd *Node) Rand() *rand.Rand { return nd.rng }
+// Rand returns this node's deterministic private random source. It is
+// seeded on first use from (Config.Seed, node ID), so a node's draws do not
+// depend on when it first asks, and nodes that never draw cost nothing.
+func (nd *Node) Rand() *rand.Rand {
+	if nd.rng == nil {
+		nd.rng = rand.New(rand.NewSource(mix64(nd.sim.cfg.Seed, int64(nd.id))))
+	}
+	return nd.rng
+}
 
 // Input returns the protocol input installed for this node (nil if none).
 func (nd *Node) Input() any { return nd.input }

@@ -8,11 +8,10 @@ package ncc
 // the continuation when the node wakes. The two forms are interconvertible:
 //
 //   - RunOps drives a step-form protocol through the blocking Node API, so the
-//     same compiled protocol runs unchanged on the barrier and pool drivers
-//     (and step-form subprotocols compose into blocking callers).
-//   - Sim.RunProgram runs a step-form protocol on whichever driver the Sim was
-//     configured with: natively (zero per-node goroutines) on the flat driver,
-//     via RunOps elsewhere.
+//     same compiled protocol runs unchanged under Sim.Run on the barrier
+//     driver (and step-form subprotocols compose into blocking callers).
+//   - Sim.RunProgram runs a step-form protocol natively on the flat driver,
+//     with zero per-node goroutines.
 //
 // The contract mirrors the blocking API exactly: Next ≙ NextRound, Await ≙
 // AwaitMessage, Sleep ≙ SkipRounds, Collective ≙ Node.Collective, Done ≙
@@ -79,10 +78,9 @@ func Collective(tag string, in any, k Cont) Op {
 }
 
 // RunOps drives a step-form protocol fragment through the blocking Node API
-// until it yields Done. It is the adapter that runs compiled protocols on the
-// goroutine-based drivers, and the bridge that lets blocking wrappers embed
-// step-form subprotocols (Done only terminates this driver loop, not the
-// node).
+// until it yields Done. It is the adapter that runs compiled protocols under
+// Sim.Run, and the bridge that lets blocking wrappers embed step-form
+// subprotocols (Done only terminates this driver loop, not the node).
 func RunOps(nd *Node, op Op) {
 	for {
 		switch op.kind {
@@ -101,13 +99,21 @@ func RunOps(nd *Node, op Op) {
 }
 
 // RunProgram executes a step-form protocol on every node and drives the
-// rounds to completion, like Run but for compiled protocols. On the flat
-// driver the whole simulation runs on the engine goroutine with zero per-node
-// goroutines; on the barrier and pool drivers it is exactly Run(RunOps·entry),
-// so all drivers produce byte-identical traces.
+// rounds to completion, like Run but for compiled protocols: the flat driver
+// steps every node inline on the calling goroutine, with zero per-node
+// goroutines. Run(RunOps·entry) on the same Config produces a byte-identical
+// trace.
 func (s *Sim) RunProgram(entry Proto) (*Trace, error) {
-	if f, ok := s.sched.(*flatScheduler); ok {
-		return s.runFlat(f, entry)
+	f := &flatScheduler{
+		sim:    s,
+		entry:  entry,
+		conts:  make([]Cont, s.n),
+		kinds:  make([]opKind, s.n),
+		panics: make(chan error, s.n),
 	}
-	return s.Run(func(nd *Node) { RunOps(nd, entry(nd)) })
+	s.sched = f
+	s.active = append(s.active[:0], s.nodes...)
+	f.Release(s.active)
+	s.drive(f.panics)
+	return s.buildTrace(), s.firstErr
 }

@@ -9,12 +9,12 @@ import (
 // vocabulary (program.go), independent of any protocol package: each Op kind
 // maps onto exactly one engine barrier, Wake carries exactly what the
 // corresponding blocking call would have returned, and the flat stepper
-// validates malformed ops the same way the goroutine drivers do.
+// validates malformed ops the same way the barrier driver does.
 
 // TestOpSingleNodeSemantics drives a lone node through Next and Sleep under
 // the flat driver and checks the observed round at every resumption.
 func TestOpSingleNodeSemantics(t *testing.T) {
-	s := New(Config{N: 1, Seed: 1, Strict: true, Sched: SchedFlat})
+	s := New(Config{N: 1, Seed: 1, Strict: true})
 	var at []int
 	_, err := s.RunProgram(func(nd *Node) Op {
 		at = append(at, nd.Round()) // entry runs in round 0
@@ -41,7 +41,7 @@ func TestOpSingleNodeSemantics(t *testing.T) {
 // the delivered inbox in Wake.Msgs — the step-form analogue of AwaitMessage's
 // return value.
 func TestOpAwaitWakeCarriesMessages(t *testing.T) {
-	s := New(Config{N: 2, Seed: 2, Strict: true, Sched: SchedFlat})
+	s := New(Config{N: 2, Seed: 2, Strict: true})
 	_, err := s.RunProgram(func(nd *Node) Op {
 		if succ := nd.InitialSucc(); succ != None {
 			nd.Send(succ, Message{Kind: 7, A: 42})
@@ -67,7 +67,7 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = int64(i + 1)
 	}
-	s := New(Config{N: n, Seed: 3, Strict: true, Sched: SchedFlat, Inputs: inputs})
+	s := New(Config{N: n, Seed: 3, Strict: true, Inputs: inputs})
 	s.RegisterCollective("sum", func(s *Sim, ins []any) ([]any, int) {
 		var total int64
 		for _, in := range ins {
@@ -100,52 +100,49 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 }
 
 // TestOpSleepValidation: a non-positive sleep is a protocol error under the
-// flat driver, matching SkipRounds' panic under the goroutine drivers.
+// flat driver, matching SkipRounds' panic under RunOps on the barrier driver.
 func TestOpSleepValidation(t *testing.T) {
-	for _, sched := range []SchedKind{SchedBarrier, SchedFlat} {
-		s := New(Config{N: 1, Seed: 4, Sched: sched})
-		_, err := s.RunProgram(func(nd *Node) Op {
-			return Sleep(0, func(nd *Node, w Wake) Op { return Done() })
-		})
-		if err == nil {
-			t.Fatalf("sched=%v: Sleep(0) did not error", sched)
-		}
+	entry := func(nd *Node) Op {
+		return Sleep(0, func(nd *Node, w Wake) Op { return Done() })
+	}
+	if _, err := New(Config{N: 1, Seed: 4}).Run(func(nd *Node) { RunOps(nd, entry(nd)) }); err == nil {
+		t.Fatal("barrier: Sleep(0) did not error")
+	}
+	if _, err := New(Config{N: 1, Seed: 4}).RunProgram(entry); err == nil {
+		t.Fatal("flat: Sleep(0) did not error")
 	}
 }
 
 // TestOpSequenceTraceIdentical runs one mixed-op micro protocol (send, next,
-// await, sleep) under every driver and requires byte-identical traces — the
-// smallest possible outbox-determinism check, below any real protocol.
+// await, sleep) under RunOps on the barrier driver and under RunProgram and
+// requires byte-identical traces — the smallest possible outbox-determinism
+// check, below any real protocol.
 func TestOpSequenceTraceIdentical(t *testing.T) {
-	run := func(sched SchedKind) (*Trace, error) {
-		s := New(Config{N: 4, Seed: 5, Strict: true, Sched: sched})
-		return s.RunProgram(func(nd *Node) Op {
-			if succ := nd.InitialSucc(); succ != None {
-				nd.Send(succ, Message{Kind: 1, A: int64(nd.ID())})
-				return Next(func(nd *Node, w Wake) Op {
-					return Sleep(2, func(nd *Node, w Wake) Op {
-						nd.SetOutput("sent", 1)
-						return Done()
-					})
+	entry := func(nd *Node) Op {
+		if succ := nd.InitialSucc(); succ != None {
+			nd.Send(succ, Message{Kind: 1, A: int64(nd.ID())})
+			return Next(func(nd *Node, w Wake) Op {
+				return Sleep(2, func(nd *Node, w Wake) Op {
+					nd.SetOutput("sent", 1)
+					return Done()
 				})
-			}
-			return Await(func(nd *Node, w Wake) Op {
-				nd.SetOutput("got", w.Msgs[0].A)
-				return Done()
 			})
+		}
+		return Await(func(nd *Node, w Wake) Op {
+			nd.SetOutput("got", w.Msgs[0].A)
+			return Done()
 		})
 	}
-	base, err := run(SchedBarrier)
+	cfg := Config{N: 4, Seed: 5, Strict: true}
+	base, err := New(cfg).Run(func(nd *Node) { RunOps(nd, entry(nd)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []SchedKind{SchedPool, SchedFlat} {
-		tr, err := run(sched)
-		if err != nil {
-			t.Fatalf("sched=%v: %v", sched, err)
-		}
-		if !reflect.DeepEqual(base, tr) {
-			t.Fatalf("sched=%v: trace differs from barrier:\nbarrier %+v\n%v %+v", sched, base, sched, tr)
-		}
+	tr, err := New(cfg).RunProgram(entry)
+	if err != nil {
+		t.Fatalf("flat: %v", err)
+	}
+	if !reflect.DeepEqual(base, tr) {
+		t.Fatalf("flat trace differs from barrier:\nbarrier %+v\nflat    %+v", base, tr)
 	}
 }

@@ -10,87 +10,48 @@ import (
 	"time"
 )
 
-// sched_conformance_test.go is the scheduler-conformance suite: every test
-// runs against each Scheduler driver (and against a deliberately starved
-// single-worker pool), pinning the contract that the driver choice never
-// changes a run's observable outcome — traces, metrics, error classification,
-// progress-hook ordering, and sleep fast-forwarding are all engine policy.
+// sched_conformance_test.go is the driver-conformance suite: every test runs
+// against each way of executing a protocol, pinning the contract that the
+// driver never changes a run's observable outcome — traces, metrics, error
+// classification, progress-hook ordering, and sleep fast-forwarding are all
+// engine policy.
 //
 // Every test protocol exists in two forms: a blocking body (the legacy node
-// API) and a step-form twin (program.go). Goroutine drivers run the blocking
-// form; step variants run the step form via RunProgram. The barrier-steps
-// variant runs the step form on the barrier driver, pinning that the RunOps
+// API, run by Sim.Run on the barrier driver) and a step-form twin
+// (program.go, run by Sim.RunProgram on the flat driver). The barrier-steps
+// variant runs the step form through RunOps under Sim.Run, pinning that the
 // adapter is observably identical to native blocking code — which, combined
 // with the flat variant, proves blocking ≡ steps ≡ flat.
 
-// schedVariant names one driver configuration under test. newSim exists so
-// the suite can cover pool geometries (single worker) that Config alone
-// cannot express; steps selects the step-form protocol twin via RunProgram.
+// schedVariant names one driver configuration under test: steps selects the
+// step-form protocol twin, flat runs it via RunProgram instead of RunOps.
 type schedVariant struct {
-	name   string
-	steps  bool
-	newSim func(Config) *Sim
+	name  string
+	steps bool
+	flat  bool
 }
 
 // run executes the variant's preferred protocol form on s.
 func (v schedVariant) run(s *Sim, blocking func(*Node), entry Proto) (*Trace, error) {
-	if v.steps {
+	switch {
+	case v.flat:
 		return s.RunProgram(entry)
+	case v.steps:
+		return s.Run(func(nd *Node) { RunOps(nd, entry(nd)) })
+	default:
+		return s.Run(blocking)
 	}
-	return s.Run(blocking)
 }
 
 func schedVariants() []schedVariant {
 	return []schedVariant{
-		{"barrier", false, func(cfg Config) *Sim {
-			cfg.Sched = SchedBarrier
-			return New(cfg)
-		}},
-		{"pool", false, func(cfg Config) *Sim {
-			cfg.Sched = SchedPool
-			return New(cfg)
-		}},
-		// One worker is the maximally starved pool: every run-slice of every
-		// node serializes through a single dispatcher, so any slice that
-		// blocked on anything but the barrier would deadlock here. It also
-		// pins the engine-inline fast path for every release size.
-		{"pool-1worker", false, func(cfg Config) *Sim {
-			s := New(cfg)
-			s.sched = newPoolScheduler(1)
-			return s
-		}},
-		// Three workers force the chunked dispatch path even on single-core
-		// machines (where GOMAXPROCS would otherwise select one worker and
-		// every release would run inline).
-		{"pool-3workers", false, func(cfg Config) *Sim {
-			s := New(cfg)
-			s.sched = newPoolScheduler(3)
-			return s
-		}},
-		// A tiny window forces every chunk through the worker's
-		// multi-batch re-slicing loop (and the engine's multi-batch inline
-		// loop) regardless of GOMAXPROCS, covering the countdown reuse
-		// between batches that production sizes only hit at n > workers ×
-		// poolWindow.
-		{"pool-tinywindow", false, func(cfg Config) *Sim {
-			s := New(cfg)
-			p := newPoolScheduler(2)
-			p.window = 4
-			s.sched = p
-			return s
-		}},
+		{name: "barrier"},
 		// The zero-goroutine columnar driver; runs the step-form twins.
-		{"flat", true, func(cfg Config) *Sim {
-			cfg.Sched = SchedFlat
-			return New(cfg)
-		}},
+		{name: "flat", steps: true, flat: true},
 		// Step-form protocols on the barrier driver: pins RunOps ≡ blocking,
 		// so flat-vs-barrier diffs can be attributed to the driver, not the
 		// protocol translation.
-		{"barrier-steps", true, func(cfg Config) *Sim {
-			cfg.Sched = SchedBarrier
-			return New(cfg)
-		}},
+		{name: "barrier-steps", steps: true},
 	}
 }
 
@@ -177,7 +138,7 @@ func registerTally(s *Sim) {
 // trace.
 func runMixed(t *testing.T, v schedVariant, n int, seed int64) *Trace {
 	t.Helper()
-	s := v.newSim(Config{N: n, Seed: seed})
+	s := New(Config{N: n, Seed: seed})
 	registerTally(s)
 	tr, err := v.run(s, mixedProto(24), mixedProtoStep(24))
 	if err != nil {
@@ -205,8 +166,7 @@ func tracesEqual(t *testing.T, want, got *Trace, label string) {
 
 // TestSchedConformanceTraceIdentical is the core guarantee: same seed, same
 // protocol, byte-identical Trace on every driver, across several sizes and
-// seeds — n=1, n smaller than the pool's worker count, and n=700 > poolWindow
-// so multi-batch chunks and the dispatch path are both exercised.
+// seeds from n=1 to n=700.
 func TestSchedConformanceTraceIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 700} {
 		for _, seed := range []int64{1, 42} {
@@ -232,7 +192,7 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 
 				rounds := 0
 				var total time.Duration
-				s := v.newSim(Config{N: n, Seed: seed, Profile: func(c, d, b time.Duration) {
+				s := New(Config{N: n, Seed: seed, Profile: func(c, d, b time.Duration) {
 					rounds++
 					total += c + d + b
 				}})
@@ -259,7 +219,7 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 
 func TestSchedConformanceDeadlock(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := v.newSim(Config{N: 5, Seed: 2})
+		s := New(Config{N: 5, Seed: 2})
 		_, err := v.run(s,
 			func(nd *Node) {
 				nd.AwaitMessage() // nobody will ever write
@@ -277,7 +237,7 @@ func TestSchedConformanceStopAtBarrier(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		stop := make(chan struct{})
 		cfg := Config{N: 4, Seed: 3, Stop: stop}
-		s := v.newSim(cfg)
+		s := New(cfg)
 		first := s.IDs()[0]
 		spin := func(nd *Node, r int) {
 			if nd.ID() == first && r == 50 {
@@ -318,7 +278,7 @@ func TestSchedConformanceProgressOrdering(t *testing.T) {
 		cfg := Config{N: 6, Seed: 9, Progress: func(round, msgs int) {
 			ticks = append(ticks, tick{round, msgs})
 		}}
-		s := v.newSim(cfg)
+		s := New(cfg)
 		registerTally(s)
 		if _, err := v.run(s, mixedProto(16), mixedProtoStep(16)); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
@@ -348,7 +308,7 @@ func TestSchedConformanceProgressOrdering(t *testing.T) {
 func TestSchedConformanceSleepFastForward(t *testing.T) {
 	const skip = 1_000_000
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := v.newSim(Config{N: 8, Seed: 4})
+		s := New(Config{N: 8, Seed: 4})
 		tr, err := v.run(s,
 			func(nd *Node) {
 				nd.SkipRounds(skip)
@@ -374,7 +334,7 @@ func TestSchedConformanceSleepFastForward(t *testing.T) {
 
 func TestSchedConformancePanicPropagates(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := v.newSim(Config{N: 4, Seed: 6})
+		s := New(Config{N: 4, Seed: 6})
 		victim := s.IDs()[1]
 		_, err := v.run(s,
 			func(nd *Node) {
@@ -406,7 +366,7 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 // (raised by the delivery layer, not the driver) classify identically.
 func TestSchedConformanceStrictViolation(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := v.newSim(Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: NCC1})
+		s := New(Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: NCC1})
 		flood := func(nd *Node) {
 			if nd.ID() == 1 {
 				// Flood node 2 beyond the capacity from a single sender.
@@ -436,7 +396,7 @@ func TestSchedConformanceStrictViolation(t *testing.T) {
 func TestFlatZeroNodeGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	maxG := 0
-	s := New(Config{N: 20_000, Seed: 5, Sched: SchedFlat, Progress: func(round, msgs int) {
+	s := New(Config{N: 20_000, Seed: 5, Progress: func(round, msgs int) {
 		if g := runtime.NumGoroutine(); g > maxG {
 			maxG = g
 		}
@@ -451,16 +411,10 @@ func TestFlatZeroNodeGoroutines(t *testing.T) {
 	}
 }
 
-// TestFlatRefusesBlockingRun pins the guard rails: Sim.Run on a flat sim is a
-// clean error, and a blocking Node call smuggled into a step classifies as a
-// node panic naming the offense.
+// TestFlatRefusesBlockingRun pins the guard rail: a blocking Node call
+// smuggled into a step classifies as a node panic naming the offense.
 func TestFlatRefusesBlockingRun(t *testing.T) {
-	s := New(Config{N: 2, Seed: 1, Sched: SchedFlat})
-	if _, err := s.Run(func(nd *Node) {}); err == nil || !strings.Contains(err.Error(), "RunProgram") {
-		t.Fatalf("want a RunProgram redirect error, got %v", err)
-	}
-
-	s = New(Config{N: 2, Seed: 1, Sched: SchedFlat})
+	s := New(Config{N: 2, Seed: 1})
 	_, err := s.RunProgram(func(nd *Node) Op {
 		nd.NextRound() // blocking call inside a step
 		return Done()
@@ -473,7 +427,7 @@ func TestFlatRefusesBlockingRun(t *testing.T) {
 // TestFlatNilContinuation pins that a malformed Op (suspension without a
 // continuation) is reported as a protocol violation, not a nil-call crash.
 func TestFlatNilContinuation(t *testing.T) {
-	s := New(Config{N: 1, Seed: 1, Sched: SchedFlat})
+	s := New(Config{N: 1, Seed: 1})
 	_, err := s.RunProgram(func(nd *Node) Op { return Op{kind: opNext} })
 	if err == nil || !strings.Contains(err.Error(), "nil continuation") {
 		t.Fatalf("want a nil-continuation violation, got %v", err)

@@ -1,34 +1,30 @@
 package ncc
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Scheduler owns the round barrier and the node wake/park lifecycle: it
-// starts the node bodies, collects their barrier check-ins, and releases the
-// next round's active set. The engine (engine.go) decides *which* nodes run
-// each round; the scheduler decides *how* they are suspended and resumed.
-// Splitting the two keeps the round semantics independent of the concurrency
-// mechanism: barrierScheduler (below) wakes every released node at once,
-// while poolScheduler (pool.go) multiplexes run-slices onto a small worker
-// pool. Both produce byte-identical traces because the engine alone decides
+// Scheduler owns the round barrier: it collects the released nodes' barrier
+// check-ins and releases the next round's active set. The engine (engine.go)
+// decides *which* nodes run each round; the scheduler decides *how* they are
+// suspended and resumed. The entry point picks the driver:
+//
+//   - Sim.Run runs blocking protocols on barrierScheduler (below): one
+//     goroutine per node, every released node made runnable at once. It is
+//     the reference the step-form protocols are checked against.
+//   - Sim.RunProgram runs step-form protocols on flatScheduler (flat.go):
+//     every node is stepped inline on the engine goroutine, with no node
+//     goroutines at all.
+//
+// Both produce byte-identical traces because the engine alone decides
 // ordering.
 //
-// The driver-side methods (Spawn, AwaitAll, Release, Shutdown) are called
-// only from the engine goroutine; the node-side methods (Park, Depart) only
-// from node protocol goroutines. The happens-before edges a correct
-// implementation must provide are: every write a node makes before
-// Park/Depart is visible to the engine after AwaitAll returns, and every
-// write the engine makes before Release is visible to the released node when
-// Park returns.
+// AwaitAll and Release are called only from the engine goroutine; Park only
+// from node protocol code. The happens-before edges a correct implementation
+// must provide are: every write a node makes before checking in is visible
+// to the engine after AwaitAll returns, and every write the engine makes
+// before Release is visible to the released node when Park returns.
 type Scheduler interface {
-	// Spawn starts body for every node and marks all of them active; the
-	// engine must observe their first check-in via AwaitAll. How many bodies
-	// execute concurrently is the implementation's choice.
-	Spawn(nodes []*Node, body func(*Node))
 	// AwaitAll blocks until every node released into the current round has
-	// parked (via Park) or departed (via Depart).
+	// parked (via Park) or departed.
 	AwaitAll()
 	// Release resumes the given nodes for one round. The engine passes the
 	// set already sorted in deterministic (Gk index) order.
@@ -36,59 +32,6 @@ type Scheduler interface {
 	// Park is the node-side barrier entry: check in and block until the
 	// engine releases this node again.
 	Park(nd *Node)
-	// Depart is a node's final check-in, made when its protocol function
-	// returns (or unwinds); the node never blocks again.
-	Depart(nd *Node)
-	// Shutdown releases driver-side resources (e.g. pool workers) after the
-	// engine loop has exited; no other method may be called afterwards. It is
-	// called exactly once per run, when every node body has departed.
-	Shutdown()
-}
-
-// SchedKind selects the Scheduler driver a simulation runs on.
-type SchedKind int
-
-const (
-	// SchedBarrier is the goroutine-barrier driver: every released node's
-	// goroutine is made runnable at once and the barrier is a countdown of
-	// channel parks. The default; the reference for trace identity.
-	SchedBarrier SchedKind = iota
-	// SchedPool is the run-to-completion worker-pool driver (pool.go): node
-	// run-slices are multiplexed onto a fixed worker pool via direct
-	// handoffs, so per-round wakeup cost is a handful of worker dispatches
-	// instead of N simultaneous goroutine wakeups.
-	SchedPool
-	// SchedFlat is the zero-goroutine columnar driver (flat.go): protocols
-	// run in resumable step form (program.go) and the whole simulation runs
-	// on the engine goroutine, storing only a continuation per node between
-	// rounds. Requires Sim.RunProgram; Sim.Run refuses flat sims.
-	SchedFlat
-)
-
-// String returns the stable driver name used in flags and wire formats.
-func (k SchedKind) String() string {
-	switch k {
-	case SchedBarrier:
-		return "barrier"
-	case SchedPool:
-		return "pool"
-	case SchedFlat:
-		return "flat"
-	default:
-		return fmt.Sprintf("SchedKind(%d)", int(k))
-	}
-}
-
-// newScheduler constructs the configured driver.
-func newScheduler(kind SchedKind) Scheduler {
-	switch kind {
-	case SchedPool:
-		return newPoolScheduler(0)
-	case SchedFlat:
-		return newFlatScheduler()
-	default:
-		return newBarrierScheduler()
-	}
 }
 
 // barrierScheduler is the goroutine-barrier implementation: one goroutine per
@@ -104,8 +47,13 @@ func newBarrierScheduler() *barrierScheduler {
 	return &barrierScheduler{allIn: make(chan struct{}, 1)}
 }
 
-func (b *barrierScheduler) Spawn(nodes []*Node, body func(*Node)) {
+// spawn starts body on its own goroutine for every node; the engine observes
+// their first check-ins via AwaitAll.
+func (b *barrierScheduler) spawn(nodes []*Node, body func(*Node)) {
 	b.pending.Store(int64(len(nodes)))
+	for _, nd := range nodes {
+		nd.wake = make(chan struct{}, 1)
+	}
 	for _, nd := range nodes {
 		go body(nd)
 	}
@@ -121,7 +69,8 @@ func (b *barrierScheduler) Release(nodes []*Node) {
 }
 
 // checkin is called by a node goroutine after it has written its parked
-// state; the final check-in of a round hands control to the engine.
+// state, or as its final check-in when its protocol function returns (or
+// unwinds); the final check-in of a round hands control to the engine.
 func (b *barrierScheduler) checkin() {
 	if b.pending.Add(-1) == 0 {
 		b.allIn <- struct{}{}
@@ -132,14 +81,6 @@ func (b *barrierScheduler) Park(nd *Node) {
 	b.checkin()
 	<-nd.wake
 }
-
-func (b *barrierScheduler) Depart(nd *Node) {
-	b.checkin()
-}
-
-// Shutdown is a no-op: the barrier driver owns no goroutines of its own, and
-// every node goroutine has already returned by the time it is called.
-func (b *barrierScheduler) Shutdown() {}
 
 // sleepHeap orders sleeping nodes by wake round; the engine uses it to
 // fast-forward rounds in which every node sleeps.

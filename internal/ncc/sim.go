@@ -54,23 +54,16 @@ type Config struct {
 	// Progress — it needs no synchronization with the protocol but must
 	// return quickly. The timings are observational wall-clock measurements:
 	// they never enter the Trace or Metrics, so profiled and unprofiled runs
-	// of the same Config produce byte-identical traces on every scheduler
-	// driver (see sched_conformance_test.go). The final partial round of a
-	// run (the slice in which every node returns, or an aborting error) is
-	// not reported. See DESIGN.md §10 for phase attribution per driver.
+	// of the same Config produce byte-identical traces under Run and
+	// RunProgram alike (see sched_conformance_test.go). The final partial
+	// round of a run (the slice in which every node returns, or an aborting
+	// error) is not reported. See DESIGN.md §10 for phase attribution.
 	Profile func(compute, delivery, barrier time.Duration)
 	// OrderedIDs forces node IDs to be assigned in increasing order along the
 	// Gk path (IDs are still random in NCC0 unless Model is NCC1). Figures in
 	// the paper use this layout; by default the path order is a random
 	// permutation of random IDs.
 	OrderedIDs bool
-	// Sched selects the concurrency driver: SchedBarrier (default, one
-	// runnable goroutine per released node), SchedPool (run-to-completion
-	// worker pool), or SchedFlat (zero-goroutine stepper; requires
-	// Sim.RunProgram). The driver never affects a run's outcome — all
-	// produce byte-identical traces for the same Config — only how node
-	// bodies are suspended and resumed.
-	Sched SchedKind
 }
 
 // DefaultCapMul is the default capacity multiplier. The paper's algorithms
@@ -104,7 +97,7 @@ type CollectiveOut struct {
 type CollectiveHandler func(s *Sim, ins []any) (outs []any, chargeRounds int)
 
 // Sim is a single NCC simulation instance. Create with New, register any
-// collectives, then call Run exactly once.
+// collectives, then call Run or RunProgram exactly once.
 type Sim struct {
 	cfg      Config
 	n        int
@@ -117,7 +110,8 @@ type Sim struct {
 
 	collectives map[string]CollectiveHandler
 
-	// Layered machinery: sched owns the barrier, del the message routing.
+	// Layered machinery: sched owns the barrier (set by Run or RunProgram),
+	// del the message routing.
 	sched Scheduler
 	del   *delivery
 
@@ -157,19 +151,12 @@ func New(cfg Config) *Sim {
 		capacity:    capacity,
 		index:       make(map[ID]int, n),
 		collectives: make(map[string]CollectiveHandler),
-		sched:       newScheduler(cfg.Sched),
 		awaiters:    make(map[int]*Node),
 	}
 	s.assignIDs()
 	s.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nd := &Node{
-			sim:  s,
-			id:   s.ids[i],
-			idx:  i,
-			rng:  rand.New(rand.NewSource(mix64(cfg.Seed, int64(s.ids[i])))),
-			wake: make(chan struct{}, 1),
-		}
+		nd := &Node{sim: s, id: s.ids[i], idx: i}
 		if cfg.Model == NCC0 {
 			nd.known = make(map[ID]struct{}, 8)
 		}
@@ -246,14 +233,15 @@ func (s *Sim) noteSendViolation(nd *Node) {
 // Run executes proto on every node and drives the synchronous rounds to
 // completion. It returns the Trace and the first error encountered (protocol
 // violation, deadlock, strict capacity violation, round limit, or panic).
+//
+// Every node runs on its own goroutine under the barrier driver; this is the
+// reference the step forms run by RunProgram are checked against.
 func (s *Sim) Run(proto func(*Node)) (*Trace, error) {
-	if _, flat := s.sched.(*flatScheduler); flat {
-		s.firstErr = errors.New("ncc: the flat driver cannot run blocking protocols; use Sim.RunProgram")
-		return s.buildTrace(), s.firstErr
-	}
+	b := newBarrierScheduler()
+	s.sched = b
 	panics := make(chan error, s.n)
 	s.active = append(s.active[:0], s.nodes...)
-	s.sched.Spawn(s.nodes, func(nd *Node) {
+	b.spawn(s.nodes, func(nd *Node) {
 		defer func() {
 			if r := recover(); r != nil {
 				switch v := r.(type) {
@@ -266,12 +254,11 @@ func (s *Sim) Run(proto func(*Node)) (*Trace, error) {
 				}
 			}
 			nd.state = stateDone
-			s.sched.Depart(nd)
+			b.checkin()
 		}()
 		proto(nd)
 	})
 	s.drive(panics)
-	s.sched.Shutdown()
 	return s.buildTrace(), s.firstErr
 }
 

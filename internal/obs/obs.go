@@ -1,14 +1,14 @@
 // Package obs is the dependency-free observability toolkit shared by the
 // serving stack: request trace IDs propagated through context.Context,
 // fixed-bucket histograms rendered in the Prometheus text exposition format,
-// per-driver engine phase profiles, and a bounded flight recorder for the
+// engine phase profiles, and a bounded flight recorder for the
 // slowest jobs.
 //
 // Everything here is deliberately passive: nothing in this package starts
 // goroutines, takes locks on hot paths (histograms and profiles are atomic),
 // or feeds back into execution. In particular, phase profiling is delivered
 // through a callback (ncc.Config.Profile) and never enters the engine's
-// Trace or Metrics, so the scheduler-conformance guarantee — byte-identical
+// Trace or Metrics, so the driver-conformance guarantee — byte-identical
 // traces across drivers — holds with profiling on or off.
 package obs
 

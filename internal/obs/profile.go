@@ -14,12 +14,11 @@ import (
 //	           checked-in nodes, collectives, round advance, wake-set sort)
 //
 // and reports them through ncc.Config.Profile once per round. A PhaseProfile
-// aggregates those callbacks for one scheduler driver: total nanoseconds per
-// phase, the round count, and a histogram of whole-round durations.
+// aggregates those callbacks: total nanoseconds per phase, the round count,
+// and a histogram of whole-round durations.
 
-// PhaseProfile accumulates per-round phase timings for one scheduler driver.
-// All methods are safe for concurrent use (many jobs on the same driver feed
-// one profile).
+// PhaseProfile accumulates per-round phase timings. All methods are safe for
+// concurrent use (many concurrent jobs feed one profile).
 type PhaseProfile struct {
 	compute  atomic.Int64 // nanoseconds
 	delivery atomic.Int64

@@ -13,12 +13,11 @@ import (
 
 // FlightEntry is one recorded job execution.
 type FlightEntry struct {
-	TraceID   string
-	Kind      string
-	Label     string
-	N         int // sequence length
-	Seed      int64
-	Scheduler string
+	TraceID string
+	Kind    string
+	Label   string
+	N       int // sequence length
+	Seed    int64
 
 	Wait time.Duration // queued, waiting for a worker
 	Run  time.Duration // executing

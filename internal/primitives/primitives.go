@@ -16,7 +16,7 @@
 // returns an ncc.Op whose continuation eventually invokes k with the result,
 // so the zero-goroutine flat driver can run it without a goroutine stack. The
 // blocking form is a thin adapter that drives the step form through
-// ncc.RunOps for callers on the goroutine drivers; both forms are therefore
+// ncc.RunOps for callers under Sim.Run; both forms are therefore
 // observably identical by construction.
 package primitives
 

@@ -35,7 +35,7 @@ func TestBuildAllStepMatchesBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d blocking: %v", n, err)
 		}
-		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Sched: ncc.SchedFlat})
+		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return BuildAllStep(nd, func(p Path, _ Levels, tree Tree) ncc.Op {
 				treeOutputs(nd, p, tree)
@@ -54,7 +54,7 @@ func TestBuildAllStepMatchesBlocking(t *testing.T) {
 // TestSyncAtStepSingleNodeSemantics: SyncAtStep must resume its continuation
 // exactly at the requested round, even for a single node with no mail.
 func TestSyncAtStepSingleNodeSemantics(t *testing.T) {
-	s := ncc.New(ncc.Config{N: 1, Seed: 9, Strict: true, Sched: ncc.SchedFlat})
+	s := ncc.New(ncc.Config{N: 1, Seed: 9, Strict: true})
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		return SyncAtStep(nd, 6, func(msgs []ncc.Message) ncc.Op {
 			if nd.Round() != 6 {

@@ -55,7 +55,7 @@ func TestOverlayStepsMatchBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d blocking: %v", n, err)
 		}
-		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Sched: ncc.SchedFlat})
+		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return buildOverlayStep(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {
 				return PrefixSumStep(nd, ov, int64(ov.Rank+1), func(prefix int64) ncc.Op {

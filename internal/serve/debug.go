@@ -14,12 +14,11 @@ import (
 
 // SlowJobJSON is one entry of GET /v1/debug/slowest.
 type SlowJobJSON struct {
-	TraceID   string `json:"trace_id,omitempty"`
-	Kind      string `json:"kind"`
-	Label     string `json:"label,omitempty"`
-	N         int    `json:"n"`
-	Seed      int64  `json:"seed"`
-	Scheduler string `json:"scheduler"`
+	TraceID string `json:"trace_id,omitempty"`
+	Kind    string `json:"kind"`
+	Label   string `json:"label,omitempty"`
+	N       int    `json:"n"`
+	Seed    int64  `json:"seed"`
 
 	WaitMS float64 `json:"wait_ms"`
 	RunMS  float64 `json:"run_ms"`
@@ -52,7 +51,6 @@ func (s *Server) handleDebugSlowest(w http.ResponseWriter, r *http.Request) {
 				Label:      e.Label,
 				N:          e.N,
 				Seed:       e.Seed,
-				Scheduler:  e.Scheduler,
 				WaitMS:     durMS(e.Wait),
 				RunMS:      durMS(e.Run),
 				Rounds:     e.Rounds,

@@ -33,7 +33,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.checkSequence(w, req.Sequence) {
 		return
 	}
-	opt, err := req.Options.toOptions(s.cfg.DefaultScheduler)
+	opt, err := req.Options.toOptions()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -111,42 +111,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"Execution time of jobs that acquired a worker.",
 			obs.HistogramSeries{Snap: o.Run.Snapshot()})
 
-		// Engine phase profile per scheduler driver: a round-duration
-		// histogram, cumulative per-phase wall time, and the round counter.
-		roundSeries := make([]obs.HistogramSeries, 0, len(schedulers))
-		phaseRows := make([]labeledCounter, 0, 3*len(schedulers))
-		roundRows := make([]labeledCounter, 0, len(schedulers))
-		for _, sched := range schedulers {
-			p := o.SchedProfile(sched)
-			snap := p.Snapshot()
-			name := sched.String()
-			roundSeries = append(roundSeries, obs.HistogramSeries{
-				Labels: fmt.Sprintf("scheduler=%q", name),
-				Snap:   p.Round.Snapshot(),
-			})
-			for _, ph := range []struct {
-				phase string
-				total float64
-			}{
-				{"barrier", snap.Barrier.Seconds()},
-				{"compute", snap.Compute.Seconds()},
-				{"delivery", snap.Delivery.Seconds()},
-			} {
-				phaseRows = append(phaseRows, labeledCounter{
-					labels: fmt.Sprintf("phase=%q,scheduler=%q", ph.phase, name),
-					value:  ph.total,
-				})
-			}
-			roundRows = append(roundRows, labeledCounter{
-				labels: fmt.Sprintf("scheduler=%q", name),
-				value:  float64(snap.Rounds),
-			})
-		}
-		mw.histogram("graphrealize_engine_round_seconds", "Engine round duration by scheduler driver.", roundSeries...)
+		// Engine phase profile: a round-duration histogram, cumulative
+		// per-phase wall time, and the round counter. Every series keeps
+		// the scheduler label, fixed at the engine's one driver.
+		p := o.Phases
+		snap := p.Snapshot()
+		driver := fmt.Sprintf("scheduler=%q", engineDriver)
+		mw.histogram("graphrealize_engine_round_seconds", "Engine round duration.",
+			obs.HistogramSeries{Labels: driver, Snap: p.Round.Snapshot()})
 		mw.counterSeries("graphrealize_engine_phase_seconds_total",
-			"Cumulative engine round wall time split by phase and scheduler driver.", phaseRows)
-		mw.counterSeries("graphrealize_engine_rounds_total",
-			"Engine rounds profiled per scheduler driver.", roundRows)
+			"Cumulative engine round wall time split by phase.", []labeledCounter{
+				{labels: fmt.Sprintf("phase=%q,%s", "barrier", driver), value: snap.Barrier.Seconds()},
+				{labels: fmt.Sprintf("phase=%q,%s", "compute", driver), value: snap.Compute.Seconds()},
+				{labels: fmt.Sprintf("phase=%q,%s", "delivery", driver), value: snap.Delivery.Seconds()},
+			})
+		mw.counterSeries("graphrealize_engine_rounds_total", "Engine rounds profiled.",
+			[]labeledCounter{{labels: driver, value: float64(snap.Rounds)}})
 	}
 
 	if s.cfg.Jobs != nil {

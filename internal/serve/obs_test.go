@@ -148,25 +148,29 @@ func TestMetricsHistogramsExposed(t *testing.T) {
 		"# TYPE graphrealize_runner_job_run_seconds histogram",
 		"graphrealize_runner_job_run_seconds_count 1",
 		"# TYPE graphrealize_engine_round_seconds histogram",
-		`graphrealize_engine_round_seconds_bucket{scheduler="barrier",le="+Inf"}`,
+		`graphrealize_engine_round_seconds_bucket{scheduler="flat",le="+Inf"}`,
 		"# TYPE graphrealize_engine_phase_seconds_total counter",
-		`graphrealize_engine_phase_seconds_total{phase="compute",scheduler="barrier"}`,
-		`graphrealize_engine_phase_seconds_total{phase="delivery",scheduler="flat"} 0`,
+		`graphrealize_engine_phase_seconds_total{phase="compute",scheduler="flat"}`,
+		`graphrealize_engine_phase_seconds_total{phase="delivery",scheduler="flat"}`,
 		"# TYPE graphrealize_engine_rounds_total counter",
-		`graphrealize_engine_rounds_total{scheduler="pool"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
 	}
-	// The barrier driver actually ran, so its round counter must be positive.
-	re := regexp.MustCompile(`graphrealize_engine_rounds_total\{scheduler="barrier"\} (\d+)`)
+	// The engine actually ran, so its round counter must be positive. The
+	// scheduler label is kept, fixed at the engine's one driver, so scrapes
+	// written when there were three still match.
+	re := regexp.MustCompile(`graphrealize_engine_rounds_total\{scheduler="flat"\} (\d+)`)
 	m := re.FindStringSubmatch(body)
 	if m == nil {
-		t.Fatal("barrier rounds counter not found")
+		t.Fatal("engine rounds counter not found")
 	}
 	if n, _ := strconv.Atoi(m[1]); n == 0 {
-		t.Fatal("barrier driver executed a job but profiled zero rounds")
+		t.Fatal("engine executed a job but profiled zero rounds")
+	}
+	if strings.Count(body, "graphrealize_engine_rounds_total{") != 1 {
+		t.Fatal("engine rounds exported for more than one driver")
 	}
 }
 
@@ -254,7 +258,7 @@ func TestMetricsValidExposition(t *testing.T) {
 }
 
 // TestStatsQuantilesAndPhases pins /v1/stats' histogram-derived run
-// quantiles and per-driver phase report against a real Runner.
+// quantiles and engine phase report against a real Runner.
 func TestStatsQuantilesAndPhases(t *testing.T) {
 	h := realServer(t)
 	if rec := post(t, h, "/v1/realize/degree", seqBody); rec.Code != http.StatusOK {
@@ -268,14 +272,8 @@ func TestStatsQuantilesAndPhases(t *testing.T) {
 	if st.P50RunMS <= 0 || st.P95RunMS < st.P50RunMS || st.P99RunMS < st.P95RunMS {
 		t.Fatalf("quantiles not positive/monotone: p50=%g p95=%g p99=%g", st.P50RunMS, st.P95RunMS, st.P99RunMS)
 	}
-	if len(st.Phases) != 3 {
-		t.Fatalf("phases report %d drivers, want 3: %+v", len(st.Phases), st.Phases)
-	}
-	if st.Phases["barrier"].Rounds == 0 {
-		t.Fatalf("barrier driver ran but reports zero rounds: %+v", st.Phases)
-	}
-	if st.Phases["pool"].Rounds != 0 || st.Phases["flat"].Rounds != 0 {
-		t.Fatalf("idle drivers report rounds: %+v", st.Phases)
+	if len(st.Phases) != 1 || st.Phases["flat"].Rounds == 0 {
+		t.Fatalf("phases must report the engine's rounds under the single key \"flat\": %+v", st.Phases)
 	}
 	// A scripted backend without instruments omits the whole section.
 	h2 := serve.New(serve.Config{Backend: &fakeBackend{stats: graphrealize.RunnerStats{Executed: 5}}}).Handler()

@@ -80,11 +80,6 @@ type Config struct {
 	// manager (which should wrap the same Backend so admission control is
 	// shared).
 	Jobs *jobs.Manager
-	// DefaultScheduler is the simulator driver used when a request's options
-	// leave the scheduler field empty (grserved -scheduler). The driver never
-	// affects results, only execution speed, so changing the default is safe
-	// for clients.
-	DefaultScheduler graphrealize.Scheduler
 	// Cluster, when non-nil, marks this server a coordinator: the cluster
 	// control plane (/cluster/v1/*) is mounted, /v1/stats grows a cluster
 	// object, and /metrics grows the graphrealize_cluster_* families. It
@@ -436,7 +431,7 @@ func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
 	if !s.checkSequence(w, req.Sequence) {
 		return
 	}
-	opt, err := req.Options.toOptions(s.cfg.DefaultScheduler)
+	opt, err := req.Options.toOptions()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -487,7 +482,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.checkSequence(w, req.Sequence) {
 		return
 	}
-	opt, err := req.Options.toOptions(s.cfg.DefaultScheduler)
+	opt, err := req.Options.toOptions()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -421,56 +422,59 @@ func TestRetryAfterEmptyWindowFallback(t *testing.T) {
 	}
 }
 
-// TestSchedulerOptionOnWire pins the scheduler request field: "pool" reaches
-// the backend in Options, an unknown value is a 400, and an empty field picks
-// up the server's configured default.
+// TestSchedulerOptionOnWire pins the retired scheduler request field:
+// clients written against the three-driver engine still send it, so the
+// decoder keeps accepting "barrier", "pool" and "flat" in any case and
+// ignores them — the realization is exactly the one the request without the
+// field gets — while any other value is still a 400.
 func TestSchedulerOptionOnWire(t *testing.T) {
-	var got []graphrealize.Scheduler
-	record := func(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
-		opt := j.Opt
-		if opt == nil {
-			opt = &graphrealize.Options{}
-		}
-		got = append(got, opt.Scheduler)
-		return resultChan(graphrealize.Result{Job: j, Graph: &graphrealize.Graph{N: 2, Adj: [][]int{{1}, {0}}}, Stats: &graphrealize.Stats{N: 2}}), nil
+	h := realServer(t)
+	const seq = `[3,3,2,2,2,2,1,1]`
+	plain := decodeInto[serve.RealizeResponse](t, post(t, h, "/v1/realize/degree",
+		`{"sequence":`+seq+`,"options":{"seed":5}}`))
+	if len(plain.Edges) == 0 {
+		t.Fatal("reference request returned no edges")
 	}
-
-	h := serve.New(serve.Config{Backend: &fakeBackend{submit: record}}).Handler()
-	if rec := post(t, h, "/v1/realize/degree", `{"sequence":[1,1],"options":{"scheduler":"pool"}}`); rec.Code != http.StatusOK {
-		t.Fatalf("pool scheduler request: %d %s", rec.Code, rec.Body.String())
+	for _, sched := range []string{"pool", "barrier", "FLAT"} {
+		rec := post(t, h, "/v1/realize/degree", `{"sequence":`+seq+`,"options":{"seed":5,"scheduler":"`+sched+`"}}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("scheduler %q: %d %s", sched, rec.Code, rec.Body.String())
+		}
+		got := decodeInto[serve.RealizeResponse](t, rec)
+		if !reflect.DeepEqual(got.Edges, plain.Edges) || got.Stats != plain.Stats {
+			t.Fatalf("scheduler %q changed the result:\n got %+v %v\nwant %+v %v",
+				sched, got.Stats, got.Edges, plain.Stats, plain.Edges)
+		}
 	}
 	if rec := post(t, h, "/v1/realize/degree", `{"sequence":[1,1],"options":{"scheduler":"fiber"}}`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown scheduler must be 400, got %d", rec.Code)
 	}
+}
 
-	// A server defaulting to the pool driver applies it to requests that
-	// don't choose — with and without an options object.
-	hp := serve.New(serve.Config{
-		Backend:          &fakeBackend{submit: record},
-		DefaultScheduler: graphrealize.PoolScheduler,
-	}).Handler()
-	if rec := post(t, hp, "/v1/realize/degree", `{"sequence":[1,1]}`); rec.Code != http.StatusOK {
-		t.Fatalf("default scheduler request: %d %s", rec.Code, rec.Body.String())
+// TestRetiredSchedulerSharesCacheEntry: the driver is no longer part of the
+// result cache key, so requests that differ only in the retired scheduler
+// field share one cache entry instead of one per driver.
+func TestRetiredSchedulerSharesCacheEntry(t *testing.T) {
+	h := realServer(t)
+	bodies := []string{
+		`{"sequence":[2,2,2],"options":{"seed":4}}`,
+		`{"sequence":[2,2,2],"options":{"seed":4,"scheduler":"barrier"}}`,
+		`{"sequence":[2,2,2],"options":{"seed":4,"scheduler":"pool"}}`,
+		`{"sequence":[2,2,2],"options":{"seed":4,"scheduler":"flat"}}`,
 	}
-	if rec := post(t, hp, "/v1/realize/degree", `{"sequence":[1,1],"options":{"seed":3}}`); rec.Code != http.StatusOK {
-		t.Fatalf("default scheduler with options: %d %s", rec.Code, rec.Body.String())
-	}
-	if rec := post(t, hp, "/v1/realize/degree", `{"sequence":[1,1],"options":{"scheduler":"barrier"}}`); rec.Code != http.StatusOK {
-		t.Fatalf("explicit barrier overrides the default: %d %s", rec.Code, rec.Body.String())
-	}
-
-	want := []graphrealize.Scheduler{
-		graphrealize.PoolScheduler,    // explicit "pool"
-		graphrealize.PoolScheduler,    // server default, no options
-		graphrealize.PoolScheduler,    // server default, options without scheduler
-		graphrealize.BarrierScheduler, // explicit "barrier" beats the default
-	}
-	if len(got) != len(want) {
-		t.Fatalf("backend saw %d submissions, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("submission %d: scheduler %v, want %v", i, got[i], want[i])
+	for i, body := range bodies {
+		rec := post(t, h, "/v1/realize/degree", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body.String())
 		}
+		if got := decodeInto[serve.RealizeResponse](t, rec); got.Cached != (i > 0) {
+			t.Fatalf("request %d (%s): cached=%v, want %v", i, body, got.Cached, i > 0)
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if st := decodeInto[serve.StatsResponse](t, rec); st.CacheLen != 1 || st.Executed != 1 {
+		t.Fatalf("cache_len=%d executed=%d, want one entry from one execution", st.CacheLen, st.Executed)
 	}
 }

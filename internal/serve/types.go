@@ -29,20 +29,17 @@ type OptionsJSON struct {
 	Sort string `json:"sort,omitempty"`
 	// MaxRounds aborts runaway protocols.
 	MaxRounds int `json:"max_rounds,omitempty"`
-	// Scheduler is "barrier", "pool" or "flat"; empty selects the server's default
-	// driver (grserved -scheduler). The choice never affects the result.
+	// Scheduler is retired: every run uses the engine's one driver. The
+	// field is still decoded so that clients written against the
+	// three-driver engine keep working; "barrier", "pool" and "flat" are
+	// ignored and any other value is rejected, as before.
 	Scheduler string `json:"scheduler,omitempty"`
 }
 
-// toOptions maps the wire options onto facade Options. defSched is the
-// server-wide default driver, applied when the request leaves the scheduler
-// field empty — including when the request carries no options at all.
-func (o *OptionsJSON) toOptions(defSched graphrealize.Scheduler) (*graphrealize.Options, error) {
+// toOptions maps the wire options onto facade Options.
+func (o *OptionsJSON) toOptions() (*graphrealize.Options, error) {
 	if o == nil {
-		if defSched == graphrealize.BarrierScheduler {
-			return nil, nil
-		}
-		return &graphrealize.Options{Scheduler: defSched}, nil
+		return nil, nil
 	}
 	out := &graphrealize.Options{
 		Seed:      o.Seed,
@@ -66,14 +63,10 @@ func (o *OptionsJSON) toOptions(defSched graphrealize.Scheduler) (*graphrealize.
 	default:
 		return nil, fmt.Errorf("unknown sort %q (want oracle, oddeven, or merge)", o.Sort)
 	}
-	if o.Scheduler == "" {
-		out.Scheduler = defSched
-	} else {
-		sched, err := graphrealize.ParseScheduler(o.Scheduler)
-		if err != nil {
-			return nil, fmt.Errorf("unknown scheduler %q (want barrier, pool or flat)", o.Scheduler)
-		}
-		out.Scheduler = sched
+	switch strings.ToLower(o.Scheduler) {
+	case "", "barrier", "pool", "flat":
+	default:
+		return nil, fmt.Errorf("unknown scheduler %q (want barrier, pool or flat)", o.Scheduler)
 	}
 	return out, nil
 }
@@ -196,9 +189,9 @@ type StatsResponse struct {
 	P50RunMS float64 `json:"p50_run_ms"`
 	P95RunMS float64 `json:"p95_run_ms"`
 	P99RunMS float64 `json:"p99_run_ms"`
-	// Phases reports engine round counts and phase wall-time per scheduler
-	// driver, keyed "barrier" / "pool" / "flat". Nil when the backend
-	// exposes no instruments.
+	// Phases reports engine round counts and phase wall-time under the
+	// single key "flat", the engine's driver. Nil when the backend exposes
+	// no instruments.
 	Phases map[string]SchedPhaseJSON `json:"phases,omitempty"`
 	// Cluster reports the coordinator's member table and proxy counters
 	// (CLUSTER.md §7.1). Nil on a single node or a worker.
@@ -221,7 +214,7 @@ type ClusterStatsJSON struct {
 	ProxyErrors   int64                  `json:"proxy_errors"`
 }
 
-// SchedPhaseJSON is one scheduler driver's accumulated engine phase profile.
+// SchedPhaseJSON is the engine's accumulated phase profile.
 type SchedPhaseJSON struct {
 	Rounds    int64   `json:"rounds"`
 	ComputeS  float64 `json:"compute_s"`
@@ -258,27 +251,21 @@ func statsResponse(rs graphrealize.RunnerStats, uptime time.Duration, o *graphre
 		resp.P50RunMS = run.Quantile(0.50) * 1000
 		resp.P95RunMS = run.Quantile(0.95) * 1000
 		resp.P99RunMS = run.Quantile(0.99) * 1000
-		resp.Phases = make(map[string]SchedPhaseJSON, len(schedulers))
-		for _, sched := range schedulers {
-			p := o.SchedProfile(sched).Snapshot()
-			resp.Phases[sched.String()] = SchedPhaseJSON{
-				Rounds:    p.Rounds,
-				ComputeS:  p.Compute.Seconds(),
-				DeliveryS: p.Delivery.Seconds(),
-				BarrierS:  p.Barrier.Seconds(),
-			}
-		}
+		p := o.Phases.Snapshot()
+		resp.Phases = map[string]SchedPhaseJSON{engineDriver: {
+			Rounds:    p.Rounds,
+			ComputeS:  p.Compute.Seconds(),
+			DeliveryS: p.Delivery.Seconds(),
+			BarrierS:  p.Barrier.Seconds(),
+		}}
 	}
 	return resp
 }
 
-// schedulers lists every driver in the fixed (alphabetical-by-name) order
-// the stats and metrics expositions use: barrier, flat, pool.
-var schedulers = []graphrealize.Scheduler{
-	graphrealize.BarrierScheduler,
-	graphrealize.FlatScheduler,
-	graphrealize.PoolScheduler,
-}
+// engineDriver names the engine's one driver in /v1/stats phases and in the
+// scheduler label of the graphrealize_engine_* metric families, which keep
+// the shape they had when the engine had several drivers.
+const engineDriver = "flat"
 
 // ErrorResponse is the body of every non-2xx response.
 type ErrorResponse struct {

@@ -18,7 +18,7 @@ import (
 // drives it with the zero-goroutine flat scheduler.
 func runSortStepFlat(t *testing.T, n int, seed int64, method Method) *ncc.Trace {
 	t.Helper()
-	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Sched: ncc.SchedFlat})
+	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 	RegisterOracle(s)
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		return primitives.BuildAllStep(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {

@@ -21,7 +21,7 @@ func runTreeStepFlat(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace
 	for i, v := range d {
 		inputs[i] = v
 	}
-	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs, Sched: ncc.SchedFlat})
+	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
 	return s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		return core.SetupStep(nd, sortnet.Oracle, func(env *core.Env) ncc.Op {

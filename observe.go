@@ -7,7 +7,7 @@ import (
 )
 
 // observe.go is the Runner's wall-clock observability: latency histograms,
-// per-driver engine phase profiles, and the slowest-jobs flight recorder.
+// the engine phase profile, and the slowest-jobs flight recorder.
 // Everything here is observational — it feeds /metrics, /v1/stats, and
 // /v1/debug/slowest but never influences a job's outcome, its cache key, or
 // the deterministic traces (see internal/ncc's Config.Profile contract).
@@ -27,30 +27,17 @@ type RunnerObs struct {
 	Run       *obs.Histogram
 	// Recorder retains the slowest executed jobs by run duration.
 	Recorder *obs.FlightRecorder
-
-	// profiles[s] accumulates engine round phase time for scheduler driver s.
-	profiles [3]*obs.PhaseProfile
+	// Phases accumulates the engine round phase time of every executed job.
+	Phases *obs.PhaseProfile
 }
 
 func newRunnerObs() *RunnerObs {
-	o := &RunnerObs{
+	return &RunnerObs{
 		QueueWait: obs.NewHistogram(obs.DefaultLatencyBuckets),
 		Run:       obs.NewHistogram(obs.DefaultLatencyBuckets),
 		Recorder:  obs.NewFlightRecorder(flightRecorderSize),
+		Phases:    obs.NewPhaseProfile(),
 	}
-	for i := range o.profiles {
-		o.profiles[i] = obs.NewPhaseProfile()
-	}
-	return o
-}
-
-// SchedProfile returns the phase profile accumulating rounds run under the
-// given scheduler driver. Unknown values map to the default driver's profile.
-func (o *RunnerObs) SchedProfile(s Scheduler) *obs.PhaseProfile {
-	if s < 0 || int(s) >= len(o.profiles) {
-		s = BarrierScheduler
-	}
-	return o.profiles[s]
 }
 
 // Obs exposes the Runner's observability instruments.
@@ -65,20 +52,19 @@ type phaseAccum struct {
 }
 
 // observe returns a copy of j whose Options carry a Profile hook feeding both
-// the Runner's per-driver phase profile and acc, chained in front of any
+// the Runner's phase profile and acc, chained in front of any
 // caller-supplied hook (the instrument pattern internal/jobs uses for
 // Progress). The caller's Job is left untouched and the cache key is
 // unchanged by construction: Profile is excluded from optKey.
 func (r *Runner) observe(j Job, acc *phaseAccum) Job {
 	opt := j.Opt.norm()
-	prof := r.obs.SchedProfile(opt.Scheduler)
 	caller := opt.Profile
 	opt.Profile = func(compute, delivery, barrier time.Duration) {
 		acc.compute += compute
 		acc.delivery += delivery
 		acc.barrier += barrier
 		acc.rounds++
-		prof.ObserveRound(compute, delivery, barrier)
+		r.obs.Phases.ObserveRound(compute, delivery, barrier)
 		if caller != nil {
 			caller(compute, delivery, barrier)
 		}
@@ -95,19 +81,18 @@ func (r *Runner) recordFlight(j Job, res Result, wait, run time.Duration, acc *p
 		errStr = res.Err.Error()
 	}
 	r.obs.Recorder.Record(obs.FlightEntry{
-		TraceID:   j.TraceID,
-		Kind:      j.Kind.String(),
-		Label:     j.Label,
-		N:         len(j.Seq),
-		Seed:      opt.Seed,
-		Scheduler: opt.Scheduler.String(),
-		Wait:      wait,
-		Run:       run,
-		Rounds:    acc.rounds,
-		Compute:   acc.compute,
-		Delivery:  acc.delivery,
-		Barrier:   acc.barrier,
-		Err:       errStr,
-		Finished:  time.Now(),
+		TraceID:  j.TraceID,
+		Kind:     j.Kind.String(),
+		Label:    j.Label,
+		N:        len(j.Seq),
+		Seed:     opt.Seed,
+		Wait:     wait,
+		Run:      run,
+		Rounds:   acc.rounds,
+		Compute:  acc.compute,
+		Delivery: acc.delivery,
+		Barrier:  acc.barrier,
+		Err:      errStr,
+		Finished: time.Now(),
 	})
 }

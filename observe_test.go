@@ -7,14 +7,14 @@ import (
 
 // TestRunnerObsInstruments pins the executeAdmitted instrumentation: an
 // executed job lands in the latency histograms, its engine rounds feed the
-// submitted driver's phase profile, and the flight recorder retains the
-// job's trace ID and phase breakdown.
+// phase profile, and the flight recorder retains the job's trace ID and
+// phase breakdown.
 func TestRunnerObsInstruments(t *testing.T) {
 	r := NewRunner(2)
 	j := Job{
 		Kind:    JobDegrees,
 		Seq:     []int{3, 3, 2, 2, 2, 2},
-		Opt:     &Options{Seed: 11, Scheduler: PoolScheduler},
+		Opt:     &Options{Seed: 11},
 		Label:   "obs-test",
 		TraceID: "trace-abc",
 	}
@@ -33,15 +33,12 @@ func TestRunnerObsInstruments(t *testing.T) {
 	if got := o.QueueWait.Snapshot().Count; got != 1 {
 		t.Fatalf("queue-wait histogram count = %d, want 1", got)
 	}
-	pool := o.SchedProfile(PoolScheduler).Snapshot()
-	if pool.Rounds == 0 {
-		t.Fatal("pool phase profile recorded no rounds")
+	prof := o.Phases.Snapshot()
+	if prof.Rounds == 0 {
+		t.Fatal("phase profile recorded no rounds")
 	}
-	if total := pool.Compute + pool.Delivery + pool.Barrier; total <= 0 {
-		t.Fatalf("pool phase time = %v, want > 0", total)
-	}
-	if other := o.SchedProfile(BarrierScheduler).Snapshot(); other.Rounds != 0 {
-		t.Fatalf("barrier profile recorded %d rounds for a pool job", other.Rounds)
+	if total := prof.Compute + prof.Delivery + prof.Barrier; total <= 0 {
+		t.Fatalf("phase time = %v, want > 0", total)
 	}
 
 	slow := o.Recorder.Slowest()
@@ -50,11 +47,11 @@ func TestRunnerObsInstruments(t *testing.T) {
 	}
 	e := slow[0]
 	if e.TraceID != "trace-abc" || e.Kind != "degrees" || e.Label != "obs-test" ||
-		e.Scheduler != "pool" || e.N != 6 || e.Seed != 11 {
+		e.N != 6 || e.Seed != 11 {
 		t.Fatalf("flight entry fields wrong: %+v", e)
 	}
-	if e.Rounds != pool.Rounds {
-		t.Fatalf("flight entry rounds %d != profile rounds %d", e.Rounds, pool.Rounds)
+	if e.Rounds != prof.Rounds {
+		t.Fatalf("flight entry rounds %d != profile rounds %d", e.Rounds, prof.Rounds)
 	}
 	if e.Run <= 0 || e.Err != "" {
 		t.Fatalf("flight entry run/err wrong: %+v", e)
@@ -98,7 +95,7 @@ func TestRunnerObsChainsCallerProfile(t *testing.T) {
 	if calls == 0 {
 		t.Fatal("caller Profile hook never fired")
 	}
-	prof := r.Obs().SchedProfile(BarrierScheduler).Snapshot()
+	prof := r.Obs().Phases.Snapshot()
 	if int64(calls) != prof.Rounds {
 		t.Fatalf("caller saw %d rounds, profile recorded %d", calls, prof.Rounds)
 	}

@@ -11,7 +11,7 @@ import (
 // the format silently remaps every key to a different worker.
 func TestRouteKeyGolden(t *testing.T) {
 	j := Job{Kind: JobDegrees, Seq: []int{3, 3, 2, 2, 1, 1}, Opt: &Options{Seed: 7}}
-	if got, want := j.RouteKey(), "degrees|060604040202|m0.s7.tfalse.c0.o0.r0.barrier"; got != want {
+	if got, want := j.RouteKey(), "degrees|060604040202|m0.s7.tfalse.c0.o0.r0"; got != want {
 		t.Fatalf("RouteKey = %q, want %q (CLUSTER.md §4.3)", got, want)
 	}
 }
@@ -54,7 +54,6 @@ func TestRouteKeyMatchesCacheIdentity(t *testing.T) {
 		"cap_mul":    {Kind: JobDegrees, Seq: base.Seq, Opt: &Options{Seed: 7, CapMul: 16}},
 		"sort":       {Kind: JobDegrees, Seq: base.Seq, Opt: &Options{Seed: 7, Sort: OddEvenSort}},
 		"max_rounds": {Kind: JobDegrees, Seq: base.Seq, Opt: &Options{Seed: 7, MaxRounds: 99}},
-		"scheduler":  {Kind: JobDegrees, Seq: base.Seq, Opt: &Options{Seed: 7, Scheduler: FlatScheduler}},
 	}
 	for field, j := range variants {
 		if j.RouteKey() == key {

@@ -545,11 +545,6 @@ type optKey struct {
 	capMul    int
 	sort      SortMethod
 	maxRounds int
-	// sched is part of the key even though both drivers produce identical
-	// results: keeping the namespaces separate makes Cached flags (and
-	// therefore benchmarks and driver-conformance checks) predictable —
-	// a pool-driver submission is never silently served by a barrier run.
-	sched Scheduler
 }
 
 func (o Options) key() optKey {
@@ -560,7 +555,6 @@ func (o Options) key() optKey {
 		capMul:    o.CapMul,
 		sort:      o.Sort,
 		maxRounds: o.MaxRounds,
-		sched:     o.Scheduler,
 	}
 }
 
@@ -584,17 +578,17 @@ func (j Job) cacheKey() cacheKey {
 // RouteKey returns the canonical routing key of a job: a printable,
 // collision-free rendering of exactly the fields that form the Runner's
 // result cache key — the kind, the zig-zag-varint-packed sequence, and the
-// outcome-affecting Options (Model, Seed, Strict, CapMul, Sort, MaxRounds,
-// Scheduler). Label, TraceID, Timeout, and the Progress/Profile hooks never
+// outcome-affecting Options (Model, Seed, Strict, CapMul, Sort, MaxRounds).
+// Label, TraceID, Timeout, and the Progress/Profile hooks never
 // contribute, mirroring their exclusion from the cache key. The cluster
 // coordinator hashes this key to pick a job's owning worker (CLUSTER.md §4),
 // so the distributed result cache shards: two jobs land on the same worker
 // exactly when a single Runner would serve one from the other's cache.
 func (j Job) RouteKey() string {
 	k := j.cacheKey()
-	return fmt.Sprintf("%s|%x|m%d.s%d.t%t.c%d.o%d.r%d.%s",
+	return fmt.Sprintf("%s|%x|m%d.s%d.t%t.c%d.o%d.r%d",
 		k.kind, k.seq, int(k.opt.model), k.opt.seed, k.opt.strict,
-		k.opt.capMul, int(k.opt.sort), k.opt.maxRounds, k.opt.sched)
+		k.opt.capMul, int(k.opt.sort), k.opt.maxRounds)
 }
 
 // resultCache is a small mutex-guarded LRU keyed by cacheKey.
