@@ -13,7 +13,7 @@ import (
 // metrics.go renders GET /metrics in the Prometheus text exposition format
 // (version 0.0.4) with no external dependencies: the Runner's admission /
 // execution counters, per-route HTTP latency histograms, job queue-wait and
-// run-duration histograms, per-driver engine round histograms with phase
+// run-duration histograms, the engine round histogram with phase
 // counters, and — when the async subsystem is enabled — the job manager's
 // per-state gauges, subscriber gauge, and GC eviction counter. Every family
 // is emitted in a fixed order with sorted series, so consecutive scrapes of

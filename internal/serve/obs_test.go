@@ -130,7 +130,7 @@ func TestSlowestEmptyWithScriptedBackend(t *testing.T) {
 }
 
 // TestMetricsHistogramsExposed pins the new families: per-route HTTP latency,
-// job queue-wait and run histograms, and the per-driver engine phase series.
+// job queue-wait and run histograms, and the engine phase series.
 func TestMetricsHistogramsExposed(t *testing.T) {
 	h := realServer(t)
 	if rec := post(t, h, "/v1/realize/degree", seqBody); rec.Code != http.StatusOK {

@@ -136,7 +136,7 @@ type Runner struct {
 	exec func(context.Context, Job) Result
 
 	// obs holds the wall-clock instruments (observe.go): latency histograms,
-	// per-driver phase profiles, and the slowest-jobs flight recorder.
+	// the engine phase profile, and the slowest-jobs flight recorder.
 	obs *RunnerObs
 
 	submitted atomic.Int64
