@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,18 +23,28 @@ import (
 // variant runs the step form through RunOps under Sim.Run, pinning that the
 // adapter is observably identical to native blocking code — which, combined
 // with the flat variant, proves blocking ≡ steps ≡ flat.
+//
+// The pool variants host the flat run the way the Runner hosts every
+// realization: on one goroutine of a worker pool, while the other workers
+// step simulations of their own. Concurrent simulations share no state, so
+// neither the run under test nor any neighbor may observe the other.
 
 // schedVariant names one driver configuration under test: steps selects the
-// step-form protocol twin, flat runs it via RunProgram instead of RunOps.
+// step-form protocol twin, flat runs it via RunProgram instead of RunOps, and
+// workers > 0 hosts that flat run on a pool of that many worker goroutines.
 type schedVariant struct {
-	name  string
-	steps bool
-	flat  bool
+	name    string
+	steps   bool
+	flat    bool
+	workers int
 }
 
 // run executes the variant's preferred protocol form on s.
-func (v schedVariant) run(s *Sim, blocking func(*Node), entry Proto) (*Trace, error) {
+func (v schedVariant) run(t *testing.T, s *Sim, blocking func(*Node), entry Proto) (*Trace, error) {
+	t.Helper()
 	switch {
+	case v.workers > 0:
+		return hostOnPool(t, v.workers, s, entry)
 	case v.flat:
 		return s.RunProgram(entry)
 	case v.steps:
@@ -52,7 +63,80 @@ func schedVariants() []schedVariant {
 		// so flat-vs-barrier diffs can be attributed to the driver, not the
 		// protocol translation.
 		{name: "barrier-steps", steps: true},
+		// Flat runs hosted on a worker pool sized like NewRunner(0), on a
+		// single worker goroutine, and on three workers, which overlap the
+		// run under test with two neighbors even on a single-core machine.
+		{name: "pool", steps: true, flat: true, workers: runtime.GOMAXPROCS(0)},
+		{name: "pool-1worker", steps: true, flat: true, workers: 1},
+		{name: "pool-3workers", steps: true, flat: true, workers: 3},
 	}
+}
+
+// hostOnPool runs entry on s from one goroutine of a pool of the given size.
+// Every other worker repeats a neighbor simulation — the mixed protocol at
+// its own seed — from before the run under test starts until it returns, and
+// each neighbor trace must equal the neighbor's solo run.
+func hostOnPool(t *testing.T, workers int, s *Sim, entry Proto) (*Trace, error) {
+	t.Helper()
+	neighbor := func(seed int64) (*Trace, error) {
+		ns := New(Config{N: 64, Seed: seed})
+		registerTally(ns)
+		return ns.RunProgram(mixedProtoStep(24))
+	}
+	var (
+		done     = make(chan struct{})
+		started  sync.WaitGroup
+		finished sync.WaitGroup
+		faults   = make(chan string, workers)
+	)
+	for w := 1; w < workers; w++ {
+		seed := int64(100 + w)
+		want, err := neighbor(seed)
+		if err != nil {
+			t.Fatalf("neighbor seed=%d solo: %v", seed, err)
+		}
+		started.Add(1)
+		finished.Add(1)
+		go func() {
+			defer finished.Done()
+			started.Done()
+			for {
+				got, err := neighbor(seed)
+				if err != nil {
+					faults <- fmt.Sprintf("neighbor seed=%d: %v", seed, err)
+					return
+				}
+				if d := traceDiff(want, got); d != "" {
+					faults <- fmt.Sprintf("neighbor seed=%d: %s", seed, d)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+
+	type outcome struct {
+		tr  *Trace
+		err error
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		tr, err := s.RunProgram(entry)
+		out <- outcome{tr, err}
+	}()
+	o := <-out
+	close(done)
+	finished.Wait()
+	close(faults)
+	for f := range faults {
+		t.Fatalf("run under test disturbed a pool neighbor: %s", f)
+	}
+	return o.tr, o.err
 }
 
 // forEachScheduler runs fn as a subtest per driver variant.
@@ -140,27 +224,34 @@ func runMixed(t *testing.T, v schedVariant, n int, seed int64) *Trace {
 	t.Helper()
 	s := New(Config{N: n, Seed: seed})
 	registerTally(s)
-	tr, err := v.run(s, mixedProto(24), mixedProtoStep(24))
+	tr, err := v.run(t, s, mixedProto(24), mixedProtoStep(24))
 	if err != nil {
 		t.Fatalf("%s: %v", v.name, err)
 	}
 	return tr
 }
 
-// tracesEqual compares everything a Trace exposes.
+// traceDiff compares everything a Trace exposes and describes the first
+// difference, or returns "" when the traces are identical.
+func traceDiff(want, got *Trace) string {
+	switch {
+	case !reflect.DeepEqual(want.Metrics, got.Metrics):
+		return fmt.Sprintf("metrics differ:\nwant %+v\ngot  %+v", want.Metrics, got.Metrics)
+	case !reflect.DeepEqual(want.IDs, got.IDs):
+		return "ID layouts differ"
+	case want.Unrealizable != got.Unrealizable:
+		return "unrealizable flags differ"
+	case !reflect.DeepEqual(want.Nodes, got.Nodes):
+		return "per-node results differ"
+	}
+	return ""
+}
+
+// tracesEqual fails the test unless the traces are identical.
 func tracesEqual(t *testing.T, want, got *Trace, label string) {
 	t.Helper()
-	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
-		t.Fatalf("%s: metrics differ:\nwant %+v\ngot  %+v", label, want.Metrics, got.Metrics)
-	}
-	if !reflect.DeepEqual(want.IDs, got.IDs) {
-		t.Fatalf("%s: ID layouts differ", label)
-	}
-	if want.Unrealizable != got.Unrealizable {
-		t.Fatalf("%s: unrealizable flags differ", label)
-	}
-	if !reflect.DeepEqual(want.Nodes, got.Nodes) {
-		t.Fatalf("%s: per-node results differ", label)
+	if d := traceDiff(want, got); d != "" {
+		t.Fatalf("%s: %s", label, d)
 	}
 }
 
@@ -197,7 +288,7 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 					total += c + d + b
 				}})
 				registerTally(s)
-				got, err := v.run(s, mixedProto(24), mixedProtoStep(24))
+				got, err := v.run(t, s, mixedProto(24), mixedProtoStep(24))
 				if err != nil {
 					t.Fatalf("%s n=%d seed=%d: %v", v.name, n, seed, err)
 				}
@@ -220,7 +311,7 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 func TestSchedConformanceDeadlock(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := New(Config{N: 5, Seed: 2})
-		_, err := v.run(s,
+		_, err := v.run(t, s,
 			func(nd *Node) {
 				nd.AwaitMessage() // nobody will ever write
 			},
@@ -244,7 +335,7 @@ func TestSchedConformanceStopAtBarrier(t *testing.T) {
 				close(stop)
 			}
 		}
-		tr, err := v.run(s,
+		tr, err := v.run(t, s,
 			func(nd *Node) {
 				for r := 0; ; r++ {
 					spin(nd, r)
@@ -280,7 +371,7 @@ func TestSchedConformanceProgressOrdering(t *testing.T) {
 		}}
 		s := New(cfg)
 		registerTally(s)
-		if _, err := v.run(s, mixedProto(16), mixedProtoStep(16)); err != nil {
+		if _, err := v.run(t, s, mixedProto(16), mixedProtoStep(16)); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		return ticks
@@ -309,7 +400,7 @@ func TestSchedConformanceSleepFastForward(t *testing.T) {
 	const skip = 1_000_000
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := New(Config{N: 8, Seed: 4})
-		tr, err := v.run(s,
+		tr, err := v.run(t, s,
 			func(nd *Node) {
 				nd.SkipRounds(skip)
 				nd.NextRound()
@@ -336,7 +427,7 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := New(Config{N: 4, Seed: 6})
 		victim := s.IDs()[1]
-		_, err := v.run(s,
+		_, err := v.run(t, s,
 			func(nd *Node) {
 				nd.NextRound()
 				if nd.ID() == victim {
@@ -375,7 +466,7 @@ func TestSchedConformanceStrictViolation(t *testing.T) {
 				}
 			}
 		}
-		_, err := v.run(s,
+		_, err := v.run(t, s,
 			func(nd *Node) {
 				flood(nd)
 				nd.NextRound()

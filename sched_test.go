@@ -1,16 +1,24 @@
 package graphrealize
 
 import (
+	"context"
 	"reflect"
 	"testing"
+
+	"graphrealize/internal/connectivity"
+	"graphrealize/internal/core"
+	"graphrealize/internal/ncc"
+	"graphrealize/internal/sortnet"
+	"graphrealize/internal/trees"
 )
 
-// sched_test.go pins the facade-level scheduler contract: the driver in
-// Options.Scheduler never changes a realization's outcome, and driver
-// selection is part of the Runner's cache identity.
+// sched_test.go pins the facade-level driver contract: every realization the
+// facade runs on the flat driver (Sim.RunProgram over the step forms) has the
+// outcome of the same realization composed from the blocking protocols and
+// run on the barrier driver (Sim.Run), the reference the step forms are
+// checked against. The step_test.go suites compare one protocol at a time;
+// this compares the facade's whole continuation chains, outputs included.
 
-// realizeKind dispatches one (kind, seq, opt) through Execute's switch — the
-// same path the Runner uses — and returns the Result.
 func conformanceJobs() []Job {
 	return []Job{
 		{Kind: JobDegrees, Seq: []int{4, 3, 3, 2, 2, 2, 2, 2}, Opt: &Options{Seed: 3}},
@@ -25,69 +33,87 @@ func conformanceJobs() []Job {
 	}
 }
 
-// TestSchedulerFacadeConformance runs every job kind under all three drivers
-// and requires identical graphs, stats, envelopes, and errors.
-func TestSchedulerFacadeConformance(t *testing.T) {
-	for _, base := range conformanceJobs() {
-		barrier := base
-		bOpt := *base.Opt
-		bOpt.Scheduler = BarrierScheduler
-		barrier.Opt = &bOpt
-
-		rb := Execute(t.Context(), barrier)
-		label := base.Kind.String()
-		for _, sched := range []Scheduler{PoolScheduler, FlatScheduler} {
-			other := base
-			oOpt := *base.Opt
-			oOpt.Scheduler = sched
-			other.Opt = &oOpt
-
-			ro := Execute(t.Context(), other)
-			if (rb.Err == nil) != (ro.Err == nil) || (rb.Err != nil && rb.Err.Error() != ro.Err.Error()) {
-				t.Fatalf("%s: errors differ: barrier=%v %s=%v", label, rb.Err, sched, ro.Err)
+// blockingReference executes j like Execute, but composes the blocking form
+// of each protocol and runs it with Sim.Run.
+func blockingReference(ctx context.Context, j Job) Result {
+	o := j.Opt.norm()
+	s := ncc.New(o.simConfig(ctx, len(j.Seq), toInputs(j.Seq)))
+	sortnet.RegisterOracle(s)
+	tr, err := s.Run(func(nd *ncc.Node) {
+		r := nd.Input().(int)
+		if j.Kind == JobConnectivity && nd.Model() == ncc.NCC1 {
+			connectivity.RealizeNCC1(nd, r)
+			return
+		}
+		env := core.Setup(nd, o.sortMethod())
+		switch j.Kind {
+		case JobDegrees, JobDegreesExplicit:
+			out := core.Realize(nd, env, r, core.Exact, true)
+			if out.OK && j.Kind == JobDegreesExplicit {
+				core.MakeExplicit(nd, env, out.Neighbors, out.Delta)
 			}
-			if rb.Err != nil {
-				continue
-			}
-			if !reflect.DeepEqual(rb.Stats, ro.Stats) {
-				t.Fatalf("%s: stats differ:\nbarrier %+v\n%s %+v", label, rb.Stats, sched, ro.Stats)
-			}
-			if !reflect.DeepEqual(rb.Graph.Edges(), ro.Graph.Edges()) {
-				t.Fatalf("%s vs %s: edge lists differ", label, sched)
-			}
-			if !reflect.DeepEqual(rb.Envelope, ro.Envelope) {
-				t.Fatalf("%s vs %s: envelopes differ", label, sched)
-			}
+			nd.SetOutput("phases", int64(out.Phases))
+		case JobUpperEnvelope:
+			out := core.Realize(nd, env, r, core.Envelope, true)
+			nd.SetOutput("realized", int64(out.Realized))
+			nd.SetOutput("phases", int64(out.Phases))
+		case JobChainTree:
+			trees.RealizeChain(nd, env, r)
+		case JobMinDiamTree:
+			trees.RealizeGreedy(nd, env, r)
+		case JobConnectivity:
+			connectivity.RealizeNCC0(nd, env, r)
+		}
+	})
+	res := Result{Job: j}
+	if err != nil {
+		res.Err = mapRunErr(ctx, err)
+		return res
+	}
+	res.Stats = statsOf(tr)
+	switch j.Kind {
+	case JobDegrees, JobDegreesExplicit, JobUpperEnvelope:
+		if v, ok := tr.MaxOutput("phases"); ok {
+			res.Stats.Phases = int(v)
 		}
 	}
+	switch {
+	case j.Kind == JobUpperEnvelope:
+		res.Envelope = make([]int, len(j.Seq))
+		for i, id := range tr.IDs {
+			v, _ := tr.Output(id, "realized")
+			res.Envelope[i] = int(v)
+		}
+	case tr.Unrealizable:
+		res.Err = ErrUnrealizable
+		return res
+	}
+	res.Graph = graphOf(tr)
+	return res
 }
 
-// TestSchedulerIsPartOfCacheKey: a pool submission must not be served by a
-// cached barrier run (and vice versa) — the driver namespaces are separate so
-// Cached flags stay predictable for benchmarks and conformance checks.
-func TestSchedulerIsPartOfCacheKey(t *testing.T) {
-	r := NewRunner(2)
-	barrier := Job{Kind: JobDegrees, Seq: []int{2, 2, 2}, Opt: &Options{Seed: 4}}
-	pool := Job{Kind: JobDegrees, Seq: []int{2, 2, 2}, Opt: &Options{Seed: 4, Scheduler: PoolScheduler}}
-
-	if res := <-r.Submit(barrier); res.Err != nil || res.Cached {
-		t.Fatalf("first barrier run: err=%v cached=%v", res.Err, res.Cached)
-	}
-	if res := <-r.Submit(pool); res.Err != nil {
-		t.Fatalf("pool run: %v", res.Err)
-	} else if res.Cached {
-		t.Fatal("pool submission must not be served from the barrier run's cache entry")
-	}
-	if res := <-r.Submit(pool); !res.Cached {
-		t.Fatal("second pool submission must hit the pool entry")
-	}
-	if res := <-r.Submit(barrier); !res.Cached {
-		t.Fatal("barrier entry must still be cached separately")
-	}
-	flat := Job{Kind: JobDegrees, Seq: []int{2, 2, 2}, Opt: &Options{Seed: 4, Scheduler: FlatScheduler}}
-	if res := <-r.Submit(flat); res.Err != nil {
-		t.Fatalf("flat run: %v", res.Err)
-	} else if res.Cached {
-		t.Fatal("flat submission must not be served from another driver's cache entry")
+// TestSchedulerFacadeConformance runs every job kind through Execute and
+// through its blocking reference and requires identical graphs, stats,
+// envelopes, and errors.
+func TestSchedulerFacadeConformance(t *testing.T) {
+	for _, j := range conformanceJobs() {
+		label := j.Kind.String()
+		want := blockingReference(t.Context(), j)
+		got := Execute(t.Context(), j)
+		if (want.Err == nil) != (got.Err == nil) || (want.Err != nil && want.Err.Error() != got.Err.Error()) {
+			t.Fatalf("%s: errors differ: blocking=%v facade=%v", label, want.Err, got.Err)
+		}
+		if !reflect.DeepEqual(want.Stats, got.Stats) {
+			t.Fatalf("%s: stats differ:\nblocking %+v\nfacade   %+v", label, want.Stats, got.Stats)
+		}
+		if want.Err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(want.Graph.Edges(), got.Graph.Edges()) {
+			t.Fatalf("%s: edge lists differ", label)
+		}
+		if !reflect.DeepEqual(want.Envelope, got.Envelope) {
+			t.Fatalf("%s: envelopes differ", label)
+		}
 	}
 }
