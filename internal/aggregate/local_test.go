@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/primitives"
 )
 
@@ -11,6 +12,16 @@ import (
 func localSetup(nd *ncc.Node) *LocalCtx {
 	_, lv, tree := primitives.BuildAll(nd)
 	return NewLocalCtx(tree.Pos, lv, &tree, nd.N())
+}
+
+// localDigests records each test's trace digest on the blocking protocols.
+var localDigests = map[string]string{
+	"TestLocalAggregateDisjointGroups":    "bb97453db84f7b10",
+	"TestLocalAggregateOverlappingGroups": "7d8a35cb383b76fd",
+	"TestLocalMulticast":                  "af24b4ef59213bd3",
+	"TestLocalCollect":                    "b32bc37655ad8cea",
+	"TestLocalPrimitivesSingleNode":       "4a4a3e798f047f3f",
+	"TestLocalAggregateMaxOp":             "f18be372d58bf6ad",
 }
 
 func TestLocalAggregateDisjointGroups(t *testing.T) {
@@ -34,6 +45,7 @@ func TestLocalAggregateDisjointGroups(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	ncctest.Expect(t, "TestLocalAggregateDisjointGroups", tr, err, localDigests["TestLocalAggregateDisjointGroups"])
 	for g := 0; g < n/8; g++ {
 		base := g * 8
 		want := int64(8*base + 28) // Σ pos..pos+7
@@ -71,6 +83,7 @@ func TestLocalAggregateOverlappingGroups(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	ncctest.Expect(t, "TestLocalAggregateOverlappingGroups", tr, err, localDigests["TestLocalAggregateOverlappingGroups"])
 	for d := 0; d < 8; d++ {
 		id := tr.IDs[d*8+d]
 		if v, _ := tr.Output(id, "rowcount"); v != 8 {
@@ -101,6 +114,7 @@ func TestLocalMulticast(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	ncctest.Expect(t, "TestLocalMulticast", tr, err, localDigests["TestLocalMulticast"])
 	for i, id := range tr.IDs {
 		want := int64(i/10) * 111
 		got, ok := tr.Output(id, "tok")
@@ -129,11 +143,13 @@ func TestLocalCollect(t *testing.T) {
 			dest = []int64{gid}
 		}
 		got := LocalCollect(nd, c, toks, dest)
+		nd.SetOutput("ntok", int64(len(got[gid])))
 		ch <- res{nd.ID(), got[gid]}
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	ncctest.Expect(t, "TestLocalCollect", tr, err, localDigests["TestLocalCollect"])
 	close(ch)
 	byID := map[ncc.ID][]int64{}
 	for r := range ch {
@@ -157,7 +173,7 @@ func TestLocalCollect(t *testing.T) {
 
 func TestLocalPrimitivesSingleNode(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 1, Seed: 11})
-	_, err := s.Run(func(nd *ncc.Node) {
+	tr, err := s.Run(func(nd *ncc.Node) {
 		c := localSetup(nd)
 		res := LocalAggregate(nd, c, []GroupValue{{GID: 1, Value: 5}}, []int64{1}, SumOp())
 		if res[1] != 5 {
@@ -175,6 +191,7 @@ func TestLocalPrimitivesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	ncctest.Expect(t, "TestLocalPrimitivesSingleNode", tr, err, localDigests["TestLocalPrimitivesSingleNode"])
 }
 
 func TestLocalAggregateMaxOp(t *testing.T) {
@@ -194,6 +211,7 @@ func TestLocalAggregateMaxOp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	ncctest.Expect(t, "TestLocalAggregateMaxOp", tr, err, localDigests["TestLocalAggregateMaxOp"])
 	want := int64((n - 1) * (n - 1))
 	if v, _ := tr.Output(tr.IDs[n-1], "max"); v != want {
 		t.Fatalf("max = %d, want %d", v, want)

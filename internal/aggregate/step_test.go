@@ -1,10 +1,12 @@
 package aggregate
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/primitives"
 )
 
@@ -13,6 +15,14 @@ import (
 // FindByPosition → Collect chain, compiled into continuations and driven by
 // the flat scheduler, must produce a trace byte-identical to the blocking
 // chain under the barrier driver.
+
+// globalDigests records the blocking chain's trace digest per n.
+var globalDigests = map[string]string{
+	"n=1":  "d88acdd7eb965d18",
+	"n=4":  "9bfbbc5410211dde",
+	"n=16": "5a8ae121fcaf9e70",
+	"n=65": "eb138d2559db53f4",
+}
 
 func TestGlobalStepsMatchBlocking(t *testing.T) {
 	for _, n := range []int{1, 4, 16, 65} {
@@ -40,6 +50,8 @@ func TestGlobalStepsMatchBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d blocking: %v", n, err)
 		}
+		label := fmt.Sprintf("n=%d", n)
+		ncctest.Expect(t, label, base, err, globalDigests[label])
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {

@@ -6,6 +6,7 @@ import (
 
 	"graphrealize/internal/core"
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/sortnet"
 )
 
@@ -39,6 +40,15 @@ func runConnStepFlat(t *testing.T, rho []int, model ncc.Model, seed int64) (*ncc
 	})
 }
 
+// connDigests records the blocking run's trace digest per case.
+var connDigests = map[string]string{
+	"ncc1":        "dde4070cc116526e",
+	"ncc0":        "0c2ed7a7aa15a2ef",
+	"ncc0-zero":   "b84174d06a8939d3",
+	"ncc1-single": "0d4ad0df2c6e2bdf",
+	"ncc0-bad":    "0a7018077a692d93",
+}
+
 func TestConnectivityStepMatchesBlocking(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -55,6 +65,7 @@ func TestConnectivityStepMatchesBlocking(t *testing.T) {
 		seed := int64(len(c.rho))*19 + 1
 		base, berr := runConn(nil, c.rho, c.model, seed)
 		flat, ferr := runConnStepFlat(t, c.rho, c.model, seed)
+		ncctest.Expect(t, c.name, base, berr, connDigests[c.name])
 		if (berr == nil) != (ferr == nil) || (berr != nil && berr.Error() != ferr.Error()) {
 			t.Fatalf("%s: errors differ: blocking=%v flat=%v", c.name, berr, ferr)
 		}

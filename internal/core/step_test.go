@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/sortnet"
 )
 
@@ -42,6 +43,15 @@ func runRealizeStepFlat(t *testing.T, d []int, mode Mode, explicit bool, seed in
 	})
 }
 
+// realizeDigests records the blocking pipeline's trace digest per case.
+var realizeDigests = map[string]string{
+	"exact":          "c79da9d89d4f8985",
+	"exact-explicit": "7d4768d028d65acc",
+	"envelope":       "6ea1b84afd8f6875",
+	"single":         "346e09ea9f73141c",
+	"unrealizable":   "fadda44a722dcdae",
+}
+
 func TestRealizeStepMatchesBlocking(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -59,6 +69,7 @@ func TestRealizeStepMatchesBlocking(t *testing.T) {
 		seed := int64(len(c.d)) * 7
 		base, berr := runRealizeErr(c.d, c.mode, sortnet.Oracle, c.explicit, seed)
 		flat, ferr := runRealizeStepFlat(t, c.d, c.mode, c.explicit, seed)
+		ncctest.Expect(t, c.name, base, berr, realizeDigests[c.name])
 		if (berr == nil) != (ferr == nil) || (berr != nil && berr.Error() != ferr.Error()) {
 			t.Fatalf("%s: errors differ: blocking=%v flat=%v", c.name, berr, ferr)
 		}

@@ -1,13 +1,34 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
 
+// tableDigests records the Quick-scale digest of the primitive tables, whose
+// rows come from protocols run directly on the simulator; the realization
+// tables run through the facade, which the root package's golden digests pin.
+var tableDigests = map[string]string{
+	"T1": "1b21812735105a6f",
+	"T2": "96d795279e64a9a6",
+	"T3": "42a8ceff493a81df",
+	"T4": "a120e60fa75d5d16",
+	"F1": "9fafdbf9827d608c",
+	"F2": "1f803ca6e1da1321",
+}
+
+// tableDigest hashes a table's rows and notes.
+func tableDigest(tab *Table) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%q\n%q", tab.Rows, tab.Notes)))
+	return fmt.Sprintf("%x", sum[:8])
+}
+
 // TestAllExperimentsQuick runs every experiment at Quick scale — the same
 // entry point cmd/benchtab uses — and sanity-checks structure and the
-// headline claims that are cheap to assert programmatically.
+// headline claims that are cheap to assert programmatically. The primitive
+// tables must match their recorded digests.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds")
@@ -30,6 +51,11 @@ func TestAllExperimentsQuick(t *testing.T) {
 			out := tab.Format()
 			if !strings.Contains(out, tab.Claim) {
 				t.Fatal("formatted table lost the claim line")
+			}
+			if want, ok := tableDigests[e.ID]; ok {
+				if got := tableDigest(tab); got != want {
+					t.Errorf("table digest %s, recorded %s\n%s", got, want, out)
+				}
 			}
 		})
 	}

@@ -1,8 +1,11 @@
-package ncc
+package ncc_test
 
 import (
 	"reflect"
 	"testing"
+
+	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 )
 
 // program_test.go pins the single-node semantics of the resumable-op
@@ -14,18 +17,18 @@ import (
 // TestOpSingleNodeSemantics drives a lone node through Next and Sleep under
 // the flat driver and checks the observed round at every resumption.
 func TestOpSingleNodeSemantics(t *testing.T) {
-	s := New(Config{N: 1, Seed: 1, Strict: true})
+	s := ncc.New(ncc.Config{N: 1, Seed: 1, Strict: true})
 	var at []int
-	_, err := s.RunProgram(func(nd *Node) Op {
+	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		at = append(at, nd.Round()) // entry runs in round 0
-		return Next(func(nd *Node, w Wake) Op {
+		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			at = append(at, nd.Round()) // Next advances exactly one round
 			if len(w.Msgs) != 0 {
 				t.Errorf("Next delivered %d messages, want 0", len(w.Msgs))
 			}
-			return Sleep(3, func(nd *Node, w Wake) Op {
+			return ncc.Sleep(3, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 				at = append(at, nd.Round()) // Sleep(3) skips three rounds
-				return Done()
+				return ncc.Done()
 			})
 		})
 	})
@@ -41,17 +44,17 @@ func TestOpSingleNodeSemantics(t *testing.T) {
 // the delivered inbox in Wake.Msgs — the step-form analogue of AwaitMessage's
 // return value.
 func TestOpAwaitWakeCarriesMessages(t *testing.T) {
-	s := New(Config{N: 2, Seed: 2, Strict: true})
-	_, err := s.RunProgram(func(nd *Node) Op {
-		if succ := nd.InitialSucc(); succ != None {
-			nd.Send(succ, Message{Kind: 7, A: 42})
-			return Done()
+	s := ncc.New(ncc.Config{N: 2, Seed: 2, Strict: true})
+	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		if succ := nd.InitialSucc(); succ != ncc.None {
+			nd.Send(succ, ncc.Message{Kind: 7, A: 42})
+			return ncc.Done()
 		}
-		return Await(func(nd *Node, w Wake) Op {
+		return ncc.Await(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			if len(w.Msgs) != 1 || w.Msgs[0].Kind != 7 || w.Msgs[0].A != 42 {
 				t.Errorf("await woke with %+v, want one message Kind=7 A=42", w.Msgs)
 			}
-			return Done()
+			return ncc.Done()
 		})
 	})
 	if err != nil {
@@ -67,8 +70,8 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = int64(i + 1)
 	}
-	s := New(Config{N: n, Seed: 3, Strict: true, Inputs: inputs})
-	s.RegisterCollective("sum", func(s *Sim, ins []any) ([]any, int) {
+	s := ncc.New(ncc.Config{N: n, Seed: 3, Strict: true, Inputs: inputs})
+	s.RegisterCollective("sum", func(s *ncc.Sim, ins []any) ([]any, int) {
 		var total int64
 		for _, in := range ins {
 			total += in.(int64)
@@ -79,10 +82,10 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 		}
 		return outs, 2
 	})
-	tr, err := s.RunProgram(func(nd *Node) Op {
-		return Collective("sum", nd.Input(), func(nd *Node, w Wake) Op {
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return ncc.Collective("sum", nd.Input(), func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			nd.SetOutput("total", w.Coll.(int64))
-			return Done()
+			return ncc.Done()
 		})
 	})
 	if err != nil {
@@ -102,13 +105,13 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 // TestOpSleepValidation: a non-positive sleep is a protocol error under the
 // flat driver, matching SkipRounds' panic under RunOps on the barrier driver.
 func TestOpSleepValidation(t *testing.T) {
-	entry := func(nd *Node) Op {
-		return Sleep(0, func(nd *Node, w Wake) Op { return Done() })
+	entry := func(nd *ncc.Node) ncc.Op {
+		return ncc.Sleep(0, func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
 	}
-	if _, err := New(Config{N: 1, Seed: 4}).Run(func(nd *Node) { RunOps(nd, entry(nd)) }); err == nil {
+	if _, err := ncc.New(ncc.Config{N: 1, Seed: 4}).Run(func(nd *ncc.Node) { ncc.RunOps(nd, entry(nd)) }); err == nil {
 		t.Fatal("barrier: Sleep(0) did not error")
 	}
-	if _, err := New(Config{N: 1, Seed: 4}).RunProgram(entry); err == nil {
+	if _, err := ncc.New(ncc.Config{N: 1, Seed: 4}).RunProgram(entry); err == nil {
 		t.Fatal("flat: Sleep(0) did not error")
 	}
 }
@@ -118,27 +121,29 @@ func TestOpSleepValidation(t *testing.T) {
 // requires byte-identical traces — the smallest possible outbox-determinism
 // check, below any real protocol.
 func TestOpSequenceTraceIdentical(t *testing.T) {
-	entry := func(nd *Node) Op {
-		if succ := nd.InitialSucc(); succ != None {
-			nd.Send(succ, Message{Kind: 1, A: int64(nd.ID())})
-			return Next(func(nd *Node, w Wake) Op {
-				return Sleep(2, func(nd *Node, w Wake) Op {
+	entry := func(nd *ncc.Node) ncc.Op {
+		if succ := nd.InitialSucc(); succ != ncc.None {
+			nd.Send(succ, ncc.Message{Kind: 1, A: int64(nd.ID())})
+			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+				return ncc.Sleep(2, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 					nd.SetOutput("sent", 1)
-					return Done()
+					return ncc.Done()
 				})
 			})
 		}
-		return Await(func(nd *Node, w Wake) Op {
+		return ncc.Await(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			nd.SetOutput("got", w.Msgs[0].A)
-			return Done()
+			return ncc.Done()
 		})
 	}
-	cfg := Config{N: 4, Seed: 5, Strict: true}
-	base, err := New(cfg).Run(func(nd *Node) { RunOps(nd, entry(nd)) })
+	cfg := ncc.Config{N: 4, Seed: 5, Strict: true}
+	base, err := ncc.New(cfg).Run(func(nd *ncc.Node) { ncc.RunOps(nd, entry(nd)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(cfg).RunProgram(entry)
+	// Recorded from the barrier run above.
+	ncctest.Expect(t, "barrier", base, nil, "e7fb13619dd3b51e")
+	tr, err := ncc.New(cfg).RunProgram(entry)
 	if err != nil {
 		t.Fatalf("flat: %v", err)
 	}

@@ -1,4 +1,4 @@
-package ncc
+package ncc_test
 
 import (
 	"errors"
@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 )
 
 // sched_conformance_test.go is the driver-conformance suite: every test runs
@@ -23,6 +26,10 @@ import (
 // variant runs the step form through RunOps under Sim.Run, pinning that the
 // adapter is observably identical to native blocking code — which, combined
 // with the flat variant, proves blocking ≡ steps ≡ flat.
+//
+// The outcome of the blocking reference is also recorded: mixedDigests and
+// progressTicks hold its trace digests and progress-hook sequence, so the
+// step forms stay checked against it if the blocking API goes.
 //
 // The pool variants host the flat run the way the Runner hosts every
 // realization: on one goroutine of a worker pool, while the other workers
@@ -40,7 +47,7 @@ type schedVariant struct {
 }
 
 // run executes the variant's preferred protocol form on s.
-func (v schedVariant) run(t *testing.T, s *Sim, blocking func(*Node), entry Proto) (*Trace, error) {
+func (v schedVariant) run(t *testing.T, s *ncc.Sim, blocking func(*ncc.Node), entry ncc.Proto) (*ncc.Trace, error) {
 	t.Helper()
 	switch {
 	case v.workers > 0:
@@ -48,7 +55,7 @@ func (v schedVariant) run(t *testing.T, s *Sim, blocking func(*Node), entry Prot
 	case v.flat:
 		return s.RunProgram(entry)
 	case v.steps:
-		return s.Run(func(nd *Node) { RunOps(nd, entry(nd)) })
+		return s.Run(func(nd *ncc.Node) { ncc.RunOps(nd, entry(nd)) })
 	default:
 		return s.Run(blocking)
 	}
@@ -76,10 +83,10 @@ func schedVariants() []schedVariant {
 // Every other worker repeats a neighbor simulation — the mixed protocol at
 // its own seed — from before the run under test starts until it returns, and
 // each neighbor trace must equal the neighbor's solo run.
-func hostOnPool(t *testing.T, workers int, s *Sim, entry Proto) (*Trace, error) {
+func hostOnPool(t *testing.T, workers int, s *ncc.Sim, entry ncc.Proto) (*ncc.Trace, error) {
 	t.Helper()
-	neighbor := func(seed int64) (*Trace, error) {
-		ns := New(Config{N: 64, Seed: seed})
+	neighbor := func(seed int64) (*ncc.Trace, error) {
+		ns := ncc.New(ncc.Config{N: 64, Seed: seed})
 		registerTally(ns)
 		return ns.RunProgram(mixedProtoStep(24))
 	}
@@ -121,7 +128,7 @@ func hostOnPool(t *testing.T, workers int, s *Sim, entry Proto) (*Trace, error) 
 	started.Wait()
 
 	type outcome struct {
-		tr  *Trace
+		tr  *ncc.Trace
 		err error
 	}
 	out := make(chan outcome, 1)
@@ -149,13 +156,13 @@ func forEachScheduler(t *testing.T, fn func(t *testing.T, v schedVariant)) {
 
 // mixedProto exercises every suspension kind the engine supports: fan-out
 // sends, await, timed sleep, a collective, and staggered departure times.
-func mixedProto(rounds int) func(*Node) {
-	return func(nd *Node) {
+func mixedProto(rounds int) func(*ncc.Node) {
+	return func(nd *ncc.Node) {
 		succ := nd.InitialSucc()
 		for r := 0; r < rounds; r++ {
 			switch {
-			case r%5 == 3 && succ != None:
-				nd.Send(succ, Message{Kind: 1, A: int64(r)})
+			case r%5 == 3 && succ != ncc.None:
+				nd.Send(succ, ncc.Message{Kind: 1, A: int64(r)})
 				nd.NextRound()
 			case r%7 == 5:
 				nd.SkipRounds(2)
@@ -165,7 +172,7 @@ func mixedProto(rounds int) func(*Node) {
 		}
 		total := nd.Collective("tally", int64(1)).(int64)
 		nd.SetOutput("total", total)
-		if succ != None {
+		if succ != ncc.None {
 			nd.AddEdge(succ)
 		}
 	}
@@ -173,37 +180,37 @@ func mixedProto(rounds int) func(*Node) {
 
 // mixedProtoStep is mixedProto compiled to step form: the loop variable lives
 // in the closure chain instead of on a goroutine stack.
-func mixedProtoStep(rounds int) Proto {
-	return func(nd *Node) Op {
+func mixedProtoStep(rounds int) ncc.Proto {
+	return func(nd *ncc.Node) ncc.Op {
 		succ := nd.InitialSucc()
-		var loop func(r int) Op
-		loop = func(r int) Op {
+		var loop func(r int) ncc.Op
+		loop = func(r int) ncc.Op {
 			if r >= rounds {
-				return Collective("tally", int64(1), func(nd *Node, w Wake) Op {
+				return ncc.Collective("tally", int64(1), func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 					nd.SetOutput("total", w.Coll.(int64))
-					if succ != None {
+					if succ != ncc.None {
 						nd.AddEdge(succ)
 					}
-					return Done()
+					return ncc.Done()
 				})
 			}
-			k := func(nd *Node, w Wake) Op { return loop(r + 1) }
+			k := func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) }
 			switch {
-			case r%5 == 3 && succ != None:
-				nd.Send(succ, Message{Kind: 1, A: int64(r)})
-				return Next(k)
+			case r%5 == 3 && succ != ncc.None:
+				nd.Send(succ, ncc.Message{Kind: 1, A: int64(r)})
+				return ncc.Next(k)
 			case r%7 == 5:
-				return Sleep(2, k)
+				return ncc.Sleep(2, k)
 			default:
-				return Next(k)
+				return ncc.Next(k)
 			}
 		}
 		return loop(0)
 	}
 }
 
-func registerTally(s *Sim) {
-	s.RegisterCollective("tally", func(s *Sim, ins []any) ([]any, int) {
+func registerTally(s *ncc.Sim) {
+	s.RegisterCollective("tally", func(s *ncc.Sim, ins []any) ([]any, int) {
 		var sum int64
 		for _, in := range ins {
 			if v, ok := in.(int64); ok {
@@ -214,15 +221,15 @@ func registerTally(s *Sim) {
 		for i := range outs {
 			outs[i] = sum
 		}
-		return outs, CeilLog2(s.N())
+		return outs, ncc.CeilLog2(s.N())
 	})
 }
 
 // runMixed executes the mixed protocol on one driver variant and returns its
 // trace.
-func runMixed(t *testing.T, v schedVariant, n int, seed int64) *Trace {
+func runMixed(t *testing.T, v schedVariant, n int, seed int64) *ncc.Trace {
 	t.Helper()
-	s := New(Config{N: n, Seed: seed})
+	s := ncc.New(ncc.Config{N: n, Seed: seed})
 	registerTally(s)
 	tr, err := v.run(t, s, mixedProto(24), mixedProtoStep(24))
 	if err != nil {
@@ -231,9 +238,29 @@ func runMixed(t *testing.T, v schedVariant, n int, seed int64) *Trace {
 	return tr
 }
 
+// mixedDigests records, per "n=<n>/seed=<seed>", the digest of the mixed
+// protocol's trace (mixedProto(24), tally registered) on the blocking
+// reference.
+var mixedDigests = map[string]string{
+	"n=1/seed=1":    "4f90369012201dc2",
+	"n=1/seed=42":   "1377b3c852b48965",
+	"n=2/seed=1":    "ed3fb6f6dae4e213",
+	"n=2/seed=42":   "242215da2f37d00a",
+	"n=6/seed=1":    "8dfd84c5cd9b8ac2",
+	"n=6/seed=42":   "7bc23d53011c21dd",
+	"n=7/seed=1":    "e5c07fc115defb61",
+	"n=7/seed=42":   "9e76503d294d5836",
+	"n=64/seed=1":   "ce5e04d1f8d4987c",
+	"n=64/seed=42":  "d382319741bf958c",
+	"n=700/seed=1":  "83be757bf5aff3a6",
+	"n=700/seed=42": "97ff590a7745a3c5",
+}
+
+func mixedKey(n int, seed int64) string { return fmt.Sprintf("n=%d/seed=%d", n, seed) }
+
 // traceDiff compares everything a Trace exposes and describes the first
 // difference, or returns "" when the traces are identical.
-func traceDiff(want, got *Trace) string {
+func traceDiff(want, got *ncc.Trace) string {
 	switch {
 	case !reflect.DeepEqual(want.Metrics, got.Metrics):
 		return fmt.Sprintf("metrics differ:\nwant %+v\ngot  %+v", want.Metrics, got.Metrics)
@@ -248,7 +275,7 @@ func traceDiff(want, got *Trace) string {
 }
 
 // tracesEqual fails the test unless the traces are identical.
-func tracesEqual(t *testing.T, want, got *Trace, label string) {
+func tracesEqual(t *testing.T, want, got *ncc.Trace, label string) {
 	t.Helper()
 	if d := traceDiff(want, got); d != "" {
 		t.Fatalf("%s: %s", label, d)
@@ -262,6 +289,7 @@ func TestSchedConformanceTraceIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 700} {
 		for _, seed := range []int64{1, 42} {
 			ref := runMixed(t, schedVariants()[0], n, seed)
+			ncctest.Expect(t, mixedKey(n, seed), ref, nil, mixedDigests[mixedKey(n, seed)])
 			for _, v := range schedVariants()[1:] {
 				got := runMixed(t, v, n, seed)
 				tracesEqual(t, ref, got, fmt.Sprintf("n=%d seed=%d %s", n, seed, v.name))
@@ -283,7 +311,7 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 
 				rounds := 0
 				var total time.Duration
-				s := New(Config{N: n, Seed: seed, Profile: func(c, d, b time.Duration) {
+				s := ncc.New(ncc.Config{N: n, Seed: seed, Profile: func(c, d, b time.Duration) {
 					rounds++
 					total += c + d + b
 				}})
@@ -293,6 +321,7 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 					t.Fatalf("%s n=%d seed=%d: %v", v.name, n, seed, err)
 				}
 				tracesEqual(t, ref, got, fmt.Sprintf("profiled n=%d seed=%d %s", n, seed, v.name))
+				ncctest.Expect(t, "profiled "+mixedKey(n, seed)+" "+v.name, got, nil, mixedDigests[mixedKey(n, seed)])
 				if rounds == 0 {
 					t.Fatalf("%s n=%d seed=%d: profile hook never fired", v.name, n, seed)
 				}
@@ -310,15 +339,15 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 
 func TestSchedConformanceDeadlock(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := New(Config{N: 5, Seed: 2})
+		s := ncc.New(ncc.Config{N: 5, Seed: 2})
 		_, err := v.run(t, s,
-			func(nd *Node) {
+			func(nd *ncc.Node) {
 				nd.AwaitMessage() // nobody will ever write
 			},
-			func(nd *Node) Op {
-				return Await(func(nd *Node, w Wake) Op { return Done() })
+			func(nd *ncc.Node) ncc.Op {
+				return ncc.Await(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
 			})
-		if !errors.Is(err, ErrDeadlock) {
+		if !errors.Is(err, ncc.ErrDeadlock) {
 			t.Fatalf("want ErrDeadlock, got %v", err)
 		}
 	})
@@ -327,30 +356,30 @@ func TestSchedConformanceDeadlock(t *testing.T) {
 func TestSchedConformanceStopAtBarrier(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		stop := make(chan struct{})
-		cfg := Config{N: 4, Seed: 3, Stop: stop}
-		s := New(cfg)
+		cfg := ncc.Config{N: 4, Seed: 3, Stop: stop}
+		s := ncc.New(cfg)
 		first := s.IDs()[0]
-		spin := func(nd *Node, r int) {
+		spin := func(nd *ncc.Node, r int) {
 			if nd.ID() == first && r == 50 {
 				close(stop)
 			}
 		}
 		tr, err := v.run(t, s,
-			func(nd *Node) {
+			func(nd *ncc.Node) {
 				for r := 0; ; r++ {
 					spin(nd, r)
 					nd.NextRound()
 				}
 			},
-			func(nd *Node) Op {
-				var loop func(r int) Op
-				loop = func(r int) Op {
+			func(nd *ncc.Node) ncc.Op {
+				var loop func(r int) ncc.Op
+				loop = func(r int) ncc.Op {
 					spin(nd, r)
-					return Next(func(nd *Node, w Wake) Op { return loop(r + 1) })
+					return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) })
 				}
 				return loop(0)
 			})
-		if !errors.Is(err, ErrCanceled) {
+		if !errors.Is(err, ncc.ErrCanceled) {
 			t.Fatalf("want ErrCanceled, got %v", err)
 		}
 		if tr == nil || tr.Metrics.Rounds < 50 {
@@ -359,17 +388,25 @@ func TestSchedConformanceStopAtBarrier(t *testing.T) {
 	})
 }
 
+// progressTicks records the hook's (round, msgs) sequence for mixedProto(16)
+// at N=6, Seed=9 on the blocking reference.
+var progressTicks = []tick{
+	{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 5}, {5, 5}, {7, 5}, {8, 5}, {9, 5},
+	{10, 10}, {11, 10}, {12, 10}, {13, 10}, {15, 10}, {16, 15}, {17, 15}, {18, 15}, {22, 15},
+}
+
+type tick struct{ round, msgs int }
+
 // TestSchedConformanceProgressOrdering pins the hook contract: one invocation
 // per barrier on the engine goroutine, (round, msgs) nondecreasing, and the
 // exact same sequence on every driver.
 func TestSchedConformanceProgressOrdering(t *testing.T) {
-	type tick struct{ round, msgs int }
 	record := func(v schedVariant) []tick {
 		var ticks []tick
-		cfg := Config{N: 6, Seed: 9, Progress: func(round, msgs int) {
+		cfg := ncc.Config{N: 6, Seed: 9, Progress: func(round, msgs int) {
 			ticks = append(ticks, tick{round, msgs})
 		}}
-		s := New(cfg)
+		s := ncc.New(cfg)
 		registerTally(s)
 		if _, err := v.run(t, s, mixedProto(16), mixedProtoStep(16)); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
@@ -380,6 +417,9 @@ func TestSchedConformanceProgressOrdering(t *testing.T) {
 	ref := record(variants[0])
 	if len(ref) == 0 {
 		t.Fatal("progress hook never fired")
+	}
+	if !reflect.DeepEqual(ref, progressTicks) {
+		t.Fatalf("progress sequence %v, recorded %v", ref, progressTicks)
 	}
 	for i := 1; i < len(ref); i++ {
 		if ref[i].round < ref[i-1].round || ref[i].msgs < ref[i-1].msgs {
@@ -399,15 +439,15 @@ func TestSchedConformanceProgressOrdering(t *testing.T) {
 func TestSchedConformanceSleepFastForward(t *testing.T) {
 	const skip = 1_000_000
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := New(Config{N: 8, Seed: 4})
+		s := ncc.New(ncc.Config{N: 8, Seed: 4})
 		tr, err := v.run(t, s,
-			func(nd *Node) {
+			func(nd *ncc.Node) {
 				nd.SkipRounds(skip)
 				nd.NextRound()
 			},
-			func(nd *Node) Op {
-				return Sleep(skip, func(nd *Node, w Wake) Op {
-					return Next(func(nd *Node, w Wake) Op { return Done() })
+			func(nd *ncc.Node) ncc.Op {
+				return ncc.Sleep(skip, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+					return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
 				})
 			})
 		if err != nil {
@@ -425,10 +465,10 @@ func TestSchedConformanceSleepFastForward(t *testing.T) {
 
 func TestSchedConformancePanicPropagates(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := New(Config{N: 4, Seed: 6})
+		s := ncc.New(ncc.Config{N: 4, Seed: 6})
 		victim := s.IDs()[1]
 		_, err := v.run(t, s,
-			func(nd *Node) {
+			func(nd *ncc.Node) {
 				nd.NextRound()
 				if nd.ID() == victim {
 					panic("boom")
@@ -437,14 +477,14 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 					nd.NextRound()
 				}
 			},
-			func(nd *Node) Op {
-				var loop Cont
-				loop = func(nd *Node, w Wake) Op { return Next(loop) }
-				return Next(func(nd *Node, w Wake) Op {
+			func(nd *ncc.Node) ncc.Op {
+				var loop ncc.Cont
+				loop = func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Next(loop) }
+				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 					if nd.ID() == victim {
 						panic("boom")
 					}
-					return Next(loop)
+					return ncc.Next(loop)
 				})
 			})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
@@ -457,23 +497,23 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 // (raised by the delivery layer, not the driver) classify identically.
 func TestSchedConformanceStrictViolation(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := New(Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: NCC1})
-		flood := func(nd *Node) {
+		s := ncc.New(ncc.Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: ncc.NCC1})
+		flood := func(nd *ncc.Node) {
 			if nd.ID() == 1 {
 				// Flood node 2 beyond the capacity from a single sender.
 				for i := 0; i < nd.Capacity()+1; i++ {
-					nd.Send(2, Message{Kind: 1})
+					nd.Send(2, ncc.Message{Kind: 1})
 				}
 			}
 		}
 		_, err := v.run(t, s,
-			func(nd *Node) {
+			func(nd *ncc.Node) {
 				flood(nd)
 				nd.NextRound()
 			},
-			func(nd *Node) Op {
+			func(nd *ncc.Node) ncc.Op {
 				flood(nd)
-				return Next(func(nd *Node, w Wake) Op { return Done() })
+				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
 			})
 		if err == nil {
 			t.Fatal("want a strict capacity violation error")
@@ -487,7 +527,7 @@ func TestSchedConformanceStrictViolation(t *testing.T) {
 func TestFlatZeroNodeGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	maxG := 0
-	s := New(Config{N: 20_000, Seed: 5, Progress: func(round, msgs int) {
+	s := ncc.New(ncc.Config{N: 20_000, Seed: 5, Progress: func(round, msgs int) {
 		if g := runtime.NumGoroutine(); g > maxG {
 			maxG = g
 		}
@@ -505,10 +545,10 @@ func TestFlatZeroNodeGoroutines(t *testing.T) {
 // TestFlatRefusesBlockingRun pins the guard rail: a blocking Node call
 // smuggled into a step classifies as a node panic naming the offense.
 func TestFlatRefusesBlockingRun(t *testing.T) {
-	s := New(Config{N: 2, Seed: 1})
-	_, err := s.RunProgram(func(nd *Node) Op {
+	s := ncc.New(ncc.Config{N: 2, Seed: 1})
+	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		nd.NextRound() // blocking call inside a step
-		return Done()
+		return ncc.Done()
 	})
 	if err == nil || !strings.Contains(err.Error(), "flat-driver step") {
 		t.Fatalf("want a blocking-call-inside-step panic error, got %v", err)
@@ -518,8 +558,8 @@ func TestFlatRefusesBlockingRun(t *testing.T) {
 // TestFlatNilContinuation pins that a malformed Op (suspension without a
 // continuation) is reported as a protocol violation, not a nil-call crash.
 func TestFlatNilContinuation(t *testing.T) {
-	s := New(Config{N: 1, Seed: 1})
-	_, err := s.RunProgram(func(nd *Node) Op { return Op{kind: opNext} })
+	s := ncc.New(ncc.Config{N: 1, Seed: 1})
+	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op { return ncc.Next(nil) })
 	if err == nil || !strings.Contains(err.Error(), "nil continuation") {
 		t.Fatalf("want a nil-continuation violation, got %v", err)
 	}

@@ -1,10 +1,12 @@
 package primitives
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 )
 
 // runAll executes BuildAll on every node and returns per-ID tree views plus
@@ -246,6 +248,20 @@ func TestLevelsAreDoublingLinks(t *testing.T) {
 	}
 }
 
+// warmupDigests records the warm-up tree run's trace digest per n.
+var warmupDigests = map[string]string{
+	"n=1":   "2cd32ccebd389a47",
+	"n=2":   "197f84d18c2e0c37",
+	"n=3":   "91b41e524b66a810",
+	"n=4":   "83ef822cd9b9aa81",
+	"n=5":   "fef071354d3c5304",
+	"n=8":   "6f27854ca6ec40d8",
+	"n=16":  "aed9a717e7566dab",
+	"n=17":  "b2dfe86693b14c2f",
+	"n=33":  "ab7412d7de4665ce",
+	"n=100": "8b5cfa46da7a637d",
+}
+
 func TestWarmupTreeProperties(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 16, 17, 33, 100} {
 		s := ncc.New(ncc.Config{N: n, Seed: int64(n) + 11, Strict: true})
@@ -257,11 +273,17 @@ func TestWarmupTreeProperties(t *testing.T) {
 		trace, err := s.Run(func(nd *ncc.Node) {
 			p := BuildPath(nd)
 			wt := BuildWarmupTree(nd, p)
+			nd.SetOutput("parent", int64(wt.Parent))
+			nd.SetOutput("left", int64(wt.Left))
+			nd.SetOutput("right", int64(wt.Right))
+			nd.SetOutput("depth", int64(wt.Depth))
 			ch <- res{nd.ID(), wt}
 		})
 		if err != nil {
 			t.Fatalf("n=%d: run: %v", n, err)
 		}
+		label := fmt.Sprintf("n=%d", n)
+		ncctest.Expect(t, label, trace, err, warmupDigests[label])
 		close(ch)
 		views := make(map[ncc.ID]WarmTree, n)
 		for r := range ch {

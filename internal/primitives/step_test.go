@@ -1,10 +1,12 @@
 package primitives
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 )
 
 // step_test.go checks the resumable-step compilation of this package's
@@ -24,6 +26,14 @@ func treeOutputs(nd *ncc.Node, p Path, tree Tree) {
 	nd.SetOutput("size", int64(tree.Size))
 }
 
+// buildAllDigests records the blocking BuildAll trace digest per n.
+var buildAllDigests = map[string]string{
+	"n=1":  "3751d85b7431b59b",
+	"n=2":  "7e5374e8284dd2d8",
+	"n=7":  "98242c17db041056",
+	"n=33": "52bae59b18e5a32c",
+}
+
 func TestBuildAllStepMatchesBlocking(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 33} {
 		seed := int64(n)*17 + 1
@@ -35,6 +45,8 @@ func TestBuildAllStepMatchesBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d blocking: %v", n, err)
 		}
+		label := fmt.Sprintf("n=%d", n)
+		ncctest.Expect(t, label, base, err, buildAllDigests[label])
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return BuildAllStep(nd, func(p Path, _ Levels, tree Tree) ncc.Op {

@@ -1,10 +1,12 @@
 package rankov
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/primitives"
 )
 
@@ -21,6 +23,14 @@ func buildOverlayStep(nd *ncc.Node, k func(*Overlay, *primitives.Tree) ncc.Op) n
 			return k(ov, &tree)
 		})
 	})
+}
+
+// overlayDigests records the blocking chain's trace digest per n.
+var overlayDigests = map[string]string{
+	"n=1":  "a4b48a7f9c02ed70",
+	"n=2":  "41eb76c3b0065057",
+	"n=9":  "f4836f42731ce5a0",
+	"n=40": "4e413fad72507708",
 }
 
 func TestOverlayStepsMatchBlocking(t *testing.T) {
@@ -55,6 +65,8 @@ func TestOverlayStepsMatchBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d blocking: %v", n, err)
 		}
+		label := fmt.Sprintf("n=%d", n)
+		ncctest.Expect(t, label, base, err, overlayDigests[label])
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return buildOverlayStep(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {

@@ -1,10 +1,12 @@
 package sortnet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/primitives"
 )
 
@@ -40,11 +42,32 @@ func runSortStepFlat(t *testing.T, n int, seed int64, method Method) *ncc.Trace 
 	return tr
 }
 
+// sortDigests records the blocking Sort's trace digest per method and n.
+var sortDigests = map[string]string{
+	"method=oracle/n=1":   "334fc83581ce8cf4",
+	"method=oracle/n=2":   "0509bb026f588319",
+	"method=oracle/n=3":   "9ebc80023123a983",
+	"method=oracle/n=10":  "11c7a0113901ad7c",
+	"method=oracle/n=33":  "ed8fd0048fe8015f",
+	"method=oddeven/n=1":  "9ae8254184501a73",
+	"method=oddeven/n=2":  "908d0084a6aabb55",
+	"method=oddeven/n=3":  "8511fb88f598612a",
+	"method=oddeven/n=10": "73cd99c728d2d375",
+	"method=oddeven/n=33": "895d1c9d8a6230c3",
+	"method=merge/n=1":    "2afbf36ac2742cb3",
+	"method=merge/n=2":    "03f42d0a76f9c2f3",
+	"method=merge/n=3":    "f45591cf2b0a4621",
+	"method=merge/n=10":   "b88adeaa653f5607",
+	"method=merge/n=33":   "3c0ecb0a6c25af0f",
+}
+
 func TestSortStepMatchesBlocking(t *testing.T) {
 	for _, method := range []Method{Oracle, OddEven, Merge} {
 		for _, n := range []int{1, 2, 3, 10, 33} {
 			seed := int64(n)*13 + 1
 			base := runSort(t, n, seed, method)
+			label := fmt.Sprintf("method=%v/n=%d", method, n)
+			ncctest.Expect(t, label, base, nil, sortDigests[label])
 			flat := runSortStepFlat(t, n, seed, method)
 			if !reflect.DeepEqual(base, flat) {
 				t.Fatalf("method=%v n=%d: flat step trace differs from blocking barrier trace", method, n)

@@ -6,6 +6,7 @@ import (
 
 	"graphrealize/internal/core"
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/sortnet"
 )
 
@@ -41,6 +42,15 @@ func runTreeStepFlat(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace
 	})
 }
 
+// treeDigests records the blocking run's trace digest per case.
+var treeDigests = map[string]string{
+	"chain":      "4744992b8704654d",
+	"greedy":     "4744992b8704654d",
+	"chain-star": "ea7cf6092a5eab59",
+	"chain-two":  "3d5220cd979400dd",
+	"not-a-tree": "59127c80623d2de8",
+}
+
 func TestTreeStepMatchesBlocking(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -57,6 +67,7 @@ func TestTreeStepMatchesBlocking(t *testing.T) {
 		seed := int64(len(c.d))*11 + 3
 		base, berr := runTree(nil, c.d, c.greedy, seed)
 		flat, ferr := runTreeStepFlat(t, c.d, c.greedy, seed)
+		ncctest.Expect(t, c.name, base, berr, treeDigests[c.name])
 		if (berr == nil) != (ferr == nil) || (berr != nil && berr.Error() != ferr.Error()) {
 			t.Fatalf("%s: errors differ: blocking=%v flat=%v", c.name, berr, ferr)
 		}

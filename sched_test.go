@@ -2,12 +2,14 @@ package graphrealize
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"graphrealize/internal/connectivity"
 	"graphrealize/internal/core"
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/sortnet"
 	"graphrealize/internal/trees"
 )
@@ -33,9 +35,23 @@ func conformanceJobs() []Job {
 	}
 }
 
+// facadeDigests records, per job of conformanceJobs in order, the digest of
+// the blocking reference's trace and of its Result.
+var facadeDigests = []struct{ trace, result string }{
+	{"e3ac68f33cf96e86", "55af55d0e50b11fb3c8a501aea71ba6180f67c1c16019bfdaf5c462b8f85a4e0"},
+	{"228e212817128c00", "6453ea14b0b1b716fd68cca42b11384716aef9d866c42b039eabc47806c1828b"},
+	{"ab08ebb38587f8b9", "a16bf3abcfdc00f62881acb5d3f0f42182825945a02c08e25ad8345754fbd82c"},
+	{"ca706f58889372b6", "67283825a1ad391515af8c62d4c4f988b8da7cc878badf0580cddd9b8cbd5cf1"},
+	{"d5bf4b329e3ab51b", "67283825a1ad391515af8c62d4c4f988b8da7cc878badf0580cddd9b8cbd5cf1"},
+	{"d01f626f36544042", "68e817f06e125a8f8f8c9fae9bcfdab8134f1586bf14e4655e7f7d1465319675"},
+	{"88875569f00ae3d9", "d7c69114020189ba01a747cacbe59295506367bde60286778869cef2f079f3e0"},
+	{"fa25afd16e8226ba", "bcf3b68d43553cbaca0c9c83a2157aeba564ac75f27e6517483c5769a7ac612c"},
+}
+
 // blockingReference executes j like Execute, but composes the blocking form
-// of each protocol and runs it with Sim.Run.
-func blockingReference(ctx context.Context, j Job) Result {
+// of each protocol and runs it with Sim.Run. It also returns the run's trace
+// digest.
+func blockingReference(ctx context.Context, j Job) (Result, string) {
 	o := j.Opt.norm()
 	s := ncc.New(o.simConfig(ctx, len(j.Seq), toInputs(j.Seq)))
 	sortnet.RegisterOracle(s)
@@ -66,9 +82,10 @@ func blockingReference(ctx context.Context, j Job) Result {
 		}
 	})
 	res := Result{Job: j}
+	digest := ncctest.Digest(tr, err)
 	if err != nil {
 		res.Err = mapRunErr(ctx, err)
-		return res
+		return res, digest
 	}
 	res.Stats = statsOf(tr)
 	switch j.Kind {
@@ -86,20 +103,32 @@ func blockingReference(ctx context.Context, j Job) Result {
 		}
 	case tr.Unrealizable:
 		res.Err = ErrUnrealizable
-		return res
+		return res, digest
 	}
 	res.Graph = graphOf(tr)
-	return res
+	return res, digest
 }
 
 // TestSchedulerFacadeConformance runs every job kind through Execute and
 // through its blocking reference and requires identical graphs, stats,
-// envelopes, and errors.
+// envelopes, and errors, and the recorded trace and Result digests.
 func TestSchedulerFacadeConformance(t *testing.T) {
-	for _, j := range conformanceJobs() {
-		label := j.Kind.String()
-		want := blockingReference(t.Context(), j)
+	for i, j := range conformanceJobs() {
+		label := fmt.Sprintf("%d/%s", i, j.Kind)
+		want, traceDigest := blockingReference(t.Context(), j)
 		got := Execute(t.Context(), j)
+		var rec struct{ trace, result string }
+		if i < len(facadeDigests) {
+			rec = facadeDigests[i]
+		}
+		if traceDigest != rec.trace {
+			t.Errorf("%s: trace digest %s, recorded %s", label, traceDigest, rec.trace)
+		}
+		for _, r := range []Result{want, got} {
+			if d := resultDigest(r); d != rec.result {
+				t.Errorf("%s: result digest %s, recorded %s", label, d, rec.result)
+			}
+		}
 		if (want.Err == nil) != (got.Err == nil) || (want.Err != nil && want.Err.Error() != got.Err.Error()) {
 			t.Fatalf("%s: errors differ: blocking=%v facade=%v", label, want.Err, got.Err)
 		}
