@@ -11,11 +11,14 @@ func TestBroadcastReachesAll(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16, 100, 333} {
 		s := ncc.New(ncc.Config{N: n, Seed: int64(n), Strict: true})
 		leaderPos := n / 2
-		tr, err := s.Run(func(nd *ncc.Node) {
-			_, _, tree := primitives.BuildAll(nd)
-			have := tree.Pos == leaderPos
-			v := Broadcast(nd, &tree, have, int64(nd.ID()))
-			nd.SetOutput("got", v)
+		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+				have := tree.Pos == leaderPos
+				return BroadcastStep(nd, &tree, have, int64(nd.ID()), func(v int64) ncc.Op {
+					nd.SetOutput("got", v)
+					return ncc.Done()
+				})
+			})
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -36,17 +39,32 @@ func TestBroadcastReachesAll(t *testing.T) {
 func TestAggregateBroadcastOps(t *testing.T) {
 	n := 60
 	s := ncc.New(ncc.Config{N: n, Seed: 9, Strict: true})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		_, _, tree := primitives.BuildAll(nd)
-		v := int64(tree.Pos + 1)
-		nd.SetOutput("sum", AggregateBroadcast(nd, &tree, v, SumOp()))
-		nd.SetOutput("max", AggregateBroadcast(nd, &tree, v, MaxOp()))
-		nd.SetOutput("min", AggregateBroadcast(nd, &tree, v, MinOp()))
-		or := int64(0)
-		if tree.Pos == 13 {
-			or = 1
-		}
-		nd.SetOutput("or", AggregateBroadcast(nd, &tree, or, OrOp()))
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+			v := int64(tree.Pos + 1)
+			or := int64(0)
+			if tree.Pos == 13 {
+				or = 1
+			}
+			// Run the four aggregations back to back, recording each result.
+			steps := []struct {
+				key   string
+				value int64
+				op    Op
+			}{{"sum", v, SumOp()}, {"max", v, MaxOp()}, {"min", v, MinOp()}, {"or", or, OrOp()}}
+			var next func(i int) ncc.Op
+			next = func(i int) ncc.Op {
+				if i == len(steps) {
+					return ncc.Done()
+				}
+				st := steps[i]
+				return AggregateBroadcastStep(nd, &tree, st.value, st.op, func(got int64) ncc.Op {
+					nd.SetOutput(st.key, got)
+					return next(i + 1)
+				})
+			}
+			return next(0)
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -71,10 +89,13 @@ func TestAggregateBroadcastOps(t *testing.T) {
 func TestFindByPosition(t *testing.T) {
 	n := 41
 	s := ncc.New(ncc.Config{N: n, Seed: 21, Strict: true})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		_, _, tree := primitives.BuildAll(nd)
-		median := FindByPosition(nd, &tree, (n-1)/2)
-		nd.SetOutput("median", int64(median))
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+			return FindByPositionStep(nd, &tree, (n-1)/2, func(median ncc.ID) ncc.Op {
+				nd.SetOutput("median", int64(median))
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -96,16 +117,20 @@ func TestCollectGathersAllTokens(t *testing.T) {
 			toks []int64
 		}
 		ch := make(chan res, n)
-		tr, err := s.Run(func(nd *ncc.Node) {
-			_, _, tree := primitives.BuildAll(nd)
-			leader := FindByPosition(nd, &tree, leaderPos)
-			// Every third position contributes two tokens; others none.
-			var toks []int64
-			if tree.Pos%3 == 0 {
-				toks = []int64{int64(tree.Pos), int64(tree.Pos) + 1000}
-			}
-			got := Collect(nd, &tree, toks, leader)
-			ch <- res{nd.ID(), got}
+		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+				return FindByPositionStep(nd, &tree, leaderPos, func(leader ncc.ID) ncc.Op {
+					// Every third position contributes two tokens; others none.
+					var toks []int64
+					if tree.Pos%3 == 0 {
+						toks = []int64{int64(tree.Pos), int64(tree.Pos) + 1000}
+					}
+					return CollectStep(nd, &tree, toks, leader, func(got []int64) ncc.Op {
+						ch <- res{nd.ID(), got}
+						return ncc.Done()
+					})
+				})
+			})
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -142,14 +167,16 @@ func TestCollectRoundsScaleWithK(t *testing.T) {
 	n := 64
 	rounds := func(tokensPerNode int) int {
 		s := ncc.New(ncc.Config{N: n, Seed: 7})
-		tr, err := s.Run(func(nd *ncc.Node) {
-			_, _, tree := primitives.BuildAll(nd)
-			leader := FindByPosition(nd, &tree, 0)
-			toks := make([]int64, tokensPerNode)
-			for i := range toks {
-				toks[i] = int64(tree.Pos*1000 + i)
-			}
-			Collect(nd, &tree, toks, leader)
+		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+				return FindByPositionStep(nd, &tree, 0, func(leader ncc.ID) ncc.Op {
+					toks := make([]int64, tokensPerNode)
+					for i := range toks {
+						toks[i] = int64(tree.Pos*1000 + i)
+					}
+					return CollectStep(nd, &tree, toks, leader, func([]int64) ncc.Op { return ncc.Done() })
+				})
+			})
 		})
 		if err != nil {
 			t.Fatalf("run: %v", err)

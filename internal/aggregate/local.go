@@ -104,12 +104,12 @@ type GroupValue struct {
 	Value int64
 }
 
-// LocalAggregate implements Theorem 6: for every group, the op-fold of all
-// members' contributions reaches the group's destination node. contribs are
-// this node's memberships (one value per group it belongs to); destOf lists
-// the group IDs this node is the destination of. Returns the folded value
-// per destination group. All nodes must call it together.
-func LocalAggregate(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf []int64, op Op) map[int64]int64 {
+// LocalAggregateStep implements Theorem 6: for every group, the op-fold of
+// all members' contributions reaches the group's destination node. contribs
+// are this node's memberships (one value per group it belongs to); destOf
+// lists the group IDs this node is the destination of. k receives the folded
+// value per destination group. All nodes must call it together.
+func LocalAggregateStep(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf []int64, op Op, k func(map[int64]int64) ncc.Op) ncc.Op {
 	type aggState struct {
 		acc   int64
 		fresh bool
@@ -141,46 +141,87 @@ func LocalAggregate(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf []i
 	// Rendezvous-side accumulators; folds ship to destinations only after
 	// global quiescence, when they are final.
 	rvAcc := map[int64]*aggState{}
+	combineAt := func(gid, v int64) {
+		rv, ok := rvAcc[gid]
+		if !ok {
+			rv = &aggState{acc: op.Neutral}
+			rvAcc[gid] = rv
+		}
+		rv.acc = op.Combine(rv.acc, v)
+	}
 
-	K := ncc.CeilLog2(c.N)
-	epoch := 2*K + 6
-	for {
-		for r := 0; r < epoch; r++ {
-			// Send registrations (throttled: a few per round is plenty).
-			nReg := len(regQueue)
-			if nReg > 2 {
-				nReg = 2
+	// Final delivery: rendezvous nodes ship folds to their destinations in
+	// ascending gid order (several groups can share a destination, so send
+	// order is observable), then one more quiescence epoch flushes them.
+	deliver := func() ncc.Op {
+		for _, gid := range sortedGIDs(rvAcc) {
+			rv := rvAcc[gid]
+			dest, ok := regTarget[gid]
+			if !ok {
+				continue
 			}
-			for i := 0; i < nReg; i++ {
-				p := regQueue[i]
-				t := c.rendezvous(p.gid)
-				if t == c.Pos {
-					regTarget[p.gid] = p.dest
-				} else {
-					nd.Send(c.nextHop(t), ncc.Message{Kind: kLReg, A: p.gid}.WithIDs(p.dest))
+			if dest == nd.ID() {
+				results[gid] = rv.acc
+			} else {
+				nd.Send(dest, ncc.Message{Kind: kLDeliver, A: gid, B: rv.acc})
+			}
+		}
+		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			for _, m := range w.Msgs {
+				if m.Kind == kLDeliver {
+					results[m.A] = m.B
 				}
 			}
-			regQueue = regQueue[nReg:]
-			// Send one combined partial per fresh gid.
-			for _, gid := range sortedGIDs(pending) {
-				st := pending[gid]
-				if !st.fresh {
-					continue
-				}
-				t := c.rendezvous(gid)
-				if t == c.Pos {
-					rv, ok := rvAcc[gid]
-					if !ok {
-						rv = &aggState{acc: op.Neutral}
-						rvAcc[gid] = rv
-					}
-					rv.acc = op.Combine(rv.acc, st.acc)
-				} else {
-					nd.Send(c.nextHop(t), ncc.Message{Kind: kLAgg, A: gid, B: st.acc})
-				}
-				delete(pending, gid)
+			return primitives.SyncAtStep(nd, nd.Round()+1, func([]ncc.Message) ncc.Op { return k(results) })
+		})
+	}
+
+	epoch := 2*ncc.CeilLog2(c.N) + 6
+	var round func(r int) ncc.Op
+	round = func(r int) ncc.Op {
+		if r == epoch {
+			busy := int64(0)
+			if len(pending) > 0 || len(regQueue) > 0 {
+				busy = 1
 			}
-			for _, m := range nd.NextRound() {
+			return AggregateBroadcastStep(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
+				if anyBusy == 0 {
+					return deliver()
+				}
+				return round(0)
+			})
+		}
+		// Send registrations (throttled: a few per round is plenty).
+		nReg := len(regQueue)
+		if nReg > 2 {
+			nReg = 2
+		}
+		for i := 0; i < nReg; i++ {
+			p := regQueue[i]
+			t := c.rendezvous(p.gid)
+			if t == c.Pos {
+				regTarget[p.gid] = p.dest
+			} else {
+				nd.Send(c.nextHop(t), ncc.Message{Kind: kLReg, A: p.gid}.WithIDs(p.dest))
+			}
+		}
+		regQueue = regQueue[nReg:]
+		// Send one combined partial per fresh gid.
+		for _, gid := range sortedGIDs(pending) {
+			st := pending[gid]
+			if !st.fresh {
+				continue
+			}
+			t := c.rendezvous(gid)
+			if t == c.Pos {
+				combineAt(gid, st.acc)
+			} else {
+				nd.Send(c.nextHop(t), ncc.Message{Kind: kLAgg, A: gid, B: st.acc})
+			}
+			delete(pending, gid)
+		}
+		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			for _, m := range w.Msgs {
 				switch m.Kind {
 				case kLReg:
 					t := c.rendezvous(m.A)
@@ -192,12 +233,7 @@ func LocalAggregate(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf []i
 				case kLAgg:
 					t := c.rendezvous(m.A)
 					if t == c.Pos {
-						rv, ok := rvAcc[m.A]
-						if !ok {
-							rv = &aggState{acc: op.Neutral}
-							rvAcc[m.A] = rv
-						}
-						rv.acc = op.Combine(rv.acc, m.B)
+						combineAt(m.A, m.B)
 					} else {
 						st, ok := pending[m.A]
 						if !ok {
@@ -211,37 +247,10 @@ func LocalAggregate(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf []i
 					results[m.A] = m.B
 				}
 			}
-		}
-		busy := int64(0)
-		if len(pending) > 0 || len(regQueue) > 0 {
-			busy = 1
-		}
-		if AggregateBroadcast(nd, c.Tree, busy, OrOp()) == 0 {
-			break
-		}
+			return round(r + 1)
+		})
 	}
-	// Final delivery: rendezvous nodes ship folds to their destinations in
-	// ascending gid order (several groups can share a destination, so send
-	// order is observable), then one more quiescence epoch flushes them.
-	for _, gid := range sortedGIDs(rvAcc) {
-		rv := rvAcc[gid]
-		dest, ok := regTarget[gid]
-		if !ok {
-			continue
-		}
-		if dest == nd.ID() {
-			results[gid] = rv.acc
-		} else {
-			nd.Send(dest, ncc.Message{Kind: kLDeliver, A: gid, B: rv.acc})
-		}
-	}
-	for _, m := range nd.NextRound() {
-		if m.Kind == kLDeliver {
-			results[m.A] = m.B
-		}
-	}
-	primitives.SyncAt(nd, nd.Round()+1)
-	return results
+	return round(0)
 }
 
 // GroupToken is one (group, token) pair for multicast/collection.
@@ -250,11 +259,11 @@ type GroupToken struct {
 	Token int64
 }
 
-// LocalMulticast implements Theorem 7: each group's source token reaches
-// every member. sources are this node's tokens (it is the source of those
-// groups); memberOf lists the groups this node belongs to. Returns the
-// token per subscribed group.
-func LocalMulticast(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberOf []int64) map[int64]int64 {
+// LocalMulticastStep implements Theorem 7: each group's source token
+// reaches every member. sources are this node's tokens (it is the source of
+// those groups); memberOf lists the groups this node belongs to. k receives
+// the token per subscribed group.
+func LocalMulticastStep(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberOf []int64, k func(map[int64]int64) ncc.Op) ncc.Op {
 	results := map[int64]int64{}
 	// Subscription state: members route SUB packets toward rendezvous;
 	// every node on the way remembers (gid → children) and forwards one SUB
@@ -277,8 +286,7 @@ func LocalMulticast(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberOf []
 	}
 	tokQueue := append([]GroupToken(nil), sources...)
 
-	K := ncc.CeilLog2(c.N)
-	epoch := 2*K + 6
+	epoch := 2*ncc.CeilLog2(c.N) + 6
 	budget := nd.Capacity() / 2
 	if budget < 1 {
 		budget = 1
@@ -301,48 +309,61 @@ func LocalMulticast(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberOf []
 		}
 		return false
 	}
-	for {
-		for r := 0; r < epoch; r++ {
-			// Forward subscriptions.
-			nSub := len(subQueue)
-			if nSub > budget {
-				nSub = budget
+	var round func(r int) ncc.Op
+	round = func(r int) ncc.Op {
+		if r == epoch {
+			busy := int64(0)
+			if len(subQueue) > 0 || len(tokQueue) > 0 || unserved() {
+				busy = 1
 			}
-			for i := 0; i < nSub; i++ {
-				gid := subQueue[i]
-				nd.Send(c.nextHop(c.rendezvous(gid)), ncc.Message{Kind: kLSub, A: gid})
-			}
-			subQueue = subQueue[nSub:]
-			// Route source tokens toward rendezvous.
-			nTok := len(tokQueue)
-			if nTok > budget {
-				nTok = budget
-			}
-			for i := 0; i < nTok; i++ {
-				p := tokQueue[i]
-				if c.rendezvous(p.GID) == c.Pos {
-					learn(p.GID, p.Token)
-				} else {
-					nd.Send(c.nextHop(c.rendezvous(p.GID)), ncc.Message{Kind: kLTok, A: p.GID, B: p.Token})
+			return AggregateBroadcastStep(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
+				if anyBusy == 0 {
+					return k(results)
 				}
+				return round(0)
+			})
+		}
+		// Forward subscriptions.
+		nSub := len(subQueue)
+		if nSub > budget {
+			nSub = budget
+		}
+		for i := 0; i < nSub; i++ {
+			gid := subQueue[i]
+			nd.Send(c.nextHop(c.rendezvous(gid)), ncc.Message{Kind: kLSub, A: gid})
+		}
+		subQueue = subQueue[nSub:]
+		// Route source tokens toward rendezvous.
+		nTok := len(tokQueue)
+		if nTok > budget {
+			nTok = budget
+		}
+		for i := 0; i < nTok; i++ {
+			p := tokQueue[i]
+			if c.rendezvous(p.GID) == c.Pos {
+				learn(p.GID, p.Token)
+			} else {
+				nd.Send(c.nextHop(c.rendezvous(p.GID)), ncc.Message{Kind: kLTok, A: p.GID, B: p.Token})
 			}
-			tokQueue = tokQueue[nTok:]
-			// Feed unserved children of known tokens, throttled. Ascending
-			// gid order matters: the budget decides which groups are served
-			// this round, so map order would leak into round counts.
-			sent := 0
-			for _, gid := range sortedGIDs(haveTok) {
-				kids := children[gid]
-				for served[gid] < len(kids) && sent < budget {
-					nd.Send(kids[served[gid]], ncc.Message{Kind: kLDeliver, A: gid, B: knownTok[gid]})
-					served[gid]++
-					sent++
-				}
-				if sent >= budget {
-					break
-				}
+		}
+		tokQueue = tokQueue[nTok:]
+		// Feed unserved children of known tokens, throttled. Ascending
+		// gid order matters: the budget decides which groups are served
+		// this round, so map order would leak into round counts.
+		sent := 0
+		for _, gid := range sortedGIDs(haveTok) {
+			kids := children[gid]
+			for served[gid] < len(kids) && sent < budget {
+				nd.Send(kids[served[gid]], ncc.Message{Kind: kLDeliver, A: gid, B: knownTok[gid]})
+				served[gid]++
+				sent++
 			}
-			for _, m := range nd.NextRound() {
+			if sent >= budget {
+				break
+			}
+		}
+		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			for _, m := range w.Msgs {
 				switch m.Kind {
 				case kLSub:
 					children[m.A] = append(children[m.A], m.Src)
@@ -360,21 +381,16 @@ func LocalMulticast(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberOf []
 					learn(m.A, m.B)
 				}
 			}
-		}
-		busy := int64(0)
-		if len(subQueue) > 0 || len(tokQueue) > 0 || unserved() {
-			busy = 1
-		}
-		if AggregateBroadcast(nd, c.Tree, busy, OrOp()) == 0 {
-			return results
-		}
+			return round(r + 1)
+		})
 	}
+	return round(0)
 }
 
-// LocalCollect implements Theorem 8: every member's token reaches the
+// LocalCollectStep implements Theorem 8: every member's token reaches the
 // group's destination. tokens are this node's contributions; destOf the
-// groups it collects. Returns collected tokens per destination group.
-func LocalCollect(nd *ncc.Node, c *LocalCtx, tokens []GroupToken, destOf []int64) map[int64][]int64 {
+// groups it collects. k receives the collected tokens per destination group.
+func LocalCollectStep(nd *ncc.Node, c *LocalCtx, tokens []GroupToken, destOf []int64, k func(map[int64][]int64) ncc.Op) ncc.Op {
 	results := map[int64][]int64{}
 	regTarget := map[int64]ncc.ID{}
 	type pkt struct {
@@ -395,61 +411,73 @@ func LocalCollect(nd *ncc.Node, c *LocalCtx, tokens []GroupToken, destOf []int64
 	}
 	var rvHold []pkt // tokens parked at rendezvous awaiting registration
 
-	K := ncc.CeilLog2(c.N)
-	epoch := 2*K + 6
+	epoch := 2*ncc.CeilLog2(c.N) + 6
 	budget := nd.Capacity() / 2
 	if budget < 1 {
 		budget = 1
 	}
-	for {
-		for r := 0; r < epoch; r++ {
-			nReg := len(regQueue)
-			if nReg > 2 {
-				nReg = 2
+	var round func(r int) ncc.Op
+	round = func(r int) ncc.Op {
+		if r == epoch {
+			busy := int64(0)
+			if len(tokQueue) > 0 || len(regQueue) > 0 || len(rvHold) > 0 {
+				busy = 1
 			}
-			for i := 0; i < nReg; i++ {
-				p := regQueue[i]
-				t := c.rendezvous(p.gid)
-				if t == c.Pos {
-					regTarget[p.gid] = p.dest
-				} else {
-					nd.Send(c.nextHop(t), ncc.Message{Kind: kLReg, A: p.gid}.WithIDs(p.dest))
+			return AggregateBroadcastStep(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
+				if anyBusy == 0 {
+					return k(results)
 				}
+				return round(0)
+			})
+		}
+		nReg := len(regQueue)
+		if nReg > 2 {
+			nReg = 2
+		}
+		for i := 0; i < nReg; i++ {
+			p := regQueue[i]
+			t := c.rendezvous(p.gid)
+			if t == c.Pos {
+				regTarget[p.gid] = p.dest
+			} else {
+				nd.Send(c.nextHop(t), ncc.Message{Kind: kLReg, A: p.gid}.WithIDs(p.dest))
 			}
-			regQueue = regQueue[nReg:]
-			// Ship tokens toward rendezvous / destinations, throttled.
-			n := len(tokQueue)
-			if n > budget {
-				n = budget
+		}
+		regQueue = regQueue[nReg:]
+		// Ship tokens toward rendezvous / destinations, throttled.
+		n := len(tokQueue)
+		if n > budget {
+			n = budget
+		}
+		for i := 0; i < n; i++ {
+			p := tokQueue[i]
+			t := c.rendezvous(p.gid)
+			if t == c.Pos {
+				rvHold = append(rvHold, p)
+			} else {
+				nd.Send(c.nextHop(t), ncc.Message{Kind: kLCollect, A: p.gid, B: p.val})
 			}
-			for i := 0; i < n; i++ {
-				p := tokQueue[i]
-				t := c.rendezvous(p.gid)
-				if t == c.Pos {
-					rvHold = append(rvHold, p)
-				} else {
-					nd.Send(c.nextHop(t), ncc.Message{Kind: kLCollect, A: p.gid, B: p.val})
-				}
+		}
+		tokQueue = tokQueue[n:]
+		// Rendezvous forwards held tokens to registered destinations.
+		var still []pkt
+		sent := 0
+		for _, p := range rvHold {
+			dest, ok := regTarget[p.gid]
+			if !ok || sent >= budget {
+				still = append(still, p)
+				continue
 			}
-			tokQueue = tokQueue[n:]
-			// Rendezvous forwards held tokens to registered destinations.
-			var still []pkt
-			sent := 0
-			for _, p := range rvHold {
-				dest, ok := regTarget[p.gid]
-				if !ok || sent >= budget {
-					still = append(still, p)
-					continue
-				}
-				if dest == nd.ID() {
-					results[p.gid] = append(results[p.gid], p.val)
-				} else {
-					nd.Send(dest, ncc.Message{Kind: kLDeliver, A: p.gid, B: p.val})
-				}
-				sent++
+			if dest == nd.ID() {
+				results[p.gid] = append(results[p.gid], p.val)
+			} else {
+				nd.Send(dest, ncc.Message{Kind: kLDeliver, A: p.gid, B: p.val})
 			}
-			rvHold = still
-			for _, m := range nd.NextRound() {
+			sent++
+		}
+		rvHold = still
+		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			for _, m := range w.Msgs {
 				switch m.Kind {
 				case kLReg:
 					t := c.rendezvous(m.A)
@@ -469,13 +497,8 @@ func LocalCollect(nd *ncc.Node, c *LocalCtx, tokens []GroupToken, destOf []int64
 					results[m.A] = append(results[m.A], m.B)
 				}
 			}
-		}
-		busy := int64(0)
-		if len(tokQueue) > 0 || len(regQueue) > 0 || len(rvHold) > 0 {
-			busy = 1
-		}
-		if AggregateBroadcast(nd, c.Tree, busy, OrOp()) == 0 {
-			return results
-		}
+			return round(r + 1)
+		})
 	}
+	return round(0)
 }

@@ -8,13 +8,16 @@ import (
 	"graphrealize/internal/primitives"
 )
 
-// localSetup builds the LocalCtx every local-primitive test needs.
-func localSetup(nd *ncc.Node) *LocalCtx {
-	_, lv, tree := primitives.BuildAll(nd)
-	return NewLocalCtx(tree.Pos, lv, &tree, nd.N())
+// localSetup builds the LocalCtx every local-primitive test needs and hands
+// it to k.
+func localSetup(nd *ncc.Node, k func(*LocalCtx) ncc.Op) ncc.Op {
+	return primitives.BuildAllStep(nd, func(_ primitives.Path, lv primitives.Levels, tree primitives.Tree) ncc.Op {
+		return k(NewLocalCtx(tree.Pos, lv, &tree, nd.N()))
+	})
 }
 
-// localDigests records each test's trace digest on the blocking protocols.
+// localDigests records each test's trace digest, taken when these tests ran
+// the blocking form of the primitives on the goroutine-barrier driver.
 var localDigests = map[string]string{
 	"TestLocalAggregateDisjointGroups":    "bb97453db84f7b10",
 	"TestLocalAggregateOverlappingGroups": "7d8a35cb383b76fd",
@@ -29,18 +32,21 @@ func TestLocalAggregateDisjointGroups(t *testing.T) {
 	// the group's first member.
 	n := 64
 	s := ncc.New(ncc.Config{N: n, Seed: 3})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		c := localSetup(nd)
-		gid := int64(c.Pos / 8)
-		contribs := []GroupValue{{GID: gid, Value: int64(c.Pos)}}
-		var dest []int64
-		if c.Pos%8 == 0 {
-			dest = []int64{gid}
-		}
-		res := LocalAggregate(nd, c, contribs, dest, SumOp())
-		if v, ok := res[gid]; ok {
-			nd.SetOutput("sum", v)
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return localSetup(nd, func(c *LocalCtx) ncc.Op {
+			gid := int64(c.Pos / 8)
+			contribs := []GroupValue{{GID: gid, Value: int64(c.Pos)}}
+			var dest []int64
+			if c.Pos%8 == 0 {
+				dest = []int64{gid}
+			}
+			return LocalAggregateStep(nd, c, contribs, dest, SumOp(), func(res map[int64]int64) ncc.Op {
+				if v, ok := res[gid]; ok {
+					nd.SetOutput("sum", v)
+				}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -61,24 +67,27 @@ func TestLocalAggregateOverlappingGroups(t *testing.T) {
 	// arrangement; destinations are the diagonal nodes.
 	n := 64
 	s := ncc.New(ncc.Config{N: n, Seed: 5})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		c := localSetup(nd)
-		row, col := int64(c.Pos/8), int64(c.Pos%8)
-		contribs := []GroupValue{
-			{GID: row, Value: 1},
-			{GID: 100 + col, Value: 1},
-		}
-		var dest []int64
-		if row == col {
-			dest = []int64{row, 100 + col}
-		}
-		res := LocalAggregate(nd, c, contribs, dest, SumOp())
-		if v, ok := res[row]; ok {
-			nd.SetOutput("rowcount", v)
-		}
-		if v, ok := res[100+col]; ok {
-			nd.SetOutput("colcount", v)
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return localSetup(nd, func(c *LocalCtx) ncc.Op {
+			row, col := int64(c.Pos/8), int64(c.Pos%8)
+			contribs := []GroupValue{
+				{GID: row, Value: 1},
+				{GID: 100 + col, Value: 1},
+			}
+			var dest []int64
+			if row == col {
+				dest = []int64{row, 100 + col}
+			}
+			return LocalAggregateStep(nd, c, contribs, dest, SumOp(), func(res map[int64]int64) ncc.Op {
+				if v, ok := res[row]; ok {
+					nd.SetOutput("rowcount", v)
+				}
+				if v, ok := res[100+col]; ok {
+					nd.SetOutput("colcount", v)
+				}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -99,17 +108,20 @@ func TestLocalMulticast(t *testing.T) {
 	// Group gid = pos/10: source is the last member, token = gid*111.
 	n := 50
 	s := ncc.New(ncc.Config{N: n, Seed: 7})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		c := localSetup(nd)
-		gid := int64(c.Pos / 10)
-		var src []GroupToken
-		if c.Pos%10 == 9 {
-			src = []GroupToken{{GID: gid, Token: gid * 111}}
-		}
-		got := LocalMulticast(nd, c, src, []int64{gid})
-		if v, ok := got[gid]; ok {
-			nd.SetOutput("tok", v)
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return localSetup(nd, func(c *LocalCtx) ncc.Op {
+			gid := int64(c.Pos / 10)
+			var src []GroupToken
+			if c.Pos%10 == 9 {
+				src = []GroupToken{{GID: gid, Token: gid * 111}}
+			}
+			return LocalMulticastStep(nd, c, src, []int64{gid}, func(got map[int64]int64) ncc.Op {
+				if v, ok := got[gid]; ok {
+					nd.SetOutput("tok", v)
+				}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -134,17 +146,20 @@ func TestLocalCollect(t *testing.T) {
 		toks []int64
 	}
 	ch := make(chan res, n)
-	tr, err := s.Run(func(nd *ncc.Node) {
-		c := localSetup(nd)
-		gid := int64(c.Pos / 16)
-		toks := []GroupToken{{GID: gid, Token: int64(c.Pos)}}
-		var dest []int64
-		if c.Pos%16 == 0 {
-			dest = []int64{gid}
-		}
-		got := LocalCollect(nd, c, toks, dest)
-		nd.SetOutput("ntok", int64(len(got[gid])))
-		ch <- res{nd.ID(), got[gid]}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return localSetup(nd, func(c *LocalCtx) ncc.Op {
+			gid := int64(c.Pos / 16)
+			toks := []GroupToken{{GID: gid, Token: int64(c.Pos)}}
+			var dest []int64
+			if c.Pos%16 == 0 {
+				dest = []int64{gid}
+			}
+			return LocalCollectStep(nd, c, toks, dest, func(got map[int64][]int64) ncc.Op {
+				nd.SetOutput("ntok", int64(len(got[gid])))
+				ch <- res{nd.ID(), got[gid]}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -173,20 +188,25 @@ func TestLocalCollect(t *testing.T) {
 
 func TestLocalPrimitivesSingleNode(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 1, Seed: 11})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		c := localSetup(nd)
-		res := LocalAggregate(nd, c, []GroupValue{{GID: 1, Value: 5}}, []int64{1}, SumOp())
-		if res[1] != 5 {
-			panic("self aggregation failed")
-		}
-		mc := LocalMulticast(nd, c, []GroupToken{{GID: 2, Token: 9}}, []int64{2})
-		if mc[2] != 9 {
-			panic("self multicast failed")
-		}
-		col := LocalCollect(nd, c, []GroupToken{{GID: 3, Token: 4}}, []int64{3})
-		if len(col[3]) != 1 || col[3][0] != 4 {
-			panic("self collect failed")
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return localSetup(nd, func(c *LocalCtx) ncc.Op {
+			return LocalAggregateStep(nd, c, []GroupValue{{GID: 1, Value: 5}}, []int64{1}, SumOp(), func(res map[int64]int64) ncc.Op {
+				if res[1] != 5 {
+					panic("self aggregation failed")
+				}
+				return LocalMulticastStep(nd, c, []GroupToken{{GID: 2, Token: 9}}, []int64{2}, func(mc map[int64]int64) ncc.Op {
+					if mc[2] != 9 {
+						panic("self multicast failed")
+					}
+					return LocalCollectStep(nd, c, []GroupToken{{GID: 3, Token: 4}}, []int64{3}, func(col map[int64][]int64) ncc.Op {
+						if len(col[3]) != 1 || col[3][0] != 4 {
+							panic("self collect failed")
+						}
+						return ncc.Done()
+					})
+				})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -197,16 +217,19 @@ func TestLocalPrimitivesSingleNode(t *testing.T) {
 func TestLocalAggregateMaxOp(t *testing.T) {
 	n := 32
 	s := ncc.New(ncc.Config{N: n, Seed: 13})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		c := localSetup(nd)
-		var dest []int64
-		if c.Pos == n-1 {
-			dest = []int64{7}
-		}
-		res := LocalAggregate(nd, c, []GroupValue{{GID: 7, Value: int64(c.Pos * c.Pos)}}, dest, MaxOp())
-		if v, ok := res[7]; ok {
-			nd.SetOutput("max", v)
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return localSetup(nd, func(c *LocalCtx) ncc.Op {
+			var dest []int64
+			if c.Pos == n-1 {
+				dest = []int64{7}
+			}
+			return LocalAggregateStep(nd, c, []GroupValue{{GID: 7, Value: int64(c.Pos * c.Pos)}}, dest, MaxOp(), func(res map[int64]int64) ncc.Op {
+				if v, ok := res[7]; ok {
+					nd.SetOutput("max", v)
+				}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"graphrealize/internal/ncc"
@@ -12,9 +11,9 @@ import (
 
 // step_test.go checks the resumable-step compilation of the global
 // aggregation protocols: the full Broadcast → AggregateBroadcast →
-// FindByPosition → Collect chain, compiled into continuations and driven by
-// the flat scheduler, must produce a trace byte-identical to the blocking
-// chain under the barrier driver.
+// FindByPosition → Collect chain, compiled into continuations, must reproduce
+// the trace the blocking chain produced on the goroutine-barrier driver,
+// recorded as digests before the blocking API was retired.
 
 // globalDigests records the blocking chain's trace digest per n.
 var globalDigests = map[string]string{
@@ -31,27 +30,6 @@ func TestGlobalStepsMatchBlocking(t *testing.T) {
 		if n > 2 {
 			pos = 2
 		}
-		sb := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
-		base, err := sb.Run(func(nd *ncc.Node) {
-			_, _, tree := primitives.BuildAll(nd)
-			root := Broadcast(nd, &tree, tree.IsRoot, int64(nd.ID()))
-			sum := AggregateBroadcast(nd, &tree, int64(tree.Pos), SumOp())
-			at := FindByPosition(nd, &tree, pos)
-			var toks []int64
-			if tree.Pos%2 == 0 {
-				toks = []int64{int64(tree.Pos)}
-			}
-			got := Collect(nd, &tree, toks, ncc.ID(root))
-			nd.SetOutput("root", root)
-			nd.SetOutput("sum", sum)
-			nd.SetOutput("at", int64(at))
-			nd.SetOutput("ntok", int64(len(got)))
-		})
-		if err != nil {
-			t.Fatalf("n=%d blocking: %v", n, err)
-		}
-		label := fmt.Sprintf("n=%d", n)
-		ncctest.Expect(t, label, base, err, globalDigests[label])
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
@@ -77,9 +55,8 @@ func TestGlobalStepsMatchBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d flat: %v", n, err)
 		}
-		if !reflect.DeepEqual(base, flat) {
-			t.Fatalf("n=%d: flat step trace differs from blocking barrier trace", n)
-		}
+		label := fmt.Sprintf("n=%d", n)
+		ncctest.Expect(t, label, flat, err, globalDigests[label])
 		// Sanity beyond equality: the aggregate is the known prefix-position sum.
 		want := int64(n*(n-1)) / 2
 		for _, id := range flat.IDs {

@@ -21,17 +21,19 @@ func runConn(t *testing.T, rho []int, model ncc.Model, seed int64) (*ncc.Trace, 
 	}
 	s := ncc.New(ncc.Config{N: n, Seed: seed, Model: model, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
-	tr, err := s.Run(func(nd *ncc.Node) {
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		rho := nd.Input().(int)
-		var out Outcome
-		if nd.Model() == ncc.NCC1 {
-			out = RealizeNCC1(nd, rho)
-		} else {
-			env := core.Setup(nd, sortnet.Oracle)
-			out = RealizeNCC0(nd, env, rho)
+		done := func(out Outcome) ncc.Op {
+			nd.SetOutput("stored", int64(out.Stored))
+			nd.SetOutput("d0", int64(out.D0))
+			return ncc.Done()
 		}
-		nd.SetOutput("stored", int64(out.Stored))
-		nd.SetOutput("d0", int64(out.D0))
+		if nd.Model() == ncc.NCC1 {
+			return RealizeNCC1Step(nd, rho, done)
+		}
+		return core.SetupStep(nd, sortnet.Oracle, func(env *core.Env) ncc.Op {
+			return RealizeNCC0Step(nd, env, rho, done)
+		})
 	})
 	if err != nil && t != nil {
 		t.Fatalf("n=%d model=%v: %v", n, model, err)

@@ -189,14 +189,17 @@ func F1Figure1(Scale) *Table {
 		Columns: []string{"tree"},
 	}
 	s := ncc.New(ncc.Config{N: 8, Seed: 1, Model: ncc.NCC1, OrderedIDs: true, Strict: true})
-	tr := mustRun(s, func(nd *ncc.Node) {
-		p := primitives.BuildPath(nd)
-		wt := primitives.BuildWarmupTree(nd, p)
-		nd.SetOutput("left", int64(wt.Left))
-		nd.SetOutput("right", int64(wt.Right))
-		if wt.IsRoot {
-			nd.SetOutput("root", 1)
-		}
+	tr := mustRun(s, func(nd *ncc.Node) ncc.Op {
+		return primitives.BuildPathStep(nd, func(p primitives.Path) ncc.Op {
+			return primitives.BuildWarmupTreeStep(nd, p, func(wt primitives.WarmTree) ncc.Op {
+				nd.SetOutput("left", int64(wt.Left))
+				nd.SetOutput("right", int64(wt.Right))
+				if wt.IsRoot {
+					nd.SetOutput("root", 1)
+				}
+				return ncc.Done()
+			})
+		})
 	})
 	left, right := map[int64]int64{}, map[int64]int64{}
 	var root int64
@@ -229,20 +232,25 @@ func F2Figure2(Scale) *Table {
 		Columns: []string{"structure"},
 	}
 	s := ncc.New(ncc.Config{N: 8, Seed: 1, Model: ncc.NCC1, OrderedIDs: true, Strict: true})
-	tr := mustRun(s, func(nd *ncc.Node) {
-		p := primitives.BuildPath(nd)
-		lv := primitives.BuildLevels(nd, p)
-		for r := 0; r <= lv.Top(); r++ {
-			nd.SetOutput(fmt.Sprintf("succ%d", r), int64(lv.Succ[r]))
-		}
-		tree := primitives.BuildTBFS(nd, lv)
-		primitives.AnnotateTree(nd, &tree)
-		nd.SetOutput("left", int64(tree.Left))
-		nd.SetOutput("right", int64(tree.Right))
-		nd.SetOutput("pos", int64(tree.Pos))
-		if tree.IsRoot {
-			nd.SetOutput("root", 1)
-		}
+	tr := mustRun(s, func(nd *ncc.Node) ncc.Op {
+		return primitives.BuildPathStep(nd, func(p primitives.Path) ncc.Op {
+			return primitives.BuildLevelsStep(nd, p, func(lv primitives.Levels) ncc.Op {
+				for r := 0; r <= lv.Top(); r++ {
+					nd.SetOutput(fmt.Sprintf("succ%d", r), int64(lv.Succ[r]))
+				}
+				return primitives.BuildTBFSStep(nd, lv, func(tree primitives.Tree) ncc.Op {
+					return primitives.AnnotateTreeStep(nd, &tree, func() ncc.Op {
+						nd.SetOutput("left", int64(tree.Left))
+						nd.SetOutput("right", int64(tree.Right))
+						nd.SetOutput("pos", int64(tree.Pos))
+						if tree.IsRoot {
+							nd.SetOutput("root", 1)
+						}
+						return ncc.Done()
+					})
+				})
+			})
+		})
 	})
 	// Render each level's chains.
 	K := ncc.CeilLog2(8)

@@ -6,20 +6,22 @@ import (
 )
 
 // Cancellation is cooperative at round granularity: the engine polls
-// Config.Stop once per barrier and unwinds every parked node, so even a
+// Config.Stop once per barrier and retires every suspended node, so even a
 // protocol that never terminates on its own is reclaimed.
 
 func TestStopCancelsRunningProtocol(t *testing.T) {
 	stop := make(chan struct{})
 	s := New(Config{N: 4, Seed: 3, Stop: stop})
 	first := s.IDs()[0]
-	tr, err := s.Run(func(nd *Node) {
-		for r := 0; ; r++ {
+	tr, err := s.RunProgram(func(nd *Node) Op {
+		var loop func(r int) Op
+		loop = func(r int) Op {
 			if nd.ID() == first && r == 50 {
 				close(stop)
 			}
-			nd.NextRound()
+			return Next(func(*Node, Wake) Op { return loop(r + 1) })
 		}
+		return loop(0)
 	})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
@@ -36,11 +38,7 @@ func TestStopClosedBeforeRun(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	s := New(Config{N: 2, Seed: 1, Stop: stop})
-	_, err := s.Run(func(nd *Node) {
-		for {
-			nd.NextRound()
-		}
-	})
+	_, err := s.RunProgram(func(nd *Node) Op { return Next(forever) })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -50,10 +48,15 @@ func TestStopUnusedDoesNotAffectRun(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	s := New(Config{N: 3, Seed: 9, Stop: stop})
-	_, err := s.Run(func(nd *Node) {
-		for i := 0; i < 5; i++ {
-			nd.NextRound()
+	_, err := s.RunProgram(func(nd *Node) Op {
+		var loop func(i int) Op
+		loop = func(i int) Op {
+			if i == 5 {
+				return Done()
+			}
+			return Next(func(*Node, Wake) Op { return loop(i + 1) })
 		}
+		return loop(0)
 	})
 	if err != nil {
 		t.Fatalf("run with an idle Stop channel must succeed, got %v", err)

@@ -10,12 +10,11 @@ import (
 
 // program_test.go pins the single-node semantics of the resumable-op
 // vocabulary (program.go), independent of any protocol package: each Op kind
-// maps onto exactly one engine barrier, Wake carries exactly what the
-// corresponding blocking call would have returned, and the flat stepper
-// validates malformed ops the same way the barrier driver does.
+// maps onto exactly one engine barrier, Wake carries the delivered inbox or
+// the collective's output, and the engine rejects malformed ops.
 
-// TestOpSingleNodeSemantics drives a lone node through Next and Sleep under
-// the flat driver and checks the observed round at every resumption.
+// TestOpSingleNodeSemantics drives a lone node through Next and Sleep and
+// checks the observed round at every resumption.
 func TestOpSingleNodeSemantics(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 1, Seed: 1, Strict: true})
 	var at []int
@@ -41,8 +40,7 @@ func TestOpSingleNodeSemantics(t *testing.T) {
 }
 
 // TestOpAwaitWakeCarriesMessages checks that an Await continuation receives
-// the delivered inbox in Wake.Msgs — the step-form analogue of AwaitMessage's
-// return value.
+// the delivered inbox in Wake.Msgs.
 func TestOpAwaitWakeCarriesMessages(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 2, Seed: 2, Strict: true})
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
@@ -102,24 +100,20 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpSleepValidation: a non-positive sleep is a protocol error under the
-// flat driver, matching SkipRounds' panic under RunOps on the barrier driver.
+// TestOpSleepValidation: a non-positive sleep is a protocol error.
 func TestOpSleepValidation(t *testing.T) {
 	entry := func(nd *ncc.Node) ncc.Op {
 		return ncc.Sleep(0, func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
 	}
-	if _, err := ncc.New(ncc.Config{N: 1, Seed: 4}).Run(func(nd *ncc.Node) { ncc.RunOps(nd, entry(nd)) }); err == nil {
-		t.Fatal("barrier: Sleep(0) did not error")
-	}
 	if _, err := ncc.New(ncc.Config{N: 1, Seed: 4}).RunProgram(entry); err == nil {
-		t.Fatal("flat: Sleep(0) did not error")
+		t.Fatal("Sleep(0) did not error")
 	}
 }
 
 // TestOpSequenceTraceIdentical runs one mixed-op micro protocol (send, next,
-// await, sleep) under RunOps on the barrier driver and under RunProgram and
-// requires byte-identical traces — the smallest possible outbox-determinism
-// check, below any real protocol.
+// await, sleep) and requires the trace it produced under RunOps on the
+// goroutine-barrier driver, recorded as a digest — the smallest possible
+// outbox-determinism check, below any real protocol.
 func TestOpSequenceTraceIdentical(t *testing.T) {
 	entry := func(nd *ncc.Node) ncc.Op {
 		if succ := nd.InitialSucc(); succ != ncc.None {
@@ -136,18 +130,6 @@ func TestOpSequenceTraceIdentical(t *testing.T) {
 			return ncc.Done()
 		})
 	}
-	cfg := ncc.Config{N: 4, Seed: 5, Strict: true}
-	base, err := ncc.New(cfg).Run(func(nd *ncc.Node) { ncc.RunOps(nd, entry(nd)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recorded from the barrier run above.
-	ncctest.Expect(t, "barrier", base, nil, "e7fb13619dd3b51e")
-	tr, err := ncc.New(cfg).RunProgram(entry)
-	if err != nil {
-		t.Fatalf("flat: %v", err)
-	}
-	if !reflect.DeepEqual(base, tr) {
-		t.Fatalf("flat trace differs from barrier:\nbarrier %+v\nflat    %+v", base, tr)
-	}
+	tr, err := ncc.New(ncc.Config{N: 4, Seed: 5, Strict: true}).RunProgram(entry)
+	ncctest.Expect(t, "op sequence", tr, err, "e7fb13619dd3b51e")
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The progress hook fires at the same barrier that polls Stop, on the
-// engine's driver goroutine, so it observes a frozen simulation: rounds and
-// message counts must be monotone across invocations.
+// The progress hook fires at the same barrier that polls Stop, between two
+// rounds, so it observes a frozen simulation: rounds and message counts must
+// be monotone across invocations.
 
 func TestProgressHookMonotone(t *testing.T) {
 	const wantRounds = 20
@@ -20,14 +20,19 @@ func TestProgressHookMonotone(t *testing.T) {
 			msgs = append(msgs, m)
 		},
 	})
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		succ := nd.InitialSucc()
-		for r := 0; r < wantRounds; r++ {
+		var loop func(r int) Op
+		loop = func(r int) Op {
+			if r == wantRounds {
+				return Done()
+			}
 			if succ != None {
 				nd.Send(succ, Message{})
 			}
-			nd.NextRound()
+			return Next(func(*Node, Wake) Op { return loop(r + 1) })
 		}
+		return loop(0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,11 +72,7 @@ func TestProgressHookSeesCancellation(t *testing.T) {
 			}
 		},
 	})
-	_, err := s.Run(func(nd *Node) {
-		for {
-			nd.NextRound()
-		}
-	})
+	_, err := s.RunProgram(func(nd *Node) Op { return Next(forever) })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

@@ -14,68 +14,46 @@ import (
 	"graphrealize/internal/ncctest"
 )
 
-// sched_conformance_test.go is the driver-conformance suite: every test runs
-// against each way of executing a protocol, pinning the contract that the
-// driver never changes a run's observable outcome — traces, metrics, error
-// classification, progress-hook ordering, and sleep fast-forwarding are all
-// engine policy.
+// sched_conformance_test.go is the engine-conformance suite: every test runs
+// its step-form protocol both on the calling goroutine and hosted on a
+// worker pool, pinning the contract that the host never changes a run's
+// observable outcome — traces, metrics, error classification, progress-hook
+// ordering, and sleep fast-forwarding are all engine policy.
 //
-// Every test protocol exists in two forms: a blocking body (the legacy node
-// API, run by Sim.Run on the barrier driver) and a step-form twin
-// (program.go, run by Sim.RunProgram on the flat driver). The barrier-steps
-// variant runs the step form through RunOps under Sim.Run, pinning that the
-// adapter is observably identical to native blocking code — which, combined
-// with the flat variant, proves blocking ≡ steps ≡ flat.
+// The mixed protocol is also pinned to the outcome its blocking form had on
+// the retired goroutine-barrier driver: mixedDigests and progressTicks
+// record that run's trace digests and progress-hook sequence.
 //
-// The outcome of the blocking reference is also recorded: mixedDigests and
-// progressTicks hold its trace digests and progress-hook sequence, so the
-// step forms stay checked against it if the blocking API goes.
-//
-// The pool variants host the flat run the way the Runner hosts every
+// The pool variants host the run the way the Runner hosts every
 // realization: on one goroutine of a worker pool, while the other workers
 // step simulations of their own. Concurrent simulations share no state, so
 // neither the run under test nor any neighbor may observe the other.
 
-// schedVariant names one driver configuration under test: steps selects the
-// step-form protocol twin, flat runs it via RunProgram instead of RunOps, and
-// workers > 0 hosts that flat run on a pool of that many worker goroutines.
+// schedVariant names one way of hosting a run: workers > 0 hosts it on a pool
+// of that many worker goroutines, zero runs it on the calling goroutine.
 type schedVariant struct {
 	name    string
-	steps   bool
-	flat    bool
 	workers int
 }
 
-// run executes the variant's preferred protocol form on s.
-func (v schedVariant) run(t *testing.T, s *ncc.Sim, blocking func(*ncc.Node), entry ncc.Proto) (*ncc.Trace, error) {
+// run executes entry on s under the variant's host.
+func (v schedVariant) run(t *testing.T, s *ncc.Sim, entry ncc.Proto) (*ncc.Trace, error) {
 	t.Helper()
-	switch {
-	case v.workers > 0:
+	if v.workers > 0 {
 		return hostOnPool(t, v.workers, s, entry)
-	case v.flat:
-		return s.RunProgram(entry)
-	case v.steps:
-		return s.Run(func(nd *ncc.Node) { ncc.RunOps(nd, entry(nd)) })
-	default:
-		return s.Run(blocking)
 	}
+	return s.RunProgram(entry)
 }
 
 func schedVariants() []schedVariant {
 	return []schedVariant{
-		{name: "barrier"},
-		// The zero-goroutine columnar driver; runs the step-form twins.
-		{name: "flat", steps: true, flat: true},
-		// Step-form protocols on the barrier driver: pins RunOps ≡ blocking,
-		// so flat-vs-barrier diffs can be attributed to the driver, not the
-		// protocol translation.
-		{name: "barrier-steps", steps: true},
-		// Flat runs hosted on a worker pool sized like NewRunner(0), on a
-		// single worker goroutine, and on three workers, which overlap the
-		// run under test with two neighbors even on a single-core machine.
-		{name: "pool", steps: true, flat: true, workers: runtime.GOMAXPROCS(0)},
-		{name: "pool-1worker", steps: true, flat: true, workers: 1},
-		{name: "pool-3workers", steps: true, flat: true, workers: 3},
+		{name: "flat"},
+		// Runs hosted on a worker pool sized like NewRunner(0), on a single
+		// worker goroutine, and on three workers, which overlap the run
+		// under test with two neighbors even on a single-core machine.
+		{name: "pool", workers: runtime.GOMAXPROCS(0)},
+		{name: "pool-1worker", workers: 1},
+		{name: "pool-3workers", workers: 3},
 	}
 }
 
@@ -88,7 +66,7 @@ func hostOnPool(t *testing.T, workers int, s *ncc.Sim, entry ncc.Proto) (*ncc.Tr
 	neighbor := func(seed int64) (*ncc.Trace, error) {
 		ns := ncc.New(ncc.Config{N: 64, Seed: seed})
 		registerTally(ns)
-		return ns.RunProgram(mixedProtoStep(24))
+		return ns.RunProgram(mixedProto(24))
 	}
 	var (
 		done     = make(chan struct{})
@@ -146,7 +124,7 @@ func hostOnPool(t *testing.T, workers int, s *ncc.Sim, entry ncc.Proto) (*ncc.Tr
 	return o.tr, o.err
 }
 
-// forEachScheduler runs fn as a subtest per driver variant.
+// forEachScheduler runs fn as a subtest per host variant.
 func forEachScheduler(t *testing.T, fn func(t *testing.T, v schedVariant)) {
 	t.Helper()
 	for _, v := range schedVariants() {
@@ -156,31 +134,7 @@ func forEachScheduler(t *testing.T, fn func(t *testing.T, v schedVariant)) {
 
 // mixedProto exercises every suspension kind the engine supports: fan-out
 // sends, await, timed sleep, a collective, and staggered departure times.
-func mixedProto(rounds int) func(*ncc.Node) {
-	return func(nd *ncc.Node) {
-		succ := nd.InitialSucc()
-		for r := 0; r < rounds; r++ {
-			switch {
-			case r%5 == 3 && succ != ncc.None:
-				nd.Send(succ, ncc.Message{Kind: 1, A: int64(r)})
-				nd.NextRound()
-			case r%7 == 5:
-				nd.SkipRounds(2)
-			default:
-				nd.NextRound()
-			}
-		}
-		total := nd.Collective("tally", int64(1)).(int64)
-		nd.SetOutput("total", total)
-		if succ != ncc.None {
-			nd.AddEdge(succ)
-		}
-	}
-}
-
-// mixedProtoStep is mixedProto compiled to step form: the loop variable lives
-// in the closure chain instead of on a goroutine stack.
-func mixedProtoStep(rounds int) ncc.Proto {
+func mixedProto(rounds int) ncc.Proto {
 	return func(nd *ncc.Node) ncc.Op {
 		succ := nd.InitialSucc()
 		var loop func(r int) ncc.Op
@@ -225,13 +179,13 @@ func registerTally(s *ncc.Sim) {
 	})
 }
 
-// runMixed executes the mixed protocol on one driver variant and returns its
+// runMixed executes the mixed protocol under one host variant and returns its
 // trace.
 func runMixed(t *testing.T, v schedVariant, n int, seed int64) *ncc.Trace {
 	t.Helper()
 	s := ncc.New(ncc.Config{N: n, Seed: seed})
 	registerTally(s)
-	tr, err := v.run(t, s, mixedProto(24), mixedProtoStep(24))
+	tr, err := v.run(t, s, mixedProto(24))
 	if err != nil {
 		t.Fatalf("%s: %v", v.name, err)
 	}
@@ -239,8 +193,8 @@ func runMixed(t *testing.T, v schedVariant, n int, seed int64) *ncc.Trace {
 }
 
 // mixedDigests records, per "n=<n>/seed=<seed>", the digest of the mixed
-// protocol's trace (mixedProto(24), tally registered) on the blocking
-// reference.
+// protocol's trace (mixedProto(24), tally registered), taken from its
+// blocking form on the goroutine-barrier driver.
 var mixedDigests = map[string]string{
 	"n=1/seed=1":    "4f90369012201dc2",
 	"n=1/seed=42":   "1377b3c852b48965",
@@ -283,8 +237,8 @@ func tracesEqual(t *testing.T, want, got *ncc.Trace, label string) {
 }
 
 // TestSchedConformanceTraceIdentical is the core guarantee: same seed, same
-// protocol, byte-identical Trace on every driver, across several sizes and
-// seeds from n=1 to n=700.
+// protocol, byte-identical Trace on every host and equal to the recorded
+// digest, across several sizes and seeds from n=1 to n=700.
 func TestSchedConformanceTraceIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 700} {
 		for _, seed := range []int64{1, 42} {
@@ -301,7 +255,7 @@ func TestSchedConformanceTraceIdentical(t *testing.T) {
 // TestSchedConformanceProfileInert pins the observability contract from
 // Config.Profile's doc: enabling phase profiling changes nothing observable.
 // The same (n, seed) run with the hook set produces a Trace byte-identical to
-// the unprofiled run on every driver — wall-clock timings flow only through
+// the unprofiled run on every host — wall-clock timings flow only through
 // the hook, never into Metrics or per-node results.
 func TestSchedConformanceProfileInert(t *testing.T) {
 	for _, n := range []int{1, 6, 64} {
@@ -316,7 +270,7 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 					total += c + d + b
 				}})
 				registerTally(s)
-				got, err := v.run(t, s, mixedProto(24), mixedProtoStep(24))
+				got, err := v.run(t, s, mixedProto(24))
 				if err != nil {
 					t.Fatalf("%s n=%d seed=%d: %v", v.name, n, seed, err)
 				}
@@ -340,13 +294,10 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 func TestSchedConformanceDeadlock(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := ncc.New(ncc.Config{N: 5, Seed: 2})
-		_, err := v.run(t, s,
-			func(nd *ncc.Node) {
-				nd.AwaitMessage() // nobody will ever write
-			},
-			func(nd *ncc.Node) ncc.Op {
-				return ncc.Await(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
-			})
+		_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
+			// Nobody will ever write.
+			return ncc.Await(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
+		})
 		if !errors.Is(err, ncc.ErrDeadlock) {
 			t.Fatalf("want ErrDeadlock, got %v", err)
 		}
@@ -364,21 +315,14 @@ func TestSchedConformanceStopAtBarrier(t *testing.T) {
 				close(stop)
 			}
 		}
-		tr, err := v.run(t, s,
-			func(nd *ncc.Node) {
-				for r := 0; ; r++ {
-					spin(nd, r)
-					nd.NextRound()
-				}
-			},
-			func(nd *ncc.Node) ncc.Op {
-				var loop func(r int) ncc.Op
-				loop = func(r int) ncc.Op {
-					spin(nd, r)
-					return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) })
-				}
-				return loop(0)
-			})
+		tr, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
+			var loop func(r int) ncc.Op
+			loop = func(r int) ncc.Op {
+				spin(nd, r)
+				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) })
+			}
+			return loop(0)
+		})
 		if !errors.Is(err, ncc.ErrCanceled) {
 			t.Fatalf("want ErrCanceled, got %v", err)
 		}
@@ -389,7 +333,8 @@ func TestSchedConformanceStopAtBarrier(t *testing.T) {
 }
 
 // progressTicks records the hook's (round, msgs) sequence for mixedProto(16)
-// at N=6, Seed=9 on the blocking reference.
+// at N=6, Seed=9, taken from its blocking form on the goroutine-barrier
+// driver.
 var progressTicks = []tick{
 	{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 5}, {5, 5}, {7, 5}, {8, 5}, {9, 5},
 	{10, 10}, {11, 10}, {12, 10}, {13, 10}, {15, 10}, {16, 15}, {17, 15}, {18, 15}, {22, 15},
@@ -398,8 +343,8 @@ var progressTicks = []tick{
 type tick struct{ round, msgs int }
 
 // TestSchedConformanceProgressOrdering pins the hook contract: one invocation
-// per barrier on the engine goroutine, (round, msgs) nondecreasing, and the
-// exact same sequence on every driver.
+// per barrier, (round, msgs) nondecreasing, the recorded sequence, and the
+// exact same sequence on every host.
 func TestSchedConformanceProgressOrdering(t *testing.T) {
 	record := func(v schedVariant) []tick {
 		var ticks []tick
@@ -408,7 +353,7 @@ func TestSchedConformanceProgressOrdering(t *testing.T) {
 		}}
 		s := ncc.New(cfg)
 		registerTally(s)
-		if _, err := v.run(t, s, mixedProto(16), mixedProtoStep(16)); err != nil {
+		if _, err := v.run(t, s, mixedProto(16)); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		return ticks
@@ -428,28 +373,23 @@ func TestSchedConformanceProgressOrdering(t *testing.T) {
 	}
 	for _, v := range variants[1:] {
 		if got := record(v); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("%s: progress sequence differs from barrier's (%d vs %d ticks)", v.name, len(got), len(ref))
+			t.Fatalf("%s: progress sequence differs from %s's (%d vs %d ticks)", v.name, variants[0].name, len(got), len(ref))
 		}
 	}
 }
 
 // TestSchedConformanceSleepFastForward pins the sleepHeap contract: rounds in
-// which every node sleeps are skipped in O(1), on every driver, with
+// which every node sleeps are skipped in O(1), on every host, with
 // identical round accounting.
 func TestSchedConformanceSleepFastForward(t *testing.T) {
 	const skip = 1_000_000
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := ncc.New(ncc.Config{N: 8, Seed: 4})
-		tr, err := v.run(t, s,
-			func(nd *ncc.Node) {
-				nd.SkipRounds(skip)
-				nd.NextRound()
-			},
-			func(nd *ncc.Node) ncc.Op {
-				return ncc.Sleep(skip, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-					return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
-				})
+		tr, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
+			return ncc.Sleep(skip, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
 			})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,26 +407,16 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := ncc.New(ncc.Config{N: 4, Seed: 6})
 		victim := s.IDs()[1]
-		_, err := v.run(t, s,
-			func(nd *ncc.Node) {
-				nd.NextRound()
+		_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
+			var loop ncc.Cont
+			loop = func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Next(loop) }
+			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 				if nd.ID() == victim {
 					panic("boom")
 				}
-				for {
-					nd.NextRound()
-				}
-			},
-			func(nd *ncc.Node) ncc.Op {
-				var loop ncc.Cont
-				loop = func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Next(loop) }
-				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-					if nd.ID() == victim {
-						panic("boom")
-					}
-					return ncc.Next(loop)
-				})
+				return ncc.Next(loop)
 			})
+		})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("want propagated panic, got %v", err)
 		}
@@ -494,7 +424,7 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 }
 
 // TestSchedConformanceStrictViolation pins that strict-mode capacity errors
-// (raised by the delivery layer, not the driver) classify identically.
+// (raised by the delivery layer) classify identically on every host.
 func TestSchedConformanceStrictViolation(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := ncc.New(ncc.Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: ncc.NCC1})
@@ -506,24 +436,19 @@ func TestSchedConformanceStrictViolation(t *testing.T) {
 				}
 			}
 		}
-		_, err := v.run(t, s,
-			func(nd *ncc.Node) {
-				flood(nd)
-				nd.NextRound()
-			},
-			func(nd *ncc.Node) ncc.Op {
-				flood(nd)
-				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
-			})
+		_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
+			flood(nd)
+			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
+		})
 		if err == nil {
 			t.Fatal("want a strict capacity violation error")
 		}
 	})
 }
 
-// TestFlatZeroNodeGoroutines is the acceptance check on the tentpole's whole
-// point: a flat run at large n keeps the process goroutine count O(1) — the
-// engine runs everything — instead of O(n).
+// TestFlatZeroNodeGoroutines pins the engine's defining property: a run at
+// large n keeps the process goroutine count O(1) — the engine runs
+// everything — instead of O(n).
 func TestFlatZeroNodeGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	maxG := 0
@@ -533,25 +458,12 @@ func TestFlatZeroNodeGoroutines(t *testing.T) {
 		}
 	}})
 	registerTally(s)
-	_, err := s.RunProgram(mixedProtoStep(8))
+	_, err := s.RunProgram(mixedProto(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if maxG > base+8 {
 		t.Fatalf("flat run grew the goroutine count: base=%d max=%d (want O(1), not O(n))", base, maxG)
-	}
-}
-
-// TestFlatRefusesBlockingRun pins the guard rail: a blocking Node call
-// smuggled into a step classifies as a node panic naming the offense.
-func TestFlatRefusesBlockingRun(t *testing.T) {
-	s := ncc.New(ncc.Config{N: 2, Seed: 1})
-	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		nd.NextRound() // blocking call inside a step
-		return ncc.Done()
-	})
-	if err == nil || !strings.Contains(err.Error(), "flat-driver step") {
-		t.Fatalf("want a blocking-call-inside-step panic error, got %v", err)
 	}
 }
 

@@ -12,24 +12,32 @@ const (
 	kindData
 )
 
+// finish is the continuation that ends the protocol on wake.
+func finish(*Node, Wake) Op { return Done() }
+
+// forever checks in at every barrier and never returns.
+func forever(*Node, Wake) Op { return Next(forever) }
+
 // helloProto converts the directed path into an undirected one (the one-round
 // conversion from §3.1 of the paper) and records the learned predecessor.
-func helloProto(nd *Node) {
+func helloProto(nd *Node) Op {
 	if s := nd.InitialSucc(); s != None {
 		nd.Send(s, Message{Kind: kindHello})
 	}
-	in := nd.NextRound()
-	for _, m := range in {
-		if m.Kind == kindHello {
-			nd.SetOutput("pred", int64(m.Src))
+	return Next(func(nd *Node, w Wake) Op {
+		for _, m := range w.Msgs {
+			if m.Kind == kindHello {
+				nd.SetOutput("pred", int64(m.Src))
+			}
 		}
-	}
+		return Done()
+	})
 }
 
 func TestHelloPathLearnsPredecessors(t *testing.T) {
 	for _, model := range []Model{NCC0, NCC1} {
 		s := New(Config{N: 17, Seed: 1, Model: model, Strict: true})
-		tr, err := s.Run(helloProto)
+		tr, err := s.RunProgram(helloProto)
 		if err != nil {
 			t.Fatalf("%v: run: %v", model, err)
 		}
@@ -86,17 +94,19 @@ func TestNCC1IDsAreOneToN(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() *Trace {
 		s := New(Config{N: 64, Seed: 42})
-		tr, err := s.Run(func(nd *Node) {
+		tr, err := s.RunProgram(func(nd *Node) Op {
 			// Random walk of introductions: forward a random token along the path.
 			if s := nd.InitialSucc(); s != None {
 				nd.Send(s, Message{Kind: kindData, A: nd.Rand().Int63n(1000)})
 			}
-			in := nd.NextRound()
-			sum := int64(0)
-			for _, m := range in {
-				sum += m.A
-			}
-			nd.SetOutput("sum", sum)
+			return Next(func(nd *Node, w Wake) Op {
+				sum := int64(0)
+				for _, m := range w.Msgs {
+					sum += m.A
+				}
+				nd.SetOutput("sum", sum)
+				return Done()
+			})
 		})
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -119,11 +129,11 @@ func TestNCC0SendToUnknownFails(t *testing.T) {
 	ids := s.IDs()
 	head := ids[0]
 	tail := ids[len(ids)-1]
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == head {
 			nd.Send(tail, Message{}) // head does not know the tail
 		}
-		nd.NextRound()
+		return Next(finish)
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown ID") {
 		t.Fatalf("want unknown-ID violation, got %v", err)
@@ -134,14 +144,16 @@ func TestNCC1MayContactAnyone(t *testing.T) {
 	s := New(Config{N: 8, Seed: 5, Model: NCC1, Strict: true})
 	ids := s.IDs()
 	head, tail := ids[0], ids[len(ids)-1]
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == head {
 			nd.Send(tail, Message{Kind: kindData, A: 99})
 		}
-		in := nd.NextRound()
-		for _, m := range in {
-			nd.SetOutput("got", m.A)
-		}
+		return Next(func(nd *Node, w Wake) Op {
+			for _, m := range w.Msgs {
+				nd.SetOutput("got", m.A)
+			}
+			return Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -153,8 +165,9 @@ func TestNCC1MayContactAnyone(t *testing.T) {
 
 func TestSendToSelfFails(t *testing.T) {
 	s := New(Config{N: 4, Seed: 1})
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		nd.Send(nd.ID(), Message{})
+		return Done()
 	})
 	if err == nil || !strings.Contains(err.Error(), "self") {
 		t.Fatalf("want self-send violation, got %v", err)
@@ -164,13 +177,13 @@ func TestSendToSelfFails(t *testing.T) {
 func TestStrictSendCapacity(t *testing.T) {
 	s := New(Config{N: 16, Seed: 2, CapMul: 1, Strict: true})
 	capi := s.Capacity()
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		if succ := nd.InitialSucc(); succ != None {
 			for i := 0; i <= capi; i++ {
 				nd.Send(succ, Message{Kind: kindData, A: int64(i)})
 			}
 		}
-		nd.NextRound()
+		return Next(finish)
 	})
 	if err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Fatalf("want capacity violation, got %v", err)
@@ -180,13 +193,13 @@ func TestStrictSendCapacity(t *testing.T) {
 func TestNonStrictRecordsViolations(t *testing.T) {
 	s := New(Config{N: 16, Seed: 2, CapMul: 1})
 	capi := s.Capacity()
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if succ := nd.InitialSucc(); succ != None {
 			for i := 0; i <= capi; i++ {
 				nd.Send(succ, Message{Kind: kindData})
 			}
 		}
-		nd.NextRound()
+		return Next(finish)
 	})
 	if err != nil {
 		t.Fatalf("non-strict run should succeed: %v", err)
@@ -205,10 +218,11 @@ func TestNonStrictRecordsViolations(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	s := New(Config{N: 4, Seed: 9})
 	ids := s.IDs()
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			nd.AwaitMessage() // nobody will ever write
+			return Await(finish) // nobody will ever write
 		}
+		return Done()
 	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("want ErrDeadlock, got %v", err)
@@ -217,11 +231,7 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestMaxRoundsAbort(t *testing.T) {
 	s := New(Config{N: 4, Seed: 9, MaxRounds: 50})
-	_, err := s.Run(func(nd *Node) {
-		for {
-			nd.NextRound()
-		}
-	})
+	_, err := s.RunProgram(func(nd *Node) Op { return Next(forever) })
 	if err == nil || !strings.Contains(err.Error(), "MaxRounds") {
 		t.Fatalf("want MaxRounds error, got %v", err)
 	}
@@ -230,12 +240,13 @@ func TestMaxRoundsAbort(t *testing.T) {
 func TestPanicInProtocolSurfacesAsError(t *testing.T) {
 	s := New(Config{N: 8, Seed: 9})
 	ids := s.IDs()
-	_, err := s.Run(func(nd *Node) {
-		nd.NextRound()
-		if nd.ID() == ids[3] {
-			panic("kaboom")
-		}
-		nd.NextRound()
+	_, err := s.RunProgram(func(nd *Node) Op {
+		return Next(func(nd *Node, w Wake) Op {
+			if nd.ID() == ids[3] {
+				panic("kaboom")
+			}
+			return Next(finish)
+		})
 	})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("want protocol panic surfaced, got %v", err)
@@ -245,17 +256,23 @@ func TestPanicInProtocolSurfacesAsError(t *testing.T) {
 func TestSkipRoundsAccumulatesMail(t *testing.T) {
 	s := New(Config{N: 2, Seed: 11, Strict: true})
 	ids := s.IDs()
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
 			// Send one message per round for 3 rounds to the sleeping succ.
-			for i := 0; i < 3; i++ {
+			var send func(i int) Op
+			send = func(i int) Op {
+				if i == 3 {
+					return Done()
+				}
 				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: int64(i)})
-				nd.NextRound()
+				return Next(func(*Node, Wake) Op { return send(i + 1) })
 			}
-			return
+			return send(0)
 		}
-		in := nd.SkipRounds(5)
-		nd.SetOutput("n", int64(len(in)))
+		return Sleep(5, func(nd *Node, w Wake) Op {
+			nd.SetOutput("n", int64(len(w.Msgs)))
+			return Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -268,17 +285,21 @@ func TestSkipRoundsAccumulatesMail(t *testing.T) {
 func TestAwaitMessageWakesOnDelivery(t *testing.T) {
 	s := New(Config{N: 3, Seed: 13, Strict: true})
 	ids := s.IDs()
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		switch nd.ID() {
 		case ids[0]:
-			nd.SkipRounds(4)
-			nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 7})
-			nd.NextRound()
+			return Sleep(4, func(nd *Node, w Wake) Op {
+				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 7})
+				return Next(finish)
+			})
 		case ids[1]:
-			in := nd.AwaitMessage()
-			nd.SetOutput("round", int64(nd.Round()))
-			nd.SetOutput("got", in[0].A)
+			return Await(func(nd *Node, w Wake) Op {
+				nd.SetOutput("round", int64(nd.Round()))
+				nd.SetOutput("got", w.Msgs[0].A)
+				return Done()
+			})
 		default:
+			return Done()
 		}
 	})
 	if err != nil {
@@ -294,8 +315,8 @@ func TestAwaitMessageWakesOnDelivery(t *testing.T) {
 
 func TestFastForwardIsCheap(t *testing.T) {
 	s := New(Config{N: 2, Seed: 17})
-	tr, err := s.Run(func(nd *Node) {
-		nd.SkipRounds(1_000_000)
+	tr, err := s.RunProgram(func(nd *Node) Op {
+		return Sleep(1_000_000, finish)
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -322,10 +343,13 @@ func TestCollectiveSumAndCharge(t *testing.T) {
 		}
 		return outs, 13
 	})
-	tr, err := s.Run(func(nd *Node) {
-		nd.NextRound()
-		got := nd.Collective("sum", int64(2)).(int64)
-		nd.SetOutput("sum", got)
+	tr, err := s.RunProgram(func(nd *Node) Op {
+		return Next(func(nd *Node, w Wake) Op {
+			return Collective("sum", int64(2), func(nd *Node, w Wake) Op {
+				nd.SetOutput("sum", w.Coll.(int64))
+				return Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -357,15 +381,18 @@ func TestCollectiveTeachesIDs(t *testing.T) {
 		}
 		return outs, 1
 	})
-	tr, err := s.Run(func(nd *Node) {
-		nd.Collective("introduce-head", nil)
-		if nd.ID() != ids[0] {
-			nd.Send(ids[0], Message{Kind: kindData, A: 1})
-		}
-		nd.NextRound()
-		if nd.ID() == ids[0] {
-			nd.SetOutput("heard", int64(nd.Round()))
-		}
+	tr, err := s.RunProgram(func(nd *Node) Op {
+		return Collective("introduce-head", nil, func(nd *Node, w Wake) Op {
+			if nd.ID() != ids[0] {
+				nd.Send(ids[0], Message{Kind: kindData, A: 1})
+			}
+			return Next(func(nd *Node, w Wake) Op {
+				if nd.ID() == ids[0] {
+					nd.SetOutput("heard", int64(nd.Round()))
+				}
+				return Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run (sending to a collectively learned ID): %v", err)
@@ -379,14 +406,13 @@ func TestCollectiveMismatchIsError(t *testing.T) {
 	s := New(Config{N: 4, Seed: 29})
 	s.RegisterCollective("a", func(s *Sim, ins []any) ([]any, int) { return nil, 0 })
 	ids := s.IDs()
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			nd.Collective("a", nil)
-		} else {
-			nd.NextRound()
-			nd.NextRound()
-			nd.NextRound()
+			return Collective("a", nil, finish)
 		}
+		return Next(func(*Node, Wake) Op {
+			return Next(func(*Node, Wake) Op { return Next(finish) })
+		})
 	})
 	if err == nil {
 		t.Fatal("mismatched collective participation should fail")
@@ -396,10 +422,11 @@ func TestCollectiveMismatchIsError(t *testing.T) {
 func TestUnrealizableFlag(t *testing.T) {
 	s := New(Config{N: 3, Seed: 31})
 	ids := s.IDs()
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[1] {
 			nd.Unrealizable()
 		}
+		return Done()
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -412,12 +439,13 @@ func TestUnrealizableFlag(t *testing.T) {
 func TestEdgeSetCanonicalizes(t *testing.T) {
 	s := New(Config{N: 2, Seed: 37, Strict: true})
 	ids := s.IDs()
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
 			nd.AddEdge(ids[1])
 		} else {
 			nd.AddEdge(ids[0]) // both endpoints store the same edge
 		}
+		return Done()
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -433,8 +461,9 @@ func TestInputsReachNodes(t *testing.T) {
 		inputs[i] = int64(i * i)
 	}
 	s := New(Config{N: 5, Seed: 41, Inputs: inputs})
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		nd.SetOutput("in", nd.Input().(int64))
+		return Done()
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -462,7 +491,7 @@ func TestQuickHelloAnyN(t *testing.T) {
 	f := func(nRaw uint8, seed int64) bool {
 		n := int(nRaw%97) + 1
 		s := New(Config{N: n, Seed: seed, Strict: true})
-		tr, err := s.Run(helloProto)
+		tr, err := s.RunProgram(helloProto)
 		if err != nil {
 			return false
 		}
@@ -483,7 +512,7 @@ func TestQuickHelloAnyN(t *testing.T) {
 func TestKnowsSemantics(t *testing.T) {
 	s := New(Config{N: 3, Seed: 47, Strict: true})
 	ids := s.IDs()
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		if !nd.Knows(nd.ID()) {
 			nd.fail("node must know itself")
 		}
@@ -496,13 +525,16 @@ func TestKnowsSemantics(t *testing.T) {
 				nd.fail("head must not know the tail initially")
 			}
 			nd.Send(ids[1], Message{}.WithIDs(nd.ID()))
+			return Done()
 		case ids[1]:
-			in := nd.NextRound()
-			if len(in) != 1 || !nd.Knows(in[0].Src) {
-				nd.fail("receiver must learn sender")
-			}
+			return Next(func(nd *Node, w Wake) Op {
+				if len(w.Msgs) != 1 || !nd.Knows(w.Msgs[0].Src) {
+					nd.fail("receiver must learn sender")
+				}
+				return Done()
+			})
 		default:
-			nd.NextRound()
+			return Next(finish)
 		}
 	})
 	if err != nil {
@@ -513,11 +545,11 @@ func TestKnowsSemantics(t *testing.T) {
 func TestMessageTooManyIDs(t *testing.T) {
 	s := New(Config{N: 2, Seed: 53})
 	ids := s.IDs()
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
 			nd.Send(ids[1], Message{IDs: []ID{1, 2, 3, 4, 5}})
 		}
-		nd.NextRound()
+		return Next(finish)
 	})
 	if err == nil || !strings.Contains(err.Error(), "IDs") {
 		t.Fatalf("want oversized-message violation, got %v", err)
@@ -535,11 +567,12 @@ func TestCeilLog2(t *testing.T) {
 
 func TestSingleNode(t *testing.T) {
 	s := New(Config{N: 1, Seed: 59, Strict: true})
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.InitialSucc() != None {
 			nd.fail("single node has no successor")
 		}
 		nd.SetOutput("ok", 1)
+		return Done()
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -554,13 +587,14 @@ func TestSendToFinishedNodeIsDropped(t *testing.T) {
 	// the driver; it is delivered to a dead inbox and ignored.
 	s := New(Config{N: 2, Seed: 71, Strict: true})
 	ids := s.IDs()
-	_, err := s.Run(func(nd *Node) {
+	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[1] {
-			return // dies immediately
+			return Done() // dies immediately
 		}
-		nd.NextRound()
-		nd.Send(ids[1], Message{Kind: kindData})
-		nd.NextRound()
+		return Next(func(nd *Node, w Wake) Op {
+			nd.Send(ids[1], Message{Kind: kindData})
+			return Next(finish)
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -568,20 +602,23 @@ func TestSendToFinishedNodeIsDropped(t *testing.T) {
 }
 
 func TestAwaitAfterSkipOrdering(t *testing.T) {
-	// SkipRounds then AwaitMessage: the await must see messages sent after
+	// Sleep then Await: the await must see messages sent after
 	// the skip expired, not lose them.
 	s := New(Config{N: 2, Seed: 73, Strict: true})
 	ids := s.IDs()
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			nd.SkipRounds(3)
-			nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 5})
-			nd.NextRound()
-			return
+			return Sleep(3, func(nd *Node, w Wake) Op {
+				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 5})
+				return Next(finish)
+			})
 		}
-		nd.SkipRounds(2)
-		in := nd.AwaitMessage()
-		nd.SetOutput("got", in[0].A)
+		return Sleep(2, func(nd *Node, w Wake) Op {
+			return Await(func(nd *Node, w Wake) Op {
+				nd.SetOutput("got", w.Msgs[0].A)
+				return Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -596,7 +633,7 @@ func TestDeterminismAcrossModels(t *testing.T) {
 	// two models may differ from each other (different ID spaces).
 	run := func(model Model) int {
 		s := New(Config{N: 40, Seed: 99, Model: model})
-		tr, err := s.Run(helloProto)
+		tr, err := s.RunProgram(helloProto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,13 +647,13 @@ func TestDeterminismAcrossModels(t *testing.T) {
 func TestMaxSentTracksBursts(t *testing.T) {
 	s := New(Config{N: 4, Seed: 75})
 	ids := s.IDs()
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
 			for i := 0; i < 3; i++ {
 				nd.Send(ids[1], Message{Kind: kindData})
 			}
 		}
-		nd.NextRound()
+		return Next(finish)
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -633,14 +670,15 @@ func TestMaxSentTracksBursts(t *testing.T) {
 func TestStrictRecvViolationInFinalRound(t *testing.T) {
 	s := New(Config{N: 3, Model: NCC1, Seed: 3, CapMul: 1, Strict: true})
 	target := s.IDs()[0]
-	tr, err := s.Run(func(nd *Node) {
+	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() != target {
 			// Two senders deliver 2 messages each: 4 > capacity 2 at the
 			// target, while each sender stays within its send budget.
 			nd.Send(target, Message{Kind: kindData})
 			nd.Send(target, Message{Kind: kindData})
 		}
-		// No NextRound: all protocols finish in the initial compute slice.
+		// No Next: all protocols finish in the initial compute slice.
+		return Done()
 	})
 	if err == nil {
 		t.Fatalf("strict run must fail on final-round receive violation; metrics: %+v", tr.Metrics)

@@ -20,9 +20,11 @@ func runAll(t *testing.T, n int, seed int64, model ncc.Model) (map[ncc.ID]Tree, 
 		tr Tree
 	}
 	ch := make(chan res, n)
-	trace, err := s.Run(func(nd *ncc.Node) {
-		_, _, tree := BuildAll(nd)
-		ch <- res{nd.ID(), tree}
+	trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return BuildAllStep(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
+			ch <- res{nd.ID(), tree}
+			return ncc.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("n=%d: run: %v", n, err)
@@ -123,12 +125,14 @@ func TestFigure2Golden(t *testing.T) {
 		id ncc.ID
 		tr Tree
 	}, 8)
-	_, err := s.Run(func(nd *ncc.Node) {
-		_, _, tree := BuildAll(nd)
-		results <- struct {
-			id ncc.ID
-			tr Tree
-		}{nd.ID(), tree}
+	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return BuildAllStep(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
+			results <- struct {
+				id ncc.ID
+				tr Tree
+			}{nd.ID(), tree}
+			return ncc.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -168,9 +172,11 @@ func TestQuickTBFS(t *testing.T) {
 			tr Tree
 		}
 		ch := make(chan res, n)
-		trace, err := s.Run(func(nd *ncc.Node) {
-			_, _, tree := BuildAll(nd)
-			ch <- res{nd.ID(), tree}
+		trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+			return BuildAllStep(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
+				ch <- res{nd.ID(), tree}
+				return ncc.Done()
+			})
 		})
 		if err != nil {
 			return false
@@ -194,11 +200,13 @@ func TestQuickTBFS(t *testing.T) {
 
 func TestBuildPathRounds(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 50, Seed: 2, Strict: true})
-	trace, err := s.Run(func(nd *ncc.Node) {
-		p := BuildPath(nd)
-		if nd.InitialSucc() == ncc.None && !p.IsTail() {
-			panic("tail misdetected")
-		}
+	trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return BuildPathStep(nd, func(p Path) ncc.Op {
+			if nd.InitialSucc() == ncc.None && !p.IsTail() {
+				panic("tail misdetected")
+			}
+			return ncc.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -216,10 +224,13 @@ func TestLevelsAreDoublingLinks(t *testing.T) {
 		lv Levels
 	}
 	ch := make(chan res, n)
-	trace, err := s.Run(func(nd *ncc.Node) {
-		p := BuildPath(nd)
-		lv := BuildLevels(nd, p)
-		ch <- res{nd.ID(), lv}
+	trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return BuildPathStep(nd, func(p Path) ncc.Op {
+			return BuildLevelsStep(nd, p, func(lv Levels) ncc.Op {
+				ch <- res{nd.ID(), lv}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -270,14 +281,17 @@ func TestWarmupTreeProperties(t *testing.T) {
 			wt WarmTree
 		}
 		ch := make(chan res, n)
-		trace, err := s.Run(func(nd *ncc.Node) {
-			p := BuildPath(nd)
-			wt := BuildWarmupTree(nd, p)
-			nd.SetOutput("parent", int64(wt.Parent))
-			nd.SetOutput("left", int64(wt.Left))
-			nd.SetOutput("right", int64(wt.Right))
-			nd.SetOutput("depth", int64(wt.Depth))
-			ch <- res{nd.ID(), wt}
+		trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+			return BuildPathStep(nd, func(p Path) ncc.Op {
+				return BuildWarmupTreeStep(nd, p, func(wt WarmTree) ncc.Op {
+					nd.SetOutput("parent", int64(wt.Parent))
+					nd.SetOutput("left", int64(wt.Left))
+					nd.SetOutput("right", int64(wt.Right))
+					nd.SetOutput("depth", int64(wt.Depth))
+					ch <- res{nd.ID(), wt}
+					return ncc.Done()
+				})
+			})
 		})
 		if err != nil {
 			t.Fatalf("n=%d: run: %v", n, err)
@@ -343,15 +357,21 @@ func TestWarmupTreeProperties(t *testing.T) {
 
 func TestSyncAtIsBarrier(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 4, Seed: 17, Strict: true})
-	_, err := s.Run(func(nd *ncc.Node) {
+	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		// Desynchronize wildly, then re-align.
-		for i := 0; i < int(nd.ID()%7); i++ {
-			nd.NextRound()
+		var idle func(i int) ncc.Op
+		idle = func(i int) ncc.Op {
+			if i < int(nd.ID()%7) {
+				return ncc.Next(func(*ncc.Node, ncc.Wake) ncc.Op { return idle(i + 1) })
+			}
+			return SyncAtStep(nd, 10, func([]ncc.Message) ncc.Op {
+				if nd.Round() != 10 {
+					panic("SyncAt did not land on the target round")
+				}
+				return ncc.Done()
+			})
 		}
-		SyncAt(nd, 10)
-		if nd.Round() != 10 {
-			panic("SyncAt did not land on the target round")
-		}
+		return idle(0)
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -369,9 +389,11 @@ func TestAnnotateLeftSizes(t *testing.T) {
 		tr Tree
 	}
 	ch := make(chan res, n)
-	trace, err := s.Run(func(nd *ncc.Node) {
-		_, _, tree := BuildAll(nd)
-		ch <- res{nd.ID(), tree}
+	trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return BuildAllStep(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
+			ch <- res{nd.ID(), tree}
+			return ncc.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -402,14 +424,16 @@ func TestAnnotateLeftSizes(t *testing.T) {
 
 func TestBuildPathHeadAndTail(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 5, Seed: 93, Strict: true})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		p := BuildPath(nd)
-		if p.IsHead() {
-			nd.SetOutput("head", 1)
-		}
-		if p.IsTail() {
-			nd.SetOutput("tail", 1)
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return BuildPathStep(nd, func(p Path) ncc.Op {
+			if p.IsHead() {
+				nd.SetOutput("head", 1)
+			}
+			if p.IsTail() {
+				nd.SetOutput("tail", 1)
+			}
+			return ncc.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

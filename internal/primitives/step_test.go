@@ -2,7 +2,6 @@ package primitives
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"graphrealize/internal/ncc"
@@ -10,13 +9,13 @@ import (
 )
 
 // step_test.go checks the resumable-step compilation of this package's
-// protocols in isolation: the Step forms, driven by the zero-goroutine flat
-// scheduler, must produce byte-identical traces (same outputs, same message
-// and round counts — outbox determinism) to the blocking forms under the
-// goroutine barrier driver.
+// protocols in isolation: the Step forms must reproduce, byte for byte, the
+// traces their blocking forms produced on the goroutine-barrier driver (same
+// outputs, same message and round counts — outbox determinism), recorded as
+// digests before the blocking API was retired.
 
 // treeOutputs records the per-node view of a BuildAll run as trace outputs so
-// traces are comparable across drivers.
+// the digest covers it.
 func treeOutputs(nd *ncc.Node, p Path, tree Tree) {
 	nd.SetOutput("pred", int64(p.Pred))
 	nd.SetOutput("succ", int64(p.Succ))
@@ -37,16 +36,6 @@ var buildAllDigests = map[string]string{
 func TestBuildAllStepMatchesBlocking(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 33} {
 		seed := int64(n)*17 + 1
-		sb := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
-		base, err := sb.Run(func(nd *ncc.Node) {
-			p, _, tree := BuildAll(nd)
-			treeOutputs(nd, p, tree)
-		})
-		if err != nil {
-			t.Fatalf("n=%d blocking: %v", n, err)
-		}
-		label := fmt.Sprintf("n=%d", n)
-		ncctest.Expect(t, label, base, err, buildAllDigests[label])
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return BuildAllStep(nd, func(p Path, _ Levels, tree Tree) ncc.Op {
@@ -57,9 +46,8 @@ func TestBuildAllStepMatchesBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d flat: %v", n, err)
 		}
-		if !reflect.DeepEqual(base, flat) {
-			t.Fatalf("n=%d: flat step trace differs from blocking barrier trace", n)
-		}
+		label := fmt.Sprintf("n=%d", n)
+		ncctest.Expect(t, label, flat, err, buildAllDigests[label])
 	}
 }
 

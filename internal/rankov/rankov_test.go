@@ -8,20 +8,26 @@ import (
 )
 
 // buildOverlay gives every node an overlay over the Gk path itself (rank =
-// path position), which is a perfectly good ranked path for testing.
-func buildOverlay(nd *ncc.Node) (*Overlay, *primitives.Tree) {
-	p, _, tree := primitives.BuildAll(nd)
-	ov := Build(nd, tree.Pos, p.Pred, p.Succ)
-	return ov, &tree
+// path position), which is a perfectly good ranked path for testing, and
+// hands it to k with the Gk tree.
+func buildOverlay(nd *ncc.Node, k func(*Overlay, *primitives.Tree) ncc.Op) ncc.Op {
+	return primitives.BuildAllStep(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+		return BuildStep(nd, tree.Pos, p.Pred, p.Succ, func(ov *Overlay) ncc.Op {
+			return k(ov, &tree)
+		})
+	})
 }
 
 func TestPrefixSum(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 9, 64, 100, 257} {
 		s := ncc.New(ncc.Config{N: n, Seed: int64(n) + 1, Strict: true})
-		tr, err := s.Run(func(nd *ncc.Node) {
-			ov, _ := buildOverlay(nd)
-			v := int64(ov.Rank + 1)
-			nd.SetOutput("prefix", PrefixSum(nd, ov, v))
+		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+			return buildOverlay(nd, func(ov *Overlay, _ *primitives.Tree) ncc.Op {
+				return PrefixSumStep(nd, ov, int64(ov.Rank+1), func(prefix int64) ncc.Op {
+					nd.SetOutput("prefix", prefix)
+					return ncc.Done()
+				})
+			})
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -39,17 +45,20 @@ func TestDisseminateSingleRange(t *testing.T) {
 	n := 100
 	s := ncc.New(ncc.Config{N: n, Seed: 5, Strict: true})
 	lo, hi := 13, 77
-	tr, err := s.Run(func(nd *ncc.Node) {
-		ov, gk := buildOverlay(nd)
-		var job *Job
-		if ov.Rank == 2 { // initiator well before the range
-			job = &Job{Val: 4242, Payload: nd.ID(), Lo: lo, Hi: hi}
-		}
-		got := Disseminate(nd, ov, gk, job)
-		nd.SetOutput("n", int64(len(got)))
-		if len(got) == 1 {
-			nd.SetOutput("val", got[0].Val)
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return buildOverlay(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {
+			var job *Job
+			if ov.Rank == 2 { // initiator well before the range
+				job = &Job{Val: 4242, Payload: nd.ID(), Lo: lo, Hi: hi}
+			}
+			return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+				nd.SetOutput("n", int64(len(got)))
+				if len(got) == 1 {
+					nd.SetOutput("val", got[0].Val)
+				}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -76,20 +85,23 @@ func TestDisseminateDisjointRanges(t *testing.T) {
 	// pattern of Algorithm 3.
 	n := 128
 	s := ncc.New(ncc.Config{N: n, Seed: 6, Strict: true})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		ov, gk := buildOverlay(nd)
-		var job *Job
-		if ov.Rank%10 == 0 && ov.Rank+9 < n {
-			job = &Job{Val: int64(ov.Rank), Payload: nd.ID(), Lo: ov.Rank + 1, Hi: ov.Rank + 9}
-		}
-		got := Disseminate(nd, ov, gk, job)
-		if len(got) > 1 {
-			panic("node in two disjoint ranges")
-		}
-		if len(got) == 1 {
-			nd.SetOutput("from", got[0].Val)
-			nd.SetOutput("fromID", int64(got[0].Payload))
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return buildOverlay(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {
+			var job *Job
+			if ov.Rank%10 == 0 && ov.Rank+9 < n {
+				job = &Job{Val: int64(ov.Rank), Payload: nd.ID(), Lo: ov.Rank + 1, Hi: ov.Rank + 9}
+			}
+			return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+				if len(got) > 1 {
+					panic("node in two disjoint ranges")
+				}
+				if len(got) == 1 {
+					nd.SetOutput("from", got[0].Val)
+					nd.SetOutput("fromID", int64(got[0].Payload))
+				}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -117,14 +129,17 @@ func TestDisseminateAdaptiveTermination(t *testing.T) {
 	// terminate, exercising the multi-epoch quiescence path.
 	n := 200
 	s := ncc.New(ncc.Config{N: n, Seed: 8, Strict: true})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		ov, gk := buildOverlay(nd)
-		var job *Job
-		if ov.Rank == 0 {
-			job = &Job{Val: 1, Lo: n - 1, Hi: n - 1}
-		}
-		got := Disseminate(nd, ov, gk, job)
-		nd.SetOutput("n", int64(len(got)))
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return buildOverlay(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {
+			var job *Job
+			if ov.Rank == 0 {
+				job = &Job{Val: 1, Lo: n - 1, Hi: n - 1}
+			}
+			return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+				nd.SetOutput("n", int64(len(got)))
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -138,20 +153,23 @@ func TestShiftDown(t *testing.T) {
 	for _, dist := range []int{1, 2, 3, 5, 8, 17} {
 		n := 50
 		s := ncc.New(ncc.Config{N: n, Seed: int64(dist), Strict: true})
-		tr, err := s.Run(func(nd *ncc.Node) {
-			ov, _ := buildOverlay(nd)
-			var tok *ShiftToken
-			if ov.Rank >= dist {
-				tok = &ShiftToken{A: int64(ov.Rank), ID: nd.ID()}
-			}
-			got := ShiftDown(nd, ov, tok, dist)
-			if len(got) > 1 {
-				panic("uniform shift collided")
-			}
-			if len(got) == 1 {
-				nd.SetOutput("from", got[0].A)
-				nd.SetOutput("fromID", int64(got[0].ID))
-			}
+		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+			return buildOverlay(nd, func(ov *Overlay, _ *primitives.Tree) ncc.Op {
+				var tok *ShiftToken
+				if ov.Rank >= dist {
+					tok = &ShiftToken{A: int64(ov.Rank), ID: nd.ID()}
+				}
+				return ShiftDownStep(nd, ov, tok, dist, func(got []ShiftToken) ncc.Op {
+					if len(got) > 1 {
+						panic("uniform shift collided")
+					}
+					if len(got) == 1 {
+						nd.SetOutput("from", got[0].A)
+						nd.SetOutput("fromID", int64(got[0].ID))
+					}
+					return ncc.Done()
+				})
+			})
 		})
 		if err != nil {
 			t.Fatalf("dist=%d: %v", dist, err)
@@ -176,16 +194,19 @@ func TestShiftDown(t *testing.T) {
 func TestShiftUp(t *testing.T) {
 	n, dist := 40, 7
 	s := ncc.New(ncc.Config{N: n, Seed: 11, Strict: true})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		ov, _ := buildOverlay(nd)
-		var tok *ShiftToken
-		if ov.Rank+dist < n {
-			tok = &ShiftToken{A: int64(ov.Rank)}
-		}
-		got := ShiftUp(nd, ov, tok, dist)
-		if len(got) == 1 {
-			nd.SetOutput("from", got[0].A)
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return buildOverlay(nd, func(ov *Overlay, _ *primitives.Tree) ncc.Op {
+			var tok *ShiftToken
+			if ov.Rank+dist < n {
+				tok = &ShiftToken{A: int64(ov.Rank)}
+			}
+			return ShiftUpStep(nd, ov, tok, dist, func(got []ShiftToken) ncc.Op {
+				if len(got) == 1 {
+					nd.SetOutput("from", got[0].A)
+				}
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -206,16 +227,17 @@ func TestShiftRoundsAreLogN(t *testing.T) {
 	n := 256
 	s := ncc.New(ncc.Config{N: n, Seed: 13, Strict: true})
 	var setupRounds int
-	tr, err := s.Run(func(nd *ncc.Node) {
-		ov, _ := buildOverlay(nd)
-		if ov.Rank == 0 {
-			setupRounds = nd.Round()
-		}
-		var tok *ShiftToken
-		if ov.Rank >= 100 {
-			tok = &ShiftToken{A: 1}
-		}
-		ShiftDown(nd, ov, tok, 100)
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return buildOverlay(nd, func(ov *Overlay, _ *primitives.Tree) ncc.Op {
+			if ov.Rank == 0 {
+				setupRounds = nd.Round()
+			}
+			var tok *ShiftToken
+			if ov.Rank >= 100 {
+				tok = &ShiftToken{A: 1}
+			}
+			return ShiftDownStep(nd, ov, tok, 100, func([]ShiftToken) ncc.Op { return ncc.Done() })
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -230,14 +252,17 @@ func TestDisseminateInitiatorInsideRange(t *testing.T) {
 	// The initiator may own rank Lo itself: it must self-deliver.
 	n := 30
 	s := ncc.New(ncc.Config{N: n, Seed: 21, Strict: true})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		ov, gk := buildOverlay(nd)
-		var job *Job
-		if ov.Rank == 5 {
-			job = &Job{Val: 77, Lo: 5, Hi: 9}
-		}
-		got := Disseminate(nd, ov, gk, job)
-		nd.SetOutput("n", int64(len(got)))
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return buildOverlay(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {
+			var job *Job
+			if ov.Rank == 5 {
+				job = &Job{Val: 77, Lo: 5, Hi: 9}
+			}
+			return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+				nd.SetOutput("n", int64(len(got)))
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -252,13 +277,17 @@ func TestDisseminateInitiatorInsideRange(t *testing.T) {
 func TestPrefixSumNegativeValues(t *testing.T) {
 	n := 20
 	s := ncc.New(ncc.Config{N: n, Seed: 23, Strict: true})
-	tr, err := s.Run(func(nd *ncc.Node) {
-		ov, _ := buildOverlay(nd)
-		v := int64(1)
-		if ov.Rank%2 == 1 {
-			v = -1
-		}
-		nd.SetOutput("p", PrefixSum(nd, ov, v))
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return buildOverlay(nd, func(ov *Overlay, _ *primitives.Tree) ncc.Op {
+			v := int64(1)
+			if ov.Rank%2 == 1 {
+				v = -1
+			}
+			return PrefixSumStep(nd, ov, v, func(p int64) ncc.Op {
+				nd.SetOutput("p", p)
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -2,7 +2,6 @@ package rankov
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"graphrealize/internal/ncc"
@@ -12,18 +11,9 @@ import (
 
 // step_test.go checks the resumable-step compilation of the ranked-overlay
 // protocols: Build → PrefixSum → Disseminate → ShiftDown/ShiftUp compiled
-// into continuations and driven by the flat scheduler must produce traces
-// byte-identical to the blocking chain under the barrier driver.
-
-// buildOverlayStep is the step form of the test overlay: rank = Gk position,
-// exactly as buildOverlay in rankov_test.go.
-func buildOverlayStep(nd *ncc.Node, k func(*Overlay, *primitives.Tree) ncc.Op) ncc.Op {
-	return primitives.BuildAllStep(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
-		return BuildStep(nd, tree.Pos, p.Pred, p.Succ, func(ov *Overlay) ncc.Op {
-			return k(ov, &tree)
-		})
-	})
-}
+// into continuations must reproduce the traces the blocking chain produced on
+// the goroutine-barrier driver, recorded as digests before the blocking API
+// was retired.
 
 // overlayDigests records the blocking chain's trace digest per n.
 var overlayDigests = map[string]string{
@@ -37,39 +27,9 @@ func TestOverlayStepsMatchBlocking(t *testing.T) {
 	for _, n := range []int{1, 2, 9, 40} {
 		seed := int64(n)*23 + 7
 		lo, hi := 1, n-2 // dissemination range; used only when n ≥ 4
-		sb := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
-		base, err := sb.Run(func(nd *ncc.Node) {
-			ov, gk := buildOverlay(nd)
-			prefix := PrefixSum(nd, ov, int64(ov.Rank+1))
-			nd.SetOutput("prefix", prefix)
-			if n >= 4 {
-				var job *Job
-				if ov.Rank == 0 {
-					job = &Job{Val: 99, Payload: nd.ID(), Lo: lo, Hi: hi}
-				}
-				got := Disseminate(nd, ov, gk, job)
-				nd.SetOutput("jobs", int64(len(got)))
-			}
-			var dtok, utok *ShiftToken
-			if ov.Rank%2 == 0 && ov.Rank > 0 {
-				dtok = &ShiftToken{ID: nd.ID()}
-			}
-			if ov.Rank%2 == 0 && ov.Rank+1 < n {
-				utok = &ShiftToken{ID: nd.ID()}
-			}
-			down := ShiftDown(nd, ov, dtok, 1)
-			up := ShiftUp(nd, ov, utok, 1)
-			nd.SetOutput("down", int64(len(down)))
-			nd.SetOutput("up", int64(len(up)))
-		})
-		if err != nil {
-			t.Fatalf("n=%d blocking: %v", n, err)
-		}
-		label := fmt.Sprintf("n=%d", n)
-		ncctest.Expect(t, label, base, err, overlayDigests[label])
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
-			return buildOverlayStep(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {
+			return buildOverlay(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {
 				return PrefixSumStep(nd, ov, int64(ov.Rank+1), func(prefix int64) ncc.Op {
 					nd.SetOutput("prefix", prefix)
 					shifts := func() ncc.Op {
@@ -105,8 +65,7 @@ func TestOverlayStepsMatchBlocking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d flat: %v", n, err)
 		}
-		if !reflect.DeepEqual(base, flat) {
-			t.Fatalf("n=%d: flat step trace differs from blocking barrier trace", n)
-		}
+		label := fmt.Sprintf("n=%d", n)
+		ncctest.Expect(t, label, flat, err, overlayDigests[label])
 	}
 }

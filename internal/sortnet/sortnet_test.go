@@ -15,15 +15,18 @@ func runSort(t *testing.T, n int, seed int64, method Method) *ncc.Trace {
 	t.Helper()
 	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 	RegisterOracle(s)
-	tr, err := s.Run(func(nd *ncc.Node) {
-		p, _, tree := primitives.BuildAll(nd)
-		srt := &Sorter{Method: method, Path: p, Pos: tree.Pos, Tree: &tree}
-		key := nd.Rand().Int63n(50) // plenty of ties
-		res := srt.Sort(nd, key)
-		nd.SetOutput("key", key)
-		nd.SetOutput("rank", int64(res.Rank))
-		nd.SetOutput("pred", int64(res.Pred))
-		nd.SetOutput("succ", int64(res.Succ))
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return primitives.BuildAllStep(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+			srt := &Sorter{Method: method, Path: p, Pos: tree.Pos, Tree: &tree}
+			key := nd.Rand().Int63n(50) // plenty of ties
+			return srt.SortStep(nd, key, func(res Result) ncc.Op {
+				nd.SetOutput("key", key)
+				nd.SetOutput("rank", int64(res.Rank))
+				nd.SetOutput("pred", int64(res.Pred))
+				nd.SetOutput("succ", int64(res.Succ))
+				return ncc.Done()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatalf("n=%d method=%v: %v", n, method, err)

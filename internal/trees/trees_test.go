@@ -21,19 +21,21 @@ func runTree(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace, error)
 	}
 	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
-	tr, err := s.Run(func(nd *ncc.Node) {
-		env := core.Setup(nd, sortnet.Oracle)
-		deg := nd.Input().(int)
-		var out Outcome
-		if greedy {
-			out = RealizeGreedy(nd, env, deg)
-		} else {
-			out = RealizeChain(nd, env, deg)
-		}
-		nd.SetOutput("realized", int64(out.Realized))
-		if out.OK {
-			nd.SetOutput("ok", 1)
-		}
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+		return core.SetupStep(nd, sortnet.Oracle, func(env *core.Env) ncc.Op {
+			deg := nd.Input().(int)
+			done := func(out Outcome) ncc.Op {
+				nd.SetOutput("realized", int64(out.Realized))
+				if out.OK {
+					nd.SetOutput("ok", 1)
+				}
+				return ncc.Done()
+			}
+			if greedy {
+				return RealizeGreedyStep(nd, env, deg, done)
+			}
+			return RealizeChainStep(nd, env, deg, done)
+		})
 	})
 	if err != nil && t != nil {
 		t.Fatalf("n=%d: %v", n, err)

@@ -14,12 +14,13 @@ import (
 	"graphrealize/internal/trees"
 )
 
-// sched_test.go pins the facade-level driver contract: every realization the
-// facade runs on the flat driver (Sim.RunProgram over the step forms) has the
-// outcome of the same realization composed from the blocking protocols and
-// run on the barrier driver (Sim.Run), the reference the step forms are
-// checked against. The step_test.go suites compare one protocol at a time;
-// this compares the facade's whole continuation chains, outputs included.
+// sched_test.go pins the facade-level contract: every realization the facade
+// runs has the outcome of a reference composed here from the protocols' step
+// forms, and that reference reproduces the trace the same composition of
+// blocking protocols produced on the goroutine-barrier driver, recorded as
+// digests before the blocking API was retired. The step_test.go suites check
+// one protocol at a time; this checks the facade's whole continuation
+// chains, outputs included.
 
 func conformanceJobs() []Job {
 	return []Job{
@@ -48,38 +49,43 @@ var facadeDigests = []struct{ trace, result string }{
 	{"fa25afd16e8226ba", "bcf3b68d43553cbaca0c9c83a2157aeba564ac75f27e6517483c5769a7ac612c"},
 }
 
-// blockingReference executes j like Execute, but composes the blocking form
-// of each protocol and runs it with Sim.Run. It also returns the run's trace
+// reference executes j like Execute, but composes the protocols' step forms
+// here rather than through the facade. It also returns the run's trace
 // digest.
-func blockingReference(ctx context.Context, j Job) (Result, string) {
+func reference(ctx context.Context, j Job) (Result, string) {
 	o := j.Opt.norm()
 	s := ncc.New(o.simConfig(ctx, len(j.Seq), toInputs(j.Seq)))
 	sortnet.RegisterOracle(s)
-	tr, err := s.Run(func(nd *ncc.Node) {
+	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		r := nd.Input().(int)
 		if j.Kind == JobConnectivity && nd.Model() == ncc.NCC1 {
-			connectivity.RealizeNCC1(nd, r)
-			return
+			return connectivity.RealizeNCC1Step(nd, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
 		}
-		env := core.Setup(nd, o.sortMethod())
-		switch j.Kind {
-		case JobDegrees, JobDegreesExplicit:
-			out := core.Realize(nd, env, r, core.Exact, true)
-			if out.OK && j.Kind == JobDegreesExplicit {
-				core.MakeExplicit(nd, env, out.Neighbors, out.Delta)
+		return core.SetupStep(nd, o.sortMethod(), func(env *core.Env) ncc.Op {
+			switch j.Kind {
+			case JobDegrees, JobDegreesExplicit:
+				return core.RealizeStep(nd, env, r, core.Exact, true, func(out core.Outcome) ncc.Op {
+					nd.SetOutput("phases", int64(out.Phases))
+					if out.OK && j.Kind == JobDegreesExplicit {
+						return core.MakeExplicitStep(nd, env, out.Neighbors, out.Delta, func(int) ncc.Op { return ncc.Done() })
+					}
+					return ncc.Done()
+				})
+			case JobUpperEnvelope:
+				return core.RealizeStep(nd, env, r, core.Envelope, true, func(out core.Outcome) ncc.Op {
+					nd.SetOutput("realized", int64(out.Realized))
+					nd.SetOutput("phases", int64(out.Phases))
+					return ncc.Done()
+				})
+			case JobChainTree:
+				return trees.RealizeChainStep(nd, env, r, func(trees.Outcome) ncc.Op { return ncc.Done() })
+			case JobMinDiamTree:
+				return trees.RealizeGreedyStep(nd, env, r, func(trees.Outcome) ncc.Op { return ncc.Done() })
+			case JobConnectivity:
+				return connectivity.RealizeNCC0Step(nd, env, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
 			}
-			nd.SetOutput("phases", int64(out.Phases))
-		case JobUpperEnvelope:
-			out := core.Realize(nd, env, r, core.Envelope, true)
-			nd.SetOutput("realized", int64(out.Realized))
-			nd.SetOutput("phases", int64(out.Phases))
-		case JobChainTree:
-			trees.RealizeChain(nd, env, r)
-		case JobMinDiamTree:
-			trees.RealizeGreedy(nd, env, r)
-		case JobConnectivity:
-			connectivity.RealizeNCC0(nd, env, r)
-		}
+			return ncc.Done()
+		})
 	})
 	res := Result{Job: j}
 	digest := ncctest.Digest(tr, err)
@@ -110,12 +116,12 @@ func blockingReference(ctx context.Context, j Job) (Result, string) {
 }
 
 // TestSchedulerFacadeConformance runs every job kind through Execute and
-// through its blocking reference and requires identical graphs, stats,
+// through its step-form reference and requires identical graphs, stats,
 // envelopes, and errors, and the recorded trace and Result digests.
 func TestSchedulerFacadeConformance(t *testing.T) {
 	for i, j := range conformanceJobs() {
 		label := fmt.Sprintf("%d/%s", i, j.Kind)
-		want, traceDigest := blockingReference(t.Context(), j)
+		want, traceDigest := reference(t.Context(), j)
 		got := Execute(t.Context(), j)
 		var rec struct{ trace, result string }
 		if i < len(facadeDigests) {
@@ -130,10 +136,10 @@ func TestSchedulerFacadeConformance(t *testing.T) {
 			}
 		}
 		if (want.Err == nil) != (got.Err == nil) || (want.Err != nil && want.Err.Error() != got.Err.Error()) {
-			t.Fatalf("%s: errors differ: blocking=%v facade=%v", label, want.Err, got.Err)
+			t.Fatalf("%s: errors differ: reference=%v facade=%v", label, want.Err, got.Err)
 		}
 		if !reflect.DeepEqual(want.Stats, got.Stats) {
-			t.Fatalf("%s: stats differ:\nblocking %+v\nfacade   %+v", label, want.Stats, got.Stats)
+			t.Fatalf("%s: stats differ:\nreference %+v\nfacade    %+v", label, want.Stats, got.Stats)
 		}
 		if want.Err != nil {
 			continue
