@@ -81,15 +81,15 @@ type Options struct {
 	MaxRounds int
 	// Progress, when non-nil, receives (rounds completed, messages delivered)
 	// at every round barrier of the run — the hook long-running services use
-	// to stream round-level progress. It is invoked from the simulation's
-	// driver goroutine and must be fast and non-blocking. Progress does not
+	// to stream round-level progress. It is invoked on the goroutine running
+	// the simulation and must be fast and non-blocking. Progress does not
 	// affect the result and is excluded from Runner cache keys: a job served
 	// from the cache completes without any progress callbacks.
 	Progress func(round, msgs int)
 	// Profile, when non-nil, receives every completed round's wall-time split
 	// into compute, delivery, and barrier phases — the observability hook the
 	// server uses to feed its engine phase histograms. Like Progress it runs
-	// on the simulation's driver goroutine, must be fast, never affects the
+	// on the goroutine running the simulation, must be fast, never affects the
 	// result (timings stay out of Stats and traces), and is excluded from
 	// Runner cache keys: a job served from the cache reports no phases.
 	Profile func(compute, delivery, barrier time.Duration)

@@ -7,12 +7,9 @@
 // with per-hop combining over the distance-doubling overlay (see DESIGN.md
 // for the substitution note).
 //
-// The global primitives follow the two-form convention of package primitives:
-// the XxxStep form is the resumable implementation (runnable on the
-// zero-goroutine flat driver) and the blocking form drives it via ncc.RunOps.
-// The local primitives (local.go) are used only by harness experiments that
-// construct their own goroutine-driver sims, so they intentionally stay in
-// blocking-only form.
+// Every primitive is written in the resumable step form of package ncc: the
+// XxxStep function performs the current round's compute slice and returns an
+// ncc.Op whose continuation eventually invokes k with the result.
 package aggregate
 
 import (
@@ -142,13 +139,6 @@ func BroadcastStep(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k f
 	return up()
 }
 
-// Broadcast is the blocking form of BroadcastStep.
-func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64) int64 {
-	var out int64
-	ncc.RunOps(nd, BroadcastStep(nd, t, have, value, func(v int64) ncc.Op { out = v; return ncc.Done() }))
-	return out
-}
-
 func sendDown(nd *ncc.Node, t *primitives.Tree, kind uint8, v int64) {
 	if t.Left != ncc.None {
 		nd.Send(t.Left, ncc.Message{Kind: kind, A: v})
@@ -229,17 +219,10 @@ func AggregateBroadcastStep(nd *ncc.Node, t *primitives.Tree, value int64, op Op
 	return ncc.Await(ups)
 }
 
-// AggregateBroadcast is the blocking form of AggregateBroadcastStep.
-func AggregateBroadcast(nd *ncc.Node, t *primitives.Tree, value int64, op Op) int64 {
-	var out int64
-	ncc.RunOps(nd, AggregateBroadcastStep(nd, t, value, op, func(v int64) ncc.Op { out = v; return ncc.Done() }))
-	return out
-}
-
 // FindByPositionStep delivers the ID of the node whose annotated inorder
 // position equals pos, made common knowledge via aggregation (the Corollary 2
 // median primitive generalized to any position). Rounds: one
-// AggregateBroadcast.
+// AggregateBroadcastStep.
 func FindByPositionStep(nd *ncc.Node, t *primitives.Tree, pos int, k func(ncc.ID) ncc.Op) ncc.Op {
 	v := int64(0)
 	if t.Pos == pos {
@@ -252,13 +235,6 @@ func FindByPositionStep(nd *ncc.Node, t *primitives.Tree, pos int, k func(ncc.ID
 		}
 		return k(id)
 	})
-}
-
-// FindByPosition is the blocking form of FindByPositionStep.
-func FindByPosition(nd *ncc.Node, t *primitives.Tree, pos int) ncc.ID {
-	var out ncc.ID
-	ncc.RunOps(nd, FindByPositionStep(nd, t, pos, func(id ncc.ID) ncc.Op { out = id; return ncc.Done() }))
-	return out
 }
 
 // CollectStep gathers every node's tokens at the leader (Theorem 5): tokens
@@ -362,11 +338,4 @@ func CollectStep(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID
 		})
 	}
 	return iter()
-}
-
-// Collect is the blocking form of CollectStep.
-func Collect(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID) []int64 {
-	var out []int64
-	ncc.RunOps(nd, CollectStep(nd, t, tokens, leader, func(ts []int64) ncc.Op { out = ts; return ncc.Done() }))
-	return out
 }

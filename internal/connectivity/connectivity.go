@@ -3,12 +3,12 @@
 // overlay G guarantees Conn_G(u,v) ≥ min(ρ(u), ρ(v)) with at most Σρ edges —
 // a 2-approximation of the optimal edge count (whose lower bound is Σρ/2).
 //
-//   - RealizeNCC1 (Theorem 17): the O~(1) implicit algorithm for NCC1 —
+//   - RealizeNCC1Step (Theorem 17): the O~(1) implicit algorithm for NCC1 —
 //     find the node w with maximum ρ by aggregation, then every node v
 //     locally picks X_v = {w} ∪ (ρ(v)−1 arbitrary other nodes) and stores
 //     X_v × {v}. Correctness follows from Menger's theorem via the star of
 //     edge-disjoint paths through w.
-//   - RealizeNCC0 (Theorem 18, Algorithm 6): sort by non-increasing ρ;
+//   - RealizeNCC0Step (Theorem 18, Algorithm 6): sort by non-increasing ρ;
 //     realize (ρ(x₁),…,ρ(x_{d₀+1})) on the d₀+1 core nodes via the
 //     upper-envelope degree realization of Theorem 13; then every later
 //     rank i connects explicitly to its ρ(xᵢ) immediate predecessors using
@@ -34,15 +34,9 @@ type Outcome struct {
 	D0 int
 }
 
-// RealizeNCC1 runs the Theorem 17 algorithm. It must run under the NCC1
-// model (it uses full ID knowledge); rho is this node's threshold.
-func RealizeNCC1(nd *ncc.Node, rho int) Outcome {
-	var out Outcome
-	ncc.RunOps(nd, RealizeNCC1Step(nd, rho, func(o Outcome) ncc.Op { out = o; return ncc.Done() }))
-	return out
-}
-
-// RealizeNCC1Step is the resumable form of RealizeNCC1.
+// RealizeNCC1Step runs the Theorem 17 algorithm and delivers the Outcome to
+// k. It must run under the NCC1 model (it uses full ID knowledge); rho is
+// this node's threshold.
 func RealizeNCC1Step(nd *ncc.Node, rho int, k func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
 	n := nd.N()
@@ -90,16 +84,10 @@ func RealizeNCC1Step(nd *ncc.Node, rho int, k func(Outcome) ncc.Op) ncc.Op {
 	})
 }
 
-// RealizeNCC0 runs Algorithm 6 (works in NCC0 and NCC1). env must come from
-// core.Setup on the same run; rho is this node's threshold. The realization
-// is explicit: both endpoints of every edge store it.
-func RealizeNCC0(nd *ncc.Node, env *core.Env, rho int) Outcome {
-	var out Outcome
-	ncc.RunOps(nd, RealizeNCC0Step(nd, env, rho, func(o Outcome) ncc.Op { out = o; return ncc.Done() }))
-	return out
-}
-
-// RealizeNCC0Step is the resumable form of RealizeNCC0.
+// RealizeNCC0Step runs Algorithm 6 (works in NCC0 and NCC1) and delivers the
+// Outcome to k. env must come from core.SetupStep on the same run; rho is
+// this node's threshold. The realization is explicit: both endpoints of
+// every edge store it.
 func RealizeNCC0Step(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
 	n := nd.N()

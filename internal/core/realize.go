@@ -1,7 +1,7 @@
 // Package core implements the paper's primary contribution: distributed
 // degree-sequence realization in the NCC model (§4).
 //
-//   - Realize runs the parallel Havel–Hakimi of Algorithm 3: per phase the
+//   - RealizeStep runs the parallel Havel–Hakimi of Algorithm 3: per phase the
 //     nodes re-sort by remaining degree, learn the maximum degree δ and its
 //     multiplicity N by aggregation, split the first q·(δ+1) ranks into q
 //     star groups, and each group's center multicasts its ID to its δ
@@ -10,7 +10,7 @@
 //     whose remaining degree would go negative clamps to zero instead of
 //     raising the alarm, yielding an upper-envelope realization with
 //     Σd′ ≤ 2Σd (Theorem 13).
-//   - MakeExplicit converts an implicit realization into an explicit one by
+//   - MakeExplicitStep converts an implicit realization into an explicit one by
 //     having every edge holder notify the other endpoint, randomly staggered
 //     so per-round receive load stays within the node capacity w.h.p.
 //     (Theorem 12; the paper routes this through the token-collection
@@ -68,13 +68,6 @@ func SetupStep(nd *ncc.Node, method sortnet.Method, k func(*Env) ncc.Op) ncc.Op 
 	})
 }
 
-// Setup is the blocking form of SetupStep.
-func Setup(nd *ncc.Node, method sortnet.Method) *Env {
-	var out *Env
-	ncc.RunOps(nd, SetupStep(nd, method, func(env *Env) ncc.Op { out = env; return ncc.Done() }))
-	return out
-}
-
 // Outcome reports a node's view of the realization.
 type Outcome struct {
 	// OK is false when the instance was declared unrealizable (Exact mode).
@@ -90,27 +83,20 @@ type Outcome struct {
 	// input), useful to later stages.
 	Delta int
 	// Neighbors lists the IDs this node stored via AddEdge (the implicit
-	// edges it is responsible for); MakeExplicit consumes it.
+	// edges it is responsible for); MakeExplicitStep consumes it.
 	Neighbors []ncc.ID
 }
 
-// Realize runs distributed degree realization. deg is this node's required
-// degree. active=false makes the node a bystander that participates in the
-// global primitives but neither requests nor receives edges — the
-// connectivity algorithm (§6.2) uses this to realize a degree sequence on
-// only the d₀+1 core nodes while the rest of the network idles in lockstep.
+// RealizeStep runs distributed degree realization and delivers the Outcome
+// to k. deg is this node's required degree. active=false makes the node a
+// bystander that participates in the global primitives but neither requests
+// nor receives edges — the connectivity algorithm (§6.2) uses this to
+// realize a degree sequence on only the d₀+1 core nodes while the rest of
+// the network idles in lockstep.
 //
 // Edges are stored implicitly: each member stores its group center's ID via
-// AddEdge. Centers do not store members (use MakeExplicit afterwards for an
-// explicit realization).
-func Realize(nd *ncc.Node, env *Env, deg int, mode Mode, active bool) Outcome {
-	var out Outcome
-	ncc.RunOps(nd, RealizeStep(nd, env, deg, mode, active, func(o Outcome) ncc.Op { out = o; return ncc.Done() }))
-	return out
-}
-
-// RealizeStep is the resumable form of Realize; the Outcome is delivered
-// to k.
+// AddEdge. Centers do not store members (use MakeExplicitStep afterwards for
+// an explicit realization).
 func RealizeStep(nd *ncc.Node, env *Env, deg int, mode Mode, active bool, k func(Outcome) ncc.Op) ncc.Op {
 	n := nd.N()
 	out := Outcome{OK: true}
@@ -232,23 +218,15 @@ func RealizeStep(nd *ncc.Node, env *Env, deg int, mode Mode, active bool, k func
 	})
 }
 
-// MakeExplicit converts the implicit realization into an explicit one: every
-// node that stored an edge notifies the other endpoint of its own ID, and
-// the endpoint stores the reverse edge. Sends are randomly staggered over a
-// window of ~4Δ/capacity rounds so that receive load stays within capacity
+// MakeExplicitStep converts the implicit realization into an explicit one:
+// every node that stored an edge notifies the other endpoint of its own ID,
+// and the endpoint stores the reverse edge. Sends are randomly staggered over
+// a window of ~4Δ/capacity rounds so that receive load stays within capacity
 // w.h.p. (Theorem 12's O(m/n + Δ/log n + log n) shape).
 //
 // neighbors must be exactly the IDs this node stored via AddEdge during
-// Realize; delta the maximum degree (Outcome.Delta, identical at all nodes).
-// Returns the number of reverse edges stored.
-func MakeExplicit(nd *ncc.Node, env *Env, neighbors []ncc.ID, delta int) int {
-	var out int
-	ncc.RunOps(nd, MakeExplicitStep(nd, env, neighbors, delta, func(stored int) ncc.Op { out = stored; return ncc.Done() }))
-	return out
-}
-
-// MakeExplicitStep is the resumable form of MakeExplicit; the number of
-// reverse edges stored is delivered to k.
+// RealizeStep; delta the maximum degree (Outcome.Delta, identical at all
+// nodes). The number of reverse edges stored is delivered to k.
 func MakeExplicitStep(nd *ncc.Node, env *Env, neighbors []ncc.ID, delta int, k func(int) ncc.Op) ncc.Op {
 	capi := nd.Capacity()
 	budget := capi / 2

@@ -21,9 +21,9 @@ type delivery struct {
 	woken   []*Node // scratch: awaiters woken this round, consumed before the next route
 
 	// bufPool recycles inbox slices. A node's inbox slice is handed to its
-	// protocol by park and stays valid until the node's next barrier call,
-	// at which point the node returns it here (see Node.park). Pooling the
-	// buffers removes the dominant per-round allocation of busy protocols.
+	// next step and stays valid until the node suspends again, at which
+	// point the step returns it here (see Sim.step). Pooling the buffers
+	// removes the dominant per-round allocation of busy protocols.
 	// ptrPool recycles the *[]Message wrapper objects themselves so that
 	// Put never escapes a freshly allocated pointer (the classic sync.Pool
 	// trap that would hand the allocation right back).

@@ -6,31 +6,21 @@ import (
 	"time"
 )
 
-// engine.go is the round engine: the driver loop that sits between barriers,
-// partitions checked-in nodes, invokes the delivery layer, advances rounds,
-// and decides the next active set. It relies on the Scheduler for suspension
-// mechanics and on delivery for message routing; this file owns only policy.
+// engine.go is the round engine: the loop that steps the active nodes,
+// then, between rounds, partitions them by suspension, runs collectives,
+// invokes the delivery layer, advances the round, and decides the next
+// active set. Stepping lives in program.go and message routing in
+// delivery.go; this file owns only policy.
 
-// drive is the engine loop. Between barriers it owns every parked node's
-// state; the happens-before edges are provided by the Scheduler (check-in:
-// node → engine; release: engine → node).
-func (s *Sim) drive(panics chan error) {
+// drive is the engine loop. Everything runs on the calling goroutine: the
+// nodes' steps, the hooks, and the engine's own bookkeeping.
+func (s *Sim) drive() {
 	pt := startPhaseTimer(s.cfg.Profile)
 	for {
-		s.sched.AwaitAll()
-		pt.endCompute()
-		// Collect goroutine errors observed this round.
-		for {
-			select {
-			case err := <-panics:
-				if s.firstErr == nil {
-					s.firstErr = err
-				}
-			default:
-				goto drained
-			}
+		for _, nd := range s.active {
+			s.step(nd)
 		}
-	drained:
+		pt.endCompute()
 		if s.firstErr == nil && s.cfg.Progress != nil {
 			s.cfg.Progress(s.round, int(s.met.Messages))
 		}
@@ -42,13 +32,11 @@ func (s *Sim) drive(panics chan error) {
 			}
 		}
 		if s.firstErr != nil {
-			if s.killAll() {
-				continue
-			}
+			s.killAll()
 			return
 		}
 
-		// Partition the nodes that just checked in.
+		// Partition the nodes that just stepped.
 		var collective []*Node
 		justDone := 0
 		for _, nd := range s.active {
@@ -65,33 +53,28 @@ func (s *Sim) drive(panics chan error) {
 		}
 		s.doneCnt += justDone
 
-		if len(collective) > 0 {
-			if !s.runCollective(collective) {
-				if s.killAll() {
-					continue
-				}
-				return
-			}
+		if len(collective) > 0 && !s.runCollective(collective) {
+			s.killAll()
+			return
 		}
 
 		// Deliver messages sent this round.
-		sv := int(s.sendViol.Swap(0))
-		if sv > 0 {
-			s.met.SendViolations += sv
+		if s.sendViol > 0 {
+			s.met.SendViolations += s.sendViol
+			s.sendViol = 0
 			if s.cfg.Strict {
 				s.firstErr = fmt.Errorf("ncc: round %d: send capacity exceeded (capacity %d)", s.round, s.capacity)
 			}
 		}
 		if s.doneCnt == s.n {
-			// Every protocol returned during this round's compute slice; the
-			// final slice performs no further communication and does not
-			// start a new round. Deliver only to account for sent messages —
-			// a strict-mode capacity violation here is still a run error.
+			// Every protocol finished during this round's steps; the final
+			// slice performs no further communication and does not start a
+			// new round. Deliver only to account for sent messages — a
+			// strict-mode capacity violation here is still a run error.
 			_, derr := s.del.route(s.active, s.awaiters, s.round, &s.met)
 			if derr != nil && s.firstErr == nil {
 				s.firstErr = derr
 			}
-			s.met.Rounds = s.round
 			return
 		}
 		pt.beginDelivery()
@@ -101,9 +84,7 @@ func (s *Sim) drive(panics chan error) {
 			s.firstErr = derr
 		}
 		if s.firstErr != nil {
-			if s.killAll() {
-				continue
-			}
+			s.killAll()
 			return
 		}
 
@@ -111,9 +92,7 @@ func (s *Sim) drive(panics chan error) {
 		s.round++
 		if s.round > s.cfg.MaxRounds {
 			s.firstErr = fmt.Errorf("ncc: exceeded MaxRounds=%d", s.cfg.MaxRounds)
-			if s.killAll() {
-				continue
-			}
+			s.killAll()
 			return
 		}
 		next := s.nextActive(woken)
@@ -125,9 +104,7 @@ func (s *Sim) drive(panics chan error) {
 			}
 			if len(next) == 0 {
 				s.firstErr = ErrDeadlock
-				if s.killAll() {
-					continue
-				}
+				s.killAll()
 				return
 			}
 		}
@@ -138,20 +115,17 @@ func (s *Sim) drive(panics chan error) {
 
 // phaseTimer splits one round's wall time into the three Config.Profile
 // phases. With a nil hook every method is a no-op with zero clock reads, so
-// unprofiled runs pay nothing. The spans tile the driver loop exactly:
+// unprofiled runs pay nothing. The spans tile the engine loop exactly:
 //
-//	compute  — wakeSet's release → AwaitAll return (node slices running; on
-//	           the flat driver Release steps the nodes inline, so compute is
-//	           attributed identically)
+//	compute  — the active nodes' steps (plus the wake-set sort inside
+//	           wakeSet, which precedes them — negligible by construction)
 //	delivery — the del.route call
-//	barrier  — everything else between barriers (error collection, Progress/
-//	           Stop polls, partitioning, collectives, round advance, and the
-//	           wake-set sort inside wakeSet, which lands in the next round's
-//	           compute span — negligible by construction)
+//	barrier  — everything else between rounds (Progress/Stop polls,
+//	           partitioning, collectives, round advance)
 //
-// flushRound fires the hook immediately before the next release, i.e. once
-// per completed round on the driver goroutine; rounds that end the run
-// (every node done, or an aborting error) never flush and are dropped.
+// flushRound fires the hook immediately before the next round's steps, i.e.
+// once per completed round; rounds that end the run (every node done, or an
+// aborting error) never flush and are dropped.
 type phaseTimer struct {
 	hook                       func(compute, delivery, barrier time.Duration)
 	mark                       time.Time
@@ -202,7 +176,7 @@ func (pt *phaseTimer) flushRound() {
 }
 
 // nextActive gathers the nodes that act in the (already advanced) round:
-// nodes that checked in Running, awaiters that received mail (woken), and
+// nodes that suspended with Next, awaiters that received mail (woken), and
 // sleepers whose wake round has arrived.
 func (s *Sim) nextActive(woken []*Node) []*Node {
 	// nextScratch is reused across rounds: wakeSet copies the result into
@@ -221,12 +195,12 @@ func (s *Sim) nextActive(woken []*Node) []*Node {
 	return next
 }
 
-// wakeSet releases the given nodes into the new round in deterministic order.
+// wakeSet makes the given nodes the new round's active set, in
+// deterministic (Gk index) order.
 func (s *Sim) wakeSet(next []*Node) {
 	sortNodesByIdx(next)
 	s.active = append(s.active[:0], next...)
 	s.met.ActiveNodeRounds += int64(len(next))
-	s.sched.Release(s.active)
 }
 
 // runCollective validates and executes a collective barrier. All live
@@ -270,43 +244,19 @@ func (s *Sim) runCollective(coll []*Node) bool {
 	return true
 }
 
-// killAll wakes every parked node with the kill flag so goroutines unwind.
-// It returns true if any node was woken (the engine must then consume their
-// final check-ins) and false when everything has already terminated. The
-// seen set dedupes nodes that appear both in the just-checked-in active set
-// and in the awaiter/sleeper structures.
-func (s *Sim) killAll() bool {
-	seen := make(map[int]struct{}, s.n)
-	var victims []*Node
-	add := func(nd *Node) {
-		if nd.state == stateDone {
-			return
-		}
-		if _, dup := seen[nd.idx]; dup {
-			return
-		}
-		seen[nd.idx] = struct{}{}
-		victims = append(victims, nd)
+// killAll ends a failed run: every node still suspended is retired in place.
+func (s *Sim) killAll() {
+	for _, nd := range s.nodes {
+		s.retire(nd)
 	}
-	for _, nd := range s.active {
-		add(nd)
-	}
-	//grlint:allow D001 -- kill path: victims are only marked killed and unwound; the error is already set and victim order cannot reach the trace
-	for _, nd := range s.awaiters {
-		add(nd)
-	}
-	s.awaiters = map[int]*Node{}
-	for s.sleepers.Len() > 0 {
-		add(heap.Pop(&s.sleepers).(*Node))
-	}
-	if len(victims) == 0 {
-		s.met.Rounds = s.round
-		return false
-	}
-	for _, nd := range victims {
-		nd.killed = true
-	}
-	s.active = victims
-	s.sched.Release(s.active)
-	return true
 }
+
+// sleepHeap orders sleeping nodes by wake round; the engine uses it to
+// fast-forward rounds in which every node sleeps.
+type sleepHeap []*Node
+
+func (h sleepHeap) Len() int           { return len(h) }
+func (h sleepHeap) Less(i, j int) bool { return h[i].wakeRound < h[j].wakeRound }
+func (h sleepHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *sleepHeap) Push(x any)        { *h = append(*h, x.(*Node)) }
+func (h *sleepHeap) Pop() (x any)      { old := *h; n := len(old); x = old[n-1]; *h = old[:n-1]; return }

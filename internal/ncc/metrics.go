@@ -7,8 +7,8 @@ import "fmt"
 // statistics support the capacity analysis.
 //
 // Metrics is deliberately wall-clock-free: every field is a deterministic
-// function of the Config, so traces compare byte-identical across scheduler
-// drivers (sched_conformance_test.go). Wall-time observability — per-phase
+// function of the Config, so every run of a Config reproduces its trace byte
+// for byte (sched_conformance_test.go). Wall-time observability — per-phase
 // round profiling — flows through Config.Profile instead and never lands
 // here.
 type Metrics struct {

@@ -14,19 +14,24 @@
 //     carried in the payload.
 //   - NCC1: all nodes know all IDs from the start (IDs are w.l.o.g. 1..n).
 //
-// Protocols are ordinary Go functions executed one goroutine per node, written
-// in a natural blocking style around a per-round barrier:
+// Protocols are written in resumable-step form (program.go): a node's
+// compute slice for a round sends its messages and returns the suspension it
+// wants, carrying the continuation to resume when it wakes:
 //
-//	func proto(nd *ncc.Node) {
+//	func proto(nd *ncc.Node) ncc.Op {
 //	    nd.Send(nd.InitialSucc(), ncc.Message{Kind: hello})
-//	    inbox := nd.NextRound()
-//	    ...
+//	    return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+//	        // w.Msgs holds the messages delivered this round.
+//	        ...
+//	        return ncc.Done()
+//	    })
 //	}
 //
-// The driver enforces the model: it validates knowledge on send, counts
-// capacity on both ends, advances rounds, fast-forwards rounds in which every
-// node sleeps, detects deadlock and runaway protocols, and produces a Trace
-// with round/message/congestion metrics plus each node's declared outputs and
+// Sim.RunProgram steps every node on the calling goroutine and enforces the
+// model: it validates knowledge on send, counts capacity on both ends,
+// advances rounds, fast-forwards rounds in which every node sleeps, detects
+// deadlock and runaway protocols, and produces a Trace with
+// round/message/congestion metrics plus each node's declared outputs and
 // stored overlay edges. Runs are deterministic for a fixed Config.Seed.
 package ncc
 

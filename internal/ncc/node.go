@@ -5,19 +5,19 @@ import (
 	"math/rand"
 )
 
-// nodeState is the parked state a node reports at its barrier check-in.
+// nodeState is the suspension a node reports at the end of its step.
 type nodeState int32
 
 const (
-	stateRunning    nodeState = iota // checked in via NextRound; acts next round
+	stateRunning    nodeState = iota // suspended with Next; acts next round
 	stateAwait                       // sleeping until a message is delivered
 	stateSleep                       // sleeping until wakeRound
 	stateCollective                  // waiting inside a collective operation
-	stateDone                        // protocol function returned (or was killed)
+	stateDone                        // protocol finished (or the run failed)
 )
 
-// Node is the per-node handle a protocol function receives. All methods must
-// be called only from that node's protocol goroutine.
+// Node is the per-node handle a protocol step receives. Its methods may be
+// called only from within that node's own steps.
 type Node struct {
 	sim *Sim
 	id  ID
@@ -29,19 +29,18 @@ type Node struct {
 	initialSucc ID  // Gk successor (None for the tail)
 	input       any // protocol input (e.g. required degree), set by the runner
 
-	// Barrier plumbing. The protocol writes state/outbox/collIn and then
-	// checks in; the driver reads them, fills inbox/collOut, and wakes. wake
-	// is the node goroutine's park channel, created by Sim.Run only; started
-	// records that the flat driver has run the node's entry step.
-	wake      chan struct{}
+	// Round plumbing. A step writes outbox/collIn and returns its next Op,
+	// which sets state, wakeRound, cont and suspended; the engine reads them,
+	// fills inbox/collOut, and resumes cont when the node wakes. cont is nil
+	// until the entry step has run and again once the node is done.
 	state     nodeState
 	wakeRound int
-	killed    bool
-	started   bool
+	cont      Cont
+	suspended opKind
 
 	outbox  []Message
 	inbox   []Message
-	retired []Message // inbox handed out at the last park; recycled next park
+	retired []Message // inbox handed to the last step; recycled at the next suspension
 	collTag string
 	collIn  any
 	collOut any
@@ -54,12 +53,8 @@ type Node struct {
 	unrealizable bool
 }
 
-// killedPanic is the sentinel the driver uses to unwind killed protocol
-// goroutines; the runner recovers it silently.
-type killedPanic struct{}
-
-// protoError wraps a protocol violation detected node-side; the runner
-// converts it into a Run error.
+// protoError wraps a protocol violation detected node-side; the engine
+// converts it into the run's error.
 type protoError struct{ err error }
 
 func (nd *Node) fail(format string, args ...any) {
@@ -154,89 +149,13 @@ func (nd *Node) Send(dst ID, m Message) {
 	}
 	nd.sentThisRound++
 	if nd.sentThisRound > nd.sim.capacity {
-		nd.sim.noteSendViolation(nd)
+		nd.sim.sendViol++
 	}
 	m.Src = nd.id
 	m.dst = dst
 	m.seq = nd.seq
 	nd.seq++
 	nd.outbox = append(nd.outbox, m)
-}
-
-// NextRound checks in at the barrier and returns the messages delivered to
-// this node at the start of the next round (possibly none).
-func (nd *Node) NextRound() []Message {
-	return nd.park(stateRunning, 0)
-}
-
-// AwaitMessage sleeps until some round delivers at least one message to this
-// node, then returns that round's inbox. The node does not participate in the
-// barrier while asleep, so waiting is cheap regardless of duration. If the
-// whole system would sleep forever the driver reports a deadlock.
-func (nd *Node) AwaitMessage() []Message {
-	return nd.park(stateAwait, 0)
-}
-
-// SkipRounds sleeps for k ≥ 1 rounds. Messages delivered while asleep are
-// accumulated and returned together on wake-up. Receive-capacity accounting
-// still applies per delivery round.
-func (nd *Node) SkipRounds(k int) []Message {
-	if k < 1 {
-		nd.fail("SkipRounds(%d): k must be ≥ 1", k)
-	}
-	return nd.park(stateSleep, nd.sim.round+k)
-}
-
-// park is the single barrier entry point. The returned inbox slice is owned
-// by the delivery layer's buffer pool and stays valid only until this node's
-// next barrier call (NextRound, AwaitMessage, SkipRounds, or Collective);
-// protocols that need messages longer must copy them out.
-func (nd *Node) park(st nodeState, wakeRound int) []Message {
-	if nd.retired != nil {
-		nd.sim.del.recycle(nd.retired)
-		nd.retired = nil
-	}
-	nd.state = st
-	nd.wakeRound = wakeRound
-	nd.sim.sched.Park(nd)
-	if nd.killed {
-		panic(killedPanic{})
-	}
-	nd.sentThisRound = 0
-	in := nd.inbox
-	nd.inbox = nil
-	nd.retired = in
-	if nd.known != nil {
-		for i := range in {
-			nd.known[in[i].Src] = struct{}{}
-			for _, id := range in[i].IDs {
-				if id != None && id != nd.id {
-					nd.known[id] = struct{}{}
-				}
-			}
-		}
-	}
-	return in
-}
-
-// Collective enters the named collective operation with the given input and
-// blocks until every live node has entered the same collective, the driver
-// has executed its handler centrally, and rounds have been charged. It
-// returns this node's output. See RegisterCollective for the contract.
-func (nd *Node) Collective(tag string, in any) any {
-	nd.collTag = tag
-	nd.collIn = in
-	_ = nd.park(stateCollective, 0)
-	out := nd.collOut
-	nd.collOut = nil
-	nd.collIn = nil
-	if co, ok := out.(CollectiveOut); ok {
-		for _, id := range co.Learn {
-			nd.Learn(id)
-		}
-		return co.Val
-	}
-	return out
 }
 
 // AddEdge stores an overlay edge to peer in this node's neighbor list. This

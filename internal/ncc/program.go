@@ -1,27 +1,27 @@
 package ncc
 
-// program.go defines the resumable-step (CPS) protocol form the flat driver
-// executes. A blocking protocol is a function that calls NextRound /
-// AwaitMessage / SkipRounds / Collective and owns a goroutine stack between
-// rounds. A step-form protocol instead *returns* the suspension it wants as an
-// Op carrying an explicit continuation; the driver applies the op and invokes
-// the continuation when the node wakes. The two forms are interconvertible:
+import (
+	"fmt"
+	"runtime/debug"
+)
+
+// program.go defines the resumable-step (CPS) protocol form the engine runs
+// and the step that runs it. A protocol never blocks: each step performs one
+// node's compute slice for a round and *returns* the suspension it wants as
+// an Op carrying an explicit continuation; the engine applies the op and
+// invokes the continuation when the node wakes. A node's between-round state
+// is nothing but its stored continuation, so a whole simulation runs on the
+// goroutine that calls RunProgram, whatever n is.
 //
-//   - RunOps drives a step-form protocol through the blocking Node API, so the
-//     same compiled protocol runs unchanged under Sim.Run on the barrier
-//     driver (and step-form subprotocols compose into blocking callers).
-//   - Sim.RunProgram runs a step-form protocol natively on the flat driver,
-//     with zero per-node goroutines.
-//
-// The contract mirrors the blocking API exactly: Next ≙ NextRound, Await ≙
-// AwaitMessage, Sleep ≙ SkipRounds, Collective ≙ Node.Collective, Done ≙
-// returning from the protocol function. A continuation runs as the node's
-// compute slice for the wake round — it may Send, read Round(), and must end
-// by returning the next Op.
+// The suspensions: Next checks in for the next round, Await sleeps until a
+// message arrives, Sleep sleeps a fixed number of rounds, Collective enters
+// a centrally executed collective, and Done finishes the protocol. A
+// continuation runs as the node's compute slice for the round it wakes in —
+// it may Send, read Round(), and must end by returning the next Op.
 
 // Wake carries what a resumed continuation receives: the inbox for message
-// wakes (valid, like park's return, only until the node's next suspension) or
-// the collective output for collective wakes.
+// wakes (valid only until the node's next suspension) or the collective
+// output for collective wakes.
 type Wake struct {
 	// Msgs is the delivered inbox (nil after a collective).
 	Msgs []Message
@@ -37,7 +37,7 @@ type Cont func(nd *Node, w Wake) Op
 // compute slice and returns the first suspension.
 type Proto func(nd *Node) Op
 
-// opKind enumerates the suspension kinds, one per blocking Node call.
+// opKind enumerates the suspension kinds.
 type opKind uint8
 
 const (
@@ -57,63 +57,149 @@ type Op struct {
 	k      Cont
 }
 
-// Done finishes the protocol (the step analogue of returning).
+// Done finishes the protocol.
 func Done() Op { return Op{kind: opDone} }
 
 // Next checks in at the barrier; k resumes with next round's inbox.
 func Next(k Cont) Op { return Op{kind: opNext, k: k} }
 
 // Await sleeps until a round delivers at least one message; k resumes with
-// that round's inbox.
+// that round's inbox. The node takes no part in the rounds it sleeps
+// through, so waiting is cheap regardless of duration. If every live node
+// would sleep forever the run fails with ErrDeadlock.
 func Await(k Cont) Op { return Op{kind: opAwait, k: k} }
 
 // Sleep sleeps for rounds ≥ 1 rounds; k resumes with everything delivered
-// while asleep.
+// while asleep. Receive-capacity accounting still applies per delivery round.
 func Sleep(rounds int, k Cont) Op { return Op{kind: opSleep, sleep: rounds, k: k} }
 
-// Collective enters the named collective with the given input; k resumes with
-// the node's output in Wake.Coll.
+// Collective enters the named collective with the given input; k resumes,
+// once every live node has entered it and the engine has run its handler
+// and charged its rounds, with the node's output in Wake.Coll. See
+// RegisterCollective for the contract.
 func Collective(tag string, in any, k Cont) Op {
 	return Op{kind: opCollective, tag: tag, collIn: in, k: k}
 }
 
-// RunOps drives a step-form protocol fragment through the blocking Node API
-// until it yields Done. It is the adapter that runs compiled protocols under
-// Sim.Run, and the bridge that lets blocking wrappers embed step-form
-// subprotocols (Done only terminates this driver loop, not the node).
-func RunOps(nd *Node, op Op) {
-	for {
-		switch op.kind {
-		case opDone:
-			return
-		case opNext:
-			op = op.k(nd, Wake{Msgs: nd.NextRound()})
-		case opAwait:
-			op = op.k(nd, Wake{Msgs: nd.AwaitMessage()})
-		case opSleep:
-			op = op.k(nd, Wake{Msgs: nd.SkipRounds(op.sleep)})
-		case opCollective:
-			op = op.k(nd, Wake{Coll: nd.Collective(op.tag, op.collIn)})
-		}
-	}
+// RunProgram executes a step-form protocol on every node and drives the
+// synchronous rounds to completion, stepping every node on the calling
+// goroutine. It returns the Trace and the first error encountered (protocol
+// violation, deadlock, strict capacity violation, round limit, cancellation,
+// or panic).
+func (s *Sim) RunProgram(entry Proto) (*Trace, error) {
+	s.entry = entry
+	s.active = append(s.active[:0], s.nodes...)
+	s.drive()
+	return s.buildTrace(), s.firstErr
 }
 
-// RunProgram executes a step-form protocol on every node and drives the
-// rounds to completion, like Run but for compiled protocols: the flat driver
-// steps every node inline on the calling goroutine, with zero per-node
-// goroutines. Run(RunOps·entry) on the same Config produces a byte-identical
-// trace.
-func (s *Sim) RunProgram(entry Proto) (*Trace, error) {
-	f := &flatScheduler{
-		sim:    s,
-		entry:  entry,
-		conts:  make([]Cont, s.n),
-		kinds:  make([]opKind, s.n),
-		panics: make(chan error, s.n),
+// step runs one node's compute slice for the current round: take the
+// delivered inbox (and the collective output), run the stored continuation —
+// or the entry in round 0 — and record the Op it returns as the node's
+// suspension.
+func (s *Sim) step(nd *Node) {
+	var w Wake
+	k := nd.cont
+	if k != nil {
+		nd.sentThisRound = 0
+		in := nd.inbox
+		nd.inbox = nil
+		nd.retired = in
+		if nd.known != nil {
+			for i := range in {
+				nd.known[in[i].Src] = struct{}{}
+				for _, id := range in[i].IDs {
+					if id != None && id != nd.id {
+						nd.known[id] = struct{}{}
+					}
+				}
+			}
+		}
+		if nd.suspended == opCollective {
+			// The delivered inbox (always empty at a collective barrier) was
+			// still taken and learned above.
+			out := nd.collOut
+			nd.collOut = nil
+			nd.collIn = nil
+			if co, ok := out.(CollectiveOut); ok {
+				for _, id := range co.Learn {
+					nd.Learn(id)
+				}
+				w.Coll = co.Val
+			} else {
+				w.Coll = out
+			}
+		} else {
+			w.Msgs = in
+		}
 	}
-	s.sched = f
-	s.active = append(s.active[:0], s.nodes...)
-	f.Release(s.active)
-	s.drive(f.panics)
-	return s.buildTrace(), s.firstErr
+
+	op, ok := s.invoke(nd, k, w)
+	if !ok || op.kind == opDone {
+		// A finished node keeps its last inbox: it is never recycled.
+		s.retire(nd)
+		return
+	}
+
+	// The inbox handed to this step is dead once the node suspends again.
+	if nd.retired != nil {
+		s.del.recycle(nd.retired)
+		nd.retired = nil
+	}
+	switch op.kind {
+	case opNext:
+		nd.state = stateRunning
+		nd.wakeRound = 0
+	case opAwait:
+		nd.state = stateAwait
+		nd.wakeRound = 0
+	case opSleep:
+		nd.state = stateSleep
+		nd.wakeRound = s.round + op.sleep
+	case opCollective:
+		nd.collTag = op.tag
+		nd.collIn = op.collIn
+		nd.state = stateCollective
+		nd.wakeRound = 0
+	}
+	nd.cont = op.k
+	nd.suspended = op.kind
+}
+
+// retire marks a node finished and drops its continuation.
+func (s *Sim) retire(nd *Node) {
+	nd.state = stateDone
+	nd.cont = nil
+}
+
+// invoke runs the continuation k, or the entry when k is nil, and validates
+// the returned Op. A panic, including a protocol violation, fails the step
+// and becomes the run's error unless an earlier one is set.
+func (s *Sim) invoke(nd *Node, k Cont, w Wake) (op Op, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			var err error
+			if pe, isProto := r.(protoError); isProto {
+				err = pe.err
+			} else {
+				err = fmt.Errorf("ncc: node %d panicked: %v\n%s", nd.id, r, debug.Stack())
+			}
+			if s.firstErr == nil {
+				s.firstErr = err
+			}
+			ok = false
+		}
+	}()
+	if k != nil {
+		op = k(nd, w)
+	} else {
+		op = s.entry(nd)
+	}
+	if op.kind == opSleep && op.sleep < 1 {
+		nd.fail("Sleep(%d): rounds must be ≥ 1", op.sleep)
+	}
+	if op.kind != opDone && op.k == nil {
+		nd.fail("step yielded a suspension with a nil continuation")
+	}
+	return op, true
 }

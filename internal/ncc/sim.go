@@ -2,18 +2,15 @@ package ncc
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
-// sim.go is the engine's front door: configuration, instance construction,
-// and the Run entry point. The round loop lives in engine.go, suspension
-// mechanics in scheduler.go, message routing in delivery.go, and result
-// assembly in trace.go.
+// sim.go is the engine's front door: configuration and instance
+// construction. The step-form protocol vocabulary and the RunProgram entry
+// point live in program.go, the round loop in engine.go, message routing in
+// delivery.go, and result assembly in trace.go.
 
 // Config parameterizes a simulation.
 type Config struct {
@@ -34,30 +31,29 @@ type Config struct {
 	// Inputs, if non-nil, assigns Inputs[i] to the node at Gk position i.
 	Inputs []any
 	// Stop, if non-nil, aborts the run when it becomes readable (typically a
-	// context's Done channel). The engine checks it once per barrier, kills
-	// every parked node, and Run returns ErrCanceled. Cancellation is
-	// cooperative at round granularity: a run stops between rounds, never
+	// context's Done channel). The engine checks it once per barrier, retires
+	// every suspended node, and RunProgram returns ErrCanceled. Cancellation
+	// is cooperative at round granularity: a run stops between rounds, never
 	// mid-round.
 	Stop <-chan struct{}
 	// Progress, if non-nil, is invoked at the same per-barrier point that
 	// polls Stop, with the number of rounds completed and messages delivered
-	// so far. It runs on the engine's driver goroutine while every protocol
-	// goroutine is parked, so it needs no synchronization with the protocol —
-	// but it executes inside the round loop and must return quickly without
+	// so far. It runs on the goroutine that called RunProgram, between two
+	// rounds' steps, so it needs no synchronization with the protocol — but
+	// it executes inside the round loop and must return quickly without
 	// blocking; a slow hook stretches every round.
 	Progress func(round, msgs int)
 	// Profile, if non-nil, receives every completed round's wall-time split
-	// into compute (node protocol slices running, release → barrier),
-	// delivery (message routing), and barrier (remaining engine bookkeeping:
-	// partitioning, collectives, round advance). It fires on the driver
-	// goroutine immediately before the next round's release, so — like
-	// Progress — it needs no synchronization with the protocol but must
+	// into compute (node steps running), delivery (message routing), and
+	// barrier (remaining engine bookkeeping: partitioning, collectives, round
+	// advance). It fires immediately before the next round's steps, so —
+	// like Progress — it needs no synchronization with the protocol but must
 	// return quickly. The timings are observational wall-clock measurements:
 	// they never enter the Trace or Metrics, so profiled and unprofiled runs
-	// of the same Config produce byte-identical traces under Run and
-	// RunProgram alike (see sched_conformance_test.go). The final partial
-	// round of a run (the slice in which every node returns, or an aborting
-	// error) is not reported. See DESIGN.md §10 for phase attribution.
+	// of the same Config produce byte-identical traces (see
+	// sched_conformance_test.go). The final partial round of a run (the slice
+	// in which every node finishes, or an aborting error) is not reported.
+	// See DESIGN.md §10 for phase attribution.
 	Profile func(compute, delivery, barrier time.Duration)
 	// OrderedIDs forces node IDs to be assigned in increasing order along the
 	// Gk path (IDs are still random in NCC0 unless Model is NCC1). Figures in
@@ -97,7 +93,7 @@ type CollectiveOut struct {
 type CollectiveHandler func(s *Sim, ins []any) (outs []any, chargeRounds int)
 
 // Sim is a single NCC simulation instance. Create with New, register any
-// collectives, then call Run or RunProgram exactly once.
+// collectives, then call RunProgram exactly once.
 type Sim struct {
 	cfg      Config
 	n        int
@@ -110,10 +106,8 @@ type Sim struct {
 
 	collectives map[string]CollectiveHandler
 
-	// Layered machinery: sched owns the barrier (set by Run or RunProgram),
-	// del the message routing.
-	sched Scheduler
-	del   *delivery
+	entry Proto     // the protocol RunProgram steps
+	del   *delivery // message routing
 
 	// engine state (engine.go)
 	round       int
@@ -123,7 +117,7 @@ type Sim struct {
 	sleepers    sleepHeap
 	doneCnt     int
 
-	sendViol atomic.Int64
+	sendViol int // send-capacity violations in the current round
 
 	met      Metrics
 	firstErr error
@@ -212,7 +206,7 @@ func (s *Sim) assignIDs() {
 	sort.Slice(s.allIDs, func(i, j int) bool { return s.allIDs[i] < s.allIDs[j] })
 }
 
-// RegisterCollective installs a named collective handler. See Node.Collective.
+// RegisterCollective installs a named collective handler. See Collective.
 func (s *Sim) RegisterCollective(tag string, h CollectiveHandler) {
 	s.collectives[tag] = h
 }
@@ -225,42 +219,6 @@ func (s *Sim) N() int { return s.n }
 
 // Capacity returns the per-node per-round message budget.
 func (s *Sim) Capacity() int { return s.capacity }
-
-func (s *Sim) noteSendViolation(nd *Node) {
-	s.sendViol.Add(1)
-}
-
-// Run executes proto on every node and drives the synchronous rounds to
-// completion. It returns the Trace and the first error encountered (protocol
-// violation, deadlock, strict capacity violation, round limit, or panic).
-//
-// Every node runs on its own goroutine under the barrier driver; this is the
-// reference the step forms run by RunProgram are checked against.
-func (s *Sim) Run(proto func(*Node)) (*Trace, error) {
-	b := newBarrierScheduler()
-	s.sched = b
-	panics := make(chan error, s.n)
-	s.active = append(s.active[:0], s.nodes...)
-	b.spawn(s.nodes, func(nd *Node) {
-		defer func() {
-			if r := recover(); r != nil {
-				switch v := r.(type) {
-				case killedPanic:
-					// intentional unwind
-				case protoError:
-					panics <- v.err
-				default:
-					panics <- fmt.Errorf("ncc: node %d panicked: %v\n%s", nd.id, r, debug.Stack())
-				}
-			}
-			nd.state = stateDone
-			b.checkin()
-		}()
-		proto(nd)
-	})
-	s.drive(panics)
-	return s.buildTrace(), s.firstErr
-}
 
 // sortNodesByIdx orders a wake set deterministically by Gk index.
 func sortNodesByIdx(nodes []*Node) {

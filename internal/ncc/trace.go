@@ -11,7 +11,7 @@ type NodeResult struct {
 	Outputs map[string]int64
 }
 
-// Trace is the complete result of Sim.Run.
+// Trace is the complete result of Sim.RunProgram.
 type Trace struct {
 	Metrics Metrics
 	// IDs lists node IDs in Gk (initial path) order: IDs[0] is the head.

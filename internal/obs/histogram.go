@@ -24,9 +24,9 @@ var DefaultLatencyBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// RoundBuckets covers single engine rounds: most rounds are microseconds
-// (flat driver) to hundreds of microseconds (goroutine barriers), with a 1s
-// top bucket to catch pathological stalls.
+// RoundBuckets covers single engine rounds: most rounds take microseconds to
+// hundreds of microseconds, with a 1s top bucket to catch pathological
+// stalls.
 var RoundBuckets = []float64{
 	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
 	5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 0.1, 1,

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// profile.go accumulates engine phase timings. The engine's driver loop
-// splits every completed round's wall time into three phases:
+// profile.go accumulates engine phase timings. The engine loop splits every
+// completed round's wall time into three phases:
 //
-//	compute  — node protocol slices running, from release to the barrier
+//	compute  — the nodes' protocol steps running
 //	delivery — the delivery layer routing this round's messages
-//	barrier  — everything else the engine does between barriers (partitioning
-//	           checked-in nodes, collectives, round advance, wake-set sort)
+//	barrier  — everything else the engine does between rounds (partitioning
+//	           suspended nodes, collectives, round advance)
 //
 // and reports them through ncc.Config.Profile once per round. A PhaseProfile
 // aggregates those callbacks: total nanoseconds per phase, the round count,

@@ -7,17 +7,14 @@
 // binary tree of Figure 1.
 //
 // Every primitive is written in lockstep style: it consumes a number of
-// rounds that is a deterministic function of n (via SyncAt barriers), so
+// rounds that is a deterministic function of n (via SyncAtStep barriers), so
 // primitives compose sequentially without extra coordination, and round
 // metrics are reproducible.
 //
-// Each primitive exists in two forms. The resumable step form (XxxStep) is
-// the implementation: it performs the current round's compute slice and
-// returns an ncc.Op whose continuation eventually invokes k with the result,
-// so the zero-goroutine flat driver can run it without a goroutine stack. The
-// blocking form is a thin adapter that drives the step form through
-// ncc.RunOps for callers under Sim.Run; both forms are therefore
-// observably identical by construction.
+// Every primitive is written in the resumable step form of package ncc: the
+// XxxStep function performs the current round's compute slice and returns an
+// ncc.Op whose continuation eventually invokes k with the result, so
+// primitives compose by nesting continuations.
 package primitives
 
 import (
@@ -72,13 +69,6 @@ func BuildPathStep(nd *ncc.Node, k func(Path) ncc.Op) ncc.Op {
 	})
 }
 
-// BuildPath is the blocking form of BuildPathStep.
-func BuildPath(nd *ncc.Node) Path {
-	var out Path
-	ncc.RunOps(nd, BuildPathStep(nd, func(p Path) ncc.Op { out = p; return ncc.Done() }))
-	return out
-}
-
 // Levels is the structure L of §3.1.1: Pred[r]/Succ[r] are the node's
 // neighbors at distance 2^r in the underlying path (None where absent),
 // for r = 0..⌈log₂ n⌉. Level-r links are exactly the paths of level L_r:
@@ -128,13 +118,6 @@ func BuildLevelsStep(nd *ncc.Node, p Path, k func(Levels) ncc.Op) ncc.Op {
 	return level(0)
 }
 
-// BuildLevels is the blocking form of BuildLevelsStep.
-func BuildLevels(nd *ncc.Node, p Path) Levels {
-	var out Levels
-	ncc.RunOps(nd, BuildLevelsStep(nd, p, func(l Levels) ncc.Op { out = l; return ncc.Done() }))
-	return out
-}
-
 // Tree is a node's view of the balanced binary search tree TBFS produced by
 // the controlled BFS of Algorithm 1, later annotated with subtree sizes and
 // inorder positions.
@@ -144,7 +127,7 @@ type Tree struct {
 	Left, Right ncc.ID // child IDs, None where absent
 	Depth       int    // root has depth 0
 
-	// Filled by AnnotateTree:
+	// Filled by AnnotateTreeStep:
 	Size     int // size of this node's subtree
 	LeftSize int // size of the left subtree
 	Pos      int // inorder position, equal to the node's path position
@@ -215,13 +198,6 @@ func BuildTBFSStep(nd *ncc.Node, l Levels, k func(Tree) ncc.Op) ncc.Op {
 		})
 	}
 	return level(l.Top() - 1)
-}
-
-// BuildTBFS is the blocking form of BuildTBFSStep.
-func BuildTBFS(nd *ncc.Node, l Levels) Tree {
-	var out Tree
-	ncc.RunOps(nd, BuildTBFSStep(nd, l, func(t Tree) ncc.Op { out = t; return ncc.Done() }))
-	return out
 }
 
 // AnnotateTreeStep computes subtree sizes (convergecast) and inorder
@@ -308,11 +284,6 @@ func AnnotateTreeStep(nd *ncc.Node, t *Tree, k func() ncc.Op) ncc.Op {
 	return ncc.Await(sizes)
 }
 
-// AnnotateTree is the blocking form of AnnotateTreeStep.
-func AnnotateTree(nd *ncc.Node, t *Tree) {
-	ncc.RunOps(nd, AnnotateTreeStep(nd, t, ncc.Done))
-}
-
 // BuildAllStep runs the full §3.1 pipeline — path conversion, structure L,
 // controlled BFS, and annotation — delivering the node's complete structural
 // state to k. Rounds: O(log n), deterministic in n.
@@ -328,20 +299,6 @@ func BuildAllStep(nd *ncc.Node, k func(Path, Levels, Tree) ncc.Op) ncc.Op {
 	})
 }
 
-// BuildAll is the blocking form of BuildAllStep.
-func BuildAll(nd *ncc.Node) (Path, Levels, Tree) {
-	var (
-		op Path
-		ol Levels
-		ot Tree
-	)
-	ncc.RunOps(nd, BuildAllStep(nd, func(p Path, l Levels, t Tree) ncc.Op {
-		op, ol, ot = p, l, t
-		return ncc.Done()
-	}))
-	return op, ol, ot
-}
-
 // SyncAtStep advances the node to the given round (no-op if already past it),
 // delivering any messages that arrived while waiting to k; lockstep protocols
 // use it as a barrier between phases.
@@ -350,11 +307,4 @@ func SyncAtStep(nd *ncc.Node, round int, k func([]ncc.Message) ncc.Op) ncc.Op {
 		return k(nil)
 	}
 	return ncc.Sleep(round-nd.Round(), func(nd *ncc.Node, w ncc.Wake) ncc.Op { return k(w.Msgs) })
-}
-
-// SyncAt is the blocking form of SyncAtStep.
-func SyncAt(nd *ncc.Node, round int) []ncc.Message {
-	var out []ncc.Message
-	ncc.RunOps(nd, SyncAtStep(nd, round, func(ms []ncc.Message) ncc.Op { out = ms; return ncc.Done() }))
-	return out
 }

@@ -1,22 +1,23 @@
 // Package rankov provides rank-addressed communication over a sorted path:
 // after the sorting step of §3.1.2 each node knows its rank and its
-// neighbors in sorted order, and BuildLevels gives it links to the nodes at
+// neighbors in sorted order, and BuildStep gives it links to the nodes at
 // rank ± 2^j (the structure L on the sorted path). On top of those doubling
 // links this package implements the communication patterns the realization
 // algorithms of §§4–6 actually use:
 //
-//   - RangeBroadcast: deliver a token to every rank in a contiguous interval
-//     by recursive halving — the paper's "smaller instance of the global
-//     broadcast problem" used for multicast groups of consecutive nodes.
-//   - PrefixSum: the Hillis–Steele doubling scan used for the pᵢ prefix sums
-//     of Algorithms 4 and 5.
-//   - ShiftDown/ShiftUp: uniform-distance token shifts used by the second
+//   - DisseminateStep: deliver a token to every rank in a contiguous
+//     interval by recursive halving — the paper's "smaller instance of the
+//     global broadcast problem" used for multicast groups of consecutive
+//     nodes.
+//   - PrefixSumStep: the Hillis–Steele doubling scan used for the pᵢ prefix
+//     sums of Algorithms 4 and 5.
+//   - ShiftDownStep/ShiftUpStep: uniform-distance token shifts used by the second
 //     phase of Algorithm 6 — every carrier moves its token the same
 //     distance, so relays carry at most one token per step and the pattern
 //     is congestion-free.
 //
 // All primitives are lockstep and take a deterministic number of rounds,
-// except Disseminate whose routing prologue is adaptive (quiescence is
+// except DisseminateStep whose routing prologue is adaptive (quiescence is
 // detected by aggregation over the Gk tree).
 package rankov
 
@@ -51,13 +52,6 @@ func BuildStep(nd *ncc.Node, rank int, pred, succ ncc.ID, k func(*Overlay) ncc.O
 	return primitives.BuildLevelsStep(nd, primitives.Path{Pred: pred, Succ: succ}, func(lv primitives.Levels) ncc.Op {
 		return k(&Overlay{Rank: rank, N: nd.N(), Lv: lv})
 	})
-}
-
-// Build is the blocking form of BuildStep.
-func Build(nd *ncc.Node, rank int, pred, succ ncc.ID) *Overlay {
-	var out *Overlay
-	ncc.RunOps(nd, BuildStep(nd, rank, pred, succ, func(ov *Overlay) ncc.Op { out = ov; return ncc.Done() }))
-	return out
 }
 
 // succAt returns the link to rank+2^j, or None.
@@ -137,13 +131,6 @@ func DisseminateStep(nd *ncc.Node, ov *Overlay, gk *primitives.Tree, job *Job, k
 	}
 	epochLoop = func() ncc.Op { return roundLoop(0) }
 	return epochLoop()
-}
-
-// Disseminate is the blocking form of DisseminateStep.
-func Disseminate(nd *ncc.Node, ov *Overlay, gk *primitives.Tree, job *Job) []Job {
-	var out []Job
-	ncc.RunOps(nd, DisseminateStep(nd, ov, gk, job, func(js []Job) ncc.Op { out = js; return ncc.Done() }))
-	return out
 }
 
 // processPacket advances one job at this node: route toward Lo if we are
@@ -226,45 +213,25 @@ func PrefixSumStep(nd *ncc.Node, ov *Overlay, value int64, k func(int64) ncc.Op)
 	return scan(0)
 }
 
-// PrefixSum is the blocking form of PrefixSumStep.
-func PrefixSum(nd *ncc.Node, ov *Overlay, value int64) int64 {
-	var out int64
-	ncc.RunOps(nd, PrefixSumStep(nd, ov, value, func(v int64) ncc.Op { out = v; return ncc.Done() }))
-	return out
-}
-
-// ShiftToken is the payload moved by ShiftDown/ShiftUp.
+// ShiftToken is the payload moved by ShiftDownStep/ShiftUpStep.
 type ShiftToken struct {
 	A, B int64
 	ID   ncc.ID
 }
 
-// ShiftDown moves every carrier's token from rank r to rank r−dist; tokens
-// whose destination would be negative must not be injected by the caller.
-// dist must be common knowledge (same at every node). Because the shift is
-// uniform, intermediate positions never collide: each node relays at most
-// one token per step.
+// ShiftDownStep moves every carrier's token from rank r to rank r−dist and
+// delivers the tokens that land at this node to k; tokens whose destination
+// would be negative must not be injected by the caller. dist must be common
+// knowledge (same at every node). Because the shift is uniform, intermediate
+// positions never collide: each node relays at most one token per step.
 //
 // Rounds: exactly ⌈log₂ n⌉ (one per bit of dist, missing bits idle).
-func ShiftDown(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int) []ShiftToken {
-	var out []ShiftToken
-	ncc.RunOps(nd, shiftStep(nd, ov, tok, dist, false, func(ts []ShiftToken) ncc.Op { out = ts; return ncc.Done() }))
-	return out
-}
-
-// ShiftUp moves every carrier's token from rank r to rank r+dist.
-func ShiftUp(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int) []ShiftToken {
-	var out []ShiftToken
-	ncc.RunOps(nd, shiftStep(nd, ov, tok, dist, true, func(ts []ShiftToken) ncc.Op { out = ts; return ncc.Done() }))
-	return out
-}
-
-// ShiftDownStep is the resumable form of ShiftDown.
 func ShiftDownStep(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
 	return shiftStep(nd, ov, tok, dist, false, k)
 }
 
-// ShiftUpStep is the resumable form of ShiftUp.
+// ShiftUpStep moves every carrier's token from rank r to rank r+dist, like
+// ShiftDownStep in the other direction.
 func ShiftUpStep(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
 	return shiftStep(nd, ov, tok, dist, true, k)
 }

@@ -82,8 +82,8 @@ type Sorter struct {
 }
 
 // RegisterOracle installs the oracle-sort collective on a simulation. It
-// must be called before Sim.Run for any protocol that may sort with the
-// Oracle method.
+// must be called before Sim.RunProgram for any protocol that may sort with
+// the Oracle method.
 func RegisterOracle(s *ncc.Sim) {
 	s.RegisterCollective(CollectiveOracleSort, oracleHandler)
 }
@@ -138,8 +138,7 @@ func ChargedRounds(n int) int {
 
 // SortStep arranges the nodes by non-increasing key using the Sorter's
 // method and delivers this node's rank and sorted neighbors to k. All nodes
-// must enter the sort at the same protocol point. This is the resumable form
-// the flat driver runs; Sort is its blocking adapter.
+// must enter the sort at the same protocol point.
 func (s *Sorter) SortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	switch s.Method {
 	case OddEven:
@@ -151,13 +150,6 @@ func (s *Sorter) SortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op
 			return k(w.Coll.(Result))
 		})
 	}
-}
-
-// Sort is the blocking form of SortStep.
-func (s *Sorter) Sort(nd *ncc.Node, key int64) Result {
-	var out Result
-	ncc.RunOps(nd, s.SortStep(nd, key, func(r Result) ncc.Op { out = r; return ncc.Done() }))
-	return out
 }
 
 // oddEvenSortStep is a real protocol: (key, id) pairs ripple along the Gk

@@ -1,10 +1,10 @@
 // Package trees implements the degree-sequence tree realizations of §5:
 //
-//   - RealizeChain (Algorithm 4): the k non-leaf nodes, sorted by
+//   - RealizeChainStep (Algorithm 4): the k non-leaf nodes, sorted by
 //     non-increasing degree, form a chain; each satisfies its remaining
 //     degree from a contiguous block of leaves located via distributed
 //     prefix sums. This yields the maximum-diameter realization.
-//   - RealizeGreedy (Algorithm 5): the greedy tree T_G — every node, in
+//   - RealizeGreedyStep (Algorithm 5): the greedy tree T_G — every node, in
 //     sorted order, adopts the next block of unparented nodes as children.
 //     By Lemma 15 the result has the minimum possible diameter over all
 //     tree realizations of the sequence.
@@ -67,16 +67,10 @@ func (o *Outcome) store(nd *ncc.Node, peer ncc.ID) {
 	o.Realized++
 }
 
-// RealizeChain runs Algorithm 4. deg is this node's required tree degree.
-// The realization is implicit except for the chain edges, which both
-// endpoints store (as the paper's line 9 specifies).
-func RealizeChain(nd *ncc.Node, env *core.Env, deg int) Outcome {
-	var out Outcome
-	ncc.RunOps(nd, RealizeChainStep(nd, env, deg, func(o Outcome) ncc.Op { out = o; return ncc.Done() }))
-	return out
-}
-
-// RealizeChainStep is the resumable form of RealizeChain.
+// RealizeChainStep runs Algorithm 4 and delivers the Outcome to kont. deg is
+// this node's required tree degree. The realization is implicit except for
+// the chain edges, which both endpoints store (as the paper's line 9
+// specifies).
 func RealizeChainStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
 	return validateStep(nd, env, deg, func(valid bool) ncc.Op {
@@ -157,17 +151,11 @@ func RealizeChainStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) n
 	})
 }
 
-// RealizeGreedy runs Algorithm 5, producing the minimum-diameter greedy
-// tree: the rank-0 node adopts the next d₀ ranks as children; every other
-// rank i adopts d_i − 1 children from the next unparented block, located via
-// a prefix-sum scan. Children store the edge to their parent (implicit).
-func RealizeGreedy(nd *ncc.Node, env *core.Env, deg int) Outcome {
-	var out Outcome
-	ncc.RunOps(nd, RealizeGreedyStep(nd, env, deg, func(o Outcome) ncc.Op { out = o; return ncc.Done() }))
-	return out
-}
-
-// RealizeGreedyStep is the resumable form of RealizeGreedy.
+// RealizeGreedyStep runs Algorithm 5, producing the minimum-diameter greedy
+// tree, and delivers the Outcome to kont: the rank-0 node adopts the next d₀
+// ranks as children; every other rank i adopts d_i − 1 children from the
+// next unparented block, located via a prefix-sum scan. Children store the
+// edge to their parent (implicit).
 func RealizeGreedyStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
 	return validateStep(nd, env, deg, func(valid bool) ncc.Op {

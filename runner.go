@@ -14,10 +14,9 @@ import (
 // pool that runs many independent realizations concurrently with bounded
 // parallelism, an LRU cache of completed results, and — for network-facing
 // use — a bounded admission queue with backpressure, per-job deadlines, and
-// exported counters. Each simulation already uses one goroutine per
-// simulated node, but a single run spends most of its wall clock blocked on
-// the round barrier; running independent jobs side by side is what actually
-// saturates the hardware, which is why sweeps (multi-seed, multi-n,
+// exported counters. Each simulation steps every node on one goroutine, so
+// a single run uses one core; running independent jobs side by side is what
+// actually saturates the hardware, which is why sweeps (multi-seed, multi-n,
 // multi-family) and HTTP traffic should go through a Runner rather than a
 // serial loop.
 
