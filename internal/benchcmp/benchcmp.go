@@ -42,69 +42,6 @@ func Parse(r io.Reader) (map[string][]float64, error) {
 	return out, nil
 }
 
-// fullLine additionally captures the -benchmem counters when present.
-var fullLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+(\d+)\s+([0-9.eE+]+)\s+ns/op(?:\s+([0-9.eE+]+)\s+B/op)?(?:\s+([0-9.eE+]+)\s+allocs/op)?`)
-
-// Result is one benchmark's medians over repeated samples, including the
-// -benchmem counters when the run reported them (zero otherwise).
-type Result struct {
-	Name     string  `json:"name"`
-	NsOp     float64 `json:"ns_op"`
-	BytesOp  float64 `json:"b_op"`
-	AllocsOp float64 `json:"allocs_op"`
-	Samples  int     `json:"samples"`
-}
-
-// ParseResults reads benchmark output (ideally produced with -benchmem) and
-// returns per-benchmark medians sorted by name — the recording form used by
-// committed BENCH_<sha>.json snapshots.
-func ParseResults(r io.Reader) ([]Result, error) {
-	type acc struct{ ns, b, allocs []float64 }
-	accs := map[string]*acc{}
-	var names []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		m := fullLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
-		if m == nil {
-			continue
-		}
-		a := accs[m[1]]
-		if a == nil {
-			a = &acc{}
-			accs[m[1]] = a
-			names = append(names, m[1])
-		}
-		for i, dst := range []*[]float64{&a.ns, &a.b, &a.allocs} {
-			field := m[3+i]
-			if field == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchcmp: bad value in %q: %v", sc.Text(), err)
-			}
-			*dst = append(*dst, v)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	out := make([]Result, 0, len(names))
-	for _, name := range names {
-		a := accs[name]
-		out = append(out, Result{
-			Name:     name,
-			NsOp:     Median(a.ns),
-			BytesOp:  Median(a.b),
-			AllocsOp: Median(a.allocs),
-			Samples:  len(a.ns),
-		})
-	}
-	return out, nil
-}
-
 // Median returns the median of vs (0 for an empty slice). It sorts a copy.
 func Median(vs []float64) float64 {
 	if len(vs) == 0 {

@@ -96,31 +96,3 @@ func TestCompareAndRegressions(t *testing.T) {
 		t.Fatalf("threshold applies per matching benchmark: %+v", regs)
 	}
 }
-
-func TestParseResultsWithBenchmem(t *testing.T) {
-	input := `
-goos: linux
-BenchmarkBatchRunner/n=256/sched=flat-8    	      10	   1000000 ns/op	  204800 B/op	    1024 allocs/op
-BenchmarkBatchRunner/n=256/sched=flat-8    	      10	   3000000 ns/op	  204800 B/op	    1026 allocs/op
-BenchmarkBatchRunner/n=256/sched=flat-8    	      10	   2000000 ns/op	  204800 B/op	    1025 allocs/op
-BenchmarkBarrierOverhead/n=256/sched=pool-8	     100	     50000 ns/op
-PASS
-`
-	results, err := ParseResults(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2: %+v", len(results), results)
-	}
-	// Name-sorted: BarrierOverhead first; counters absent without -benchmem.
-	if r := results[0]; r.Name != "BenchmarkBarrierOverhead/n=256/sched=pool" ||
-		r.NsOp != 50000 || r.BytesOp != 0 || r.AllocsOp != 0 || r.Samples != 1 {
-		t.Fatalf("bare result wrong: %+v", r)
-	}
-	// Medians over three samples, GOMAXPROCS suffix stripped.
-	if r := results[1]; r.Name != "BenchmarkBatchRunner/n=256/sched=flat" ||
-		r.NsOp != 2000000 || r.BytesOp != 204800 || r.AllocsOp != 1025 || r.Samples != 3 {
-		t.Fatalf("benchmem result wrong: %+v", r)
-	}
-}

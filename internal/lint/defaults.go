@@ -6,7 +6,7 @@ package lint
 
 // TracePackages are the packages whose code can affect an engine trace: the
 // engine itself plus every protocol package that runs under it (the same set
-// the CI resumable-step suite drives). D001 scopes to these.
+// the CI resumable-step suite drives). D001 and G001 scope to these.
 var TracePackages = []string{
 	"graphrealize/internal/ncc",
 	"graphrealize/internal/primitives",
@@ -29,7 +29,7 @@ var RequestPathPackages = []string{
 func DefaultChecks() []Check {
 	return []Check{
 		&D001{Packages: TracePackages},
-		&G001{Pkg: "graphrealize/internal/ncc", RootFiles: []string{"flat.go", "program.go"}},
+		&G001{Packages: TracePackages},
 		&W001{
 			Pkg:      "graphrealize/internal/wire",
 			Files:    []string{"decoder.go", "wire.go"},

@@ -126,7 +126,7 @@ func TestGoldenD001(t *testing.T) {
 
 func TestGoldenG001(t *testing.T) {
 	pkgs := loadGolden(t, "g001")
-	checkGolden(t, pkgs, []Check{&G001{Pkg: pkgs[0].PkgPath, RootFiles: []string{"flat.go"}}})
+	checkGolden(t, pkgs, []Check{&G001{Packages: []string{pkgs[0].PkgPath}}})
 }
 
 func TestGoldenW001(t *testing.T) {

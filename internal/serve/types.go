@@ -41,6 +41,12 @@ func (o *OptionsJSON) toOptions() (*graphrealize.Options, error) {
 	if o == nil {
 		return nil, nil
 	}
+	if o.CapMul < 0 {
+		return nil, fmt.Errorf("cap_mul %d is negative (0 selects the default)", o.CapMul)
+	}
+	if o.MaxRounds < 0 {
+		return nil, fmt.Errorf("max_rounds %d is negative (0 selects the default)", o.MaxRounds)
+	}
 	out := &graphrealize.Options{
 		Seed:      o.Seed,
 		Strict:    o.Strict,
