@@ -123,10 +123,7 @@ func TestSchedulerFacadeConformance(t *testing.T) {
 		label := fmt.Sprintf("%d/%s", i, j.Kind)
 		want, traceDigest := reference(t.Context(), j)
 		got := Execute(t.Context(), j)
-		var rec struct{ trace, result string }
-		if i < len(facadeDigests) {
-			rec = facadeDigests[i]
-		}
+		rec := facadeDigests[i]
 		if traceDigest != rec.trace {
 			t.Errorf("%s: trace digest %s, recorded %s", label, traceDigest, rec.trace)
 		}
