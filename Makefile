@@ -62,10 +62,12 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# Pipe consecutive runs into benchstat to compare engine changes; the
-# delivery/barrier benchmarks track allocs/op, the batch benchmark the
-# Runner speedup over a serial loop. -short skips the ~40s/iteration
-# n=65536 batch-runner case.
+# Pipe consecutive runs into benchstat to compare engine changes:
+# BenchmarkEngineJobs is the engine allocation table (allocs/op, msgs and
+# allocs/msg for four cold jobs; TestEngineAllocCeilings pins the counts),
+# the delivery/barrier benchmarks track the engine loop's own allocs/op,
+# the batch benchmark the Runner speedup over a serial loop. -short skips
+# the ~40s/iteration n=65536 batch-runner case.
 bench:
 	$(GO) test -short -run '^$$' -bench . -benchmem ./...
 

@@ -9,6 +9,8 @@ package graphrealize_test
 // harness itself now drives its sweeps through graphrealize.Runner.
 
 import (
+	"context"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -154,7 +156,7 @@ func BenchmarkBatchRunner(b *testing.B) {
 // BenchmarkRealizeDegreesRounds reports the paper's own figure of merit —
 // NCC rounds — for the headline algorithm across n, as ns-agnostic custom
 // metrics (rounds, real rounds, messages). Allocation counts are reported
-// too, so benchstat runs track the pooled delivery path.
+// too; BenchmarkEngineJobs holds the per-message allocation table.
 func BenchmarkRealizeDegreesRounds(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		d := gen.FromRandomGraph(n, 8.0/float64(n), int64(n))
@@ -171,6 +173,90 @@ func BenchmarkRealizeDegreesRounds(b *testing.B) {
 			b.ReportMetric(float64(st.Rounds), "rounds")
 			b.ReportMetric(float64(st.Rounds-st.ChargedRounds), "realrounds")
 			b.ReportMetric(float64(st.Messages), "msgs")
+		})
+	}
+}
+
+// engineJob is one row of the engine allocation table (DESIGN.md §2): a
+// cold job whose cost is almost all engine rounds and protocol steps, and
+// the most allocations TestEngineAllocCeilings lets one run make.
+type engineJob struct {
+	name      string
+	job       graphrealize.Job
+	maxAllocs float64
+}
+
+// engineJobs returns the allocation table's four jobs, one per protocol
+// family that dominates cold serving. Each ceiling sits at most 3% above
+// the count measured with go1.24.0 (linux/amd64), identical across runs:
+// 3,301,508, 431,456, 442,674 and 798,875 allocations. The slack is for
+// the other Go release CI builds with; lower a ceiling when an allocation
+// is removed.
+func engineJobs() []engineJob {
+	seed1 := func(m graphrealize.Model) *graphrealize.Options {
+		return &graphrealize.Options{Model: m, Seed: 1}
+	}
+	return []engineJob{
+		{"degrees/n=1024", graphrealize.Job{Kind: graphrealize.JobDegrees,
+			Seq: gen.FromRandomGraph(1024, 8.0/1024, 1024), Opt: seed1(graphrealize.NCC0)}, 3_400_000},
+		{"chain-tree/n=2048", graphrealize.Job{Kind: graphrealize.JobChainTree,
+			Seq: gen.TreeSequence(2048, 5), Opt: seed1(graphrealize.NCC0)}, 444_000},
+		{"connectivity-ncc1/n=4096", graphrealize.Job{Kind: graphrealize.JobConnectivity,
+			Seq: gen.Regular(4096, 4), Opt: seed1(graphrealize.NCC1)}, 455_000},
+		{"connectivity-ncc0/n=1024", graphrealize.Job{Kind: graphrealize.JobConnectivity,
+			Seq: gen.Regular(1024, 4), Opt: seed1(graphrealize.NCC0)}, 822_000},
+	}
+}
+
+// runEngineJob executes j and returns the messages it delivered.
+func runEngineJob(tb testing.TB, j graphrealize.Job) int64 {
+	res := graphrealize.Execute(context.Background(), j)
+	if res.Err != nil {
+		tb.Fatal(res.Err)
+	}
+	return res.Stats.Messages
+}
+
+// BenchmarkEngineJobs is the engine allocation table: per job, allocs/op,
+// the messages delivered (msgs) and allocations per delivered message
+// (allocs/msg). Allocation counts are deterministic — the engine keeps no
+// sync.Pool — so they compare exactly across runs, unlike ns/op.
+func BenchmarkEngineJobs(b *testing.B) {
+	for _, ej := range engineJobs() {
+		b.Run(ej.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			var msgs int64
+			for i := 0; i < b.N; i++ {
+				msgs = runEngineJob(b, ej.job)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(msgs), "msgs")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(msgs), "allocs/msg")
+		})
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestEngineAllocCeilings pins each engine job's allocations, so a change
+// that adds per-message or per-round garbage fails here rather than only in
+// a benchmark nobody reruns.
+func TestEngineAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's sync.Pool drops items on purpose, so counts vary")
+	}
+	for _, ej := range engineJobs() {
+		t.Run(ej.name, func(t *testing.T) {
+			got := testing.AllocsPerRun(1, func() { runEngineJob(t, ej.job) })
+			t.Logf("%.0f allocs", got)
+			if got > ej.maxAllocs {
+				t.Fatalf("%.0f allocs per run, ceiling %.0f", got, ej.maxAllocs)
+			}
 		})
 	}
 }

@@ -77,7 +77,8 @@ type Options struct {
 	CapMul int
 	// Sort selects the sorting subroutine implementation.
 	Sort SortMethod
-	// MaxRounds aborts runaway protocols (default 50M).
+	// MaxRounds aborts runaway protocols (default 50M); a run that exceeds
+	// it fails with ErrBadInput.
 	MaxRounds int
 	// Progress, when non-nil, receives (rounds completed, messages delivered)
 	// at every round barrier of the run — the hook long-running services use
@@ -119,7 +120,8 @@ var (
 	// ErrUnrealizable reports that the input admits no realization (the
 	// distributed algorithm's Unrealizable broadcast).
 	ErrUnrealizable = errors.New("graphrealize: sequence is not realizable")
-	// ErrBadInput reports malformed input (empty sequence, wrong length).
+	// ErrBadInput reports malformed input (empty sequence, wrong length) or
+	// a MaxRounds cap too small for the job, which wraps ncc.ErrMaxRounds.
 	ErrBadInput = errors.New("graphrealize: invalid input")
 )
 
@@ -237,13 +239,18 @@ func (o Options) simConfig(ctx context.Context, n int, inputs []any) ncc.Config 
 	}
 }
 
-// mapRunErr translates the engine's cancellation sentinel into the context's
-// own error so callers can match context.Canceled / context.DeadlineExceeded.
+// mapRunErr translates the engine's sentinels into the facade's vocabulary.
+// Cancellation becomes the context's own error, so callers can match
+// context.Canceled / context.DeadlineExceeded. An exceeded MaxRounds is the
+// caller's cap being too small for its job, so it is wrapped in ErrBadInput.
 func mapRunErr(ctx context.Context, err error) error {
-	if err != nil && errors.Is(err, ncc.ErrCanceled) {
+	switch {
+	case errors.Is(err, ncc.ErrCanceled):
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
+	case errors.Is(err, ncc.ErrMaxRounds):
+		return fmt.Errorf("%w: %w", ErrBadInput, err)
 	}
 	return err
 }

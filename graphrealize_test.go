@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"graphrealize/internal/ncc"
 )
 
 func TestFacadeRealizeDegrees(t *testing.T) {
@@ -33,6 +35,15 @@ func TestFacadeUnrealizable(t *testing.T) {
 	}
 	if _, _, err := RealizeDegrees(nil, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("want ErrBadInput, got %v", err)
+	}
+}
+
+// TestFacadeMaxRoundsIsBadInput: a run that exceeds the caller's MaxRounds
+// cap is the caller's input error, not a server fault.
+func TestFacadeMaxRoundsIsBadInput(t *testing.T) {
+	_, _, err := RealizeDegrees([]int{1, 1}, &Options{MaxRounds: 1})
+	if !errors.Is(err, ErrBadInput) || !errors.Is(err, ncc.ErrMaxRounds) {
+		t.Fatalf("want ErrBadInput wrapping ncc.ErrMaxRounds, got %v", err)
 	}
 }
 

@@ -226,9 +226,9 @@ func LocalAggregateStep(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf
 				case kLReg:
 					t := c.rendezvous(m.A)
 					if t == c.Pos {
-						regTarget[m.A] = m.IDs[0]
+						regTarget[m.A] = m.IDs()[0]
 					} else {
-						regQueue = append(regQueue, regPkt{m.A, m.IDs[0]})
+						regQueue = append(regQueue, regPkt{m.A, m.IDs()[0]})
 					}
 				case kLAgg:
 					t := c.rendezvous(m.A)
@@ -482,9 +482,9 @@ func LocalCollectStep(nd *ncc.Node, c *LocalCtx, tokens []GroupToken, destOf []i
 				case kLReg:
 					t := c.rendezvous(m.A)
 					if t == c.Pos {
-						regTarget[m.A] = m.IDs[0]
+						regTarget[m.A] = m.IDs()[0]
 					} else {
-						regQueue = append(regQueue, regPkt{m.A, m.IDs[0]})
+						regQueue = append(regQueue, regPkt{m.A, m.IDs()[0]})
 					}
 				case kLCollect:
 					t := c.rendezvous(m.A)

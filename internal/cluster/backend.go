@@ -178,6 +178,12 @@ func (b *Backend) run(ctx context.Context, j graphrealize.Job) graphrealize.Resu
 		ctx, cancel = context.WithTimeout(ctx, j.Timeout)
 		defer cancel()
 	}
+	// Round-level progress does not cross the proxy hop, but the queued →
+	// running transition does: the job runs from the moment it is proxied
+	// (CLUSTER.md §8.2).
+	if j.Opt != nil && j.Opt.Progress != nil {
+		j.Opt.Progress(0, 0)
+	}
 	key := j.RouteKey()
 	start := time.Now()
 	tried := make(map[string]bool)

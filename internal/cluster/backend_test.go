@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -360,5 +361,42 @@ func TestBackendTracePropagation(t *testing.T) {
 	}
 	if got != "trace-e2e-01" {
 		t.Fatalf("worker saw X-Request-Id %q, want the job's trace ID (CLUSTER.md §5.4)", got)
+	}
+}
+
+// TestBackendReportsDispatchAsRunning: a proxied job's progress hook fires
+// once, with (0, 0), before the worker sees the request, so an async job
+// submitted to a coordinator turns running while a worker executes it
+// (CLUSTER.md §8.2).
+func TestBackendReportsDispatchAsRunning(t *testing.T) {
+	var calls, callsAtWorker atomic.Int32
+	inner := serve.New(serve.Config{Backend: graphrealize.NewRunner(1)}).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		callsAtWorker.Store(calls.Load())
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	reg := cluster.NewRegistry(cluster.RegistryConfig{SuspectAfter: time.Minute})
+	if err := reg.Register(cluster.RegisterRequest{Name: "w1", Addr: srv.URL}); err != nil {
+		t.Fatal(err)
+	}
+	b := cluster.NewBackend(cluster.BackendConfig{Registry: reg})
+	progress := func(round, msgs int) {
+		if round != 0 || msgs != 0 {
+			t.Errorf("progress(%d, %d), want (0, 0): rounds do not cross the hop", round, msgs)
+		}
+		calls.Add(1)
+	}
+	res := submit(t, b, graphrealize.Job{
+		Kind: graphrealize.JobDegrees, Seq: []int{2, 1, 1},
+		Opt: &graphrealize.Options{Seed: 5, Progress: progress},
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if calls.Load() != 1 || callsAtWorker.Load() != 1 {
+		t.Fatalf("progress calls: %d in total, %d before the worker saw the request; want 1 and 1",
+			calls.Load(), callsAtWorker.Load())
 	}
 }

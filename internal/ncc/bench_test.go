@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkDeliveryPooling drives the densest delivery workload — every node
-// sends to its successor every round — so allocs/op tracks the receive-buffer
-// pool in the delivery layer. Compare runs with benchstat to catch pooling
-// regressions.
+// sends to its successor every round — so allocs/op tracks the delivery
+// layer's free list of receive buffers: once warm, a round allocates no
+// buffer. Compare runs with benchstat to catch buffer-reuse regressions.
 func BenchmarkDeliveryPooling(b *testing.B) {
 	const n, rounds = 256, 64
 	b.Run("sched=flat", func(b *testing.B) {

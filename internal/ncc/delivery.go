@@ -1,17 +1,13 @@
 package ncc
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // delivery is the message-routing layer: it moves every active node's outbox
 // into the destinations' inboxes at the end of a round, enforces the model's
-// receive capacity, and owns the pool of receive buffers. It knows nothing
+// receive capacity, and keeps the spare receive buffers. It knows nothing
 // about rounds advancing or node scheduling — the engine calls route once per
 // barrier and reads back which awaiting nodes got mail.
 type delivery struct {
-	index    map[ID]int
 	nodes    []*Node
 	capacity int
 	strict   bool
@@ -20,20 +16,16 @@ type delivery struct {
 	touched []int   // scratch: indices with nonzero recvCnt this round
 	woken   []*Node // scratch: awaiters woken this round, consumed before the next route
 
-	// bufPool recycles inbox slices. A node's inbox slice is handed to its
-	// next step and stays valid until the node suspends again, at which
-	// point the step returns it here (see Sim.step). Pooling the buffers
-	// removes the dominant per-round allocation of busy protocols.
-	// ptrPool recycles the *[]Message wrapper objects themselves so that
-	// Put never escapes a freshly allocated pointer (the classic sync.Pool
-	// trap that would hand the allocation right back).
-	bufPool sync.Pool
-	ptrPool sync.Pool
+	// spare is a free list of empty inbox buffers. A node's inbox is handed
+	// to its next step and stays valid until the node suspends again, at
+	// which point the step returns it here (see Sim.step). A Sim runs on one
+	// goroutine, so a plain slice suffices, and since Message holds no
+	// pointers a spare buffer pins nothing and needs no clearing.
+	spare [][]Message
 }
 
-func newDelivery(index map[ID]int, nodes []*Node, capacity int, strict bool) *delivery {
+func newDelivery(nodes []*Node, capacity int, strict bool) *delivery {
 	return &delivery{
-		index:    index,
 		nodes:    nodes,
 		capacity: capacity,
 		strict:   strict,
@@ -41,40 +33,32 @@ func newDelivery(index map[ID]int, nodes []*Node, capacity int, strict bool) *de
 	}
 }
 
-// buffer returns an empty receive buffer, reusing a pooled one if available.
+// buffer returns an empty receive buffer, reusing a spare one if available.
 func (d *delivery) buffer() []Message {
-	p, _ := d.bufPool.Get().(*[]Message)
-	if p == nil {
+	k := len(d.spare)
+	if k == 0 {
 		return make([]Message, 0, 8)
 	}
-	buf := *p
-	*p = nil
-	d.ptrPool.Put(p)
-	return buf[:0]
+	buf := d.spare[k-1]
+	d.spare = d.spare[:k-1]
+	return buf
 }
 
-// recycle returns a receive buffer to the pool. The full capacity is cleared
-// so the pool does not pin Message.IDs slices from old rounds.
+// recycle returns a receive buffer to the free list.
 func (d *delivery) recycle(buf []Message) {
-	if cap(buf) == 0 {
-		return
+	if cap(buf) > 0 {
+		d.spare = append(d.spare, buf[:0])
 	}
-	buf = buf[:cap(buf)]
-	clear(buf)
-	p, _ := d.ptrPool.Get().(*[]Message)
-	if p == nil {
-		p = new([]Message)
-	}
-	*p = buf[:0]
-	d.bufPool.Put(p)
 }
 
 // route delivers every active node's outbox, enforcing receive capacity, and
 // returns the awaiters that received mail plus the first strict-mode error.
-// Inbox order is deterministic: senders are processed in Gk-index order
-// (active is sorted) and each outbox in send order. met is updated with
-// message counts and congestion statistics for the round.
-func (d *delivery) route(active []*Node, awaiters map[int]*Node, round int, met *Metrics) (woken []*Node, err error) {
+// A woken awaiter's state becomes stateWoken, so a second message in the
+// same round does not wake it again. Inbox order is deterministic: senders
+// are processed in Gk-index order (active is sorted) and each outbox in send
+// order. met is updated with message counts and congestion statistics for
+// the round.
+func (d *delivery) route(active []*Node, round int, met *Metrics) (woken []*Node, err error) {
 	touched := d.touched[:0]
 	woken = d.woken[:0]
 	maxSent := 0
@@ -83,24 +67,20 @@ func (d *delivery) route(active []*Node, awaiters map[int]*Node, round int, met 
 			maxSent = len(nd.outbox)
 		}
 		for i := range nd.outbox {
-			m := nd.outbox[i]
-			dsti, ok := d.index[m.dst]
-			if !ok {
-				continue // unreachable: Send validated
-			}
+			dsti := nd.outbox[i].dstIdx
 			dst := d.nodes[dsti]
 			if d.recvCnt[dsti] == 0 {
-				touched = append(touched, dsti)
+				touched = append(touched, int(dsti))
 			}
 			d.recvCnt[dsti]++
 			if dst.inbox == nil {
 				dst.inbox = d.buffer()
 			}
-			dst.inbox = append(dst.inbox, m)
+			dst.inbox = append(dst.inbox, nd.outbox[i])
 			met.Messages++
-			if aw, isAw := awaiters[dsti]; isAw {
-				delete(awaiters, dsti)
-				woken = append(woken, aw)
+			if dst.state == stateAwait {
+				dst.state = stateWoken
+				woken = append(woken, dst)
 			}
 		}
 		nd.outbox = nd.outbox[:0]

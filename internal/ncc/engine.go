@@ -44,7 +44,7 @@ func (s *Sim) drive() {
 			case stateDone:
 				justDone++
 			case stateAwait:
-				s.awaiters[nd.idx] = nd
+				s.awaiting++
 			case stateSleep:
 				heap.Push(&s.sleepers, nd)
 			case stateCollective:
@@ -71,15 +71,16 @@ func (s *Sim) drive() {
 			// slice performs no further communication and does not start a
 			// new round. Deliver only to account for sent messages — a
 			// strict-mode capacity violation here is still a run error.
-			_, derr := s.del.route(s.active, s.awaiters, s.round, &s.met)
+			_, derr := s.del.route(s.active, s.round, &s.met)
 			if derr != nil && s.firstErr == nil {
 				s.firstErr = derr
 			}
 			return
 		}
 		pt.beginDelivery()
-		woken, derr := s.del.route(s.active, s.awaiters, s.round, &s.met)
+		woken, derr := s.del.route(s.active, s.round, &s.met)
 		pt.endDelivery()
+		s.awaiting -= len(woken)
 		if derr != nil && s.firstErr == nil {
 			s.firstErr = derr
 		}
@@ -91,7 +92,7 @@ func (s *Sim) drive() {
 		// Advance the round and compute the next active set.
 		s.round++
 		if s.round > s.cfg.MaxRounds {
-			s.firstErr = fmt.Errorf("ncc: exceeded MaxRounds=%d", s.cfg.MaxRounds)
+			s.firstErr = fmt.Errorf("%w=%d", ErrMaxRounds, s.cfg.MaxRounds)
 			s.killAll()
 			return
 		}
@@ -214,7 +215,7 @@ func (s *Sim) runCollective(coll []*Node) bool {
 			return false
 		}
 	}
-	if len(coll)+s.doneCnt != s.n || s.sleepers.Len() > 0 || len(s.awaiters) > 0 {
+	if len(coll)+s.doneCnt != s.n || s.sleepers.Len() > 0 || s.awaiting > 0 {
 		s.firstErr = fmt.Errorf("ncc: collective %q entered by %d of %d live nodes at round %d",
 			tag, len(coll), s.n-s.doneCnt, s.round)
 		return false

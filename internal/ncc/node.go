@@ -13,6 +13,7 @@ const (
 	stateAwait                       // sleeping until a message is delivered
 	stateSleep                       // sleeping until wakeRound
 	stateCollective                  // waiting inside a collective operation
+	stateWoken                       // an awaiter that received mail; acts next round
 	stateDone                        // protocol finished (or the run failed)
 )
 
@@ -23,8 +24,8 @@ type Node struct {
 	id  ID
 	idx int // internal index in Gk order; not exposed to protocols
 
-	rng   *rand.Rand      // seeded on first Rand call; most nodes never draw
-	known map[ID]struct{} // NCC0 knowledge set; nil in NCC1
+	rng   *rand.Rand // seeded on first Rand call; most nodes never draw
+	known idSet      // NCC0 knowledge set; empty in NCC1
 
 	initialSucc ID  // Gk successor (None for the tail)
 	input       any // protocol input (e.g. required degree), set by the runner
@@ -46,7 +47,6 @@ type Node struct {
 	collOut any
 
 	sentThisRound int
-	seq           uint32
 
 	neighbors    []ID
 	outputs      map[string]int64
@@ -115,16 +115,15 @@ func (nd *Node) Knows(id ID) bool {
 		_, ok := nd.sim.index[id]
 		return ok
 	}
-	_, ok := nd.known[id]
-	return ok
+	return nd.known.has(id)
 }
 
 // Learn records that this node knows id without a message exchange. It is
 // used by the runner to install pre-existing knowledge and by collective
 // operations whose outputs carry IDs. Protocols themselves never need it.
 func (nd *Node) Learn(id ID) {
-	if nd.known != nil && id != None && id != nd.id {
-		nd.known[id] = struct{}{}
+	if nd.sim.cfg.Model == NCC0 && id != nd.id {
+		nd.known.add(id)
 	}
 }
 
@@ -136,13 +135,12 @@ func (nd *Node) Send(dst ID, m Message) {
 	if dst == nd.id {
 		nd.fail("send to self")
 	}
-	if _, ok := nd.sim.index[dst]; !ok {
+	dsti, ok := nd.sim.index[dst]
+	if !ok {
 		nd.fail("send to nonexistent ID %d", dst)
 	}
-	if nd.known != nil {
-		if _, ok := nd.known[dst]; !ok {
-			nd.fail("NCC0 send to unknown ID %d", dst)
-		}
+	if nd.sim.cfg.Model == NCC0 && !nd.known.has(dst) {
+		nd.fail("NCC0 send to unknown ID %d", dst)
 	}
 	if err := m.validate(); err != nil {
 		nd.fail("%v", err)
@@ -152,9 +150,7 @@ func (nd *Node) Send(dst ID, m Message) {
 		nd.sim.sendViol++
 	}
 	m.Src = nd.id
-	m.dst = dst
-	m.seq = nd.seq
-	nd.seq++
+	m.dstIdx = int32(dsti)
 	nd.outbox = append(nd.outbox, m)
 }
 

@@ -105,12 +105,12 @@ func (s *Sim) step(nd *Node) {
 		in := nd.inbox
 		nd.inbox = nil
 		nd.retired = in
-		if nd.known != nil {
+		if s.cfg.Model == NCC0 {
 			for i := range in {
-				nd.known[in[i].Src] = struct{}{}
-				for _, id := range in[i].IDs {
-					if id != None && id != nd.id {
-						nd.known[id] = struct{}{}
+				nd.known.add(in[i].Src)
+				for _, id := range in[i].IDs() {
+					if id != nd.id {
+						nd.known.add(id)
 					}
 				}
 			}

@@ -1,9 +1,10 @@
 package ncc
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -78,6 +79,10 @@ var ErrDeadlock = errors.New("ncc: deadlock: all live nodes await messages and n
 // completes.
 var ErrCanceled = errors.New("ncc: run canceled")
 
+// ErrMaxRounds is returned, wrapped with the limit ("…=50"), when a run
+// exceeds Config.MaxRounds.
+var ErrMaxRounds = errors.New("ncc: exceeded MaxRounds")
+
 // CollectiveOut is the per-node output of a collective handler. Learn lists
 // IDs the node acquires knowledge of (NCC0 bookkeeping for centrally executed
 // primitives).
@@ -113,7 +118,7 @@ type Sim struct {
 	round       int
 	active      []*Node // nodes woken for the current round
 	nextScratch []*Node // reusable buffer for nextActive
-	awaiters    map[int]*Node
+	awaiting    int     // nodes in stateAwait
 	sleepers    sleepHeap
 	doneCnt     int
 
@@ -145,15 +150,11 @@ func New(cfg Config) *Sim {
 		capacity:    capacity,
 		index:       make(map[ID]int, n),
 		collectives: make(map[string]CollectiveHandler),
-		awaiters:    make(map[int]*Node),
 	}
 	s.assignIDs()
 	s.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		nd := &Node{sim: s, id: s.ids[i], idx: i}
-		if cfg.Model == NCC0 {
-			nd.known = make(map[ID]struct{}, 8)
-		}
 		if i+1 < n {
 			nd.initialSucc = s.ids[i+1]
 			nd.Learn(nd.initialSucc)
@@ -163,7 +164,7 @@ func New(cfg Config) *Sim {
 		}
 		s.nodes[i] = nd
 	}
-	s.del = newDelivery(s.index, s.nodes, capacity, cfg.Strict)
+	s.del = newDelivery(s.nodes, capacity, cfg.Strict)
 	s.met = Metrics{N: n, Capacity: capacity, CollectiveCalls: make(map[string]int)}
 	return s
 }
@@ -196,14 +197,14 @@ func (s *Sim) assignIDs() {
 	if !s.cfg.OrderedIDs {
 		rng.Shuffle(n, func(i, j int) { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] })
 	} else {
-		sort.Slice(s.ids, func(i, j int) bool { return s.ids[i] < s.ids[j] })
+		slices.Sort(s.ids)
 	}
 	for i, id := range s.ids {
 		s.index[id] = i
 	}
 	s.allIDs = make([]ID, n)
 	copy(s.allIDs, s.ids)
-	sort.Slice(s.allIDs, func(i, j int) bool { return s.allIDs[i] < s.allIDs[j] })
+	slices.Sort(s.allIDs)
 }
 
 // RegisterCollective installs a named collective handler. See Collective.
@@ -222,7 +223,7 @@ func (s *Sim) Capacity() int { return s.capacity }
 
 // sortNodesByIdx orders a wake set deterministically by Gk index.
 func sortNodesByIdx(nodes []*Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].idx < nodes[j].idx })
+	slices.SortFunc(nodes, func(a, b *Node) int { return cmp.Compare(a.idx, b.idx) })
 }
 
 // mix64 is a splitmix64-style mixer for deterministic seed derivation.

@@ -232,8 +232,8 @@ func TestDeadlockDetection(t *testing.T) {
 func TestMaxRoundsAbort(t *testing.T) {
 	s := New(Config{N: 4, Seed: 9, MaxRounds: 50})
 	_, err := s.RunProgram(func(nd *Node) Op { return Next(forever) })
-	if err == nil || !strings.Contains(err.Error(), "MaxRounds") {
-		t.Fatalf("want MaxRounds error, got %v", err)
+	if !errors.Is(err, ErrMaxRounds) || err.Error() != "ncc: exceeded MaxRounds=50" {
+		t.Fatalf("want ErrMaxRounds naming the limit, got %v", err)
 	}
 }
 
@@ -509,37 +509,112 @@ func TestQuickHelloAnyN(t *testing.T) {
 	}
 }
 
+// TestKnowsSemantics checks NCC0 knowledge transfer: a node knows itself
+// and its successor, learns every sender, never knows None, is taught
+// nothing by None or its own ID, and keeps an exact set as it grows.
 func TestKnowsSemantics(t *testing.T) {
-	s := New(Config{N: 3, Seed: 47, Strict: true})
-	ids := s.IDs()
-	_, err := s.RunProgram(func(nd *Node) Op {
-		if !nd.Knows(nd.ID()) {
-			nd.fail("node must know itself")
-		}
-		switch nd.ID() {
-		case ids[0]:
-			if !nd.Knows(ids[1]) {
-				nd.fail("head must know its successor")
+	t.Run("path", func(t *testing.T) {
+		s := New(Config{N: 3, Seed: 47, Strict: true})
+		ids := s.IDs()
+		_, err := s.RunProgram(func(nd *Node) Op {
+			if !nd.Knows(nd.ID()) {
+				nd.fail("node must know itself")
 			}
-			if nd.Knows(ids[2]) {
-				nd.fail("head must not know the tail initially")
+			if nd.Knows(None) {
+				nd.fail("no node knows None")
 			}
-			nd.Send(ids[1], Message{}.WithIDs(nd.ID()))
-			return Done()
-		case ids[1]:
-			return Next(func(nd *Node, w Wake) Op {
-				if len(w.Msgs) != 1 || !nd.Knows(w.Msgs[0].Src) {
-					nd.fail("receiver must learn sender")
+			switch nd.ID() {
+			case ids[0]:
+				if !nd.Knows(ids[1]) {
+					nd.fail("head must know its successor")
 				}
-				return Done()
-			})
-		default:
-			return Next(finish)
+				if nd.Knows(ids[2]) {
+					nd.fail("head must not know the tail initially")
+				}
+				nd.Send(ids[1], Message{}.WithIDs(nd.ID()))
+				return Next(func(nd *Node, w Wake) Op {
+					// Carries only None and the receiver's own ID, from a
+					// sender the receiver already knows.
+					nd.Send(ids[1], Message{}.WithIDs(None, ids[1]))
+					return Done()
+				})
+			case ids[1]:
+				return Next(func(nd *Node, w Wake) Op {
+					if len(w.Msgs) != 1 || !nd.Knows(w.Msgs[0].Src) {
+						nd.fail("receiver must learn sender")
+					}
+					before := nd.known.n
+					return Next(func(nd *Node, w Wake) Op {
+						if len(w.Msgs) != 1 {
+							nd.fail("want the (None, self) message, got %d", len(w.Msgs))
+						}
+						if nd.known.n != before || nd.Knows(None) {
+							nd.fail("a message carrying None and self taught %d IDs", nd.known.n-before)
+						}
+						return Done()
+					})
+				})
+			default:
+				return Next(func(*Node, Wake) Op { return Next(finish) })
+			}
+		})
+		if err != nil {
+			t.Fatalf("run: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+
+	t.Run("ncc1-none", func(t *testing.T) {
+		s := New(Config{N: 3, Seed: 47, Model: NCC1})
+		_, err := s.RunProgram(func(nd *Node) Op {
+			if nd.Knows(None) {
+				nd.fail("no node knows None in NCC1")
+			}
+			return Done()
+		})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+
+	// The head installs 120 IDs and passes them to its successor, four per
+	// message: enough to grow the receiver's set several times. The
+	// receiver must then know exactly itself, the head and those IDs (its
+	// own successor among them).
+	t.Run("many-ids", func(t *testing.T) {
+		const taught = 120
+		s := New(Config{N: 200, Seed: 59})
+		ids := s.IDs()
+		lesson := ids[2 : 2+taught]
+		_, err := s.RunProgram(func(nd *Node) Op {
+			switch nd.ID() {
+			case ids[0]:
+				for _, id := range lesson {
+					nd.Learn(id)
+				}
+				for i := 0; i < taught; i += MaxIDsPerMessage {
+					nd.Send(ids[1], Message{}.WithIDs(lesson[i:i+MaxIDsPerMessage]...))
+				}
+				return Done()
+			case ids[1]:
+				return Next(func(nd *Node, w Wake) Op {
+					if nd.known.n != taught+1 {
+						nd.fail("knows %d IDs, want %d", nd.known.n, taught+1)
+					}
+					for i, id := range ids {
+						if want := i < 2+taught; nd.Knows(id) != want {
+							nd.fail("Knows(ids[%d]) = %v, want %v", i, !want, want)
+						}
+					}
+					return Done()
+				})
+			default:
+				return Next(finish)
+			}
+		})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
 }
 
 func TestMessageTooManyIDs(t *testing.T) {
@@ -547,7 +622,7 @@ func TestMessageTooManyIDs(t *testing.T) {
 	ids := s.IDs()
 	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			nd.Send(ids[1], Message{IDs: []ID{1, 2, 3, 4, 5}})
+			nd.Send(ids[1], Message{}.WithIDs(1, 2, 3, 4, 5))
 		}
 		return Next(finish)
 	})

@@ -107,9 +107,9 @@ func BuildLevelsStep(nd *ncc.Node, p Path, k func(Levels) ncc.Op) ncc.Op {
 			for _, m := range w.Msgs {
 				switch m.Kind {
 				case kGrandPred:
-					l.Pred[r+1] = m.IDs[0]
+					l.Pred[r+1] = m.IDs()[0]
 				case kGrandSucc:
-					l.Succ[r+1] = m.IDs[0]
+					l.Succ[r+1] = m.IDs()[0]
 				}
 			}
 			return level(r + 1)

@@ -42,9 +42,9 @@ func BuildWarmupTreeStep(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
 			for _, m := range w.Msgs {
 				switch m.Kind {
 				case kWGrandPred:
-					gpred = m.IDs[0]
+					gpred = m.IDs()[0]
 				case kWGrandSucc:
-					gsucc = m.IDs[0]
+					gsucc = m.IDs()[0]
 				}
 			}
 			// Round 2: leftmost nodes claim their children and leave the path.

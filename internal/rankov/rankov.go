@@ -121,8 +121,8 @@ func DisseminateStep(nd *ncc.Node, ov *Overlay, gk *primitives.Tree, job *Job, k
 					continue
 				}
 				j := Job{Val: m.A, Lo: int(m.B), Hi: int(m.C)}
-				if len(m.IDs) > 0 {
-					j.Payload = m.IDs[0]
+				if len(m.IDs()) > 0 {
+					j.Payload = m.IDs()[0]
 				}
 				queue = append(queue, j)
 			}
@@ -171,7 +171,7 @@ func processPacket(nd *ncc.Node, ov *Overlay, j Job, delivered *[]Job) {
 func sendJob(nd *ncc.Node, dst ncc.ID, j Job) {
 	m := ncc.Message{Kind: kPacket, A: j.Val, B: int64(j.Lo), C: int64(j.Hi)}
 	if j.Payload != ncc.None {
-		m.IDs = []ncc.ID{j.Payload}
+		m = m.WithIDs(j.Payload)
 	}
 	nd.Send(dst, m)
 }
@@ -260,7 +260,7 @@ func shiftStep(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, up bool, k 
 				}
 				m := ncc.Message{Kind: kShift, A: tk.A, B: tk.B}
 				if tk.ID != ncc.None {
-					m.IDs = []ncc.ID{tk.ID}
+					m = m.WithIDs(tk.ID)
 				}
 				nd.Send(dst, m)
 			}
@@ -272,8 +272,8 @@ func shiftStep(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, up bool, k 
 					continue
 				}
 				tk := ShiftToken{A: m.A, B: m.B}
-				if len(m.IDs) > 0 {
-					tk.ID = m.IDs[0]
+				if len(m.IDs()) > 0 {
+					tk.ID = m.IDs()[0]
 				}
 				carrying = append(carrying, tk)
 			}

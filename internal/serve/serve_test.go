@@ -153,6 +153,8 @@ func TestRealizeRejectsMalformedRequests(t *testing.T) {
 		{"negative max_rounds", "/v1/realize/degree", `{"sequence":[2,2,2],"options":{"max_rounds":-1}}`, http.StatusBadRequest},
 		{"negative cap_mul strict", "/v1/realize/degree", `{"sequence":[2,2,2],"options":{"cap_mul":-3,"strict":true}}`, http.StatusBadRequest},
 		{"negative cap_mul", "/v1/realize/degree", `{"sequence":[2,2,2],"options":{"cap_mul":-3}}`, http.StatusBadRequest},
+		{"max_rounds exceeded", "/v1/realize/degree", `{"sequence":[1,1],"options":{"max_rounds":1}}`, http.StatusBadRequest},
+		{"sweep max_rounds exceeded", "/v1/sweep", `{"kind":"degrees","sequence":[1,1],"seeds":[1],"options":{"max_rounds":2}}`, http.StatusBadRequest},
 		{"unknown algorithm", "/v1/realize/matching", `{"sequence":[1,1]}`, http.StatusNotFound},
 		{"unrealizable", "/v1/realize/degree", `{"sequence":[3,3,1,1]}`, http.StatusUnprocessableEntity},
 		{"unrealizable tree", "/v1/realize/tree", `{"sequence":[3,3,3,3]}`, http.StatusUnprocessableEntity},

@@ -172,7 +172,7 @@ func (s *Sorter) mergeSortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) n
 				return primitives.SyncAtStep(nd, start+ms.levelBudget(), func(in []ncc.Message) ncc.Op {
 					ms.apply(in, func(m ncc.Message) {
 						if m.Kind == kMReport {
-							childHead[m.Src] = m.IDs[0]
+							childHead[m.Src] = m.IDs()[0]
 							return
 						}
 						panic(fmt.Sprintf("sortnet: unexpected kind 0x%x at report", m.Kind))
@@ -209,15 +209,15 @@ func (ms *mergeState) apply(in []ncc.Message, f func(m ncc.Message)) {
 	for _, m := range in {
 		switch m.Kind {
 		case kMSpliceP:
-			if len(m.IDs) > 0 {
-				ms.pred = m.IDs[0]
+			if len(m.IDs()) > 0 {
+				ms.pred = m.IDs()[0]
 			} else {
 				ms.pred = ncc.None
 			}
 			ms.out = false
 		case kMSpliceS:
-			if len(m.IDs) > 0 {
-				ms.succ = m.IDs[0]
+			if len(m.IDs()) > 0 {
+				ms.succ = m.IDs()[0]
 			} else {
 				ms.succ = ncc.None
 			}

@@ -79,14 +79,14 @@ func (ms *mergeState) buildLinks(base int, k func() ncc.Op) ncc.Op {
 				switch m.Kind {
 				case kMKeyP:
 					id := m.Src
-					if len(m.IDs) > 0 {
-						id = m.IDs[0]
+					if len(m.IDs()) > 0 {
+						id = m.IDs()[0]
 					}
 					ms.predAt[lvl] = pair{m.A, id}
 				case kMKeyS:
 					id := m.Src
-					if len(m.IDs) > 0 {
-						id = m.IDs[0]
+					if len(m.IDs()) > 0 {
+						id = m.IDs()[0]
 					}
 					ms.succAt[lvl] = pair{m.A, id}
 				default:
@@ -125,12 +125,12 @@ func (ms *mergeState) stepHandler(st *stepState) func(m ncc.Message) {
 			// We are a head: start the tail/size descent. pos accumulates.
 			ms.forwardProbe(m.Src, int(m.B), 0)
 		case kMTailHop:
-			ms.forwardProbe(m.IDs[0], int(m.B), int(m.A))
+			ms.forwardProbe(m.IDs()[0], int(m.B), int(m.A))
 		case kMTailR:
 			st.psize[m.B] = int(m.A) + 1
-			st.ptail[m.B] = m.IDs[0]
+			st.ptail[m.B] = m.IDs()[0]
 		case kMPosHop:
-			ms.forwardPos(m.IDs[0], int(m.A))
+			ms.forwardPos(m.IDs()[0], int(m.A))
 		case kMPosR:
 			st.median = pair{m.A, m.Src}
 		case kMSplit:
@@ -147,11 +147,11 @@ func (ms *mergeState) stepHandler(st *stepState) func(m ncc.Message) {
 			idx := 0
 			ms.instA, ms.instB = ncc.None, ncc.None
 			if m.A&1 != 0 {
-				ms.instA = m.IDs[idx]
+				ms.instA = m.IDs()[idx]
 				idx++
 			}
 			if m.A&2 != 0 {
-				ms.instB = m.IDs[idx]
+				ms.instB = m.IDs()[idx]
 			}
 			ms.done = false
 			ms.resH, ms.resT = ncc.None, ncc.None
@@ -161,7 +161,7 @@ func (ms *mergeState) stepHandler(st *stepState) func(m ncc.Message) {
 				ms.finish(ncc.None, ncc.None)
 			}
 		case kMInsert:
-			ms.startInsertion(m.Src, m.IDs[0])
+			ms.startInsertion(m.Src, m.IDs()[0])
 		case kMInsHop:
 			ms.forwardInsert(m)
 		case kMInsR:
@@ -212,7 +212,7 @@ type splitInfo struct {
 // handleSplit stores split info and continues the recursive-halving
 // broadcast along the path.
 func (ms *mergeState) handleSplit(m ncc.Message) {
-	ms.split = &splitInfo{x: pair{m.A, m.IDs[0]}, coord: m.IDs[1], tag: int(m.C)}
+	ms.split = &splitInfo{x: pair{m.A, m.IDs()[0]}, coord: m.IDs()[1], tag: int(m.C)}
 	rem := int(m.B)
 	for rem > 0 {
 		t := 0
@@ -222,7 +222,7 @@ func (ms *mergeState) handleSplit(m ncc.Message) {
 		if !ms.succAt[t].valid() {
 			panic("sortnet: split broadcast missing link")
 		}
-		ms.nd.Send(ms.succAt[t].id, ncc.Message{Kind: kMSplit, A: m.A, B: int64(rem - 1<<t), C: m.C}.WithIDs(m.IDs[0], m.IDs[1]))
+		ms.nd.Send(ms.succAt[t].id, ncc.Message{Kind: kMSplit, A: m.A, B: int64(rem - 1<<t), C: m.C}.WithIDs(m.IDs()[0], m.IDs()[1]))
 		rem = 1<<t - 1
 	}
 }
@@ -238,15 +238,15 @@ func (ms *mergeState) startInsertion(coord, head ncc.ID) {
 
 // forwardInsert advances y's predecessor search along our path.
 func (ms *mergeState) forwardInsert(m ncc.Message) {
-	y := pair{m.A, m.IDs[0]}
+	y := pair{m.A, m.IDs()[0]}
 	if !ms.me.before(y) {
 		// Even we sort after y: y becomes the new head, in front of us.
-		ms.nd.Send(m.IDs[0], ncc.Message{Kind: kMInsR, A: 1}.WithIDs(ms.nd.ID()))
+		ms.nd.Send(m.IDs()[0], ncc.Message{Kind: kMInsR, A: 1}.WithIDs(ms.nd.ID()))
 		return
 	}
 	for j := len(ms.succAt) - 1; j >= 0; j-- {
 		if ms.succAt[j].valid() && ms.succAt[j].before(y) {
-			ms.nd.Send(ms.succAt[j].id, ncc.Message{Kind: kMInsHop, A: m.A}.WithIDs(m.IDs[0]))
+			ms.nd.Send(ms.succAt[j].id, ncc.Message{Kind: kMInsHop, A: m.A}.WithIDs(m.IDs()[0]))
 			return
 		}
 	}
@@ -258,7 +258,7 @@ func (ms *mergeState) forwardInsert(m ncc.Message) {
 	} else {
 		msg = msg.WithIDs(ms.nd.ID())
 	}
-	ms.nd.Send(m.IDs[0], msg)
+	ms.nd.Send(m.IDs()[0], msg)
 }
 
 // completeInsertion splices y (this node) into the path and reports flags
@@ -268,17 +268,17 @@ func (ms *mergeState) completeInsertion(m ncc.Message) {
 	flags := int64(0)
 	if m.A == 1 {
 		// Insert at the front: IDs[0] is the old head.
-		head := m.IDs[0]
+		head := m.IDs()[0]
 		ms.pred = ncc.None
 		ms.succ = head
 		nd.Send(head, ncc.Message{Kind: kMSpliceP, A: 1}.WithIDs(nd.ID()))
 		flags |= flagFront
 	} else {
-		u := m.IDs[0]
+		u := m.IDs()[0]
 		ms.pred = u
 		nd.Send(u, ncc.Message{Kind: kMSpliceS, A: 1}.WithIDs(nd.ID()))
 		if m.B == 1 {
-			sp := m.IDs[1]
+			sp := m.IDs()[1]
 			ms.succ = sp
 			nd.Send(sp, ncc.Message{Kind: kMSpliceP, A: 1}.WithIDs(nd.ID()))
 		} else {

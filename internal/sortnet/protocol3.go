@@ -236,7 +236,7 @@ func (ms *mergeState) ascentStep(slot int, k func() ncc.Op) ncc.Op {
 			p := &ms.pend[len(ms.pend)-1]
 			p.haveResult = true
 			if m.A&1 != 0 {
-				p.h, p.t = m.IDs[0], m.IDs[1]
+				p.h, p.t = m.IDs()[0], m.IDs()[1]
 			} else {
 				p.h, p.t = ncc.None, ncc.None
 			}
@@ -310,16 +310,16 @@ func (ms *mergeState) insertSelf(lvl int, k func() ncc.Op) ncc.Op {
 			if m.Kind == kMInsR && mine {
 				// Complete our own insertion inline (no coordinator to notify).
 				if m.A == 1 {
-					head := m.IDs[0]
+					head := m.IDs()[0]
 					ms.pred, ms.succ = ncc.None, head
 					nd.Send(head, ncc.Message{Kind: kMSpliceP, A: 1}.WithIDs(nd.ID()))
 					ms.resH = nd.ID()
 				} else {
-					u := m.IDs[0]
+					u := m.IDs()[0]
 					ms.pred = u
 					nd.Send(u, ncc.Message{Kind: kMSpliceS, A: 1}.WithIDs(nd.ID()))
 					if m.B == 1 {
-						sp := m.IDs[1]
+						sp := m.IDs()[1]
 						ms.succ = sp
 						nd.Send(sp, ncc.Message{Kind: kMSpliceP, A: 1}.WithIDs(nd.ID()))
 					} else {

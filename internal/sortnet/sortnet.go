@@ -177,16 +177,14 @@ func (s *Sorter) oddEvenSortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op)
 					continue
 				}
 				if m.A == 0 { // sent towards successors: sender precedes us
-					predPair = m.IDs[0]
+					predPair = m.IDs()[0]
 				} else {
-					succPair = m.IDs[0]
+					succPair = m.IDs()[0]
 				}
 			}
 			// Assignment: the holder notifies the pair's owner of rank/links.
-			msg := ncc.Message{Kind: kAssign, A: int64(s.Pos)}
-			ids := make([]ncc.ID, 0, 2)
-			ids = append(ids, predPair, succPair) // None encodes a path end
-			msg.IDs = ids
+			// None encodes a path end.
+			msg := ncc.Message{Kind: kAssign, A: int64(s.Pos)}.WithIDs(predPair, succPair)
 			if curID == nd.ID() {
 				// We hold our own pair; no message needed.
 				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
@@ -200,7 +198,7 @@ func (s *Sorter) oddEvenSortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op)
 			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 				for _, m := range w.Msgs {
 					if m.Kind == kAssign {
-						res = Result{Rank: int(m.A), Pred: m.IDs[0], Succ: m.IDs[1]}
+						res = Result{Rank: int(m.A), Pred: m.IDs()[0], Succ: m.IDs()[1]}
 					}
 				}
 				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
@@ -239,7 +237,7 @@ func (s *Sorter) oddEvenSortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op)
 				if m.Kind != kExchange || m.Src != partner {
 					continue
 				}
-				oKey, oID := m.A, m.IDs[0]
+				oKey, oID := m.A, m.IDs()[0]
 				oLarger := oKey > curKey || (oKey == curKey && oID < curID)
 				if left == oLarger {
 					// Left keeps the larger pair; right keeps the smaller.
