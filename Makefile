@@ -11,6 +11,7 @@
 #   make serve          run the HTTP realization service
 #   make loadgen        drive a running service with mixed traffic
 #   make bench-compare  bench HEAD vs BASE and gate like CI does
+#   make bench-gate     gate two bench outputs (CI's bench-regression gate)
 #   make perfbench      vet and self-test the serving benchmark (nested module)
 #
 # Service knobs: ADDR, QUEUE, JOB_TIMEOUT, DATA_DIR (non-empty = durable
@@ -34,8 +35,13 @@ BENCH_ARGS  := -short -run '^$$' -bench . -benchtime 3x -count 5 . ./internal/wi
 # The merge base may predate internal/wire; benchgate only compares
 # benchmarks present on both sides, so the base run probes for the package.
 BENCH_ARGS_BASE := -short -run '^$$' -bench . -benchtime 3x -count 5 . $$([ -d internal/wire ] && echo ./internal/wire)
+# The benchmarks whose ns/op the gate holds to 30%: the one definition that
+# bench-compare and CI's bench-regression job (through bench-gate) share.
+BENCH_GATE  := BenchmarkBatchRealization|BenchmarkBatchRunner|BenchmarkWire|BenchmarkEngineJobs
+BENCH_BASE_TXT ?= /tmp/graphrealize-bench-base.txt
+BENCH_HEAD_TXT ?= /tmp/graphrealize-bench-head.txt
 
-.PHONY: build test lint ci race bench perfbench sweep tables vet fmt-check serve loadgen loadgen-async bench-compare clean
+.PHONY: build test lint ci race bench perfbench sweep tables vet fmt-check serve loadgen loadgen-async bench-compare bench-gate clean
 
 build:
 	$(GO) build ./...
@@ -102,16 +108,21 @@ loadgen-async:
 # Plain redirects (no tee) so a failing bench run fails the target under
 # shells without pipefail.
 bench-compare:
-	$(GO) test $(BENCH_ARGS) > /tmp/graphrealize-bench-head.txt
-	cat /tmp/graphrealize-bench-head.txt
+	$(GO) test $(BENCH_ARGS) > $(BENCH_HEAD_TXT)
+	cat $(BENCH_HEAD_TXT)
 	git worktree add --force /tmp/graphrealize-bench-base $(BASE)
-	(cd /tmp/graphrealize-bench-base && $(GO) test $(BENCH_ARGS_BASE)) > /tmp/graphrealize-bench-base.txt; \
+	(cd /tmp/graphrealize-bench-base && $(GO) test $(BENCH_ARGS_BASE)) > $(BENCH_BASE_TXT); \
 		status=$$?; git worktree remove --force /tmp/graphrealize-bench-base; \
 		exit $$status
-	cat /tmp/graphrealize-bench-base.txt
-	$(GO) run ./cmd/benchgate -base /tmp/graphrealize-bench-base.txt \
-		-head /tmp/graphrealize-bench-head.txt \
-		-threshold 30 -match 'BenchmarkBatchRealization|BenchmarkWire' -json bench.json
+	cat $(BENCH_BASE_TXT)
+	$(MAKE) --no-print-directory bench-gate
+
+# Fail when any BENCH_GATE benchmark's ns/op in BENCH_HEAD_TXT is more than
+# 30% above BENCH_BASE_TXT; writes bench.json. CI's bench-regression job
+# runs it on its own head and base outputs.
+bench-gate:
+	$(GO) run ./cmd/benchgate -base $(BENCH_BASE_TXT) -head $(BENCH_HEAD_TXT) \
+		-threshold 30 -match '$(BENCH_GATE)' -json bench.json
 
 clean:
 	$(GO) clean ./...

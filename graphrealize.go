@@ -71,7 +71,8 @@ type Options struct {
 	// Seed makes runs deterministic; different seeds vary IDs, the Gk
 	// permutation and the protocols' internal randomness.
 	Seed int64
-	// Strict turns capacity violations into errors instead of statistics.
+	// Strict turns capacity violations into errors (ErrBadInput) instead of
+	// statistics.
 	Strict bool
 	// CapMul scales the per-round message budget (default 8·⌈log₂ n⌉).
 	CapMul int
@@ -121,7 +122,9 @@ var (
 	// distributed algorithm's Unrealizable broadcast).
 	ErrUnrealizable = errors.New("graphrealize: sequence is not realizable")
 	// ErrBadInput reports malformed input (empty sequence, wrong length) or
-	// a MaxRounds cap too small for the job, which wraps ncc.ErrMaxRounds.
+	// options too tight for the job: a MaxRounds cap it exceeds, which wraps
+	// ncc.ErrMaxRounds, or a Strict run's capacity violation, which wraps
+	// ncc.ErrCapacity.
 	ErrBadInput = errors.New("graphrealize: invalid input")
 )
 
@@ -241,15 +244,16 @@ func (o Options) simConfig(ctx context.Context, n int, inputs []any) ncc.Config 
 
 // mapRunErr translates the engine's sentinels into the facade's vocabulary.
 // Cancellation becomes the context's own error, so callers can match
-// context.Canceled / context.DeadlineExceeded. An exceeded MaxRounds is the
-// caller's cap being too small for its job, so it is wrapped in ErrBadInput.
+// context.Canceled / context.DeadlineExceeded. An exceeded MaxRounds and a
+// Strict run's capacity violation are the caller's options being too tight
+// for its job, so both are wrapped in ErrBadInput.
 func mapRunErr(ctx context.Context, err error) error {
 	switch {
 	case errors.Is(err, ncc.ErrCanceled):
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-	case errors.Is(err, ncc.ErrMaxRounds):
+	case errors.Is(err, ncc.ErrMaxRounds), errors.Is(err, ncc.ErrCapacity):
 		return fmt.Errorf("%w: %w", ErrBadInput, err)
 	}
 	return err
@@ -303,49 +307,15 @@ func toInputs(d []int) []any {
 // returns the implicit realization of d (d[i] is the degree required by
 // vertex i). It returns ErrUnrealizable when d is not graphic.
 func RealizeDegrees(d []int, opt *Options) (*Graph, *Stats, error) {
-	return realizeDegrees(context.Background(), d, opt, false)
+	res := Execute(context.Background(), Job{Kind: JobDegrees, Seq: d, Opt: opt})
+	return res.Graph, res.Stats, res.Err
 }
 
 // RealizeDegreesExplicit additionally converts the realization to explicit
 // form (§4.2, Theorem 12): both endpoints of every edge know it.
 func RealizeDegreesExplicit(d []int, opt *Options) (*Graph, *Stats, error) {
-	return realizeDegrees(context.Background(), d, opt, true)
-}
-
-func realizeDegrees(ctx context.Context, d []int, opt *Options, explicit bool) (*Graph, *Stats, error) {
-	if len(d) == 0 {
-		return nil, nil, ErrBadInput
-	}
-	o := opt.norm()
-	s := ncc.New(o.simConfig(ctx, len(d), toInputs(d)))
-	sortnet.RegisterOracle(s)
-	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return core.SetupStep(nd, o.sortMethod(), func(env *core.Env) ncc.Op {
-			return core.RealizeStep(nd, env, nd.Input().(int), core.Exact, true, func(out core.Outcome) ncc.Op {
-				finish := func() ncc.Op {
-					nd.SetOutput("phases", int64(out.Phases))
-					return ncc.Done()
-				}
-				if out.OK && explicit {
-					return core.MakeExplicitStep(nd, env, out.Neighbors, out.Delta, func(int) ncc.Op {
-						return finish()
-					})
-				}
-				return finish()
-			})
-		})
-	})
-	if err != nil {
-		return nil, nil, mapRunErr(ctx, err)
-	}
-	st := statsOf(tr)
-	if v, ok := tr.MaxOutput("phases"); ok {
-		st.Phases = int(v)
-	}
-	if tr.Unrealizable {
-		return nil, st, ErrUnrealizable
-	}
-	return graphOf(tr), st, nil
+	res := Execute(context.Background(), Job{Kind: JobDegreesExplicit, Seq: d, Opt: opt})
+	return res.Graph, res.Stats, res.Err
 }
 
 // RealizeUpperEnvelope runs the §4.3 variant (Theorem 13): it always
@@ -353,77 +323,22 @@ func realizeDegrees(ctx context.Context, d []int, opt *Options, explicit bool) (
 // clamping d into [0, n−1]). It returns the realized graph and the envelope
 // degrees d′ (indexed like d).
 func RealizeUpperEnvelope(d []int, opt *Options) (*Graph, []int, *Stats, error) {
-	return realizeEnvelope(context.Background(), d, opt)
-}
-
-func realizeEnvelope(ctx context.Context, d []int, opt *Options) (*Graph, []int, *Stats, error) {
-	if len(d) == 0 {
-		return nil, nil, nil, ErrBadInput
-	}
-	o := opt.norm()
-	s := ncc.New(o.simConfig(ctx, len(d), toInputs(d)))
-	sortnet.RegisterOracle(s)
-	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return core.SetupStep(nd, o.sortMethod(), func(env *core.Env) ncc.Op {
-			return core.RealizeStep(nd, env, nd.Input().(int), core.Envelope, true, func(out core.Outcome) ncc.Op {
-				nd.SetOutput("realized", int64(out.Realized))
-				nd.SetOutput("phases", int64(out.Phases))
-				return ncc.Done()
-			})
-		})
-	})
-	if err != nil {
-		return nil, nil, nil, mapRunErr(ctx, err)
-	}
-	st := statsOf(tr)
-	if v, ok := tr.MaxOutput("phases"); ok {
-		st.Phases = int(v)
-	}
-	envl := make([]int, len(d))
-	for i, id := range tr.IDs {
-		v, _ := tr.Output(id, "realized")
-		envl[i] = int(v)
-	}
-	return graphOf(tr), envl, st, nil
+	res := Execute(context.Background(), Job{Kind: JobUpperEnvelope, Seq: d, Opt: opt})
+	return res.Graph, res.Envelope, res.Stats, res.Err
 }
 
 // RealizeTree runs Algorithm 4 (§5, Theorem 14), realizing a tree sequence
 // as a maximum-diameter chain-plus-leaves tree.
 func RealizeTree(d []int, opt *Options) (*Graph, *Stats, error) {
-	return realizeTree(context.Background(), d, opt, false)
+	res := Execute(context.Background(), Job{Kind: JobChainTree, Seq: d, Opt: opt})
+	return res.Graph, res.Stats, res.Err
 }
 
 // RealizeMinDiameterTree runs Algorithm 5 (§5, Theorem 16): the greedy tree
 // T_G, whose diameter is minimum over all tree realizations of d (Lemma 15).
 func RealizeMinDiameterTree(d []int, opt *Options) (*Graph, *Stats, error) {
-	return realizeTree(context.Background(), d, opt, true)
-}
-
-func realizeTree(ctx context.Context, d []int, opt *Options, greedy bool) (*Graph, *Stats, error) {
-	if len(d) == 0 {
-		return nil, nil, ErrBadInput
-	}
-	o := opt.norm()
-	s := ncc.New(o.simConfig(ctx, len(d), toInputs(d)))
-	sortnet.RegisterOracle(s)
-	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return core.SetupStep(nd, o.sortMethod(), func(env *core.Env) ncc.Op {
-			deg := nd.Input().(int)
-			done := func(trees.Outcome) ncc.Op { return ncc.Done() }
-			if greedy {
-				return trees.RealizeGreedyStep(nd, env, deg, done)
-			}
-			return trees.RealizeChainStep(nd, env, deg, done)
-		})
-	})
-	if err != nil {
-		return nil, nil, mapRunErr(ctx, err)
-	}
-	st := statsOf(tr)
-	if tr.Unrealizable {
-		return nil, st, ErrUnrealizable
-	}
-	return graphOf(tr), st, nil
+	res := Execute(context.Background(), Job{Kind: JobMinDiamTree, Seq: d, Opt: opt})
+	return res.Graph, res.Stats, res.Err
 }
 
 // RealizeConnectivity builds an overlay meeting pairwise edge-connectivity
@@ -431,34 +346,80 @@ func realizeTree(ctx context.Context, d []int, opt *Options, greedy bool) (*Grap
 // 2-approximation). Under NCC1 it runs the O~(1) implicit algorithm of
 // Theorem 17; under NCC0 the explicit O~(Δ) Algorithm 6 of Theorem 18.
 func RealizeConnectivity(rho []int, opt *Options) (*Graph, *Stats, error) {
-	return realizeConnectivity(context.Background(), rho, opt)
+	res := Execute(context.Background(), Job{Kind: JobConnectivity, Seq: rho, Opt: opt})
+	return res.Graph, res.Stats, res.Err
 }
 
-func realizeConnectivity(ctx context.Context, rho []int, opt *Options) (*Graph, *Stats, error) {
-	if len(rho) == 0 {
-		return nil, nil, ErrBadInput
+// Execute runs one job: the one place a realization is simulated, behind
+// the RealizeX entry points and every Runner. It honours ctx: cancellation
+// or deadline expiry aborts the simulation between rounds and yields a
+// Result whose Err is the context's error.
+func Execute(ctx context.Context, j Job) Result {
+	res := Result{Job: j}
+	if j.Kind < JobDegrees || j.Kind > JobConnectivity {
+		res.Err = fmt.Errorf("graphrealize: unknown JobKind %d", int(j.Kind))
+		return res
 	}
-	o := opt.norm()
-	s := ncc.New(o.simConfig(ctx, len(rho), toInputs(rho)))
+	if len(j.Seq) == 0 {
+		res.Err = ErrBadInput
+		return res
+	}
+	// The per-node continuations capture the kind alone, not the whole Job.
+	kind, o := j.Kind, j.Opt.norm()
+	s := ncc.New(o.simConfig(ctx, len(j.Seq), toInputs(j.Seq)))
 	sortnet.RegisterOracle(s)
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		r := nd.Input().(int)
-		done := func(connectivity.Outcome) ncc.Op { return ncc.Done() }
-		if nd.Model() == ncc.NCC1 {
-			return connectivity.RealizeNCC1Step(nd, r, done)
+		// NCC1 connectivity (Theorem 17) needs no sorted setup.
+		if kind == JobConnectivity && nd.Model() == ncc.NCC1 {
+			return connectivity.RealizeNCC1Step(nd, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
 		}
 		return core.SetupStep(nd, o.sortMethod(), func(env *core.Env) ncc.Op {
-			return connectivity.RealizeNCC0Step(nd, env, r, done)
+			switch kind {
+			case JobDegrees, JobDegreesExplicit:
+				return core.RealizeStep(nd, env, r, core.Exact, true, func(out core.Outcome) ncc.Op {
+					nd.SetOutput("phases", int64(out.Phases))
+					if out.OK && kind == JobDegreesExplicit {
+						return core.MakeExplicitStep(nd, env, out.Neighbors, out.Delta, func(int) ncc.Op { return ncc.Done() })
+					}
+					return ncc.Done()
+				})
+			case JobUpperEnvelope:
+				return core.RealizeStep(nd, env, r, core.Envelope, true, func(out core.Outcome) ncc.Op {
+					nd.SetOutput("realized", int64(out.Realized))
+					nd.SetOutput("phases", int64(out.Phases))
+					return ncc.Done()
+				})
+			case JobChainTree:
+				return trees.RealizeChainStep(nd, env, r, func(trees.Outcome) ncc.Op { return ncc.Done() })
+			case JobMinDiamTree:
+				return trees.RealizeGreedyStep(nd, env, r, func(trees.Outcome) ncc.Op { return ncc.Done() })
+			}
+			return connectivity.RealizeNCC0Step(nd, env, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
 		})
 	})
 	if err != nil {
-		return nil, nil, mapRunErr(ctx, err)
+		res.Err = mapRunErr(ctx, err)
+		return res
 	}
-	st := statsOf(tr)
-	if tr.Unrealizable {
-		return nil, st, ErrUnrealizable
+	res.Stats = statsOf(tr)
+	// Only the degree realizations report Havel–Hakimi phases.
+	if v, ok := tr.MaxOutput("phases"); ok {
+		res.Stats.Phases = int(v)
 	}
-	return graphOf(tr), st, nil
+	switch {
+	case kind == JobUpperEnvelope:
+		res.Envelope = make([]int, len(j.Seq))
+		for i, id := range tr.IDs {
+			v, _ := tr.Output(id, "realized")
+			res.Envelope[i] = int(v)
+		}
+	case tr.Unrealizable:
+		res.Err = ErrUnrealizable
+		return res
+	}
+	res.Graph = graphOf(tr)
+	return res
 }
 
 // ConnectivityLowerBound returns ⌈Σρ/2⌉, the minimum edge count of any

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"graphrealize"
+	"graphrealize/internal/api"
 	"graphrealize/internal/obs"
 	"graphrealize/internal/wire"
 )
@@ -101,19 +102,31 @@ func (b *Backend) SubmitCtx(ctx context.Context, j graphrealize.Job) (<-chan gra
 		b.rejected.Add(1)
 		return nil, ErrNoWorkers
 	}
-	b.submitted.Add(1)
-	ch := make(chan graphrealize.Result, 1)
-	go func() { ch <- b.run(ctx, j) }()
-	return ch, nil
+	return b.start(ctx, j, false), nil
 }
 
 // SubmitReplayCtx re-admits a job recovered from the coordinator's durable
 // store. The replay routes by the same key as the original submission, so
 // it lands on the key's current owner — which, after a worker death, is
 // exactly the failover target (CLUSTER.md §6.3); the recorded seed makes
-// the re-run's graph identical wherever it executes.
+// the re-run's graph identical wherever it executes. Unlike SubmitCtx it
+// never refuses an empty routing set: the registry lives in memory, so a
+// restarted coordinator replays before any worker has re-registered, and
+// the job waits, within its own deadline, for the first one.
 func (b *Backend) SubmitReplayCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
-	return b.SubmitCtx(ctx, j)
+	return b.start(ctx, j, true), nil
+}
+
+// replayPoll is how often a replayed job with no routable worker yet checks
+// the registry again.
+const replayPoll = 100 * time.Millisecond
+
+// start runs one admitted job remotely on its own goroutine.
+func (b *Backend) start(ctx context.Context, j graphrealize.Job, replay bool) <-chan graphrealize.Result {
+	b.submitted.Add(1)
+	ch := make(chan graphrealize.Result, 1)
+	go func() { ch <- b.run(ctx, j, replay) }()
+	return ch
 }
 
 // SubmitAllCtx admits a batch. Against a single Runner the batch is atomic;
@@ -128,11 +141,7 @@ func (b *Backend) SubmitAllCtx(ctx context.Context, jobs []graphrealize.Job) ([]
 	}
 	out := make([]<-chan graphrealize.Result, len(jobs))
 	for i, j := range jobs {
-		job := j
-		b.submitted.Add(1)
-		ch := make(chan graphrealize.Result, 1)
-		go func() { ch <- b.run(ctx, job) }()
-		out[i] = ch
+		out[i] = b.start(ctx, j, false)
 	}
 	return out, nil
 }
@@ -170,19 +179,15 @@ func (b *Backend) Stats() graphrealize.RunnerStats {
 // failed and move to the next-ranked worker — which is rendezvous hashing's
 // post-death owner of the same key (CLUSTER.md §6.1). Every other error is
 // final. The loop is bounded: each failover removes a worker from
-// consideration, and a drained candidate set fails with ErrNoWorkers.
-func (b *Backend) run(ctx context.Context, j graphrealize.Job) graphrealize.Result {
+// consideration, and a drained candidate set fails with ErrNoWorkers. A
+// replay that has tried no worker yet polls an empty routing set instead
+// of failing, until a worker registers or its deadline passes.
+func (b *Backend) run(ctx context.Context, j graphrealize.Job, replay bool) graphrealize.Result {
 	res := graphrealize.Result{Job: j}
 	if j.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, j.Timeout)
 		defer cancel()
-	}
-	// Round-level progress does not cross the proxy hop, but the queued →
-	// running transition does: the job runs from the moment it is proxied
-	// (CLUSTER.md §8.2).
-	if j.Opt != nil && j.Opt.Progress != nil {
-		j.Opt.Progress(0, 0)
 	}
 	key := j.RouteKey()
 	start := time.Now()
@@ -201,9 +206,23 @@ func (b *Backend) run(ctx context.Context, j graphrealize.Job) graphrealize.Resu
 			}
 		}
 		owner, ok := Owner(names, key)
+		if !ok && replay && len(tried) == 0 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(replayPoll):
+			}
+			start = time.Now() // waiting is not run time (the Retry-After signal)
+			continue
+		}
 		if !ok {
 			res.Err = fmt.Errorf("%w for job %s (tried %d)", ErrNoWorkers, j.Kind, len(tried))
 			break
+		}
+		// Round-level progress does not cross the proxy hop, but the queued
+		// → running transition does: the job runs from the moment it is
+		// first proxied (CLUSTER.md §8.2).
+		if len(tried) == 0 && j.Opt != nil && j.Opt.Progress != nil {
+			j.Opt.Progress(0, 0)
 		}
 		out, err := b.proxy(ctx, addrs[owner], j)
 		if err == nil {
@@ -234,109 +253,21 @@ func (b *Backend) run(ctx context.Context, j graphrealize.Job) graphrealize.Resu
 	return res
 }
 
-// routeFor maps a JobKind back onto the workers' synchronous API — the
-// exact inverse of the serving layer's {alg}/variant parsing (CLUSTER.md
-// §5.1).
-func routeFor(k graphrealize.JobKind) (path, variant string, err error) {
-	switch k {
-	case graphrealize.JobDegrees:
-		return "/v1/realize/degree", "", nil
-	case graphrealize.JobDegreesExplicit:
-		return "/v1/realize/degree", "explicit", nil
-	case graphrealize.JobUpperEnvelope:
-		return "/v1/realize/degree", "envelope", nil
-	case graphrealize.JobChainTree:
-		return "/v1/realize/tree", "", nil
-	case graphrealize.JobMinDiamTree:
-		return "/v1/realize/tree", "mindiam", nil
-	case graphrealize.JobConnectivity:
-		return "/v1/realize/connectivity", "", nil
-	}
-	return "", "", fmt.Errorf("cluster: unroutable job kind %d", int(k))
-}
-
-// realizeBody mirrors the workers' POST /v1/realize/{alg} request schema.
-type realizeBody struct {
-	Sequence []int        `json:"sequence"`
-	Variant  string       `json:"variant,omitempty"`
-	Options  *optionsBody `json:"options,omitempty"`
-}
-
-// optionsBody mirrors the workers' options schema: the route key's option
-// fields and nothing else (CLUSTER.md §5.2).
-type optionsBody struct {
-	Model     string `json:"model,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-	Strict    bool   `json:"strict,omitempty"`
-	CapMul    int    `json:"cap_mul,omitempty"`
-	Sort      string `json:"sort,omitempty"`
-	MaxRounds int    `json:"max_rounds,omitempty"`
-}
-
-func optionsFor(o *graphrealize.Options) *optionsBody {
-	if o == nil {
-		o = &graphrealize.Options{}
-	}
-	out := &optionsBody{
-		Seed:      o.Seed,
-		Strict:    o.Strict,
-		CapMul:    o.CapMul,
-		MaxRounds: o.MaxRounds,
-	}
-	if o.Model == graphrealize.NCC1 {
-		out.Model = "ncc1"
-	}
-	switch o.Sort {
-	case graphrealize.OddEvenSort:
-		out.Sort = "oddeven"
-	case graphrealize.MergeSort:
-		out.Sort = "merge"
-	}
-	return out
-}
-
-// statsBody mirrors the workers' stats schema.
-type statsBody struct {
-	N             int   `json:"n"`
-	Rounds        int   `json:"rounds"`
-	ChargedRounds int   `json:"charged_rounds"`
-	Messages      int64 `json:"messages"`
-	Capacity      int   `json:"capacity"`
-	MaxSent       int   `json:"max_sent"`
-	MaxRecv       int   `json:"max_recv"`
-	CapViolations int   `json:"cap_violations"`
-	Phases        int   `json:"phases"`
-}
-
-// realizeMeta is the subset of the workers' realization response the
-// coordinator rebuilds a Result from; the graph itself travels in the
-// graphwire graph section, not in JSON (CLUSTER.md §5.3).
-type realizeMeta struct {
-	Envelope []int     `json:"envelope"`
-	Stats    statsBody `json:"stats"`
-	Cached   bool      `json:"cached"`
-}
-
-// errorBody is the workers' uniform non-2xx response body.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // proxy issues one job to one worker and rebuilds the Result. The request
 // negotiates graphwire (Accept) and forwards the job's trace ID
 // (X-Request-Id) so a hop shows up under the same ID in both processes'
 // request logs (CLUSTER.md §5.4).
 func (b *Backend) proxy(ctx context.Context, addr string, j graphrealize.Job) (graphrealize.Result, error) {
 	var res graphrealize.Result
-	path, variant, err := routeFor(j.Kind)
+	alg, variant, ok := api.RouteOf(j.Kind)
+	if !ok {
+		return res, fmt.Errorf("cluster: unroutable job kind %d", int(j.Kind))
+	}
+	body, err := json.Marshal(api.RealizeRequest{Sequence: j.Seq, Variant: variant, Options: api.OptionsOf(j.Opt)})
 	if err != nil {
 		return res, err
 	}
-	body, err := json.Marshal(realizeBody{Sequence: j.Seq, Variant: variant, Options: optionsFor(j.Opt)})
-	if err != nil {
-		return res, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/realize/"+alg, bytes.NewReader(body))
 	if err != nil {
 		return res, err
 	}
@@ -364,7 +295,7 @@ func (b *Backend) proxy(ctx context.Context, addr string, j graphrealize.Job) (g
 		// this key right now.
 		return res, fmt.Errorf("%w: bad graphwire response: %v", errWorkerDown, err)
 	}
-	var meta realizeMeta
+	var meta api.RealizeResponse
 	if msg.Meta == nil {
 		return res, fmt.Errorf("%w: graphwire response without JMETA", errWorkerDown)
 	}
@@ -377,17 +308,7 @@ func (b *Backend) proxy(ctx context.Context, addr string, j graphrealize.Job) (g
 	res.Graph = &graphrealize.Graph{N: msg.N, Adj: msg.Adj}
 	res.Envelope = meta.Envelope
 	res.Cached = meta.Cached
-	res.Stats = &graphrealize.Stats{
-		N:             meta.Stats.N,
-		Rounds:        meta.Stats.Rounds,
-		ChargedRounds: meta.Stats.ChargedRounds,
-		Messages:      meta.Stats.Messages,
-		Capacity:      meta.Stats.Capacity,
-		MaxSent:       meta.Stats.MaxSent,
-		MaxRecv:       meta.Stats.MaxRecv,
-		CapViolations: meta.Stats.CapViolations,
-		Phases:        meta.Stats.Phases,
-	}
+	res.Stats = meta.Stats.Stats()
 	return res, nil
 }
 
@@ -397,7 +318,7 @@ func (b *Backend) proxy(ctx context.Context, addr string, j graphrealize.Job) (g
 // §5.5). Only 502/503 are failover-eligible: every other status is a
 // deterministic verdict about the job, not the worker.
 func workerError(resp *http.Response) error {
-	var eb errorBody
+	var eb api.ErrorResponse
 	detail := resp.Status
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb); err == nil && eb.Error != "" {
 		detail = eb.Error

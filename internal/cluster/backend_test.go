@@ -18,6 +18,7 @@ import (
 
 	"graphrealize"
 	"graphrealize/internal/cluster"
+	"graphrealize/internal/jobs"
 	"graphrealize/internal/serve"
 )
 
@@ -398,5 +399,154 @@ func TestBackendReportsDispatchAsRunning(t *testing.T) {
 	if calls.Load() != 1 || callsAtWorker.Load() != 1 {
 		t.Fatalf("progress calls: %d in total, %d before the worker saw the request; want 1 and 1",
 			calls.Load(), callsAtWorker.Load())
+	}
+}
+
+// errClass names the error vocabulary a Result's error belongs to, the
+// part of it that must survive the proxy hop.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, graphrealize.ErrUnrealizable):
+		return "unrealizable"
+	case errors.Is(err, graphrealize.ErrBadInput):
+		return "bad input"
+	}
+	return err.Error()
+}
+
+// TestBackendProxiesEveryKindAndOption: every job kind under every
+// outcome-affecting option crosses the proxy hop unchanged (CLUSTER.md
+// §5.1, §5.2). The proxied Result equals a local Execute of the same Job —
+// edges, stats, envelope and error class — and the owning worker's Runner
+// then serves that Job from its cache, so the worker realized exactly the
+// coordinator's cache key.
+func TestBackendProxiesEveryKindAndOption(t *testing.T) {
+	b, workers := newTestCluster(t, 2)
+	byName := map[string]*testWorker{}
+	var names []string
+	for _, w := range workers {
+		byName[w.name] = w
+		names = append(names, w.name)
+	}
+	kinds := []struct {
+		kind graphrealize.JobKind
+		seq  []int
+	}{
+		{graphrealize.JobDegrees, []int{3, 3, 2, 2, 2, 2}},
+		{graphrealize.JobDegreesExplicit, []int{3, 3, 2, 2, 2, 2}},
+		{graphrealize.JobUpperEnvelope, []int{9, 1, 1, 1}},
+		{graphrealize.JobChainTree, []int{3, 2, 2, 1, 1, 1}},
+		{graphrealize.JobMinDiamTree, []int{3, 2, 2, 1, 1, 1}},
+		{graphrealize.JobConnectivity, []int{2, 2, 2, 2, 1, 1}},
+		// Deterministic failures cross as their class: unrealizable, and
+		// (with strict, cap_mul 1 and merge sort) a capacity violation.
+		{graphrealize.JobDegrees, []int{3, 3, 1, 1}},
+		{graphrealize.JobDegrees, []int{2, 2, 2, 2, 2, 2, 2, 2}},
+	}
+	options := []*graphrealize.Options{
+		nil,
+		{Seed: 3},
+		{Seed: 3, Model: graphrealize.NCC1},
+		{Seed: 3, Sort: graphrealize.OddEvenSort},
+		{Seed: 3, Sort: graphrealize.MergeSort},
+		{Seed: 3, Strict: true},
+		{Seed: 3, CapMul: 2},
+		{Seed: 3, MaxRounds: 40},
+		{Seed: 3, Strict: true, CapMul: 1, Sort: graphrealize.MergeSort},
+	}
+	ctx := context.Background()
+	for _, k := range kinds {
+		for _, o := range options {
+			j := graphrealize.Job{Kind: k.kind, Seq: k.seq, Opt: o}
+			label := j.RouteKey()
+			want := graphrealize.Execute(ctx, j)
+			got := submit(t, b, j)
+			if errClass(got.Err) != errClass(want.Err) {
+				t.Errorf("%s: proxied error %v, local %v", label, got.Err, want.Err)
+				continue
+			}
+			if want.Err == nil {
+				if !reflect.DeepEqual(sortedEdges(t, got.Graph), sortedEdges(t, want.Graph)) {
+					t.Errorf("%s: proxied edges differ from the local run", label)
+				}
+				if !reflect.DeepEqual(got.Stats, want.Stats) {
+					t.Errorf("%s: proxied stats %+v, local %+v", label, got.Stats, want.Stats)
+				}
+				if !reflect.DeepEqual(got.Envelope, want.Envelope) {
+					t.Errorf("%s: proxied envelope %v, local %v", label, got.Envelope, want.Envelope)
+				}
+			}
+			owner, _ := cluster.Owner(names, j.RouteKey())
+			ch, err := byName[owner].runner.SubmitCtx(ctx, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := <-ch; !res.Cached {
+				t.Errorf("%s: owner %s does not hold the job in its cache; the worker decoded another key", label, owner)
+			}
+		}
+	}
+}
+
+// TestCoordinatorRestartReplaysOnceWorkerRegisters: a restarted coordinator
+// replays its journaled in-flight jobs before any worker has re-registered,
+// because the registry lives in memory. The replay waits, queued, for the
+// first worker instead of failing, then completes on the key's owner
+// (CLUSTER.md §6.3) with the seed-identical graph.
+func TestCoordinatorRestartReplaysOnceWorkerRegisters(t *testing.T) {
+	dir := t.TempDir()
+	job := graphrealize.Job{Kind: graphrealize.JobDegrees, Seq: []int{3, 3, 2, 2, 2, 2}, Opt: &graphrealize.Options{Seed: 7}}
+	store, err := jobs.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := jobs.PersistedJob{
+		ID: "j1-0a0b0c0d0e0f", Kind: int(job.Kind), Seq: job.Seq,
+		Options: &jobs.PersistedOptions{Seed: 7}, State: jobs.StateQueued, Created: time.Now(),
+	}
+	if err := store.LogSubmitted(queued); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart: the coordinator reopens the store over an empty registry.
+	reg := cluster.NewRegistry(cluster.RegistryConfig{SuspectAfter: time.Minute})
+	b := cluster.NewBackend(cluster.BackendConfig{Registry: reg, Logf: t.Logf})
+	store, err = jobs.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := jobs.Open(jobs.Config{Backend: b, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close(context.Background()) })
+
+	time.Sleep(200 * time.Millisecond)
+	if snap, err := m.Get(queued.ID); err != nil || snap.State != jobs.StateQueued {
+		t.Fatalf("before any worker registers: snapshot %+v, err %v; want the replay still queued", snap, err)
+	}
+	worker := httptest.NewServer(serve.New(serve.Config{Backend: graphrealize.NewRunner(1)}).Handler())
+	t.Cleanup(worker.Close)
+	if err := reg.Register(cluster.RegisterRequest{Name: "w1", Addr: worker.URL}); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	snap, _ := m.Get(queued.ID)
+	for !snap.State.Terminal() && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		snap, _ = m.Get(queued.ID)
+	}
+	if snap.State != jobs.StateDone {
+		t.Fatalf("recovered job ended %s (%v), want done (CLUSTER.md §6.3)", snap.State, snap.Err)
+	}
+	ref := graphrealize.Execute(context.Background(), job)
+	if !reflect.DeepEqual(sortedEdges(t, snap.Result.Graph), sortedEdges(t, ref.Graph)) {
+		t.Fatal("replayed graph differs from a local run of the recorded seed")
 	}
 }

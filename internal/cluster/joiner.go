@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"graphrealize"
+	"graphrealize/internal/api"
 )
 
 // JoinConfig assembles a worker-side Joiner.
@@ -162,7 +163,7 @@ func (jn *Joiner) post(ctx context.Context, path string, v any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
+		var eb api.ErrorResponse
 		detail := resp.Status
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err == nil && eb.Error != "" {
 			detail = eb.Error

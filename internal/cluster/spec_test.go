@@ -9,9 +9,10 @@ import (
 )
 
 // specDirs are the packages whose sources carry CLUSTER.md citations: this
-// package, the serving layer's cluster wiring, the job manager's ownership
-// seam, and the root package's RouteKey.
-var specDirs = []string{".", "../serve", "../jobs", "../../"}
+// package, the realization API schema the proxy hop speaks, the serving
+// layer's cluster wiring, the job manager's ownership seam, and the root
+// package's RouteKey.
+var specDirs = []string{".", "../api", "../serve", "../jobs", "../../"}
 
 func clusterSpecSections(t *testing.T) map[string]bool {
 	t.Helper()

@@ -96,8 +96,8 @@ func (d *delivery) route(active []*Node, round int, met *Metrics) (woken []*Node
 		if c > d.capacity {
 			met.RecvViolations++
 			if d.strict && err == nil {
-				err = fmt.Errorf("ncc: round %d: node %d received %d messages (capacity %d)",
-					round, d.nodes[i].id, c, d.capacity)
+				err = capacityError(fmt.Sprintf("ncc: round %d: node %d received %d messages (capacity %d)",
+					round, d.nodes[i].id, c, d.capacity))
 			}
 		}
 		d.recvCnt[i] = 0

@@ -63,7 +63,7 @@ func (s *Sim) drive() {
 			s.met.SendViolations += s.sendViol
 			s.sendViol = 0
 			if s.cfg.Strict {
-				s.firstErr = fmt.Errorf("ncc: round %d: send capacity exceeded (capacity %d)", s.round, s.capacity)
+				s.firstErr = capacityError(fmt.Sprintf("ncc: round %d: send capacity exceeded (capacity %d)", s.round, s.capacity))
 			}
 		}
 		if s.doneCnt == s.n {

@@ -424,24 +424,37 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 }
 
 // TestSchedConformanceStrictViolation pins that strict-mode capacity errors
-// (raised by the delivery layer) classify identically on every host.
+// classify identically on every host, and that both the send and the
+// receive violation match ncc.ErrCapacity.
 func TestSchedConformanceStrictViolation(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
-		s := ncc.New(ncc.Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: ncc.NCC1})
-		flood := func(nd *ncc.Node) {
-			if nd.ID() == 1 {
-				// Flood node 2 beyond the capacity from a single sender.
-				for i := 0; i < nd.Capacity()+1; i++ {
+		for _, tc := range []struct {
+			name  string
+			flood func(nd *ncc.Node)
+		}{
+			{"send", func(nd *ncc.Node) {
+				if nd.ID() == 1 {
+					// Flood node 2 beyond the capacity from a single sender.
+					for i := 0; i < nd.Capacity()+1; i++ {
+						nd.Send(2, ncc.Message{Kind: 1})
+					}
+				}
+			}},
+			{"receive", func(nd *ncc.Node) {
+				// Every other node sends node 2 one message: 3 > capacity 2.
+				if nd.ID() != 2 {
 					nd.Send(2, ncc.Message{Kind: 1})
 				}
+			}},
+		} {
+			s := ncc.New(ncc.Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: ncc.NCC1})
+			_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
+				tc.flood(nd)
+				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
+			})
+			if !errors.Is(err, ncc.ErrCapacity) {
+				t.Fatalf("%s: want a strict capacity violation matching ErrCapacity, got %v", tc.name, err)
 			}
-		}
-		_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
-			flood(nd)
-			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
-		})
-		if err == nil {
-			t.Fatal("want a strict capacity violation error")
 		}
 	})
 }

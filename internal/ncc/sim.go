@@ -83,6 +83,19 @@ var ErrCanceled = errors.New("ncc: run canceled")
 // exceeds Config.MaxRounds.
 var ErrMaxRounds = errors.New("ncc: exceeded MaxRounds")
 
+// ErrCapacity is matched, through errors.Is, by the error of a Strict run in
+// which a node sent or received more messages in one round than its
+// capacity allows.
+var ErrCapacity = errors.New("ncc: capacity exceeded")
+
+// capacityError is a strict-mode violation: its text names the round and
+// the offending count, and it matches ErrCapacity.
+type capacityError string
+
+func (e capacityError) Error() string { return string(e) }
+
+func (capacityError) Is(target error) bool { return target == ErrCapacity }
+
 // CollectiveOut is the per-node output of a collective handler. Learn lists
 // IDs the node acquires knowledge of (NCC0 bookkeeping for centrally executed
 // primitives).

@@ -6,6 +6,7 @@ package serve_test
 // full coordinator→worker proxy path through the ordinary /v1 handlers.
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,7 +14,9 @@ import (
 	"time"
 
 	"graphrealize"
+	"graphrealize/internal/api"
 	"graphrealize/internal/cluster"
+	"graphrealize/internal/jobs"
 	"graphrealize/internal/serve"
 )
 
@@ -158,13 +161,13 @@ func TestCoordinatorProxiesRealize(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("proxied realize: want 200, got %d: %s", rec.Code, rec.Body.String())
 	}
-	resp := decodeInto[serve.RealizeResponse](t, rec)
+	resp := decodeInto[api.RealizeResponse](t, rec)
 	if resp.N != 6 || resp.M != 7 || len(resp.Edges) != 7 {
 		t.Fatalf("proxied realization: %+v", resp)
 	}
 	// Same request again: served from the worker's cache through the proxy.
 	rec = post(t, h, "/v1/realize/degree", `{"sequence":[3,3,2,2,2,2],"options":{"seed":7}}`)
-	if resp := decodeInto[serve.RealizeResponse](t, rec); !resp.Cached {
+	if resp := decodeInto[api.RealizeResponse](t, rec); !resp.Cached {
 		t.Fatal("repeat request through coordinator missed the worker cache")
 	}
 
@@ -174,5 +177,50 @@ func TestCoordinatorProxiesRealize(t *testing.T) {
 	rec = post(t, h, "/v1/realize/degree", `{"sequence":[3,1,1]}`)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("unrealizable through proxy: want 422 (CLUSTER.md §5.5), got %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestCoordinatorNoWorkersIs503OnEveryRoute: with an empty routing set the
+// realize, sweep and async jobs routes all answer 503 (CLUSTER.md §6.2,
+// §8.1, §8.2); retrying helps only once a worker joins.
+func TestCoordinatorNoWorkersIs503OnEveryRoute(t *testing.T) {
+	reg := cluster.NewRegistry(cluster.RegistryConfig{SuspectAfter: time.Minute})
+	b := cluster.NewBackend(cluster.BackendConfig{Registry: reg})
+	m := jobs.New(jobs.Config{Backend: b})
+	t.Cleanup(func() { _ = m.Close(context.Background()) })
+	h := serve.New(serve.Config{Backend: b, Cluster: b, Jobs: m}).Handler()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/realize/degree", `{"sequence":[3,3,2,2,2,2]}`},
+		{"/v1/sweep", `{"kind":"degrees","sequence":[3,3,2,2,2,2],"seed_count":2}`},
+		{"/v1/jobs", `{"kind":"degrees","sequence":[3,3,2,2,2,2]}`},
+	} {
+		if rec := post(t, h, tc.path, tc.body); rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s with no workers: want 503 (CLUSTER.md §6.2), got %d: %s", tc.path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestCoordinatorRelays429WithRetryAfter: a worker's backpressure crosses
+// the coordinator as a 429 (CLUSTER.md §6.2) on the realize and sweep
+// routes and, like every 429 the service sends, carries Retry-After.
+func TestCoordinatorRelays429WithRetryAfter(t *testing.T) {
+	b, h := coordinator(t)
+	full := &fakeBackend{submit: func(context.Context, graphrealize.Job) (<-chan graphrealize.Result, error) {
+		return nil, graphrealize.ErrQueueFull
+	}}
+	worker := httptest.NewServer(serve.New(serve.Config{Backend: full}).Handler())
+	defer worker.Close()
+	if err := b.Registry().Register(cluster.RegisterRequest{Name: "w1", Addr: worker.URL}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/realize/degree", `{"sequence":[3,3,2,2,2,2]}`},
+		{"/v1/sweep", `{"kind":"degrees","sequence":[3,3,2,2,2,2],"seed_count":2}`},
+	} {
+		rec := post(t, h, tc.path, tc.body)
+		if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("%s through a saturated worker: status %d, Retry-After %q; want 429 with a hint",
+				tc.path, rec.Code, rec.Header().Get("Retry-After"))
+		}
 	}
 }

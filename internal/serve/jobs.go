@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 
 	"graphrealize"
 	"graphrealize/internal/jobs"
-	"graphrealize/internal/obs"
 )
 
 // jobs.go is the asynchronous half of the API: fire-and-poll realizations
@@ -30,29 +28,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown kind %q", req.Kind)
 		return
 	}
-	if !s.checkSequence(w, req.Sequence) {
+	j, ok := s.job(w, r, kind, req.Sequence, req.Options)
+	if !ok {
 		return
 	}
-	opt, err := req.Options.toOptions()
+	j.Label = req.Label
+	snap, err := s.cfg.Jobs.Submit(j)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	snap, err := s.cfg.Jobs.Submit(graphrealize.Job{
-		Kind: kind, Seq: req.Sequence, Opt: opt, Label: req.Label,
-		TraceID: obs.TraceID(r.Context()),
-	})
-	if err != nil {
-		switch {
-		case errors.Is(err, graphrealize.ErrQueueFull):
-			s.writeBackpressure(w, "runner queue is full; retry later")
-		case errors.Is(err, jobs.ErrTooManyJobs):
-			s.writeBackpressure(w, "retained job limit reached; retry later")
-		case errors.Is(err, jobs.ErrShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+		s.writeFailure(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+snap.ID)

@@ -22,11 +22,12 @@
 //	DELETE /v1/jobs/{id}           cancel (engine stops at a round barrier)
 //	GET    /v1/jobs/{id}/events    SSE stream of progress/terminal events
 //
-// Error mapping: malformed requests are 400, oversized inputs 413,
-// unrealizable sequences 422, a saturated Runner 429 (backpressure — the
-// request was never admitted) with a Retry-After hint derived from live
-// queue depth and mean job latency, job timeouts 504, and a client that
-// disconnected mid-job 499.
+// Error mapping (writeFailure, one function for every route): malformed
+// requests and options too tight for the job are 400, oversized inputs
+// 413, unrealizable sequences 422, backpressure 429 with a Retry-After
+// hint derived from live queue depth and mean job latency, an empty
+// cluster routing set or a draining job manager 503, job timeouts 504,
+// and a client that disconnected mid-job 499.
 //
 // Responses are JSON by default. The realization, sweep, and job-result
 // routes additionally negotiate the compact graphwire binary encoding
@@ -48,6 +49,7 @@ import (
 	"time"
 
 	"graphrealize"
+	"graphrealize/internal/api"
 	"graphrealize/internal/cluster"
 	"graphrealize/internal/jobs"
 	"graphrealize/internal/obs"
@@ -256,31 +258,34 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeResultError maps a job-level error onto an HTTP status. The two
-// cluster-only cases surface proxied admission outcomes that a local Runner
-// reports at submit time instead: a worker's backpressure rides a Result
-// (429, CLUSTER.md §8.1), and an emptied routing set is 503 — retrying is
-// pointless until a worker rejoins (CLUSTER.md §6.2).
-func writeResultError(w http.ResponseWriter, err error) {
+// writeFailure answers a request whose job was refused or failed: the one
+// mapping from admission errors (Runner, job manager, cluster Backend) and
+// job-level errors onto HTTP statuses, shared by every route. Backpressure
+// is 429 with the live Retry-After hint, whether the Runner, the retained
+// job cap, or a proxied worker pushed back (CLUSTER.md §8.1). An emptied
+// routing set and a draining job manager are 503: retrying helps only once
+// a worker rejoins or the server restarts (CLUSTER.md §6.2).
+func (s *Server) writeFailure(w http.ResponseWriter, err error) {
+	code, msg := http.StatusInternalServerError, err.Error()
 	switch {
 	case errors.Is(err, graphrealize.ErrUnrealizable):
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		code = http.StatusUnprocessableEntity
 	case errors.Is(err, graphrealize.ErrBadInput):
-		writeError(w, http.StatusBadRequest, "%v", err)
-	case errors.Is(err, graphrealize.ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, cluster.ErrNoWorkers):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		code = http.StatusBadRequest
+	case errors.Is(err, graphrealize.ErrQueueFull), errors.Is(err, jobs.ErrTooManyJobs):
+		code = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	case errors.Is(err, cluster.ErrNoWorkers), errors.Is(err, jobs.ErrShuttingDown):
+		code = http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "job exceeded its deadline")
+		code, msg = http.StatusGatewayTimeout, "job exceeded its deadline"
 	case errors.Is(err, context.Canceled):
-		writeError(w, StatusClientClosedRequest, "client closed request")
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		code, msg = StatusClientClosedRequest, "client closed request"
 	}
+	writeError(w, code, "%s", msg)
 }
 
 // decode reads a JSON body with the configured size cap. It distinguishes
@@ -301,17 +306,25 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// checkSequence enforces presence and the MaxN cap.
-func (s *Server) checkSequence(w http.ResponseWriter, seq []int) bool {
+// job builds the Job a realize, sweep or jobs request describes, once its
+// kind is resolved: it enforces the sequence's presence and the MaxN cap,
+// maps the options, and carries the request's trace ID. On failure it has
+// written the error response.
+func (s *Server) job(w http.ResponseWriter, r *http.Request, kind graphrealize.JobKind, seq []int, o *api.OptionsJSON) (graphrealize.Job, bool) {
 	if len(seq) == 0 {
 		writeError(w, http.StatusBadRequest, "sequence is required and must be non-empty")
-		return false
+		return graphrealize.Job{}, false
 	}
 	if len(seq) > s.cfg.MaxN {
 		writeError(w, http.StatusRequestEntityTooLarge, "sequence length %d exceeds the service cap n=%d", len(seq), s.cfg.MaxN)
-		return false
+		return graphrealize.Job{}, false
 	}
-	return true
+	opt, err := o.Options()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return graphrealize.Job{}, false
+	}
+	return graphrealize.Job{Kind: kind, Seq: seq, Opt: opt, TraceID: obs.TraceID(r.Context())}, true
 }
 
 // retryAfterSeconds estimates when Runner capacity will free up, for 429
@@ -351,108 +364,36 @@ func (s *Server) retryAfterSeconds() int {
 	return min(max(secs, 1), 30)
 }
 
-// writeBackpressure emits a 429 with the live Retry-After hint.
-func (s *Server) writeBackpressure(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	writeError(w, http.StatusTooManyRequests, format, args...)
-}
-
-// submit runs one job to completion under the request context, translating
-// admission rejection into 429 with a Retry-After hint.
-func (s *Server) submit(w http.ResponseWriter, ctx context.Context, j graphrealize.Job) (graphrealize.Result, bool) {
-	ch, err := s.cfg.Backend.SubmitCtx(ctx, j)
-	if err != nil {
-		switch {
-		case errors.Is(err, graphrealize.ErrQueueFull):
-			s.writeBackpressure(w, "runner queue is full; retry later")
-		case errors.Is(err, cluster.ErrNoWorkers):
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
-		return graphrealize.Result{}, false
-	}
-	res := <-ch
-	if res.Err != nil {
-		writeResultError(w, res.Err)
-		return res, false
-	}
-	return res, true
-}
-
-// errUnknownAlgorithm distinguishes a bad {alg} path element (404) from a
-// bad variant on a known algorithm (400).
-var errUnknownAlgorithm = errors.New("unknown algorithm")
-
-// jobKindFor maps an /v1/realize/{alg} path plus variant to a JobKind.
-func jobKindFor(alg, variant string) (graphrealize.JobKind, error) {
-	switch alg {
-	case "degree":
-		switch variant {
-		case "", "implicit":
-			return graphrealize.JobDegrees, nil
-		case "explicit":
-			return graphrealize.JobDegreesExplicit, nil
-		case "envelope":
-			return graphrealize.JobUpperEnvelope, nil
-		}
-		return 0, fmt.Errorf("unknown degree variant %q (want implicit, explicit, or envelope)", variant)
-	case "tree":
-		switch variant {
-		case "", "chain":
-			return graphrealize.JobChainTree, nil
-		case "mindiam", "min-diam", "greedy":
-			return graphrealize.JobMinDiamTree, nil
-		}
-		return 0, fmt.Errorf("unknown tree variant %q (want chain or mindiam)", variant)
-	case "connectivity":
-		if variant != "" {
-			return 0, fmt.Errorf("connectivity has no variants (got %q)", variant)
-		}
-		return graphrealize.JobConnectivity, nil
-	}
-	return 0, fmt.Errorf("%w %q (want degree, tree, or connectivity)", errUnknownAlgorithm, alg)
-}
-
 func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
-	var req RealizeRequest
+	var req api.RealizeRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	kind, err := jobKindFor(r.PathValue("alg"), req.Variant)
+	kind, err := api.KindFor(r.PathValue("alg"), req.Variant)
 	if err != nil {
-		if errors.Is(err, errUnknownAlgorithm) {
-			writeError(w, http.StatusNotFound, "%v", err)
-		} else {
-			writeError(w, http.StatusBadRequest, "%v", err)
+		code := http.StatusBadRequest
+		if errors.Is(err, api.ErrUnknownAlgorithm) {
+			code = http.StatusNotFound
 		}
+		writeError(w, code, "%v", err)
 		return
 	}
-	if !s.checkSequence(w, req.Sequence) {
-		return
-	}
-	opt, err := req.Options.toOptions()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	start := time.Now()
-	res, ok := s.submit(w, r.Context(), graphrealize.Job{
-		Kind: kind, Seq: req.Sequence, Opt: opt,
-		TraceID: obs.TraceID(r.Context()),
-	})
+	j, ok := s.job(w, r, kind, req.Sequence, req.Options)
 	if !ok {
 		return
 	}
-	resp := RealizeResponse{
-		Kind:      kind.String(),
-		N:         res.Graph.N,
-		M:         res.Graph.M(),
-		Envelope:  res.Envelope,
-		Stats:     statsJSON(res.Stats),
-		Cached:    res.Cached,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+	start := time.Now()
+	ch, err := s.cfg.Backend.SubmitCtx(r.Context(), j)
+	if err != nil {
+		s.writeFailure(w, err)
+		return
 	}
+	res := <-ch
+	if res.Err != nil {
+		s.writeFailure(w, res.Err)
+		return
+	}
+	resp := realizeResponse(kind, &res, time.Since(start))
 	// Everything that can fail has failed by here (the flush-audit
 	// contract): both encodings below start from a committed 200.
 	if wantsWire(r) {
@@ -479,12 +420,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown kind %q", req.Kind)
 		return
 	}
-	if !s.checkSequence(w, req.Sequence) {
-		return
-	}
-	opt, err := req.Options.toOptions()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	base, ok := s.job(w, r, kind, req.Sequence, req.Options)
+	if !ok {
 		return
 	}
 	seeds := req.Seeds
@@ -510,23 +447,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	sweepJobs := graphrealize.SweepSeeds(graphrealize.Job{
-		Kind: kind, Seq: req.Sequence, Opt: opt,
-		TraceID: obs.TraceID(r.Context()),
-	}, seeds)
+	sweepJobs := graphrealize.SweepSeeds(base, seeds)
 	// The whole sweep is admitted atomically (every job or none), so a
 	// saturated Runner rejects it as a unit (429) instead of wedging it
 	// halfway or starving a concurrent sweep.
 	chans, err := s.cfg.Backend.SubmitAllCtx(r.Context(), sweepJobs)
 	if err != nil {
-		switch {
-		case errors.Is(err, graphrealize.ErrQueueFull):
-			s.writeBackpressure(w, "runner queue cannot admit a %d-job sweep; retry later", len(sweepJobs))
-		case errors.Is(err, cluster.ErrNoWorkers):
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+		s.writeFailure(w, err)
 		return
 	}
 
@@ -538,11 +465,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if res.Err != nil {
 			// Realizability is seed-independent, so an unrealizable (or
 			// otherwise failed) sweep fails as a unit with the usual mapping.
-			writeResultError(w, res.Err)
+			s.writeFailure(w, res.Err)
 			return
 		}
 		row.M = res.Graph.M()
-		row.Stats = statsJSON(res.Stats)
+		row.Stats = api.StatsOf(res.Stats)
 		if res.Cached {
 			resp.CacheHits++
 		}

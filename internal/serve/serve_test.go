@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"graphrealize"
+	"graphrealize/internal/api"
 	"graphrealize/internal/serve"
 )
 
@@ -85,7 +86,7 @@ func TestRealizeDegreeHappyPath(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("want 200, got %d: %s", rec.Code, rec.Body.String())
 	}
-	resp := decodeInto[serve.RealizeResponse](t, rec)
+	resp := decodeInto[api.RealizeResponse](t, rec)
 	if resp.Kind != "degrees" || resp.N != 6 || resp.M != 7 {
 		t.Fatalf("unexpected realization: %+v", resp)
 	}
@@ -98,7 +99,7 @@ func TestRealizeDegreeHappyPath(t *testing.T) {
 
 	// An identical request is served from the Runner cache.
 	rec = post(t, h, "/v1/realize/degree", `{"sequence":[3,3,2,2,2,2],"options":{"seed":7}}`)
-	if resp := decodeInto[serve.RealizeResponse](t, rec); !resp.Cached {
+	if resp := decodeInto[api.RealizeResponse](t, rec); !resp.Cached {
 		t.Fatal("identical request must be served from the cache")
 	}
 }
@@ -110,7 +111,7 @@ func TestRealizeVariantsAndOmitEdges(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("explicit: want 200, got %d: %s", rec.Code, rec.Body.String())
 	}
-	if resp := decodeInto[serve.RealizeResponse](t, rec); resp.Edges != nil || resp.M != 4 {
+	if resp := decodeInto[api.RealizeResponse](t, rec); resp.Edges != nil || resp.M != 4 {
 		t.Fatalf("omit_edges must drop the edge list but keep m: %+v", resp)
 	}
 
@@ -119,7 +120,7 @@ func TestRealizeVariantsAndOmitEdges(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("envelope: want 200, got %d: %s", rec.Code, rec.Body.String())
 	}
-	if resp := decodeInto[serve.RealizeResponse](t, rec); len(resp.Envelope) != 4 {
+	if resp := decodeInto[api.RealizeResponse](t, rec); len(resp.Envelope) != 4 {
 		t.Fatalf("envelope variant must return the envelope degrees: %+v", resp)
 	}
 
@@ -127,7 +128,7 @@ func TestRealizeVariantsAndOmitEdges(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("tree: want 200, got %d: %s", rec.Code, rec.Body.String())
 	}
-	if resp := decodeInto[serve.RealizeResponse](t, rec); resp.M != 7 {
+	if resp := decodeInto[api.RealizeResponse](t, rec); resp.M != 7 {
 		t.Fatalf("a tree on 8 vertices has 7 edges: %+v", resp)
 	}
 
@@ -155,6 +156,8 @@ func TestRealizeRejectsMalformedRequests(t *testing.T) {
 		{"negative cap_mul", "/v1/realize/degree", `{"sequence":[2,2,2],"options":{"cap_mul":-3}}`, http.StatusBadRequest},
 		{"max_rounds exceeded", "/v1/realize/degree", `{"sequence":[1,1],"options":{"max_rounds":1}}`, http.StatusBadRequest},
 		{"sweep max_rounds exceeded", "/v1/sweep", `{"kind":"degrees","sequence":[1,1],"seeds":[1],"options":{"max_rounds":2}}`, http.StatusBadRequest},
+		{"strict capacity violation", "/v1/realize/degree", `{"sequence":[2,2,2,2,2,2,2,2],"options":{"strict":true,"cap_mul":1,"sort":"merge"}}`, http.StatusBadRequest},
+		{"sweep strict capacity violation", "/v1/sweep", `{"kind":"degrees","sequence":[2,2,2,2,2,2,2,2],"seeds":[0],"options":{"strict":true,"cap_mul":1,"sort":"merge"}}`, http.StatusBadRequest},
 		{"unknown algorithm", "/v1/realize/matching", `{"sequence":[1,1]}`, http.StatusNotFound},
 		{"unrealizable", "/v1/realize/degree", `{"sequence":[3,3,1,1]}`, http.StatusUnprocessableEntity},
 		{"unrealizable tree", "/v1/realize/tree", `{"sequence":[3,3,3,3]}`, http.StatusUnprocessableEntity},
@@ -165,7 +168,7 @@ func TestRealizeRejectsMalformedRequests(t *testing.T) {
 			if rec.Code != tc.want {
 				t.Fatalf("want %d, got %d: %s", tc.want, rec.Code, rec.Body.String())
 			}
-			if e := decodeInto[serve.ErrorResponse](t, rec); e.Error == "" {
+			if e := decodeInto[api.ErrorResponse](t, rec); e.Error == "" {
 				t.Fatal("error responses must carry a message")
 			}
 		})
@@ -435,7 +438,7 @@ func TestRetryAfterEmptyWindowFallback(t *testing.T) {
 func TestSchedulerOptionOnWire(t *testing.T) {
 	h := realServer(t)
 	const seq = `[3,3,2,2,2,2,1,1]`
-	plain := decodeInto[serve.RealizeResponse](t, post(t, h, "/v1/realize/degree",
+	plain := decodeInto[api.RealizeResponse](t, post(t, h, "/v1/realize/degree",
 		`{"sequence":`+seq+`,"options":{"seed":5}}`))
 	if len(plain.Edges) == 0 {
 		t.Fatal("reference request returned no edges")
@@ -445,7 +448,7 @@ func TestSchedulerOptionOnWire(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("scheduler %q: %d %s", sched, rec.Code, rec.Body.String())
 		}
-		got := decodeInto[serve.RealizeResponse](t, rec)
+		got := decodeInto[api.RealizeResponse](t, rec)
 		if !reflect.DeepEqual(got.Edges, plain.Edges) || got.Stats != plain.Stats {
 			t.Fatalf("scheduler %q changed the result:\n got %+v %v\nwant %+v %v",
 				sched, got.Stats, got.Edges, plain.Stats, plain.Edges)
@@ -472,7 +475,7 @@ func TestRetiredSchedulerSharesCacheEntry(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body.String())
 		}
-		if got := decodeInto[serve.RealizeResponse](t, rec); got.Cached != (i > 0) {
+		if got := decodeInto[api.RealizeResponse](t, rec); got.Cached != (i > 0) {
 			t.Fatalf("request %d (%s): cached=%v, want %v", i, body, got.Cached, i > 0)
 		}
 	}

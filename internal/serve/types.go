@@ -1,136 +1,32 @@
 package serve
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
 	"graphrealize"
+	"graphrealize/internal/api"
 	"graphrealize/internal/cluster"
 	"graphrealize/internal/jobs"
 )
 
-// types.go defines the service's JSON wire format and its mapping onto the
-// graphrealize facade types. The wire format is deliberately flat: every
-// field of Options and Stats is representable, sequences are plain integer
-// arrays, and graphs travel as (u < v) edge lists.
+// types.go defines the service's JSON bodies beyond the realization API's
+// own (internal/api): sweeps, stats and async jobs. The wire format is
+// deliberately flat: sequences are plain integer arrays, and graphs travel
+// as (u < v) edge lists.
 
-// OptionsJSON mirrors graphrealize.Options with JSON-friendly enums.
-type OptionsJSON struct {
-	// Model is "ncc0" (default) or "ncc1".
-	Model string `json:"model,omitempty"`
-	// Seed makes the run deterministic.
-	Seed int64 `json:"seed,omitempty"`
-	// Strict turns capacity violations into errors.
-	Strict bool `json:"strict,omitempty"`
-	// CapMul scales the per-round message budget.
-	CapMul int `json:"cap_mul,omitempty"`
-	// Sort is "oracle" (default), "oddeven", or "merge".
-	Sort string `json:"sort,omitempty"`
-	// MaxRounds aborts runaway protocols.
-	MaxRounds int `json:"max_rounds,omitempty"`
-	// Scheduler is retired: every run uses the engine's one driver. The
-	// field is still decoded so that clients written against the
-	// three-driver engine keep working; "barrier", "pool" and "flat" are
-	// ignored and any other value is rejected, as before.
-	Scheduler string `json:"scheduler,omitempty"`
-}
-
-// toOptions maps the wire options onto facade Options.
-func (o *OptionsJSON) toOptions() (*graphrealize.Options, error) {
-	if o == nil {
-		return nil, nil
+// realizeResponse is the body of a successful realization of kind, minus
+// its edge list, which each encoding adds in its own form.
+func realizeResponse(kind graphrealize.JobKind, res *graphrealize.Result, elapsed time.Duration) api.RealizeResponse {
+	return api.RealizeResponse{
+		Kind:      kind.String(),
+		N:         res.Graph.N,
+		M:         res.Graph.M(),
+		Envelope:  res.Envelope,
+		Stats:     api.StatsOf(res.Stats),
+		Cached:    res.Cached,
+		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
 	}
-	if o.CapMul < 0 {
-		return nil, fmt.Errorf("cap_mul %d is negative (0 selects the default)", o.CapMul)
-	}
-	if o.MaxRounds < 0 {
-		return nil, fmt.Errorf("max_rounds %d is negative (0 selects the default)", o.MaxRounds)
-	}
-	out := &graphrealize.Options{
-		Seed:      o.Seed,
-		Strict:    o.Strict,
-		CapMul:    o.CapMul,
-		MaxRounds: o.MaxRounds,
-	}
-	switch strings.ToLower(o.Model) {
-	case "", "ncc0":
-	case "ncc1":
-		out.Model = graphrealize.NCC1
-	default:
-		return nil, fmt.Errorf("unknown model %q (want ncc0 or ncc1)", o.Model)
-	}
-	switch strings.ToLower(o.Sort) {
-	case "", "oracle":
-	case "oddeven":
-		out.Sort = graphrealize.OddEvenSort
-	case "merge":
-		out.Sort = graphrealize.MergeSort
-	default:
-		return nil, fmt.Errorf("unknown sort %q (want oracle, oddeven, or merge)", o.Sort)
-	}
-	switch strings.ToLower(o.Scheduler) {
-	case "", "barrier", "pool", "flat":
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (want barrier, pool or flat)", o.Scheduler)
-	}
-	return out, nil
-}
-
-// StatsJSON mirrors graphrealize.Stats.
-type StatsJSON struct {
-	N             int   `json:"n"`
-	Rounds        int   `json:"rounds"`
-	ChargedRounds int   `json:"charged_rounds"`
-	Messages      int64 `json:"messages"`
-	Capacity      int   `json:"capacity"`
-	MaxSent       int   `json:"max_sent"`
-	MaxRecv       int   `json:"max_recv"`
-	CapViolations int   `json:"cap_violations"`
-	Phases        int   `json:"phases,omitempty"`
-}
-
-func statsJSON(s *graphrealize.Stats) StatsJSON {
-	if s == nil {
-		return StatsJSON{}
-	}
-	return StatsJSON{
-		N:             s.N,
-		Rounds:        s.Rounds,
-		ChargedRounds: s.ChargedRounds,
-		Messages:      s.Messages,
-		Capacity:      s.Capacity,
-		MaxSent:       s.MaxSent,
-		MaxRecv:       s.MaxRecv,
-		CapViolations: s.CapViolations,
-		Phases:        s.Phases,
-	}
-}
-
-// RealizeRequest is the body of POST /v1/realize/{alg}.
-type RealizeRequest struct {
-	// Sequence is the degree (or ρ) sequence to realize.
-	Sequence []int `json:"sequence"`
-	// Variant selects the algorithm flavour. degree: "implicit" (default),
-	// "explicit", or "envelope"; tree: "chain" (default) or "mindiam";
-	// connectivity: must be empty.
-	Variant string `json:"variant,omitempty"`
-	// Options tunes the simulation; nil selects the defaults.
-	Options *OptionsJSON `json:"options,omitempty"`
-	// OmitEdges drops the edge list from the response (stats only).
-	OmitEdges bool `json:"omit_edges,omitempty"`
-}
-
-// RealizeResponse is the body of a successful realization.
-type RealizeResponse struct {
-	Kind      string    `json:"kind"`
-	N         int       `json:"n"`
-	M         int       `json:"m"`
-	Edges     [][2]int  `json:"edges,omitempty"`
-	Envelope  []int     `json:"envelope,omitempty"`
-	Stats     StatsJSON `json:"stats"`
-	Cached    bool      `json:"cached"`
-	ElapsedMS float64   `json:"elapsed_ms"`
 }
 
 // SweepRequest is the body of POST /v1/sweep: one sequence realized under
@@ -141,21 +37,21 @@ type SweepRequest struct {
 	// Kind names the realization algorithm: "degrees", "degrees-explicit",
 	// "upper-envelope", "chain-tree", "min-diam-tree", or "connectivity"
 	// (aliases "degree", "tree", "mindiam", "envelope" are accepted).
-	Kind      string       `json:"kind"`
-	Sequence  []int        `json:"sequence"`
-	Seeds     []int64      `json:"seeds,omitempty"`
-	SeedCount int          `json:"seed_count,omitempty"`
-	SeedStart int64        `json:"seed_start,omitempty"`
-	Options   *OptionsJSON `json:"options,omitempty"`
+	Kind      string           `json:"kind"`
+	Sequence  []int            `json:"sequence"`
+	Seeds     []int64          `json:"seeds,omitempty"`
+	SeedCount int              `json:"seed_count,omitempty"`
+	SeedStart int64            `json:"seed_start,omitempty"`
+	Options   *api.OptionsJSON `json:"options,omitempty"`
 }
 
 // SweepRow is one seed's outcome inside a SweepResponse. A sweep fails as
 // a unit (realizability is seed-independent), so rows carry no error field.
 type SweepRow struct {
-	Seed   int64     `json:"seed"`
-	M      int       `json:"m"`
-	Stats  StatsJSON `json:"stats"`
-	Cached bool      `json:"cached"`
+	Seed   int64         `json:"seed"`
+	M      int           `json:"m"`
+	Stats  api.StatsJSON `json:"stats"`
+	Cached bool          `json:"cached"`
 }
 
 // SweepResponse aggregates a multi-seed sweep.
@@ -273,11 +169,6 @@ func statsResponse(rs graphrealize.RunnerStats, uptime time.Duration, o *graphre
 // the shape they had when the engine had several drivers.
 const engineDriver = "flat"
 
-// ErrorResponse is the body of every non-2xx response.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
 // JobRequest is the body of POST /v1/jobs: the same inputs as a synchronous
 // realization, addressed by kind (the SweepRequest.Kind vocabulary).
 type JobRequest struct {
@@ -288,7 +179,7 @@ type JobRequest struct {
 	// Sequence is the degree (or ρ) sequence to realize.
 	Sequence []int `json:"sequence"`
 	// Options tunes the simulation; nil selects the defaults.
-	Options *OptionsJSON `json:"options,omitempty"`
+	Options *api.OptionsJSON `json:"options,omitempty"`
 	// Label is an optional caller tag echoed back in job snapshots.
 	Label string `json:"label,omitempty"`
 }
@@ -299,19 +190,19 @@ type JobRequest struct {
 // JobJSON is one job's externally visible state (202/200 bodies and list
 // rows). Result is present only on GET /v1/jobs/{id} of a done job.
 type JobJSON struct {
-	ID         string           `json:"id"`
-	Kind       string           `json:"kind"`
-	State      string           `json:"state"`
-	N          int              `json:"n"`
-	Label      string           `json:"label,omitempty"`
-	TraceID    string           `json:"trace_id,omitempty"`
-	Round      int              `json:"round"`
-	Messages   int              `json:"messages"`
-	CreatedAt  time.Time        `json:"created_at"`
-	StartedAt  *time.Time       `json:"started_at,omitempty"`
-	FinishedAt *time.Time       `json:"finished_at,omitempty"`
-	Error      string           `json:"error,omitempty"`
-	Result     *RealizeResponse `json:"result,omitempty"`
+	ID         string               `json:"id"`
+	Kind       string               `json:"kind"`
+	State      string               `json:"state"`
+	N          int                  `json:"n"`
+	Label      string               `json:"label,omitempty"`
+	TraceID    string               `json:"trace_id,omitempty"`
+	Round      int                  `json:"round"`
+	Messages   int                  `json:"messages"`
+	CreatedAt  time.Time            `json:"created_at"`
+	StartedAt  *time.Time           `json:"started_at,omitempty"`
+	FinishedAt *time.Time           `json:"finished_at,omitempty"`
+	Error      string               `json:"error,omitempty"`
+	Result     *api.RealizeResponse `json:"result,omitempty"`
 	// Recovered marks a job reloaded (terminal) or re-queued (in-flight)
 	// from the durable store after a restart (grserved -data-dir).
 	Recovered bool `json:"recovered,omitempty"`
@@ -348,19 +239,11 @@ func jobJSON(snap jobs.Snapshot, includeResult, omitEdges bool) JobJSON {
 		if started.IsZero() {
 			started = snap.Created // cache-served jobs never ran
 		}
-		res := &RealizeResponse{
-			Kind:      snap.Kind.String(),
-			N:         snap.Result.Graph.N,
-			M:         snap.Result.Graph.M(),
-			Envelope:  snap.Result.Envelope,
-			Stats:     statsJSON(snap.Result.Stats),
-			Cached:    snap.Result.Cached,
-			ElapsedMS: float64(snap.Finished.Sub(started).Microseconds()) / 1000,
-		}
+		res := realizeResponse(snap.Kind, snap.Result, snap.Finished.Sub(started))
 		if !omitEdges {
 			res.Edges = snap.Result.Graph.Edges()
 		}
-		out.Result = res
+		out.Result = &res
 	}
 	return out
 }

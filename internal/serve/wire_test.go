@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"graphrealize"
+	"graphrealize/internal/api"
 	"graphrealize/internal/serve"
 	"graphrealize/internal/wire"
 )
@@ -53,7 +54,7 @@ func TestRealizeWireNegotiation(t *testing.T) {
 
 	// Baseline JSON response for the same request.
 	jsonRec := post(t, h, "/v1/realize/degree", body)
-	jsonResp := decodeInto[serve.RealizeResponse](t, jsonRec)
+	jsonResp := decodeInto[api.RealizeResponse](t, jsonRec)
 
 	msg := decodeWire(t, postWire(t, h, "/v1/realize/degree", body))
 	if !msg.HasGraph || msg.N != 6 || msg.M != 7 {
@@ -61,7 +62,7 @@ func TestRealizeWireNegotiation(t *testing.T) {
 	}
 
 	// The JMETA document is the JSON body minus the edge list.
-	var meta serve.RealizeResponse
+	var meta api.RealizeResponse
 	if err := json.Unmarshal(msg.Meta, &meta); err != nil {
 		t.Fatalf("JMETA is not a RealizeResponse: %v", err)
 	}
@@ -100,7 +101,7 @@ func TestRealizeWireOmitEdges(t *testing.T) {
 	if msg.HasGraph {
 		t.Fatal("omit_edges stream must have no graph section")
 	}
-	var meta serve.RealizeResponse
+	var meta api.RealizeResponse
 	if err := json.Unmarshal(msg.Meta, &meta); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestWireErrorsStayJSON(t *testing.T) {
 			if bytes.HasPrefix(rec.Body.Bytes(), []byte("GRWF")) {
 				t.Fatal("error response starts with wire magic")
 			}
-			if resp := decodeInto[serve.ErrorResponse](t, rec); resp.Error == "" {
+			if resp := decodeInto[api.ErrorResponse](t, rec); resp.Error == "" {
 				t.Fatal("error body has no error field")
 			}
 		})

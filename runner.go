@@ -20,21 +20,22 @@ import (
 // multi-family) and HTTP traffic should go through a Runner rather than a
 // serial loop.
 
-// JobKind selects which realization entry point a Job invokes.
+// JobKind selects the realization a Job runs; each kind is one facade
+// entry point's realization.
 type JobKind int
 
 const (
-	// JobDegrees runs RealizeDegrees (§4.1, Theorem 11).
+	// JobDegrees is RealizeDegrees (§4.1, Theorem 11).
 	JobDegrees JobKind = iota
-	// JobDegreesExplicit runs RealizeDegreesExplicit (§4.2, Theorem 12).
+	// JobDegreesExplicit is RealizeDegreesExplicit (§4.2, Theorem 12).
 	JobDegreesExplicit
-	// JobUpperEnvelope runs RealizeUpperEnvelope (§4.3, Theorem 13).
+	// JobUpperEnvelope is RealizeUpperEnvelope (§4.3, Theorem 13).
 	JobUpperEnvelope
-	// JobChainTree runs RealizeTree (§5, Theorem 14).
+	// JobChainTree is RealizeTree (§5, Theorem 14).
 	JobChainTree
-	// JobMinDiamTree runs RealizeMinDiameterTree (§5, Theorem 16).
+	// JobMinDiamTree is RealizeMinDiameterTree (§5, Theorem 16).
 	JobMinDiamTree
-	// JobConnectivity runs RealizeConnectivity (§6, Theorems 17/18).
+	// JobConnectivity is RealizeConnectivity (§6, Theorems 17/18).
 	JobConnectivity
 )
 
@@ -494,30 +495,6 @@ func (r *Runner) run(ctx context.Context, j Job) Result {
 		stored := res
 		stored.Job = Job{}
 		r.cache.put(key, stored)
-	}
-	return res
-}
-
-// Execute dispatches one job to the facade entry point for its kind,
-// honouring ctx: cancellation or deadline expiry aborts the simulation
-// between rounds and yields a Result whose Err is the context's error.
-func Execute(ctx context.Context, j Job) Result {
-	res := Result{Job: j}
-	switch j.Kind {
-	case JobDegrees:
-		res.Graph, res.Stats, res.Err = realizeDegrees(ctx, j.Seq, j.Opt, false)
-	case JobDegreesExplicit:
-		res.Graph, res.Stats, res.Err = realizeDegrees(ctx, j.Seq, j.Opt, true)
-	case JobUpperEnvelope:
-		res.Graph, res.Envelope, res.Stats, res.Err = realizeEnvelope(ctx, j.Seq, j.Opt)
-	case JobChainTree:
-		res.Graph, res.Stats, res.Err = realizeTree(ctx, j.Seq, j.Opt, false)
-	case JobMinDiamTree:
-		res.Graph, res.Stats, res.Err = realizeTree(ctx, j.Seq, j.Opt, true)
-	case JobConnectivity:
-		res.Graph, res.Stats, res.Err = realizeConnectivity(ctx, j.Seq, j.Opt)
-	default:
-		res.Err = fmt.Errorf("graphrealize: unknown JobKind %d", int(j.Kind))
 	}
 	return res
 }
