@@ -7,9 +7,13 @@
 // with per-hop combining over the distance-doubling overlay (see DESIGN.md
 // for the substitution note).
 //
-// Every primitive is written in the resumable step form of package ncc: the
-// XxxStep function performs the current round's compute slice and returns an
-// ncc.Op whose continuation eventually invokes k with the result.
+// Every primitive is written in the resumable step form of package ncc: a
+// call Foo(nd, …, k) performs the current round's compute slice and returns
+// an ncc.Op whose continuation eventually invokes k with the result.
+// AggregateBroadcast, which the realizations run several times per phase,
+// keeps its state in one struct per call whose bound method is its only
+// continuation (package primitives describes the convention); the
+// primitives only the experiments run keep their closures.
 package aggregate
 
 import (
@@ -74,12 +78,13 @@ func OrOp() Op {
 	}, Neutral: 0}
 }
 
-// BroadcastStep delivers the leader's value to every node (Theorem 4). The
+// Broadcast delivers the leader's value to every node (Theorem 4). The
 // leader is whichever single node passes have=true; its token travels up to
 // the TBFS root and floods down. Every node receives the value via k.
 //
-// Rounds: exactly 2·(⌈log₂ n⌉ + 2) from the caller's current round.
-func BroadcastStep(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(int64) ncc.Op) ncc.Op {
+// Rounds: exactly 2·⌈log₂ n⌉ + 5 from the caller's current round (K+2 up,
+// K+3 down).
+func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(int64) ncc.Op) ncc.Op {
 	K := ncc.CeilLog2(nd.N())
 	start := nd.Round()
 	upDeadline := start + K + 2
@@ -92,7 +97,7 @@ func BroadcastStep(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k f
 	}
 	finish := func() ncc.Op {
 		sendDown(nd, t, kDown, val)
-		return primitives.SyncAtStep(nd, upDeadline+K+3, func([]ncc.Message) ncc.Op { return k(val) })
+		return primitives.SyncAt(nd, upDeadline+K+3, func(*ncc.Node, ncc.Wake) ncc.Op { return k(val) })
 	}
 	// Down phase: flood from the root.
 	down := func() ncc.Op {
@@ -123,8 +128,8 @@ func BroadcastStep(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k f
 		if nd.Round() >= upDeadline {
 			return down()
 		}
-		return primitives.SyncAtStep(nd, nd.Round()+1, func(in []ncc.Message) ncc.Op {
-			for _, m := range in {
+		return primitives.SyncAt(nd, nd.Round()+1, func(_ *ncc.Node, w ncc.Wake) ncc.Op {
+			for _, m := range w.Msgs {
 				if m.Kind == kUp {
 					if t.IsRoot {
 						got, val = true, m.A
@@ -148,87 +153,119 @@ func sendDown(nd *ncc.Node, t *primitives.Tree, kind uint8, v int64) {
 	}
 }
 
-// AggregateBroadcastStep folds every node's value with the distributive
+// AggregateBroadcast folds every node's value with the distributive
 // operator op and delivers the global result to every node via k (Theorem 4's
 // aggregation followed by a broadcast of the result, the form all realization
 // algorithms use). Convergecast up the TBFS, flood down.
 //
 // Rounds: exactly 2·(⌈log₂ n⌉ + 3) from the caller's current round.
-func AggregateBroadcastStep(nd *ncc.Node, t *primitives.Tree, value int64, op Op, k func(int64) ncc.Op) ncc.Op {
+func AggregateBroadcast(nd *ncc.Node, t *primitives.Tree, value int64, op Op, k func(int64) ncc.Op) ncc.Op {
 	K := ncc.CeilLog2(nd.N())
-	startA := nd.Round()
-	children := 0
+	pending := 0
 	if t.Left != ncc.None {
-		children++
+		pending++
 	}
 	if t.Right != ncc.None {
-		children++
+		pending++
 	}
-	acc := value
-	got := 0
-
-	phaseB := func() ncc.Op {
-		startB := nd.Round()
-		val := acc // correct only at the root; others receive it below
-		finish := func() ncc.Op {
-			sendDown(nd, t, kAggDown, val)
-			return primitives.SyncAtStep(nd, startB+K+3, func([]ncc.Message) ncc.Op { return k(val) })
-		}
-		if t.IsRoot {
-			return finish()
-		}
-		var wait ncc.Cont
-		wait = func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			waiting := true
-			for _, m := range w.Msgs {
-				if m.Kind == kAggDown {
-					val = m.A
-					waiting = false
-				}
-			}
-			if waiting {
-				return ncc.Await(wait)
-			}
-			return finish()
-		}
-		return ncc.Await(wait)
+	// Phase A: convergecast. A node at height h sends in round start+h, so
+	// everything arrives within K+2 rounds.
+	s := &aggState{t: t, combine: op.Combine, k: k, K: K, val: value, pending: pending, deadline: nd.Round() + K + 3}
+	s.resume = s.step
+	if pending == 0 {
+		return s.passUp(nd)
 	}
-
-	afterUp := func() ncc.Op {
-		if !t.IsRoot {
-			nd.Send(t.Parent, ncc.Message{Kind: kAggUp, A: acc})
-		}
-		return primitives.SyncAtStep(nd, startA+K+3, func([]ncc.Message) ncc.Op { return phaseB() })
-	}
-	if got >= children {
-		return afterUp()
-	}
-	var ups ncc.Cont
-	ups = func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-		for _, m := range w.Msgs {
-			if m.Kind == kAggUp {
-				acc = op.Combine(acc, m.A)
-				got++
-			}
-		}
-		if got < children {
-			return ncc.Await(ups)
-		}
-		return afterUp()
-	}
-	return ncc.Await(ups)
+	return ncc.Await(s.resume)
 }
 
-// FindByPositionStep delivers the ID of the node whose annotated inorder
+// aggState is one AggregateBroadcast call's per-node state. Every
+// suspension resumes step, and phase says where.
+type aggState struct {
+	t        *primitives.Tree
+	combine  func(a, b int64) int64
+	k        func(int64) ncc.Op
+	resume   ncc.Cont
+	K        int
+	val      int64 // the subtree's aggregate, then the global result
+	pending  int   // children whose aggregates have not arrived
+	deadline int   // the round the current phase ends at
+	phase    aggPhase
+}
+
+type aggPhase uint8
+
+const (
+	gatherUp  aggPhase = iota // awaiting the children's aggregates
+	endUp                     // sleeping until phase A ends
+	awaitDown                 // awaiting the result from the parent
+	endDown                   // sleeping until phase B ends
+)
+
+func (s *aggState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	switch s.phase {
+	case gatherUp:
+		for _, m := range w.Msgs {
+			if m.Kind == kAggUp {
+				s.val = s.combine(s.val, m.A)
+				s.pending--
+			}
+		}
+		if s.pending > 0 {
+			return ncc.Await(s.resume)
+		}
+		return s.passUp(nd)
+	case endUp:
+		// Phase B: the root holds the result; it floods down the tree.
+		s.deadline = nd.Round() + s.K + 3
+		if s.t.IsRoot {
+			return s.passDown(nd)
+		}
+		s.phase = awaitDown
+		return ncc.Await(s.resume)
+	case awaitDown:
+		waiting := true
+		for _, m := range w.Msgs {
+			if m.Kind == kAggDown {
+				s.val = m.A
+				waiting = false
+			}
+		}
+		if waiting {
+			return ncc.Await(s.resume)
+		}
+		return s.passDown(nd)
+	default: // endDown
+		return s.k(s.val)
+	}
+}
+
+// passUp passes the subtree's aggregate to the parent and sleeps out
+// phase A.
+func (s *aggState) passUp(nd *ncc.Node) ncc.Op {
+	if !s.t.IsRoot {
+		nd.Send(s.t.Parent, ncc.Message{Kind: kAggUp, A: s.val})
+	}
+	s.phase = endUp
+	return primitives.SyncAt(nd, s.deadline, s.resume)
+}
+
+// passDown passes the result to the children and sleeps out phase B.
+func (s *aggState) passDown(nd *ncc.Node) ncc.Op {
+	sendDown(nd, s.t, kAggDown, s.val)
+	s.phase = endDown
+	return primitives.SyncAt(nd, s.deadline, s.resume)
+}
+
+// FindByPosition delivers the ID of the node whose annotated inorder
 // position equals pos, made common knowledge via aggregation (the Corollary 2
 // median primitive generalized to any position). Rounds: one
-// AggregateBroadcastStep.
-func FindByPositionStep(nd *ncc.Node, t *primitives.Tree, pos int, k func(ncc.ID) ncc.Op) ncc.Op {
+// AggregateBroadcast.
+func FindByPosition(nd *ncc.Node, t *primitives.Tree, pos int, k func(ncc.ID) ncc.Op) ncc.Op {
 	v := int64(0)
 	if t.Pos == pos {
 		v = int64(nd.ID())
 	}
-	return AggregateBroadcastStep(nd, t, v, MaxOp(), func(r int64) ncc.Op {
+	return AggregateBroadcast(nd, t, v, MaxOp(), func(r int64) ncc.Op {
 		id := ncc.ID(r)
 		if id != ncc.None {
 			nd.Learn(id)
@@ -237,7 +274,7 @@ func FindByPositionStep(nd *ncc.Node, t *primitives.Tree, pos int, k func(ncc.ID
 	})
 }
 
-// CollectStep gathers every node's tokens at the leader (Theorem 5): tokens
+// Collect gathers every node's tokens at the leader (Theorem 5): tokens
 // are pipelined up the TBFS with per-round throttling that respects the node
 // capacity, then streamed from the root to the leader. All nodes must pass
 // the same leader ID (normally learned via Broadcast beforehand); nodes
@@ -247,7 +284,7 @@ func FindByPositionStep(nd *ncc.Node, t *primitives.Tree, pos int, k func(ncc.ID
 // count k as O(k + log n). All nodes are resynchronized to the same round
 // before k runs (the marker's flood time is corrected using each node's
 // depth).
-func CollectStep(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID, k func([]int64) ncc.Op) ncc.Op {
+func Collect(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID, k func([]int64) ncc.Op) ncc.Op {
 	K := ncc.CeilLog2(nd.N())
 	budget := nd.Capacity()/2 - 1
 	if budget < 1 {
@@ -269,8 +306,8 @@ func CollectStep(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID
 	// a node at depth d learns of the end d rounds after the root flooded it.
 	resync := func() ncc.Op {
 		base := nd.Round() - t.Depth
-		return primitives.SyncAtStep(nd, base+K+3, func(in []ncc.Message) ncc.Op {
-			for _, m := range in {
+		return primitives.SyncAt(nd, base+K+3, func(_ *ncc.Node, w ncc.Wake) ncc.Op {
+			for _, m := range w.Msgs {
 				if m.Kind == kLeaderTok {
 					atLeader = append(atLeader, m.A)
 				}

@@ -12,9 +12,9 @@ func TestBroadcastReachesAll(t *testing.T) {
 		s := ncc.New(ncc.Config{N: n, Seed: int64(n), Strict: true})
 		leaderPos := n / 2
 		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+			return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
 				have := tree.Pos == leaderPos
-				return BroadcastStep(nd, &tree, have, int64(nd.ID()), func(v int64) ncc.Op {
+				return Broadcast(nd, &tree, have, int64(nd.ID()), func(v int64) ncc.Op {
 					nd.SetOutput("got", v)
 					return ncc.Done()
 				})
@@ -40,7 +40,7 @@ func TestAggregateBroadcastOps(t *testing.T) {
 	n := 60
 	s := ncc.New(ncc.Config{N: n, Seed: 9, Strict: true})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+		return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
 			v := int64(tree.Pos + 1)
 			or := int64(0)
 			if tree.Pos == 13 {
@@ -58,7 +58,7 @@ func TestAggregateBroadcastOps(t *testing.T) {
 					return ncc.Done()
 				}
 				st := steps[i]
-				return AggregateBroadcastStep(nd, &tree, st.value, st.op, func(got int64) ncc.Op {
+				return AggregateBroadcast(nd, &tree, st.value, st.op, func(got int64) ncc.Op {
 					nd.SetOutput(st.key, got)
 					return next(i + 1)
 				})
@@ -90,8 +90,8 @@ func TestFindByPosition(t *testing.T) {
 	n := 41
 	s := ncc.New(ncc.Config{N: n, Seed: 21, Strict: true})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
-			return FindByPositionStep(nd, &tree, (n-1)/2, func(median ncc.ID) ncc.Op {
+		return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+			return FindByPosition(nd, &tree, (n-1)/2, func(median ncc.ID) ncc.Op {
 				nd.SetOutput("median", int64(median))
 				return ncc.Done()
 			})
@@ -118,14 +118,14 @@ func TestCollectGathersAllTokens(t *testing.T) {
 		}
 		ch := make(chan res, n)
 		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
-				return FindByPositionStep(nd, &tree, leaderPos, func(leader ncc.ID) ncc.Op {
+			return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+				return FindByPosition(nd, &tree, leaderPos, func(leader ncc.ID) ncc.Op {
 					// Every third position contributes two tokens; others none.
 					var toks []int64
 					if tree.Pos%3 == 0 {
 						toks = []int64{int64(tree.Pos), int64(tree.Pos) + 1000}
 					}
-					return CollectStep(nd, &tree, toks, leader, func(got []int64) ncc.Op {
+					return Collect(nd, &tree, toks, leader, func(got []int64) ncc.Op {
 						ch <- res{nd.ID(), got}
 						return ncc.Done()
 					})
@@ -168,13 +168,13 @@ func TestCollectRoundsScaleWithK(t *testing.T) {
 	rounds := func(tokensPerNode int) int {
 		s := ncc.New(ncc.Config{N: n, Seed: 7})
 		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
-				return FindByPositionStep(nd, &tree, 0, func(leader ncc.ID) ncc.Op {
+			return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+				return FindByPosition(nd, &tree, 0, func(leader ncc.ID) ncc.Op {
 					toks := make([]int64, tokensPerNode)
 					for i := range toks {
 						toks[i] = int64(tree.Pos*1000 + i)
 					}
-					return CollectStep(nd, &tree, toks, leader, func([]int64) ncc.Op { return ncc.Done() })
+					return Collect(nd, &tree, toks, leader, func([]int64) ncc.Op { return ncc.Done() })
 				})
 			})
 		})

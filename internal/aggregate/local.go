@@ -104,12 +104,12 @@ type GroupValue struct {
 	Value int64
 }
 
-// LocalAggregateStep implements Theorem 6: for every group, the op-fold of
+// LocalAggregate implements Theorem 6: for every group, the op-fold of
 // all members' contributions reaches the group's destination node. contribs
 // are this node's memberships (one value per group it belongs to); destOf
 // lists the group IDs this node is the destination of. k receives the folded
 // value per destination group. All nodes must call it together.
-func LocalAggregateStep(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf []int64, op Op, k func(map[int64]int64) ncc.Op) ncc.Op {
+func LocalAggregate(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf []int64, op Op, k func(map[int64]int64) ncc.Op) ncc.Op {
 	type aggState struct {
 		acc   int64
 		fresh bool
@@ -172,7 +172,7 @@ func LocalAggregateStep(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf
 					results[m.A] = m.B
 				}
 			}
-			return primitives.SyncAtStep(nd, nd.Round()+1, func([]ncc.Message) ncc.Op { return k(results) })
+			return primitives.SyncAt(nd, nd.Round()+1, func(*ncc.Node, ncc.Wake) ncc.Op { return k(results) })
 		})
 	}
 
@@ -184,7 +184,7 @@ func LocalAggregateStep(nd *ncc.Node, c *LocalCtx, contribs []GroupValue, destOf
 			if len(pending) > 0 || len(regQueue) > 0 {
 				busy = 1
 			}
-			return AggregateBroadcastStep(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
+			return AggregateBroadcast(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
 				if anyBusy == 0 {
 					return deliver()
 				}
@@ -259,11 +259,11 @@ type GroupToken struct {
 	Token int64
 }
 
-// LocalMulticastStep implements Theorem 7: each group's source token
+// LocalMulticast implements Theorem 7: each group's source token
 // reaches every member. sources are this node's tokens (it is the source of
 // those groups); memberOf lists the groups this node belongs to. k receives
 // the token per subscribed group.
-func LocalMulticastStep(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberOf []int64, k func(map[int64]int64) ncc.Op) ncc.Op {
+func LocalMulticast(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberOf []int64, k func(map[int64]int64) ncc.Op) ncc.Op {
 	results := map[int64]int64{}
 	// Subscription state: members route SUB packets toward rendezvous;
 	// every node on the way remembers (gid → children) and forwards one SUB
@@ -316,7 +316,7 @@ func LocalMulticastStep(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberO
 			if len(subQueue) > 0 || len(tokQueue) > 0 || unserved() {
 				busy = 1
 			}
-			return AggregateBroadcastStep(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
+			return AggregateBroadcast(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
 				if anyBusy == 0 {
 					return k(results)
 				}
@@ -387,10 +387,10 @@ func LocalMulticastStep(nd *ncc.Node, c *LocalCtx, sources []GroupToken, memberO
 	return round(0)
 }
 
-// LocalCollectStep implements Theorem 8: every member's token reaches the
+// LocalCollect implements Theorem 8: every member's token reaches the
 // group's destination. tokens are this node's contributions; destOf the
 // groups it collects. k receives the collected tokens per destination group.
-func LocalCollectStep(nd *ncc.Node, c *LocalCtx, tokens []GroupToken, destOf []int64, k func(map[int64][]int64) ncc.Op) ncc.Op {
+func LocalCollect(nd *ncc.Node, c *LocalCtx, tokens []GroupToken, destOf []int64, k func(map[int64][]int64) ncc.Op) ncc.Op {
 	results := map[int64][]int64{}
 	regTarget := map[int64]ncc.ID{}
 	type pkt struct {
@@ -423,7 +423,7 @@ func LocalCollectStep(nd *ncc.Node, c *LocalCtx, tokens []GroupToken, destOf []i
 			if len(tokQueue) > 0 || len(regQueue) > 0 || len(rvHold) > 0 {
 				busy = 1
 			}
-			return AggregateBroadcastStep(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
+			return AggregateBroadcast(nd, c.Tree, busy, OrOp(), func(anyBusy int64) ncc.Op {
 				if anyBusy == 0 {
 					return k(results)
 				}

@@ -11,7 +11,7 @@ import (
 // localSetup builds the LocalCtx every local-primitive test needs and hands
 // it to k.
 func localSetup(nd *ncc.Node, k func(*LocalCtx) ncc.Op) ncc.Op {
-	return primitives.BuildAllStep(nd, func(_ primitives.Path, lv primitives.Levels, tree primitives.Tree) ncc.Op {
+	return primitives.BuildAll(nd, func(_ primitives.Path, lv primitives.Levels, tree primitives.Tree) ncc.Op {
 		return k(NewLocalCtx(tree.Pos, lv, &tree, nd.N()))
 	})
 }
@@ -40,7 +40,7 @@ func TestLocalAggregateDisjointGroups(t *testing.T) {
 			if c.Pos%8 == 0 {
 				dest = []int64{gid}
 			}
-			return LocalAggregateStep(nd, c, contribs, dest, SumOp(), func(res map[int64]int64) ncc.Op {
+			return LocalAggregate(nd, c, contribs, dest, SumOp(), func(res map[int64]int64) ncc.Op {
 				if v, ok := res[gid]; ok {
 					nd.SetOutput("sum", v)
 				}
@@ -78,7 +78,7 @@ func TestLocalAggregateOverlappingGroups(t *testing.T) {
 			if row == col {
 				dest = []int64{row, 100 + col}
 			}
-			return LocalAggregateStep(nd, c, contribs, dest, SumOp(), func(res map[int64]int64) ncc.Op {
+			return LocalAggregate(nd, c, contribs, dest, SumOp(), func(res map[int64]int64) ncc.Op {
 				if v, ok := res[row]; ok {
 					nd.SetOutput("rowcount", v)
 				}
@@ -115,7 +115,7 @@ func TestLocalMulticast(t *testing.T) {
 			if c.Pos%10 == 9 {
 				src = []GroupToken{{GID: gid, Token: gid * 111}}
 			}
-			return LocalMulticastStep(nd, c, src, []int64{gid}, func(got map[int64]int64) ncc.Op {
+			return LocalMulticast(nd, c, src, []int64{gid}, func(got map[int64]int64) ncc.Op {
 				if v, ok := got[gid]; ok {
 					nd.SetOutput("tok", v)
 				}
@@ -154,7 +154,7 @@ func TestLocalCollect(t *testing.T) {
 			if c.Pos%16 == 0 {
 				dest = []int64{gid}
 			}
-			return LocalCollectStep(nd, c, toks, dest, func(got map[int64][]int64) ncc.Op {
+			return LocalCollect(nd, c, toks, dest, func(got map[int64][]int64) ncc.Op {
 				nd.SetOutput("ntok", int64(len(got[gid])))
 				ch <- res{nd.ID(), got[gid]}
 				return ncc.Done()
@@ -190,15 +190,15 @@ func TestLocalPrimitivesSingleNode(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 1, Seed: 11})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		return localSetup(nd, func(c *LocalCtx) ncc.Op {
-			return LocalAggregateStep(nd, c, []GroupValue{{GID: 1, Value: 5}}, []int64{1}, SumOp(), func(res map[int64]int64) ncc.Op {
+			return LocalAggregate(nd, c, []GroupValue{{GID: 1, Value: 5}}, []int64{1}, SumOp(), func(res map[int64]int64) ncc.Op {
 				if res[1] != 5 {
 					panic("self aggregation failed")
 				}
-				return LocalMulticastStep(nd, c, []GroupToken{{GID: 2, Token: 9}}, []int64{2}, func(mc map[int64]int64) ncc.Op {
+				return LocalMulticast(nd, c, []GroupToken{{GID: 2, Token: 9}}, []int64{2}, func(mc map[int64]int64) ncc.Op {
 					if mc[2] != 9 {
 						panic("self multicast failed")
 					}
-					return LocalCollectStep(nd, c, []GroupToken{{GID: 3, Token: 4}}, []int64{3}, func(col map[int64][]int64) ncc.Op {
+					return LocalCollect(nd, c, []GroupToken{{GID: 3, Token: 4}}, []int64{3}, func(col map[int64][]int64) ncc.Op {
 						if len(col[3]) != 1 || col[3][0] != 4 {
 							panic("self collect failed")
 						}
@@ -223,7 +223,7 @@ func TestLocalAggregateMaxOp(t *testing.T) {
 			if c.Pos == n-1 {
 				dest = []int64{7}
 			}
-			return LocalAggregateStep(nd, c, []GroupValue{{GID: 7, Value: int64(c.Pos * c.Pos)}}, dest, MaxOp(), func(res map[int64]int64) ncc.Op {
+			return LocalAggregate(nd, c, []GroupValue{{GID: 7, Value: int64(c.Pos * c.Pos)}}, dest, MaxOp(), func(res map[int64]int64) ncc.Op {
 				if v, ok := res[7]; ok {
 					nd.SetOutput("max", v)
 				}

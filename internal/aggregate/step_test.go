@@ -32,15 +32,15 @@ func TestGlobalStepsMatchBlocking(t *testing.T) {
 		}
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
-			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
-				return BroadcastStep(nd, &tree, tree.IsRoot, int64(nd.ID()), func(root int64) ncc.Op {
-					return AggregateBroadcastStep(nd, &tree, int64(tree.Pos), SumOp(), func(sum int64) ncc.Op {
-						return FindByPositionStep(nd, &tree, pos, func(at ncc.ID) ncc.Op {
+			return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+				return Broadcast(nd, &tree, tree.IsRoot, int64(nd.ID()), func(root int64) ncc.Op {
+					return AggregateBroadcast(nd, &tree, int64(tree.Pos), SumOp(), func(sum int64) ncc.Op {
+						return FindByPosition(nd, &tree, pos, func(at ncc.ID) ncc.Op {
 							var toks []int64
 							if tree.Pos%2 == 0 {
 								toks = []int64{int64(tree.Pos)}
 							}
-							return CollectStep(nd, &tree, toks, ncc.ID(root), func(got []int64) ncc.Op {
+							return Collect(nd, &tree, toks, ncc.ID(root), func(got []int64) ncc.Op {
 								nd.SetOutput("root", root)
 								nd.SetOutput("sum", sum)
 								nd.SetOutput("at", int64(at))

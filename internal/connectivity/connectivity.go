@@ -3,12 +3,12 @@
 // overlay G guarantees Conn_G(u,v) ≥ min(ρ(u), ρ(v)) with at most Σρ edges —
 // a 2-approximation of the optimal edge count (whose lower bound is Σρ/2).
 //
-//   - RealizeNCC1Step (Theorem 17): the O~(1) implicit algorithm for NCC1 —
+//   - RealizeNCC1 (Theorem 17): the O~(1) implicit algorithm for NCC1 —
 //     find the node w with maximum ρ by aggregation, then every node v
 //     locally picks X_v = {w} ∪ (ρ(v)−1 arbitrary other nodes) and stores
 //     X_v × {v}. Correctness follows from Menger's theorem via the star of
 //     edge-disjoint paths through w.
-//   - RealizeNCC0Step (Theorem 18, Algorithm 6): sort by non-increasing ρ;
+//   - RealizeNCC0 (Theorem 18, Algorithm 6): sort by non-increasing ρ;
 //     realize (ρ(x₁),…,ρ(x_{d₀+1})) on the d₀+1 core nodes via the
 //     upper-envelope degree realization of Theorem 13; then every later
 //     rank i connects explicitly to its ρ(xᵢ) immediate predecessors using
@@ -34,20 +34,20 @@ type Outcome struct {
 	D0 int
 }
 
-// RealizeNCC1Step runs the Theorem 17 algorithm and delivers the Outcome to
+// RealizeNCC1 runs the Theorem 17 algorithm and delivers the Outcome to
 // k. It must run under the NCC1 model (it uses full ID knowledge); rho is
 // this node's threshold.
-func RealizeNCC1Step(nd *ncc.Node, rho int, k func(Outcome) ncc.Op) ncc.Op {
+func RealizeNCC1(nd *ncc.Node, rho int, k func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
 	n := nd.N()
 	// Even NCC1 needs a structure for aggregation; the Gk tree costs
 	// O(log n) rounds and keeps the protocol identical to the NCC0 stack.
-	return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, gk primitives.Tree) ncc.Op {
+	return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, gk primitives.Tree) ncc.Op {
 		bad := int64(0)
 		if rho < 0 || rho > n-1 {
 			bad = 1
 		}
-		return aggregate.AggregateBroadcastStep(nd, &gk, bad, aggregate.OrOp(), func(anyBad int64) ncc.Op {
+		return aggregate.AggregateBroadcast(nd, &gk, bad, aggregate.OrOp(), func(anyBad int64) ncc.Op {
 			if anyBad == 1 {
 				nd.Unrealizable()
 				return k(out)
@@ -58,7 +58,7 @@ func RealizeNCC1Step(nd *ncc.Node, rho int, k func(Outcome) ncc.Op) ncc.Op {
 			}
 			// Find w = argmax ρ (ties toward the smaller ID), by encoded max.
 			enc := int64(rho)*int64(n+2) + int64(n+1) - int64(nd.ID())
-			return aggregate.AggregateBroadcastStep(nd, &gk, enc, aggregate.MaxOp(), func(best int64) ncc.Op {
+			return aggregate.AggregateBroadcast(nd, &gk, enc, aggregate.MaxOp(), func(best int64) ncc.Op {
 				w := ncc.ID(int64(n+1) - best%int64(n+2))
 				out.D0 = int(best / int64(n+2))
 				if nd.ID() == w || rho == 0 {
@@ -84,18 +84,18 @@ func RealizeNCC1Step(nd *ncc.Node, rho int, k func(Outcome) ncc.Op) ncc.Op {
 	})
 }
 
-// RealizeNCC0Step runs Algorithm 6 (works in NCC0 and NCC1) and delivers the
-// Outcome to k. env must come from core.SetupStep on the same run; rho is
+// RealizeNCC0 runs Algorithm 6 (works in NCC0 and NCC1) and delivers the
+// Outcome to k. env must come from core.Setup on the same run; rho is
 // this node's threshold. The realization is explicit: both endpoints of
 // every edge store it.
-func RealizeNCC0Step(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.Op) ncc.Op {
+func RealizeNCC0(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
 	n := nd.N()
 	bad := int64(0)
 	if rho < 0 || rho > n-1 {
 		bad = 1
 	}
-	return aggregate.AggregateBroadcastStep(nd, &env.GK, bad, aggregate.OrOp(), func(anyBad int64) ncc.Op {
+	return aggregate.AggregateBroadcast(nd, &env.GK, bad, aggregate.OrOp(), func(anyBad int64) ncc.Op {
 		if anyBad == 1 {
 			nd.Unrealizable()
 			return k(out)
@@ -106,9 +106,9 @@ func RealizeNCC0Step(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.O
 		}
 
 		// Step 1–2: sort by non-increasing ρ and broadcast d₀ = ρ(x₁).
-		return env.Sort.SortStep(nd, int64(rho), func(sr sortnet.Result) ncc.Op {
-			return rankov.BuildStep(nd, sr.Rank, sr.Pred, sr.Succ, func(ov *rankov.Overlay) ncc.Op {
-				return aggregate.AggregateBroadcastStep(nd, &env.GK, int64(rho), aggregate.MaxOp(), func(d064 int64) ncc.Op {
+		return env.Sort.Sort(nd, int64(rho), func(sr sortnet.Result) ncc.Op {
+			return rankov.Build(nd, sr.Rank, sr.Pred, sr.Succ, func(ov *rankov.Overlay) ncc.Op {
+				return aggregate.AggregateBroadcast(nd, &env.GK, int64(rho), aggregate.MaxOp(), func(d064 int64) ncc.Op {
 					d0 := int(d064)
 					out.D0 = d0
 					if d0 == 0 {
@@ -123,9 +123,9 @@ func RealizeNCC0Step(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.O
 					if inCore {
 						coreDeg = rho
 					}
-					return core.RealizeStep(nd, env, coreDeg, core.Envelope, inCore, func(degOut core.Outcome) ncc.Op {
+					return core.Realize(nd, env, coreDeg, core.Envelope, inCore, func(degOut core.Outcome) ncc.Op {
 						out.Stored += len(degOut.Neighbors)
-						return core.MakeExplicitStep(nd, env, degOut.Neighbors, d0, func(stored int) ncc.Op {
+						return core.MakeExplicit(nd, env, degOut.Neighbors, d0, func(stored int) ncc.Op {
 							out.Stored += stored
 
 							// Steps 4–6: each rank i > d₀ introduces itself to
@@ -137,7 +137,7 @@ func RealizeNCC0Step(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.O
 							if sr.Rank > d0 {
 								tailRho = int64(rho)
 							}
-							return aggregate.AggregateBroadcastStep(nd, &env.GK, tailRho, aggregate.MaxOp(), func(maxW64 int64) ncc.Op {
+							return aggregate.AggregateBroadcast(nd, &env.GK, tailRho, aggregate.MaxOp(), func(maxW64 int64) ncc.Op {
 								maxW := int(maxW64)
 								var wave func(w int) ncc.Op
 								wave = func(w int) ncc.Op {
@@ -148,14 +148,14 @@ func RealizeNCC0Step(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.O
 									if sr.Rank > d0 && rho >= w {
 										tok = &rankov.ShiftToken{ID: nd.ID()}
 									}
-									return rankov.ShiftDownStep(nd, ov, tok, w, func(down []rankov.ShiftToken) ncc.Op {
+									return rankov.ShiftDown(nd, ov, tok, w, func(down []rankov.ShiftToken) ncc.Op {
 										var reply *rankov.ShiftToken
 										for _, got := range down {
 											nd.AddEdge(got.ID)
 											out.Stored++
 											reply = &rankov.ShiftToken{ID: nd.ID()}
 										}
-										return rankov.ShiftUpStep(nd, ov, reply, w, func(up []rankov.ShiftToken) ncc.Op {
+										return rankov.ShiftUp(nd, ov, reply, w, func(up []rankov.ShiftToken) ncc.Op {
 											for _, got := range up {
 												nd.AddEdge(got.ID)
 												out.Stored++

@@ -29,10 +29,10 @@ func runConn(t *testing.T, rho []int, model ncc.Model, seed int64) (*ncc.Trace, 
 			return ncc.Done()
 		}
 		if nd.Model() == ncc.NCC1 {
-			return RealizeNCC1Step(nd, rho, done)
+			return RealizeNCC1(nd, rho, done)
 		}
-		return core.SetupStep(nd, sortnet.Oracle, func(env *core.Env) ncc.Op {
-			return RealizeNCC0Step(nd, env, rho, done)
+		return core.Setup(nd, sortnet.Oracle, func(env *core.Env) ncc.Op {
+			return RealizeNCC0(nd, env, rho, done)
 		})
 	})
 	if err != nil && t != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // step_test.go checks the resumable-step compilation of the connectivity
-// realizations: RealizeNCC1Step and RealizeNCC0Step must reproduce the
+// realizations: RealizeNCC1 and RealizeNCC0 must reproduce the
 // traces the blocking forms produced on the goroutine-barrier driver,
 // recorded as digests before the blocking API was retired.
 

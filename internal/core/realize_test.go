@@ -33,15 +33,15 @@ func runRealizeErr(d []int, mode Mode, method sortnet.Method, explicit bool, see
 	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
 	return s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return SetupStep(nd, method, func(env *Env) ncc.Op {
+		return Setup(nd, method, func(env *Env) ncc.Op {
 			deg := nd.Input().(int)
-			return RealizeStep(nd, env, deg, mode, true, func(out Outcome) ncc.Op {
+			return Realize(nd, env, deg, mode, true, func(out Outcome) ncc.Op {
 				nd.SetOutput("ok", b2i(out.OK))
 				nd.SetOutput("phases", int64(out.Phases))
 				nd.SetOutput("realized", int64(out.Realized))
 				nd.SetOutput("delta", int64(out.Delta))
 				if out.OK && explicit {
-					return MakeExplicitStep(nd, env, out.Neighbors, out.Delta, func(stored int) ncc.Op {
+					return MakeExplicit(nd, env, out.Neighbors, out.Delta, func(stored int) ncc.Op {
 						nd.SetOutput("reverse", int64(stored))
 						return ncc.Done()
 					})
@@ -317,10 +317,10 @@ func TestBystandersStayIsolated(t *testing.T) {
 	s := ncc.New(ncc.Config{N: n, Seed: 31, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return SetupStep(nd, sortnet.Oracle, func(env *Env) ncc.Op {
+		return Setup(nd, sortnet.Oracle, func(env *Env) ncc.Op {
 			deg := nd.Input().(int)
 			active := deg > 0
-			return RealizeStep(nd, env, deg, Exact, active, func(out Outcome) ncc.Op {
+			return Realize(nd, env, deg, Exact, active, func(out Outcome) ncc.Op {
 				nd.SetOutput("realized", int64(out.Realized))
 				nd.SetOutput("active", b2i(active))
 				return ncc.Done()

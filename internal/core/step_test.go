@@ -8,7 +8,7 @@ import (
 )
 
 // step_test.go checks the resumable-step compilation of the degree
-// realization pipeline: SetupStep → RealizeStep → MakeExplicitStep must
+// realization pipeline: Setup → Realize → MakeExplicit must
 // reproduce the traces the blocking pipeline produced on the goroutine-barrier
 // driver, for realizable and unrealizable inputs, recorded as digests before
 // the blocking API was retired.

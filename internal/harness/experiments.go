@@ -69,7 +69,7 @@ func T1TreeConstruction(sc Scale) *Table {
 	for _, n := range sc.sizes([]int{64, 256, 1024}, []int{64, 256, 1024, 4096, 16384}) {
 		s := ncc.New(ncc.Config{N: n, Seed: int64(n), Strict: true})
 		tr := mustRun(s, func(nd *ncc.Node) ncc.Op {
-			return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+			return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
 				nd.SetOutput("pos", int64(tree.Pos))
 				nd.SetOutput("depth", int64(tree.Depth))
 				return ncc.Done()
@@ -107,12 +107,12 @@ func T2Sorting(sc Scale) *Table {
 			sortnet.RegisterOracle(s)
 			start := 0
 			tr := mustRun(s, func(nd *ncc.Node) ncc.Op {
-				return primitives.BuildAllStep(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+				return primitives.BuildAll(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
 					if tree.IsRoot {
 						start = nd.Round()
 					}
 					srt := &sortnet.Sorter{Method: m, Path: p, Pos: tree.Pos, Tree: &tree}
-					return srt.SortStep(nd, nd.Rand().Int63n(1000), func(sortnet.Result) ncc.Op { return ncc.Done() })
+					return srt.Sort(nd, nd.Rand().Int63n(1000), func(sortnet.Result) ncc.Op { return ncc.Done() })
 				})
 			})
 			return tr.Metrics.Rounds - start
@@ -140,19 +140,19 @@ func T3GlobalPrimitives(sc Scale) *Table {
 			var bcast, agg, collect int
 			s := ncc.New(ncc.Config{N: n, Seed: int64(n + perNode)})
 			mustRun(s, func(nd *ncc.Node) ncc.Op {
-				return primitives.BuildAllStep(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+				return primitives.BuildAll(nd, func(_ primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
 					r0 := nd.Round()
-					return aggregate.BroadcastStep(nd, &tree, tree.IsRoot, 7, func(int64) ncc.Op {
+					return aggregate.Broadcast(nd, &tree, tree.IsRoot, 7, func(int64) ncc.Op {
 						r1 := nd.Round()
-						return aggregate.AggregateBroadcastStep(nd, &tree, int64(tree.Pos), aggregate.SumOp(), func(int64) ncc.Op {
+						return aggregate.AggregateBroadcast(nd, &tree, int64(tree.Pos), aggregate.SumOp(), func(int64) ncc.Op {
 							r2 := nd.Round()
-							return aggregate.FindByPositionStep(nd, &tree, 0, func(leader ncc.ID) ncc.Op {
+							return aggregate.FindByPosition(nd, &tree, 0, func(leader ncc.ID) ncc.Op {
 								r3 := nd.Round()
 								toks := make([]int64, perNode)
 								for i := range toks {
 									toks[i] = int64(tree.Pos)
 								}
-								return aggregate.CollectStep(nd, &tree, toks, leader, func([]int64) ncc.Op {
+								return aggregate.Collect(nd, &tree, toks, leader, func([]int64) ncc.Op {
 									if tree.IsRoot {
 										bcast, agg, collect = r1-r0, r2-r1, nd.Round()-r3
 									}
@@ -185,7 +185,7 @@ func T4LocalPrimitives(sc Scale) *Table {
 			var agg, mcast, collect int
 			s := ncc.New(ncc.Config{N: n, Seed: int64(n * groupSize)})
 			mustRun(s, func(nd *ncc.Node) ncc.Op {
-				return primitives.BuildAllStep(nd, func(_ primitives.Path, lv primitives.Levels, tree primitives.Tree) ncc.Op {
+				return primitives.BuildAll(nd, func(_ primitives.Path, lv primitives.Levels, tree primitives.Tree) ncc.Op {
 					c := aggregate.NewLocalCtx(tree.Pos, lv, &tree, nd.N())
 					gid := int64(tree.Pos / groupSize)
 					isHead := tree.Pos%groupSize == 0
@@ -194,16 +194,16 @@ func T4LocalPrimitives(sc Scale) *Table {
 						dest = []int64{gid}
 					}
 					r0 := nd.Round()
-					return aggregate.LocalAggregateStep(nd, c, []aggregate.GroupValue{{GID: gid, Value: 1}}, dest, aggregate.SumOp(), func(map[int64]int64) ncc.Op {
+					return aggregate.LocalAggregate(nd, c, []aggregate.GroupValue{{GID: gid, Value: 1}}, dest, aggregate.SumOp(), func(map[int64]int64) ncc.Op {
 						r1 := nd.Round()
 						var src []aggregate.GroupToken
 						if isHead {
 							src = []aggregate.GroupToken{{GID: gid, Token: gid}}
 						}
-						return aggregate.LocalMulticastStep(nd, c, src, []int64{gid}, func(map[int64]int64) ncc.Op {
+						return aggregate.LocalMulticast(nd, c, src, []int64{gid}, func(map[int64]int64) ncc.Op {
 							r2 := nd.Round()
 							toks := []aggregate.GroupToken{{GID: gid, Token: int64(tree.Pos)}}
-							return aggregate.LocalCollectStep(nd, c, toks, dest, func(map[int64][]int64) ncc.Op {
+							return aggregate.LocalCollect(nd, c, toks, dest, func(map[int64][]int64) ncc.Op {
 								if tree.IsRoot {
 									agg, mcast, collect = r1-r0, r2-r1, nd.Round()-r2
 								}

@@ -190,8 +190,8 @@ func F1Figure1(Scale) *Table {
 	}
 	s := ncc.New(ncc.Config{N: 8, Seed: 1, Model: ncc.NCC1, OrderedIDs: true, Strict: true})
 	tr := mustRun(s, func(nd *ncc.Node) ncc.Op {
-		return primitives.BuildPathStep(nd, func(p primitives.Path) ncc.Op {
-			return primitives.BuildWarmupTreeStep(nd, p, func(wt primitives.WarmTree) ncc.Op {
+		return primitives.BuildPath(nd, func(p primitives.Path) ncc.Op {
+			return primitives.BuildWarmupTree(nd, p, func(wt primitives.WarmTree) ncc.Op {
 				nd.SetOutput("left", int64(wt.Left))
 				nd.SetOutput("right", int64(wt.Right))
 				if wt.IsRoot {
@@ -233,13 +233,13 @@ func F2Figure2(Scale) *Table {
 	}
 	s := ncc.New(ncc.Config{N: 8, Seed: 1, Model: ncc.NCC1, OrderedIDs: true, Strict: true})
 	tr := mustRun(s, func(nd *ncc.Node) ncc.Op {
-		return primitives.BuildPathStep(nd, func(p primitives.Path) ncc.Op {
-			return primitives.BuildLevelsStep(nd, p, func(lv primitives.Levels) ncc.Op {
+		return primitives.BuildPath(nd, func(p primitives.Path) ncc.Op {
+			return primitives.BuildLevels(nd, p, func(lv primitives.Levels) ncc.Op {
 				for r := 0; r <= lv.Top(); r++ {
 					nd.SetOutput(fmt.Sprintf("succ%d", r), int64(lv.Succ[r]))
 				}
-				return primitives.BuildTBFSStep(nd, lv, func(tree primitives.Tree) ncc.Op {
-					return primitives.AnnotateTreeStep(nd, &tree, func() ncc.Op {
+				return primitives.BuildTBFS(nd, lv, func(tree primitives.Tree) ncc.Op {
+					return primitives.AnnotateTree(nd, &tree, func() ncc.Op {
 						nd.SetOutput("left", int64(tree.Left))
 						nd.SetOutput("right", int64(tree.Right))
 						nd.SetOutput("pos", int64(tree.Pos))

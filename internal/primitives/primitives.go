@@ -7,14 +7,17 @@
 // binary tree of Figure 1.
 //
 // Every primitive is written in lockstep style: it consumes a number of
-// rounds that is a deterministic function of n (via SyncAtStep barriers), so
+// rounds that is a deterministic function of n (via SyncAt barriers), so
 // primitives compose sequentially without extra coordination, and round
 // metrics are reproducible.
 //
-// Every primitive is written in the resumable step form of package ncc: the
-// XxxStep function performs the current round's compute slice and returns an
-// ncc.Op whose continuation eventually invokes k with the result, so
-// primitives compose by nesting continuations.
+// Every primitive is written in the resumable step form of package ncc: a
+// call Foo(nd, …, k) performs the current round's compute slice and returns
+// an ncc.Op whose continuation eventually invokes k with the result, so
+// primitives compose by nesting continuations. A primitive that runs a loop
+// of rounds allocates one state struct per call; its methods are the
+// continuations, bound to ncc.Cont values once per call, and its loop
+// counters are fields, so no round allocates a continuation.
 package primitives
 
 import (
@@ -48,12 +51,12 @@ func (p Path) IsHead() bool { return p.Pred == ncc.None }
 // IsTail reports whether the node is the last node of the path.
 func (p Path) IsTail() bool { return p.Succ == ncc.None }
 
-// BuildPathStep converts the directed initial knowledge path Gk into an
+// BuildPath converts the directed initial knowledge path Gk into an
 // undirected ordered path in one round (§3.1): every node introduces itself
 // to its successor, so each node learns its predecessor.
 //
 // Rounds: exactly 1.
-func BuildPathStep(nd *ncc.Node, k func(Path) ncc.Op) ncc.Op {
+func BuildPath(nd *ncc.Node, k func(Path) ncc.Op) ncc.Op {
 	succ := nd.InitialSucc()
 	if succ != ncc.None {
 		nd.Send(succ, ncc.Message{Kind: kHello})
@@ -80,7 +83,7 @@ type Levels struct {
 // Top returns the highest level index, ⌈log₂ n⌉.
 func (l Levels) Top() int { return len(l.Pred) - 1 }
 
-// BuildLevelsStep constructs the structure L above an arbitrary undirected
+// BuildLevels constructs the structure L above an arbitrary undirected
 // path (usually the converted Gk, but any path with valid Pred/Succ links
 // works, which the sorting layer exploits on sub-paths). At each level every
 // node introduces its level-r predecessor to its level-r successor and vice
@@ -88,34 +91,52 @@ func (l Levels) Top() int { return len(l.Pred) - 1 }
 //
 // Rounds: exactly ⌈log₂ n⌉ (one per level). Each node sends ≤ 2 messages
 // per round.
-func BuildLevelsStep(nd *ncc.Node, p Path, k func(Levels) ncc.Op) ncc.Op {
+func BuildLevels(nd *ncc.Node, p Path, k func(Levels) ncc.Op) ncc.Op {
 	K := ncc.CeilLog2(nd.N())
-	l := Levels{Pred: make([]ncc.ID, K+1), Succ: make([]ncc.ID, K+1)}
-	l.Pred[0], l.Succ[0] = p.Pred, p.Succ
-	var level func(r int) ncc.Op
-	level = func(r int) ncc.Op {
-		if r >= K {
-			return k(l)
-		}
-		if l.Succ[r] != ncc.None && l.Pred[r] != ncc.None {
-			// Teach my successor its grand-predecessor (= my predecessor).
-			nd.Send(l.Succ[r], ncc.Message{Kind: kGrandPred}.WithIDs(l.Pred[r]))
-			// Teach my predecessor its grand-successor (= my successor).
-			nd.Send(l.Pred[r], ncc.Message{Kind: kGrandSucc}.WithIDs(l.Succ[r]))
-		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			for _, m := range w.Msgs {
-				switch m.Kind {
-				case kGrandPred:
-					l.Pred[r+1] = m.IDs()[0]
-				case kGrandSucc:
-					l.Succ[r+1] = m.IDs()[0]
-				}
-			}
-			return level(r + 1)
-		})
+	links := make([]ncc.ID, 2*(K+1))
+	s := &levelsState{l: Levels{Pred: links[: K+1 : K+1], Succ: links[K+1:]}, top: K, k: k}
+	s.l.Pred[0], s.l.Succ[0] = p.Pred, p.Succ
+	s.adoptK = s.adopt
+	return s.introduce(nd)
+}
+
+// levelsState is one BuildLevels call's per-node state: the links built so
+// far and the level r whose introductions are in flight.
+type levelsState struct {
+	l      Levels
+	r, top int
+	k      func(Levels) ncc.Op
+	adoptK ncc.Cont
+}
+
+// introduce sends level r's introductions, or delivers L once every level
+// is built.
+func (s *levelsState) introduce(nd *ncc.Node) ncc.Op {
+	r, l := s.r, s.l
+	if r >= s.top {
+		return s.k(l)
 	}
-	return level(0)
+	if l.Succ[r] != ncc.None && l.Pred[r] != ncc.None {
+		// Teach my successor its grand-predecessor (= my predecessor).
+		nd.Send(l.Succ[r], ncc.Message{Kind: kGrandPred}.WithIDs(l.Pred[r]))
+		// Teach my predecessor its grand-successor (= my successor).
+		nd.Send(l.Pred[r], ncc.Message{Kind: kGrandSucc}.WithIDs(l.Succ[r]))
+	}
+	return ncc.Next(s.adoptK)
+}
+
+// adopt takes the level-(r+1) links introduced to this node.
+func (s *levelsState) adopt(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	for _, m := range w.Msgs {
+		switch m.Kind {
+		case kGrandPred:
+			s.l.Pred[s.r+1] = m.IDs()[0]
+		case kGrandSucc:
+			s.l.Succ[s.r+1] = m.IDs()[0]
+		}
+	}
+	s.r++
+	return s.introduce(nd)
 }
 
 // Tree is a node's view of the balanced binary search tree TBFS produced by
@@ -127,13 +148,13 @@ type Tree struct {
 	Left, Right ncc.ID // child IDs, None where absent
 	Depth       int    // root has depth 0
 
-	// Filled by AnnotateTreeStep:
+	// Filled by AnnotateTree:
 	Size     int // size of this node's subtree
 	LeftSize int // size of the left subtree
 	Pos      int // inorder position, equal to the node's path position
 }
 
-// BuildTBFSStep runs the controlled BFS of Algorithm 1 over the structure L.
+// BuildTBFS runs the controlled BFS of Algorithm 1 over the structure L.
 // The path head (the unique node with no predecessor) is the root. For
 // levels i = top−1 down to 0, members of Sp invite their level-i predecessor
 // as left child and members of Ss invite their level-i successor as right
@@ -142,130 +163,140 @@ type Tree struct {
 // inorder traversal is the underlying path order (Theorem 1).
 //
 // Rounds: exactly 2·⌈log₂ n⌉ (an invite round and an accept round per level).
-func BuildTBFSStep(nd *ncc.Node, l Levels, k func(Tree) ncc.Op) ncc.Op {
-	t := Tree{Parent: ncc.None, Left: ncc.None, Right: ncc.None}
+func BuildTBFS(nd *ncc.Node, l Levels, k func(Tree) ncc.Op) ncc.Op {
 	isRoot := l.Pred[0] == ncc.None
-	t.IsRoot = isRoot
-	inTree := isRoot
-	inSp, inSs := isRoot, isRoot
-	var level func(i int) ncc.Op
-	level = func(i int) ncc.Op {
-		if i < 0 {
-			if !inTree {
-				// Theorem 1 guarantees spanning; reaching here means the level
-				// structure was corrupted by the caller.
-				panic(fmt.Sprintf("primitives: node %d not spanned by TBFS", nd.ID()))
-			}
-			return k(t)
-		}
-		// Invite round.
-		if inSp && l.Pred[i] != ncc.None {
-			nd.Send(l.Pred[i], ncc.Message{Kind: kInvite, A: 0, B: int64(t.Depth)})
-			inSp = false
-		}
-		if inSs && l.Succ[i] != ncc.None {
-			nd.Send(l.Succ[i], ncc.Message{Kind: kInvite, A: 1, B: int64(t.Depth)})
-			inSs = false
-		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			// Accept round: join under the first inviter (the uniqueness
-			// argument of Theorem 1 shows competing invitations cannot occur).
-			if !inTree {
-				for _, m := range w.Msgs {
-					if m.Kind != kInvite {
-						continue
-					}
-					inTree = true
-					t.Parent = m.Src
-					t.Depth = int(m.B) + 1
-					nd.Send(m.Src, ncc.Message{Kind: kAccept, A: m.A})
-					inSp, inSs = true, true
-					break
-				}
-			}
-			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-				for _, m := range w.Msgs {
-					if m.Kind == kAccept {
-						if m.A == 0 {
-							t.Left = m.Src
-						} else {
-							t.Right = m.Src
-						}
-					}
-				}
-				return level(i - 1)
-			})
-		})
+	s := &tbfsState{
+		t: Tree{IsRoot: isRoot, Parent: ncc.None, Left: ncc.None, Right: ncc.None},
+		l: l, i: l.Top() - 1,
+		inTree: isRoot, inSp: isRoot, inSs: isRoot,
+		k: k,
 	}
-	return level(l.Top() - 1)
+	s.acceptK, s.adoptK = s.accept, s.adopt
+	return s.invite(nd)
 }
 
-// AnnotateTreeStep computes subtree sizes (convergecast) and inorder
+// tbfsState is one BuildTBFS call's per-node state: the tree so far, the
+// node's membership of the tree and of Sp and Ss, and the level i in
+// progress.
+type tbfsState struct {
+	t                  Tree
+	l                  Levels
+	i                  int
+	inTree, inSp, inSs bool
+	k                  func(Tree) ncc.Op
+	acceptK, adoptK    ncc.Cont
+}
+
+// invite runs level i's invite round, or delivers the tree once level 0 is
+// done.
+func (s *tbfsState) invite(nd *ncc.Node) ncc.Op {
+	i := s.i
+	if i < 0 {
+		if !s.inTree {
+			// Theorem 1 guarantees spanning; reaching here means the level
+			// structure was corrupted by the caller.
+			panic(fmt.Sprintf("primitives: node %d not spanned by TBFS", nd.ID()))
+		}
+		return s.k(s.t)
+	}
+	if s.inSp && s.l.Pred[i] != ncc.None {
+		nd.Send(s.l.Pred[i], ncc.Message{Kind: kInvite, A: 0, B: int64(s.t.Depth)})
+		s.inSp = false
+	}
+	if s.inSs && s.l.Succ[i] != ncc.None {
+		nd.Send(s.l.Succ[i], ncc.Message{Kind: kInvite, A: 1, B: int64(s.t.Depth)})
+		s.inSs = false
+	}
+	return ncc.Next(s.acceptK)
+}
+
+// accept is the accept round: join under the first inviter (the uniqueness
+// argument of Theorem 1 shows competing invitations cannot occur).
+func (s *tbfsState) accept(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	if !s.inTree {
+		for _, m := range w.Msgs {
+			if m.Kind != kInvite {
+				continue
+			}
+			s.inTree = true
+			s.t.Parent = m.Src
+			s.t.Depth = int(m.B) + 1
+			nd.Send(m.Src, ncc.Message{Kind: kAccept, A: m.A})
+			s.inSp, s.inSs = true, true
+			break
+		}
+	}
+	return ncc.Next(s.adoptK)
+}
+
+// adopt records the children that accepted this level's invitations.
+func (s *tbfsState) adopt(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	for _, m := range w.Msgs {
+		if m.Kind == kAccept {
+			if m.A == 0 {
+				s.t.Left = m.Src
+			} else {
+				s.t.Right = m.Src
+			}
+		}
+	}
+	s.i--
+	return s.invite(nd)
+}
+
+// AnnotateTree computes subtree sizes (convergecast) and inorder
 // positions (top-down) on a TBFS, giving every node its position in the
 // underlying path — Corollary 2. The root's inorder interval starts at 0, so
 // Pos is 0-based.
 //
 // Rounds: exactly 2·(⌈log₂ n⌉ + 3) from the caller's current round.
-func AnnotateTreeStep(nd *ncc.Node, t *Tree, k func() ncc.Op) ncc.Op {
+func AnnotateTree(nd *ncc.Node, t *Tree, k func() ncc.Op) ncc.Op {
 	K := ncc.CeilLog2(nd.N())
-	// Phase A: subtree sizes, leaves upward. A node at height h sends in
-	// round startA+h, so everything completes within K+2 rounds.
-	startA := nd.Round()
-	children := 0
+	pending := 0
 	if t.Left != ncc.None {
-		children++
+		pending++
 	}
 	if t.Right != ncc.None {
-		children++
+		pending++
 	}
 	t.Size = 1
 	t.LeftSize = 0
-	got := 0
+	// Phase A: subtree sizes, leaves upward. A node at height h sends in
+	// round start+h, so everything completes within K+2 rounds.
+	s := &annotateState{t: t, k: k, K: K, pending: pending, deadline: nd.Round() + K + 3}
+	s.resume = s.step
+	if pending == 0 {
+		return s.sendSize(nd)
+	}
+	return ncc.Await(s.resume)
+}
 
-	phaseB := func() ncc.Op {
-		startB := nd.Round()
-		lo := 0
-		assign := func() ncc.Op {
-			t.Pos = lo + t.LeftSize
-			if t.Left != ncc.None {
-				nd.Send(t.Left, ncc.Message{Kind: kInterval, A: int64(lo)})
-			}
-			if t.Right != ncc.None {
-				nd.Send(t.Right, ncc.Message{Kind: kInterval, A: int64(t.Pos + 1)})
-			}
-			return SyncAtStep(nd, startB+K+3, func([]ncc.Message) ncc.Op { return k() })
-		}
-		if t.IsRoot {
-			return assign()
-		}
-		var wait ncc.Cont
-		wait = func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			waiting := true
-			for _, m := range w.Msgs {
-				if m.Kind == kInterval {
-					lo = int(m.A)
-					waiting = false
-				}
-			}
-			if waiting {
-				return ncc.Await(wait)
-			}
-			return assign()
-		}
-		return ncc.Await(wait)
-	}
+// annotateState is one AnnotateTree call's per-node state. Every suspension
+// resumes step, and phase says where.
+type annotateState struct {
+	t        *Tree
+	k        func() ncc.Op
+	resume   ncc.Cont
+	K        int
+	pending  int // children whose subtree sizes have not arrived
+	lo       int // start of the node's inorder interval
+	deadline int // the round the current phase ends at
+	phase    annotatePhase
+}
 
-	afterSizes := func() ncc.Op {
-		if !t.IsRoot {
-			nd.Send(t.Parent, ncc.Message{Kind: kSize, A: int64(t.Size)})
-		}
-		return SyncAtStep(nd, startA+K+3, func([]ncc.Message) ncc.Op { return phaseB() })
-	}
-	if got >= children {
-		return afterSizes()
-	}
-	var sizes ncc.Cont
-	sizes = func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+type annotatePhase uint8
+
+const (
+	gatherSizes   annotatePhase = iota // awaiting the children's subtree sizes
+	endSizes                           // sleeping until phase A ends
+	awaitInterval                      // awaiting the interval from the parent
+	endIntervals                       // sleeping until phase B ends
+)
+
+func (s *annotateState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	t := s.t
+	switch s.phase {
+	case gatherSizes:
 		for _, m := range w.Msgs {
 			if m.Kind != kSize {
 				continue
@@ -274,24 +305,69 @@ func AnnotateTreeStep(nd *ncc.Node, t *Tree, k func() ncc.Op) ncc.Op {
 			if m.Src == t.Left {
 				t.LeftSize = int(m.A)
 			}
-			got++
+			s.pending--
 		}
-		if got < children {
-			return ncc.Await(sizes)
+		if s.pending > 0 {
+			return ncc.Await(s.resume)
 		}
-		return afterSizes()
+		return s.sendSize(nd)
+	case endSizes:
+		// Phase B: inorder intervals, root downward.
+		s.deadline = nd.Round() + s.K + 3
+		if t.IsRoot {
+			return s.assign(nd)
+		}
+		s.phase = awaitInterval
+		return ncc.Await(s.resume)
+	case awaitInterval:
+		waiting := true
+		for _, m := range w.Msgs {
+			if m.Kind == kInterval {
+				s.lo = int(m.A)
+				waiting = false
+			}
+		}
+		if waiting {
+			return ncc.Await(s.resume)
+		}
+		return s.assign(nd)
+	default: // endIntervals
+		return s.k()
 	}
-	return ncc.Await(sizes)
 }
 
-// BuildAllStep runs the full §3.1 pipeline — path conversion, structure L,
+// sendSize reports the subtree size to the parent and sleeps out phase A.
+func (s *annotateState) sendSize(nd *ncc.Node) ncc.Op {
+	if !s.t.IsRoot {
+		nd.Send(s.t.Parent, ncc.Message{Kind: kSize, A: int64(s.t.Size)})
+	}
+	s.phase = endSizes
+	return SyncAt(nd, s.deadline, s.resume)
+}
+
+// assign takes the node's position in its interval, hands the children
+// theirs and sleeps out phase B.
+func (s *annotateState) assign(nd *ncc.Node) ncc.Op {
+	t := s.t
+	t.Pos = s.lo + t.LeftSize
+	if t.Left != ncc.None {
+		nd.Send(t.Left, ncc.Message{Kind: kInterval, A: int64(s.lo)})
+	}
+	if t.Right != ncc.None {
+		nd.Send(t.Right, ncc.Message{Kind: kInterval, A: int64(t.Pos + 1)})
+	}
+	s.phase = endIntervals
+	return SyncAt(nd, s.deadline, s.resume)
+}
+
+// BuildAll runs the full §3.1 pipeline — path conversion, structure L,
 // controlled BFS, and annotation — delivering the node's complete structural
 // state to k. Rounds: O(log n), deterministic in n.
-func BuildAllStep(nd *ncc.Node, k func(Path, Levels, Tree) ncc.Op) ncc.Op {
-	return BuildPathStep(nd, func(p Path) ncc.Op {
-		return BuildLevelsStep(nd, p, func(l Levels) ncc.Op {
-			return BuildTBFSStep(nd, l, func(t Tree) ncc.Op {
-				return AnnotateTreeStep(nd, &t, func() ncc.Op {
+func BuildAll(nd *ncc.Node, k func(Path, Levels, Tree) ncc.Op) ncc.Op {
+	return BuildPath(nd, func(p Path) ncc.Op {
+		return BuildLevels(nd, p, func(l Levels) ncc.Op {
+			return BuildTBFS(nd, l, func(t Tree) ncc.Op {
+				return AnnotateTree(nd, &t, func() ncc.Op {
 					return k(p, l, t)
 				})
 			})
@@ -299,12 +375,12 @@ func BuildAllStep(nd *ncc.Node, k func(Path, Levels, Tree) ncc.Op) ncc.Op {
 	})
 }
 
-// SyncAtStep advances the node to the given round (no-op if already past it),
-// delivering any messages that arrived while waiting to k; lockstep protocols
-// use it as a barrier between phases.
-func SyncAtStep(nd *ncc.Node, round int, k func([]ncc.Message) ncc.Op) ncc.Op {
+// SyncAt advances the node to the given round (at once if it is already
+// there or past it) and resumes k with any messages that arrived while it
+// waited; lockstep protocols use it as a barrier between phases.
+func SyncAt(nd *ncc.Node, round int, k ncc.Cont) ncc.Op {
 	if nd.Round() >= round {
-		return k(nil)
+		return k(nd, ncc.Wake{})
 	}
-	return ncc.Sleep(round-nd.Round(), func(nd *ncc.Node, w ncc.Wake) ncc.Op { return k(w.Msgs) })
+	return ncc.Sleep(round-nd.Round(), k)
 }

@@ -21,7 +21,7 @@ func runAll(t *testing.T, n int, seed int64, model ncc.Model) (map[ncc.ID]Tree, 
 	}
 	ch := make(chan res, n)
 	trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return BuildAllStep(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
+		return BuildAll(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
 			ch <- res{nd.ID(), tree}
 			return ncc.Done()
 		})
@@ -126,7 +126,7 @@ func TestFigure2Golden(t *testing.T) {
 		tr Tree
 	}, 8)
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return BuildAllStep(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
+		return BuildAll(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
 			results <- struct {
 				id ncc.ID
 				tr Tree
@@ -173,7 +173,7 @@ func TestQuickTBFS(t *testing.T) {
 		}
 		ch := make(chan res, n)
 		trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-			return BuildAllStep(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
+			return BuildAll(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
 				ch <- res{nd.ID(), tree}
 				return ncc.Done()
 			})
@@ -201,7 +201,7 @@ func TestQuickTBFS(t *testing.T) {
 func TestBuildPathRounds(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 50, Seed: 2, Strict: true})
 	trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return BuildPathStep(nd, func(p Path) ncc.Op {
+		return BuildPath(nd, func(p Path) ncc.Op {
 			if nd.InitialSucc() == ncc.None && !p.IsTail() {
 				panic("tail misdetected")
 			}
@@ -225,8 +225,8 @@ func TestLevelsAreDoublingLinks(t *testing.T) {
 	}
 	ch := make(chan res, n)
 	trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return BuildPathStep(nd, func(p Path) ncc.Op {
-			return BuildLevelsStep(nd, p, func(lv Levels) ncc.Op {
+		return BuildPath(nd, func(p Path) ncc.Op {
+			return BuildLevels(nd, p, func(lv Levels) ncc.Op {
 				ch <- res{nd.ID(), lv}
 				return ncc.Done()
 			})
@@ -282,8 +282,8 @@ func TestWarmupTreeProperties(t *testing.T) {
 		}
 		ch := make(chan res, n)
 		trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-			return BuildPathStep(nd, func(p Path) ncc.Op {
-				return BuildWarmupTreeStep(nd, p, func(wt WarmTree) ncc.Op {
+			return BuildPath(nd, func(p Path) ncc.Op {
+				return BuildWarmupTree(nd, p, func(wt WarmTree) ncc.Op {
 					nd.SetOutput("parent", int64(wt.Parent))
 					nd.SetOutput("left", int64(wt.Left))
 					nd.SetOutput("right", int64(wt.Right))
@@ -364,7 +364,7 @@ func TestSyncAtIsBarrier(t *testing.T) {
 			if i < int(nd.ID()%7) {
 				return ncc.Next(func(*ncc.Node, ncc.Wake) ncc.Op { return idle(i + 1) })
 			}
-			return SyncAtStep(nd, 10, func([]ncc.Message) ncc.Op {
+			return SyncAt(nd, 10, func(*ncc.Node, ncc.Wake) ncc.Op {
 				if nd.Round() != 10 {
 					panic("SyncAt did not land on the target round")
 				}
@@ -390,7 +390,7 @@ func TestAnnotateLeftSizes(t *testing.T) {
 	}
 	ch := make(chan res, n)
 	trace, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return BuildAllStep(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
+		return BuildAll(nd, func(_ Path, _ Levels, tree Tree) ncc.Op {
 			ch <- res{nd.ID(), tree}
 			return ncc.Done()
 		})
@@ -425,7 +425,7 @@ func TestAnnotateLeftSizes(t *testing.T) {
 func TestBuildPathHeadAndTail(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 5, Seed: 93, Strict: true})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return BuildPathStep(nd, func(p Path) ncc.Op {
+		return BuildPath(nd, func(p Path) ncc.Op {
 			if p.IsHead() {
 				nd.SetOutput("head", 1)
 			}

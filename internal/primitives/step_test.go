@@ -38,7 +38,7 @@ func TestBuildAllStepMatchesBlocking(t *testing.T) {
 		seed := int64(n)*17 + 1
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
-			return BuildAllStep(nd, func(p Path, _ Levels, tree Tree) ncc.Op {
+			return BuildAll(nd, func(p Path, _ Levels, tree Tree) ncc.Op {
 				treeOutputs(nd, p, tree)
 				return ncc.Done()
 			})
@@ -51,17 +51,17 @@ func TestBuildAllStepMatchesBlocking(t *testing.T) {
 	}
 }
 
-// TestSyncAtStepSingleNodeSemantics: SyncAtStep must resume its continuation
+// TestSyncAtStepSingleNodeSemantics: SyncAt must resume its continuation
 // exactly at the requested round, even for a single node with no mail.
 func TestSyncAtStepSingleNodeSemantics(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 1, Seed: 9, Strict: true})
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return SyncAtStep(nd, 6, func(msgs []ncc.Message) ncc.Op {
+		return SyncAt(nd, 6, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			if nd.Round() != 6 {
 				t.Errorf("resumed at round %d, want 6", nd.Round())
 			}
-			if len(msgs) != 0 {
-				t.Errorf("resumed with %d messages, want 0", len(msgs))
+			if len(w.Msgs) != 0 {
+				t.Errorf("resumed with %d messages, want 0", len(w.Msgs))
 			}
 			return ncc.Done()
 		})

@@ -12,7 +12,7 @@ type WarmTree struct {
 	Depth       int // iteration at which the node was placed
 }
 
-// BuildWarmupTreeStep builds the warm-up balanced binary tree over an
+// BuildWarmupTree builds the warm-up balanced binary tree over an
 // undirected path and hands it to k: in every iteration, the leftmost node r
 // of each live path takes its immediate neighbor a as left child and a's
 // other neighbor b as right child, removes itself, and the remaining path
@@ -21,7 +21,7 @@ type WarmTree struct {
 //
 // Rounds: exactly 3·(⌈log₂ n⌉ + 1) from the caller's current round (three
 // lockstep rounds per iteration: link exchange, claims, link update).
-func BuildWarmupTreeStep(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
+func BuildWarmupTree(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
 	t := WarmTree{Parent: ncc.None, Left: ncc.None, Right: ncc.None}
 	t.IsRoot = p.IsHead()
 	pred, succ := p.Pred, p.Succ

@@ -1,29 +1,27 @@
 // Package rankov provides rank-addressed communication over a sorted path:
 // after the sorting step of §3.1.2 each node knows its rank and its
-// neighbors in sorted order, and BuildStep gives it links to the nodes at
+// neighbors in sorted order, and Build gives it links to the nodes at
 // rank ± 2^j (the structure L on the sorted path). On top of those doubling
 // links this package implements the communication patterns the realization
 // algorithms of §§4–6 actually use:
 //
-//   - DisseminateStep: deliver a token to every rank in a contiguous
+//   - Disseminate: deliver a token to every rank in a contiguous
 //     interval by recursive halving — the paper's "smaller instance of the
 //     global broadcast problem" used for multicast groups of consecutive
 //     nodes.
-//   - PrefixSumStep: the Hillis–Steele doubling scan used for the pᵢ prefix
+//   - PrefixSum: the Hillis–Steele doubling scan used for the pᵢ prefix
 //     sums of Algorithms 4 and 5.
-//   - ShiftDownStep/ShiftUpStep: uniform-distance token shifts used by the second
+//   - ShiftDown/ShiftUp: uniform-distance token shifts used by the second
 //     phase of Algorithm 6 — every carrier moves its token the same
 //     distance, so relays carry at most one token per step and the pattern
 //     is congestion-free.
 //
 // All primitives are lockstep and take a deterministic number of rounds,
-// except DisseminateStep whose routing prologue is adaptive (quiescence is
+// except Disseminate whose routing prologue is adaptive (quiescence is
 // detected by aggregation over the Gk tree).
 package rankov
 
 import (
-	"sort"
-
 	"graphrealize/internal/aggregate"
 	"graphrealize/internal/ncc"
 	"graphrealize/internal/primitives"
@@ -44,12 +42,12 @@ type Overlay struct {
 	Lv   primitives.Levels
 }
 
-// BuildStep constructs the overlay from sorted-path links by running the
+// Build constructs the overlay from sorted-path links by running the
 // structure-L construction on the sorted path.
 //
 // Rounds: exactly ⌈log₂ n⌉.
-func BuildStep(nd *ncc.Node, rank int, pred, succ ncc.ID, k func(*Overlay) ncc.Op) ncc.Op {
-	return primitives.BuildLevelsStep(nd, primitives.Path{Pred: pred, Succ: succ}, func(lv primitives.Levels) ncc.Op {
+func Build(nd *ncc.Node, rank int, pred, succ ncc.ID, k func(*Overlay) ncc.Op) ncc.Op {
+	return primitives.BuildLevels(nd, primitives.Path{Pred: pred, Succ: succ}, func(lv primitives.Levels) ncc.Op {
 		return k(&Overlay{Rank: rank, N: nd.N(), Lv: lv})
 	})
 }
@@ -78,7 +76,7 @@ type Job struct {
 	Lo, Hi  int
 }
 
-// DisseminateStep routes each initiator's Job to rank Lo (greedy doubling
+// Disseminate routes each initiator's Job to rank Lo (greedy doubling
 // descent) and then floods it across [Lo, Hi] by recursive halving. Multiple
 // jobs may run concurrently; the intervals the realization algorithms use
 // are disjoint, which keeps the halving phase congestion-free, and the
@@ -88,49 +86,69 @@ type Job struct {
 // Termination is adaptive: the caller's Gk tree is used to detect global
 // quiescence, so the protocol costs O(log n) rounds per quiescence epoch and
 // one aggregation per check.
-func DisseminateStep(nd *ncc.Node, ov *Overlay, gk *primitives.Tree, job *Job, k func([]Job) ncc.Op) ncc.Op {
-	var queue []Job
-	var delivered []Job
+func Disseminate(nd *ncc.Node, ov *Overlay, gk *primitives.Tree, job *Job, k func([]Job) ncc.Op) ncc.Op {
+	s := &disseminateState{nd: nd, ov: ov, gk: gk, k: k, epoch: 2*ncc.CeilLog2(nd.N()) + 4}
 	if job != nil {
-		queue = append(queue, *job)
+		s.queue = append(s.queue, *job)
 	}
-	K := ncc.CeilLog2(nd.N())
-	epoch := 2*K + 4
-	var epochLoop func() ncc.Op
-	var roundLoop func(r int) ncc.Op
-	roundLoop = func(r int) ncc.Op {
-		if r >= epoch {
-			busy := int64(0)
-			if len(queue) > 0 {
-				busy = 1
-			}
-			return aggregate.AggregateBroadcastStep(nd, gk, busy, aggregate.OrOp(), func(v int64) ncc.Op {
-				if v == 0 {
-					return k(delivered)
-				}
-				return epochLoop()
-			})
+	s.receiveK, s.checkedK = s.receive, s.checked
+	return s.round()
+}
+
+// disseminateState is one Disseminate call's per-node state: the jobs to
+// forward this round, the jobs delivered here, and the round r of the
+// current quiescence epoch.
+type disseminateState struct {
+	nd               *ncc.Node
+	ov               *Overlay
+	gk               *primitives.Tree
+	k                func([]Job) ncc.Op
+	queue, delivered []Job
+	r, epoch         int
+	receiveK         ncc.Cont
+	checkedK         func(int64) ncc.Op
+}
+
+// round forwards the queued jobs, or checks for quiescence at the end of an
+// epoch.
+func (s *disseminateState) round() ncc.Op {
+	if s.r >= s.epoch {
+		busy := int64(0)
+		if len(s.queue) > 0 {
+			busy = 1
 		}
-		for _, j := range queue {
-			processPacket(nd, ov, j, &delivered)
-		}
-		queue = queue[:0]
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			for _, m := range w.Msgs {
-				if m.Kind != kPacket {
-					continue
-				}
-				j := Job{Val: m.A, Lo: int(m.B), Hi: int(m.C)}
-				if len(m.IDs()) > 0 {
-					j.Payload = m.IDs()[0]
-				}
-				queue = append(queue, j)
-			}
-			return roundLoop(r + 1)
-		})
+		return aggregate.AggregateBroadcast(s.nd, s.gk, busy, aggregate.OrOp(), s.checkedK)
 	}
-	epochLoop = func() ncc.Op { return roundLoop(0) }
-	return epochLoop()
+	for _, j := range s.queue {
+		processPacket(s.nd, s.ov, j, &s.delivered)
+	}
+	s.queue = s.queue[:0]
+	return ncc.Next(s.receiveK)
+}
+
+// receive queues the jobs that arrived for the next round.
+func (s *disseminateState) receive(_ *ncc.Node, w ncc.Wake) ncc.Op {
+	for _, m := range w.Msgs {
+		if m.Kind != kPacket {
+			continue
+		}
+		j := Job{Val: m.A, Lo: int(m.B), Hi: int(m.C)}
+		if len(m.IDs()) > 0 {
+			j.Payload = m.IDs()[0]
+		}
+		s.queue = append(s.queue, j)
+	}
+	s.r++
+	return s.round()
+}
+
+// checked finishes once no node holds a job, or starts another epoch.
+func (s *disseminateState) checked(busy int64) ncc.Op {
+	if busy == 0 {
+		return s.k(s.delivered)
+	}
+	s.r = 0
+	return s.round()
 }
 
 // processPacket advances one job at this node: route toward Lo if we are
@@ -185,108 +203,135 @@ func bitLen(v int) int {
 	return n
 }
 
-// PrefixSumStep delivers the inclusive prefix sum of value over ranks 0..Rank
+// PrefixSum delivers the inclusive prefix sum of value over ranks 0..Rank
 // via the Hillis–Steele doubling scan: in step j, every node passes its
 // accumulator to rank+2^j and folds in the accumulator from rank−2^j.
 //
 // Rounds: exactly ⌈log₂ n⌉; ≤ 1 send and 1 receive per node per round.
-func PrefixSumStep(nd *ncc.Node, ov *Overlay, value int64, k func(int64) ncc.Op) ncc.Op {
-	K := ncc.CeilLog2(ov.N)
-	acc := value
-	var scan func(j int) ncc.Op
-	scan = func(j int) ncc.Op {
-		if j >= K {
-			return k(acc)
-		}
-		if dst := ov.succAt(j); dst != ncc.None {
-			nd.Send(dst, ncc.Message{Kind: kScan, A: acc})
-		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			for _, m := range w.Msgs {
-				if m.Kind == kScan {
-					acc += m.A
-				}
-			}
-			return scan(j + 1)
-		})
-	}
-	return scan(0)
+func PrefixSum(nd *ncc.Node, ov *Overlay, value int64, k func(int64) ncc.Op) ncc.Op {
+	s := &scanState{ov: ov, K: ncc.CeilLog2(ov.N), acc: value, k: k}
+	s.foldK = s.fold
+	return s.pass(nd)
 }
 
-// ShiftToken is the payload moved by ShiftDownStep/ShiftUpStep.
+// scanState is one PrefixSum call's per-node state: the accumulator and the
+// doubling step j in progress.
+type scanState struct {
+	ov    *Overlay
+	j, K  int
+	acc   int64
+	k     func(int64) ncc.Op
+	foldK ncc.Cont
+}
+
+// pass sends the accumulator to rank+2^j, or delivers it after the last
+// step.
+func (s *scanState) pass(nd *ncc.Node) ncc.Op {
+	if s.j >= s.K {
+		return s.k(s.acc)
+	}
+	if dst := s.ov.succAt(s.j); dst != ncc.None {
+		nd.Send(dst, ncc.Message{Kind: kScan, A: s.acc})
+	}
+	return ncc.Next(s.foldK)
+}
+
+// fold adds the accumulator received from rank−2^j.
+func (s *scanState) fold(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	for _, m := range w.Msgs {
+		if m.Kind == kScan {
+			s.acc += m.A
+		}
+	}
+	s.j++
+	return s.pass(nd)
+}
+
+// ShiftToken is the payload moved by ShiftDown/ShiftUp.
 type ShiftToken struct {
 	A, B int64
 	ID   ncc.ID
 }
 
-// ShiftDownStep moves every carrier's token from rank r to rank r−dist and
+// ShiftDown moves every carrier's token from rank r to rank r−dist and
 // delivers the tokens that land at this node to k; tokens whose destination
 // would be negative must not be injected by the caller. dist must be common
 // knowledge (same at every node). Because the shift is uniform, intermediate
 // positions never collide: each node relays at most one token per step.
 //
 // Rounds: exactly ⌈log₂ n⌉ (one per bit of dist, missing bits idle).
-func ShiftDownStep(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
-	return shiftStep(nd, ov, tok, dist, false, k)
+func ShiftDown(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
+	return shift(nd, ov, tok, dist, false, k)
 }
 
-// ShiftUpStep moves every carrier's token from rank r to rank r+dist, like
-// ShiftDownStep in the other direction.
-func ShiftUpStep(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
-	return shiftStep(nd, ov, tok, dist, true, k)
+// ShiftUp moves every carrier's token from rank r to rank r+dist, like
+// ShiftDown in the other direction.
+func ShiftUp(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
+	return shift(nd, ov, tok, dist, true, k)
 }
 
-func shiftStep(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, up bool, k func([]ShiftToken) ncc.Op) ncc.Op {
-	K := ncc.CeilLog2(ov.N)
-	var carrying []ShiftToken
+func shift(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, up bool, k func([]ShiftToken) ncc.Op) ncc.Op {
+	s := &shiftState{ov: ov, K: ncc.CeilLog2(ov.N), dist: dist, up: up, k: k}
 	if tok != nil {
-		carrying = append(carrying, *tok)
+		s.carrying = append(s.carrying, *tok)
 	}
-	var bit func(b int) ncc.Op
-	bit = func(b int) ncc.Op {
-		if b >= K {
-			return k(append([]ShiftToken(nil), carrying...))
-		}
-		if dist&(1<<b) != 0 {
-			var dst ncc.ID
-			if up {
-				dst = ov.succAt(b)
-			} else {
-				dst = ov.predAt(b)
-			}
-			for _, tk := range carrying {
-				if dst == ncc.None {
-					panic("rankov: shift over the edge of the path")
-				}
-				m := ncc.Message{Kind: kShift, A: tk.A, B: tk.B}
-				if tk.ID != ncc.None {
-					m = m.WithIDs(tk.ID)
-				}
-				nd.Send(dst, m)
-			}
-			carrying = carrying[:0]
-		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			for _, m := range w.Msgs {
-				if m.Kind != kShift {
-					continue
-				}
-				tk := ShiftToken{A: m.A, B: m.B}
-				if len(m.IDs()) > 0 {
-					tk.ID = m.IDs()[0]
-				}
-				carrying = append(carrying, tk)
-			}
-			return bit(b + 1)
-		})
-	}
-	return bit(0)
+	s.landK = s.land
+	return s.hop(nd)
 }
 
-// SortedNeighbors is a convenience for tests: given per-rank values it
-// returns the ranks sorted (used only in verification helpers).
-func SortedNeighbors(vals []int) []int {
-	out := append([]int(nil), vals...)
-	sort.Ints(out)
-	return out
+// shiftState is one shift call's per-node state: the tokens this node
+// carries and the bit b of dist in progress.
+type shiftState struct {
+	ov       *Overlay
+	b, K     int
+	dist     int
+	up       bool
+	carrying []ShiftToken
+	k        func([]ShiftToken) ncc.Op
+	landK    ncc.Cont
+}
+
+// hop moves the carried tokens 2^b ranks when bit b of dist is set, or
+// delivers them after the last bit.
+func (s *shiftState) hop(nd *ncc.Node) ncc.Op {
+	b := s.b
+	if b >= s.K {
+		return s.k(s.carrying)
+	}
+	if s.dist&(1<<b) != 0 {
+		var dst ncc.ID
+		if s.up {
+			dst = s.ov.succAt(b)
+		} else {
+			dst = s.ov.predAt(b)
+		}
+		for _, tk := range s.carrying {
+			if dst == ncc.None {
+				panic("rankov: shift over the edge of the path")
+			}
+			m := ncc.Message{Kind: kShift, A: tk.A, B: tk.B}
+			if tk.ID != ncc.None {
+				m = m.WithIDs(tk.ID)
+			}
+			nd.Send(dst, m)
+		}
+		s.carrying = s.carrying[:0]
+	}
+	return ncc.Next(s.landK)
+}
+
+// land picks up the tokens that arrived this round.
+func (s *shiftState) land(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	for _, m := range w.Msgs {
+		if m.Kind != kShift {
+			continue
+		}
+		tk := ShiftToken{A: m.A, B: m.B}
+		if len(m.IDs()) > 0 {
+			tk.ID = m.IDs()[0]
+		}
+		s.carrying = append(s.carrying, tk)
+	}
+	s.b++
+	return s.hop(nd)
 }

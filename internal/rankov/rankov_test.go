@@ -11,8 +11,8 @@ import (
 // path position), which is a perfectly good ranked path for testing, and
 // hands it to k with the Gk tree.
 func buildOverlay(nd *ncc.Node, k func(*Overlay, *primitives.Tree) ncc.Op) ncc.Op {
-	return primitives.BuildAllStep(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
-		return BuildStep(nd, tree.Pos, p.Pred, p.Succ, func(ov *Overlay) ncc.Op {
+	return primitives.BuildAll(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+		return Build(nd, tree.Pos, p.Pred, p.Succ, func(ov *Overlay) ncc.Op {
 			return k(ov, &tree)
 		})
 	})
@@ -23,7 +23,7 @@ func TestPrefixSum(t *testing.T) {
 		s := ncc.New(ncc.Config{N: n, Seed: int64(n) + 1, Strict: true})
 		tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return buildOverlay(nd, func(ov *Overlay, _ *primitives.Tree) ncc.Op {
-				return PrefixSumStep(nd, ov, int64(ov.Rank+1), func(prefix int64) ncc.Op {
+				return PrefixSum(nd, ov, int64(ov.Rank+1), func(prefix int64) ncc.Op {
 					nd.SetOutput("prefix", prefix)
 					return ncc.Done()
 				})
@@ -51,7 +51,7 @@ func TestDisseminateSingleRange(t *testing.T) {
 			if ov.Rank == 2 { // initiator well before the range
 				job = &Job{Val: 4242, Payload: nd.ID(), Lo: lo, Hi: hi}
 			}
-			return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+			return Disseminate(nd, ov, gk, job, func(got []Job) ncc.Op {
 				nd.SetOutput("n", int64(len(got)))
 				if len(got) == 1 {
 					nd.SetOutput("val", got[0].Val)
@@ -91,7 +91,7 @@ func TestDisseminateDisjointRanges(t *testing.T) {
 			if ov.Rank%10 == 0 && ov.Rank+9 < n {
 				job = &Job{Val: int64(ov.Rank), Payload: nd.ID(), Lo: ov.Rank + 1, Hi: ov.Rank + 9}
 			}
-			return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+			return Disseminate(nd, ov, gk, job, func(got []Job) ncc.Op {
 				if len(got) > 1 {
 					panic("node in two disjoint ranges")
 				}
@@ -135,7 +135,7 @@ func TestDisseminateAdaptiveTermination(t *testing.T) {
 			if ov.Rank == 0 {
 				job = &Job{Val: 1, Lo: n - 1, Hi: n - 1}
 			}
-			return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+			return Disseminate(nd, ov, gk, job, func(got []Job) ncc.Op {
 				nd.SetOutput("n", int64(len(got)))
 				return ncc.Done()
 			})
@@ -159,7 +159,7 @@ func TestShiftDown(t *testing.T) {
 				if ov.Rank >= dist {
 					tok = &ShiftToken{A: int64(ov.Rank), ID: nd.ID()}
 				}
-				return ShiftDownStep(nd, ov, tok, dist, func(got []ShiftToken) ncc.Op {
+				return ShiftDown(nd, ov, tok, dist, func(got []ShiftToken) ncc.Op {
 					if len(got) > 1 {
 						panic("uniform shift collided")
 					}
@@ -200,7 +200,7 @@ func TestShiftUp(t *testing.T) {
 			if ov.Rank+dist < n {
 				tok = &ShiftToken{A: int64(ov.Rank)}
 			}
-			return ShiftUpStep(nd, ov, tok, dist, func(got []ShiftToken) ncc.Op {
+			return ShiftUp(nd, ov, tok, dist, func(got []ShiftToken) ncc.Op {
 				if len(got) == 1 {
 					nd.SetOutput("from", got[0].A)
 				}
@@ -236,7 +236,7 @@ func TestShiftRoundsAreLogN(t *testing.T) {
 			if ov.Rank >= 100 {
 				tok = &ShiftToken{A: 1}
 			}
-			return ShiftDownStep(nd, ov, tok, 100, func([]ShiftToken) ncc.Op { return ncc.Done() })
+			return ShiftDown(nd, ov, tok, 100, func([]ShiftToken) ncc.Op { return ncc.Done() })
 		})
 	})
 	if err != nil {
@@ -258,7 +258,7 @@ func TestDisseminateInitiatorInsideRange(t *testing.T) {
 			if ov.Rank == 5 {
 				job = &Job{Val: 77, Lo: 5, Hi: 9}
 			}
-			return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+			return Disseminate(nd, ov, gk, job, func(got []Job) ncc.Op {
 				nd.SetOutput("n", int64(len(got)))
 				return ncc.Done()
 			})
@@ -283,7 +283,7 @@ func TestPrefixSumNegativeValues(t *testing.T) {
 			if ov.Rank%2 == 1 {
 				v = -1
 			}
-			return PrefixSumStep(nd, ov, v, func(p int64) ncc.Op {
+			return PrefixSum(nd, ov, v, func(p int64) ncc.Op {
 				nd.SetOutput("p", p)
 				return ncc.Done()
 			})

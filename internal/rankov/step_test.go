@@ -30,7 +30,7 @@ func TestOverlayStepsMatchBlocking(t *testing.T) {
 		sf := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 		flat, err := sf.RunProgram(func(nd *ncc.Node) ncc.Op {
 			return buildOverlay(nd, func(ov *Overlay, gk *primitives.Tree) ncc.Op {
-				return PrefixSumStep(nd, ov, int64(ov.Rank+1), func(prefix int64) ncc.Op {
+				return PrefixSum(nd, ov, int64(ov.Rank+1), func(prefix int64) ncc.Op {
 					nd.SetOutput("prefix", prefix)
 					shifts := func() ncc.Op {
 						var dtok, utok *ShiftToken
@@ -40,8 +40,8 @@ func TestOverlayStepsMatchBlocking(t *testing.T) {
 						if ov.Rank%2 == 0 && ov.Rank+1 < n {
 							utok = &ShiftToken{ID: nd.ID()}
 						}
-						return ShiftDownStep(nd, ov, dtok, 1, func(down []ShiftToken) ncc.Op {
-							return ShiftUpStep(nd, ov, utok, 1, func(up []ShiftToken) ncc.Op {
+						return ShiftDown(nd, ov, dtok, 1, func(down []ShiftToken) ncc.Op {
+							return ShiftUp(nd, ov, utok, 1, func(up []ShiftToken) ncc.Op {
 								nd.SetOutput("down", int64(len(down)))
 								nd.SetOutput("up", int64(len(up)))
 								return ncc.Done()
@@ -55,7 +55,7 @@ func TestOverlayStepsMatchBlocking(t *testing.T) {
 					if ov.Rank == 0 {
 						job = &Job{Val: 99, Payload: nd.ID(), Lo: lo, Hi: hi}
 					}
-					return DisseminateStep(nd, ov, gk, job, func(got []Job) ncc.Op {
+					return Disseminate(nd, ov, gk, job, func(got []Job) ncc.Op {
 						nd.SetOutput("jobs", int64(len(got)))
 						return shifts()
 					})

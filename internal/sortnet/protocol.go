@@ -159,8 +159,8 @@ func (s *Sorter) mergeSortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) n
 		// After descent + ascent + self-insertion: report the merged path's
 		// head to the TBFS parent, then recurse to the next level.
 		report := func() ncc.Op {
-			return primitives.SyncAtStep(nd, start+ms.levelBudget()-2, func(in []ncc.Message) ncc.Op {
-				ms.apply(in, func(m ncc.Message) {
+			return primitives.SyncAt(nd, start+ms.levelBudget()-2, func(_ *ncc.Node, w ncc.Wake) ncc.Op {
+				ms.apply(w.Msgs, func(m ncc.Message) {
 					panic(fmt.Sprintf("sortnet: unexpected kind 0x%x before report", m.Kind))
 				})
 				if ms.out {
@@ -169,8 +169,8 @@ func (s *Sorter) mergeSortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) n
 				if ms.gk.Depth == lvl && !ms.gk.IsRoot {
 					nd.Send(ms.gk.Parent, ncc.Message{Kind: kMReport}.WithIDs(ms.resH))
 				}
-				return primitives.SyncAtStep(nd, start+ms.levelBudget(), func(in []ncc.Message) ncc.Op {
-					ms.apply(in, func(m ncc.Message) {
+				return primitives.SyncAt(nd, start+ms.levelBudget(), func(_ *ncc.Node, w ncc.Wake) ncc.Op {
+					ms.apply(w.Msgs, func(m ncc.Message) {
 						if m.Kind == kMReport {
 							childHead[m.Src] = m.IDs()[0]
 							return

@@ -71,7 +71,7 @@ func (ms *mergeState) buildLinks(base int, k func() ncc.Op) ncc.Op {
 	var round func(r int) ncc.Op
 	round = func(r int) ncc.Op {
 		if r > K {
-			return primitives.SyncAtStep(nd, base+K+2, func([]ncc.Message) ncc.Op { return k() })
+			return primitives.SyncAt(nd, base+K+2, func(*ncc.Node, ncc.Wake) ncc.Op { return k() })
 		}
 		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			ms.apply(w.Msgs, func(m ncc.Message) {

@@ -345,7 +345,7 @@ func (ms *mergeState) finalRanks(k func(Result) ncc.Op) ncc.Op {
 		var count func(j int) ncc.Op
 		count = func(j int) ncc.Op {
 			if j >= ms.K {
-				return primitives.SyncAtStep(nd, base+ms.K+2+ms.K+1, func([]ncc.Message) ncc.Op {
+				return primitives.SyncAt(nd, base+ms.K+2+ms.K+1, func(*ncc.Node, ncc.Wake) ncc.Op {
 					return k(Result{Rank: int(acc - 1), Pred: ms.pred, Succ: ms.succ})
 				})
 			}

@@ -108,10 +108,16 @@ func oracleHandler(s *ncc.Sim, ins []any) ([]any, int) {
 		}
 		return pairs[a].id < pairs[b].id
 	})
+	// One Result and one Learn backing array serve every node: a node's
+	// output points into them, and the engine copies the IDs out before
+	// the node resumes.
 	outs := make([]any, n)
+	res := make([]Result, n)
+	learn := make([]ncc.ID, 0, 2*n)
 	for rank, p := range pairs {
-		r := Result{Rank: rank, Pred: ncc.None, Succ: ncc.None}
-		var learn []ncc.ID
+		r := &res[rank]
+		*r = Result{Rank: rank, Pred: ncc.None, Succ: ncc.None}
+		from := len(learn)
 		if rank > 0 {
 			r.Pred = pairs[rank-1].id
 			learn = append(learn, r.Pred)
@@ -120,7 +126,7 @@ func oracleHandler(s *ncc.Sim, ins []any) ([]any, int) {
 			r.Succ = pairs[rank+1].id
 			learn = append(learn, r.Succ)
 		}
-		outs[p.pos] = ncc.CollectiveOut{Val: r, Learn: learn}
+		outs[p.pos] = ncc.CollectiveOut{Val: r, Learn: learn[from:len(learn):len(learn)]}
 	}
 	return outs, ChargedRounds(n)
 }
@@ -136,10 +142,10 @@ func ChargedRounds(n int) int {
 	return c
 }
 
-// SortStep arranges the nodes by non-increasing key using the Sorter's
+// Sort arranges the nodes by non-increasing key using the Sorter's
 // method and delivers this node's rank and sorted neighbors to k. All nodes
 // must enter the sort at the same protocol point.
-func (s *Sorter) SortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
+func (s *Sorter) Sort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	switch s.Method {
 	case OddEven:
 		return s.oddEvenSortStep(nd, key, k)
@@ -147,7 +153,7 @@ func (s *Sorter) SortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op
 		return s.mergeSortStep(nd, key, k)
 	default:
 		return ncc.Collective(CollectiveOracleSort, key, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			return k(w.Coll.(Result))
+			return k(*w.Coll.(*Result))
 		})
 	}
 }

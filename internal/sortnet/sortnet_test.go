@@ -16,10 +16,10 @@ func runSort(t *testing.T, n int, seed int64, method Method) *ncc.Trace {
 	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
 	RegisterOracle(s)
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return primitives.BuildAllStep(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
+		return primitives.BuildAll(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
 			srt := &Sorter{Method: method, Path: p, Pos: tree.Pos, Tree: &tree}
 			key := nd.Rand().Int63n(50) // plenty of ties
-			return srt.SortStep(nd, key, func(res Result) ncc.Op {
+			return srt.Sort(nd, key, func(res Result) ncc.Op {
 				nd.SetOutput("key", key)
 				nd.SetOutput("rank", int64(res.Rank))
 				nd.SetOutput("pred", int64(res.Pred))

@@ -10,7 +10,7 @@ import (
 
 // step_test.go checks the resumable-step compilation of the sorting
 // protocols — the largest state machines in the repository. For every method
-// SortStep must rank correctly (runSort validates it) and reproduce the
+// Sort must rank correctly (runSort validates it) and reproduce the
 // trace the blocking Sort produced on the goroutine-barrier driver, recorded
 // as digests before the blocking API was retired (outbox determinism: same
 // messages, same rounds, same outputs).

@@ -7,7 +7,7 @@ import (
 )
 
 // step_test.go checks the resumable-step compilation of the tree
-// realizations: RealizeChainStep and RealizeGreedyStep must reproduce the
+// realizations: RealizeChain and RealizeGreedy must reproduce the
 // traces the blocking forms produced on the goroutine-barrier driver,
 // recorded as digests before the blocking API was retired.
 

@@ -1,10 +1,10 @@
 // Package trees implements the degree-sequence tree realizations of §5:
 //
-//   - RealizeChainStep (Algorithm 4): the k non-leaf nodes, sorted by
+//   - RealizeChain (Algorithm 4): the k non-leaf nodes, sorted by
 //     non-increasing degree, form a chain; each satisfies its remaining
 //     degree from a contiguous block of leaves located via distributed
 //     prefix sums. This yields the maximum-diameter realization.
-//   - RealizeGreedyStep (Algorithm 5): the greedy tree T_G — every node, in
+//   - RealizeGreedy (Algorithm 5): the greedy tree T_G — every node, in
 //     sorted order, adopts the next block of unparented nodes as children.
 //     By Lemma 15 the result has the minimum possible diameter over all
 //     tree realizations of the sequence.
@@ -39,7 +39,7 @@ type Outcome struct {
 // d ≥ 1 everywhere (n = 1 requires d = 0). Rounds: two aggregations.
 func validateStep(nd *ncc.Node, env *core.Env, deg int, k func(bool) ncc.Op) ncc.Op {
 	n := nd.N()
-	return aggregate.AggregateBroadcastStep(nd, &env.GK, int64(deg), aggregate.SumOp(), func(sum int64) ncc.Op {
+	return aggregate.AggregateBroadcast(nd, &env.GK, int64(deg), aggregate.SumOp(), func(sum int64) ncc.Op {
 		bad := int64(0)
 		if n == 1 {
 			if deg != 0 {
@@ -48,7 +48,7 @@ func validateStep(nd *ncc.Node, env *core.Env, deg int, k func(bool) ncc.Op) ncc
 		} else if deg < 1 || deg > n-1 {
 			bad = 1
 		}
-		return aggregate.AggregateBroadcastStep(nd, &env.GK, bad, aggregate.OrOp(), func(anyBad int64) ncc.Op {
+		return aggregate.AggregateBroadcast(nd, &env.GK, bad, aggregate.OrOp(), func(anyBad int64) ncc.Op {
 			if anyBad == 1 {
 				return k(false)
 			}
@@ -67,11 +67,11 @@ func (o *Outcome) store(nd *ncc.Node, peer ncc.ID) {
 	o.Realized++
 }
 
-// RealizeChainStep runs Algorithm 4 and delivers the Outcome to kont. deg is
+// RealizeChain runs Algorithm 4 and delivers the Outcome to kont. deg is
 // this node's required tree degree. The realization is implicit except for
 // the chain edges, which both endpoints store (as the paper's line 9
 // specifies).
-func RealizeChainStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.Op) ncc.Op {
+func RealizeChain(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
 	return validateStep(nd, env, deg, func(valid bool) ncc.Op {
 		if !valid {
@@ -83,14 +83,14 @@ func RealizeChainStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) n
 		if n == 1 {
 			return kont(out)
 		}
-		return env.Sort.SortStep(nd, int64(deg), func(sr sortnet.Result) ncc.Op {
-			return rankov.BuildStep(nd, sr.Rank, sr.Pred, sr.Succ, func(ov *rankov.Overlay) ncc.Op {
+		return env.Sort.Sort(nd, int64(deg), func(sr sortnet.Result) ncc.Op {
+			return rankov.Build(nd, sr.Rank, sr.Pred, sr.Succ, func(ov *rankov.Overlay) ncc.Op {
 				// k = number of non-leaves.
 				isNonLeaf := int64(0)
 				if deg > 1 {
 					isNonLeaf = 1
 				}
-				return aggregate.AggregateBroadcastStep(nd, &env.GK, isNonLeaf, aggregate.SumOp(), func(k64 int64) ncc.Op {
+				return aggregate.AggregateBroadcast(nd, &env.GK, isNonLeaf, aggregate.SumOp(), func(k64 int64) ncc.Op {
 					k := int(k64)
 					out.IsLeaf = deg == 1
 
@@ -128,13 +128,13 @@ func RealizeChainStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) n
 						}
 					}
 					// Leaf block start: k + (exclusive prefix of r over ranks).
-					return rankov.PrefixSumStep(nd, ov, int64(r), func(inc int64) ncc.Op {
+					return rankov.PrefixSum(nd, ov, int64(r), func(inc int64) ncc.Op {
 						start := k + int(inc) - r
 						var job *rankov.Job
 						if r > 0 {
 							job = &rankov.Job{Payload: nd.ID(), Lo: start, Hi: start + r - 1}
 						}
-						return rankov.DisseminateStep(nd, ov, &env.GK, job, func(got []rankov.Job) ncc.Op {
+						return rankov.Disseminate(nd, ov, &env.GK, job, func(got []rankov.Job) ncc.Op {
 							for _, g := range got {
 								out.store(nd, g.Payload)
 							}
@@ -151,12 +151,12 @@ func RealizeChainStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) n
 	})
 }
 
-// RealizeGreedyStep runs Algorithm 5, producing the minimum-diameter greedy
+// RealizeGreedy runs Algorithm 5, producing the minimum-diameter greedy
 // tree, and delivers the Outcome to kont: the rank-0 node adopts the next d₀
 // ranks as children; every other rank i adopts d_i − 1 children from the
 // next unparented block, located via a prefix-sum scan. Children store the
 // edge to their parent (implicit).
-func RealizeGreedyStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.Op) ncc.Op {
+func RealizeGreedy(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
 	return validateStep(nd, env, deg, func(valid bool) ncc.Op {
 		if !valid {
@@ -168,8 +168,8 @@ func RealizeGreedyStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) 
 		if n == 1 {
 			return kont(out)
 		}
-		return env.Sort.SortStep(nd, int64(deg), func(sr sortnet.Result) ncc.Op {
-			return rankov.BuildStep(nd, sr.Rank, sr.Pred, sr.Succ, func(ov *rankov.Overlay) ncc.Op {
+		return env.Sort.Sort(nd, int64(deg), func(sr sortnet.Result) ncc.Op {
+			return rankov.Build(nd, sr.Rank, sr.Pred, sr.Succ, func(ov *rankov.Overlay) ncc.Op {
 				out.IsLeaf = deg == 1
 				// Children count: the root keeps all deg slots, others reserve
 				// one for their parent.
@@ -177,13 +177,13 @@ func RealizeGreedyStep(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) 
 				if sr.Rank == 0 {
 					c = deg
 				}
-				return rankov.PrefixSumStep(nd, ov, int64(c), func(inc int64) ncc.Op {
+				return rankov.PrefixSum(nd, ov, int64(c), func(inc int64) ncc.Op {
 					start := 1 + int(inc) - c
 					var job *rankov.Job
 					if c > 0 {
 						job = &rankov.Job{Payload: nd.ID(), Lo: start, Hi: start + c - 1}
 					}
-					return rankov.DisseminateStep(nd, ov, &env.GK, job, func(got []rankov.Job) ncc.Op {
+					return rankov.Disseminate(nd, ov, &env.GK, job, func(got []rankov.Job) ncc.Op {
 						for _, g := range got {
 							out.store(nd, g.Payload) // child stores its parent
 						}

@@ -22,7 +22,7 @@ func runTree(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace, error)
 	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return core.SetupStep(nd, sortnet.Oracle, func(env *core.Env) ncc.Op {
+		return core.Setup(nd, sortnet.Oracle, func(env *core.Env) ncc.Op {
 			deg := nd.Input().(int)
 			done := func(out Outcome) ncc.Op {
 				nd.SetOutput("realized", int64(out.Realized))
@@ -32,9 +32,9 @@ func runTree(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace, error)
 				return ncc.Done()
 			}
 			if greedy {
-				return RealizeGreedyStep(nd, env, deg, done)
+				return RealizeGreedy(nd, env, deg, done)
 			}
-			return RealizeChainStep(nd, env, deg, done)
+			return RealizeChain(nd, env, deg, done)
 		})
 	})
 	if err != nil && t != nil {

@@ -59,30 +59,30 @@ func reference(ctx context.Context, j Job) (Result, string) {
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		r := nd.Input().(int)
 		if j.Kind == JobConnectivity && nd.Model() == ncc.NCC1 {
-			return connectivity.RealizeNCC1Step(nd, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
+			return connectivity.RealizeNCC1(nd, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
 		}
-		return core.SetupStep(nd, o.sortMethod(), func(env *core.Env) ncc.Op {
+		return core.Setup(nd, o.sortMethod(), func(env *core.Env) ncc.Op {
 			switch j.Kind {
 			case JobDegrees, JobDegreesExplicit:
-				return core.RealizeStep(nd, env, r, core.Exact, true, func(out core.Outcome) ncc.Op {
+				return core.Realize(nd, env, r, core.Exact, true, func(out core.Outcome) ncc.Op {
 					nd.SetOutput("phases", int64(out.Phases))
 					if out.OK && j.Kind == JobDegreesExplicit {
-						return core.MakeExplicitStep(nd, env, out.Neighbors, out.Delta, func(int) ncc.Op { return ncc.Done() })
+						return core.MakeExplicit(nd, env, out.Neighbors, out.Delta, func(int) ncc.Op { return ncc.Done() })
 					}
 					return ncc.Done()
 				})
 			case JobUpperEnvelope:
-				return core.RealizeStep(nd, env, r, core.Envelope, true, func(out core.Outcome) ncc.Op {
+				return core.Realize(nd, env, r, core.Envelope, true, func(out core.Outcome) ncc.Op {
 					nd.SetOutput("realized", int64(out.Realized))
 					nd.SetOutput("phases", int64(out.Phases))
 					return ncc.Done()
 				})
 			case JobChainTree:
-				return trees.RealizeChainStep(nd, env, r, func(trees.Outcome) ncc.Op { return ncc.Done() })
+				return trees.RealizeChain(nd, env, r, func(trees.Outcome) ncc.Op { return ncc.Done() })
 			case JobMinDiamTree:
-				return trees.RealizeGreedyStep(nd, env, r, func(trees.Outcome) ncc.Op { return ncc.Done() })
+				return trees.RealizeGreedy(nd, env, r, func(trees.Outcome) ncc.Op { return ncc.Done() })
 			case JobConnectivity:
-				return connectivity.RealizeNCC0Step(nd, env, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
+				return connectivity.RealizeNCC0(nd, env, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
 			}
 			return ncc.Done()
 		})
