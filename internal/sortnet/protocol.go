@@ -104,9 +104,9 @@ func (ms *mergeState) levelBudget() int {
 	return ms.recDepth()*(ms.stepBudget()+ms.ascBudget()) + (2*ms.K + 12) + 3
 }
 
-// mergeSortStep runs the full protocol and delivers the node's rank and
+// mergeSort runs the full protocol and delivers the node's rank and
 // sorted neighbors to k. It needs the Sorter's TBFS tree; see Sorter.Tree.
-func (s *Sorter) mergeSortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
+func (s *Sorter) mergeSort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	if s.Tree == nil {
 		panic("sortnet: Merge method requires Sorter.Tree (the annotated TBFS)")
 	}

@@ -148,9 +148,9 @@ func ChargedRounds(n int) int {
 func (s *Sorter) Sort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	switch s.Method {
 	case OddEven:
-		return s.oddEvenSortStep(nd, key, k)
+		return s.oddEvenSort(nd, key, k)
 	case Merge:
-		return s.mergeSortStep(nd, key, k)
+		return s.mergeSort(nd, key, k)
 	default:
 		return ncc.Collective(CollectiveOracleSort, key, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			return k(*w.Coll.(*Result))
@@ -158,13 +158,13 @@ func (s *Sorter) Sort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	}
 }
 
-// oddEvenSortStep is a real protocol: (key, id) pairs ripple along the Gk
+// oddEvenSort is a real protocol: (key, id) pairs ripple along the Gk
 // path via n rounds of alternating compare-exchanges; afterwards the holder
 // of path position p owns the rank-p pair, learns its neighbors' pairs, and
 // notifies the pair's owner of its rank and sorted neighbors.
 //
 // Rounds: exactly n + 3. Each node sends ≤ 2 messages per round.
-func (s *Sorter) oddEvenSortStep(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
+func (s *Sorter) oddEvenSort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	n := nd.N()
 	curKey, curID := key, nd.ID()
 

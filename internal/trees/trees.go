@@ -35,9 +35,9 @@ type Outcome struct {
 	Neighbors []ncc.ID
 }
 
-// validateStep checks tree realizability by aggregation: Σd = 2(n−1) and
+// validate checks tree realizability by aggregation: Σd = 2(n−1) and
 // d ≥ 1 everywhere (n = 1 requires d = 0). Rounds: two aggregations.
-func validateStep(nd *ncc.Node, env *core.Env, deg int, k func(bool) ncc.Op) ncc.Op {
+func validate(nd *ncc.Node, env *core.Env, deg int, k func(bool) ncc.Op) ncc.Op {
 	n := nd.N()
 	return aggregate.AggregateBroadcast(nd, &env.GK, int64(deg), aggregate.SumOp(), func(sum int64) ncc.Op {
 		bad := int64(0)
@@ -73,7 +73,7 @@ func (o *Outcome) store(nd *ncc.Node, peer ncc.ID) {
 // specifies).
 func RealizeChain(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
-	return validateStep(nd, env, deg, func(valid bool) ncc.Op {
+	return validate(nd, env, deg, func(valid bool) ncc.Op {
 		if !valid {
 			nd.Unrealizable()
 			return kont(out)
@@ -158,7 +158,7 @@ func RealizeChain(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.O
 // edge to their parent (implicit).
 func RealizeGreedy(nd *ncc.Node, env *core.Env, deg int, kont func(Outcome) ncc.Op) ncc.Op {
 	out := Outcome{}
-	return validateStep(nd, env, deg, func(valid bool) ncc.Op {
+	return validate(nd, env, deg, func(valid bool) ncc.Op {
 		if !valid {
 			nd.Unrealizable()
 			return kont(out)
