@@ -31,13 +31,13 @@ CONC        ?= 64
 REQS        ?= 500
 MIX         ?= degree,tree,connectivity
 BASE        ?= main
-BENCH_ARGS  := -short -run '^$$' -bench . -benchtime 3x -count 5 . ./internal/wire
+BENCH_ARGS  := -short -run '^$$' -bench . -benchtime 3x -count 5 . ./internal/wire ./internal/serve
 # The merge base may predate internal/wire; benchgate only compares
 # benchmarks present on both sides, so the base run probes for the package.
-BENCH_ARGS_BASE := -short -run '^$$' -bench . -benchtime 3x -count 5 . $$([ -d internal/wire ] && echo ./internal/wire)
+BENCH_ARGS_BASE := -short -run '^$$' -bench . -benchtime 3x -count 5 . $$([ -d internal/wire ] && echo ./internal/wire) ./internal/serve
 # The benchmarks whose ns/op the gate holds to 30%: the one definition that
 # bench-compare and CI's bench-regression job (through bench-gate) share.
-BENCH_GATE  := BenchmarkBatchRealization|BenchmarkBatchRunner|BenchmarkWire|BenchmarkEngineJobs
+BENCH_GATE  := BenchmarkBatchRealization|BenchmarkBatchRunner|BenchmarkWire|BenchmarkEngineJobs|BenchmarkServeRealizeCached
 BENCH_BASE_TXT ?= /tmp/graphrealize-bench-base.txt
 BENCH_HEAD_TXT ?= /tmp/graphrealize-bench-head.txt
 

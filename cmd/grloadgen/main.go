@@ -45,6 +45,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"graphrealize/internal/api"
 	"graphrealize/internal/gen"
 	"graphrealize/internal/jobs"
 	"graphrealize/internal/obs"
@@ -70,10 +71,10 @@ func scenarios(variantEvery int) map[string]scenario {
 				if variantEvery > 0 && seed%int64(variantEvery) == 0 {
 					variant = "explicit"
 				}
-				return map[string]any{
-					"sequence": gen.FromRandomGraph(n, 8.0/float64(n), seed),
-					"variant":  variant,
-					"options":  map[string]any{"seed": seed},
+				return api.RealizeRequest{
+					Sequence: gen.FromRandomGraph(n, 8.0/float64(n), seed),
+					Variant:  variant,
+					Options:  &api.OptionsJSON{Seed: seed},
 				}
 			},
 			job: func(n int, seed int64) any {
@@ -96,10 +97,10 @@ func scenarios(variantEvery int) map[string]scenario {
 				if seed%2 == 0 {
 					variant = "mindiam"
 				}
-				return map[string]any{
-					"sequence": gen.TreeSequence(n, seed),
-					"variant":  variant,
-					"options":  map[string]any{"seed": seed},
+				return api.RealizeRequest{
+					Sequence: gen.TreeSequence(n, seed),
+					Variant:  variant,
+					Options:  &api.OptionsJSON{Seed: seed},
 				}
 			},
 			job: func(n int, seed int64) any {
@@ -118,9 +119,9 @@ func scenarios(variantEvery int) map[string]scenario {
 			name: "connectivity",
 			path: "/v1/realize/connectivity",
 			body: func(n int, seed int64) any {
-				return map[string]any{
-					"sequence": gen.UniformRho(n, 4, seed),
-					"options":  map[string]any{"seed": seed, "model": "ncc1"},
+				return api.RealizeRequest{
+					Sequence: gen.UniformRho(n, 4, seed),
+					Options:  &api.OptionsJSON{Seed: seed, Model: "ncc1"},
 				}
 			},
 			job: func(n int, seed int64) any {
@@ -239,8 +240,9 @@ func main() {
 					continue
 				}
 				body := sc.body(nn, *seed+i)
-				if m, ok := body.(map[string]any); ok && !*edges && sc.name != "sweep" {
-					m["omit_edges"] = true
+				if req, ok := body.(api.RealizeRequest); ok && !*edges {
+					req.OmitEdges = true
+					body = req
 				}
 				payload, err := json.Marshal(body)
 				if err != nil {

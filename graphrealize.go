@@ -153,9 +153,13 @@ func (g *Graph) Degrees() []int {
 	return d
 }
 
-// Edges returns all edges as (u < v) pairs in deterministic order.
+// Edges returns all edges as (u < v) pairs in deterministic order; nil for
+// an edgeless graph.
 func (g *Graph) Edges() [][2]int {
 	var es [][2]int
+	if m := g.M(); m > 0 {
+		es = make([][2]int, 0, m)
+	}
 	for u, a := range g.Adj {
 		for _, v := range a {
 			if v > u {

@@ -20,7 +20,7 @@ import (
 // RealizeRequest is the body of POST /v1/realize/{alg}.
 type RealizeRequest struct {
 	// Sequence is the degree (or ρ) sequence to realize.
-	Sequence []int `json:"sequence"`
+	Sequence Sequence `json:"sequence"`
 	// Variant selects the algorithm flavour. degree: "implicit" (default),
 	// "explicit", or "envelope"; tree: "chain" (default) or "mindiam";
 	// connectivity: must be empty.
@@ -31,8 +31,9 @@ type RealizeRequest struct {
 	OmitEdges bool `json:"omit_edges,omitempty"`
 }
 
-// RealizeResponse is the body of a successful realization. A graphwire
-// response carries it, minus the edge list, as its JMETA document.
+// RealizeResponse is the body of a successful realization. The realize
+// route writes it with AppendJSON; a graphwire response carries it, minus
+// the edge list, as its JMETA document.
 type RealizeResponse struct {
 	Kind      string    `json:"kind"`
 	N         int       `json:"n"`

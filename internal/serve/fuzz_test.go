@@ -1,0 +1,93 @@
+package serve_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"graphrealize"
+	"graphrealize/internal/api"
+	"graphrealize/internal/jobs"
+	"graphrealize/internal/serve"
+)
+
+// FuzzServeRequest sends each fuzzed body to the realize, sweep and jobs
+// routes of a server with MaxN 64 and a one-second job timeout. The server
+// must never panic or answer 500; every non-2xx body is an ErrorResponse
+// with a message; and every 200 realize body decodes with encoding/json into
+// a RealizeResponse holding m edges (none under omit_edges) that
+// encoding/json writes back byte for byte.
+func FuzzServeRequest(f *testing.F) {
+	runner := graphrealize.NewRunnerConfig(graphrealize.RunnerConfig{Workers: 2, Queue: 8, JobTimeout: time.Second})
+	m := jobs.New(jobs.Config{Backend: runner, MaxJobs: 16, Retention: time.Second})
+	f.Cleanup(func() { _ = m.Close(context.Background()) })
+	h := serve.New(serve.Config{Backend: runner, Jobs: m, MaxN: 64, MaxSeeds: 4}).Handler()
+
+	for _, body := range []string{
+		`{"sequence":[3,3,2,2,2,2],"options":{"seed":7}}`,
+		`{"sequence":[2,2,2,2],"variant":"explicit","omit_edges":true}`,
+		`{"sequence":[3,3,1,1],"variant":"envelope"}`,
+		`{"sequence":[3,3,2,1,1,1,1,2],"variant":"mindiam"}`,
+		`{"sequence":[2,2,1,1,1,1],"options":{"model":"ncc1","sort":"oddeven"}}`,
+		`{"sequence":[0,0,0]}`,
+		`{"kind":"degrees","sequence":[2,2,2],"seeds":[1,2]}`,
+		`{"kind":"connectivity","sequence":[2,2,1,1],"seed_count":3,"seed_start":5}`,
+		`{"kind":"chain-tree","sequence":[1,1],"label":"x"}`,
+		`{"sequence":[3,`,
+		`{"variant":3,"sequence":["a"]}`,
+		`{"sequence":[1.5,1e2,null]}`,
+		`{"sequence":[1,1],"options":{"cap_mul":-3,"max_rounds":1}}`,
+		`{"sequence":[9223372036854775807,9223372036854775807,2,2]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	paths := []string{"/v1/realize/degree", "/v1/realize/tree", "/v1/realize/connectivity", "/v1/sweep", "/v1/jobs"}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range paths {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			switch {
+			case rec.Code == http.StatusInternalServerError:
+				t.Fatalf("%s %q: 500: %s", path, body, rec.Body)
+			case rec.Code < 200 || rec.Code > 299:
+				var e api.ErrorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+					t.Fatalf("%s %q: %d with body %q, want an error message", path, body, rec.Code, rec.Body)
+				}
+			case rec.Code == http.StatusOK && path != "/v1/sweep" && path != "/v1/jobs":
+				checkRealizeBody(t, path, body, rec.Body.Bytes())
+			}
+		}
+	})
+}
+
+// checkRealizeBody checks a 200 realize body against encoding/json.
+func checkRealizeBody(t *testing.T, path string, body, resp []byte) {
+	t.Helper()
+	var got api.RealizeResponse
+	if err := json.Unmarshal(resp, &got); err != nil {
+		t.Fatalf("%s %q: 200 body %q does not decode: %v", path, body, resp, err)
+	}
+	// The server reads the body's first JSON value, as this probe does.
+	var req struct {
+		OmitEdges bool `json:"omit_edges"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		t.Fatalf("%s %q: answered 200 to a body encoding/json rejects: %v", path, body, err)
+	}
+	if want := got.M; req.OmitEdges && len(got.Edges) != 0 || !req.OmitEdges && len(got.Edges) != want {
+		t.Fatalf("%s %q: %d edges for m=%d (omit_edges %v)", path, body, len(got.Edges), want, req.OmitEdges)
+	}
+	var ref bytes.Buffer
+	if err := json.NewEncoder(&ref).Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resp, ref.Bytes()) {
+		t.Fatalf("%s %q: body\n%s\nis not what encoding/json writes:\n%s", path, body, resp, ref.Bytes())
+	}
+}

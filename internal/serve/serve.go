@@ -404,10 +404,15 @@ func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
 		writeWire(w, resp, g)
 		return
 	}
+	var adj [][]int
 	if !req.OmitEdges {
-		resp.Edges = res.Graph.Edges()
+		adj = res.Graph.Adj
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body := resp.AppendJSON(nil, adj)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a client gone mid-body has nothing left to be told
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

@@ -38,7 +38,7 @@ type SweepRequest struct {
 	// "upper-envelope", "chain-tree", "min-diam-tree", or "connectivity"
 	// (aliases "degree", "tree", "mindiam", "envelope" are accepted).
 	Kind      string           `json:"kind"`
-	Sequence  []int            `json:"sequence"`
+	Sequence  api.Sequence     `json:"sequence"`
 	Seeds     []int64          `json:"seeds,omitempty"`
 	SeedCount int              `json:"seed_count,omitempty"`
 	SeedStart int64            `json:"seed_start,omitempty"`
@@ -177,7 +177,7 @@ type JobRequest struct {
 	// (the usual aliases are accepted).
 	Kind string `json:"kind"`
 	// Sequence is the degree (or ρ) sequence to realize.
-	Sequence []int `json:"sequence"`
+	Sequence api.Sequence `json:"sequence"`
 	// Options tunes the simulation; nil selects the defaults.
 	Options *api.OptionsJSON `json:"options,omitempty"`
 	// Label is an optional caller tag echoed back in job snapshots.
