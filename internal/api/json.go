@@ -124,8 +124,9 @@ func parseInt(data []byte, i int) (v, next int, ok bool) {
 // as encoding/json requires; a measured duration always is.
 func (r *RealizeResponse) AppendJSON(b []byte, adj [][]int) []byte {
 	b = slices.Grow(b, r.jsonSize(adj))
+	kind, _ := json.Marshal(r.Kind) // a string always marshals
 	b = append(b, `{"kind":`...)
-	b = appendString(b, r.Kind)
+	b = append(b, kind...)
 	b = append(b, `,"n":`...)
 	b = strconv.AppendInt(b, int64(r.N), 10)
 	b = append(b, `,"m":`...)
@@ -207,21 +208,6 @@ func (r *RealizeResponse) jsonSize(adj [][]int) int {
 		w++
 	}
 	return 512 + len(r.Envelope)*(w+1) + ends/2*(2*w+4)
-}
-
-// appendString appends s as a JSON string. Kind names are plain ASCII and
-// are written as they are; any other string is left to json.Marshal, so its
-// HTML and UTF-8 escaping stay encoding/json's.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // appendFloat formats f as encoding/json does: like ES6, 'f' notation

@@ -63,7 +63,7 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	if !edgeless || !envelope || !phases || !noPhases {
 		t.Fatalf("table lost a case: edgeless %v, envelope %v, phases>0 %v, phases=0 %v", edgeless, envelope, phases, noPhases)
 	}
-	// A kind name outside plain ASCII takes encoding/json's escaping.
+	// Any kind name is escaped as encoding/json escapes it.
 	for _, kind := range []string{"", `a"b\c`, "<&>", "é\n ", "\xff"} {
 		checkAppendJSON(t, api.RealizeResponse{Kind: kind}, nil, nil)
 	}
