@@ -10,21 +10,24 @@ import (
 // json.go is the realize route's codec for its two large arrays: the
 // response's edge list and the request's sequence. Both are written by hand
 // and produce or accept exactly what encoding/json does, which stays the
-// reference the tests compare against; every other body, and every other
-// value of these two, goes through encoding/json.
+// reference the tests compare against. Every other body, the response's
+// kind string and any sequence that is not a plain integer array go
+// through encoding/json.
 
 // Sequence is a request's degree (or ρ) sequence. It decodes a plain JSON
 // integer array in one pass; any other value goes to encoding/json.
 type Sequence []int
 
-// UnmarshalJSON parses a JSON array of integers that fit an int. Any other
+// UnmarshalJSON parses a JSON array of integers that fit an int into a new
+// slice; [] gives an empty, non-nil one, as with encoding/json. Any other
 // value (null, floats, exponents, strings, nested values, out-of-range
 // integers) is decoded by json.Unmarshal into a []int, so the standard
 // library decides every value and every error it decides for a []int field.
-// Like encoding/json, it reuses s's backing array and stores [] as an empty,
-// non-nil slice.
+// s is untouched until then: an array that fails part-way, as [1,2.5] does,
+// reaches encoding/json with the slice an earlier "sequence" member left,
+// which it partly reuses.
 func (s *Sequence) UnmarshalJSON(data []byte) error {
-	out, ok := appendInts((*s)[:0], data)
+	out, ok := parseInts(data)
 	if !ok {
 		return json.Unmarshal(data, (*[]int)(s))
 	}
@@ -35,28 +38,27 @@ func (s *Sequence) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// appendInts appends the integers of data, a whitespace-padded JSON array
-// of integers, to out. ok is false for anything else, including a syntax
-// error and an integer outside int's range; out then holds a prefix of the
-// array's integers. It allocates only as out grows.
-func appendInts(out Sequence, data []byte) (_ Sequence, ok bool) {
+// parseInts parses data, a whitespace-padded JSON array of integers. ok is
+// false for anything else, a syntax error or an integer parseInt does not
+// take included. It allocates only as its result grows.
+func parseInts(data []byte) (out Sequence, ok bool) {
 	i := skipSpace(data, 0)
 	if i == len(data) || data[i] != '[' {
-		return out, false
+		return nil, false
 	}
 	i = skipSpace(data, i+1)
 	if i < len(data) && data[i] == ']' {
-		return out, skipSpace(data, i+1) == len(data)
+		return nil, skipSpace(data, i+1) == len(data)
 	}
 	for {
 		v, next, ok := parseInt(data, i)
 		if !ok {
-			return out, false
+			return nil, false
 		}
 		out = append(out, v)
 		i = skipSpace(data, next)
 		if i == len(data) {
-			return out, false
+			return nil, false
 		}
 		switch data[i] {
 		case ',':
@@ -64,7 +66,7 @@ func appendInts(out Sequence, data []byte) (_ Sequence, ok bool) {
 		case ']':
 			return out, skipSpace(data, i+1) == len(data)
 		default:
-			return out, false
+			return nil, false
 		}
 	}
 }
@@ -83,23 +85,21 @@ func skipSpace(data []byte, i int) int {
 	return i
 }
 
-// parseInt reads the JSON integer -?(0|[1-9][0-9]*) at data[i:] and returns
-// it with the index just past it. ok is false when data[i:] does not start
-// with one, when a fraction or exponent follows it, or when it overflows int.
+// parseInt reads the digits of a JSON integer -?(0|[1-9][0-9]*) at data[i:]
+// and returns its value with the index just past them. ok is false when
+// data[i:] does not start with one or when it leaves int's range (MinInt
+// included: encoding/json decides it). A fraction or exponent after the
+// digits is the caller's to reject: it is not a separator.
 func parseInt(data []byte, i int) (v, next int, ok bool) {
 	neg := i < len(data) && data[i] == '-'
 	if neg {
 		i++
 	}
-	limit := uint64(math.MaxInt)
-	if neg {
-		limit++
-	}
 	start := i
 	var u uint64
 	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
 		d := uint64(data[i] - '0')
-		if u > (limit-d)/10 {
+		if u > (math.MaxInt-d)/10 {
 			return 0, i, false
 		}
 		u = u*10 + d
@@ -107,11 +107,8 @@ func parseInt(data []byte, i int) (v, next int, ok bool) {
 	if i == start || (data[start] == '0' && i-start > 1) {
 		return 0, i, false // no digits, or a leading zero
 	}
-	if i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
-		return 0, i, false
-	}
 	if neg {
-		return int(-u), i, true // -(1<<63) wraps to itself
+		return -int(u), i, true
 	}
 	return int(u), i, true
 }

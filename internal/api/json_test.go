@@ -67,6 +67,10 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	for _, kind := range []string{"", `a"b\c`, "<&>", "é\n ", "\xff"} {
 		checkAppendJSON(t, api.RealizeResponse{Kind: kind}, nil, nil)
 	}
+	// Only (u < v) pairs are listed, as Graph.Edges lists them, whatever
+	// else adj holds: here the self-loops (0,0) and (1,1).
+	g := &graphrealize.Graph{N: 3, Adj: [][]int{{0, 1}, {0, 1}, {}}}
+	checkAppendJSON(t, api.RealizeResponse{N: g.N, M: g.M()}, g.Adj, g)
 }
 
 // checkAppendJSON compares AppendJSON, appended after a prefix, with
@@ -106,19 +110,27 @@ func TestSequenceDecodeSizesByIntegers(t *testing.T) {
 // DisallowUnknownFields into two structs of one type name, so error texts
 // name the same field; with dup set, an earlier "sequence" member has
 // filled the slice already. Both sides must agree on success, on the ints
-// (nil-ness included) and on the error text.
+// (nil-ness included) and on the error text. Called directly on the bytes,
+// which encoding/json never passes unchecked, UnmarshalJSON must agree with
+// json.Unmarshal into a []int as well.
 func FuzzSequenceDecode(f *testing.F) {
 	for _, v := range []string{
 		`[]`, `null`, `[1,null,2]`, `[-0,-5]`, `[01]`, `[1e2]`, `[1.5]`, `["a"]`, `[true]`,
 		`[9223372036854775807,-9223372036854775808]`, `[9223372036854775808]`, `[-9223372036854775809]`,
-		" \t\r\n[ 1 ,\n2 ] \n", `[[1]]`, `[{}]`, `{}`, `"a"`, `7`, `[1,`, `[-]`,
+		" \t\r\n[ 1 ,\n2 ] \n", `[[1]]`, `[{}]`, `{}`, `"a"`, `7`, `[1,`, `[-]`, `[1,]`, `[1]x`, "[\f1]",
 	} {
 		f.Add([]byte(v), false)
 	}
-	for _, v := range []string{`[4]`, `[4,"a"]`, `null`, `[]`, `[1,2,3,4,5]`} {
+	for _, v := range []string{`[4]`, `[4,"a"]`, `null`, `[]`, `[1,2,3,4,5]`, `[1,2.5]`} {
 		f.Add([]byte(v), true)
 	}
 	f.Fuzz(func(t *testing.T, value []byte, dup bool) {
+		var direct api.Sequence
+		var ints []int
+		directErr := direct.UnmarshalJSON(value)
+		intsErr := json.Unmarshal(value, &ints)
+		compareDecodes(t, value, directErr, intsErr, direct, ints)
+
 		prefix := `{"sequence":`
 		if dup {
 			prefix += `[7,8,9],"sequence":`
@@ -131,13 +143,21 @@ func FuzzSequenceDecode(f *testing.F) {
 		}
 		want, wantErr := decodeInts(body)
 		got, gotErr := decodeSequence(body)
-		if errText(gotErr) != errText(wantErr) {
-			t.Fatalf("body %q: error %q, encoding/json says %q", body, errText(gotErr), errText(wantErr))
-		}
-		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
-			t.Fatalf("body %q: decoded %#v, encoding/json decodes %#v", body, got, want)
-		}
+		compareDecodes(t, body, gotErr, wantErr, got, want)
 	})
+}
+
+// compareDecodes fails unless the Sequence decode of input matches
+// encoding/json's []int decode: the same error text and the same ints,
+// nil-ness included.
+func compareDecodes(t *testing.T, input []byte, gotErr, wantErr error, got, want []int) {
+	t.Helper()
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("%q: error %q, encoding/json says %q", input, errText(gotErr), errText(wantErr))
+	}
+	if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+		t.Fatalf("%q: decoded %#v, encoding/json decodes %#v", input, got, want)
+	}
 }
 
 func decodeInts(body []byte) ([]int, error) {
