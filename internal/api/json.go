@@ -23,9 +23,9 @@ type Sequence []int
 // value (null, floats, exponents, strings, nested values, out-of-range
 // integers) is decoded by json.Unmarshal into a []int, so the standard
 // library decides every value and every error it decides for a []int field.
-// s is untouched until then: an array that fails part-way, as [1,2.5] does,
-// reaches encoding/json with the slice an earlier "sequence" member left,
-// which it partly reuses.
+// s is left as it was for that hand-over, even by an array that fails
+// part-way such as [1,2.5]: encoding/json reuses the slice an earlier
+// "sequence" member filled, keeping the elements it rejects.
 func (s *Sequence) UnmarshalJSON(data []byte) error {
 	out, ok := parseInts(data)
 	if !ok {
@@ -194,7 +194,8 @@ func appendEdges(b []byte, adj [][]int) []byte {
 }
 
 // jsonSize bounds AppendJSON's output from above for the usual response, so
-// the buffer grows once: every number is at most as wide as r.N.
+// the buffer grows once: 512 bytes hold the fixed fields, and every listed
+// number is at most as wide as r.N.
 func (r *RealizeResponse) jsonSize(adj [][]int) int {
 	ends := 0
 	for _, a := range adj {
