@@ -11,6 +11,8 @@
 #   make serve          run the HTTP realization service
 #   make loadgen        drive a running service with mixed traffic
 #   make bench-compare  bench HEAD vs BASE and gate like CI does
+#   make bench-head     bench the worktree into BENCH_HEAD_TXT
+#   make bench-base     bench BASE=<rev> into BENCH_BASE_TXT
 #   make bench-gate     gate two bench outputs (CI's bench-regression gate)
 #   make perfbench      vet and self-test the serving benchmark (nested module)
 #
@@ -41,7 +43,7 @@ BENCH_GATE  := BenchmarkBatchRealization|BenchmarkBatchRunner|BenchmarkWire|Benc
 BENCH_BASE_TXT ?= /tmp/graphrealize-bench-base.txt
 BENCH_HEAD_TXT ?= /tmp/graphrealize-bench-head.txt
 
-.PHONY: build test lint ci race bench perfbench sweep tables vet fmt-check serve loadgen loadgen-async bench-compare bench-gate clean
+.PHONY: build test lint ci race bench perfbench sweep tables vet fmt-check serve loadgen loadgen-async bench-compare bench-head bench-base bench-gate clean
 
 build:
 	$(GO) build ./...
@@ -70,7 +72,7 @@ race:
 
 # Pipe consecutive runs into benchstat to compare engine changes:
 # BenchmarkEngineJobs is the engine allocation table (allocs/op, msgs and
-# allocs/msg for four cold jobs; TestEngineAllocCeilings pins the counts),
+# allocs/msg for six cold jobs; TestEngineAllocCeilings pins the counts),
 # the delivery/barrier benchmarks track the engine loop's own allocs/op,
 # the batch benchmark the Runner speedup over a serial loop. -short skips
 # the ~40s/iteration n=65536 batch-runner case.
@@ -103,19 +105,26 @@ loadgen:
 loadgen-async:
 	$(GO) run ./cmd/grloadgen -addr http://$(ADDR) -c $(CONC) -requests $(REQS) -mix $(MIX) -async
 
-# Bench HEAD against BASE (default: main) with the exact commands and gate
-# the CI bench-regression job uses. Requires a clean worktree for BASE.
-# Plain redirects (no tee) so a failing bench run fails the target under
-# shells without pipefail.
+# Bench HEAD against BASE (default: main) and gate: the same three targets
+# the CI bench-regression job runs.
 bench-compare:
+	$(MAKE) --no-print-directory bench-head
+	$(MAKE) --no-print-directory bench-base
+	$(MAKE) --no-print-directory bench-gate
+
+# The two bench runs bench-gate compares. bench-base checks BASE out into a
+# temporary git worktree. Plain redirects (no tee) so a failing bench run
+# fails the target under shells without pipefail.
+bench-head:
 	$(GO) test $(BENCH_ARGS) > $(BENCH_HEAD_TXT)
 	cat $(BENCH_HEAD_TXT)
+
+bench-base:
 	git worktree add --force /tmp/graphrealize-bench-base $(BASE)
 	(cd /tmp/graphrealize-bench-base && $(GO) test $(BENCH_ARGS_BASE)) > $(BENCH_BASE_TXT); \
 		status=$$?; git worktree remove --force /tmp/graphrealize-bench-base; \
 		exit $$status
 	cat $(BENCH_BASE_TXT)
-	$(MAKE) --no-print-directory bench-gate
 
 # Fail when any BENCH_GATE benchmark's ns/op in BENCH_HEAD_TXT is more than
 # 30% above BENCH_BASE_TXT; writes bench.json. CI's bench-regression job

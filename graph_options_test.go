@@ -1,75 +1,80 @@
 package graphrealize
 
-// Direct coverage for the public Graph helpers (round-tripping through
-// fromInternal/internal) and for Options normalization — behavior the facade
-// tests only exercise incidentally.
+// Direct coverage for the public Graph helpers (each wraps its own lists
+// in an internal/graph view) and for Options normalization — behavior the
+// facade tests only exercise incidentally.
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
-	"graphrealize/internal/graph"
 	"graphrealize/internal/ncc"
 	"graphrealize/internal/sortnet"
 )
 
-// TestGraphFromInternalRoundTrip builds a known graph (C5 plus a chord),
-// converts it through fromInternal, and checks every helper against hand
-// counts — then converts back via internal() and compares edge sets.
-func TestGraphFromInternalRoundTrip(t *testing.T) {
-	ig := graph.New(5)
-	edges := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}, {1, 3}}
-	for _, e := range edges {
-		if err := ig.AddEdge(e[0], e[1]); err != nil {
-			t.Fatalf("add %v: %v", e, err)
+// TestGraphAnalysisOnAdj checks every Graph helper on hand-built adjacency
+// lists against hand-computed values: C5 plus the chord {1,3}, and a tree
+// (the path 0-1-2-3 with the leaf 4 on vertex 1).
+func TestGraphAnalysisOnAdj(t *testing.T) {
+	cases := []struct {
+		name     string
+		adj      [][]int
+		degrees  []int
+		edges    [][2]int
+		tree     bool
+		diameter int
+		conn     map[[2]int]int // EdgeConnectivity(u, v)
+	}{
+		{
+			name:     "C5+chord",
+			adj:      [][]int{{1, 4}, {0, 2, 3}, {1, 3}, {1, 2, 4}, {0, 3}},
+			degrees:  []int{2, 3, 2, 3, 2},
+			edges:    [][2]int{{0, 1}, {0, 4}, {1, 2}, {1, 3}, {2, 3}, {3, 4}},
+			diameter: 2,
+			// Vertex 2 has two edge-disjoint paths to 0; vertices 1 and 3
+			// share the chord plus both cycle arcs.
+			conn: map[[2]int]int{{0, 2}: 2, {1, 3}: 3, {0, 4}: 2},
+		},
+		{
+			name:     "spider",
+			adj:      [][]int{{1}, {0, 2, 4}, {1, 3}, {2}, {1}},
+			degrees:  []int{1, 3, 2, 1, 1},
+			edges:    [][2]int{{0, 1}, {1, 2}, {1, 4}, {2, 3}},
+			tree:     true,
+			diameter: 3,
+			conn:     map[[2]int]int{{0, 3}: 1, {2, 4}: 1},
+		},
+	}
+	for _, c := range cases {
+		g := &Graph{N: len(c.adj), Adj: c.adj}
+		if g.M() != len(c.edges) {
+			t.Errorf("%s: M = %d, want %d", c.name, g.M(), len(c.edges))
 		}
-	}
-	g := fromInternal(ig)
-	if g.N != 5 {
-		t.Fatalf("N = %d", g.N)
-	}
-	if g.M() != len(edges) {
-		t.Fatalf("M = %d, want %d", g.M(), len(edges))
-	}
-	wantDeg := []int{2, 3, 2, 3, 2}
-	for i, deg := range g.Degrees() {
-		if deg != wantDeg[i] {
-			t.Fatalf("degree[%d] = %d, want %d", i, deg, wantDeg[i])
+		if got := g.Degrees(); !reflect.DeepEqual(got, c.degrees) {
+			t.Errorf("%s: degrees %v, want %v", c.name, got, c.degrees)
 		}
-	}
-	got := g.Edges()
-	want := [][2]int{{0, 1}, {0, 4}, {1, 2}, {1, 3}, {2, 3}, {3, 4}}
-	if len(got) != len(want) {
-		t.Fatalf("edges %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("edge %d: %v, want %v (Edges must be sorted (u<v) pairs)", i, got[i], want[i])
+		if got := g.Edges(); !reflect.DeepEqual(got, c.edges) {
+			t.Errorf("%s: edges %v, want the sorted (u<v) pairs %v", c.name, got, c.edges)
 		}
-	}
-	if !g.Connected() || g.IsTree() {
-		t.Fatal("C5+chord is connected and not a tree")
-	}
-	if d := g.Diameter(); d != 2 {
-		t.Fatalf("diameter = %d, want 2", d)
-	}
-	// Vertex 2 is on the cycle: two edge-disjoint paths to 0; vertices 1–3
-	// share the chord plus both cycle arcs.
-	if c := g.EdgeConnectivity(0, 2); c != 2 {
-		t.Fatalf("EdgeConnectivity(0,2) = %d, want 2", c)
-	}
-	if c := g.EdgeConnectivity(1, 3); c != 3 {
-		t.Fatalf("EdgeConnectivity(1,3) = %d, want 3", c)
-	}
-	// Round-trip: internal() must reproduce the same edge set.
-	back := g.internal()
-	be := back.Edges()
-	if len(be) != len(want) {
-		t.Fatalf("round-trip edge count %d, want %d", len(be), len(want))
-	}
-	for i := range want {
-		if be[i] != want[i] {
-			t.Fatalf("round-trip edge %d: %v, want %v", i, be[i], want[i])
+		if !g.Connected() {
+			t.Errorf("%s: not connected", c.name)
+		}
+		if g.IsTree() != c.tree {
+			t.Errorf("%s: IsTree = %t, want %t", c.name, g.IsTree(), c.tree)
+		}
+		if d := g.Diameter(); d != c.diameter {
+			t.Errorf("%s: diameter %d, want %d", c.name, d, c.diameter)
+		}
+		if c.tree {
+			if d := g.TreeDiameter(); d != c.diameter {
+				t.Errorf("%s: tree diameter %d, want %d", c.name, d, c.diameter)
+			}
+		}
+		for p, want := range c.conn {
+			if got := g.EdgeConnectivity(p[0], p[1]); got != want {
+				t.Errorf("%s: EdgeConnectivity%v = %d, want %d", c.name, p, got, want)
+			}
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"graphrealize/internal/connectivity"
@@ -171,43 +172,22 @@ func (g *Graph) Edges() [][2]int {
 }
 
 // Diameter returns the exact diameter (-1 if disconnected).
-func (g *Graph) Diameter() int { return g.internal().Diameter() }
+func (g *Graph) Diameter() int { return graph.FromAdj(g.Adj).Diameter() }
 
 // TreeDiameter returns the diameter via two BFS passes — exact for trees and
 // much cheaper than Diameter's all-sources sweep. It panics if the overlay
 // is not a tree.
-func (g *Graph) TreeDiameter() int { return g.internal().TreeDiameter() }
+func (g *Graph) TreeDiameter() int { return graph.FromAdj(g.Adj).TreeDiameter() }
 
 // IsTree reports whether the overlay is a tree.
-func (g *Graph) IsTree() bool { return g.internal().IsTree() }
+func (g *Graph) IsTree() bool { return graph.FromAdj(g.Adj).IsTree() }
 
 // Connected reports whether the overlay is connected.
-func (g *Graph) Connected() bool { return g.internal().Connected() }
+func (g *Graph) Connected() bool { return graph.FromAdj(g.Adj).Connected() }
 
 // EdgeConnectivity returns the number of pairwise edge-disjoint paths
 // between u and v (Menger), via max-flow.
-func (g *Graph) EdgeConnectivity(u, v int) int { return g.internal().EdgeConnectivity(u, v) }
-
-func (g *Graph) internal() *graph.Graph {
-	ig := graph.New(g.N)
-	for u, a := range g.Adj {
-		for _, v := range a {
-			if v > u {
-				_ = ig.AddEdge(u, v)
-			}
-		}
-	}
-	return ig
-}
-
-func fromInternal(ig *graph.Graph) *Graph {
-	g := &Graph{N: ig.N(), Adj: make([][]int, ig.N())}
-	for _, e := range ig.Edges() {
-		g.Adj[e[0]] = append(g.Adj[e[0]], e[1])
-		g.Adj[e[1]] = append(g.Adj[e[1]], e[0])
-	}
-	return g
-}
+func (g *Graph) EdgeConnectivity(u, v int) int { return graph.FromAdj(g.Adj).EdgeConnectivity(u, v) }
 
 // IsGraphic reports whether d is realizable by a simple graph
 // (Erdős–Gallai).
@@ -285,18 +265,6 @@ func statsOf(tr *ncc.Trace) *Stats {
 		MaxRecv:       tr.Metrics.MaxRecvPerRound,
 		CapViolations: tr.Metrics.SendViolations + tr.Metrics.RecvViolations,
 	}
-}
-
-func graphOf(tr *ncc.Trace) *Graph {
-	idx := make(map[ncc.ID]int, len(tr.IDs))
-	for i, id := range tr.IDs {
-		idx[id] = i
-	}
-	ig := graph.New(len(tr.IDs))
-	for e := range tr.EdgeSet() {
-		_ = ig.AddEdge(idx[e[0]], idx[e[1]])
-	}
-	return fromInternal(ig)
 }
 
 func toInputs(d []int) []any {
@@ -422,7 +390,7 @@ func Execute(ctx context.Context, j Job) Result {
 		res.Err = ErrUnrealizable
 		return res
 	}
-	res.Graph = graphOf(tr)
+	res.Graph = &Graph{N: len(tr.IDs), Adj: tr.Adjacency()}
 	return res
 }
 
@@ -432,30 +400,25 @@ func ConnectivityLowerBound(rho []int) int { return seq.ConnectivityLowerBound(r
 
 // HavelHakimi is the sequential baseline of §3.3: it realizes d centrally,
 // or returns ErrUnrealizable.
-func HavelHakimi(d []int) (*Graph, error) {
-	g, ok := seq.HavelHakimi(d)
-	if !ok {
-		return nil, ErrUnrealizable
-	}
-	return fromInternal(g), nil
-}
+func HavelHakimi(d []int) (*Graph, error) { return baseline(seq.HavelHakimi(d)) }
 
 // GreedyTree is the sequential minimum-diameter tree baseline (Lemma 15).
-func GreedyTree(d []int) (*Graph, error) {
-	g, ok := seq.GreedyTree(d)
-	if !ok {
-		return nil, ErrUnrealizable
-	}
-	return fromInternal(g), nil
-}
+func GreedyTree(d []int) (*Graph, error) { return baseline(seq.GreedyTree(d)) }
 
 // ChainTree is the sequential Algorithm 4 baseline.
-func ChainTree(d []int) (*Graph, error) {
-	g, ok := seq.ChainTree(d)
+func ChainTree(d []int) (*Graph, error) { return baseline(seq.ChainTree(d)) }
+
+// baseline hands out a sequential baseline's own adjacency lists, sorted in
+// place, or ErrUnrealizable when the baseline found no realization.
+func baseline(g *graph.Graph, ok bool) (*Graph, error) {
 	if !ok {
 		return nil, ErrUnrealizable
 	}
-	return fromInternal(g), nil
+	adj := g.Adj()
+	for _, a := range adj {
+		slices.Sort(a)
+	}
+	return &Graph{N: len(adj), Adj: adj}, nil
 }
 
 // MinTreeDiameter returns the minimum diameter over all tree realizations

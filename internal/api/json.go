@@ -19,54 +19,59 @@ import (
 type Sequence []int
 
 // UnmarshalJSON parses a JSON array of integers that fit an int into a new
-// slice; [] gives an empty, non-nil one, as with encoding/json. Any other
-// value (null, floats, exponents, strings, nested values, out-of-range
-// integers) is decoded by json.Unmarshal into a []int, so the standard
-// library decides every value and every error it decides for a []int field.
-// s is left as it was for that hand-over, even by an array that fails
-// part-way such as [1,2.5]: encoding/json reuses the slice an earlier
-// "sequence" member filled, keeping the elements it rejects.
+// slice of exactly its length; [] gives an empty, non-nil one, as with
+// encoding/json. Any other value (null, floats, exponents, strings, nested
+// values, out-of-range integers) is decoded by json.Unmarshal into a []int,
+// so the standard library decides every value and every error it decides
+// for a []int field. s is left as it was for that hand-over, even by an
+// array that fails part-way such as [1,2.5]: encoding/json reuses the slice
+// an earlier "sequence" member filled, keeping the elements it rejects.
 func (s *Sequence) UnmarshalJSON(data []byte) error {
-	out, ok := parseInts(data)
+	n, ok := scanInts(data, nil)
 	if !ok {
 		return json.Unmarshal(data, (*[]int)(s))
 	}
-	if out == nil {
-		out = Sequence{}
-	}
+	out := make(Sequence, n)
+	scanInts(data, out)
 	*s = out
 	return nil
 }
 
-// parseInts parses data, a whitespace-padded JSON array of integers. ok is
-// false for anything else, a syntax error or an integer parseInt does not
-// take included. It allocates only as its result grows.
-func parseInts(data []byte) (out Sequence, ok bool) {
+// scanInts walks data, a whitespace-padded JSON array of integers, and
+// returns how many it holds, storing them in out unless out is nil; a
+// non-nil out must have that length. ok is false for anything else, a
+// syntax error or an integer parseInt does not take included. A counting
+// pass with a nil out allocates nothing, so a value left to encoding/json
+// costs the fast path nothing.
+func scanInts(data []byte, out Sequence) (n int, ok bool) {
 	i := skipSpace(data, 0)
 	if i == len(data) || data[i] != '[' {
-		return nil, false
+		return 0, false
 	}
 	i = skipSpace(data, i+1)
 	if i < len(data) && data[i] == ']' {
-		return nil, skipSpace(data, i+1) == len(data)
+		return 0, skipSpace(data, i+1) == len(data)
 	}
 	for {
 		v, next, ok := parseInt(data, i)
 		if !ok {
-			return nil, false
+			return 0, false
 		}
-		out = append(out, v)
+		if out != nil {
+			out[n] = v
+		}
+		n++
 		i = skipSpace(data, next)
 		if i == len(data) {
-			return nil, false
+			return 0, false
 		}
 		switch data[i] {
 		case ',':
 			i = skipSpace(data, i+1)
 		case ']':
-			return out, skipSpace(data, i+1) == len(data)
+			return n, skipSpace(data, i+1) == len(data)
 		default:
-			return nil, false
+			return 0, false
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,6 +102,40 @@ func TestSequenceDecodeSizesByIntegers(t *testing.T) {
 	}
 	if !slices.Equal(s, api.Sequence{1}) || cap(s) > 8 {
 		t.Fatalf("decoded %v with capacity %d, want [1] in a small buffer", s, cap(s))
+	}
+}
+
+// TestSequenceDecodeAllocatesOnce pins the decoder's allocations: a plain
+// 4,096-int array costs one allocation, the result at its exact length, and
+// a value the fast path hands to encoding/json costs the fast path none.
+func TestSequenceDecodeAllocatesOnce(t *testing.T) {
+	ints := make([]string, 4096)
+	for i := range ints {
+		ints[i] = strconv.Itoa(i%4 + 1)
+	}
+	body := []byte("[" + strings.Join(ints, ",") + "]")
+	var s api.Sequence
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := s.UnmarshalJSON(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 || len(s) != 4096 || cap(s) != 4096 || s[4095] != 4 {
+		t.Fatalf("%v allocations, len %d, cap %d: want one allocation of exactly 4096 ints", allocs, len(s), cap(s))
+	}
+	// [1,2.5] fails the fast path part-way and goes to encoding/json: it
+	// must cost exactly what encoding/json alone costs.
+	fallback := []byte("[1,2.5]")
+	want := testing.AllocsPerRun(20, func() {
+		var v []int
+		_ = json.Unmarshal(fallback, &v)
+	})
+	got := testing.AllocsPerRun(20, func() {
+		var v api.Sequence
+		_ = v.UnmarshalJSON(fallback)
+	})
+	if got != want {
+		t.Fatalf("fallback: %v allocations, encoding/json alone %v", got, want)
 	}
 }
 

@@ -41,18 +41,6 @@ func runConn(t *testing.T, rho []int, model ncc.Model, seed int64) (*ncc.Trace, 
 	return tr, err
 }
 
-func buildGraph(tr *ncc.Trace) *graph.Graph {
-	idx := make(map[ncc.ID]int, len(tr.IDs))
-	for i, id := range tr.IDs {
-		idx[id] = i
-	}
-	g := graph.New(len(tr.IDs))
-	for e := range tr.EdgeSet() {
-		_ = g.AddEdge(idx[e[0]], idx[e[1]])
-	}
-	return g
-}
-
 // verifyThresholds checks Conn(u,v) ≥ min(ρu, ρv) for all pairs (exact
 // max-flow; keep n modest).
 func verifyThresholds(t *testing.T, g *graph.Graph, rho []int, label string) {
@@ -91,7 +79,7 @@ func TestNCC1ConnectivityMeetsThresholds(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%s: flagged unrealizable", name)
 		}
-		g := buildGraph(tr)
+		g := graph.FromAdj(tr.Adjacency())
 		verifyThresholds(t, g, permuteByID(tr, rho), name)
 		if g.M() > seq.SumDegrees(rho) {
 			t.Fatalf("%s: %d edges exceeds Σρ = %d (2-approx bound)", name, g.M(), seq.SumDegrees(rho))
@@ -105,7 +93,7 @@ func TestNCC0ConnectivityMeetsThresholds(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%s: flagged unrealizable", name)
 		}
-		g := buildGraph(tr)
+		g := graph.FromAdj(tr.Adjacency())
 		verifyThresholds(t, g, permuteByID(tr, rho), name)
 		if g.M() > seq.SumDegrees(rho) {
 			t.Fatalf("%s: %d edges exceeds Σρ = %d", name, g.M(), seq.SumDegrees(rho))
@@ -114,7 +102,7 @@ func TestNCC0ConnectivityMeetsThresholds(t *testing.T) {
 }
 
 // permuteByID maps the input vector (indexed by Gk position) onto the
-// vertex indexing used by buildGraph (also Gk position) — the identity, kept
+// vertex indexing of Trace.Adjacency (also Gk position) — the identity, kept
 // as a function so tests read clearly where indices come from.
 func permuteByID(tr *ncc.Trace, rho []int) []int { return rho }
 
@@ -123,9 +111,9 @@ func TestNCC0ExplicitStorage(t *testing.T) {
 	rho := gen.UniformRho(14, 4, 11)
 	tr, _ := runConn(t, rho, ncc.NCC0, 11)
 	counts := map[[2]ncc.ID]int{}
-	for id, nr := range tr.Nodes {
+	for _, nr := range tr.Nodes {
 		for _, p := range nr.Neighbors {
-			a, b := id, p
+			a, b := nr.ID, p
 			if a > b {
 				a, b = b, a
 			}
@@ -171,7 +159,7 @@ func TestQuickConnectivityBothModels(t *testing.T) {
 			if err != nil || tr.Unrealizable {
 				return false
 			}
-			g := buildGraph(tr)
+			g := graph.FromAdj(tr.Adjacency())
 			if g.M() > seq.SumDegrees(rho) {
 				return false
 			}

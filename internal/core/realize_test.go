@@ -59,27 +59,13 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// buildGraph converts a trace's stored edges into a verification graph with
-// vertices indexed by Gk position.
-func buildGraph(tr *ncc.Trace) *graph.Graph {
-	idx := make(map[ncc.ID]int, len(tr.IDs))
-	for i, id := range tr.IDs {
-		idx[id] = i
-	}
-	g := graph.New(len(tr.IDs))
-	for e := range tr.EdgeSet() {
-		_ = g.AddEdge(idx[e[0]], idx[e[1]])
-	}
-	return g
-}
-
 // multiEdgeFree checks that no edge was stored twice across the network
-// (which EdgeSet would silently collapse).
+// (which Trace.Adjacency would silently collapse).
 func multiEdgeFree(tr *ncc.Trace) bool {
 	seen := map[[2]ncc.ID]int{}
-	for id, nr := range tr.Nodes {
+	for _, nr := range tr.Nodes {
 		for _, p := range nr.Neighbors {
-			a, b := id, p
+			a, b := nr.ID, p
 			if a > b {
 				a, b = b, a
 			}
@@ -120,7 +106,7 @@ func TestRealizeGraphicFamilies(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%s: declared unrealizable", name)
 		}
-		g := buildGraph(tr)
+		g := graph.FromAdj(tr.Adjacency())
 		if !g.DegreesMatch(d) {
 			t.Fatalf("%s: degrees %v, want %v", name, g.Degrees(), d)
 		}
@@ -174,7 +160,7 @@ func TestQuickRealizeMatchesErdosGallai(t *testing.T) {
 			return false
 		}
 		if !tr.Unrealizable {
-			if !buildGraph(tr).DegreesMatch(d) {
+			if !graph.FromAdj(tr.Adjacency()).DegreesMatch(d) {
 				return false
 			}
 			if !multiEdgeFree(tr) {
@@ -192,7 +178,7 @@ func TestRealizeWithOddEvenSortAgrees(t *testing.T) {
 	d := gen.FromRandomGraph(24, 0.25, 10)
 	trO := runRealize(t, d, Exact, sortnet.Oracle, false, 11)
 	trE := runRealize(t, d, Exact, sortnet.OddEven, false, 11)
-	gO, gE := buildGraph(trO), buildGraph(trE)
+	gO, gE := graph.FromAdj(trO.Adjacency()), graph.FromAdj(trE.Adjacency())
 	if !gO.DegreesMatch(d) || !gE.DegreesMatch(d) {
 		t.Fatal("degree mismatch")
 	}
@@ -221,7 +207,7 @@ func TestEnvelopeRealization(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%v: envelope mode must never be unrealizable", d)
 		}
-		g := buildGraph(tr)
+		g := graph.FromAdj(tr.Adjacency())
 		if !multiEdgeFree(tr) {
 			t.Fatalf("%v: duplicate edges", d)
 		}
@@ -262,7 +248,7 @@ func TestQuickEnvelope(t *testing.T) {
 		if err != nil || tr.Unrealizable {
 			return false
 		}
-		g := buildGraph(tr)
+		g := graph.FromAdj(tr.Adjacency())
 		sumD, sumDP := 0, 0
 		for i, id := range tr.IDs {
 			dp, _ := tr.Output(id, "realized")
@@ -333,7 +319,7 @@ func TestBystandersStayIsolated(t *testing.T) {
 	if tr.Unrealizable {
 		t.Fatal("12 nodes of degree 3 is graphic; flagged unrealizable")
 	}
-	g := buildGraph(tr)
+	g := graph.FromAdj(tr.Adjacency())
 	for i, id := range tr.IDs {
 		want := 0
 		if i%2 == 0 {
@@ -349,9 +335,9 @@ func TestBystandersStayIsolated(t *testing.T) {
 // edgeStorageCounts returns how many endpoints stored each canonical edge.
 func edgeStorageCounts(tr *ncc.Trace) map[[2]ncc.ID]int {
 	seen := map[[2]ncc.ID]int{}
-	for id, nr := range tr.Nodes {
+	for _, nr := range tr.Nodes {
 		for _, p := range nr.Neighbors {
-			a, b := id, p
+			a, b := nr.ID, p
 			if a > b {
 				a, b = b, a
 			}
@@ -372,7 +358,7 @@ func TestExplicitRealization(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%v: unrealizable", d)
 		}
-		g := buildGraph(tr)
+		g := graph.FromAdj(tr.Adjacency())
 		if !g.DegreesMatch(d) {
 			t.Fatalf("%v: explicit degrees %v", d, g.Degrees())
 		}
@@ -383,8 +369,8 @@ func TestExplicitRealization(t *testing.T) {
 			}
 		}
 		// Reverse notifications equal the member-stored edge count per node.
-		for _, id := range tr.IDs {
-			fwd := len(tr.Nodes[id].Neighbors)
+		for i, id := range tr.IDs {
+			fwd := len(tr.Nodes[i].Neighbors)
 			rev, _ := tr.Output(id, "reverse")
 			realized, _ := tr.Output(id, "realized")
 			if int64(fwd) != realized {

@@ -8,8 +8,8 @@ func (g *Graph) BFS(src int) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := make([]int32, 0, g.n)
-	queue = append(queue, int32(src))
+	queue := make([]int, 0, g.n)
+	queue = append(queue, src)
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -53,7 +53,7 @@ func (g *Graph) Components() int {
 			for _, w := range g.adj[u] {
 				if !seen[w] {
 					seen[w] = true
-					stack = append(stack, int(w))
+					stack = append(stack, w)
 				}
 			}
 		}

@@ -48,10 +48,10 @@ func newDinic(g *Graph) *dinic {
 	}
 	for u := 0; u < g.n; u++ {
 		for _, w := range g.adj[u] {
-			if int(w) > u {
+			if w > u {
 				// Paired arcs: indices 2k and 2k+1 are mutual residuals.
-				addArc(int32(u), w)
-				addArc(w, int32(u))
+				addArc(int32(u), int32(w))
+				addArc(int32(w), int32(u))
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 // Package graph provides the plain (centralized) graph substrate used to
 // verify distributed realizations: adjacency storage, BFS, tree and diameter
 // utilities, and a Dinic max-flow implementation for edge-connectivity
-// (Menger) checks. Vertices are dense indices 0..n-1; the realization layers
-// map NCC node IDs onto indices before verifying.
+// (Menger) checks. Vertices are dense indices 0..n-1: a realized overlay's
+// Gk positions, as ncc.Trace.Adjacency lists them and FromAdj views them.
 package graph
 
 import (
@@ -12,10 +12,11 @@ import (
 
 // Graph is a simple undirected graph on vertices 0..n-1 stored as adjacency
 // lists. Use New and AddEdge to build one; AddEdge rejects self-loops and
-// ignores duplicate edges so that a Graph is always simple.
+// ignores duplicate edges so that a Graph is always simple. FromAdj wraps
+// lists built elsewhere.
 type Graph struct {
 	n   int
-	adj [][]int32
+	adj [][]int
 	m   int
 }
 
@@ -24,7 +25,19 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Graph{n: n, adj: make([][]int32, n)}
+	return &Graph{n: n, adj: make([][]int, n)}
+}
+
+// FromAdj wraps adj, the adjacency lists of a simple undirected graph on
+// vertices 0..len(adj)-1 (each edge listed at both endpoints), as a
+// read-only view in O(n): the lists are shared, not copied, so neither the
+// caller nor AddEdge may modify them while the view is in use.
+func FromAdj(adj [][]int) *Graph {
+	m := 0
+	for _, a := range adj {
+		m += len(a)
+	}
+	return &Graph{n: len(adj), adj: adj, m: m / 2}
 }
 
 // N returns the number of vertices.
@@ -45,8 +58,8 @@ func (g *Graph) AddEdge(u, v int) error {
 	if g.HasEdge(u, v) {
 		return nil
 	}
-	g.adj[u] = append(g.adj[u], int32(v))
-	g.adj[v] = append(g.adj[v], int32(u))
+	g.adj[u] = append(g.adj[u], v)
+	g.adj[v] = append(g.adj[v], u)
 	g.m++
 	return nil
 }
@@ -58,7 +71,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 		a, u, v = g.adj[v], v, u
 	}
 	for _, w := range a {
-		if int(w) == v {
+		if w == v {
 			return true
 		}
 	}
@@ -77,16 +90,16 @@ func (g *Graph) Degrees() []int {
 	return d
 }
 
-// Neighbors returns v's adjacency list (shared; do not modify).
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
+// Adj returns the adjacency lists, indexed by vertex (shared, not copied).
+func (g *Graph) Adj() [][]int { return g.adj }
 
 // Edges returns all edges as canonical (u<v) pairs, sorted.
 func (g *Graph) Edges() [][2]int {
 	es := make([][2]int, 0, g.m)
 	for u := 0; u < g.n; u++ {
 		for _, w := range g.adj[u] {
-			if int(w) > u {
-				es = append(es, [2]int{u, int(w)})
+			if w > u {
+				es = append(es, [2]int{u, w})
 			}
 		}
 	}
@@ -104,7 +117,7 @@ func (g *Graph) Clone() *Graph {
 	c := New(g.n)
 	c.m = g.m
 	for v := range g.adj {
-		c.adj[v] = append([]int32(nil), g.adj[v]...)
+		c.adj[v] = append([]int(nil), g.adj[v]...)
 	}
 	return c
 }

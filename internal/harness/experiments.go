@@ -8,6 +8,7 @@ import (
 	"graphrealize"
 	"graphrealize/internal/aggregate"
 	"graphrealize/internal/gen"
+	"graphrealize/internal/graph"
 	"graphrealize/internal/ncc"
 	"graphrealize/internal/primitives"
 	"graphrealize/internal/seq"
@@ -33,21 +34,6 @@ func mustRealize(res graphrealize.Result) graphrealize.Result {
 		panic(fmt.Sprintf("harness: %s job: %v", res.Job.Kind, res.Err))
 	}
 	return res
-}
-
-// degreesMatch reports whether the realized overlay meets the demanded
-// degree sequence exactly.
-func degreesMatch(g *graphrealize.Graph, d []int) bool {
-	got := g.Degrees()
-	if len(got) != len(d) {
-		return false
-	}
-	for i := range d {
-		if got[i] != d[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // realRounds is the protocol-executed round count: total minus the rounds
@@ -281,7 +267,7 @@ func T5ImplicitRealization(sc Scale) *Table {
 				continue
 			}
 			res = mustRealize(res)
-			ok := degreesMatch(res.Graph, d)
+			ok := graph.FromAdj(res.Graph.Adj).DegreesMatch(d)
 			real := realRounds(res.Stats)
 			perPhase := 0.0
 			if res.Stats.Phases > 0 {

@@ -454,30 +454,14 @@ func (m *Manager) logPersist(err error) {
 }
 
 // recordPersisted projects a record's current state onto its durable form
-// (the compaction and submission paths; the terminal path uses persistedJob
-// with the outcome passed explicitly, before it is visible in the record).
+// (the compaction and submission paths; the terminal path calls
+// persistedJob with the outcome passed explicitly, before it is visible in
+// the record).
 func recordPersisted(rec *record) PersistedJob {
 	rec.mu.Lock()
-	st, started, finished, jerr, res := rec.state, rec.started, rec.finished, rec.err, rec.result
+	st, finished, jerr, res := rec.state, rec.finished, rec.err, rec.result
 	rec.mu.Unlock()
-	pj := PersistedJob{
-		ID:       rec.id,
-		Kind:     int(rec.job.Kind),
-		Seq:      rec.job.Seq,
-		Label:    rec.job.Label,
-		TraceID:  rec.job.TraceID,
-		Timeout:  int64(rec.job.Timeout),
-		Options:  persistedOptions(rec.job.Opt),
-		State:    st,
-		Created:  rec.created,
-		Started:  started,
-		Finished: finished,
-		Result:   persistedResult(res),
-	}
-	if jerr != nil {
-		pj.Error = jerr.Error()
-	}
-	return pj
+	return persistedJob(rec, st, jerr, res, finished)
 }
 
 // maybeCompact folds the WAL into a snapshot when it outgrows the

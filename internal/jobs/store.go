@@ -172,8 +172,10 @@ func (p *PersistedJob) jobSpec() graphrealize.Job {
 	}
 }
 
-// persistedJob projects a record (plus an explicit outcome, for the
-// persist-before-publish terminal path) onto its durable form.
+// persistedJob projects a record, with the given state, error, result and
+// finish time, onto its durable form. A job that failed or was canceled
+// persists its error and no result; a done one, or one expired after it was
+// done, its result.
 func persistedJob(rec *record, st State, jerr error, res *graphrealize.Result, finished time.Time) PersistedJob {
 	rec.mu.Lock()
 	started := rec.started
@@ -193,8 +195,7 @@ func persistedJob(rec *record, st State, jerr error, res *graphrealize.Result, f
 	}
 	if jerr != nil {
 		pj.Error = jerr.Error()
-	}
-	if st == StateDone {
+	} else {
 		pj.Result = persistedResult(res)
 	}
 	return pj

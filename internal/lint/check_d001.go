@@ -18,9 +18,9 @@ import (
 //     rand.New(rand.NewSource(...))), and
 //   - ranging over a map, whose iteration order changes run to run.
 //
-// Sites proven trace-inert (the profile-only phaseTimer clock reads,
-// order-independent folds over result maps) carry //grlint:allow D001 with a
-// justification.
+// Sites proven trace-inert (the profile-only phaseTimer clock reads and two
+// map ranges in internal/aggregate/local.go whose order cannot reach a
+// trace) carry //grlint:allow D001 with a justification.
 type D001 struct {
 	// Packages are the import paths in scope: the engine plus every
 	// protocol package that runs under it.

@@ -2,6 +2,7 @@ package ncc
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -117,9 +118,9 @@ func TestDeterminism(t *testing.T) {
 	if a.Metrics.Rounds != b.Metrics.Rounds || a.Metrics.Messages != b.Metrics.Messages {
 		t.Fatalf("nondeterministic metrics: %+v vs %+v", a.Metrics, b.Metrics)
 	}
-	for id, nr := range a.Nodes {
-		if nr.Outputs["sum"] != b.Nodes[id].Outputs["sum"] {
-			t.Fatalf("node %d: sum differs across identical runs", id)
+	for i, nr := range a.Nodes {
+		if nr.Outputs["sum"] != b.Nodes[i].Outputs["sum"] {
+			t.Fatalf("node %d: sum differs across identical runs", nr.ID)
 		}
 	}
 }
@@ -436,22 +437,42 @@ func TestUnrealizableFlag(t *testing.T) {
 	}
 }
 
-func TestEdgeSetCanonicalizes(t *testing.T) {
-	s := New(Config{N: 2, Seed: 37, Strict: true})
-	ids := s.IDs()
-	tr, err := s.RunProgram(func(nd *Node) Op {
-		if nd.ID() == ids[0] {
-			nd.AddEdge(ids[1])
-		} else {
-			nd.AddEdge(ids[0]) // both endpoints store the same edge
-		}
-		return Done()
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
+// TestAdjacency checks Trace.Adjacency's contract: the union of every
+// node's stored edges indexed by Gk position, each list ascending,
+// duplicate-free and capped at its length, and nil for an isolated vertex.
+func TestAdjacency(t *testing.T) {
+	cases := []struct {
+		name  string
+		store [][]int // store[i]: the Gk positions node i stores edges to
+		want  [][]int
+	}{
+		{"implicit, one endpoint", [][]int{{2, 1}, nil, {3}, nil}, [][]int{{1, 2}, {0}, {0, 3}, {2}}},
+		{"explicit, both endpoints", [][]int{{2, 1}, {0}, {0}}, [][]int{{1, 2}, {0}, {0}}},
+		{"same peer twice", [][]int{{1, 1}, {0}}, [][]int{{1}, {0}}},
+		{"isolated vertex", [][]int{nil, {2}, nil}, [][]int{nil, {2}, {1}}},
+		{"n=1", [][]int{nil}, [][]int{nil}},
 	}
-	if got := len(tr.EdgeSet()); got != 1 {
-		t.Fatalf("edge set size = %d, want 1", got)
+	for _, c := range cases {
+		s := New(Config{N: len(c.store), Seed: 37, Strict: true})
+		ids := s.IDs()
+		tr, err := s.RunProgram(func(nd *Node) Op {
+			for _, p := range c.store[nd.idx] {
+				nd.AddEdge(ids[p])
+			}
+			return Done()
+		})
+		if err != nil {
+			t.Fatalf("%s: run: %v", c.name, err)
+		}
+		got := tr.Adjacency()
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: adjacency %v, want %v", c.name, got, c.want)
+		}
+		for v, a := range got {
+			if cap(a) != len(a) {
+				t.Errorf("%s: vertex %d's list has capacity %d for %d neighbours", c.name, v, cap(a), len(a))
+			}
+		}
 	}
 }
 

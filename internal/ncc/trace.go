@@ -1,5 +1,7 @@
 package ncc
 
+import "slices"
+
 // NodeResult is the per-node outcome of a run.
 type NodeResult struct {
 	ID ID
@@ -16,19 +18,21 @@ type Trace struct {
 	Metrics Metrics
 	// IDs lists node IDs in Gk (initial path) order: IDs[0] is the head.
 	IDs []ID
-	// Nodes maps each ID to its results.
-	Nodes map[ID]*NodeResult
+	// Nodes holds each node's results in Gk order: Nodes[i].ID == IDs[i].
+	Nodes []NodeResult
 	// Unrealizable is true if any node declared the instance unrealizable.
 	Unrealizable bool
+
+	index map[ID]int // the Sim's ID → Gk position map, shared
 }
 
 // Output returns the named output of node id, or (0, false) if absent.
 func (t *Trace) Output(id ID, key string) (int64, bool) {
-	nr, ok := t.Nodes[id]
-	if !ok || nr.Outputs == nil {
+	i, ok := t.index[id]
+	if !ok {
 		return 0, false
 	}
-	v, ok := nr.Outputs[key]
+	v, ok := t.Nodes[i].Outputs[key]
 	return v, ok
 }
 
@@ -39,12 +43,8 @@ func (t *Trace) Output(id ID, key string) (int64, bool) {
 func (t *Trace) MaxOutput(key string) (int64, bool) {
 	var best int64
 	found := false
-	//grlint:allow D001 -- order-independent max fold over final results
-	for _, nr := range t.Nodes {
-		if nr.Outputs == nil {
-			continue
-		}
-		v, ok := nr.Outputs[key]
+	for i := range t.Nodes {
+		v, ok := t.Nodes[i].Outputs[key]
 		if !ok {
 			continue
 		}
@@ -56,28 +56,53 @@ func (t *Trace) MaxOutput(key string) (int64, bool) {
 	return best, found
 }
 
-// EdgeSet returns the union of all stored edges as canonical (lo,hi) ID pairs.
-// Duplicate storage (both endpoints of an explicit edge) collapses to one set
-// entry; self-loops are impossible by construction (Send forbids them and
-// AddEdge rejects them).
-func (t *Trace) EdgeSet() map[[2]ID]struct{} {
-	total := 0
-	//grlint:allow D001 -- order-independent sum for a capacity hint
-	for _, nr := range t.Nodes {
-		total += len(nr.Neighbors)
+// Adjacency returns the realized overlay: the union of every node's stored
+// edges as adjacency lists indexed by Gk position, which is also the input
+// index. Each list is ascending and duplicate-free, so an edge stored at
+// both endpoints (explicit storage) or twice at one appears once; an
+// isolated vertex's list is nil. Self-loops are impossible by construction
+// (Send forbids them and AddEdge rejects them). The lists share one backing
+// array, each capped at its length, so an append to one never writes into
+// another.
+func (t *Trace) Adjacency() [][]int {
+	stored := 0
+	for i := range t.Nodes {
+		stored += len(t.Nodes[i].Neighbors)
 	}
-	edges := make(map[[2]ID]struct{}, total)
-	//grlint:allow D001 -- builds an unordered set; insertion order is invisible
-	for id, nr := range t.Nodes {
-		for _, p := range nr.Neighbors {
-			a, b := id, p
-			if a > b {
-				a, b = b, a
+	// Each edge as one (lo, hi) key: sorting the keys orders the edges by
+	// their lower endpoint, then their upper one.
+	pairs := make([]uint64, 0, stored)
+	for i := range t.Nodes {
+		for _, p := range t.Nodes[i].Neighbors {
+			lo, hi := i, t.index[p]
+			if lo > hi {
+				lo, hi = hi, lo
 			}
-			edges[[2]ID{a, b}] = struct{}{}
+			pairs = append(pairs, uint64(lo)<<32|uint64(hi))
 		}
 	}
-	return edges
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	deg := make([]int, len(t.Nodes))
+	for _, e := range pairs {
+		deg[e>>32]++
+		deg[uint32(e)]++
+	}
+	adj := make([][]int, len(t.Nodes))
+	backing := make([]int, 2*len(pairs))
+	for v, d := range deg {
+		if d > 0 {
+			adj[v], backing = backing[:0:d], backing[d:]
+		}
+	}
+	// In key order, v first receives its lower neighbours in ascending
+	// order, then its higher ones: every list comes out sorted.
+	for _, e := range pairs {
+		lo, hi := int(e>>32), int(uint32(e))
+		adj[lo] = append(adj[lo], hi)
+		adj[hi] = append(adj[hi], lo)
+	}
+	return adj
 }
 
 // buildTrace assembles the run's Trace from the final node states and the
@@ -87,14 +112,11 @@ func (s *Sim) buildTrace() *Trace {
 	t := &Trace{
 		Metrics: s.met,
 		IDs:     s.ids,
-		Nodes:   make(map[ID]*NodeResult, s.n),
+		Nodes:   make([]NodeResult, s.n),
+		index:   s.index,
 	}
-	// One backing array for all per-node results instead of n small heap
-	// objects: at large n the per-node allocations dominated buildTrace.
-	results := make([]NodeResult, s.n)
 	for i, nd := range s.nodes {
-		results[i] = NodeResult{ID: nd.id, Neighbors: nd.neighbors, Outputs: nd.outputs}
-		t.Nodes[nd.id] = &results[i]
+		t.Nodes[i] = NodeResult{ID: nd.id, Neighbors: nd.neighbors, Outputs: nd.outputs}
 		if nd.unrealizable {
 			t.Unrealizable = true
 		}

@@ -22,9 +22,8 @@ func Digest(tr *ncc.Trace, err error) string {
 	h := sha256.New()
 	if tr != nil {
 		fmt.Fprintf(h, "metrics %+v\nids %v\n", metrics(tr.Metrics), tr.IDs)
-		for _, id := range tr.IDs {
-			nr := tr.Nodes[id]
-			fmt.Fprintf(h, "node %d neighbors %v outputs %v\n", id, nr.Neighbors, nr.Outputs)
+		for _, nr := range tr.Nodes {
+			fmt.Fprintf(h, "node %d neighbors %v outputs %v\n", nr.ID, nr.Neighbors, nr.Outputs)
 		}
 		fmt.Fprintf(h, "unrealizable %t\n", tr.Unrealizable)
 	}

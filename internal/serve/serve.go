@@ -88,11 +88,8 @@ type Config struct {
 	// should be the same Backend configured above, so routing and stats
 	// describe one object (grserved -coordinator).
 	Cluster *cluster.Backend
-	// Logf, when non-nil, receives one line per request.
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives one structured record per request
-	// (trace_id, route, method, path, status, elapsed_ms) — the machine-
-	// grep-able counterpart of Logf. Both may be set; both fire.
+	// (trace_id, route, method, path, status, elapsed_ms).
 	Logger *slog.Logger
 }
 
@@ -218,9 +215,9 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter {
 // route: it adopts the client's X-Request-Id (when valid) or mints a trace
 // ID, echoes it on the response, carries it in the request context for
 // handlers to propagate into jobs, observes the route's latency histogram,
-// and emits the request log line(s). Unlike the old Logf-only wrapper it
-// always wraps — tracing and histograms are unconditional; the statusRecorder
-// keeps the Unwrap chain intact so SSE flushing still works.
+// and emits the request log record. It always wraps — tracing and histograms
+// are unconditional; the statusRecorder keeps the Unwrap chain intact so SSE
+// flushing still works.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.routeHist[route]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -235,7 +232,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		h(rec, r)
 		elapsed := time.Since(start)
 		hist.ObserveDuration(elapsed)
-		elapsedMS := float64(elapsed.Microseconds()) / 1000
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Info("request",
 				"trace_id", id,
@@ -243,10 +239,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 				"method", r.Method,
 				"path", r.URL.Path,
 				"status", rec.status,
-				"elapsed_ms", elapsedMS)
-		}
-		if s.cfg.Logf != nil {
-			s.cfg.Logf("%s %s -> %d (%.1fms) trace=%s", r.Method, r.URL.Path, rec.status, elapsedMS, id)
+				"elapsed_ms", float64(elapsed.Microseconds())/1000)
 		}
 	}
 }

@@ -43,18 +43,6 @@ func runTree(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace, error)
 	return tr, err
 }
 
-func buildGraph(tr *ncc.Trace) *graph.Graph {
-	idx := make(map[ncc.ID]int, len(tr.IDs))
-	for i, id := range tr.IDs {
-		idx[id] = i
-	}
-	g := graph.New(len(tr.IDs))
-	for e := range tr.EdgeSet() {
-		_ = g.AddEdge(idx[e[0]], idx[e[1]])
-	}
-	return g
-}
-
 func treeCases() map[string][]int {
 	return map[string][]int{
 		"edge":        {1, 1},
@@ -74,7 +62,7 @@ func TestChainTreeRealizes(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%s: flagged unrealizable", name)
 		}
-		g := buildGraph(tr)
+		g := graph.FromAdj(tr.Adjacency())
 		if !g.IsTree() {
 			t.Fatalf("%s: not a tree (m=%d, comps=%d)", name, g.M(), g.Components())
 		}
@@ -101,7 +89,7 @@ func TestGreedyTreeRealizesWithMinDiameter(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%s: flagged unrealizable", name)
 		}
-		g := buildGraph(tr)
+		g := graph.FromAdj(tr.Adjacency())
 		if !g.IsTree() {
 			t.Fatalf("%s: not a tree", name)
 		}
@@ -124,8 +112,8 @@ func TestGreedyNeverWorseThanChain(t *testing.T) {
 	for name, d := range treeCases() {
 		trC, _ := runTree(t, d, false, 23)
 		trG, _ := runTree(t, d, true, 23)
-		dc := buildGraph(trC).TreeDiameter()
-		dg := buildGraph(trG).TreeDiameter()
+		dc := graph.FromAdj(trC.Adjacency()).TreeDiameter()
+		dg := graph.FromAdj(trG.Adjacency()).TreeDiameter()
 		if dg > dc {
 			t.Fatalf("%s: greedy diameter %d > chain diameter %d", name, dg, dc)
 		}
@@ -157,7 +145,7 @@ func TestSingleNodeTree(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatal("single vertex with degree 0 is a (trivial) tree")
 		}
-		if len(tr.EdgeSet()) != 0 {
+		if graph.FromAdj(tr.Adjacency()).M() != 0 {
 			t.Fatal("single vertex tree has edges")
 		}
 	}
@@ -173,7 +161,7 @@ func TestQuickTreeRealizations(t *testing.T) {
 		if errC != nil || errG != nil || trC.Unrealizable || trG.Unrealizable {
 			return false
 		}
-		gc, gg := buildGraph(trC), buildGraph(trG)
+		gc, gg := graph.FromAdj(trC.Adjacency()), graph.FromAdj(trG.Adjacency())
 		if !gc.IsTree() || !gg.IsTree() || !gc.DegreesMatch(d) || !gg.DegreesMatch(d) {
 			return false
 		}

@@ -1,6 +1,8 @@
 package graphrealize
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 )
@@ -59,5 +61,23 @@ func TestRouteKeyMatchesCacheIdentity(t *testing.T) {
 		if j.RouteKey() == key {
 			t.Errorf("changing %s did not change the route key; distinct results would collide on one cache shard", field)
 		}
+	}
+}
+
+// TestCacheKeyVarints: the key's sequence is each value's zig-zag varint,
+// written at its exact length in one allocation, across the byte-length
+// boundaries and the negative inputs.
+func TestCacheKeyVarints(t *testing.T) {
+	seq := []int{0, 1, -1, 63, -64, 64, 127, 128, 1 << 20, -(1 << 40), math.MaxInt, math.MinInt}
+	var want []byte
+	for _, v := range seq {
+		want = binary.AppendUvarint(want, uint64(v)<<1^uint64(int64(v)>>63))
+	}
+	j := Job{Kind: JobDegrees, Seq: seq}
+	if got := j.cacheKey().seq; got != string(want) {
+		t.Fatalf("key sequence %x, want %x", got, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = j.cacheKey() }); allocs != 1 {
+		t.Fatalf("cacheKey: %v allocations, want 1", allocs)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,14 +240,15 @@ func (r *Runner) Submit(j Job) <-chan Result {
 // the Result is receivable, the job's worker slot and admission unit have
 // been released: receive-then-resubmit never observes stale saturation.
 func (r *Runner) SubmitCtx(ctx context.Context, j Job) (<-chan Result, error) {
-	if out, ok := r.cachedFastPath(j); ok {
+	key := j.cacheKey()
+	if out, ok := r.cachedFastPath(j, key); ok {
 		return out, nil
 	}
 	if !r.tryAdmit(1) {
 		r.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
-	return r.start(ctx, j, true), nil
+	return r.start(ctx, j, key, true), nil
 }
 
 // SubmitReplayCtx enqueues one job recovered from a durable job log,
@@ -257,11 +260,12 @@ func (r *Runner) SubmitCtx(ctx context.Context, j Job) (<-chan Result, error) {
 // error return is always nil for a Runner; it exists so scripted Backend
 // seams can exercise refusal paths.
 func (r *Runner) SubmitReplayCtx(ctx context.Context, j Job) (<-chan Result, error) {
-	if out, ok := r.cachedFastPath(j); ok {
+	key := j.cacheKey()
+	if out, ok := r.cachedFastPath(j, key); ok {
 		return out, nil
 	}
 	r.replayed.Add(1)
-	return r.start(ctx, j, false), nil
+	return r.start(ctx, j, key, false), nil
 }
 
 // SubmitAllCtx admits a batch of jobs atomically: either every non-cached
@@ -276,9 +280,11 @@ func (r *Runner) SubmitReplayCtx(ctx context.Context, j Job) (<-chan Result, err
 // would overcount — and double-count once the caller retries the batch.
 func (r *Runner) SubmitAllCtx(ctx context.Context, jobs []Job) ([]<-chan Result, error) {
 	hits := make([]Result, len(jobs))
+	keys := make([]cacheKey, len(jobs))
 	var misses []int
 	for i, j := range jobs {
-		if res, ok := r.cache.get(j.cacheKey()); ok {
+		keys[i] = j.cacheKey()
+		if res, ok := r.cache.get(keys[i]); ok {
 			hits[i] = res
 		} else {
 			misses = append(misses, i)
@@ -292,7 +298,7 @@ func (r *Runner) SubmitAllCtx(ctx context.Context, jobs []Job) ([]<-chan Result,
 	mi := 0
 	for i := range jobs {
 		if mi < len(misses) && misses[mi] == i {
-			chans[i] = r.start(ctx, jobs[i], true)
+			chans[i] = r.start(ctx, jobs[i], keys[i], true)
 			mi++
 			continue
 		}
@@ -307,8 +313,8 @@ func (r *Runner) SubmitAllCtx(ctx context.Context, jobs []Job) ([]<-chan Result,
 // rejected by a saturated Runner. Hits count only toward Submitted and
 // CacheHits: Completed/Failed track executions, and re-counting a cached
 // error on every hit would fabricate a failure spike.
-func (r *Runner) cachedFastPath(j Job) (<-chan Result, bool) {
-	res, hit := r.cache.get(j.cacheKey())
+func (r *Runner) cachedFastPath(j Job, key cacheKey) (<-chan Result, bool) {
+	res, hit := r.cache.get(key)
 	if !hit {
 		return nil, false
 	}
@@ -329,16 +335,16 @@ func (r *Runner) deliverCached(j Job, res Result) <-chan Result {
 	return out
 }
 
-// start launches one job. admitted reports whether it holds an admission
-// unit (replayed jobs do not); a held unit is released before the Result
-// becomes receivable.
-func (r *Runner) start(ctx context.Context, j Job, admitted bool) <-chan Result {
+// start launches one job, whose cache key the submission computed once.
+// admitted reports whether it holds an admission unit (replayed jobs do
+// not); a held unit is released before the Result becomes receivable.
+func (r *Runner) start(ctx context.Context, j Job, key cacheKey, admitted bool) <-chan Result {
 	r.submitted.Add(1)
 	r.queued.Add(1)
 	enqueued := time.Now()
 	out := make(chan Result, 1)
 	go func() {
-		res := r.executeAdmitted(ctx, j, enqueued)
+		res := r.executeAdmitted(ctx, j, key, enqueued)
 		if admitted {
 			r.releaseAdmit(1)
 		}
@@ -349,7 +355,7 @@ func (r *Runner) start(ctx context.Context, j Job, admitted bool) <-chan Result 
 
 // executeAdmitted waits for a worker slot and runs the job; the slot is
 // released (via defer) before the caller delivers the Result.
-func (r *Runner) executeAdmitted(ctx context.Context, j Job, enqueued time.Time) Result {
+func (r *Runner) executeAdmitted(ctx context.Context, j Job, key cacheKey, enqueued time.Time) Result {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -379,7 +385,7 @@ func (r *Runner) executeAdmitted(ctx context.Context, j Job, enqueued time.Time)
 	}
 	var acc phaseAccum
 	start := time.Now()
-	res := r.run(jctx, r.observe(j, &acc))
+	res := r.run(jctx, r.observe(j, &acc), key)
 	res.Job = j // the observed copy's chained Profile hook is an internal detail
 	run := time.Since(start)
 	r.runNanos.Add(run.Nanoseconds())
@@ -476,8 +482,7 @@ func SweepSeeds(base Job, seeds []int64) []Job {
 	return jobs
 }
 
-func (r *Runner) run(ctx context.Context, j Job) Result {
-	key := j.cacheKey()
+func (r *Runner) run(ctx context.Context, j Job, key cacheKey) Result {
 	if res, hit := r.cache.get(key); hit {
 		r.cacheHits.Add(1)
 		res.Job = j
@@ -534,22 +539,33 @@ func (o Options) key() optKey {
 	}
 }
 
+// cacheKey writes the sequence's varints straight into a string of exactly
+// their length: one allocation.
 func (j Job) cacheKey() cacheKey {
-	buf := make([]byte, 0, 2*len(j.Seq))
+	size := 0
 	for _, v := range j.Seq {
-		u := uint64(v)<<1 ^ uint64(int64(v)>>63) // zig-zag for the odd negative input
+		size += (bits.Len64(zigzag(v)|1) + 6) / 7
+	}
+	var seq strings.Builder
+	seq.Grow(size)
+	for _, v := range j.Seq {
+		u := zigzag(v)
 		for u >= 0x80 {
-			buf = append(buf, byte(u)|0x80)
+			seq.WriteByte(byte(u) | 0x80)
 			u >>= 7
 		}
-		buf = append(buf, byte(u))
+		seq.WriteByte(byte(u))
 	}
 	return cacheKey{
 		kind: j.Kind,
-		seq:  string(buf),
+		seq:  seq.String(),
 		opt:  j.Opt.norm().key(),
 	}
 }
+
+// zigzag maps v to an unsigned value whose varint stays short for the odd
+// negative input.
+func zigzag(v int) uint64 { return uint64(v)<<1 ^ uint64(int64(v)>>63) }
 
 // RouteKey returns the canonical routing key of a job: a printable,
 // collision-free rendering of exactly the fields that form the Runner's

@@ -111,7 +111,7 @@ func reference(ctx context.Context, j Job) (Result, string) {
 		res.Err = ErrUnrealizable
 		return res, digest
 	}
-	res.Graph = graphOf(tr)
+	res.Graph = &Graph{N: len(tr.IDs), Adj: tr.Adjacency()}
 	return res, digest
 }
 
