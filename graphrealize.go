@@ -130,7 +130,8 @@ var (
 )
 
 // Graph is the realized overlay: vertex i is the node that was assigned
-// input i, Adj its sorted adjacency lists.
+// input i, Adj its sorted adjacency lists, one per vertex (len(Adj) == N).
+// The analysis methods read the lists in place.
 type Graph struct {
 	N   int
 	Adj [][]int
