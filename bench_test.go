@@ -44,7 +44,6 @@ func benchExperiment(b *testing.B, id string) {
 func BenchmarkT1_TreeConstruction(b *testing.B)    { benchExperiment(b, "T1") }
 func BenchmarkT2_Sorting(b *testing.B)             { benchExperiment(b, "T2") }
 func BenchmarkT3_GlobalPrimitives(b *testing.B)    { benchExperiment(b, "T3") }
-func BenchmarkT4_LocalPrimitives(b *testing.B)     { benchExperiment(b, "T4") }
 func BenchmarkT5_ImplicitRealization(b *testing.B) { benchExperiment(b, "T5") }
 func BenchmarkT6_ExplicitRealization(b *testing.B) { benchExperiment(b, "T6") }
 func BenchmarkT7_UpperEnvelope(b *testing.B)       { benchExperiment(b, "T7") }

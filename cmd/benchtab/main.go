@@ -1,12 +1,13 @@
 // Command benchtab regenerates every table and figure of the reproduction
-// (DESIGN.md §4, T1–T11 and F1–F2) by running the distributed algorithms in
-// the NCC simulator and printing the measured tables. EXPERIMENTS.md records
-// a Full-scale run of this tool.
+// (DESIGN.md §4: T1–T3, T5–T11 and F1–F2) by running the distributed
+// algorithms in the NCC simulator and printing the measured tables. There is
+// no T4: the local primitives of Theorems 6–8 are not reproduced, since no
+// realization uses them (DESIGN.md §3).
 //
 // Usage:
 //
 //	benchtab                 # all experiments, quick scale
-//	benchtab -scale full     # the EXPERIMENTS.md sweep sizes
+//	benchtab -scale full     # the larger Full sweep sizes (DESIGN.md §4)
 //	benchtab -only T5,T10    # a subset
 package main
 

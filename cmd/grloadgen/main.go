@@ -49,6 +49,7 @@ import (
 	"graphrealize/internal/gen"
 	"graphrealize/internal/jobs"
 	"graphrealize/internal/obs"
+	"graphrealize/internal/serve"
 	"graphrealize/internal/wire"
 )
 
@@ -413,29 +414,7 @@ func fetchStats(client *http.Client, base string) {
 		return
 	}
 	defer resp.Body.Close()
-	var st struct {
-		Submitted int64   `json:"submitted"`
-		Rejected  int64   `json:"rejected"`
-		CacheHits int64   `json:"cache_hits"`
-		AvgWaitMS float64 `json:"avg_wait_ms"`
-		AvgRunMS  float64 `json:"avg_run_ms"`
-		// Cluster is present when the target is a coordinator (CLUSTER.md
-		// §7.1): the load just generated was sharded over these workers.
-		Cluster *struct {
-			Alive     int   `json:"alive"`
-			Suspect   int   `json:"suspect"`
-			Dead      int   `json:"dead"`
-			Failovers int64 `json:"failovers"`
-			Proxied   int64 `json:"proxied"`
-			Workers   []struct {
-				Name string `json:"name"`
-				Load struct {
-					Executed  int64 `json:"executed"`
-					CacheHits int64 `json:"cache_hits"`
-				} `json:"load"`
-			} `json:"workers"`
-		} `json:"cluster"`
-	}
+	var st serve.StatsResponse
 	if json.NewDecoder(resp.Body).Decode(&st) == nil {
 		fmt.Printf("server: submitted=%d rejected=%d cache_hits=%d avg_wait=%.1fms avg_run=%.1fms\n",
 			st.Submitted, st.Rejected, st.CacheHits, st.AvgWaitMS, st.AvgRunMS)

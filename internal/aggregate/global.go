@@ -1,11 +1,11 @@
-// Package aggregate implements the computational primitives of §3.2 of
-// "Distributed Graph Realizations": global broadcast and aggregation
-// (Theorem 4), global collection (Theorem 5), and the local aggregation /
-// multicast / token-collection primitives of Theorems 6–8 adapted from the
-// SPAA'19 NCC paper. Global primitives run over the balanced binary search
-// tree TBFS from package primitives; local primitives use rendezvous routing
-// with per-hop combining over the distance-doubling overlay (see DESIGN.md
-// for the substitution note).
+// Package aggregate implements the global computational primitives of §3.2
+// of "Distributed Graph Realizations": broadcast and aggregation (Theorem 4)
+// and collection (Theorem 5), run over the balanced binary search tree TBFS
+// from package primitives. The paper's local aggregation, multicast and
+// token collection (Theorems 6–8) are not reproduced: no realization calls
+// them, since the §4–§6 algorithms use package rankov's rank-addressed
+// primitives, and the paper leaves their token routing unspecified
+// (DESIGN.md §3).
 //
 // Every primitive is written in the resumable step form of package ncc: a
 // call Foo(nd, …, k) performs the current round's compute slice and returns
@@ -31,9 +31,6 @@ const (
 	kTokenDone
 	kLeaderTok
 	kPhaseEnd
-	kGroupMsg
-	kGroupReg
-	kGroupDown
 )
 
 // Op is a distributive aggregate operator with a neutral element, e.g.

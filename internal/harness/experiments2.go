@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -308,5 +307,3 @@ func F2Figure2(Scale) *Table {
 	}
 	return t
 }
-
-var _ = math.Sqrt // keep math import if sizes change

@@ -1,9 +1,9 @@
 // Package harness defines the reproduction experiments: one function per
-// table/figure in DESIGN.md §4 (T1–T11, F1–F2), each running the relevant
-// protocols in the NCC simulator and emitting a formatted table. Both
-// bench_test.go (one testing.B per experiment) and cmd/benchtab (regenerates
-// everything as text) drive this package, so the numbers in EXPERIMENTS.md
-// are reproducible from either entry point.
+// table/figure in DESIGN.md §4 (T1–T3, T5–T11, F1–F2), each running the
+// relevant protocols in the NCC simulator and emitting a formatted table.
+// Both bench_test.go (one testing.B per experiment) and cmd/benchtab
+// (regenerates everything as text) drive this package, so every table is
+// reproducible from either entry point.
 package harness
 
 import (
@@ -81,14 +81,14 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// Scale selects experiment sizes: Quick for CI-grade runs, Full for the
-// numbers recorded in EXPERIMENTS.md.
+// Scale selects experiment sizes: Quick for CI-grade runs, Full for larger
+// sweeps (DESIGN.md §4).
 type Scale int
 
 const (
 	// Quick keeps every experiment under a second or two.
 	Quick Scale = iota
-	// Full uses the sweep sizes recorded in EXPERIMENTS.md.
+	// Full uses the larger sweep sizes each experiment lists beside Quick's.
 	Full
 )
 
@@ -140,7 +140,6 @@ func All() []Experiment {
 		{"T1", T1TreeConstruction},
 		{"T2", T2Sorting},
 		{"T3", T3GlobalPrimitives},
-		{"T4", T4LocalPrimitives},
 		{"T5", T5ImplicitRealization},
 		{"T6", T6ExplicitRealization},
 		{"T7", T7UpperEnvelope},

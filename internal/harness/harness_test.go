@@ -14,7 +14,6 @@ var tableDigests = map[string]string{
 	"T1": "1b21812735105a6f",
 	"T2": "96d795279e64a9a6",
 	"T3": "42a8ceff493a81df",
-	"T4": "a120e60fa75d5d16",
 	"F1": "9fafdbf9827d608c",
 	"F2": "1f803ca6e1da1321",
 }

@@ -128,11 +128,21 @@ func (p *PersistedResult) result(j graphrealize.Job) (*graphrealize.Result, erro
 			if e[0] < 0 || e[0] >= p.N || e[1] < 0 || e[1] >= p.N {
 				return nil, fmt.Errorf("jobs: persisted edge %v out of range [0,%d)", e, p.N)
 			}
+			if e[0] == e[1] {
+				return nil, fmt.Errorf("jobs: persisted edge %v is a self-loop", e)
+			}
 			g.Adj[e[0]] = append(g.Adj[e[0]], e[1])
 			g.Adj[e[1]] = append(g.Adj[e[1]], e[0])
 		}
-		for _, a := range g.Adj {
+		for u, a := range g.Adj {
 			sort.Ints(a)
+			// An edge listed twice, in either orientation, repeats in both
+			// endpoints' lists; the lower endpoint's list is scanned first.
+			for i := 1; i < len(a); i++ {
+				if a[i] == a[i-1] {
+					return nil, fmt.Errorf("jobs: persisted edge %v listed twice", [2]int{u, a[i]})
+				}
+			}
 		}
 	}
 	st := p.Stats

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,20 +136,20 @@ func TestNewRecordsPersistGraphWire(t *testing.T) {
 	}
 }
 
-// TestCorruptGraphWireSurfacesAsFailure: a terminal record whose embedded
-// stream no longer decodes (out-of-band damage past the WAL checksum) must
-// surface as a failed job naming the loss — never a done job with a wrong
-// graph, and never a dropped job.
-func TestCorruptGraphWireSurfacesAsFailure(t *testing.T) {
+// recoverFailed logs a done job of n vertices whose stored result is res,
+// reopens the data directory under a Manager, and returns the job once it
+// has surfaced as failed. It must carry an error and no result.
+func recoverFailed(t *testing.T, n int, res *jobs.PersistedResult) jobs.Snapshot {
+	t.Helper()
 	dir := t.TempDir()
 	st := openFileStore(t, dir)
 	pj := jobs.PersistedJob{
 		ID:      "j1-deadbeef0000",
 		Kind:    int(graphrealize.JobDegrees),
-		Seq:     []int{1, 1},
+		Seq:     make([]int, n),
 		State:   jobs.StateDone,
 		Created: time.Now(),
-		Result:  &jobs.PersistedResult{N: 2, GraphWire: []byte("GRWF\x01 not a stream")},
+		Result:  res,
 	}
 	if err := st.LogTerminal(pj); err != nil {
 		t.Fatal(err)
@@ -158,13 +159,48 @@ func TestCorruptGraphWireSurfacesAsFailure(t *testing.T) {
 	}
 
 	m := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: openFileStore(t, dir)})
-	defer crashClose(m)
+	t.Cleanup(func() { crashClose(m) })
 	snap := waitStateFor(t, m, pj.ID, jobs.StateFailed, 5*time.Second)
 	if snap.Err == nil {
-		t.Fatal("corrupt graph_wire surfaced without an error")
+		t.Fatal("damaged result surfaced without an error")
 	}
 	if snap.Result != nil {
-		t.Fatalf("corrupt graph_wire still served a result: %+v", snap.Result)
+		t.Fatalf("damaged result still served: %v", snap.Result.Graph.Adj)
+	}
+	return snap
+}
+
+// TestCorruptGraphWireSurfacesAsFailure: a terminal record whose embedded
+// stream no longer decodes (out-of-band damage past the WAL checksum) must
+// surface as a failed job naming the loss — never a done job with a wrong
+// graph, and never a dropped job.
+func TestCorruptGraphWireSurfacesAsFailure(t *testing.T) {
+	recoverFailed(t, 2, &jobs.PersistedResult{N: 2, GraphWire: []byte("GRWF\x01 not a stream")})
+}
+
+// TestMalformedJSONEraEdgesSurfaceAsFailure: a JSON-era edge list is not
+// checked by graphwire, so recovery itself must refuse one that is not a
+// simple graph — an endpoint out of range, a self-loop, or an edge listed
+// twice in either orientation — and surface the job as failed, naming the
+// edge, rather than serve it done with a wrong graph.
+func TestMalformedJSONEraEdgesSurfaceAsFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edges [][2]int
+		want  string
+	}{
+		{"out-of-range", [][2]int{{0, 1}, {1, 4}}, "edge [1 4] out of range"},
+		{"self-loop", [][2]int{{0, 1}, {2, 2}}, "edge [2 2] is a self-loop"},
+		{"listed-twice", [][2]int{{0, 1}, {2, 3}, {0, 1}}, "edge [0 1] listed twice"},
+		{"listed-twice-reversed", [][2]int{{1, 2}, {3, 1}, {2, 1}}, "edge [1 2] listed twice"},
+		{"twice-and-self-loop", [][2]int{{0, 1}, {0, 1}, {2, 2}}, "edge [2 2] is a self-loop"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := recoverFailed(t, 4, &jobs.PersistedResult{N: 4, Edges: tc.edges})
+			if !strings.Contains(snap.Err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", snap.Err, tc.want)
+			}
+		})
 	}
 }
 

@@ -3,12 +3,10 @@
 // algorithms run to the Ω(·) barriers.
 //
 // The arguments being information-theoretic, the measurable counterpart of
-// each bound is a knowledge-volume count: an implicit realization must move
-// at least KnowledgeVolume(D) IDs into the nodes that request edges, and a
-// node can take in at most capacity = Θ(log n) IDs per round. Theorem 19's
-// explicit bound is the per-node version (the maximum-degree node alone must
-// receive Δ IDs); Theorem 20's D* family forces some node to receive
-// Ω(√m) IDs, and the Δ-regular family forces Ω(Δ) rounds.
+// each bound is a count of IDs some node must learn, at most capacity =
+// Θ(log n) of them per round. Theorem 19's explicit bound: the
+// maximum-degree node alone must receive Δ IDs. Theorem 20's D* family:
+// some node must receive Ω(√m) IDs.
 package lowerbound
 
 import (
@@ -48,24 +46,6 @@ func ImplicitFloorDStar(d []int, cap int) int {
 	perNode := (m + k - 1) / k
 	return (perNode + cap - 1) / cap
 }
-
-// ImplicitFloorRegular returns the Ω(Δ) floor of Theorem 20's second
-// family (dᵢ = Δ for all i): every node must learn Δ IDs, but here the
-// bound is stated in raw rounds — the adversarial argument of the paper
-// charges Ω(Δ) rounds even with Θ(log n) capacity because knowledge must
-// propagate from a path. We report the weaker ⌈Δ/cap⌉ information floor
-// and the Δ structural floor separately.
-func ImplicitFloorRegular(delta, cap int) (infoFloor, structFloor int) {
-	if cap < 1 {
-		cap = 1
-	}
-	return (delta + cap - 1) / cap, delta
-}
-
-// KnowledgeVolume returns Σdᵢ, the total number of (endpoint, ID) pairs any
-// implicit realization must establish — the measurable core of both lower
-// bound arguments.
-func KnowledgeVolume(d []int) int { return seq.SumDegrees(d) }
 
 // Tightness summarizes an upper-bound measurement against its floor.
 type Tightness struct {

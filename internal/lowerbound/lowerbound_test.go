@@ -39,19 +39,6 @@ func TestImplicitFloorDStar(t *testing.T) {
 	}
 }
 
-func TestImplicitFloorRegular(t *testing.T) {
-	info, structural := ImplicitFloorRegular(40, 8)
-	if info != 5 || structural != 40 {
-		t.Fatalf("got (%d,%d), want (5,40)", info, structural)
-	}
-}
-
-func TestKnowledgeVolume(t *testing.T) {
-	if KnowledgeVolume([]int{3, 2, 1}) != 6 {
-		t.Fatal("volume")
-	}
-}
-
 func TestTightness(t *testing.T) {
 	ti := NewTightness(100, 10)
 	if ti.Ratio != 10 {

@@ -11,6 +11,7 @@ import (
 
 	"graphrealize"
 	"graphrealize/internal/api"
+	"graphrealize/internal/cluster"
 	"graphrealize/internal/jobs"
 	"graphrealize/internal/serve"
 )
@@ -63,6 +64,50 @@ func FuzzServeRequest(f *testing.F) {
 				checkRealizeBody(t, path, body, rec.Body.Bytes())
 			}
 		}
+	})
+}
+
+// FuzzClusterControl posts each fuzzed (register, heartbeat) body pair to a
+// fresh coordinator's control plane (CLUSTER.md §2). Neither route may panic
+// or answer 500, and every non-2xx body is an ErrorResponse with a message.
+// Afterwards the member listing and /v1/stats still answer 200 with JSON
+// that decodes.
+func FuzzClusterControl(f *testing.F) {
+	for _, pair := range [][2]string{
+		{`{"name":"w1","addr":"http://127.0.0.1:9999","capacity":4}`, `{"name":"w1","load":{"workers":4,"active":1,"executed":9}}`},
+		{`{"name":"w1"}`, `{"name":"w1","load":{}}`},
+		{`{"name":"w1","addr":"http://127.0.0.1:9999","capacity":4}`, `{"name":"w2","load":{}}`},
+		{`{"name":"w1","addr":"x","capacity":-1,"extra":1}`, `{"name":"w1","load":{"active":-3,"cache_len":1e3}}`},
+		{`{"name":`, `[1,2]`},
+	} {
+		f.Add([]byte(pair[0]), []byte(pair[1]))
+	}
+	f.Fuzz(func(t *testing.T, register, heartbeat []byte) {
+		_, h := coordinator(t)
+		for _, call := range []struct {
+			path string
+			body []byte
+		}{{"/cluster/v1/register", register}, {"/cluster/v1/heartbeat", heartbeat}} {
+			rec := post(t, h, call.path, string(call.body))
+			switch {
+			case rec.Code == http.StatusInternalServerError:
+				t.Fatalf("%s %q: 500: %s", call.path, call.body, rec.Body)
+			case rec.Code < 200 || rec.Code > 299:
+				var e api.ErrorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+					t.Fatalf("%s %q: %d with body %q, want an error message", call.path, call.body, rec.Code, rec.Body)
+				}
+			}
+		}
+		rec := get(t, h, "/cluster/v1/workers")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /cluster/v1/workers after %q, %q: %d: %s", register, heartbeat, rec.Code, rec.Body)
+		}
+		decodeInto[cluster.WorkersResponse](t, rec)
+		if rec = get(t, h, "/v1/stats"); rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/stats after %q, %q: %d: %s", register, heartbeat, rec.Code, rec.Body)
+		}
+		decodeInto[serve.StatsResponse](t, rec)
 	})
 }
 
