@@ -1,7 +1,8 @@
 // Command degreal realizes a degree sequence as a distributed overlay and
 // prints the realization plus its NCC cost. With -seeds k it runs a
 // deterministic multi-seed sweep through the concurrent batch runner and
-// reports per-seed costs plus aggregates.
+// reports per-seed costs plus aggregates. Every result is checked with
+// Result.Verify; one that fails it exits 1.
 //
 // Usage:
 //
@@ -71,6 +72,12 @@ func main() {
 		len(degs), seq.MaxDegree(degs), seq.SumDegrees(degs), graphrealize.IsGraphic(degs))
 
 	results := graphrealize.NewRunner(*workers).RealizeAll(jobs)
+	for i, res := range results {
+		if err := res.Verify(); err != nil {
+			fmt.Fprintf(os.Stderr, "degreal: seed %d: %v\n", seedList[i], err)
+			os.Exit(1)
+		}
+	}
 	first := results[0]
 	if first.Err != nil {
 		fmt.Fprintln(os.Stderr, "degreal:", first.Err)
@@ -79,7 +86,7 @@ func main() {
 	if *envelope {
 		extra := 0
 		for i := range degs {
-			extra += first.Envelope[i] - clamp(degs[i], len(degs))
+			extra += first.Envelope[i] - min(max(degs[i], 0), len(degs)-1)
 		}
 		fmt.Printf("envelope: total discrepancy Σ(d'-d) = %d\n", extra)
 	}
@@ -89,10 +96,6 @@ func main() {
 	if *seeds > 1 {
 		rounds := make([]int, 0, len(results))
 		for i, res := range results {
-			if res.Err != nil {
-				fmt.Fprintf(os.Stderr, "degreal: seed %d: %v\n", seedList[i], res.Err)
-				os.Exit(1)
-			}
 			fmt.Printf("seed=%-4d rounds=%-6d msgs=%-8d maxRecv=%d\n",
 				seedList[i], res.Stats.Rounds, res.Stats.Messages, res.Stats.MaxRecv)
 			rounds = append(rounds, res.Stats.Rounds)
@@ -106,16 +109,6 @@ func main() {
 			fmt.Printf("%d %d\n", e[0], e[1])
 		}
 	}
-}
-
-func clamp(v, n int) int {
-	if v < 0 {
-		return 0
-	}
-	if v > n-1 {
-		return n - 1
-	}
-	return v
 }
 
 func sequence(seqFlag, family string, n, d int, p float64, seed int64) ([]int, error) {

@@ -262,7 +262,7 @@ func main() {
 		samples = append(samples, rs...)
 	}
 	report(os.Stdout, samples, wall)
-	fetchStats(client, base)
+	fetchStats(client, base, start.Add(wall))
 
 	failures := 0
 	for _, s := range samples {
@@ -407,8 +407,12 @@ func report(out io.Writer, samples []sample, wall time.Duration) {
 		wall.Seconds(), float64(len(samples))/wall.Seconds(), totalBytes)
 }
 
-// fetchStats surfaces the server-side Runner counters after the run.
-func fetchStats(client *http.Client, base string) {
+// fetchStats surfaces the server-side Runner counters after the run, which
+// ended at end. A worker's load is as of its last heartbeat to the
+// coordinator, so each worker row prints that heartbeat's age, and
+// stale=true unless the heartbeat provably came after the run ended.
+func fetchStats(client *http.Client, base string, end time.Time) {
+	sinceEnd := time.Since(end)
 	resp, err := client.Get(base + "/v1/stats")
 	if err != nil {
 		return
@@ -422,7 +426,8 @@ func fetchStats(client *http.Client, base string) {
 			fmt.Printf("cluster: %d alive / %d suspect / %d dead, proxied=%d failovers=%d\n",
 				c.Alive, c.Suspect, c.Dead, c.Proxied, c.Failovers)
 			for _, w := range c.Workers {
-				fmt.Printf("  worker %s: executed=%d cache_hits=%d\n", w.Name, w.Load.Executed, w.Load.CacheHits)
+				fmt.Printf("  worker %s: executed=%d cache_hits=%d heartbeat_age=%.0fms stale=%v\n",
+					w.Name, w.Load.Executed, w.Load.CacheHits, w.SilenceMS, w.SilenceMS > sinceEnd.Seconds()*1000)
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 // Command treereal realizes a tree degree sequence with Algorithm 4 (chain)
 // and Algorithm 5 (minimum-diameter greedy tree) and compares diameters.
 // Both algorithms run concurrently through the batch Runner, sharing its
-// result cache and deterministic per-job seeding.
+// result cache and deterministic per-job seeding; a result that fails
+// Result.Verify exits 1.
 //
 // Usage:
 //
@@ -11,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -59,8 +61,9 @@ func main() {
 		{Kind: graphrealize.JobMinDiamTree, Seq: d, Opt: opt, Label: "algorithm 5"},
 	})
 	for _, res := range results {
-		if res.Err != nil {
-			fmt.Fprintf(os.Stderr, "treereal: %s: %v\n", res.Job.Label, res.Err)
+		// A correct rejection passes Verify but still fails the command.
+		if err := cmp.Or(res.Verify(), res.Err); err != nil {
+			fmt.Fprintf(os.Stderr, "treereal: %s: %v\n", res.Job.Label, err)
 			os.Exit(1)
 		}
 	}

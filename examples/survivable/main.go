@@ -77,13 +77,6 @@ func main() {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func clone(g *graphrealize.Graph) *graphrealize.Graph {
 	h := &graphrealize.Graph{N: g.N, Adj: make([][]int, g.N)}
 	for v, a := range g.Adj {

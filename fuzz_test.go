@@ -1,19 +1,22 @@
 package graphrealize_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"graphrealize"
+	"graphrealize/internal/verify"
 )
 
 // fuzz_test.go differential-tests the distributed degree realization (§4.1,
 // Theorem 11) against the sequential Havel–Hakimi baseline (§3.3) on
 // arbitrary degree sequences. The two implementations share no code above
 // the graph type, so agreement on realizability — the Erdős–Gallai
-// characterization both must decide — plus degree-exactness of every
-// realized overlay is a strong end-to-end check. The seed corpus runs in
-// every ordinary `go test`; CI additionally runs a short `-fuzz` smoke.
+// characterization both must decide — plus Result.Verify on the distributed
+// result and the degree oracle on the sequential one is a strong end-to-end
+// check. The seed corpus runs in every ordinary `go test`; CI additionally
+// runs a short `-fuzz` smoke.
 
 // fuzzSequence decodes fuzz bytes into a degree sequence small enough to
 // simulate quickly: at most 24 nodes, degrees clamped into [0, n-1] by
@@ -43,48 +46,22 @@ func FuzzRealizeDegreesMatchesHavelHakimi(f *testing.F) {
 		if d == nil {
 			t.Skip()
 		}
-		g, _, derr := graphrealize.RealizeDegrees(d, &graphrealize.Options{Seed: seed})
-		hg, herr := graphrealize.HavelHakimi(d)
-
+		res := graphrealize.Execute(context.Background(), graphrealize.Job{
+			Kind: graphrealize.JobDegrees, Seq: d, Opt: &graphrealize.Options{Seed: seed},
+		})
+		if err := res.Verify(); err != nil {
+			t.Fatalf("distributed realization of %v: %v", d, err)
+		}
 		// Realizability is a property of the sequence alone (Erdős–Gallai):
 		// the distributed protocol and the sequential baseline must agree.
-		if errors.Is(derr, graphrealize.ErrUnrealizable) != errors.Is(herr, graphrealize.ErrUnrealizable) {
-			t.Fatalf("realizability disagreement on %v: distributed=%v sequential=%v", d, derr, herr)
-		}
-		if derr != nil && !errors.Is(derr, graphrealize.ErrUnrealizable) {
-			t.Fatalf("distributed realization failed unexpectedly on %v: %v", d, derr)
-		}
-		if derr == nil {
-			checkRealization(t, "distributed", g, d)
+		hg, herr := graphrealize.HavelHakimi(d)
+		if errors.Is(res.Err, graphrealize.ErrUnrealizable) != errors.Is(herr, graphrealize.ErrUnrealizable) {
+			t.Fatalf("realizability disagreement on %v: distributed=%v sequential=%v", d, res.Err, herr)
 		}
 		if herr == nil {
-			checkRealization(t, "sequential", hg, d)
+			if err := verify.Degrees(hg.Adj, d); err != nil {
+				t.Fatalf("sequential realization of %v: %v", d, err)
+			}
 		}
 	})
-}
-
-// checkRealization asserts g is a simple graph realizing exactly d.
-func checkRealization(t *testing.T, who string, g *graphrealize.Graph, d []int) {
-	t.Helper()
-	if g == nil || g.N != len(d) {
-		t.Fatalf("%s: graph has wrong order for %v: %+v", who, d, g)
-	}
-	for v, adj := range g.Adj {
-		if len(adj) != d[v] {
-			t.Fatalf("%s: vertex %d has degree %d, want %d (seq %v)", who, v, len(adj), d[v], d)
-		}
-		seen := make(map[int]bool, len(adj))
-		for _, u := range adj {
-			if u == v {
-				t.Fatalf("%s: self-loop at %d (seq %v)", who, v, d)
-			}
-			if u < 0 || u >= g.N {
-				t.Fatalf("%s: edge endpoint %d out of range (seq %v)", who, u, d)
-			}
-			if seen[u] {
-				t.Fatalf("%s: parallel edge %d-%d (seq %v)", who, v, u, d)
-			}
-			seen[u] = true
-		}
-	}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -35,6 +36,7 @@ import (
 	"graphrealize/internal/seq"
 	"graphrealize/internal/sortnet"
 	"graphrealize/internal/trees"
+	"graphrealize/internal/verify"
 )
 
 // Model selects the NCC knowledge variant (§2 of the paper).
@@ -393,6 +395,54 @@ func Execute(ctx context.Context, j Job) Result {
 	}
 	res.Graph = &Graph{N: len(tr.IDs), Adj: tr.Adjacency()}
 	return res
+}
+
+// Verify checks r against the paper's definition of a correct result for
+// its job's kind, through the internal/verify oracle (DESIGN.md §8). A
+// degree realization must also stay within 2·min{⌊√m⌋, Δ}+2 phases (Lemma
+// 10). ErrUnrealizable is correct exactly when the sequential reference
+// rejects the input; Verify returns any other job error unchanged.
+func (r Result) Verify() error {
+	d, kind := r.Job.Seq, r.Job.Kind
+	rejects := false
+	switch kind {
+	case JobDegrees, JobDegreesExplicit:
+		rejects = !seq.IsGraphic(d)
+	case JobChainTree, JobMinDiamTree:
+		rejects = !seq.IsTreeSequence(d)
+	case JobConnectivity:
+		rejects = slices.ContainsFunc(d, func(rho int) bool { return rho < 0 || rho > len(d)-1 })
+	}
+	if r.Err != nil && !errors.Is(r.Err, ErrUnrealizable) {
+		return r.Err
+	}
+	if rejected := r.Err != nil; rejected != rejects {
+		return fmt.Errorf("graphrealize: %s job on %v: ErrUnrealizable=%v, but the sequential reference says unrealizable=%v", kind, d, rejected, rejects)
+	}
+	if rejects {
+		return nil
+	}
+	if r.Graph == nil || r.Stats == nil || r.Graph.N != len(r.Graph.Adj) {
+		return fmt.Errorf("graphrealize: %s result lacks its stats or a graph with N adjacency lists", kind)
+	}
+	adj := r.Graph.Adj
+	switch kind {
+	case JobDegrees, JobDegreesExplicit:
+		m := seq.SumDegrees(d) / 2
+		if bound := 2*min(int(math.Sqrt(float64(m))), seq.MaxDegree(d)) + 2; r.Stats.Phases > bound {
+			return fmt.Errorf("graphrealize: %d phases above Lemma 10's bound %d", r.Stats.Phases, bound)
+		}
+		return verify.Degrees(adj, d)
+	case JobUpperEnvelope:
+		return verify.Envelope(adj, d, r.Envelope)
+	case JobChainTree:
+		return verify.ChainTree(adj, d)
+	case JobMinDiamTree:
+		return verify.MinDiamTree(adj, d)
+	case JobConnectivity:
+		return verify.Connectivity(adj, d)
+	}
+	return fmt.Errorf("graphrealize: unknown JobKind %d", int(kind))
 }
 
 // ConnectivityLowerBound returns ⌈Σρ/2⌉, the minimum edge count of any

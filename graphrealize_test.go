@@ -1,12 +1,15 @@
 package graphrealize
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/verify"
 )
 
 func TestFacadeRealizeDegrees(t *testing.T) {
@@ -15,10 +18,8 @@ func TestFacadeRealizeDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatalf("realize: %v", err)
 	}
-	for i, deg := range g.Degrees() {
-		if deg != d[i] {
-			t.Fatalf("vertex %d degree %d, want %d", i, deg, d[i])
-		}
+	if err := (Result{Job: Job{Kind: JobDegrees, Seq: d}, Graph: g, Stats: stats}).Verify(); err != nil {
+		t.Fatal(err)
 	}
 	if stats.Rounds == 0 || stats.Messages == 0 {
 		t.Fatalf("empty stats: %+v", stats)
@@ -60,48 +61,26 @@ func TestFacadeExplicit(t *testing.T) {
 
 func TestFacadeEnvelope(t *testing.T) {
 	d := []int{3, 3, 1, 1} // non-graphic
-	g, envl, _, err := RealizeUpperEnvelope(d, &Options{Strict: true})
+	g, envl, st, err := RealizeUpperEnvelope(d, &Options{Strict: true})
 	if err != nil {
 		t.Fatalf("envelope: %v", err)
 	}
-	sumD, sumE := 0, 0
-	for i := range d {
-		if envl[i] < d[i] {
-			t.Fatalf("envelope[%d] = %d < %d", i, envl[i], d[i])
-		}
-		if g.Degrees()[i] != envl[i] {
-			t.Fatalf("degree/envelope mismatch at %d", i)
-		}
-		sumD += d[i]
-		sumE += envl[i]
-	}
-	if sumE > 2*sumD {
-		t.Fatalf("Σd' = %d > 2Σd = %d", sumE, 2*sumD)
+	res := Result{Job: Job{Kind: JobUpperEnvelope, Seq: d}, Graph: g, Envelope: envl, Stats: st}
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestFacadeTrees(t *testing.T) {
-	d := []int{3, 2, 2, 1, 1, 1, 1, 1} // Σ = 12? 3+2+2+5 = 12... n=8 needs 14
-	d = []int{3, 3, 2, 1, 1, 1, 1, 2}  // Σ = 14 = 2·7
-	if !IsTreeSequence(d) {
-		t.Fatal("test bug")
-	}
-	chain, _, err := RealizeTree(d, &Options{Strict: true})
-	if err != nil {
-		t.Fatalf("chain: %v", err)
-	}
-	greedy, _, err := RealizeMinDiameterTree(d, &Options{Strict: true})
-	if err != nil {
-		t.Fatalf("greedy: %v", err)
-	}
-	if !chain.IsTree() || !greedy.IsTree() {
-		t.Fatal("realizations are not trees")
-	}
-	if greedy.Diameter() != MinTreeDiameter(d) {
-		t.Fatalf("greedy diameter %d, optimal %d", greedy.Diameter(), MinTreeDiameter(d))
-	}
-	if greedy.Diameter() > chain.Diameter() {
-		t.Fatal("greedy worse than chain")
+	d := []int{3, 3, 2, 1, 1, 1, 1, 2} // Σ = 14 = 2·7
+	for _, kind := range []JobKind{JobChainTree, JobMinDiamTree} {
+		res := Execute(context.Background(), Job{Kind: kind, Seq: d, Opt: &Options{Strict: true}})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", kind, res.Err)
+		}
+		if err := res.Verify(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, _, err := RealizeTree([]int{2, 2, 2}, nil); !errors.Is(err, ErrUnrealizable) {
 		t.Fatalf("cycle accepted as tree: %v", err)
@@ -111,26 +90,14 @@ func TestFacadeTrees(t *testing.T) {
 func TestFacadeConnectivityBothModels(t *testing.T) {
 	rho := []int{3, 3, 2, 2, 1, 1, 1, 1}
 	for _, model := range []Model{NCC0, NCC1} {
-		g, stats, err := RealizeConnectivity(rho, &Options{Model: model, Strict: true, Seed: 5})
-		if err != nil {
+		res := Execute(context.Background(), Job{Kind: JobConnectivity, Seq: rho, Opt: &Options{Model: model, Strict: true, Seed: 5}})
+		if res.Err != nil {
+			t.Fatalf("model %v: %v", model, res.Err)
+		}
+		if err := res.Verify(); err != nil {
 			t.Fatalf("model %v: %v", model, err)
 		}
-		for u := 0; u < len(rho); u++ {
-			for v := u + 1; v < len(rho); v++ {
-				want := rho[u]
-				if rho[v] < want {
-					want = rho[v]
-				}
-				if c := g.EdgeConnectivity(u, v); c < want {
-					t.Fatalf("model %v: Conn(%d,%d)=%d < %d", model, u, v, c, want)
-				}
-			}
-		}
-		lb := ConnectivityLowerBound(rho)
-		if g.M() > 2*lb {
-			t.Fatalf("model %v: %d edges > 2·LB = %d", model, g.M(), 2*lb)
-		}
-		if stats.Rounds == 0 {
+		if res.Stats.Rounds == 0 {
 			t.Fatal("no rounds recorded")
 		}
 	}
@@ -142,21 +109,19 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hh: %v", err)
 	}
-	for i, deg := range g.Degrees() {
-		if deg != d[i] {
-			t.Fatalf("hh degree %d at %d", deg, i)
-		}
+	if err := verify.Degrees(g.Adj, d); err != nil {
+		t.Fatalf("hh: %v", err)
 	}
 	if _, err := HavelHakimi([]int{3, 3, 1, 1}); !errors.Is(err, ErrUnrealizable) {
 		t.Fatal("hh accepted non-graphic")
 	}
 	td := []int{2, 2, 1, 1}
 	ct, err := ChainTree(td)
-	if err != nil || !ct.IsTree() {
+	if err != nil || verify.ChainTree(ct.Adj, td) != nil {
 		t.Fatalf("chain tree: %v", err)
 	}
 	gt, err := GreedyTree(td)
-	if err != nil || !gt.IsTree() {
+	if err != nil || verify.MinDiamTree(gt.Adj, td) != nil {
 		t.Fatalf("greedy tree: %v", err)
 	}
 }
@@ -222,10 +187,8 @@ func TestOddEvenSortOption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("odd-even: %v", err)
 	}
-	for i, deg := range g.Degrees() {
-		if deg != d[i] {
-			t.Fatalf("degree %d at %d", deg, i)
-		}
+	if err := (Result{Job: Job{Kind: JobDegrees, Seq: d}, Graph: g, Stats: stats}).Verify(); err != nil {
+		t.Fatal(err)
 	}
 	if stats.ChargedRounds != 0 {
 		t.Fatal("odd-even run must charge nothing")
@@ -253,5 +216,53 @@ func TestMergeSortOption(t *testing.T) {
 		if eM[i] != eO[i] {
 			t.Fatal("merge-sorted realization differs from oracle-sorted one")
 		}
+	}
+}
+
+// TestResultVerifyRejections holds Result.Verify to its rejection rule:
+// ErrUnrealizable is correct exactly when the sequential reference rejects
+// the input, and the envelope kind never rejects.
+func TestResultVerifyRejections(t *testing.T) {
+	for _, c := range []struct {
+		kind                 JobKind
+		rejected, realizable []int
+	}{
+		{JobDegrees, []int{3, 3, 1, 1}, []int{2, 2, 2}},
+		{JobDegreesExplicit, []int{2, 0, 0}, []int{1, 1}},
+		{JobUpperEnvelope, nil, []int{3, 3, 1, 1}},
+		{JobChainTree, []int{2, 2, 2}, []int{1, 2, 1}},
+		{JobMinDiamTree, []int{1, 1, 1, 1}, []int{0}},
+		{JobConnectivity, []int{5, 1, 1}, []int{2, 2, 2}},
+	} {
+		if c.rejected != nil {
+			if err := (Result{Job: Job{Kind: c.kind, Seq: c.rejected}, Err: ErrUnrealizable}).Verify(); err != nil {
+				t.Errorf("%s: correct rejection of %v refused: %v", c.kind, c.rejected, err)
+			}
+		}
+		err := Result{Job: Job{Kind: c.kind, Seq: c.realizable}, Err: ErrUnrealizable}.Verify()
+		if err == nil || !strings.Contains(err.Error(), "ErrUnrealizable") {
+			t.Errorf("%s: rejection of %v: %v, want a refusal naming ErrUnrealizable", c.kind, c.realizable, err)
+		}
+	}
+	edgeless := Result{Job: Job{Kind: JobConnectivity, Seq: []int{-1, 0}}, Graph: &Graph{N: 2, Adj: make([][]int, 2)}, Stats: &Stats{}}
+	if err := edgeless.Verify(); err == nil || !strings.Contains(err.Error(), "ErrUnrealizable") {
+		t.Errorf("a realization of ρ = (-1, 0): %v, want a refusal", err)
+	}
+	if err := (Result{Err: ErrBadInput}).Verify(); !errors.Is(err, ErrBadInput) {
+		t.Errorf("ErrBadInput came back as %v", err)
+	}
+}
+
+// TestResultVerifyPhaseBound: a degree result stays within
+// 2·min{⌊√m⌋, Δ}+2 phases, which is 2·min{1, 2}+2 = 4 for the triangle.
+func TestResultVerifyPhaseBound(t *testing.T) {
+	res := Result{Job: Job{Kind: JobDegrees, Seq: []int{2, 2, 2}}, Graph: &Graph{N: 3, Adj: [][]int{{1, 2}, {0, 2}, {0, 1}}}}
+	res.Stats = &Stats{Phases: 4}
+	if err := res.Verify(); err != nil {
+		t.Fatalf("4 phases: %v", err)
+	}
+	res.Stats = &Stats{Phases: 5}
+	if err := res.Verify(); err == nil || !strings.Contains(err.Error(), "5 phases above Lemma 10's bound 4") {
+		t.Fatalf("5 phases: %v", err)
 	}
 }

@@ -45,11 +45,16 @@ type Joiner struct {
 	cfg JoinConfig
 }
 
-// NewJoiner validates the config and creates a Joiner.
+// NewJoiner validates the config and creates a Joiner. The name, Advertise
+// and Capacity must pass the coordinator's own registration check, so a
+// mistyped Advertise fails here rather than at the first proxied job.
 func NewJoiner(cfg JoinConfig) (*Joiner, error) {
 	if cfg.Coordinator == "" || cfg.Name == "" || cfg.Advertise == "" {
 		return nil, fmt.Errorf("cluster: join needs coordinator, name, and advertise URLs (got %q, %q, %q)",
 			cfg.Coordinator, cfg.Name, cfg.Advertise)
+	}
+	if err := (RegisterRequest{Name: cfg.Name, Addr: cfg.Advertise, Capacity: cfg.Capacity}).validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second

@@ -131,12 +131,15 @@ func TestJoinerLifecycle(t *testing.T) {
 	}
 }
 
-// TestJoinerConfigValidation: the three identity fields are required.
+// TestJoinerConfigValidation: the three identity fields are required, and
+// the advertised URL and capacity must pass the coordinator's §2.1 check.
 func TestJoinerConfigValidation(t *testing.T) {
 	for _, cfg := range []JoinConfig{
 		{Name: "w1", Advertise: "http://x"},
 		{Coordinator: "http://c", Advertise: "http://x"},
 		{Coordinator: "http://c", Name: "w1"},
+		{Coordinator: "http://c", Name: "w1", Advertise: "127.0.0.1:8101"},
+		{Coordinator: "http://c", Name: "w1", Advertise: "http://x", Capacity: -1},
 	} {
 		if _, err := NewJoiner(cfg); err == nil {
 			t.Fatalf("NewJoiner(%+v) accepted an incomplete config", cfg)

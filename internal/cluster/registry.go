@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,13 +101,31 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	}
 }
 
+// validate is Register's check (CLUSTER.md §2.1); an addr must take the
+// request paths the proxy appends to it.
+func (req RegisterRequest) validate() error {
+	if req.Name == "" {
+		return errors.New("cluster: register needs a name")
+	}
+	u, err := url.Parse(req.Addr)
+	if err != nil || u.Scheme != "http" && u.Scheme != "https" || u.Hostname() == "" ||
+		u.User != nil || u.Path != "" || strings.ContainsAny(req.Addr, "?#") {
+		return fmt.Errorf("cluster: addr %q is not an absolute http or https URL with a host and no path, query, fragment or user info", req.Addr)
+	}
+	if req.Capacity < 0 {
+		return fmt.Errorf("cluster: capacity %d is negative", req.Capacity)
+	}
+	return nil
+}
+
 // Register adds or replaces a worker record and resets its liveness clock
-// (CLUSTER.md §2.1). Registration is idempotent and doubles as revival: a
-// worker the proxy marked failed, or one that expired and re-announced,
-// becomes alive again.
+// (CLUSTER.md §2.1). It rejects a request without a name, with an addr the
+// proxy cannot reach, or with a negative capacity. Registration is
+// idempotent and doubles as revival: a worker the proxy marked failed, or
+// one that expired and re-announced, becomes alive again.
 func (r *Registry) Register(req RegisterRequest) error {
-	if req.Name == "" || req.Addr == "" {
-		return fmt.Errorf("cluster: register needs both name and addr (got name=%q addr=%q)", req.Name, req.Addr)
+	if err := req.validate(); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

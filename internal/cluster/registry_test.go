@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -119,17 +120,47 @@ func TestRegistryLivenessStateMachine(t *testing.T) {
 	}
 }
 
-// TestRegistryRegisterValidation: §2.1 requires both name and addr.
+// TestRegistryRegisterValidation holds Register to §2.1: a name, an addr
+// the proxy can append a request path to (an absolute http or https URL
+// with a host and no path, query, fragment or user info) and a capacity
+// that is not negative. Each rejection names its field.
 func TestRegistryRegisterValidation(t *testing.T) {
 	r, _ := newTestRegistry(RegistryConfig{})
-	if err := r.Register(RegisterRequest{Name: "", Addr: "http://x"}); err == nil {
-		t.Fatal("register without name accepted")
+	accepted := int64(0)
+	for _, c := range []struct {
+		req  RegisterRequest
+		want string // "" when accepted, else a substring of the error
+	}{
+		{RegisterRequest{Name: "w1", Addr: "http://w1"}, ""},
+		{RegisterRequest{Name: "w1", Addr: "http://127.0.0.1:8101", Capacity: 4}, ""},
+		{RegisterRequest{Name: "w1", Addr: "https://w1.example:8443"}, ""},
+		{RegisterRequest{Name: "w1", Addr: "http://[::1]:8101"}, ""},
+		{RegisterRequest{Name: "", Addr: "http://x"}, "name"},
+		{RegisterRequest{Name: "w1", Addr: ""}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "not a url"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "127.0.0.1:8101"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "ftp://w1"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "http://:8101"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "http://w1/"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "http://w1/api"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "http://w1?"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "http://w1?x=1"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "http://w1#"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "http://user@w1"}, "addr"},
+		{RegisterRequest{Name: "w1", Addr: "http://w1", Capacity: -1}, "capacity"},
+	} {
+		err := r.Register(c.req)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: %v", c.req, err)
+		case c.want == "":
+			accepted++
+		case err == nil || !strings.Contains(err.Error(), c.want):
+			t.Errorf("%+v: error %v, want one naming %s", c.req, err, c.want)
+		}
 	}
-	if err := r.Register(RegisterRequest{Name: "x", Addr: ""}); err == nil {
-		t.Fatal("register without addr accepted")
-	}
-	if got := r.Counters().Registrations; got != 0 {
-		t.Fatalf("rejected registers counted: %d", got)
+	if got := r.Counters().Registrations; got != accepted {
+		t.Fatalf("%d registrations counted, %d accepted", got, accepted)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"graphrealize/internal/ncc"
 	"graphrealize/internal/seq"
 	"graphrealize/internal/sortnet"
+	"graphrealize/internal/verify"
 )
 
 // runRealize executes the realization protocol on the degree sequence d
@@ -62,17 +64,7 @@ func b2i(b bool) int64 {
 // multiEdgeFree checks that no edge was stored twice across the network
 // (which Trace.Adjacency would silently collapse).
 func multiEdgeFree(tr *ncc.Trace) bool {
-	seen := map[[2]ncc.ID]int{}
-	for _, nr := range tr.Nodes {
-		for _, p := range nr.Neighbors {
-			a, b := nr.ID, p
-			if a > b {
-				a, b = b, a
-			}
-			seen[[2]ncc.ID{a, b}]++
-		}
-	}
-	for _, c := range seen {
+	for _, c := range edgeStorageCounts(tr) {
 		if c > 1 {
 			return false
 		}
@@ -106,9 +98,8 @@ func TestRealizeGraphicFamilies(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%s: declared unrealizable", name)
 		}
-		g := graph.FromAdj(tr.Adjacency())
-		if !g.DegreesMatch(d) {
-			t.Fatalf("%s: degrees %v, want %v", name, g.Degrees(), d)
+		if err := verify.Degrees(tr.Adjacency(), d); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !multiEdgeFree(tr) {
 			t.Fatalf("%s: duplicate edge storage", name)
@@ -160,7 +151,8 @@ func TestQuickRealizeMatchesErdosGallai(t *testing.T) {
 			return false
 		}
 		if !tr.Unrealizable {
-			if !graph.FromAdj(tr.Adjacency()).DegreesMatch(d) {
+			if err := verify.Degrees(tr.Adjacency(), d); err != nil {
+				t.Logf("%v: %v", d, err)
 				return false
 			}
 			if !multiEdgeFree(tr) {
@@ -179,8 +171,8 @@ func TestRealizeWithOddEvenSortAgrees(t *testing.T) {
 	trO := runRealize(t, d, Exact, sortnet.Oracle, false, 11)
 	trE := runRealize(t, d, Exact, sortnet.OddEven, false, 11)
 	gO, gE := graph.FromAdj(trO.Adjacency()), graph.FromAdj(trE.Adjacency())
-	if !gO.DegreesMatch(d) || !gE.DegreesMatch(d) {
-		t.Fatal("degree mismatch")
+	if err := errors.Join(verify.Degrees(gO.Adj(), d), verify.Degrees(gE.Adj(), d)); err != nil {
+		t.Fatal(err)
 	}
 	// Same seed ⇒ same IDs ⇒ identical deterministic realizations.
 	eO, eE := gO.Edges(), gE.Edges()
@@ -207,33 +199,24 @@ func TestEnvelopeRealization(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%v: envelope mode must never be unrealizable", d)
 		}
-		g := graph.FromAdj(tr.Adjacency())
 		if !multiEdgeFree(tr) {
 			t.Fatalf("%v: duplicate edges", d)
 		}
-		sumD, sumDP := 0, 0
-		for i, id := range tr.IDs {
-			dp, _ := tr.Output(id, "realized")
-			want := d[i]
-			if want < 0 {
-				want = 0
-			}
-			if want > len(d)-1 {
-				want = len(d) - 1
-			}
-			if int(dp) < want {
-				t.Fatalf("%v: node %d realized %d < required %d", d, id, dp, want)
-			}
-			if g.Degree(i) != int(dp) {
-				t.Fatalf("%v: node %d graph degree %d != accounted %d", d, id, g.Degree(i), dp)
-			}
-			sumD += want
-			sumDP += int(dp)
-		}
-		if sumDP > 2*sumD {
-			t.Fatalf("%v: Σd' = %d exceeds 2Σd = %d", d, sumDP, 2*sumD)
+		if err := verify.Envelope(tr.Adjacency(), d, realized(tr)); err != nil {
+			t.Fatalf("%v: %v", d, err)
 		}
 	}
+}
+
+// realized lists each node's "realized" output, its envelope degree d′, in
+// Gk order.
+func realized(tr *ncc.Trace) []int {
+	env := make([]int, len(tr.IDs))
+	for i, id := range tr.IDs {
+		v, _ := tr.Output(id, "realized")
+		env[i] = int(v)
+	}
+	return env
 }
 
 func TestQuickEnvelope(t *testing.T) {
@@ -248,17 +231,11 @@ func TestQuickEnvelope(t *testing.T) {
 		if err != nil || tr.Unrealizable {
 			return false
 		}
-		g := graph.FromAdj(tr.Adjacency())
-		sumD, sumDP := 0, 0
-		for i, id := range tr.IDs {
-			dp, _ := tr.Output(id, "realized")
-			if int(dp) < d[i] || g.Degree(i) != int(dp) {
-				return false
-			}
-			sumD += d[i]
-			sumDP += int(dp)
+		if err := verify.Envelope(tr.Adjacency(), d, realized(tr)); err != nil {
+			t.Logf("%v: %v", d, err)
+			return false
 		}
-		return sumD == 0 || sumDP <= 2*sumD
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -292,13 +269,10 @@ func TestBystandersStayIsolated(t *testing.T) {
 	// Nodes at odd Gk positions are bystanders (active=false): they must end
 	// with zero edges while the active half realizes its sequence.
 	n := 24
-	inputs := make([]any, n)
+	d, inputs := make([]int, n), make([]any, n)
 	for i := range inputs {
-		if i%2 == 0 {
-			inputs[i] = 3
-		} else {
-			inputs[i] = 0
-		}
+		d[i] = 3 * (1 - i%2)
+		inputs[i] = d[i]
 	}
 	s := ncc.New(ncc.Config{N: n, Seed: 31, Strict: true, Inputs: inputs})
 	sortnet.RegisterOracle(s)
@@ -319,16 +293,8 @@ func TestBystandersStayIsolated(t *testing.T) {
 	if tr.Unrealizable {
 		t.Fatal("12 nodes of degree 3 is graphic; flagged unrealizable")
 	}
-	g := graph.FromAdj(tr.Adjacency())
-	for i, id := range tr.IDs {
-		want := 0
-		if i%2 == 0 {
-			want = 3
-		}
-		if g.Degree(i) != want {
-			t.Fatalf("position %d: degree %d, want %d", i, g.Degree(i), want)
-		}
-		_ = id
+	if err := verify.Degrees(tr.Adjacency(), d); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -358,9 +324,8 @@ func TestExplicitRealization(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%v: unrealizable", d)
 		}
-		g := graph.FromAdj(tr.Adjacency())
-		if !g.DegreesMatch(d) {
-			t.Fatalf("%v: explicit degrees %v", d, g.Degrees())
+		if err := verify.Degrees(tr.Adjacency(), d); err != nil {
+			t.Fatalf("%v: %v", d, err)
 		}
 		// Explicit = every edge stored at both endpoints, exactly once each.
 		for e, c := range edgeStorageCounts(tr) {

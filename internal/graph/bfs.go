@@ -36,31 +36,6 @@ func (g *Graph) Connected() bool {
 	return true
 }
 
-// Components returns the number of connected components.
-func (g *Graph) Components() int {
-	seen := make([]bool, g.n)
-	comps := 0
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		comps++
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.adj[u] {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return comps
-}
-
 // Eccentricity returns the maximum BFS distance from v, or -1 if some vertex
 // is unreachable.
 func (g *Graph) Eccentricity(v int) int {

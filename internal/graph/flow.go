@@ -103,17 +103,3 @@ func (d *dinic) maxFlow(s, t int) int {
 	}
 	return flow
 }
-
-// MinEdgeConnectivityOver returns the minimum s-t edge connectivity over the
-// given vertex pairs, together with the pair achieving it. Used by the
-// connectivity-realization verifiers to sample Menger checks.
-func (g *Graph) MinEdgeConnectivityOver(pairs [][2]int) (minConn int, at [2]int) {
-	minConn = -1
-	for _, p := range pairs {
-		c := g.EdgeConnectivity(p[0], p[1])
-		if minConn == -1 || c < minConn {
-			minConn, at = c, p
-		}
-	}
-	return minConn, at
-}

@@ -78,9 +78,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
 // Degrees returns the degree of every vertex.
 func (g *Graph) Degrees() []int {
 	d := make([]int, g.n)
@@ -110,27 +107,4 @@ func (g *Graph) Edges() [][2]int {
 		return es[i][1] < es[j][1]
 	})
 	return es
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.m = g.m
-	for v := range g.adj {
-		c.adj[v] = append([]int(nil), g.adj[v]...)
-	}
-	return c
-}
-
-// DegreesMatch reports whether the graph's degree vector equals want.
-func (g *Graph) DegreesMatch(want []int) bool {
-	if len(want) != g.n {
-		return false
-	}
-	for v, d := range g.Degrees() {
-		if d != want[v] {
-			return false
-		}
-	}
-	return true
 }

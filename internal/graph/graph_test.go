@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -51,7 +52,7 @@ func TestAddEdgeRejectsLoopsAndRange(t *testing.T) {
 	if g.M() != 1 {
 		t.Fatalf("m = %d, want 1", g.M())
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 || g.Degree(2) != 0 {
+	if !slices.Equal(g.Degrees(), []int{1, 1, 0}) {
 		t.Fatalf("degrees = %v", g.Degrees())
 	}
 }
@@ -81,9 +82,6 @@ func TestDisconnected(t *testing.T) {
 	mustEdge(t, g, 2, 3)
 	if g.Connected() {
 		t.Fatal("disconnected graph reported connected")
-	}
-	if g.Components() != 2 {
-		t.Fatalf("components = %d, want 2", g.Components())
 	}
 	if g.Diameter() != -1 {
 		t.Fatalf("diameter of disconnected graph = %d, want -1", g.Diameter())
@@ -205,39 +203,6 @@ func TestEdgesCanonical(t *testing.T) {
 	want := [][2]int{{0, 2}, {1, 3}}
 	if len(es) != 2 || es[0] != want[0] || es[1] != want[1] {
 		t.Fatalf("edges = %v, want %v", es, want)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := path(t, 4)
-	c := g.Clone()
-	mustEdge(t, c, 0, 3)
-	if g.HasEdge(0, 3) {
-		t.Fatal("clone mutation leaked into original")
-	}
-	if c.M() != g.M()+1 {
-		t.Fatalf("clone m = %d, want %d", c.M(), g.M()+1)
-	}
-}
-
-func TestDegreesMatch(t *testing.T) {
-	g := path(t, 4)
-	if !g.DegreesMatch([]int{1, 2, 2, 1}) {
-		t.Fatal("path degrees mismatch")
-	}
-	if g.DegreesMatch([]int{1, 2, 2, 2}) {
-		t.Fatal("false positive")
-	}
-	if g.DegreesMatch([]int{1, 2, 2}) {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestMinEdgeConnectivityOver(t *testing.T) {
-	g := cycle(t, 5)
-	mc, at := g.MinEdgeConnectivityOver([][2]int{{0, 2}, {1, 3}})
-	if mc != 2 {
-		t.Fatalf("min connectivity = %d at %v, want 2", mc, at)
 	}
 }
 

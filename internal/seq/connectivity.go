@@ -1,11 +1,5 @@
 package seq
 
-import (
-	"sort"
-
-	"graphrealize/internal/graph"
-)
-
 // ConnectivityLowerBound returns ⌈Σρ(v)/2⌉, a lower bound on the number of
 // edges in any graph meeting the connectivity thresholds: every vertex v
 // needs degree ≥ ρ(v) (§6, "Approximation factor").
@@ -15,87 +9,4 @@ func ConnectivityLowerBound(rho []int) int {
 		s += v
 	}
 	return (s + 1) / 2
-}
-
-// ConnectivityRealize is the sequential analog of the paper's Algorithm 6
-// (after Frank–Chou): sort vertices by non-increasing ρ; realize the first
-// d₀+1 vertices (d₀ = max ρ) as a degree-approximate core via Havel–Hakimi
-// with upper-envelope clamping; then each later vertex xᵢ connects to its
-// ρ(xᵢ) immediate predecessors in sorted order. The result G satisfies
-// Conn_G(u,v) ≥ min(ρ(u), ρ(v)) with at most Σρ edges (a 2-approximation).
-func ConnectivityRealize(rho []int) (*graph.Graph, bool) {
-	n := len(rho)
-	g := graph.New(n)
-	if n <= 1 {
-		return g, true
-	}
-	for _, v := range rho {
-		if v < 0 || v > n-1 {
-			return nil, false
-		}
-	}
-	order, sorted := sortDesc(rho)
-	d0 := sorted[0]
-	if d0 == 0 {
-		return g, true
-	}
-	core := d0 + 1
-	if core > n {
-		core = n
-	}
-	// Phase 1: approximate degree realization of (ρ(x₁),…,ρ(x_{d₀+1})) on the
-	// core, mirroring Theorem 13's clamp-at-zero Havel–Hakimi.
-	coreDeg := make([]int, core)
-	copy(coreDeg, sorted[:core])
-	envelopeRealize(g, order[:core], coreDeg)
-	// Phase 2: each remaining vertex connects to its ρ immediate predecessors.
-	for i := core; i < n; i++ {
-		for j := 1; j <= sorted[i]; j++ {
-			_ = g.AddEdge(order[i], order[i-j])
-		}
-	}
-	return g, true
-}
-
-// envelopeRealize runs Havel–Hakimi over the given vertices with the
-// clamp-at-zero rule of Theorem 13: the maximum-remaining vertex becomes a
-// center, connects to the next rem highest-remaining live vertices, and
-// leaves the pool; receivers whose requirement is already met keep a zero
-// requirement instead of going negative. Every vertex therefore finishes
-// with degree ≥ its requirement (an upper envelope), at the cost of at most
-// doubling Σd. Centers leaving the pool is what makes duplicate edges
-// impossible, exactly as in the distributed Algorithm 3.
-//
-// Provided len(verts) = maxDeg+1 (the caller's core), a center's remaining
-// requirement never exceeds the live pool: initially pool = d₀ = max need,
-// and an exchange argument shows the invariant pool ≥ max-remaining is
-// preserved by every step.
-func envelopeRealize(g *graph.Graph, verts []int, deg []int) {
-	type vd struct{ rem, pos int }
-	live := make([]vd, len(verts))
-	for i := range live {
-		live[i] = vd{deg[i], i}
-	}
-	for len(live) > 0 {
-		sort.Slice(live, func(a, b int) bool {
-			if live[a].rem != live[b].rem {
-				return live[a].rem > live[b].rem
-			}
-			return live[a].pos < live[b].pos
-		})
-		if live[0].rem <= 0 {
-			return
-		}
-		k := live[0].rem
-		if k > len(live)-1 {
-			k = len(live) - 1 // defensive; unreachable for a d₀+1-sized core
-		}
-		for j := 1; j <= k; j++ {
-			_ = g.AddEdge(verts[live[0].pos], verts[live[j].pos])
-			if live[j].rem > 0 {
-				live[j].rem--
-			}
-		}
-		live = live[1:]
-	}
 }

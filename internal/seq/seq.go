@@ -1,10 +1,11 @@
 // Package seq implements the sequential (centralized) baselines the paper
 // builds on: the Erdős–Gallai graphicality test, the Havel–Hakimi
 // construction (§3.3), tree-sequence realization including the minimum
-// diameter greedy tree of Smith–Székely–Wang used by Algorithm 5, and a
-// Frank–Chou-style 2-approximate connectivity-threshold construction (§6).
-// The distributed algorithms are validated against these baselines, and the
-// benchmark harness reports them as the comparison points.
+// diameter greedy tree of Smith–Székely–Wang used by Algorithm 5, and the
+// lower bound on a connectivity realization's edge count (§6). The result
+// oracle (internal/verify) checks the distributed algorithms against these
+// baselines, and the benchmark harness reports them as the comparison
+// points.
 package seq
 
 import "sort"

@@ -50,10 +50,11 @@ func TestClusterControlPlane(t *testing.T) {
 		t.Fatalf("heartbeat before register: want 404 (CLUSTER.md §2.3), got %d: %s", rec.Code, rec.Body.String())
 	}
 
-	// Register requires name and addr (§2.1).
-	rec = post(t, h, "/cluster/v1/register", `{"name":"w1"}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("register without addr: want 400, got %d", rec.Code)
+	// Register requires a name and an addr the proxy can reach (§2.1).
+	for _, body := range []string{`{"name":"w1"}`, `{"name":"w1","addr":"not a url","capacity":-1}`} {
+		if rec = post(t, h, "/cluster/v1/register", body); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "addr") {
+			t.Fatalf("register %s: want a 400 naming addr, got %d: %s", body, rec.Code, rec.Body)
+		}
 	}
 	rec = post(t, h, "/cluster/v1/register", `{"name":"w1","addr":"http://127.0.0.1:9999","capacity":4}`)
 	if rec.Code != http.StatusOK {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,9 +20,7 @@ import (
 // FuzzServeRequest sends each fuzzed body to the realize, sweep and jobs
 // routes of a server with MaxN 64 and a one-second job timeout. The server
 // must never panic or answer 500; every non-2xx body is an ErrorResponse
-// with a message; and every 200 realize body decodes with encoding/json into
-// a RealizeResponse holding m edges (none under omit_edges) that
-// encoding/json writes back byte for byte.
+// with a message; and every 200 realize body passes checkRealizeBody.
 func FuzzServeRequest(f *testing.F) {
 	runner := graphrealize.NewRunnerConfig(graphrealize.RunnerConfig{Workers: 2, Queue: 8, JobTimeout: time.Second})
 	m := jobs.New(jobs.Config{Backend: runner, MaxJobs: 16, Retention: time.Second})
@@ -111,7 +110,11 @@ func FuzzClusterControl(f *testing.F) {
 	})
 }
 
-// checkRealizeBody checks a 200 realize body against encoding/json.
+// checkRealizeBody checks a 200 realize body. It must decode with
+// encoding/json into a RealizeResponse that encoding/json writes back byte
+// for byte, with m edges (none under omit_edges). Unless omit_edges left
+// the graph out, the response, rebuilt into a Result for the request's kind
+// and sequence, must pass Result.Verify.
 func checkRealizeBody(t *testing.T, path string, body, resp []byte) {
 	t.Helper()
 	var got api.RealizeResponse
@@ -119,9 +122,7 @@ func checkRealizeBody(t *testing.T, path string, body, resp []byte) {
 		t.Fatalf("%s %q: 200 body %q does not decode: %v", path, body, resp, err)
 	}
 	// The server reads the body's first JSON value, as this probe does.
-	var req struct {
-		OmitEdges bool `json:"omit_edges"`
-	}
+	var req api.RealizeRequest
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		t.Fatalf("%s %q: answered 200 to a body encoding/json rejects: %v", path, body, err)
 	}
@@ -134,5 +135,30 @@ func checkRealizeBody(t *testing.T, path string, body, resp []byte) {
 	}
 	if !bytes.Equal(resp, ref.Bytes()) {
 		t.Fatalf("%s %q: body\n%s\nis not what encoding/json writes:\n%s", path, body, resp, ref.Bytes())
+	}
+	if req.OmitEdges {
+		return
+	}
+	kind, err := api.KindFor(strings.TrimPrefix(path, "/v1/realize/"), req.Variant)
+	if err != nil {
+		t.Fatalf("%s %q: 200 for an unknown kind: %v", path, body, err)
+	}
+	// Edges come in (u, v) order with u < v, so every list fills ascending.
+	adj := make([][]int, len(req.Sequence))
+	for _, e := range got.Edges {
+		if min(e[0], e[1]) < 0 || max(e[0], e[1]) >= len(adj) {
+			t.Fatalf("%s %q: edge %v on %d vertices", path, body, e, len(adj))
+		}
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	res := graphrealize.Result{
+		Job:      graphrealize.Job{Kind: kind, Seq: req.Sequence},
+		Graph:    &graphrealize.Graph{N: got.N, Adj: adj},
+		Envelope: got.Envelope,
+		Stats:    got.Stats.Stats(),
+	}
+	if err := res.Verify(); err != nil {
+		t.Fatalf("%s %q: %v", path, body, err)
 	}
 }

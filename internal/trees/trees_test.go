@@ -1,16 +1,16 @@
 package trees
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"graphrealize/internal/core"
 	"graphrealize/internal/gen"
-	"graphrealize/internal/graph"
 	"graphrealize/internal/ncc"
-	"graphrealize/internal/seq"
 	"graphrealize/internal/sortnet"
+	"graphrealize/internal/verify"
 )
 
 func runTree(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace, error) {
@@ -56,24 +56,20 @@ func treeCases() map[string][]int {
 	}
 }
 
-func TestChainTreeRealizes(t *testing.T) {
+func TestChainTreeRealizes(t *testing.T) { realizesTrees(t, false, 17) }
+
+func TestGreedyTreeRealizesWithMinDiameter(t *testing.T) { realizesTrees(t, true, 19) }
+
+// realizesTrees runs one algorithm on every treeCases input and checks each
+// result with its oracle and every node's realized degree.
+func realizesTrees(t *testing.T, greedy bool, seed int64) {
 	for name, d := range treeCases() {
-		tr, _ := runTree(t, d, false, 17)
+		tr, _ := runTree(t, d, greedy, seed)
 		if tr.Unrealizable {
 			t.Fatalf("%s: flagged unrealizable", name)
 		}
-		g := graph.FromAdj(tr.Adjacency())
-		if !g.IsTree() {
-			t.Fatalf("%s: not a tree (m=%d, comps=%d)", name, g.M(), g.Components())
-		}
-		if !g.DegreesMatch(d) {
-			t.Fatalf("%s: degrees %v, want %v", name, g.Degrees(), d)
-		}
-		// Same structure family as the sequential Algorithm 4 baseline:
-		// identical diameter.
-		want, _ := seq.ChainTree(d)
-		if g.TreeDiameter() != want.TreeDiameter() {
-			t.Fatalf("%s: chain diameter %d, sequential %d", name, g.TreeDiameter(), want.TreeDiameter())
+		if err := oracle(greedy)(tr.Adjacency(), d); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		for i, id := range tr.IDs {
 			if v, _ := tr.Output(id, "realized"); v != int64(d[i]) {
@@ -83,39 +79,23 @@ func TestChainTreeRealizes(t *testing.T) {
 	}
 }
 
-func TestGreedyTreeRealizesWithMinDiameter(t *testing.T) {
-	for name, d := range treeCases() {
-		tr, _ := runTree(t, d, true, 19)
-		if tr.Unrealizable {
-			t.Fatalf("%s: flagged unrealizable", name)
-		}
-		g := graph.FromAdj(tr.Adjacency())
-		if !g.IsTree() {
-			t.Fatalf("%s: not a tree", name)
-		}
-		if !g.DegreesMatch(d) {
-			t.Fatalf("%s: degrees %v, want %v", name, g.Degrees(), d)
-		}
-		// Lemma 15: the greedy tree has minimum diameter.
-		if want := seq.MinTreeDiameter(d); g.TreeDiameter() != want {
-			t.Fatalf("%s: greedy diameter %d, optimal %d", name, g.TreeDiameter(), want)
-		}
-		for i, id := range tr.IDs {
-			if v, _ := tr.Output(id, "realized"); v != int64(d[i]) {
-				t.Fatalf("%s: node %d realized %d, want %d", name, id, v, d[i])
-			}
-		}
+// oracle is the result check for Algorithm 5 (greedy) or Algorithm 4.
+func oracle(greedy bool) func(adj [][]int, d []int) error {
+	if greedy {
+		return verify.MinDiamTree
 	}
+	return verify.ChainTree
 }
 
+// TestGreedyNeverWorseThanChain runs both algorithms under one seed: the
+// oracle holds the chain to the largest diameter a tree with these degrees
+// has and the greedy tree to the smallest.
 func TestGreedyNeverWorseThanChain(t *testing.T) {
 	for name, d := range treeCases() {
 		trC, _ := runTree(t, d, false, 23)
 		trG, _ := runTree(t, d, true, 23)
-		dc := graph.FromAdj(trC.Adjacency()).TreeDiameter()
-		dg := graph.FromAdj(trG.Adjacency()).TreeDiameter()
-		if dg > dc {
-			t.Fatalf("%s: greedy diameter %d > chain diameter %d", name, dg, dc)
+		if err := errors.Join(verify.ChainTree(trC.Adjacency(), d), verify.MinDiamTree(trG.Adjacency(), d)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
@@ -145,8 +125,8 @@ func TestSingleNodeTree(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatal("single vertex with degree 0 is a (trivial) tree")
 		}
-		if graph.FromAdj(tr.Adjacency()).M() != 0 {
-			t.Fatal("single vertex tree has edges")
+		if err := oracle(greedy)(tr.Adjacency(), []int{0}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -161,11 +141,7 @@ func TestQuickTreeRealizations(t *testing.T) {
 		if errC != nil || errG != nil || trC.Unrealizable || trG.Unrealizable {
 			return false
 		}
-		gc, gg := graph.FromAdj(trC.Adjacency()), graph.FromAdj(trG.Adjacency())
-		if !gc.IsTree() || !gg.IsTree() || !gc.DegreesMatch(d) || !gg.DegreesMatch(d) {
-			return false
-		}
-		return gg.TreeDiameter() == seq.MinTreeDiameter(d)
+		return verify.ChainTree(trC.Adjacency(), d) == nil && verify.MinDiamTree(trG.Adjacency(), d) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -108,15 +108,12 @@ func TestRunnerAllKinds(t *testing.T) {
 		{Kind: JobMinDiamTree, Seq: []int{3, 3, 2, 1, 1, 1, 1, 2}},
 		{Kind: JobConnectivity, Seq: []int{2, 2, 1, 1, 1, 1}},
 	}
-	for i, res := range r.RealizeAll(jobs) {
+	for _, res := range r.RealizeAll(jobs) {
 		if res.Err != nil {
-			t.Fatalf("kind %v: %v", jobs[i].Kind, res.Err)
+			t.Fatalf("kind %v: %v", res.Job.Kind, res.Err)
 		}
-		if res.Graph == nil || res.Stats == nil {
-			t.Fatalf("kind %v: missing graph or stats", jobs[i].Kind)
-		}
-		if jobs[i].Kind == JobUpperEnvelope && res.Envelope == nil {
-			t.Fatal("envelope job must return the envelope")
+		if err := res.Verify(); err != nil {
+			t.Fatalf("kind %v: %v", res.Job.Kind, err)
 		}
 	}
 }
