@@ -179,6 +179,40 @@ func TestQuickEdgeConnectivityMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestCutsThresholdMatchesEdgeConnectivity: one Cuts, reset before each
+// query, answers min(λ(s,t), k) for every ordered pair and every k up to
+// max degree + 1 on seeded random graphs of 2 to 16 vertices, so its
+// threshold test λ ≥ k agrees with EdgeConnectivity's fresh network.
+func TestCutsThresholdMatchesEdgeConnectivity(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for range 60 {
+		n, p := 2+rng.Intn(15), rng.Float64()
+		g := New(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					mustEdge(t, g, u, v)
+				}
+			}
+		}
+		maxDeg := slices.Max(g.Degrees())
+		cuts := g.Cuts()
+		for s := range n {
+			for d := range n {
+				if s == d {
+					continue
+				}
+				lam := g.EdgeConnectivity(s, d)
+				for k := 0; k <= maxDeg+1; k++ {
+					if got := cuts.EdgeConnectivity(s, d, k); got != min(lam, k) || (got >= k) != (lam >= k) {
+						t.Fatalf("n=%d %v: λ(%d,%d) up to %d = %d, EdgeConnectivity %d", n, g.Edges(), s, d, k, got, lam)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTreeDiameterMatchesAllPairs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

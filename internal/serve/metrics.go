@@ -12,8 +12,9 @@ import (
 
 // metrics.go renders GET /metrics in the Prometheus text exposition format
 // (version 0.0.4) with no external dependencies: the Runner's admission /
-// execution counters, per-route HTTP latency histograms, job queue-wait and
-// run-duration histograms, the engine round histogram with phase
+// execution counters, per-route HTTP latency histograms, the realize
+// route's decode and encode histograms, job queue-wait and run-duration
+// histograms, the engine round histogram with phase
 // counters, and — when the async subsystem is enabled — the job manager's
 // per-state gauges, subscriber gauge, and GC eviction counter. Every family
 // is emitted in a fixed order with sorted series, so consecutive scrapes of
@@ -102,6 +103,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	mw.histogram("graphrealize_http_request_seconds", "HTTP request latency by route.", routeSeries...)
+	mw.histogram("graphrealize_http_decode_seconds", "Realize request body read and decode time.",
+		obs.HistogramSeries{Snap: s.decodeHist.Snapshot()})
+	encodeSeries := make([]obs.HistogramSeries, len(encodingNames))
+	for i, name := range encodingNames {
+		encodeSeries[i] = obs.HistogramSeries{Labels: fmt.Sprintf("encoding=%q", name), Snap: s.encodeHist[i].Snapshot()}
+	}
+	mw.histogram("graphrealize_http_encode_seconds", "Realize response encode time by encoding; graphwire's includes its streamed writes.", encodeSeries...)
 
 	if o := s.runnerObs; o != nil {
 		mw.histogram("graphrealize_runner_queue_wait_seconds",

@@ -174,6 +174,45 @@ func TestMetricsHistogramsExposed(t *testing.T) {
 	}
 }
 
+// TestMetricsDecodeEncodeTimed: each realize request moves the decode
+// histogram's count by one and the encode histogram's count for the
+// encoding it was answered in, and nothing else of either.
+func TestMetricsDecodeEncodeTimed(t *testing.T) {
+	h := realServer(t)
+	counts := func() string {
+		var keep []string
+		for _, line := range strings.Split(do(t, h, http.MethodGet, "/metrics", "").Body.String(), "\n") {
+			if strings.HasPrefix(line, "graphrealize_http_decode_seconds_count") || strings.HasPrefix(line, "graphrealize_http_encode_seconds_count") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	for _, step := range []struct {
+		send func() *httptest.ResponseRecorder
+		want string
+	}{
+		{nil, `graphrealize_http_decode_seconds_count 0
+graphrealize_http_encode_seconds_count{encoding="json"} 0
+graphrealize_http_encode_seconds_count{encoding="graphwire"} 0`},
+		{func() *httptest.ResponseRecorder { return post(t, h, "/v1/realize/degree", seqBody) }, `graphrealize_http_decode_seconds_count 1
+graphrealize_http_encode_seconds_count{encoding="json"} 1
+graphrealize_http_encode_seconds_count{encoding="graphwire"} 0`},
+		{func() *httptest.ResponseRecorder { return postWire(t, h, "/v1/realize/degree", seqBody) }, `graphrealize_http_decode_seconds_count 2
+graphrealize_http_encode_seconds_count{encoding="json"} 1
+graphrealize_http_encode_seconds_count{encoding="graphwire"} 1`},
+	} {
+		if step.send != nil {
+			if rec := step.send(); rec.Code != http.StatusOK {
+				t.Fatalf("realize: %d: %s", rec.Code, rec.Body)
+			}
+		}
+		if got := counts(); got != step.want {
+			t.Fatalf("counts:\n%s\nwant:\n%s", got, step.want)
+		}
+	}
+}
+
 // TestMetricsStableAcrossScrapes pins exposition determinism: two
 // consecutive scrapes of an otherwise idle server are identical except for
 // the metrics route's own latency series (each scrape observes the one

@@ -37,12 +37,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -121,6 +124,15 @@ var routeNames = []string{
 	"sweep",
 }
 
+// encodingNames labels graphrealize_http_encode_seconds, indexed by
+// encodingJSON and encodingWire.
+var encodingNames = [...]string{"json", "graphwire"}
+
+const (
+	encodingJSON = iota
+	encodingWire
+)
+
 // Server routes realization requests onto a Backend.
 type Server struct {
 	cfg     Config
@@ -131,6 +143,11 @@ type Server struct {
 	runnerObs *graphrealize.RunnerObs
 	// routeHist holds one HTTP latency histogram per entry of routeNames.
 	routeHist map[string]*obs.Histogram
+	// decodeHist times each realize request's body read and decode, and
+	// encodeHist its answer's encode, indexed by encodingJSON and
+	// encodingWire.
+	decodeHist *obs.Histogram
+	encodeHist [len(encodingNames)]*obs.Histogram
 
 	// Watermarks of the executed-job counters at the previous Retry-After
 	// computation, so the hint reflects recent latency, not the lifetime
@@ -165,6 +182,10 @@ func New(cfg Config) *Server {
 	}
 	for _, route := range routeNames {
 		s.routeHist[route] = obs.NewHistogram(obs.DefaultLatencyBuckets)
+	}
+	s.decodeHist = obs.NewHistogram(obs.RoundBuckets)
+	for i := range s.encodeHist {
+		s.encodeHist[i] = obs.NewHistogram(obs.RoundBuckets)
 	}
 	return s
 }
@@ -281,13 +302,26 @@ func (s *Server) writeFailure(w http.ResponseWriter, err error) {
 	writeError(w, code, "%s", msg)
 }
 
-// decode reads a JSON body with the configured size cap. It distinguishes
-// oversized bodies (413) from malformed ones (400).
+// decode reads r's body once, within the MaxBodyBytes cap, into a pooled
+// buffer and decodes it into v: a realize request with
+// api.DecodeRealizeRequest, any other body with a json.Decoder that
+// disallows unknown fields. A body over the cap is 413, whatever it holds;
+// any other read or decode failure is 400.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := s.readBody(w, r, *buf)
+	*buf = body
+	if err == nil {
+		if req, ok := v.(*api.RealizeRequest); ok {
+			err = api.DecodeRealizeRequest(body, req)
+		} else {
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			err = dec.Decode(v)
+		}
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
@@ -297,6 +331,45 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// readBody appends r's whole body to b through a MaxBytesReader. b grows
+// once to Content-Length when the client sent one, so that a body within
+// the cap is read without regrowing it.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, b []byte) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if n := r.ContentLength; n > 0 {
+		b = slices.Grow(b, int(min(n, s.cfg.MaxBodyBytes))+1) // +1: the read that sees EOF
+	}
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// bufPool holds the empty buffers request bodies are read into and realize
+// answers are written into. A buffer grown past maxPooledBuf goes to the
+// collector instead, so one large body does not stay pinned.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 1 << 20
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxPooledBuf {
+		*b = (*b)[:0]
+		bufPool.Put(b)
+	}
 }
 
 // job builds the Job a realize, sweep or jobs request describes, once its
@@ -359,7 +432,10 @@ func (s *Server) retryAfterSeconds() int {
 
 func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
 	var req api.RealizeRequest
-	if !s.decode(w, r, &req) {
+	decodeStart := time.Now()
+	ok := s.decode(w, r, &req)
+	s.decodeHist.ObserveDuration(time.Since(decodeStart))
+	if !ok {
 		return
 	}
 	kind, err := api.KindFor(r.PathValue("alg"), req.Variant)
@@ -386,7 +462,8 @@ func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, res.Err)
 		return
 	}
-	resp := realizeResponse(kind, &res, time.Since(start))
+	encodeStart := time.Now()
+	resp := realizeResponse(kind, &res, encodeStart.Sub(start))
 	// Everything that can fail has failed by here (the flush-audit
 	// contract): both encodings below start from a committed 200.
 	if wantsWire(r) {
@@ -395,13 +472,18 @@ func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
 			g = res.Graph
 		}
 		writeWire(w, resp, g)
+		s.encodeHist[encodingWire].ObserveDuration(time.Since(encodeStart))
 		return
 	}
 	var adj [][]int
 	if !req.OmitEdges {
 		adj = res.Graph.Adj
 	}
-	body := resp.AppendJSON(nil, adj)
+	buf := getBuf()
+	defer putBuf(buf)
+	body := resp.AppendJSON(*buf, adj)
+	*buf = body
+	s.encodeHist[encodingJSON].ObserveDuration(time.Since(encodeStart))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)

@@ -92,7 +92,8 @@ func tree(adj [][]int, d []int, diam int, which string) error {
 // Connectivity checks a realization of the edge-connectivity thresholds
 // rho (Theorems 17 and 18): deg(v) ≥ ρ(v), m ≤ Σρ (twice
 // seq.ConnectivityLowerBound), and λ(u,v) ≥ min(ρ(u), ρ(v)) on the pairs
-// that pairs chooses.
+// that pairs chooses. One flow network serves every pair, and each pair's
+// flow stops once it reaches min(ρ(u), ρ(v)).
 func Connectivity(adj [][]int, rho []int) error {
 	if err := format(adj, len(rho)); err != nil {
 		return err
@@ -107,11 +108,11 @@ func Connectivity(adj [][]int, rho []int) error {
 	if m, sum := m/2, seq.SumDegrees(rho); m > sum {
 		return fmt.Errorf("verify: m = %d above Σρ = %d", m, sum)
 	}
-	g := graph.FromAdj(adj)
+	cuts := graph.FromAdj(adj).Cuts()
 	for _, p := range pairs(rho) {
 		u, v := p[0], p[1]
 		if want := min(rho[u], rho[v]); want > 0 {
-			if lam := g.EdgeConnectivity(u, v); lam < want {
+			if lam := cuts.EdgeConnectivity(u, v, want); lam < want {
 				return fmt.Errorf("verify: λ(%d,%d) = %d below min ρ = %d", u, v, lam, want)
 			}
 		}
