@@ -161,7 +161,8 @@ func FuzzRealizeRequestDecode(f *testing.F) {
 		`{"sequence":[1,1],"options":{"max_rounds":1}}`,
 		`{"kind":"degrees","sequence":[1,1],"seeds":[1],"options":{"max_rounds":2}}`,
 		`{"sequence":[2,2,2,2,2,2,2,2],"options":{"strict":true,"cap_mul":1,"sort":"merge"}}`,
-		`{"sequence":[3,3,1,1]}`, `{"sequence":[3,3,3,3]}`,
+		`{"kind":"degrees","sequence":[2,2,2,2,2,2,2,2],"seeds":[0],"options":{"strict":true,"cap_mul":1,"sort":"merge"}}`,
+		`{"sequence":[1,1]}`, `{"sequence":[3,3,1,1]}`, `{"sequence":[3,3,3,3]}`,
 		`{"sequence":[3,3,2,2,2,2],"options":{"seed":7}}`,
 		`{"sequence":[2,2,2,2],"variant":"explicit","omit_edges":true}`,
 		`{"sequence":[3,3,1,1],"variant":"envelope"}`, `{"sequence":[3,3,2,1,1,1,1,2],"variant":"mindiam"}`,

@@ -15,6 +15,7 @@ import (
 
 	"graphrealize"
 	"graphrealize/internal/api"
+	"graphrealize/internal/jobs"
 	"graphrealize/internal/serve"
 )
 
@@ -188,12 +189,23 @@ func TestRealizeOversizedN(t *testing.T) {
 	}
 }
 
+// TestRealizeOversizedBody: a body over MaxBodyBytes is 413 on the realize,
+// sweep and jobs routes, also when its first JSON value ends within the
+// cap: the server reads the whole body before it decodes.
 func TestRealizeOversizedBody(t *testing.T) {
-	s := serve.New(serve.Config{Backend: graphrealize.NewRunner(1), MaxBodyBytes: 64})
-	h := s.Handler()
-	rec := post(t, h, "/v1/realize/degree", `{"sequence":[`+strings.Repeat("1,", 200)+`1]}`)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body must be 413, got %d", rec.Code)
+	runner := graphrealize.NewRunner(1)
+	m := jobs.New(jobs.Config{Backend: runner})
+	t.Cleanup(func() { _ = m.Close(context.Background()) })
+	h := serve.New(serve.Config{Backend: runner, Jobs: m, MaxBodyBytes: 64}).Handler()
+	for _, path := range []string{"/v1/realize/degree", "/v1/sweep", "/v1/jobs"} {
+		for _, body := range []string{
+			`{"sequence":[` + strings.Repeat("1,", 200) + `1]}`,
+			`{"kind":"degrees","sequence":[1,1]}` + strings.Repeat(" ", 64),
+		} {
+			if rec := post(t, h, path, body); rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s, %d-byte body: oversized body must be 413, got %d: %s", path, len(body), rec.Code, rec.Body)
+			}
+		}
 	}
 }
 
@@ -290,6 +302,7 @@ func TestSweepValidation(t *testing.T) {
 		want       int
 	}{
 		{"unknown kind", `{"kind":"matching","sequence":[1,1],"seed_count":1}`, http.StatusBadRequest},
+		{"unknown field", `{"kind":"degrees","sequenze":[1,1],"seed_count":1}`, http.StatusBadRequest},
 		{"no seeds", `{"kind":"degrees","sequence":[1,1]}`, http.StatusBadRequest},
 		{"too many seeds", `{"kind":"degrees","sequence":[1,1],"seed_count":9}`, http.StatusRequestEntityTooLarge},
 		{"absurd seed_count rejected before allocation", `{"kind":"degrees","sequence":[1,1],"seed_count":10000000000}`, http.StatusRequestEntityTooLarge},
