@@ -334,12 +334,12 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // readBody appends r's whole body to b through a MaxBytesReader. b grows
-// once to Content-Length when the client sent one, so that a body within
-// the cap is read without regrowing it.
+// once to a Content-Length within the cap, so that such a body is read
+// without regrowing it; a larger claim reserves nothing up front.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, b []byte) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if n := r.ContentLength; n > 0 {
-		b = slices.Grow(b, int(min(n, s.cfg.MaxBodyBytes))+1) // +1: the read that sees EOF
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		b = slices.Grow(b, int(n)+1) // +1: the read that sees EOF
 	}
 	for {
 		if len(b) == cap(b) {
