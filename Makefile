@@ -34,9 +34,6 @@ REQS        ?= 500
 MIX         ?= degree,tree,connectivity
 BASE        ?= main
 BENCH_ARGS  := -short -run '^$$' -bench . -benchtime 3x -count 5 . ./internal/wire ./internal/serve
-# The merge base may predate internal/wire; benchgate only compares
-# benchmarks present on both sides, so the base run probes for the package.
-BENCH_ARGS_BASE := -short -run '^$$' -bench . -benchtime 3x -count 5 . $$([ -d internal/wire ] && echo ./internal/wire) ./internal/serve
 # The benchmarks whose ns/op the gate holds to 30%: the one definition that
 # bench-compare and CI's bench-regression job (through bench-gate) share.
 BENCH_GATE  := BenchmarkBatchRealization|BenchmarkBatchRunner|BenchmarkWire|BenchmarkEngineJobs|BenchmarkServeRealizeCached
@@ -121,7 +118,7 @@ bench-head:
 
 bench-base:
 	git worktree add --force /tmp/graphrealize-bench-base $(BASE)
-	(cd /tmp/graphrealize-bench-base && $(GO) test $(BENCH_ARGS_BASE)) > $(BENCH_BASE_TXT); \
+	(cd /tmp/graphrealize-bench-base && $(GO) test $(BENCH_ARGS)) > $(BENCH_BASE_TXT); \
 		status=$$?; git worktree remove --force /tmp/graphrealize-bench-base; \
 		exit $$status
 	cat $(BENCH_BASE_TXT)

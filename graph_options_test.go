@@ -141,7 +141,7 @@ func TestOptionsNormDefaults(t *testing.T) {
 
 func TestOptionsSimConfig(t *testing.T) {
 	o := Options{Model: NCC1, Seed: 5, Strict: true, CapMul: 2, MaxRounds: 123}
-	cfg := o.simConfig(context.Background(), 7, []any{1, 2})
+	cfg := o.simConfig(context.Background(), 7, []int{1, 2})
 	if cfg.N != 7 || cfg.Model != ncc.NCC1 || cfg.Seed != 5 || !cfg.Strict ||
 		cfg.CapMul != 2 || cfg.MaxRounds != 123 || len(cfg.Inputs) != 2 {
 		t.Fatalf("simConfig mapping wrong: %+v", cfg)

@@ -210,7 +210,7 @@ func (o *Options) norm() Options {
 	return *o
 }
 
-func (o Options) simConfig(ctx context.Context, n int, inputs []any) ncc.Config {
+func (o Options) simConfig(ctx context.Context, n int, inputs []int) ncc.Config {
 	model := ncc.NCC0
 	if o.Model == NCC1 {
 		model = ncc.NCC1
@@ -268,14 +268,6 @@ func statsOf(tr *ncc.Trace) *Stats {
 		MaxRecv:       tr.Metrics.MaxRecvPerRound,
 		CapViolations: tr.Metrics.SendViolations + tr.Metrics.RecvViolations,
 	}
-}
-
-func toInputs(d []int) []any {
-	inputs := make([]any, len(d))
-	for i, v := range d {
-		inputs[i] = v
-	}
-	return inputs
 }
 
 // RealizeDegrees runs the distributed Havel–Hakimi of §4.1 (Theorem 11) and
@@ -341,10 +333,9 @@ func Execute(ctx context.Context, j Job) Result {
 	}
 	// The per-node continuations capture the kind alone, not the whole Job.
 	kind, o := j.Kind, j.Opt.norm()
-	s := ncc.New(o.simConfig(ctx, len(j.Seq), toInputs(j.Seq)))
-	sortnet.RegisterOracle(s)
+	s := ncc.New(o.simConfig(ctx, len(j.Seq), j.Seq))
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		r := nd.Input().(int)
+		r := nd.Input()
 		// NCC1 connectivity (Theorem 17) needs no sorted setup.
 		if kind == JobConnectivity && nd.Model() == ncc.NCC1 {
 			return connectivity.RealizeNCC1(nd, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })

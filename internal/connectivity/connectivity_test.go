@@ -13,15 +13,9 @@ import (
 )
 
 func runConn(t *testing.T, rho []int, model ncc.Model, seed int64) (*ncc.Trace, error) {
-	n := len(rho)
-	inputs := make([]any, n)
-	for i, v := range rho {
-		inputs[i] = v
-	}
-	s := ncc.New(ncc.Config{N: n, Seed: seed, Model: model, Strict: true, Inputs: inputs})
-	sortnet.RegisterOracle(s)
+	s := ncc.New(ncc.Config{N: len(rho), Seed: seed, Model: model, Strict: true, Inputs: rho})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		rho := nd.Input().(int)
+		rho := nd.Input()
 		done := func(out Outcome) ncc.Op {
 			nd.SetOutput("stored", int64(out.Stored))
 			nd.SetOutput("d0", int64(out.D0))
@@ -35,7 +29,7 @@ func runConn(t *testing.T, rho []int, model ncc.Model, seed int64) (*ncc.Trace, 
 		})
 	})
 	if err != nil && t != nil {
-		t.Fatalf("n=%d model=%v: %v", n, model, err)
+		t.Fatalf("n=%d model=%v: %v", len(rho), model, err)
 	}
 	return tr, err
 }

@@ -27,16 +27,10 @@ func runRealize(t *testing.T, d []int, mode Mode, method sortnet.Method, explici
 }
 
 func runRealizeErr(d []int, mode Mode, method sortnet.Method, explicit bool, seed int64) (*ncc.Trace, error) {
-	n := len(d)
-	inputs := make([]any, n)
-	for i, v := range d {
-		inputs[i] = v
-	}
-	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs})
-	sortnet.RegisterOracle(s)
+	s := ncc.New(ncc.Config{N: len(d), Seed: seed, Strict: true, Inputs: d})
 	return s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		return Setup(nd, method, func(env *Env) ncc.Op {
-			deg := nd.Input().(int)
+			deg := nd.Input()
 			return Realize(nd, env, deg, mode, true, func(out Outcome) ncc.Op {
 				nd.SetOutput("ok", b2i(out.OK))
 				nd.SetOutput("phases", int64(out.Phases))
@@ -269,16 +263,14 @@ func TestBystandersStayIsolated(t *testing.T) {
 	// Nodes at odd Gk positions are bystanders (active=false): they must end
 	// with zero edges while the active half realizes its sequence.
 	n := 24
-	d, inputs := make([]int, n), make([]any, n)
-	for i := range inputs {
+	d := make([]int, n)
+	for i := range d {
 		d[i] = 3 * (1 - i%2)
-		inputs[i] = d[i]
 	}
-	s := ncc.New(ncc.Config{N: n, Seed: 31, Strict: true, Inputs: inputs})
-	sortnet.RegisterOracle(s)
+	s := ncc.New(ncc.Config{N: n, Seed: 31, Strict: true, Inputs: d})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		return Setup(nd, sortnet.Oracle, func(env *Env) ncc.Op {
-			deg := nd.Input().(int)
+			deg := nd.Input()
 			active := deg > 0
 			return Realize(nd, env, deg, Exact, active, func(out Outcome) ncc.Op {
 				nd.SetOutput("realized", int64(out.Realized))

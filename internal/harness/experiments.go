@@ -95,7 +95,6 @@ func T2Sorting(sc Scale) *Table {
 	for _, n := range sc.sizes([]int{64, 256}, []int{64, 256, 1024}) {
 		run := func(m sortnet.Method) int {
 			s := ncc.New(ncc.Config{N: n, Seed: int64(n) * 3, Strict: true})
-			sortnet.RegisterOracle(s)
 			start := 0
 			tr := mustRun(s, func(nd *ncc.Node) ncc.Op {
 				return primitives.BuildAll(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {

@@ -205,37 +205,32 @@ func (s *Sim) wakeSet(next []*Node) {
 }
 
 // runCollective validates and executes a collective barrier. All live
-// (non-done) nodes must have entered the same collective; sleeping or
+// (non-done) nodes must have entered the same *Collective; sleeping or
 // awaiting nodes indicate a protocol bug.
 func (s *Sim) runCollective(coll []*Node) bool {
-	tag := coll[0].collTag
+	c := coll[0].coll
 	for _, nd := range coll {
-		if nd.collTag != tag {
-			s.firstErr = fmt.Errorf("ncc: mixed collectives %q and %q at round %d", tag, nd.collTag, s.round)
+		if nd.coll != c {
+			s.firstErr = fmt.Errorf("ncc: mixed collectives %q and %q at round %d", c.Name, nd.coll.Name, s.round)
 			return false
 		}
 	}
 	if len(coll)+s.doneCnt != s.n || s.sleepers.Len() > 0 || s.awaiting > 0 {
 		s.firstErr = fmt.Errorf("ncc: collective %q entered by %d of %d live nodes at round %d",
-			tag, len(coll), s.n-s.doneCnt, s.round)
+			c.Name, len(coll), s.n-s.doneCnt, s.round)
 		return false
 	}
-	h, ok := s.collectives[tag]
-	if !ok {
-		s.firstErr = fmt.Errorf("ncc: unknown collective %q", tag)
-		return false
-	}
-	ins := make([]any, s.n)
+	ins := make([]int64, s.n)
 	for _, nd := range coll {
 		ins[nd.idx] = nd.collIn
 	}
-	outs, charge := h(s, ins)
+	outs, charge := c.Run(s, ins)
 	if charge < 0 {
 		charge = 0
 	}
 	s.round += charge
 	s.met.CollectiveRounds += charge
-	s.met.CollectiveCalls[tag]++
+	s.met.CollectiveCalls[c.Name]++
 	for _, nd := range coll {
 		if outs != nil {
 			nd.collOut = outs[nd.idx]

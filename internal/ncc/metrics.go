@@ -23,8 +23,8 @@ type Metrics struct {
 	SendViolations int // (node,round) pairs exceeding the send capacity
 	RecvViolations int // (node,round) pairs exceeding the receive capacity
 
-	// CollectiveCalls counts invocations of each registered collective
-	// operation (e.g. the oracle sort), and CollectiveRounds the rounds
+	// CollectiveCalls counts invocations of each collective operation by
+	// its Name (e.g. the oracle sort), and CollectiveRounds the rounds
 	// charged for them. Both are folded into Rounds already; they are
 	// reported separately so results remain honest about which portion of
 	// the round count was executed as a real protocol.

@@ -27,6 +27,12 @@
 //	    })
 //	}
 //
+// Each node gets one integer input (Config.Inputs), its degree or threshold.
+// A primitive whose round cost has an analytic bound, such as the sort of
+// Theorem 3, may instead run centrally as a Collective: a value the protocol
+// holds and every live node enters with Enter in the same round, after which
+// the engine charges the bound's rounds.
+//
 // Sim.RunProgram steps every node on the calling goroutine and enforces the
 // model: it validates knowledge on send, counts capacity on both ends,
 // advances rounds, fast-forwards rounds in which every node sleeps, detects

@@ -28,23 +28,23 @@ type Node struct {
 	known idSet      // NCC0 knowledge set; empty in NCC1
 
 	initialSucc ID  // Gk successor (None for the tail)
-	input       any // protocol input (e.g. required degree), set by the runner
+	input       int // protocol input (e.g. required degree), set by the runner
 
-	// Round plumbing. A step writes outbox/collIn and returns its next Op,
-	// which sets state, wakeRound, cont and suspended; the engine reads them,
-	// fills inbox/collOut, and resumes cont when the node wakes. cont is nil
-	// until the entry step has run and again once the node is done.
+	// Round plumbing. A step writes outbox and returns its next Op, which
+	// sets state, wakeRound and cont, and coll and collIn for Enter; the
+	// engine reads them, fills inbox or collOut, and resumes cont when the
+	// node wakes. cont is nil until the entry step has run and again once
+	// the node is done; coll is non-nil from Enter until the node wakes.
 	state     nodeState
 	wakeRound int
 	cont      Cont
-	suspended opKind
 
 	outbox  []Message
 	inbox   []Message
 	retired []Message // inbox handed to the last step; recycled at the next suspension
-	collTag string
-	collIn  any
-	collOut any
+	coll    *Collective
+	collIn  int64
+	collOut CollectiveOut
 
 	sentThisRound int
 
@@ -88,8 +88,8 @@ func (nd *Node) Rand() *rand.Rand {
 	return nd.rng
 }
 
-// Input returns the protocol input installed for this node (nil if none).
-func (nd *Node) Input() any { return nd.input }
+// Input returns the protocol input installed for this node (0 if none).
+func (nd *Node) Input() int { return nd.input }
 
 // InitialSucc returns the ID of this node's successor in the directed initial
 // knowledge graph Gk, or None for the tail. This is the entirety of a node's

@@ -14,8 +14,8 @@ import (
 // goroutine that calls RunProgram, whatever n is.
 //
 // The suspensions: Next checks in for the next round, Await sleeps until a
-// message arrives, Sleep sleeps a fixed number of rounds, Collective enters
-// a centrally executed collective, and Done finishes the protocol. A
+// message arrives, Sleep sleeps a fixed number of rounds, Enter enters a
+// centrally executed Collective, and Done finishes the protocol. A
 // continuation runs as the node's compute slice for the round it wakes in —
 // it may Send, read Round(), and must end by returning the next Op.
 
@@ -50,11 +50,10 @@ const (
 
 // Op is one explicit suspension: what to wait for and where to resume.
 type Op struct {
-	kind   opKind
-	sleep  int
-	tag    string
-	collIn any
-	k      Cont
+	kind opKind
+	arg  int64       // Sleep's rounds, or the collective's input
+	coll *Collective // the collective Enter enters
+	k    Cont
 }
 
 // Done finishes the protocol.
@@ -71,14 +70,36 @@ func Await(k Cont) Op { return Op{kind: opAwait, k: k} }
 
 // Sleep sleeps for rounds ≥ 1 rounds; k resumes with everything delivered
 // while asleep. Receive-capacity accounting still applies per delivery round.
-func Sleep(rounds int, k Cont) Op { return Op{kind: opSleep, sleep: rounds, k: k} }
+func Sleep(rounds int, k Cont) Op { return Op{kind: opSleep, arg: int64(rounds), k: k} }
 
-// Collective enters the named collective with the given input; k resumes,
-// once every live node has entered it and the engine has run its handler
-// and charged its rounds, with the node's output in Wake.Coll. See
-// RegisterCollective for the contract.
-func Collective(tag string, in any, k Cont) Op {
-	return Op{kind: opCollective, tag: tag, collIn: in, k: k}
+// Collective is an operation the engine executes centrally, standing in for
+// a primitive whose round cost has an analytic bound. A protocol holds it as
+// a value and enters it with Enter. In one round every live node must enter
+// the same *Collective: two collectives that share a Name are still two.
+type Collective struct {
+	// Name keys Metrics.CollectiveCalls and names the collective in errors.
+	Name string
+	// Run executes the collective once every live node has entered it.
+	// ins[i] is the input of the node at Gk position i (0 for a node that
+	// has finished). It returns the per-position outputs, or nil, and the
+	// number of rounds to charge, which must be justified by an analytic
+	// bound on the primitive being replaced.
+	Run func(s *Sim, ins []int64) (outs []CollectiveOut, chargeRounds int)
+}
+
+// CollectiveOut is one node's output of a collective. Val reaches the node
+// as Wake.Coll; Learn lists IDs the node acquires knowledge of (NCC0
+// bookkeeping for centrally executed primitives).
+type CollectiveOut struct {
+	Val   any
+	Learn []ID
+}
+
+// Enter enters collective c with input in; k resumes, once every live node
+// has entered c and the engine has run it and charged its rounds, with the
+// node's output in Wake.Coll.
+func Enter(c *Collective, in int64, k Cont) Op {
+	return Op{kind: opCollective, arg: in, coll: c, k: k}
 }
 
 // RunProgram executes a step-form protocol on every node and drives the
@@ -115,20 +136,15 @@ func (s *Sim) step(nd *Node) {
 				}
 			}
 		}
-		if nd.suspended == opCollective {
+		if nd.coll != nil {
 			// The delivered inbox (always empty at a collective barrier) was
 			// still taken and learned above.
 			out := nd.collOut
-			nd.collOut = nil
-			nd.collIn = nil
-			if co, ok := out.(CollectiveOut); ok {
-				for _, id := range co.Learn {
-					nd.Learn(id)
-				}
-				w.Coll = co.Val
-			} else {
-				w.Coll = out
+			nd.coll, nd.collOut = nil, CollectiveOut{}
+			for _, id := range out.Learn {
+				nd.Learn(id)
 			}
+			w.Coll = out.Val
 		} else {
 			w.Msgs = in
 		}
@@ -155,15 +171,14 @@ func (s *Sim) step(nd *Node) {
 		nd.wakeRound = 0
 	case opSleep:
 		nd.state = stateSleep
-		nd.wakeRound = s.round + op.sleep
+		nd.wakeRound = s.round + int(op.arg)
 	case opCollective:
-		nd.collTag = op.tag
-		nd.collIn = op.collIn
+		nd.coll = op.coll
+		nd.collIn = op.arg
 		nd.state = stateCollective
 		nd.wakeRound = 0
 	}
 	nd.cont = op.k
-	nd.suspended = op.kind
 }
 
 // retire marks a node finished and drops its continuation.
@@ -195,8 +210,11 @@ func (s *Sim) invoke(nd *Node, k Cont, w Wake) (op Op, ok bool) {
 	} else {
 		op = s.entry(nd)
 	}
-	if op.kind == opSleep && op.sleep < 1 {
-		nd.fail("Sleep(%d): rounds must be ≥ 1", op.sleep)
+	if op.kind == opSleep && op.arg < 1 {
+		nd.fail("Sleep(%d): rounds must be ≥ 1", op.arg)
+	}
+	if op.kind == opCollective && (op.coll == nil || op.coll.Run == nil) {
+		nd.fail("Enter: nil collective")
 	}
 	if op.kind != opDone && op.k == nil {
 		nd.fail("step yielded a suspension with a nil continuation")

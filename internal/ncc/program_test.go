@@ -60,28 +60,28 @@ func TestOpAwaitWakeCarriesMessages(t *testing.T) {
 	}
 }
 
-// TestOpCollectiveRoundTrip checks that a Collective op hands the node's
-// input to the handler and that Wake.Coll carries the per-node output back.
+// TestOpCollectiveRoundTrip checks that Enter hands the node's input to the
+// collective's Run and that Wake.Coll carries the per-node output back.
 func TestOpCollectiveRoundTrip(t *testing.T) {
 	const n = 5
-	inputs := make([]any, n)
+	inputs := make([]int, n)
 	for i := range inputs {
-		inputs[i] = int64(i + 1)
+		inputs[i] = i + 1
 	}
-	s := ncc.New(ncc.Config{N: n, Seed: 3, Strict: true, Inputs: inputs})
-	s.RegisterCollective("sum", func(s *ncc.Sim, ins []any) ([]any, int) {
+	sum := &ncc.Collective{Name: "sum", Run: func(s *ncc.Sim, ins []int64) ([]ncc.CollectiveOut, int) {
 		var total int64
 		for _, in := range ins {
-			total += in.(int64)
+			total += in
 		}
-		outs := make([]any, len(ins))
+		outs := make([]ncc.CollectiveOut, len(ins))
 		for i := range outs {
-			outs[i] = total
+			outs[i].Val = total
 		}
 		return outs, 2
-	})
+	}}
+	s := ncc.New(ncc.Config{N: n, Seed: 3, Strict: true, Inputs: inputs})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return ncc.Collective("sum", nd.Input(), func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Enter(sum, int64(nd.Input()), func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			nd.SetOutput("total", w.Coll.(int64))
 			return ncc.Done()
 		})

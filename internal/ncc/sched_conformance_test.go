@@ -64,9 +64,7 @@ func schedVariants() []schedVariant {
 func hostOnPool(t *testing.T, workers int, s *ncc.Sim, entry ncc.Proto) (*ncc.Trace, error) {
 	t.Helper()
 	neighbor := func(seed int64) (*ncc.Trace, error) {
-		ns := ncc.New(ncc.Config{N: 64, Seed: seed})
-		registerTally(ns)
-		return ns.RunProgram(mixedProto(24))
+		return ncc.New(ncc.Config{N: 64, Seed: seed}).RunProgram(mixedProto(24))
 	}
 	var (
 		done     = make(chan struct{})
@@ -140,7 +138,7 @@ func mixedProto(rounds int) ncc.Proto {
 		var loop func(r int) ncc.Op
 		loop = func(r int) ncc.Op {
 			if r >= rounds {
-				return ncc.Collective("tally", int64(1), func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+				return ncc.Enter(tally, 1, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 					nd.SetOutput("total", w.Coll.(int64))
 					if succ != ncc.None {
 						nd.AddEdge(succ)
@@ -163,29 +161,25 @@ func mixedProto(rounds int) ncc.Proto {
 	}
 }
 
-func registerTally(s *ncc.Sim) {
-	s.RegisterCollective("tally", func(s *ncc.Sim, ins []any) ([]any, int) {
-		var sum int64
-		for _, in := range ins {
-			if v, ok := in.(int64); ok {
-				sum += v
-			}
-		}
-		outs := make([]any, len(ins))
-		for i := range outs {
-			outs[i] = sum
-		}
-		return outs, ncc.CeilLog2(s.N())
-	})
-}
+// tally sums its inputs and hands every node the total, charging
+// ⌈log₂ n⌉ rounds.
+var tally = &ncc.Collective{Name: "tally", Run: func(s *ncc.Sim, ins []int64) ([]ncc.CollectiveOut, int) {
+	var sum int64
+	for _, in := range ins {
+		sum += in
+	}
+	outs := make([]ncc.CollectiveOut, len(ins))
+	for i := range outs {
+		outs[i].Val = sum
+	}
+	return outs, ncc.CeilLog2(s.N())
+}}
 
 // runMixed executes the mixed protocol under one host variant and returns its
 // trace.
 func runMixed(t *testing.T, v schedVariant, n int, seed int64) *ncc.Trace {
 	t.Helper()
-	s := ncc.New(ncc.Config{N: n, Seed: seed})
-	registerTally(s)
-	tr, err := v.run(t, s, mixedProto(24))
+	tr, err := v.run(t, ncc.New(ncc.Config{N: n, Seed: seed}), mixedProto(24))
 	if err != nil {
 		t.Fatalf("%s: %v", v.name, err)
 	}
@@ -193,8 +187,8 @@ func runMixed(t *testing.T, v schedVariant, n int, seed int64) *ncc.Trace {
 }
 
 // mixedDigests records, per "n=<n>/seed=<seed>", the digest of the mixed
-// protocol's trace (mixedProto(24), tally registered), taken from its
-// blocking form on the goroutine-barrier driver.
+// protocol's trace (mixedProto(24)), taken from its blocking form on the
+// goroutine-barrier driver.
 var mixedDigests = map[string]string{
 	"n=1/seed=1":    "4f90369012201dc2",
 	"n=1/seed=42":   "1377b3c852b48965",
@@ -269,7 +263,6 @@ func TestSchedConformanceProfileInert(t *testing.T) {
 					rounds++
 					total += c + d + b
 				}})
-				registerTally(s)
 				got, err := v.run(t, s, mixedProto(24))
 				if err != nil {
 					t.Fatalf("%s n=%d seed=%d: %v", v.name, n, seed, err)
@@ -351,9 +344,7 @@ func TestSchedConformanceProgressOrdering(t *testing.T) {
 		cfg := ncc.Config{N: 6, Seed: 9, Progress: func(round, msgs int) {
 			ticks = append(ticks, tick{round, msgs})
 		}}
-		s := ncc.New(cfg)
-		registerTally(s)
-		if _, err := v.run(t, s, mixedProto(16)); err != nil {
+		if _, err := v.run(t, ncc.New(cfg), mixedProto(16)); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		return ticks
@@ -470,7 +461,6 @@ func TestFlatZeroNodeGoroutines(t *testing.T) {
 			maxG = g
 		}
 	}})
-	registerTally(s)
 	_, err := s.RunProgram(mixedProto(8))
 	if err != nil {
 		t.Fatal(err)

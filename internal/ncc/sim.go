@@ -30,7 +30,7 @@ type Config struct {
 	// MaxRounds aborts runaway protocols. Zero selects DefaultMaxRounds.
 	MaxRounds int
 	// Inputs, if non-nil, assigns Inputs[i] to the node at Gk position i.
-	Inputs []any
+	Inputs []int
 	// Stop, if non-nil, aborts the run when it becomes readable (typically a
 	// context's Done channel). The engine checks it once per barrier, retires
 	// every suspended node, and RunProgram returns ErrCanceled. Cancellation
@@ -96,22 +96,8 @@ func (e capacityError) Error() string { return string(e) }
 
 func (capacityError) Is(target error) bool { return target == ErrCapacity }
 
-// CollectiveOut is the per-node output of a collective handler. Learn lists
-// IDs the node acquires knowledge of (NCC0 bookkeeping for centrally executed
-// primitives).
-type CollectiveOut struct {
-	Val   any
-	Learn []ID
-}
-
-// CollectiveHandler executes a named collective centrally. ins[i] is the
-// input of the node at Gk position i (nil for nodes that passed nil). It
-// returns per-position outputs and the number of rounds to charge, which
-// must be justified by an analytic bound on the primitive being replaced.
-type CollectiveHandler func(s *Sim, ins []any) (outs []any, chargeRounds int)
-
-// Sim is a single NCC simulation instance. Create with New, register any
-// collectives, then call RunProgram exactly once.
+// Sim is a single NCC simulation instance. Create with New, then call
+// RunProgram exactly once.
 type Sim struct {
 	cfg      Config
 	n        int
@@ -121,8 +107,6 @@ type Sim struct {
 	index  map[ID]int
 	allIDs []ID // sorted, shared in NCC1
 	nodes  []*Node
-
-	collectives map[string]CollectiveHandler
 
 	entry Proto     // the protocol RunProgram steps
 	del   *delivery // message routing
@@ -158,11 +142,10 @@ func New(cfg Config) *Sim {
 		capacity = cfg.CapMul
 	}
 	s := &Sim{
-		cfg:         cfg,
-		n:           n,
-		capacity:    capacity,
-		index:       make(map[ID]int, n),
-		collectives: make(map[string]CollectiveHandler),
+		cfg:      cfg,
+		n:        n,
+		capacity: capacity,
+		index:    make(map[ID]int, n),
 	}
 	s.assignIDs()
 	s.nodes = make([]*Node, n)
@@ -218,11 +201,6 @@ func (s *Sim) assignIDs() {
 	s.allIDs = make([]ID, n)
 	copy(s.allIDs, s.ids)
 	slices.Sort(s.allIDs)
-}
-
-// RegisterCollective installs a named collective handler. See Collective.
-func (s *Sim) RegisterCollective(tag string, h CollectiveHandler) {
-	s.collectives[tag] = h
 }
 
 // IDs returns the node IDs in Gk (path) order. The slice is shared.

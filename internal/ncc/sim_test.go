@@ -332,21 +332,21 @@ func TestFastForwardIsCheap(t *testing.T) {
 }
 
 func TestCollectiveSumAndCharge(t *testing.T) {
-	s := New(Config{N: 10, Seed: 19, Strict: true})
-	s.RegisterCollective("sum", func(s *Sim, ins []any) ([]any, int) {
+	sum := &Collective{Name: "sum", Run: func(s *Sim, ins []int64) ([]CollectiveOut, int) {
 		total := int64(0)
 		for _, in := range ins {
-			total += in.(int64)
+			total += in
 		}
-		outs := make([]any, len(ins))
+		outs := make([]CollectiveOut, len(ins))
 		for i := range outs {
-			outs[i] = total
+			outs[i].Val = total
 		}
 		return outs, 13
-	})
+	}}
+	s := New(Config{N: 10, Seed: 19, Strict: true})
 	tr, err := s.RunProgram(func(nd *Node) Op {
 		return Next(func(nd *Node, w Wake) Op {
-			return Collective("sum", int64(2), func(nd *Node, w Wake) Op {
+			return Enter(sum, 2, func(nd *Node, w Wake) Op {
 				nd.SetOutput("sum", w.Coll.(int64))
 				return Done()
 			})
@@ -375,15 +375,15 @@ func TestCollectiveTeachesIDs(t *testing.T) {
 	s := New(Config{N: 6, Seed: 23, Strict: true})
 	ids := s.IDs()
 	// The collective introduces everyone to the head node's ID.
-	s.RegisterCollective("introduce-head", func(s *Sim, ins []any) ([]any, int) {
-		outs := make([]any, s.N())
+	introduceHead := &Collective{Name: "introduce-head", Run: func(s *Sim, ins []int64) ([]CollectiveOut, int) {
+		outs := make([]CollectiveOut, s.N())
 		for i := range outs {
 			outs[i] = CollectiveOut{Val: int64(0), Learn: []ID{s.IDs()[0]}}
 		}
 		return outs, 1
-	})
+	}}
 	tr, err := s.RunProgram(func(nd *Node) Op {
-		return Collective("introduce-head", nil, func(nd *Node, w Wake) Op {
+		return Enter(introduceHead, 0, func(nd *Node, w Wake) Op {
 			if nd.ID() != ids[0] {
 				nd.Send(ids[0], Message{Kind: kindData, A: 1})
 			}
@@ -403,13 +403,18 @@ func TestCollectiveTeachesIDs(t *testing.T) {
 	}
 }
 
+// noop is a collective that charges nothing and outputs nothing.
+func noop(name string) *Collective {
+	return &Collective{Name: name, Run: func(*Sim, []int64) ([]CollectiveOut, int) { return nil, 0 }}
+}
+
 func TestCollectiveMismatchIsError(t *testing.T) {
 	s := New(Config{N: 4, Seed: 29})
-	s.RegisterCollective("a", func(s *Sim, ins []any) ([]any, int) { return nil, 0 })
+	a := noop("a")
 	ids := s.IDs()
 	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			return Collective("a", nil, finish)
+			return Enter(a, 0, finish)
 		}
 		return Next(func(*Node, Wake) Op {
 			return Next(func(*Node, Wake) Op { return Next(finish) })
@@ -417,6 +422,49 @@ func TestCollectiveMismatchIsError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("mismatched collective participation should fail")
+	}
+}
+
+// TestCollectiveMixedValuesIsError: when the live nodes enter different
+// Collective values in one round, the run fails naming both and runs
+// neither. Values are compared, not names, so two collectives that share a
+// Name are still two collectives.
+func TestCollectiveMixedValuesIsError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b *Collective
+	}{
+		{"distinct names", noop("left"), noop("right")},
+		{"shared name", noop("twin"), noop("twin")},
+	} {
+		s := New(Config{N: 6, Seed: 31})
+		tr, err := s.RunProgram(func(nd *Node) Op {
+			if nd.idx < nd.N()/2 {
+				return Enter(tc.a, 0, finish)
+			}
+			return Enter(tc.b, 0, finish)
+		})
+		want := `mixed collectives "` + tc.a.Name + `" and "` + tc.b.Name + `"`
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: got error %v, want one containing %s", tc.name, err, want)
+		}
+		if len(tr.Metrics.CollectiveCalls) != 0 || tr.Metrics.CollectiveRounds != 0 {
+			t.Fatalf("%s: a refused collective ran: calls %v, %d rounds charged",
+				tc.name, tr.Metrics.CollectiveCalls, tr.Metrics.CollectiveRounds)
+		}
+	}
+}
+
+// TestCollectiveNilIsViolation: entering a nil collective, or one with no
+// Run, fails the run as a protocol violation, the way Sleep(0) does.
+func TestCollectiveNilIsViolation(t *testing.T) {
+	for _, c := range []*Collective{nil, {Name: "no-run"}} {
+		_, err := New(Config{N: 3, Seed: 37}).RunProgram(func(nd *Node) Op {
+			return Next(func(*Node, Wake) Op { return Enter(c, 0, finish) })
+		})
+		if err == nil || !strings.Contains(err.Error(), "Enter: nil collective") {
+			t.Fatalf("Enter(%v): got error %v, want a nil-collective violation", c, err)
+		}
 	}
 }
 
@@ -477,13 +525,13 @@ func TestAdjacency(t *testing.T) {
 }
 
 func TestInputsReachNodes(t *testing.T) {
-	inputs := make([]any, 5)
+	inputs := make([]int, 5)
 	for i := range inputs {
-		inputs[i] = int64(i * i)
+		inputs[i] = i * i
 	}
 	s := New(Config{N: 5, Seed: 41, Inputs: inputs})
 	tr, err := s.RunProgram(func(nd *Node) Op {
-		nd.SetOutput("in", nd.Input().(int64))
+		nd.SetOutput("in", int64(nd.Input()))
 		return Done()
 	})
 	if err != nil {

@@ -4,11 +4,12 @@
 //
 // Three interchangeable implementations exist:
 //
-//   - Oracle: a collective operation executed centrally by the simulator and
-//     charged ⌈log₂ n⌉³ rounds: Theorem 3's O(log³ n) with an assumed
-//     constant of 1 (ChargedRounds). This is the default used by the
-//     realization algorithms; it makes large benchmarks cheap, but the
-//     charge is set by that constant, not by a protocol.
+//   - Oracle: an ncc.Collective, a package-level value every node enters,
+//     which the simulator executes centrally and charges ⌈log₂ n⌉³
+//     rounds: Theorem 3's O(log³ n) with an assumed constant of 1
+//     (ChargedRounds). This is the default used by the realization
+//     algorithms; it makes large benchmarks cheap, but the charge is set by
+//     that constant, not by a protocol.
 //   - OddEven: a real message-level odd-even transposition sort that takes
 //     exactly n + 3 rounds (ablation A1 in DESIGN.md).
 //   - Merge: the paper's real algorithm — bottom-up merging over the TBFS
@@ -36,9 +37,6 @@ const (
 	kNeighbor
 	kAssign
 )
-
-// CollectiveOracleSort is the collective tag for the oracle implementation.
-const CollectiveOracleSort = "oracle-sort"
 
 // Result is a node's view of the sorted path: its rank (0 = largest key)
 // and its neighbors in sorted order (None at the ends).
@@ -83,16 +81,12 @@ type Sorter struct {
 	Tree   *primitives.Tree // annotated TBFS; required by the Merge method
 }
 
-// RegisterOracle installs the oracle-sort collective on a simulation. It
-// must be called before Sim.RunProgram for any protocol that may sort with
-// the Oracle method.
-func RegisterOracle(s *ncc.Sim) {
-	s.RegisterCollective(CollectiveOracleSort, oracleHandler)
-}
+// oracle is the Oracle method's collective: it sorts (key, id) pairs
+// centrally and hands every node its rank and sorted neighbors, charging
+// the Theorem 3 round bound.
+var oracle = ncc.Collective{Name: "oracle-sort", Run: runOracle}
 
-// oracleHandler sorts (key, id) pairs centrally and hands every node its
-// rank and sorted neighbors, charging the Theorem 3 round bound.
-func oracleHandler(s *ncc.Sim, ins []any) ([]any, int) {
+func runOracle(s *ncc.Sim, ins []int64) ([]ncc.CollectiveOut, int) {
 	n := s.N()
 	ids := s.IDs()
 	type kv struct {
@@ -102,7 +96,7 @@ func oracleHandler(s *ncc.Sim, ins []any) ([]any, int) {
 	}
 	pairs := make([]kv, n)
 	for i := 0; i < n; i++ {
-		pairs[i] = kv{key: ins[i].(int64), id: ids[i], pos: i}
+		pairs[i] = kv{key: ins[i], id: ids[i], pos: i}
 	}
 	sort.Slice(pairs, func(a, b int) bool {
 		if pairs[a].key != pairs[b].key {
@@ -113,7 +107,7 @@ func oracleHandler(s *ncc.Sim, ins []any) ([]any, int) {
 	// One Result and one Learn backing array serve every node: a node's
 	// output points into them, and the engine copies the IDs out before
 	// the node resumes.
-	outs := make([]any, n)
+	outs := make([]ncc.CollectiveOut, n)
 	res := make([]Result, n)
 	learn := make([]ncc.ID, 0, 2*n)
 	for rank, p := range pairs {
@@ -154,7 +148,7 @@ func (s *Sorter) Sort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	case Merge:
 		return s.mergeSort(nd, key, k)
 	default:
-		return ncc.Collective(CollectiveOracleSort, key, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Enter(&oracle, key, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			return k(*w.Coll.(*Result))
 		})
 	}

@@ -13,9 +13,7 @@ import (
 // against a centralized sort. Returns the trace for metric assertions.
 func runSort(t *testing.T, n int, seed int64, method Method) *ncc.Trace {
 	t.Helper()
-	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true})
-	RegisterOracle(s)
-	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
+	tr, err := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true}).RunProgram(func(nd *ncc.Node) ncc.Op {
 		return primitives.BuildAll(nd, func(p primitives.Path, _ primitives.Levels, tree primitives.Tree) ncc.Op {
 			srt := &Sorter{Method: method, Path: p, Pos: tree.Pos, Tree: &tree}
 			key := nd.Rand().Int63n(50) // plenty of ties
@@ -92,7 +90,7 @@ func TestOracleChargesTheoremBound(t *testing.T) {
 	if tr.Metrics.CollectiveRounds != K*K*K {
 		t.Fatalf("oracle charged %d rounds, want %d", tr.Metrics.CollectiveRounds, K*K*K)
 	}
-	if tr.Metrics.CollectiveCalls[CollectiveOracleSort] != 1 {
+	if tr.Metrics.CollectiveCalls["oracle-sort"] != 1 {
 		t.Fatalf("collective calls: %v", tr.Metrics.CollectiveCalls)
 	}
 }

@@ -14,16 +14,10 @@ import (
 )
 
 func runTree(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace, error) {
-	n := len(d)
-	inputs := make([]any, n)
-	for i, v := range d {
-		inputs[i] = v
-	}
-	s := ncc.New(ncc.Config{N: n, Seed: seed, Strict: true, Inputs: inputs})
-	sortnet.RegisterOracle(s)
+	s := ncc.New(ncc.Config{N: len(d), Seed: seed, Strict: true, Inputs: d})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		return core.Setup(nd, sortnet.Oracle, func(env *core.Env) ncc.Op {
-			deg := nd.Input().(int)
+			deg := nd.Input()
 			done := func(out Outcome) ncc.Op {
 				nd.SetOutput("realized", int64(out.Realized))
 				if out.OK {
@@ -38,7 +32,7 @@ func runTree(t *testing.T, d []int, greedy bool, seed int64) (*ncc.Trace, error)
 		})
 	})
 	if err != nil && t != nil {
-		t.Fatalf("n=%d: %v", n, err)
+		t.Fatalf("n=%d: %v", len(d), err)
 	}
 	return tr, err
 }

@@ -1,6 +1,7 @@
 package graphrealize
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -583,23 +584,22 @@ func (j Job) RouteKey() string {
 		k.opt.capMul, int(k.opt.sort), k.opt.maxRounds)
 }
 
-// resultCache is a small mutex-guarded LRU keyed by cacheKey.
+// resultCache is a small mutex-guarded LRU keyed by cacheKey. order holds
+// the entries most recently used first.
 type resultCache struct {
 	mu    sync.Mutex
 	limit int
-	m     map[cacheKey]*cacheEntry
-	head  *cacheEntry // most recently used
-	tail  *cacheEntry // least recently used
+	m     map[cacheKey]*list.Element
+	order list.List
 }
 
 type cacheEntry struct {
-	key        cacheKey
-	res        Result
-	prev, next *cacheEntry
+	key cacheKey
+	res Result
 }
 
 func newResultCache(limit int) *resultCache {
-	return &resultCache{limit: limit, m: make(map[cacheKey]*cacheEntry, limit)}
+	return &resultCache{limit: limit, m: make(map[cacheKey]*list.Element, limit)}
 }
 
 func (c *resultCache) len() int {
@@ -615,57 +615,22 @@ func (c *resultCache) get(k cacheKey) (Result, bool) {
 	if !ok {
 		return Result{}, false
 	}
-	c.moveToFront(e)
-	return e.res, true
+	c.order.MoveToFront(e)
+	return e.Value.(*cacheEntry).res, true
 }
 
 func (c *resultCache) put(k cacheKey, res Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[k]; ok {
-		e.res = res
-		c.moveToFront(e)
+		e.Value.(*cacheEntry).res = res
+		c.order.MoveToFront(e)
 		return
 	}
-	e := &cacheEntry{key: k, res: res}
-	c.m[k] = e
-	c.pushFront(e)
+	c.m[k] = c.order.PushFront(&cacheEntry{key: k, res: res})
 	if len(c.m) > c.limit {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.m, lru.key)
+		lru := c.order.Back()
+		c.order.Remove(lru)
+		delete(c.m, lru.Value.(*cacheEntry).key)
 	}
-}
-
-func (c *resultCache) pushFront(e *cacheEntry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *resultCache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *resultCache) moveToFront(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }

@@ -10,7 +10,6 @@ import (
 	"graphrealize/internal/core"
 	"graphrealize/internal/ncc"
 	"graphrealize/internal/ncctest"
-	"graphrealize/internal/sortnet"
 	"graphrealize/internal/trees"
 )
 
@@ -54,10 +53,9 @@ var facadeDigests = []struct{ trace, result string }{
 // digest.
 func reference(ctx context.Context, j Job) (Result, string) {
 	o := j.Opt.norm()
-	s := ncc.New(o.simConfig(ctx, len(j.Seq), toInputs(j.Seq)))
-	sortnet.RegisterOracle(s)
+	s := ncc.New(o.simConfig(ctx, len(j.Seq), j.Seq))
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		r := nd.Input().(int)
+		r := nd.Input()
 		if j.Kind == JobConnectivity && nd.Model() == ncc.NCC1 {
 			return connectivity.RealizeNCC1(nd, r, func(connectivity.Outcome) ncc.Op { return ncc.Done() })
 		}
