@@ -187,27 +187,27 @@ type engineJob struct {
 
 // engineJobs returns the allocation table's six jobs, one per request kind
 // perfbench's cold-mix sends. Each ceiling sits at most 3% above the count
-// measured with go1.24.0 (linux/amd64), identical across runs: 547,387,
-// 553,977, 119,730, 112,771, 127,083 and 174,295 allocations. The slack is
-// for the other Go release CI builds with; lower a ceiling when an
-// allocation is removed.
+// measured with go1.24.0 (linux/amd64), identical across runs: 45,014,
+// 50,580, 89,001, 84,090, 98,397 and 59,526 allocations. The slack is for
+// the other Go release CI builds with; lower a ceiling when an allocation
+// is removed.
 func engineJobs() []engineJob {
 	seed1 := func(m graphrealize.Model) *graphrealize.Options {
 		return &graphrealize.Options{Model: m, Seed: 1}
 	}
 	return []engineJob{
 		{"degrees/n=1024", graphrealize.Job{Kind: graphrealize.JobDegrees,
-			Seq: gen.FromRandomGraph(1024, 8.0/1024, 1024), Opt: seed1(graphrealize.NCC0)}, 563_000},
+			Seq: gen.FromRandomGraph(1024, 8.0/1024, 1024), Opt: seed1(graphrealize.NCC0)}, 46_300},
 		{"degrees-explicit/n=1024", graphrealize.Job{Kind: graphrealize.JobDegreesExplicit,
-			Seq: gen.FromRandomGraph(1024, 8.0/1024, 1024), Opt: seed1(graphrealize.NCC0)}, 570_000},
+			Seq: gen.FromRandomGraph(1024, 8.0/1024, 1024), Opt: seed1(graphrealize.NCC0)}, 52_000},
 		{"chain-tree/n=2048", graphrealize.Job{Kind: graphrealize.JobChainTree,
-			Seq: gen.TreeSequence(2048, 5), Opt: seed1(graphrealize.NCC0)}, 123_000},
+			Seq: gen.TreeSequence(2048, 5), Opt: seed1(graphrealize.NCC0)}, 91_600},
 		{"min-diam-tree/n=2048", graphrealize.Job{Kind: graphrealize.JobMinDiamTree,
-			Seq: gen.TreeSequence(2048, 5), Opt: seed1(graphrealize.NCC0)}, 116_000},
+			Seq: gen.TreeSequence(2048, 5), Opt: seed1(graphrealize.NCC0)}, 86_600},
 		{"connectivity-ncc1/n=4096", graphrealize.Job{Kind: graphrealize.JobConnectivity,
-			Seq: gen.Regular(4096, 4), Opt: seed1(graphrealize.NCC1)}, 130_000},
+			Seq: gen.Regular(4096, 4), Opt: seed1(graphrealize.NCC1)}, 101_300},
 		{"connectivity-ncc0/n=1024", graphrealize.Job{Kind: graphrealize.JobConnectivity,
-			Seq: gen.Regular(1024, 4), Opt: seed1(graphrealize.NCC0)}, 179_000},
+			Seq: gen.Regular(1024, 4), Opt: seed1(graphrealize.NCC0)}, 61_300},
 	}
 }
 

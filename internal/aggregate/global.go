@@ -11,9 +11,11 @@
 // call Foo(nd, …, k) performs the current round's compute slice and returns
 // an ncc.Op whose continuation eventually invokes k with the result.
 // AggregateBroadcast, which the realizations run several times per phase,
-// keeps its state in one struct per call whose bound method is its only
-// continuation (package primitives describes the convention); the
-// primitives only the experiments run keep their closures.
+// keeps its state in an Aggregator that is its own continuation; a caller
+// that aggregates again and again owns one and reuses it, so a repeat call
+// allocates nothing (package primitives describes the convention). The
+// primitives only the experiments run keep their closures, through
+// ncc.ContFunc.
 package aggregate
 
 import (
@@ -94,7 +96,7 @@ func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(
 	}
 	finish := func() ncc.Op {
 		sendDown(nd, t, kDown, val)
-		return primitives.SyncAt(nd, upDeadline+K+3, func(*ncc.Node, ncc.Wake) ncc.Op { return k(val) })
+		return primitives.SyncAt(nd, upDeadline+K+3, ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op { return k(val) }))
 	}
 	// Down phase: flood from the root.
 	down := func() ncc.Op {
@@ -104,7 +106,7 @@ func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(
 			}
 			return finish()
 		}
-		var wait ncc.Cont
+		var wait ncc.ContFunc
 		wait = func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			waiting := true
 			for _, m := range w.Msgs {
@@ -125,7 +127,7 @@ func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(
 		if nd.Round() >= upDeadline {
 			return down()
 		}
-		return primitives.SyncAt(nd, nd.Round()+1, func(_ *ncc.Node, w ncc.Wake) ncc.Op {
+		return primitives.SyncAt(nd, nd.Round()+1, ncc.ContFunc(func(_ *ncc.Node, w ncc.Wake) ncc.Op {
 			for _, m := range w.Msgs {
 				if m.Kind == kUp {
 					if t.IsRoot {
@@ -136,7 +138,7 @@ func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(
 				}
 			}
 			return up()
-		})
+		}))
 	}
 	return up()
 }
@@ -157,6 +159,27 @@ func sendDown(nd *ncc.Node, t *primitives.Tree, kind uint8, v int64) {
 //
 // Rounds: exactly 2·(⌈log₂ n⌉ + 3) from the caller's current round.
 func AggregateBroadcast(nd *ncc.Node, t *primitives.Tree, value int64, op Op, k func(int64) ncc.Op) ncc.Op {
+	return new(Aggregator).AggregateBroadcast(nd, t, value, op, k)
+}
+
+// Aggregator is AggregateBroadcast's per-node state, and its continuation:
+// phase says where Resume picks up. A caller that aggregates again and
+// again keeps one; the zero value is ready.
+type Aggregator struct {
+	t        *primitives.Tree
+	combine  func(a, b int64) int64
+	k        func(int64) ncc.Op
+	K        int
+	val      int64 // the subtree's aggregate, then the global result
+	pending  int   // children whose aggregates have not arrived
+	deadline int   // the round the current phase ends at
+	phase    aggPhase
+}
+
+// AggregateBroadcast runs the package function AggregateBroadcast on s. It
+// resets every field, so a repeat call, which may start from inside the
+// previous call's k, allocates nothing.
+func (s *Aggregator) AggregateBroadcast(nd *ncc.Node, t *primitives.Tree, value int64, op Op, k func(int64) ncc.Op) ncc.Op {
 	K := ncc.CeilLog2(nd.N())
 	pending := 0
 	if t.Left != ncc.None {
@@ -167,26 +190,11 @@ func AggregateBroadcast(nd *ncc.Node, t *primitives.Tree, value int64, op Op, k 
 	}
 	// Phase A: convergecast. A node at height h sends in round start+h, so
 	// everything arrives within K+2 rounds.
-	s := &aggState{t: t, combine: op.Combine, k: k, K: K, val: value, pending: pending, deadline: nd.Round() + K + 3}
-	s.resume = s.step
+	*s = Aggregator{t: t, combine: op.Combine, k: k, K: K, val: value, pending: pending, deadline: nd.Round() + K + 3}
 	if pending == 0 {
 		return s.passUp(nd)
 	}
-	return ncc.Await(s.resume)
-}
-
-// aggState is one AggregateBroadcast call's per-node state. Every
-// suspension resumes step, and phase says where.
-type aggState struct {
-	t        *primitives.Tree
-	combine  func(a, b int64) int64
-	k        func(int64) ncc.Op
-	resume   ncc.Cont
-	K        int
-	val      int64 // the subtree's aggregate, then the global result
-	pending  int   // children whose aggregates have not arrived
-	deadline int   // the round the current phase ends at
-	phase    aggPhase
+	return ncc.Await(s)
 }
 
 type aggPhase uint8
@@ -198,7 +206,8 @@ const (
 	endDown                   // sleeping until phase B ends
 )
 
-func (s *aggState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
+// Resume runs the round the node woke in.
+func (s *Aggregator) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 	switch s.phase {
 	case gatherUp:
 		for _, m := range w.Msgs {
@@ -208,7 +217,7 @@ func (s *aggState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			}
 		}
 		if s.pending > 0 {
-			return ncc.Await(s.resume)
+			return ncc.Await(s)
 		}
 		return s.passUp(nd)
 	case endUp:
@@ -218,7 +227,7 @@ func (s *aggState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			return s.passDown(nd)
 		}
 		s.phase = awaitDown
-		return ncc.Await(s.resume)
+		return ncc.Await(s)
 	case awaitDown:
 		waiting := true
 		for _, m := range w.Msgs {
@@ -228,7 +237,7 @@ func (s *aggState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			}
 		}
 		if waiting {
-			return ncc.Await(s.resume)
+			return ncc.Await(s)
 		}
 		return s.passDown(nd)
 	default: // endDown
@@ -238,19 +247,19 @@ func (s *aggState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
 
 // passUp passes the subtree's aggregate to the parent and sleeps out
 // phase A.
-func (s *aggState) passUp(nd *ncc.Node) ncc.Op {
+func (s *Aggregator) passUp(nd *ncc.Node) ncc.Op {
 	if !s.t.IsRoot {
 		nd.Send(s.t.Parent, ncc.Message{Kind: kAggUp, A: s.val})
 	}
 	s.phase = endUp
-	return primitives.SyncAt(nd, s.deadline, s.resume)
+	return primitives.SyncAt(nd, s.deadline, s)
 }
 
 // passDown passes the result to the children and sleeps out phase B.
-func (s *aggState) passDown(nd *ncc.Node) ncc.Op {
+func (s *Aggregator) passDown(nd *ncc.Node) ncc.Op {
 	sendDown(nd, s.t, kAggDown, s.val)
 	s.phase = endDown
-	return primitives.SyncAt(nd, s.deadline, s.resume)
+	return primitives.SyncAt(nd, s.deadline, s)
 }
 
 // FindByPosition delivers the ID of the node whose annotated inorder
@@ -303,18 +312,18 @@ func Collect(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID, k 
 	// a node at depth d learns of the end d rounds after the root flooded it.
 	resync := func() ncc.Op {
 		base := nd.Round() - t.Depth
-		return primitives.SyncAt(nd, base+K+3, func(_ *ncc.Node, w ncc.Wake) ncc.Op {
+		return primitives.SyncAt(nd, base+K+3, ncc.ContFunc(func(_ *ncc.Node, w ncc.Wake) ncc.Op {
 			for _, m := range w.Msgs {
 				if m.Kind == kLeaderTok {
 					atLeader = append(atLeader, m.A)
 				}
 			}
 			return k(atLeader)
-		})
+		}))
 	}
 	// ended is the round in which the (relayed) flood departs; its inbox is
 	// intentionally discarded, exactly as in the event loop below.
-	ended := func(nd *ncc.Node, w ncc.Wake) ncc.Op { return resync() }
+	ended := ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return resync() })
 	var iter func() ncc.Op
 	iter = func() ncc.Op {
 		// Ship up to budget tokens towards the root (or buffer at the root).
@@ -352,7 +361,7 @@ func Collect(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID, k 
 			nd.Send(t.Parent, ncc.Message{Kind: kTokenDone})
 			sentDone = true
 		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			for _, m := range w.Msgs {
 				switch m.Kind {
 				case kToken:
@@ -369,7 +378,7 @@ func Collect(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID, k 
 				}
 			}
 			return iter()
-		})
+		}))
 	}
 	return iter()
 }

@@ -137,34 +137,10 @@ func RealizeNCC0(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.Op) n
 							if sr.Rank > d0 {
 								tailRho = int64(rho)
 							}
-							return aggregate.AggregateBroadcast(nd, &env.GK, tailRho, aggregate.MaxOp(), func(maxW64 int64) ncc.Op {
-								maxW := int(maxW64)
-								var wave func(w int) ncc.Op
-								wave = func(w int) ncc.Op {
-									if w > maxW {
-										return k(out)
-									}
-									var tok *rankov.ShiftToken
-									if sr.Rank > d0 && rho >= w {
-										tok = &rankov.ShiftToken{ID: nd.ID()}
-									}
-									return rankov.ShiftDown(nd, ov, tok, w, func(down []rankov.ShiftToken) ncc.Op {
-										var reply *rankov.ShiftToken
-										for _, got := range down {
-											nd.AddEdge(got.ID)
-											out.Stored++
-											reply = &rankov.ShiftToken{ID: nd.ID()}
-										}
-										return rankov.ShiftUp(nd, ov, reply, w, func(up []rankov.ShiftToken) ncc.Op {
-											for _, got := range up {
-												nd.AddEdge(got.ID)
-												out.Stored++
-											}
-											return wave(w + 1)
-										})
-									})
-								}
-								return wave(1)
+							return aggregate.AggregateBroadcast(nd, &env.GK, tailRho, aggregate.MaxOp(), func(maxW int64) ncc.Op {
+								ws := &waves{nd: nd, ov: ov, out: out, rho: rho, tail: sr.Rank > d0, maxW: int(maxW), k: k}
+								ws.downK, ws.upK = ws.down, ws.up
+								return ws.wave(1)
 							})
 						})
 					})
@@ -172,4 +148,53 @@ func RealizeNCC0(nd *ncc.Node, env *core.Env, rho int, k func(Outcome) ncc.Op) n
 			})
 		})
 	})
+}
+
+// waves is Steps 4–6 of RealizeNCC0 at one node: wave w shifts every tail
+// node's ID w ranks down, to the predecessor it connects to, and the
+// reply back up, for w = 1..maxW. One Shifter serves every wave.
+type waves struct {
+	nd         *ncc.Node
+	ov         *rankov.Overlay
+	out        Outcome
+	rho        int
+	tail       bool // the node's rank is past the core, d₀
+	w, maxW    int
+	sh         rankov.Shifter
+	downK, upK func([]rankov.ShiftToken) ncc.Op
+	k          func(Outcome) ncc.Op
+}
+
+// wave starts wave w, or delivers the Outcome after the last one.
+func (s *waves) wave(w int) ncc.Op {
+	if w > s.maxW {
+		return s.k(s.out)
+	}
+	s.w = w
+	var tok *rankov.ShiftToken
+	if s.tail && s.rho >= w {
+		tok = &rankov.ShiftToken{ID: s.nd.ID()}
+	}
+	return s.sh.ShiftDown(s.nd, s.ov, tok, w, s.downK)
+}
+
+// down stores the edge to every tail node that reached this node and sends
+// the reply.
+func (s *waves) down(got []rankov.ShiftToken) ncc.Op {
+	var reply *rankov.ShiftToken
+	for _, g := range got {
+		s.nd.AddEdge(g.ID)
+		s.out.Stored++
+		reply = &rankov.ShiftToken{ID: s.nd.ID()}
+	}
+	return s.sh.ShiftUp(s.nd, s.ov, reply, s.w, s.upK)
+}
+
+// up stores the reverse edge of every reply.
+func (s *waves) up(got []rankov.ShiftToken) ncc.Op {
+	for _, g := range got {
+		s.nd.AddEdge(g.ID)
+		s.out.Stored++
+	}
+	return s.wave(s.w + 1)
 }

@@ -119,12 +119,15 @@ func Realize(nd *ncc.Node, env *Env, deg int, mode Mode, active bool, k func(Out
 	if !active {
 		r.myDeg = 0
 	}
-	return aggregate.AggregateBroadcast(nd, &env.GK, bad, aggregate.OrOp(), r.checkedK)
+	return r.agg.AggregateBroadcast(nd, &env.GK, bad, aggregate.OrOp(), r.checkedK)
 }
 
 // realizeState is one Realize call's per-node state. Each phase of the
 // while loop runs sorted → gotDelta → gotCount → gotOverlay → gotGroups →
-// checked, each the continuation of one primitive.
+// checked, each the continuation of one primitive. The primitives' own
+// state lives here too (and the sort's in env.Sort) and is reused by every
+// phase, so a phase allocates nothing at the node beyond the edges it
+// stores.
 type realizeState struct {
 	nd     *ncc.Node
 	env    *Env
@@ -139,6 +142,10 @@ type realizeState struct {
 	delta    int
 	sr       sortnet.Result
 	isCenter bool
+
+	agg aggregate.Aggregator
+	ov  rankov.Overlay
+	dis rankov.Disseminator
 
 	checkedK, deltaK, countK func(int64) ncc.Op
 	sortedK                  func(sortnet.Result) ncc.Op
@@ -169,7 +176,7 @@ func (r *realizeState) checked(alarm int64) ncc.Op {
 // sorted learns δ, the current maximum remaining degree (Step 4 broadcast).
 func (r *realizeState) sorted(sr sortnet.Result) ncc.Op {
 	r.sr = sr
-	return aggregate.AggregateBroadcast(r.nd, &r.env.GK, r.key, aggregate.MaxOp(), r.deltaK)
+	return r.agg.AggregateBroadcast(r.nd, &r.env.GK, r.key, aggregate.MaxOp(), r.deltaK)
 }
 
 // gotDelta finishes once no degree remains, and otherwise counts N, the
@@ -187,7 +194,7 @@ func (r *realizeState) gotDelta(delta int64) ncc.Op {
 	if r.key == delta {
 		cnt = 1
 	}
-	return aggregate.AggregateBroadcast(r.nd, &r.env.GK, cnt, aggregate.SumOp(), r.countK)
+	return r.agg.AggregateBroadcast(r.nd, &r.env.GK, cnt, aggregate.SumOp(), r.countK)
 }
 
 // gotCount lays out the star groups and builds the overlay the centers
@@ -201,7 +208,7 @@ func (r *realizeState) gotCount(sum int64) ncc.Op {
 	rank := r.sr.Rank
 	r.isCenter = !r.done && r.active && r.key >= 0 &&
 		rank%(r.delta+1) == 0 && rank/(r.delta+1) < q
-	return rankov.Build(r.nd, rank, r.sr.Pred, r.sr.Succ, r.overlayK)
+	return r.ov.Build(r.nd, rank, r.sr.Pred, r.sr.Succ, r.overlayK)
 }
 
 // gotOverlay has every center multicast its ID to its members.
@@ -210,7 +217,7 @@ func (r *realizeState) gotOverlay(ov *rankov.Overlay) ncc.Op {
 	if r.isCenter {
 		job = &rankov.Job{Payload: r.nd.ID(), Lo: r.sr.Rank + 1, Hi: r.sr.Rank + r.delta}
 	}
-	return rankov.Disseminate(r.nd, ov, &r.env.GK, job, r.groupsK)
+	return r.dis.Disseminate(r.nd, ov, &r.env.GK, job, r.groupsK)
 }
 
 // gotGroups stores the edge to every center that reached this node and
@@ -239,7 +246,7 @@ func (r *realizeState) gotGroups(groups []rankov.Job) ncc.Op {
 		r.myDeg = 0
 		r.out.Realized += r.delta
 	}
-	return aggregate.AggregateBroadcast(r.nd, &r.env.GK, neg, aggregate.OrOp(), r.checkedK)
+	return r.agg.AggregateBroadcast(r.nd, &r.env.GK, neg, aggregate.OrOp(), r.checkedK)
 }
 
 // MakeExplicit converts the implicit realization into an explicit one:
@@ -269,7 +276,6 @@ func MakeExplicit(nd *ncc.Node, env *Env, neighbors []ncc.ID, delta int, k func(
 	// ⌈Δ/budget⌉ rounds; the total schedule length is common knowledge and
 	// all nodes run it in lockstep.
 	s := &explicitState{plan: plan, budget: budget, total: window + delta/budget + 4, k: k}
-	s.receiveK = s.receive
 	return s.send(nd)
 }
 
@@ -280,15 +286,15 @@ type notice struct {
 	to    ncc.ID
 }
 
-// explicitState is one MakeExplicit call's per-node state: plan[:sent] has
-// been sent, plan[sent:due] is the backlog due by round r.
+// explicitState is one MakeExplicit call's per-node state, and its
+// continuation: plan[:sent] has been sent, plan[sent:due] is the backlog
+// due by round r.
 type explicitState struct {
 	plan             []notice
 	sent, due        int
 	r, total, budget int
 	stored           int
 	k                func(int) ncc.Op
-	receiveK         ncc.Cont
 }
 
 // send notifies up to budget endpoints from the backlog due by round r, or
@@ -309,11 +315,11 @@ func (s *explicitState) send(nd *ncc.Node) ncc.Op {
 		nd.Send(nt.to, ncc.Message{Kind: kNotify})
 	}
 	s.sent = end
-	return ncc.Next(s.receiveK)
+	return ncc.Next(s)
 }
 
-// receive stores the reverse edge of every notification.
-func (s *explicitState) receive(nd *ncc.Node, w ncc.Wake) ncc.Op {
+// Resume stores the reverse edge of every notification.
+func (s *explicitState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 	for _, m := range w.Msgs {
 		if m.Kind == kNotify {
 			nd.AddEdge(m.Src)

@@ -5,6 +5,31 @@ import (
 	"testing"
 )
 
+// relay is a benchmark node that runs for rounds rounds, sending one
+// message to its Gk successor in each when send is set. It is its own
+// continuation, so a run allocates one relay per node and the rest of what
+// it allocates is the engine's.
+type relay struct {
+	r, rounds int
+	send      bool
+}
+
+func (c *relay) Resume(nd *Node, _ Wake) Op {
+	if c.r >= c.rounds {
+		return Done()
+	}
+	if succ := nd.InitialSucc(); c.send && succ != None {
+		nd.Send(succ, Message{Kind: 1, A: int64(c.r)})
+	}
+	c.r++
+	return Next(c)
+}
+
+// relayProto starts a relay at every node.
+func relayProto(rounds int, send bool) Proto {
+	return func(nd *Node) Op { return (&relay{rounds: rounds, send: send}).Resume(nd, Wake{}) }
+}
+
 // BenchmarkDeliveryPooling drives the densest delivery workload — every node
 // sends to its successor every round — so allocs/op tracks the delivery
 // layer's free list of receive buffers: once warm, a round allocates no
@@ -15,20 +40,7 @@ func BenchmarkDeliveryPooling(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := New(Config{N: n, Seed: 1})
-			_, err := s.RunProgram(func(nd *Node) Op {
-				var loop func(r int) Op
-				loop = func(r int) Op {
-					if r >= rounds {
-						return Done()
-					}
-					if succ := nd.InitialSucc(); succ != None {
-						nd.Send(succ, Message{Kind: 1, A: int64(r)})
-					}
-					return Next(func(nd *Node, w Wake) Op { return loop(r + 1) })
-				}
-				return loop(0)
-			})
-			if err != nil {
+			if _, err := s.RunProgram(relayProto(rounds, true)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -45,17 +57,7 @@ func BenchmarkBarrierOverhead(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := New(Config{N: n, Seed: 1})
-				_, err := s.RunProgram(func(nd *Node) Op {
-					var loop func(r int) Op
-					loop = func(r int) Op {
-						if r >= rounds {
-							return Done()
-						}
-						return Next(func(nd *Node, w Wake) Op { return loop(r + 1) })
-					}
-					return loop(0)
-				})
-				if err != nil {
+				if _, err := s.RunProgram(relayProto(rounds, false)); err != nil {
 					b.Fatal(err)
 				}
 			}

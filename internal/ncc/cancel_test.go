@@ -19,7 +19,7 @@ func TestStopCancelsRunningProtocol(t *testing.T) {
 			if nd.ID() == first && r == 50 {
 				close(stop)
 			}
-			return Next(func(*Node, Wake) Op { return loop(r + 1) })
+			return Next(ContFunc(func(*Node, Wake) Op { return loop(r + 1) }))
 		}
 		return loop(0)
 	})
@@ -38,7 +38,7 @@ func TestStopClosedBeforeRun(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	s := New(Config{N: 2, Seed: 1, Stop: stop})
-	_, err := s.RunProgram(func(nd *Node) Op { return Next(forever) })
+	_, err := s.RunProgram(func(nd *Node) Op { return Next(ContFunc(forever)) })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -54,7 +54,7 @@ func TestStopUnusedDoesNotAffectRun(t *testing.T) {
 			if i == 5 {
 				return Done()
 			}
-			return Next(func(*Node, Wake) Op { return loop(i + 1) })
+			return Next(ContFunc(func(*Node, Wake) Op { return loop(i + 1) }))
 		}
 		return loop(0)
 	})

@@ -1,8 +1,8 @@
 package ncc
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -17,8 +17,8 @@ import (
 func (s *Sim) drive() {
 	pt := startPhaseTimer(s.cfg.Profile)
 	for {
-		for _, nd := range s.active {
-			s.step(nd)
+		for i := 0; i < len(s.active); {
+			i = s.stepFrom(i)
 		}
 		pt.endCompute()
 		if s.firstErr == nil && s.cfg.Progress != nil {
@@ -37,7 +37,7 @@ func (s *Sim) drive() {
 		}
 
 		// Partition the nodes that just stepped.
-		var collective []*Node
+		collective := s.entered[:0]
 		justDone := 0
 		for _, nd := range s.active {
 			switch nd.state {
@@ -46,12 +46,13 @@ func (s *Sim) drive() {
 			case stateAwait:
 				s.awaiting++
 			case stateSleep:
-				heap.Push(&s.sleepers, nd)
+				s.sleepers.push(nd)
 			case stateCollective:
 				collective = append(collective, nd)
 			}
 		}
 		s.doneCnt += justDone
+		s.entered = collective
 
 		if len(collective) > 0 && !s.runCollective(collective) {
 			s.killAll()
@@ -98,7 +99,7 @@ func (s *Sim) drive() {
 		}
 		next := s.nextActive(woken)
 		if len(next) == 0 {
-			if s.sleepers.Len() > 0 {
+			if len(s.sleepers) > 0 {
 				// Fast-forward empty rounds to the earliest wake time.
 				s.round = s.sleepers[0].wakeRound
 				next = s.nextActive(nil)
@@ -118,11 +119,11 @@ func (s *Sim) drive() {
 // phases. With a nil hook every method is a no-op with zero clock reads, so
 // unprofiled runs pay nothing. The spans tile the engine loop exactly:
 //
-//	compute  — the active nodes' steps (plus the wake-set sort inside
-//	           wakeSet, which precedes them — negligible by construction)
+//	compute  — the active nodes' steps
 //	delivery — the del.route call
 //	barrier  — everything else between rounds (Progress/Stop polls,
-//	           partitioning, collectives, round advance)
+//	           partitioning, collectives, round advance, and the scan of
+//	           the wake bitmap that lists the next active set in order)
 //
 // flushRound fires the hook immediately before the next round's steps, i.e.
 // once per completed round; rounds that end the run (every node done, or an
@@ -176,31 +177,48 @@ func (pt *phaseTimer) flushRound() {
 	pt.compute, pt.delivery, pt.barrier = 0, 0, 0
 }
 
-// nextActive gathers the nodes that act in the (already advanced) round:
-// nodes that suspended with Next, awaiters that received mail (woken), and
-// sleepers whose wake round has arrived.
+// nextActive gathers the nodes that act in the (already advanced) round, in
+// Gk order: nodes that suspended with Next, awaiters that received mail
+// (woken), and sleepers whose wake round has arrived. Each is marked in the
+// wake bitmap by Gk index, and a scan of the marked words lists them in
+// order, so no round sorts its active set.
 func (s *Sim) nextActive(woken []*Node) []*Node {
-	// nextScratch is reused across rounds: wakeSet copies the result into
-	// s.active before the next call, so the backing array is free again.
-	next := s.nextScratch[:0]
 	for _, nd := range s.active {
 		if nd.state == stateRunning {
-			next = append(next, nd)
+			s.markWake(nd.idx)
 		}
 	}
-	next = append(next, woken...)
-	for s.sleepers.Len() > 0 && s.sleepers[0].wakeRound <= s.round {
-		next = append(next, heap.Pop(&s.sleepers).(*Node))
+	for _, nd := range woken {
+		s.markWake(nd.idx)
+	}
+	for len(s.sleepers) > 0 && s.sleepers[0].wakeRound <= s.round {
+		s.markWake(s.sleepers.pop().idx)
+	}
+	// nextScratch is free: wakeSet swapped it out of s.active last round.
+	next := s.nextScratch[:0]
+	for w, word := range s.wake {
+		if word == 0 {
+			continue
+		}
+		s.wake[w] = 0
+		for word != 0 {
+			next = append(next, s.nodes[w<<6|bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
 	}
 	s.nextScratch = next
 	return next
 }
 
-// wakeSet makes the given nodes the new round's active set, in
-// deterministic (Gk index) order.
+// markWake marks the node at Gk index i active in the next round.
+func (s *Sim) markWake(i int) {
+	s.wake[i>>6] |= 1 << (i & 63)
+}
+
+// wakeSet makes next, which nextActive built in Gk order, the new round's
+// active set; the old active set's array becomes the next scratch.
 func (s *Sim) wakeSet(next []*Node) {
-	sortNodesByIdx(next)
-	s.active = append(s.active[:0], next...)
+	s.active, s.nextScratch = next, s.active
 	s.met.ActiveNodeRounds += int64(len(next))
 }
 
@@ -215,12 +233,16 @@ func (s *Sim) runCollective(coll []*Node) bool {
 			return false
 		}
 	}
-	if len(coll)+s.doneCnt != s.n || s.sleepers.Len() > 0 || s.awaiting > 0 {
+	if len(coll)+s.doneCnt != s.n || len(s.sleepers) > 0 || s.awaiting > 0 {
 		s.firstErr = fmt.Errorf("ncc: collective %q entered by %d of %d live nodes at round %d",
 			c.Name, len(coll), s.n-s.doneCnt, s.round)
 		return false
 	}
-	ins := make([]int64, s.n)
+	if s.collIns == nil {
+		s.collIns = make([]int64, s.n)
+	}
+	ins := s.collIns
+	clear(ins)
 	for _, nd := range coll {
 		ins[nd.idx] = nd.collIn
 	}
@@ -247,12 +269,51 @@ func (s *Sim) killAll() {
 	}
 }
 
-// sleepHeap orders sleeping nodes by wake round; the engine uses it to
-// fast-forward rounds in which every node sleeps.
+// sleepHeap is a binary min-heap of sleeping nodes by wake round; the
+// engine uses it to wake sleepers on time and to fast-forward rounds in
+// which every node sleeps. Nodes due in the same round leave it in no
+// particular order: the wake bitmap puts them in Gk order.
 type sleepHeap []*Node
 
-func (h sleepHeap) Len() int           { return len(h) }
-func (h sleepHeap) Less(i, j int) bool { return h[i].wakeRound < h[j].wakeRound }
-func (h sleepHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *sleepHeap) Push(x any)        { *h = append(*h, x.(*Node)) }
-func (h *sleepHeap) Pop() (x any)      { old := *h; n := len(old); x = old[n-1]; *h = old[:n-1]; return }
+func (h *sleepHeap) push(nd *Node) {
+	a := append(*h, nd)
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if a[p].wakeRound <= nd.wakeRound {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = nd
+	*h = a
+}
+
+// pop removes and returns the node with the earliest wake round.
+func (h *sleepHeap) pop() *Node {
+	a := *h
+	top, n := a[0], len(a)-1
+	last := a[n]
+	a = a[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && a[c+1].wakeRound < a[c].wakeRound {
+			c++
+		}
+		if last.wakeRound <= a[c].wakeRound {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	if n > 0 {
+		a[i] = last
+	}
+	*h = a
+	return top
+}

@@ -63,3 +63,38 @@ func (s *idSet) grow() {
 		}
 	}
 }
+
+// idTable maps each node ID to its Gk position. It is open-addressed and
+// probed with idSlot like idSet, at a load factor of at most 1/2, and holds
+// the positions in a parallel array. A Sim builds it once; its Trace shares
+// it.
+type idTable struct {
+	slots []ID    // a power of two long; None marks an empty slot
+	pos   []int32 // pos[i] is the Gk position of slots[i]
+}
+
+// newIDTable indexes ids, which are distinct and never None, by position.
+func newIDTable(ids []ID) idTable {
+	size := idSetMinSlots
+	for size < 2*len(ids) {
+		size *= 2
+	}
+	t := idTable{slots: make([]ID, size), pos: make([]int32, size)}
+	for i, id := range ids {
+		j := idSlot(t.slots, id)
+		t.slots[j], t.pos[j] = id, int32(i)
+	}
+	return t
+}
+
+// lookup returns id's Gk position, and whether id names a node.
+func (t *idTable) lookup(id ID) (int, bool) {
+	if id == None {
+		return 0, false
+	}
+	j := idSlot(t.slots, id)
+	if t.slots[j] != id {
+		return 0, false
+	}
+	return int(t.pos[j]), true
+}

@@ -16,22 +16,28 @@
 //
 // Protocols are written in resumable-step form (program.go): a node's
 // compute slice for a round sends its messages and returns the suspension it
-// wants, carrying the continuation to resume when it wakes:
+// wants, carrying the continuation (a Cont) to resume when it wakes:
 //
 //	func proto(nd *ncc.Node) ncc.Op {
 //	    nd.Send(nd.InitialSucc(), ncc.Message{Kind: hello})
-//	    return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+//	    return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 //	        // w.Msgs holds the messages delivered this round.
 //	        ...
 //	        return ncc.Done()
-//	    })
+//	    }))
 //	}
+//
+// A protocol that runs many rounds, or runs again and again, keeps its
+// per-node state in a struct that is its own continuation: its Resume method
+// dispatches on a phase field, and a pointer to it suspends the node without
+// allocating. The caller owns such a struct and may reuse it for the next
+// call once the previous one has delivered.
 //
 // Each node gets one integer input (Config.Inputs), its degree or threshold.
 // A primitive whose round cost has an analytic bound, such as the sort of
 // Theorem 3, may instead run centrally as a Collective: a value the protocol
-// holds and every live node enters with Enter in the same round, after which
-// the engine charges the bound's rounds.
+// holds and every live node enters with Node.Enter in the same round, after
+// which the engine charges the bound's rounds.
 //
 // Sim.RunProgram steps every node on the calling goroutine and enforces the
 // model: it validates knowledge on send, counts capacity on both ends,

@@ -30,11 +30,12 @@ type Node struct {
 	initialSucc ID  // Gk successor (None for the tail)
 	input       int // protocol input (e.g. required degree), set by the runner
 
-	// Round plumbing. A step writes outbox and returns its next Op, which
-	// sets state, wakeRound and cont, and coll and collIn for Enter; the
-	// engine reads them, fills inbox or collOut, and resumes cont when the
-	// node wakes. cont is nil until the entry step has run and again once
-	// the node is done; coll is non-nil from Enter until the node wakes.
+	// Round plumbing. A step writes outbox, sets coll and collIn if it
+	// calls Enter, and returns its next Op, which sets state, wakeRound and
+	// cont; the engine reads them, fills inbox or collOut, and resumes cont
+	// when the node wakes. cont is nil until the entry step has run and
+	// again once the node is done; coll is non-nil from Enter until the
+	// node wakes.
 	state     nodeState
 	wakeRound int
 	cont      Cont
@@ -112,7 +113,7 @@ func (nd *Node) Knows(id ID) bool {
 		return true
 	}
 	if nd.sim.cfg.Model == NCC1 {
-		_, ok := nd.sim.index[id]
+		_, ok := nd.sim.index.lookup(id)
 		return ok
 	}
 	return nd.known.has(id)
@@ -135,7 +136,7 @@ func (nd *Node) Send(dst ID, m Message) {
 	if dst == nd.id {
 		nd.fail("send to self")
 	}
-	dsti, ok := nd.sim.index[dst]
+	dsti, ok := nd.sim.index.lookup(dst)
 	if !ok {
 		nd.fail("send to nonexistent ID %d", dst)
 	}

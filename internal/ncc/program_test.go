@@ -3,6 +3,7 @@ package ncc_test
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"graphrealize/internal/ncc"
 	"graphrealize/internal/ncctest"
@@ -13,6 +14,15 @@ import (
 // maps onto exactly one engine barrier, Wake carries the delivered inbox or
 // the collective's output, and the engine rejects malformed ops.
 
+// TestOpFitsInRegisters pins Op at four words: the compiler keeps a struct
+// that size in registers, and a larger Op goes through memory on every
+// step (DESIGN.md §2).
+func TestOpFitsInRegisters(t *testing.T) {
+	if got, limit := unsafe.Sizeof(ncc.Op{}), 4*unsafe.Sizeof(uintptr(0)); got > limit {
+		t.Fatalf("Op is %d bytes, want at most %d", got, limit)
+	}
+}
+
 // TestOpSingleNodeSemantics drives a lone node through Next and Sleep and
 // checks the observed round at every resumption.
 func TestOpSingleNodeSemantics(t *testing.T) {
@@ -20,16 +30,16 @@ func TestOpSingleNodeSemantics(t *testing.T) {
 	var at []int
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		at = append(at, nd.Round()) // entry runs in round 0
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			at = append(at, nd.Round()) // Next advances exactly one round
 			if len(w.Msgs) != 0 {
 				t.Errorf("Next delivered %d messages, want 0", len(w.Msgs))
 			}
-			return ncc.Sleep(3, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			return ncc.Sleep(3, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 				at = append(at, nd.Round()) // Sleep(3) skips three rounds
 				return ncc.Done()
-			})
-		})
+			}))
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,12 +58,12 @@ func TestOpAwaitWakeCarriesMessages(t *testing.T) {
 			nd.Send(succ, ncc.Message{Kind: 7, A: 42})
 			return ncc.Done()
 		}
-		return ncc.Await(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			if len(w.Msgs) != 1 || w.Msgs[0].Kind != 7 || w.Msgs[0].A != 42 {
 				t.Errorf("await woke with %+v, want one message Kind=7 A=42", w.Msgs)
 			}
 			return ncc.Done()
-		})
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +91,10 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 	}}
 	s := ncc.New(ncc.Config{N: n, Seed: 3, Strict: true, Inputs: inputs})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return ncc.Enter(sum, int64(nd.Input()), func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return nd.Enter(sum, int64(nd.Input()), ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			nd.SetOutput("total", w.Coll.(int64))
 			return ncc.Done()
-		})
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +113,7 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 // TestOpSleepValidation: a non-positive sleep is a protocol error.
 func TestOpSleepValidation(t *testing.T) {
 	entry := func(nd *ncc.Node) ncc.Op {
-		return ncc.Sleep(0, func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
+		return ncc.Sleep(0, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() }))
 	}
 	if _, err := ncc.New(ncc.Config{N: 1, Seed: 4}).RunProgram(entry); err == nil {
 		t.Fatal("Sleep(0) did not error")
@@ -118,17 +128,17 @@ func TestOpSequenceTraceIdentical(t *testing.T) {
 	entry := func(nd *ncc.Node) ncc.Op {
 		if succ := nd.InitialSucc(); succ != ncc.None {
 			nd.Send(succ, ncc.Message{Kind: 1, A: int64(nd.ID())})
-			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-				return ncc.Sleep(2, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+				return ncc.Sleep(2, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 					nd.SetOutput("sent", 1)
 					return ncc.Done()
-				})
-			})
+				}))
+			}))
 		}
-		return ncc.Await(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			nd.SetOutput("got", w.Msgs[0].A)
 			return ncc.Done()
-		})
+		}))
 	}
 	tr, err := ncc.New(ncc.Config{N: 4, Seed: 5, Strict: true}).RunProgram(entry)
 	ncctest.Expect(t, "op sequence", tr, err, "e7fb13619dd3b51e")

@@ -30,7 +30,7 @@ func TestProgressHookMonotone(t *testing.T) {
 			if succ != None {
 				nd.Send(succ, Message{})
 			}
-			return Next(func(*Node, Wake) Op { return loop(r + 1) })
+			return Next(ContFunc(func(*Node, Wake) Op { return loop(r + 1) }))
 		}
 		return loop(0)
 	})
@@ -72,7 +72,7 @@ func TestProgressHookSeesCancellation(t *testing.T) {
 			}
 		},
 	})
-	_, err := s.RunProgram(func(nd *Node) Op { return Next(forever) })
+	_, err := s.RunProgram(func(nd *Node) Op { return Next(ContFunc(forever)) })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

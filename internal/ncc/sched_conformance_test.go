@@ -138,15 +138,15 @@ func mixedProto(rounds int) ncc.Proto {
 		var loop func(r int) ncc.Op
 		loop = func(r int) ncc.Op {
 			if r >= rounds {
-				return ncc.Enter(tally, 1, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+				return nd.Enter(tally, 1, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 					nd.SetOutput("total", w.Coll.(int64))
 					if succ != ncc.None {
 						nd.AddEdge(succ)
 					}
 					return ncc.Done()
-				})
+				}))
 			}
-			k := func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) }
+			k := ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) })
 			switch {
 			case r%5 == 3 && succ != ncc.None:
 				nd.Send(succ, ncc.Message{Kind: 1, A: int64(r)})
@@ -289,7 +289,7 @@ func TestSchedConformanceDeadlock(t *testing.T) {
 		s := ncc.New(ncc.Config{N: 5, Seed: 2})
 		_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
 			// Nobody will ever write.
-			return ncc.Await(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
+			return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() }))
 		})
 		if !errors.Is(err, ncc.ErrDeadlock) {
 			t.Fatalf("want ErrDeadlock, got %v", err)
@@ -312,7 +312,7 @@ func TestSchedConformanceStopAtBarrier(t *testing.T) {
 			var loop func(r int) ncc.Op
 			loop = func(r int) ncc.Op {
 				spin(nd, r)
-				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) })
+				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) }))
 			}
 			return loop(0)
 		})
@@ -377,9 +377,9 @@ func TestSchedConformanceSleepFastForward(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := ncc.New(ncc.Config{N: 8, Seed: 4})
 		tr, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
-			return ncc.Sleep(skip, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
-			})
+			return ncc.Sleep(skip, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() }))
+			}))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -399,14 +399,14 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 		s := ncc.New(ncc.Config{N: 4, Seed: 6})
 		victim := s.IDs()[1]
 		_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
-			var loop ncc.Cont
+			var loop ncc.ContFunc
 			loop = func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Next(loop) }
-			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 				if nd.ID() == victim {
 					panic("boom")
 				}
 				return ncc.Next(loop)
-			})
+			}))
 		})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("want propagated panic, got %v", err)
@@ -441,7 +441,7 @@ func TestSchedConformanceStrictViolation(t *testing.T) {
 			s := ncc.New(ncc.Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: ncc.NCC1})
 			_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
 				tc.flood(nd)
-				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() })
+				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() }))
 			})
 			if !errors.Is(err, ncc.ErrCapacity) {
 				t.Fatalf("%s: want a strict capacity violation matching ErrCapacity, got %v", tc.name, err)

@@ -1,7 +1,6 @@
 package ncc
 
 import (
-	"cmp"
 	"errors"
 	"math/rand"
 	"slices"
@@ -103,9 +102,9 @@ type Sim struct {
 	n        int
 	capacity int
 
-	ids    []ID // Gk order
-	index  map[ID]int
-	allIDs []ID // sorted, shared in NCC1
+	ids    []ID    // Gk order
+	index  idTable // ID → Gk position
+	allIDs []ID    // sorted, shared in NCC1
 	nodes  []*Node
 
 	entry Proto     // the protocol RunProgram steps
@@ -113,13 +112,16 @@ type Sim struct {
 
 	// engine state (engine.go)
 	round       int
-	active      []*Node // nodes woken for the current round
-	nextScratch []*Node // reusable buffer for nextActive
-	awaiting    int     // nodes in stateAwait
+	active      []*Node  // nodes woken for the current round, in Gk order
+	nextScratch []*Node  // reusable buffer for nextActive
+	wake        []uint64 // the next round's active set: one bit per Gk index
+	awaiting    int      // nodes in stateAwait
 	sleepers    sleepHeap
 	doneCnt     int
 
-	sendViol int // send-capacity violations in the current round
+	sendViol int     // send-capacity violations in the current round
+	entered  []*Node // the nodes that entered a collective this round, reused
+	collIns  []int64 // the inputs runCollective hands a Collective, reused
 
 	met      Metrics
 	firstErr error
@@ -145,12 +147,15 @@ func New(cfg Config) *Sim {
 		cfg:      cfg,
 		n:        n,
 		capacity: capacity,
-		index:    make(map[ID]int, n),
+		wake:     make([]uint64, (n+63)/64),
 	}
 	s.assignIDs()
+	// One array holds every Node, in Gk order, the order rounds step them.
+	nodes := make([]Node, n)
 	s.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nd := &Node{sim: s, id: s.ids[i], idx: i}
+		nd := &nodes[i]
+		*nd = Node{sim: s, id: s.ids[i], idx: i}
 		if i+1 < n {
 			nd.initialSucc = s.ids[i+1]
 			nd.Learn(nd.initialSucc)
@@ -195,9 +200,7 @@ func (s *Sim) assignIDs() {
 	} else {
 		slices.Sort(s.ids)
 	}
-	for i, id := range s.ids {
-		s.index[id] = i
-	}
+	s.index = newIDTable(s.ids)
 	s.allIDs = make([]ID, n)
 	copy(s.allIDs, s.ids)
 	slices.Sort(s.allIDs)
@@ -211,11 +214,6 @@ func (s *Sim) N() int { return s.n }
 
 // Capacity returns the per-node per-round message budget.
 func (s *Sim) Capacity() int { return s.capacity }
-
-// sortNodesByIdx orders a wake set deterministically by Gk index.
-func sortNodesByIdx(nodes []*Node) {
-	slices.SortFunc(nodes, func(a, b *Node) int { return cmp.Compare(a.idx, b.idx) })
-}
 
 // mix64 is a splitmix64-style mixer for deterministic seed derivation.
 func mix64(a, b int64) int64 {

@@ -17,7 +17,7 @@ const (
 func finish(*Node, Wake) Op { return Done() }
 
 // forever checks in at every barrier and never returns.
-func forever(*Node, Wake) Op { return Next(forever) }
+func forever(*Node, Wake) Op { return Next(ContFunc(forever)) }
 
 // helloProto converts the directed path into an undirected one (the one-round
 // conversion from §3.1 of the paper) and records the learned predecessor.
@@ -25,14 +25,14 @@ func helloProto(nd *Node) Op {
 	if s := nd.InitialSucc(); s != None {
 		nd.Send(s, Message{Kind: kindHello})
 	}
-	return Next(func(nd *Node, w Wake) Op {
+	return Next(ContFunc(func(nd *Node, w Wake) Op {
 		for _, m := range w.Msgs {
 			if m.Kind == kindHello {
 				nd.SetOutput("pred", int64(m.Src))
 			}
 		}
 		return Done()
-	})
+	}))
 }
 
 func TestHelloPathLearnsPredecessors(t *testing.T) {
@@ -100,14 +100,14 @@ func TestDeterminism(t *testing.T) {
 			if s := nd.InitialSucc(); s != None {
 				nd.Send(s, Message{Kind: kindData, A: nd.Rand().Int63n(1000)})
 			}
-			return Next(func(nd *Node, w Wake) Op {
+			return Next(ContFunc(func(nd *Node, w Wake) Op {
 				sum := int64(0)
 				for _, m := range w.Msgs {
 					sum += m.A
 				}
 				nd.SetOutput("sum", sum)
 				return Done()
-			})
+			}))
 		})
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -134,7 +134,7 @@ func TestNCC0SendToUnknownFails(t *testing.T) {
 		if nd.ID() == head {
 			nd.Send(tail, Message{}) // head does not know the tail
 		}
-		return Next(finish)
+		return Next(ContFunc(finish))
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown ID") {
 		t.Fatalf("want unknown-ID violation, got %v", err)
@@ -149,12 +149,12 @@ func TestNCC1MayContactAnyone(t *testing.T) {
 		if nd.ID() == head {
 			nd.Send(tail, Message{Kind: kindData, A: 99})
 		}
-		return Next(func(nd *Node, w Wake) Op {
+		return Next(ContFunc(func(nd *Node, w Wake) Op {
 			for _, m := range w.Msgs {
 				nd.SetOutput("got", m.A)
 			}
 			return Done()
-		})
+		}))
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -175,6 +175,26 @@ func TestSendToSelfFails(t *testing.T) {
 	}
 }
 
+// TestSendToNonexistentIDFails: an ID the ID table does not hold, None
+// included, is no destination in either model.
+func TestSendToNonexistentIDFails(t *testing.T) {
+	// Past each model's ID range for n = 4: NCC1's IDs are 1..4, NCC0's
+	// are drawn from [1, 4n²].
+	outside := map[Model]ID{NCC1: 5, NCC0: 4*4*4 + 1}
+	for _, model := range []Model{NCC0, NCC1} {
+		for _, dst := range []ID{None, outside[model]} {
+			s := New(Config{N: 4, Seed: 1, Model: model})
+			_, err := s.RunProgram(func(nd *Node) Op {
+				nd.Send(dst, Message{})
+				return Done()
+			})
+			if err == nil || !strings.Contains(err.Error(), "nonexistent") {
+				t.Fatalf("%v: send to %d: want a nonexistent-ID violation, got %v", model, dst, err)
+			}
+		}
+	}
+}
+
 func TestStrictSendCapacity(t *testing.T) {
 	s := New(Config{N: 16, Seed: 2, CapMul: 1, Strict: true})
 	capi := s.Capacity()
@@ -184,7 +204,7 @@ func TestStrictSendCapacity(t *testing.T) {
 				nd.Send(succ, Message{Kind: kindData, A: int64(i)})
 			}
 		}
-		return Next(finish)
+		return Next(ContFunc(finish))
 	})
 	if err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Fatalf("want capacity violation, got %v", err)
@@ -200,7 +220,7 @@ func TestNonStrictRecordsViolations(t *testing.T) {
 				nd.Send(succ, Message{Kind: kindData})
 			}
 		}
-		return Next(finish)
+		return Next(ContFunc(finish))
 	})
 	if err != nil {
 		t.Fatalf("non-strict run should succeed: %v", err)
@@ -221,7 +241,7 @@ func TestDeadlockDetection(t *testing.T) {
 	ids := s.IDs()
 	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			return Await(finish) // nobody will ever write
+			return Await(ContFunc(finish)) // nobody will ever write
 		}
 		return Done()
 	})
@@ -232,7 +252,7 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestMaxRoundsAbort(t *testing.T) {
 	s := New(Config{N: 4, Seed: 9, MaxRounds: 50})
-	_, err := s.RunProgram(func(nd *Node) Op { return Next(forever) })
+	_, err := s.RunProgram(func(nd *Node) Op { return Next(ContFunc(forever)) })
 	if !errors.Is(err, ErrMaxRounds) || err.Error() != "ncc: exceeded MaxRounds=50" {
 		t.Fatalf("want ErrMaxRounds naming the limit, got %v", err)
 	}
@@ -242,12 +262,12 @@ func TestPanicInProtocolSurfacesAsError(t *testing.T) {
 	s := New(Config{N: 8, Seed: 9})
 	ids := s.IDs()
 	_, err := s.RunProgram(func(nd *Node) Op {
-		return Next(func(nd *Node, w Wake) Op {
+		return Next(ContFunc(func(nd *Node, w Wake) Op {
 			if nd.ID() == ids[3] {
 				panic("kaboom")
 			}
-			return Next(finish)
-		})
+			return Next(ContFunc(finish))
+		}))
 	})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("want protocol panic surfaced, got %v", err)
@@ -266,14 +286,14 @@ func TestSkipRoundsAccumulatesMail(t *testing.T) {
 					return Done()
 				}
 				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: int64(i)})
-				return Next(func(*Node, Wake) Op { return send(i + 1) })
+				return Next(ContFunc(func(*Node, Wake) Op { return send(i + 1) }))
 			}
 			return send(0)
 		}
-		return Sleep(5, func(nd *Node, w Wake) Op {
+		return Sleep(5, ContFunc(func(nd *Node, w Wake) Op {
 			nd.SetOutput("n", int64(len(w.Msgs)))
 			return Done()
-		})
+		}))
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -289,16 +309,16 @@ func TestAwaitMessageWakesOnDelivery(t *testing.T) {
 	tr, err := s.RunProgram(func(nd *Node) Op {
 		switch nd.ID() {
 		case ids[0]:
-			return Sleep(4, func(nd *Node, w Wake) Op {
+			return Sleep(4, ContFunc(func(nd *Node, w Wake) Op {
 				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 7})
-				return Next(finish)
-			})
+				return Next(ContFunc(finish))
+			}))
 		case ids[1]:
-			return Await(func(nd *Node, w Wake) Op {
+			return Await(ContFunc(func(nd *Node, w Wake) Op {
 				nd.SetOutput("round", int64(nd.Round()))
 				nd.SetOutput("got", w.Msgs[0].A)
 				return Done()
-			})
+			}))
 		default:
 			return Done()
 		}
@@ -317,7 +337,7 @@ func TestAwaitMessageWakesOnDelivery(t *testing.T) {
 func TestFastForwardIsCheap(t *testing.T) {
 	s := New(Config{N: 2, Seed: 17})
 	tr, err := s.RunProgram(func(nd *Node) Op {
-		return Sleep(1_000_000, finish)
+		return Sleep(1_000_000, ContFunc(finish))
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -345,12 +365,12 @@ func TestCollectiveSumAndCharge(t *testing.T) {
 	}}
 	s := New(Config{N: 10, Seed: 19, Strict: true})
 	tr, err := s.RunProgram(func(nd *Node) Op {
-		return Next(func(nd *Node, w Wake) Op {
-			return Enter(sum, 2, func(nd *Node, w Wake) Op {
+		return Next(ContFunc(func(nd *Node, w Wake) Op {
+			return nd.Enter(sum, 2, ContFunc(func(nd *Node, w Wake) Op {
 				nd.SetOutput("sum", w.Coll.(int64))
 				return Done()
-			})
-		})
+			}))
+		}))
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -383,17 +403,17 @@ func TestCollectiveTeachesIDs(t *testing.T) {
 		return outs, 1
 	}}
 	tr, err := s.RunProgram(func(nd *Node) Op {
-		return Enter(introduceHead, 0, func(nd *Node, w Wake) Op {
+		return nd.Enter(introduceHead, 0, ContFunc(func(nd *Node, w Wake) Op {
 			if nd.ID() != ids[0] {
 				nd.Send(ids[0], Message{Kind: kindData, A: 1})
 			}
-			return Next(func(nd *Node, w Wake) Op {
+			return Next(ContFunc(func(nd *Node, w Wake) Op {
 				if nd.ID() == ids[0] {
 					nd.SetOutput("heard", int64(nd.Round()))
 				}
 				return Done()
-			})
-		})
+			}))
+		}))
 	})
 	if err != nil {
 		t.Fatalf("run (sending to a collectively learned ID): %v", err)
@@ -414,11 +434,11 @@ func TestCollectiveMismatchIsError(t *testing.T) {
 	ids := s.IDs()
 	_, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			return Enter(a, 0, finish)
+			return nd.Enter(a, 0, ContFunc(finish))
 		}
-		return Next(func(*Node, Wake) Op {
-			return Next(func(*Node, Wake) Op { return Next(finish) })
-		})
+		return Next(ContFunc(func(*Node, Wake) Op {
+			return Next(ContFunc(func(*Node, Wake) Op { return Next(ContFunc(finish)) }))
+		}))
 	})
 	if err == nil {
 		t.Fatal("mismatched collective participation should fail")
@@ -440,9 +460,9 @@ func TestCollectiveMixedValuesIsError(t *testing.T) {
 		s := New(Config{N: 6, Seed: 31})
 		tr, err := s.RunProgram(func(nd *Node) Op {
 			if nd.idx < nd.N()/2 {
-				return Enter(tc.a, 0, finish)
+				return nd.Enter(tc.a, 0, ContFunc(finish))
 			}
-			return Enter(tc.b, 0, finish)
+			return nd.Enter(tc.b, 0, ContFunc(finish))
 		})
 		want := `mixed collectives "` + tc.a.Name + `" and "` + tc.b.Name + `"`
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -460,7 +480,7 @@ func TestCollectiveMixedValuesIsError(t *testing.T) {
 func TestCollectiveNilIsViolation(t *testing.T) {
 	for _, c := range []*Collective{nil, {Name: "no-run"}} {
 		_, err := New(Config{N: 3, Seed: 37}).RunProgram(func(nd *Node) Op {
-			return Next(func(*Node, Wake) Op { return Enter(c, 0, finish) })
+			return Next(ContFunc(func(*Node, Wake) Op { return nd.Enter(c, 0, ContFunc(finish)) }))
 		})
 		if err == nil || !strings.Contains(err.Error(), "Enter: nil collective") {
 			t.Fatalf("Enter(%v): got error %v, want a nil-collective violation", c, err)
@@ -601,19 +621,19 @@ func TestKnowsSemantics(t *testing.T) {
 					nd.fail("head must not know the tail initially")
 				}
 				nd.Send(ids[1], Message{}.WithIDs(nd.ID()))
-				return Next(func(nd *Node, w Wake) Op {
+				return Next(ContFunc(func(nd *Node, w Wake) Op {
 					// Carries only None and the receiver's own ID, from a
 					// sender the receiver already knows.
 					nd.Send(ids[1], Message{}.WithIDs(None, ids[1]))
 					return Done()
-				})
+				}))
 			case ids[1]:
-				return Next(func(nd *Node, w Wake) Op {
+				return Next(ContFunc(func(nd *Node, w Wake) Op {
 					if len(w.Msgs) != 1 || !nd.Knows(w.Msgs[0].Src) {
 						nd.fail("receiver must learn sender")
 					}
 					before := nd.known.n
-					return Next(func(nd *Node, w Wake) Op {
+					return Next(ContFunc(func(nd *Node, w Wake) Op {
 						if len(w.Msgs) != 1 {
 							nd.fail("want the (None, self) message, got %d", len(w.Msgs))
 						}
@@ -621,10 +641,10 @@ func TestKnowsSemantics(t *testing.T) {
 							nd.fail("a message carrying None and self taught %d IDs", nd.known.n-before)
 						}
 						return Done()
-					})
-				})
+					}))
+				}))
 			default:
-				return Next(func(*Node, Wake) Op { return Next(finish) })
+				return Next(ContFunc(func(*Node, Wake) Op { return Next(ContFunc(finish)) }))
 			}
 		})
 		if err != nil {
@@ -665,7 +685,7 @@ func TestKnowsSemantics(t *testing.T) {
 				}
 				return Done()
 			case ids[1]:
-				return Next(func(nd *Node, w Wake) Op {
+				return Next(ContFunc(func(nd *Node, w Wake) Op {
 					if nd.known.n != taught+1 {
 						nd.fail("knows %d IDs, want %d", nd.known.n, taught+1)
 					}
@@ -675,9 +695,9 @@ func TestKnowsSemantics(t *testing.T) {
 						}
 					}
 					return Done()
-				})
+				}))
 			default:
-				return Next(finish)
+				return Next(ContFunc(finish))
 			}
 		})
 		if err != nil {
@@ -693,7 +713,7 @@ func TestMessageTooManyIDs(t *testing.T) {
 		if nd.ID() == ids[0] {
 			nd.Send(ids[1], Message{}.WithIDs(1, 2, 3, 4, 5))
 		}
-		return Next(finish)
+		return Next(ContFunc(finish))
 	})
 	if err == nil || !strings.Contains(err.Error(), "IDs") {
 		t.Fatalf("want oversized-message violation, got %v", err)
@@ -735,10 +755,10 @@ func TestSendToFinishedNodeIsDropped(t *testing.T) {
 		if nd.ID() == ids[1] {
 			return Done() // dies immediately
 		}
-		return Next(func(nd *Node, w Wake) Op {
+		return Next(ContFunc(func(nd *Node, w Wake) Op {
 			nd.Send(ids[1], Message{Kind: kindData})
-			return Next(finish)
-		})
+			return Next(ContFunc(finish))
+		}))
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -752,17 +772,17 @@ func TestAwaitAfterSkipOrdering(t *testing.T) {
 	ids := s.IDs()
 	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			return Sleep(3, func(nd *Node, w Wake) Op {
+			return Sleep(3, ContFunc(func(nd *Node, w Wake) Op {
 				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 5})
-				return Next(finish)
-			})
+				return Next(ContFunc(finish))
+			}))
 		}
-		return Sleep(2, func(nd *Node, w Wake) Op {
-			return Await(func(nd *Node, w Wake) Op {
+		return Sleep(2, ContFunc(func(nd *Node, w Wake) Op {
+			return Await(ContFunc(func(nd *Node, w Wake) Op {
 				nd.SetOutput("got", w.Msgs[0].A)
 				return Done()
-			})
-		})
+			}))
+		}))
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -797,7 +817,7 @@ func TestMaxSentTracksBursts(t *testing.T) {
 				nd.Send(ids[1], Message{Kind: kindData})
 			}
 		}
-		return Next(finish)
+		return Next(ContFunc(finish))
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

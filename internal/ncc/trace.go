@@ -23,12 +23,12 @@ type Trace struct {
 	// Unrealizable is true if any node declared the instance unrealizable.
 	Unrealizable bool
 
-	index map[ID]int // the Sim's ID → Gk position map, shared
+	index idTable // the Sim's ID → Gk position table, shared
 }
 
 // Output returns the named output of node id, or (0, false) if absent.
 func (t *Trace) Output(id ID, key string) (int64, bool) {
-	i, ok := t.index[id]
+	i, ok := t.index.lookup(id)
 	if !ok {
 		return 0, false
 	}
@@ -74,10 +74,8 @@ func (t *Trace) Adjacency() [][]int {
 	pairs := make([]uint64, 0, stored)
 	for i := range t.Nodes {
 		for _, p := range t.Nodes[i].Neighbors {
-			lo, hi := i, t.index[p]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
+			j, _ := t.index.lookup(p)
+			lo, hi := min(i, j), max(i, j)
 			pairs = append(pairs, uint64(lo)<<32|uint64(hi))
 		}
 	}

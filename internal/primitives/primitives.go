@@ -15,9 +15,18 @@
 // call Foo(nd, …, k) performs the current round's compute slice and returns
 // an ncc.Op whose continuation eventually invokes k with the result, so
 // primitives compose by nesting continuations. A primitive that runs a loop
-// of rounds allocates one state struct per call; its methods are the
-// continuations, bound to ncc.Cont values once per call, and its loop
-// counters are fields, so no round allocates a continuation.
+// of rounds keeps its state in one struct whose Resume method is its
+// continuation, with its loop counters and phase as fields, so no round
+// allocates a continuation.
+//
+// Who owns that struct depends on how often the primitive runs. The package
+// function allocates a fresh one per call, which suits a primitive a
+// realization runs once. A primitive a realization runs again and again
+// also has an exported state type (LevelsBuilder here): its caller embeds
+// one and calls the same-named method on it, which reuses the struct and
+// every array it holds, so a repeat call allocates nothing. A result that
+// points into such a state (LevelsBuilder's Levels) stays valid until the
+// next call on the same state.
 package primitives
 
 import (
@@ -62,14 +71,14 @@ func BuildPath(nd *ncc.Node, k func(Path) ncc.Op) ncc.Op {
 		nd.Send(succ, ncc.Message{Kind: kHello})
 	}
 	p := Path{Pred: ncc.None, Succ: succ}
-	return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 		for _, m := range w.Msgs {
 			if m.Kind == kHello {
 				p.Pred = m.Src
 			}
 		}
 		return k(p)
-	})
+	}))
 }
 
 // Levels is the structure L of §3.1.1: Pred[r]/Succ[r] are the node's
@@ -92,29 +101,41 @@ func (l Levels) Top() int { return len(l.Pred) - 1 }
 // Rounds: exactly ⌈log₂ n⌉ (one per level). Each node sends ≤ 2 messages
 // per round.
 func BuildLevels(nd *ncc.Node, p Path, k func(Levels) ncc.Op) ncc.Op {
-	K := ncc.CeilLog2(nd.N())
-	links := make([]ncc.ID, 2*(K+1))
-	s := &levelsState{l: Levels{Pred: links[: K+1 : K+1], Succ: links[K+1:]}, top: K, k: k}
-	s.l.Pred[0], s.l.Succ[0] = p.Pred, p.Succ
-	s.adoptK = s.adopt
-	return s.introduce(nd)
+	return new(LevelsBuilder).BuildLevels(nd, p, k)
 }
 
-// levelsState is one BuildLevels call's per-node state: the links built so
-// far and the level r whose introductions are in flight.
-type levelsState struct {
+// LevelsBuilder is BuildLevels' per-node state, and its continuation: the
+// links built so far and the level r whose introductions are in flight. A
+// caller that builds L again and again keeps one; the zero value is ready.
+type LevelsBuilder struct {
+	links  []ncc.ID // Levels.Pred then Levels.Succ, reused by every build
 	l      Levels
 	r, top int
 	k      func(Levels) ncc.Op
-	adoptK ncc.Cont
+}
+
+// BuildLevels runs the package function BuildLevels on b. A repeat call
+// reuses b's link arrays and allocates nothing; the Levels it delivers share
+// them, so they stay valid until b's next BuildLevels.
+func (b *LevelsBuilder) BuildLevels(nd *ncc.Node, p Path, k func(Levels) ncc.Op) ncc.Op {
+	K := ncc.CeilLog2(nd.N())
+	if len(b.links) != 2*(K+1) {
+		b.links = make([]ncc.ID, 2*(K+1))
+	} else {
+		clear(b.links)
+	}
+	b.l = Levels{Pred: b.links[: K+1 : K+1], Succ: b.links[K+1:]}
+	b.r, b.top, b.k = 0, K, k
+	b.l.Pred[0], b.l.Succ[0] = p.Pred, p.Succ
+	return b.introduce(nd)
 }
 
 // introduce sends level r's introductions, or delivers L once every level
 // is built.
-func (s *levelsState) introduce(nd *ncc.Node) ncc.Op {
-	r, l := s.r, s.l
-	if r >= s.top {
-		return s.k(l)
+func (b *LevelsBuilder) introduce(nd *ncc.Node) ncc.Op {
+	r, l := b.r, b.l
+	if r >= b.top {
+		return b.k(l)
 	}
 	if l.Succ[r] != ncc.None && l.Pred[r] != ncc.None {
 		// Teach my successor its grand-predecessor (= my predecessor).
@@ -122,21 +143,21 @@ func (s *levelsState) introduce(nd *ncc.Node) ncc.Op {
 		// Teach my predecessor its grand-successor (= my successor).
 		nd.Send(l.Pred[r], ncc.Message{Kind: kGrandSucc}.WithIDs(l.Succ[r]))
 	}
-	return ncc.Next(s.adoptK)
+	return ncc.Next(b)
 }
 
-// adopt takes the level-(r+1) links introduced to this node.
-func (s *levelsState) adopt(nd *ncc.Node, w ncc.Wake) ncc.Op {
+// Resume adopts the level-(r+1) links introduced to this node.
+func (b *LevelsBuilder) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 	for _, m := range w.Msgs {
 		switch m.Kind {
 		case kGrandPred:
-			s.l.Pred[s.r+1] = m.IDs()[0]
+			b.l.Pred[b.r+1] = m.IDs()[0]
 		case kGrandSucc:
-			s.l.Succ[s.r+1] = m.IDs()[0]
+			b.l.Succ[b.r+1] = m.IDs()[0]
 		}
 	}
-	s.r++
-	return s.introduce(nd)
+	b.r++
+	return b.introduce(nd)
 }
 
 // Tree is a node's view of the balanced binary search tree TBFS produced by
@@ -171,20 +192,28 @@ func BuildTBFS(nd *ncc.Node, l Levels, k func(Tree) ncc.Op) ncc.Op {
 		inTree: isRoot, inSp: isRoot, inSs: isRoot,
 		k: k,
 	}
-	s.acceptK, s.adoptK = s.accept, s.adopt
 	return s.invite(nd)
 }
 
-// tbfsState is one BuildTBFS call's per-node state: the tree so far, the
-// node's membership of the tree and of Sp and Ss, and the level i in
-// progress.
+// tbfsState is one BuildTBFS call's per-node state, and its continuation:
+// the tree so far, the node's membership of the tree and of Sp and Ss, the
+// level i in progress, and which of the level's two rounds, accept or
+// adopt, the node resumes in.
 type tbfsState struct {
 	t                  Tree
 	l                  Levels
 	i                  int
 	inTree, inSp, inSs bool
+	adopting           bool
 	k                  func(Tree) ncc.Op
-	acceptK, adoptK    ncc.Cont
+}
+
+// Resume runs the accept or the adopt round.
+func (s *tbfsState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	if s.adopting {
+		return s.adopt(nd, w)
+	}
+	return s.accept(nd, w)
 }
 
 // invite runs level i's invite round, or delivers the tree once level 0 is
@@ -207,7 +236,8 @@ func (s *tbfsState) invite(nd *ncc.Node) ncc.Op {
 		nd.Send(s.l.Succ[i], ncc.Message{Kind: kInvite, A: 1, B: int64(s.t.Depth)})
 		s.inSs = false
 	}
-	return ncc.Next(s.acceptK)
+	s.adopting = false
+	return ncc.Next(s)
 }
 
 // accept is the accept round: join under the first inviter (the uniqueness
@@ -226,7 +256,8 @@ func (s *tbfsState) accept(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			break
 		}
 	}
-	return ncc.Next(s.adoptK)
+	s.adopting = true
+	return ncc.Next(s)
 }
 
 // adopt records the children that accepted this level's invitations.
@@ -264,19 +295,17 @@ func AnnotateTree(nd *ncc.Node, t *Tree, k func() ncc.Op) ncc.Op {
 	// Phase A: subtree sizes, leaves upward. A node at height h sends in
 	// round start+h, so everything completes within K+2 rounds.
 	s := &annotateState{t: t, k: k, K: K, pending: pending, deadline: nd.Round() + K + 3}
-	s.resume = s.step
 	if pending == 0 {
 		return s.sendSize(nd)
 	}
-	return ncc.Await(s.resume)
+	return ncc.Await(s)
 }
 
-// annotateState is one AnnotateTree call's per-node state. Every suspension
-// resumes step, and phase says where.
+// annotateState is one AnnotateTree call's per-node state, and its
+// continuation: phase says where Resume picks up.
 type annotateState struct {
 	t        *Tree
 	k        func() ncc.Op
-	resume   ncc.Cont
 	K        int
 	pending  int // children whose subtree sizes have not arrived
 	lo       int // start of the node's inorder interval
@@ -293,7 +322,7 @@ const (
 	endIntervals                       // sleeping until phase B ends
 )
 
-func (s *annotateState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
+func (s *annotateState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 	t := s.t
 	switch s.phase {
 	case gatherSizes:
@@ -308,7 +337,7 @@ func (s *annotateState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			s.pending--
 		}
 		if s.pending > 0 {
-			return ncc.Await(s.resume)
+			return ncc.Await(s)
 		}
 		return s.sendSize(nd)
 	case endSizes:
@@ -318,7 +347,7 @@ func (s *annotateState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			return s.assign(nd)
 		}
 		s.phase = awaitInterval
-		return ncc.Await(s.resume)
+		return ncc.Await(s)
 	case awaitInterval:
 		waiting := true
 		for _, m := range w.Msgs {
@@ -328,7 +357,7 @@ func (s *annotateState) step(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			}
 		}
 		if waiting {
-			return ncc.Await(s.resume)
+			return ncc.Await(s)
 		}
 		return s.assign(nd)
 	default: // endIntervals
@@ -342,7 +371,7 @@ func (s *annotateState) sendSize(nd *ncc.Node) ncc.Op {
 		nd.Send(s.t.Parent, ncc.Message{Kind: kSize, A: int64(s.t.Size)})
 	}
 	s.phase = endSizes
-	return SyncAt(nd, s.deadline, s.resume)
+	return SyncAt(nd, s.deadline, s)
 }
 
 // assign takes the node's position in its interval, hands the children
@@ -357,7 +386,7 @@ func (s *annotateState) assign(nd *ncc.Node) ncc.Op {
 		nd.Send(t.Right, ncc.Message{Kind: kInterval, A: int64(t.Pos + 1)})
 	}
 	s.phase = endIntervals
-	return SyncAt(nd, s.deadline, s.resume)
+	return SyncAt(nd, s.deadline, s)
 }
 
 // BuildAll runs the full §3.1 pipeline — path conversion, structure L,
@@ -380,7 +409,7 @@ func BuildAll(nd *ncc.Node, k func(Path, Levels, Tree) ncc.Op) ncc.Op {
 // waited; lockstep protocols use it as a barrier between phases.
 func SyncAt(nd *ncc.Node, round int, k ncc.Cont) ncc.Op {
 	if nd.Round() >= round {
-		return k(nd, ncc.Wake{})
+		return k.Resume(nd, ncc.Wake{})
 	}
 	return ncc.Sleep(round-nd.Round(), k)
 }

@@ -56,7 +56,7 @@ func TestBuildAllStepMatchesBlocking(t *testing.T) {
 func TestSyncAtStepSingleNodeSemantics(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 1, Seed: 9, Strict: true})
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return SyncAt(nd, 6, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return SyncAt(nd, 6, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			if nd.Round() != 6 {
 				t.Errorf("resumed at round %d, want 6", nd.Round())
 			}
@@ -64,7 +64,7 @@ func TestSyncAtStepSingleNodeSemantics(t *testing.T) {
 				t.Errorf("resumed with %d messages, want 0", len(w.Msgs))
 			}
 			return ncc.Done()
-		})
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)

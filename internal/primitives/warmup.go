@@ -37,7 +37,7 @@ func BuildWarmupTree(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
 			nd.Send(succ, ncc.Message{Kind: kWGrandPred}.WithIDs(pred))
 			nd.Send(pred, ncc.Message{Kind: kWGrandSucc}.WithIDs(succ))
 		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			gpred, gsucc := ncc.None, ncc.None
 			for _, m := range w.Msgs {
 				switch m.Kind {
@@ -61,7 +61,7 @@ func BuildWarmupTree(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
 				}
 				pred, succ = ncc.None, ncc.None
 			}
-			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 				// Round 3: apply claims and switch to the odd/even sub-path links.
 				if !placed {
 					newPred, newSucc := gpred, gsucc
@@ -73,9 +73,9 @@ func BuildWarmupTree(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
 					}
 					pred, succ = newPred, newSucc
 				}
-				return ncc.Next(func(*ncc.Node, ncc.Wake) ncc.Op { return iter(it + 1) })
-			})
-		})
+				return ncc.Next(ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op { return iter(it + 1) }))
+			}))
+		}))
 	}
 	return iter(0)
 }

@@ -19,6 +19,16 @@
 // All primitives are lockstep and take a deterministic number of rounds,
 // except Disseminate whose routing prologue is adaptive (quiescence is
 // detected by aggregation over the Gk tree).
+//
+// A realization re-ranks and disseminates once per phase, so every
+// primitive here has reusable per-node state, owned by its caller and its
+// own continuation (package primitives describes the convention): an
+// Overlay rebuilds itself in place with its Build method, and a
+// Disseminator, a Scanner and a Shifter run Disseminate, PrefixSum and the
+// shifts. A repeat call on the same state allocates nothing once its
+// buffers have grown. What a call delivers from that state (the *Overlay,
+// the []Job, the []ShiftToken) stays valid until the next call on it. The
+// package functions run each primitive once on fresh state.
 package rankov
 
 import (
@@ -35,11 +45,18 @@ const (
 )
 
 // Overlay is a node's view of a ranked path: its rank, and doubling links
-// Pred[j]/Succ[j] to the holders of rank ∓/± 2^j.
+// Pred[j]/Succ[j] to the holders of rank ∓/± 2^j. It also holds the
+// structure-L builder whose arrays its links live in, so a caller that
+// re-ranks again and again keeps one Overlay, by pointer, and rebuilds it
+// with its Build method. The zero value is ready.
 type Overlay struct {
 	Rank int
 	N    int
 	Lv   primitives.Levels
+
+	lb     primitives.LevelsBuilder
+	k      func(*Overlay) ncc.Op
+	builtK func(primitives.Levels) ncc.Op // o.built, bound on o's first Build
 }
 
 // Build constructs the overlay from sorted-path links by running the
@@ -47,9 +64,24 @@ type Overlay struct {
 //
 // Rounds: exactly ⌈log₂ n⌉.
 func Build(nd *ncc.Node, rank int, pred, succ ncc.ID, k func(*Overlay) ncc.Op) ncc.Op {
-	return primitives.BuildLevels(nd, primitives.Path{Pred: pred, Succ: succ}, func(lv primitives.Levels) ncc.Op {
-		return k(&Overlay{Rank: rank, N: nd.N(), Lv: lv})
-	})
+	return new(Overlay).Build(nd, rank, pred, succ, k)
+}
+
+// Build runs the package function Build on o and delivers o itself. A
+// repeat call overwrites o's links in place and allocates nothing, so the
+// overlay a call delivered is valid until o's next Build.
+func (o *Overlay) Build(nd *ncc.Node, rank int, pred, succ ncc.ID, k func(*Overlay) ncc.Op) ncc.Op {
+	if o.builtK == nil {
+		o.builtK = o.built
+	}
+	o.Rank, o.N, o.k = rank, nd.N(), k
+	return o.lb.BuildLevels(nd, primitives.Path{Pred: pred, Succ: succ}, o.builtK)
+}
+
+// built takes the links BuildLevels delivered.
+func (o *Overlay) built(lv primitives.Levels) ncc.Op {
+	o.Lv = lv
+	return o.k(o)
 }
 
 // succAt returns the link to rank+2^j, or None.
@@ -87,47 +119,60 @@ type Job struct {
 // quiescence, so the protocol costs O(log n) rounds per quiescence epoch and
 // one aggregation per check.
 func Disseminate(nd *ncc.Node, ov *Overlay, gk *primitives.Tree, job *Job, k func([]Job) ncc.Op) ncc.Op {
-	s := &disseminateState{nd: nd, ov: ov, gk: gk, k: k, epoch: 2*ncc.CeilLog2(nd.N()) + 4}
-	if job != nil {
-		s.queue = append(s.queue, *job)
-	}
-	s.receiveK, s.checkedK = s.receive, s.checked
-	return s.round()
+	return new(Disseminator).Disseminate(nd, ov, gk, job, k)
 }
 
-// disseminateState is one Disseminate call's per-node state: the jobs to
-// forward this round, the jobs delivered here, and the round r of the
-// current quiescence epoch.
-type disseminateState struct {
+// Disseminator is Disseminate's per-node state, and its continuation: the
+// jobs to forward this round, the jobs delivered here, the round r of the
+// current quiescence epoch, and the aggregation that checks for
+// quiescence. A caller that disseminates again and again keeps one; the
+// zero value is ready.
+type Disseminator struct {
 	nd               *ncc.Node
 	ov               *Overlay
 	gk               *primitives.Tree
 	k                func([]Job) ncc.Op
 	queue, delivered []Job
 	r, epoch         int
-	receiveK         ncc.Cont
-	checkedK         func(int64) ncc.Op
+	agg              aggregate.Aggregator
+	checkedK         func(int64) ncc.Op // s.checked, bound on s's first call
+}
+
+// Disseminate runs the package function Disseminate on s. A repeat call
+// reuses s's job buffers and its aggregation; the []Job it delivers is
+// s's own buffer, valid until s's next Disseminate.
+func (s *Disseminator) Disseminate(nd *ncc.Node, ov *Overlay, gk *primitives.Tree, job *Job, k func([]Job) ncc.Op) ncc.Op {
+	if s.checkedK == nil {
+		s.checkedK = s.checked
+	}
+	s.nd, s.ov, s.gk, s.k = nd, ov, gk, k
+	s.queue, s.delivered = s.queue[:0], s.delivered[:0]
+	s.r, s.epoch = 0, 2*ncc.CeilLog2(nd.N())+4
+	if job != nil {
+		s.queue = append(s.queue, *job)
+	}
+	return s.round()
 }
 
 // round forwards the queued jobs, or checks for quiescence at the end of an
 // epoch.
-func (s *disseminateState) round() ncc.Op {
+func (s *Disseminator) round() ncc.Op {
 	if s.r >= s.epoch {
 		busy := int64(0)
 		if len(s.queue) > 0 {
 			busy = 1
 		}
-		return aggregate.AggregateBroadcast(s.nd, s.gk, busy, aggregate.OrOp(), s.checkedK)
+		return s.agg.AggregateBroadcast(s.nd, s.gk, busy, aggregate.OrOp(), s.checkedK)
 	}
 	for _, j := range s.queue {
 		processPacket(s.nd, s.ov, j, &s.delivered)
 	}
 	s.queue = s.queue[:0]
-	return ncc.Next(s.receiveK)
+	return ncc.Next(s)
 }
 
-// receive queues the jobs that arrived for the next round.
-func (s *disseminateState) receive(_ *ncc.Node, w ncc.Wake) ncc.Op {
+// Resume queues the jobs that arrived for the next round.
+func (s *Disseminator) Resume(_ *ncc.Node, w ncc.Wake) ncc.Op {
 	for _, m := range w.Msgs {
 		if m.Kind != kPacket {
 			continue
@@ -143,7 +188,7 @@ func (s *disseminateState) receive(_ *ncc.Node, w ncc.Wake) ncc.Op {
 }
 
 // checked finishes once no node holds a job, or starts another epoch.
-func (s *disseminateState) checked(busy int64) ncc.Op {
+func (s *Disseminator) checked(busy int64) ncc.Op {
 	if busy == 0 {
 		return s.k(s.delivered)
 	}
@@ -209,35 +254,40 @@ func bitLen(v int) int {
 //
 // Rounds: exactly ⌈log₂ n⌉; ≤ 1 send and 1 receive per node per round.
 func PrefixSum(nd *ncc.Node, ov *Overlay, value int64, k func(int64) ncc.Op) ncc.Op {
-	s := &scanState{ov: ov, K: ncc.CeilLog2(ov.N), acc: value, k: k}
-	s.foldK = s.fold
-	return s.pass(nd)
+	return new(Scanner).PrefixSum(nd, ov, value, k)
 }
 
-// scanState is one PrefixSum call's per-node state: the accumulator and the
-// doubling step j in progress.
-type scanState struct {
-	ov    *Overlay
-	j, K  int
-	acc   int64
-	k     func(int64) ncc.Op
-	foldK ncc.Cont
+// Scanner is PrefixSum's per-node state, and its continuation: the
+// accumulator and the doubling step j in progress. The zero value is
+// ready.
+type Scanner struct {
+	ov   *Overlay
+	j, K int
+	acc  int64
+	k    func(int64) ncc.Op
+}
+
+// PrefixSum runs the package function PrefixSum on s; a repeat call
+// allocates nothing.
+func (s *Scanner) PrefixSum(nd *ncc.Node, ov *Overlay, value int64, k func(int64) ncc.Op) ncc.Op {
+	*s = Scanner{ov: ov, K: ncc.CeilLog2(ov.N), acc: value, k: k}
+	return s.pass(nd)
 }
 
 // pass sends the accumulator to rank+2^j, or delivers it after the last
 // step.
-func (s *scanState) pass(nd *ncc.Node) ncc.Op {
+func (s *Scanner) pass(nd *ncc.Node) ncc.Op {
 	if s.j >= s.K {
 		return s.k(s.acc)
 	}
 	if dst := s.ov.succAt(s.j); dst != ncc.None {
 		nd.Send(dst, ncc.Message{Kind: kScan, A: s.acc})
 	}
-	return ncc.Next(s.foldK)
+	return ncc.Next(s)
 }
 
-// fold adds the accumulator received from rank−2^j.
-func (s *scanState) fold(nd *ncc.Node, w ncc.Wake) ncc.Op {
+// Resume adds the accumulator received from rank−2^j.
+func (s *Scanner) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 	for _, m := range w.Msgs {
 		if m.Kind == kScan {
 			s.acc += m.A
@@ -261,39 +311,51 @@ type ShiftToken struct {
 //
 // Rounds: exactly ⌈log₂ n⌉ (one per bit of dist, missing bits idle).
 func ShiftDown(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
-	return shift(nd, ov, tok, dist, false, k)
+	return new(Shifter).ShiftDown(nd, ov, tok, dist, k)
 }
 
 // ShiftUp moves every carrier's token from rank r to rank r+dist, like
 // ShiftDown in the other direction.
 func ShiftUp(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
-	return shift(nd, ov, tok, dist, true, k)
+	return new(Shifter).ShiftUp(nd, ov, tok, dist, k)
 }
 
-func shift(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, up bool, k func([]ShiftToken) ncc.Op) ncc.Op {
-	s := &shiftState{ov: ov, K: ncc.CeilLog2(ov.N), dist: dist, up: up, k: k}
-	if tok != nil {
-		s.carrying = append(s.carrying, *tok)
-	}
-	s.landK = s.land
-	return s.hop(nd)
-}
-
-// shiftState is one shift call's per-node state: the tokens this node
-// carries and the bit b of dist in progress.
-type shiftState struct {
+// Shifter is the per-node state of ShiftDown and ShiftUp, and their
+// continuation: the tokens this node carries and the bit b of dist in
+// progress. A caller that shifts again and again keeps one; the zero value
+// is ready.
+type Shifter struct {
 	ov       *Overlay
 	b, K     int
 	dist     int
 	up       bool
 	carrying []ShiftToken
 	k        func([]ShiftToken) ncc.Op
-	landK    ncc.Cont
+}
+
+// ShiftDown runs the package function ShiftDown on s. A repeat shift
+// reuses s's token buffer: the tokens it delivers are that buffer, valid
+// until s's next shift.
+func (s *Shifter) ShiftDown(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
+	return s.shift(nd, ov, tok, dist, false, k)
+}
+
+// ShiftUp runs the package function ShiftUp on s, like ShiftDown.
+func (s *Shifter) ShiftUp(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, k func([]ShiftToken) ncc.Op) ncc.Op {
+	return s.shift(nd, ov, tok, dist, true, k)
+}
+
+func (s *Shifter) shift(nd *ncc.Node, ov *Overlay, tok *ShiftToken, dist int, up bool, k func([]ShiftToken) ncc.Op) ncc.Op {
+	*s = Shifter{ov: ov, K: ncc.CeilLog2(ov.N), dist: dist, up: up, carrying: s.carrying[:0], k: k}
+	if tok != nil {
+		s.carrying = append(s.carrying, *tok)
+	}
+	return s.hop(nd)
 }
 
 // hop moves the carried tokens 2^b ranks when bit b of dist is set, or
 // delivers them after the last bit.
-func (s *shiftState) hop(nd *ncc.Node) ncc.Op {
+func (s *Shifter) hop(nd *ncc.Node) ncc.Op {
 	b := s.b
 	if b >= s.K {
 		return s.k(s.carrying)
@@ -317,11 +379,11 @@ func (s *shiftState) hop(nd *ncc.Node) ncc.Op {
 		}
 		s.carrying = s.carrying[:0]
 	}
-	return ncc.Next(s.landK)
+	return ncc.Next(s)
 }
 
-// land picks up the tokens that arrived this round.
-func (s *shiftState) land(nd *ncc.Node, w ncc.Wake) ncc.Op {
+// Resume picks up the tokens that arrived this round.
+func (s *Shifter) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 	for _, m := range w.Msgs {
 		if m.Kind != kShift {
 			continue

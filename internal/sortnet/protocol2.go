@@ -28,7 +28,7 @@ const (
 // window advances to the deadline, dispatching non-splice messages to h,
 // then continues with k. Resumable: each round is one suspension.
 func (ms *mergeState) window(deadline int, h func(m ncc.Message), k func() ncc.Op) ncc.Op {
-	var loop ncc.Cont
+	var loop ncc.ContFunc
 	loop = func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 		ms.apply(w.Msgs, h)
 		if ms.nd.Round() < deadline {
@@ -71,9 +71,9 @@ func (ms *mergeState) buildLinks(base int, k func() ncc.Op) ncc.Op {
 	var round func(r int) ncc.Op
 	round = func(r int) ncc.Op {
 		if r > K {
-			return primitives.SyncAt(nd, base+K+2, func(*ncc.Node, ncc.Wake) ncc.Op { return k() })
+			return primitives.SyncAt(nd, base+K+2, ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op { return k() }))
 		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
 			ms.apply(w.Msgs, func(m ncc.Message) {
 				lvl := int(m.B)
 				switch m.Kind {
@@ -99,7 +99,7 @@ func (ms *mergeState) buildLinks(base int, k func() ncc.Op) ncc.Op {
 				nd.Send(ms.predAt[r].id, ncc.Message{Kind: kMKeyS, A: ms.succAt[r].key, B: int64(r + 1)}.WithIDs(ms.succAt[r].id))
 			}
 			return round(r + 1)
-		})
+		}))
 	}
 	return round(0)
 }

@@ -24,8 +24,9 @@
 package sortnet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphrealize/internal/ncc"
 	"graphrealize/internal/primitives"
@@ -73,12 +74,18 @@ func (m Method) String() string {
 }
 
 // Sorter carries the per-node structural state sorting needs: the undirected
-// Gk path and the node's Gk position (from the annotated TBFS).
+// Gk path and the node's Gk position (from the annotated TBFS). It also
+// holds the state of the sort in progress, so a node that sorts again and
+// again keeps one Sorter: an oracle or odd-even sort allocates nothing at
+// the node. A Sorter runs one sort at a time.
 type Sorter struct {
 	Method Method
 	Path   primitives.Path
 	Pos    int              // Gk position of this node
 	Tree   *primitives.Tree // annotated TBFS; required by the Merge method
+
+	k  func(Result) ncc.Op // the oracle sort's continuation
+	oe oddEvenState
 }
 
 // oracle is the Oracle method's collective: it sorts (key, id) pairs
@@ -98,11 +105,11 @@ func runOracle(s *ncc.Sim, ins []int64) ([]ncc.CollectiveOut, int) {
 	for i := 0; i < n; i++ {
 		pairs[i] = kv{key: ins[i], id: ids[i], pos: i}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].key != pairs[b].key {
-			return pairs[a].key > pairs[b].key
+	slices.SortFunc(pairs, func(a, b kv) int {
+		if a.key != b.key {
+			return cmp.Compare(b.key, a.key)
 		}
-		return pairs[a].id < pairs[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	// One Result and one Learn backing array serve every node: a node's
 	// output points into them, and the engine copies the IDs out before
@@ -144,110 +151,134 @@ func ChargedRounds(n int) int {
 func (s *Sorter) Sort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	switch s.Method {
 	case OddEven:
-		return s.oddEvenSort(nd, key, k)
+		s.oe = oddEvenState{s: s, n: nd.N(), curKey: key, curID: nd.ID(), k: k}
+		return s.oe.exchange(nd)
 	case Merge:
 		return s.mergeSort(nd, key, k)
 	default:
-		return ncc.Enter(&oracle, key, func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			return k(*w.Coll.(*Result))
-		})
+		s.k = k
+		return nd.Enter(&oracle, key, s)
 	}
 }
 
-// oddEvenSort is a real protocol: (key, id) pairs ripple along the Gk
-// path via n rounds of alternating compare-exchanges; afterwards the holder
-// of path position p owns the rank-p pair, learns its neighbors' pairs, and
-// notifies the pair's owner of its rank and sorted neighbors.
+// Resume is the oracle sort's continuation: it delivers the node's output
+// of the collective.
+func (s *Sorter) Resume(_ *ncc.Node, w ncc.Wake) ncc.Op {
+	return s.k(*w.Coll.(*Result))
+}
+
+// oddEvenState is the odd-even sort's per-node state, and its continuation:
+// (key, id) pairs ripple along the Gk path via n rounds of alternating
+// compare-exchanges; afterwards the holder of path position p owns the
+// rank-p pair, learns its neighbors' pairs, and notifies the pair's owner
+// of its rank and sorted neighbors. phase says where Resume picks up.
 //
 // Rounds: exactly n + 3. Each node sends ≤ 2 messages per round.
-func (s *Sorter) oddEvenSort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
-	n := nd.N()
-	curKey, curID := key, nd.ID()
+type oddEvenState struct {
+	s       *Sorter
+	n, r    int // the node count, and the compare-exchange round
+	curKey  int64
+	curID   ncc.ID // curKey and curID: the (key, id) pair this node holds
+	partner ncc.ID // round r's compare partner
+	left    bool   // we are the left end of our compare pair
+	res     Result // the rank assignment; Rank −1 until it arrives
+	phase   oddEvenPhase
+	k       func(Result) ncc.Op
+}
 
-	assign := func() ncc.Op {
-		// Neighbor exchange: tell path neighbors which pair we hold.
-		if s.Path.Pred != ncc.None {
-			nd.Send(s.Path.Pred, ncc.Message{Kind: kNeighbor, A: 1}.WithIDs(curID))
+type oddEvenPhase uint8
+
+const (
+	oeExchange  oddEvenPhase = iota // the partner's pair for round r
+	oeNeighbors                     // the pairs the path neighbors hold
+	oeAssign                        // the rank assignment from our pair's holder
+	oeCheck                         // the round allowed for skew
+)
+
+// exchange sends round r's compare-exchange, or tells the path neighbors
+// which pair we hold once the n rounds are done. In even rounds positions
+// (0,1),(2,3),… exchange; in odd rounds (1,2),(3,4),…. The left partner
+// keeps the larger pair (descending order).
+func (o *oddEvenState) exchange(nd *ncc.Node) ncc.Op {
+	path := o.s.Path
+	if o.r >= o.n {
+		if path.Pred != ncc.None {
+			nd.Send(path.Pred, ncc.Message{Kind: kNeighbor, A: 1}.WithIDs(o.curID))
 		}
-		if s.Path.Succ != ncc.None {
-			nd.Send(s.Path.Succ, ncc.Message{Kind: kNeighbor, A: 0}.WithIDs(curID))
+		if path.Succ != ncc.None {
+			nd.Send(path.Succ, ncc.Message{Kind: kNeighbor, A: 0}.WithIDs(o.curID))
 		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			predPair, succPair := ncc.None, ncc.None
-			for _, m := range w.Msgs {
-				if m.Kind != kNeighbor {
-					continue
-				}
-				if m.A == 0 { // sent towards successors: sender precedes us
-					predPair = m.IDs()[0]
-				} else {
-					succPair = m.IDs()[0]
-				}
-			}
-			// Assignment: the holder notifies the pair's owner of rank/links.
-			// None encodes a path end.
-			msg := ncc.Message{Kind: kAssign, A: int64(s.Pos)}.WithIDs(predPair, succPair)
-			if curID == nd.ID() {
-				// We hold our own pair; no message needed.
-				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-					return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-						return k(Result{Rank: s.Pos, Pred: predPair, Succ: succPair})
-					})
-				})
-			}
-			nd.Send(curID, msg)
-			res := Result{Rank: -1, Pred: ncc.None, Succ: ncc.None}
-			return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-				for _, m := range w.Msgs {
-					if m.Kind == kAssign {
-						res = Result{Rank: int(m.A), Pred: m.IDs()[0], Succ: m.IDs()[1]}
-					}
-				}
-				return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-					if res.Rank == -1 {
-						// Our assignment arrives exactly one round after the
-						// holders send; a second round is allowed for skew,
-						// after which silence is a bug.
-						panic(fmt.Sprintf("sortnet: node %d received no rank assignment", nd.ID()))
-					}
-					return k(res)
-				})
-			})
-		})
+		o.phase = oeNeighbors
+		return ncc.Next(o)
 	}
+	o.left = o.s.Pos%2 == o.r%2
+	if o.left {
+		o.partner = path.Succ
+	} else {
+		o.partner = path.Pred
+	}
+	if o.partner != ncc.None {
+		nd.Send(o.partner, ncc.Message{Kind: kExchange, A: o.curKey}.WithIDs(o.curID))
+	}
+	o.phase = oeExchange
+	return ncc.Next(o)
+}
 
-	// Compare-exchange phase. In even rounds positions (0,1),(2,3),…
-	// exchange; in odd rounds (1,2),(3,4),…. The left partner keeps the
-	// larger pair (descending order).
-	var round func(r int) ncc.Op
-	round = func(r int) ncc.Op {
-		if r >= n {
-			return assign()
+// Resume runs the round the node woke in.
+func (o *oddEvenState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	switch o.phase {
+	case oeExchange:
+		for _, m := range w.Msgs {
+			if m.Kind != kExchange || m.Src != o.partner {
+				continue
+			}
+			oKey, oID := m.A, m.IDs()[0]
+			oLarger := oKey > o.curKey || (oKey == o.curKey && oID < o.curID)
+			if o.left == oLarger {
+				// Left keeps the larger pair; right keeps the smaller.
+				o.curKey, o.curID = oKey, oID
+			}
 		}
-		var partner ncc.ID
-		left := false // we are the left end of our compare pair
-		if s.Pos%2 == r%2 {
-			partner, left = s.Path.Succ, true
+		o.r++
+		return o.exchange(nd)
+	case oeNeighbors:
+		predPair, succPair := ncc.None, ncc.None
+		for _, m := range w.Msgs {
+			if m.Kind != kNeighbor {
+				continue
+			}
+			if m.A == 0 { // sent towards successors: sender precedes us
+				predPair = m.IDs()[0]
+			} else {
+				succPair = m.IDs()[0]
+			}
+		}
+		// Assignment: the holder notifies the pair's owner of rank/links.
+		// None encodes a path end. A node holding its own pair needs no
+		// message.
+		if o.curID == nd.ID() {
+			o.res = Result{Rank: o.s.Pos, Pred: predPair, Succ: succPair}
 		} else {
-			partner = s.Path.Pred
+			nd.Send(o.curID, ncc.Message{Kind: kAssign, A: int64(o.s.Pos)}.WithIDs(predPair, succPair))
+			o.res = Result{Rank: -1, Pred: ncc.None, Succ: ncc.None}
 		}
-		if partner != ncc.None {
-			nd.Send(partner, ncc.Message{Kind: kExchange, A: curKey}.WithIDs(curID))
-		}
-		return ncc.Next(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			for _, m := range w.Msgs {
-				if m.Kind != kExchange || m.Src != partner {
-					continue
-				}
-				oKey, oID := m.A, m.IDs()[0]
-				oLarger := oKey > curKey || (oKey == curKey && oID < curID)
-				if left == oLarger {
-					// Left keeps the larger pair; right keeps the smaller.
-					curKey, curID = oKey, oID
-				}
+		o.phase = oeAssign
+		return ncc.Next(o)
+	case oeAssign:
+		for _, m := range w.Msgs {
+			if m.Kind == kAssign {
+				o.res = Result{Rank: int(m.A), Pred: m.IDs()[0], Succ: m.IDs()[1]}
 			}
-			return round(r + 1)
-		})
+		}
+		o.phase = oeCheck
+		return ncc.Next(o)
+	default: // oeCheck
+		if o.res.Rank == -1 {
+			// Our assignment arrives exactly one round after the holders
+			// send; a second round is allowed for skew, after which
+			// silence is a bug.
+			panic(fmt.Sprintf("sortnet: node %d received no rank assignment", nd.ID()))
+		}
+		return o.k(o.res)
 	}
-	return round(0)
 }
