@@ -391,8 +391,10 @@ func Execute(ctx context.Context, j Job) Result {
 // Verify checks r against the paper's definition of a correct result for
 // its job's kind, through the internal/verify oracle (DESIGN.md §8). A
 // degree realization must also stay within 2·min{⌊√m⌋, Δ}+2 phases (Lemma
-// 10). ErrUnrealizable is correct exactly when the sequential reference
-// rejects the input; Verify returns any other job error unchanged.
+// 10), and a run at CapMul 0 or at least ncc.DefaultCapMul must have no
+// capacity violations. ErrUnrealizable is correct exactly when the
+// sequential reference rejects the input; Verify returns any other job
+// error unchanged.
 func (r Result) Verify() error {
 	d, kind := r.Job.Seq, r.Job.Kind
 	rejects := false
@@ -415,6 +417,10 @@ func (r Result) Verify() error {
 	}
 	if r.Graph == nil || r.Stats == nil || r.Graph.N != len(r.Graph.Adj) {
 		return fmt.Errorf("graphrealize: %s result lacks its stats or a graph with N adjacency lists", kind)
+	}
+	capMul := r.Job.Opt.norm().CapMul
+	if r.Stats.CapViolations > 0 && (capMul == 0 || capMul >= ncc.DefaultCapMul) {
+		return fmt.Errorf("graphrealize: %d capacity violations at CapMul %d", r.Stats.CapViolations, capMul)
 	}
 	adj := r.Graph.Adj
 	switch kind {

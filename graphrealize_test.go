@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"graphrealize/internal/gen"
 	"graphrealize/internal/ncc"
 	"graphrealize/internal/verify"
 )
@@ -250,6 +252,26 @@ func TestResultVerifyRejections(t *testing.T) {
 	}
 	if err := (Result{Err: ErrBadInput}).Verify(); !errors.Is(err, ErrBadInput) {
 		t.Errorf("ErrBadInput came back as %v", err)
+	}
+	// A run at the default capacity may not exceed it; one at CapMul 1 may.
+	triangle := &Graph{N: 3, Adj: [][]int{{1, 2}, {0, 2}, {0, 1}}}
+	for _, opt := range []*Options{nil, {CapMul: 1}} {
+		err := Result{Job: Job{Kind: JobConnectivity, Seq: []int{2, 2, 2}, Opt: opt}, Graph: triangle, Stats: &Stats{CapViolations: 1}}.Verify()
+		if refused := opt == nil; (err != nil) != refused || refused && !strings.Contains(err.Error(), "1 capacity violations at CapMul 0") {
+			t.Errorf("a capacity violation under %+v: %v, want refused=%v", opt, err, refused)
+		}
+	}
+	// Deleting the edge {4,38} from this NCC0 result (cold-mix's NCC0 size)
+	// keeps every deg(v) ≥ ρ(v) but leaves λ(0,4) = 1 below 2.
+	res := Execute(context.Background(), Job{Kind: JobConnectivity, Seq: gen.UniformRho(176, 4, 1), Opt: &Options{Model: NCC0, Seed: 1}})
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	adj := res.Graph.Adj
+	adj[4] = slices.DeleteFunc(slices.Clone(adj[4]), func(v int) bool { return v == 38 })
+	adj[38] = slices.DeleteFunc(slices.Clone(adj[38]), func(v int) bool { return v == 4 })
+	if err := res.Verify(); err == nil || !strings.Contains(err.Error(), "below min ρ = 2") {
+		t.Errorf("the result without {4,38}: %v, want a refusal naming a pair below min ρ = 2", err)
 	}
 }
 

@@ -1,118 +1,149 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
-// EdgeConnectivity returns the maximum number of pairwise edge-disjoint
-// paths between s and t — by Menger's theorem, the minimum number of edges
-// whose removal disconnects s from t. It runs Dinic's algorithm on the
-// bidirected unit-capacity network, O(m·√m) for unit capacities, which is
-// ample at verification scale. To ask about many pairs, build the network
-// once with Cuts.
+// EdgeConnectivity returns λ(s,t): the most edge-disjoint s–t paths, by
+// Menger's theorem the fewest edges whose removal disconnects s from t.
 func (g *Graph) EdgeConnectivity(s, t int) int {
-	return g.Cuts().EdgeConnectivity(s, t, math.MaxInt)
+	c := g.Cuts()
+	c.AddSink(t)
+	return c.Flow(s, math.MaxInt)
 }
 
-// Cuts answers edge-connectivity queries on one graph from one flow
-// network, built once and reset before each query: a unit-capacity
-// max-flow solver over the bidirected version of the graph, in which each
-// undirected edge {u,v} becomes arcs u→v and v→u with capacity 1 each,
-// each serving as the other's residual arc. This is the standard reduction
-// for undirected edge connectivity.
+// Cuts answers edge-connectivity queries λ(s,T) from a source s to a sink set
+// T that only grows, on one flow network: each undirected edge {u,v} becomes
+// arcs u→v and v→u of capacity 1, each the other's residual arc. T acts as
+// one contracted vertex: into[v] counts v's residual arcs into T.
 type Cuts struct {
-	head  []int32 // head[v]: first arc index of v, -1 terminated chains
-	next  []int32 // next arc in v's chain
+	start []int32 // v's arcs are start[v] to start[v+1]-1
 	to    []int32
-	cap   []int8
-	level []int32
-	iter  []int32
+	rev   []int32 // rev[e]: the arc opposite e
+	flow  []int8  // in {-1, 0, 1}; e has residual capacity while flow[e] < 1
+	sink  []bool
+	into  []int32
+	via   []int32  // via[v]: the arc by which a search reached v; -1 at s
+	mark  []uint64 // mark[v] == stamp: v is s or reached since the last augmentation
+	stamp uint64
 	queue []int32
+	log   []int32 // arcs the query pushed flow along, to undo
 }
 
-// Cuts builds g's flow network. g must not change while the Cuts is in use.
+// Cuts builds g's flow network with an empty sink set. g must not change
+// while the Cuts is in use.
 func (g *Graph) Cuts() *Cuts {
 	c := &Cuts{
-		head:  make([]int32, g.n),
-		next:  make([]int32, 0, 2*g.m),
-		to:    make([]int32, 0, 2*g.m),
-		level: make([]int32, g.n),
-		iter:  make([]int32, g.n),
-		queue: make([]int32, 0, g.n),
+		start: make([]int32, g.n+1),
+		to:    make([]int32, 2*g.m),
+		rev:   make([]int32, 2*g.m),
+		flow:  make([]int8, 2*g.m),
+		sink:  make([]bool, g.n),
+		into:  make([]int32, g.n),
+		via:   make([]int32, g.n),
+		mark:  make([]uint64, g.n),
 	}
-	for i := range c.head {
-		c.head[i] = -1
+	for v, a := range g.adj {
+		c.start[v+1] = c.start[v] + int32(len(a))
 	}
-	addArc := func(u, v int32) {
-		c.next = append(c.next, c.head[u])
-		c.head[u] = int32(len(c.to))
-		c.to = append(c.to, v)
-	}
-	for u := 0; u < g.n; u++ {
-		for _, w := range g.adj[u] {
+	free := slices.Clone(c.start[:g.n])
+	for u, a := range g.adj {
+		for _, w := range a {
 			if w > u {
-				// Paired arcs: indices 2k and 2k+1 are mutual residuals.
-				addArc(int32(u), int32(w))
-				addArc(int32(w), int32(u))
+				e, f := free[u], free[w]
+				c.to[e], c.rev[e], c.to[f], c.rev[f] = int32(w), f, int32(u), e
+				free[u], free[w] = e+1, f+1
 			}
 		}
 	}
-	c.cap = make([]int8, len(c.to)) // every query sets each capacity to 1
 	return c
 }
 
-// EdgeConnectivity returns min(λ(s,t), limit): the flow stops once it
-// reaches limit, so a threshold check costs at most limit augmenting paths
-// and never the final search that proves a flow maximum. An answer below
-// limit is λ(s,t) exactly.
-func (c *Cuts) EdgeConnectivity(s, t, limit int) int {
-	if s == t {
-		panic("graph: EdgeConnectivity with s == t")
+// AddSink adds t, not yet a sink, to the sink set.
+func (c *Cuts) AddSink(t int) {
+	c.sink[t] = true
+	for e := c.start[t]; e < c.start[t+1]; e++ {
+		c.into[c.to[e]]++
 	}
-	for i := range c.cap {
-		c.cap[i] = 1
+}
+
+// Flow returns min(λ(s,T), limit) for s outside the sink set T. It makes one
+// pass over s's arcs, sending at most one unit along each through a search
+// from its head. A failed search leaves a set of vertices no later path can
+// enter, so its marks stay until the next augmentation and a pass that finds
+// nothing costs O(m). Stopping at limit spares a threshold check the search
+// that proves a flow maximum; an answer below limit is λ(s,T) exactly.
+func (c *Cuts) Flow(s, limit int) int {
+	if c.sink[s] {
+		panic("graph: Flow from a sink")
 	}
+	c.via[s] = -1
+	c.stamp++
 	flow := 0
-	for flow < limit && c.bfs(s, t) {
-		copy(c.iter, c.head)
-		for flow < limit && c.dfs(int32(s), int32(t)) {
-			flow++
+	for a := c.start[s]; a < c.start[s+1] && flow < limit; a++ {
+		c.mark[s] = c.stamp
+		w, e := c.to[a], a
+		c.via[w] = a
+		if !c.sink[w] {
+			v := c.search(w)
+			if v < 0 {
+				continue
+			}
+			for e = c.start[v]; c.flow[e] == 1 || !c.sink[c.to[e]]; {
+				e++
+			}
 		}
+		c.augment(e)
+		flow++
 	}
+	c.undo()
 	return flow
 }
 
-// bfs levels the residual network from s and reports whether t is reached.
-// It stops at t's level: no vertex at or past it lies on a shortest path.
-func (c *Cuts) bfs(s, t int) bool {
-	for i := range c.level {
-		c.level[i] = -1
+// search runs a residual BFS from w that stops at the first vertex it
+// discovers with a residual arc into T, and returns it, or -1.
+func (c *Cuts) search(w int32) int32 {
+	c.mark[w] = c.stamp
+	if c.into[w] > 0 {
+		return w
 	}
-	c.level[s] = 0
-	queue := append(c.queue[:0], int32(s))
-	for head := 0; head < len(queue) && c.level[t] == -1; head++ {
-		u := queue[head]
-		for e := c.head[u]; e != -1; e = c.next[e] {
-			if c.cap[e] > 0 && c.level[c.to[e]] == -1 {
-				c.level[c.to[e]] = c.level[u] + 1
-				queue = append(queue, c.to[e])
+	c.queue = append(c.queue[:0], w)
+	for i := 0; i < len(c.queue); i++ {
+		// into[u] == 0, so u's arcs into T are all saturated.
+		u := c.queue[i]
+		for e := c.start[u]; e < c.start[u+1]; e++ {
+			if v := c.to[e]; c.flow[e] < 1 && c.mark[v] != c.stamp {
+				c.mark[v], c.via[v] = c.stamp, e
+				if c.into[v] > 0 {
+					return v
+				}
+				c.queue = append(c.queue, v)
 			}
 		}
 	}
-	c.queue = queue
-	return c.level[t] != -1
+	return -1
 }
 
-func (c *Cuts) dfs(u, t int32) bool {
-	if u == t {
-		return true
+// augment pushes one unit along e, an arc into T, and back along the search
+// path that reached its tail, and forgets every mark.
+func (c *Cuts) augment(e int32) {
+	c.stamp++
+	c.into[c.to[c.rev[e]]]--
+	for ; e >= 0; e = c.via[c.to[c.rev[e]]] {
+		c.flow[e]++
+		c.flow[c.rev[e]]--
+		c.log = append(c.log, e)
 	}
-	for ; c.iter[u] != -1; c.iter[u] = c.next[c.iter[u]] {
-		e := c.iter[u]
-		v := c.to[e]
-		if c.cap[e] > 0 && c.level[v] == c.level[u]+1 && c.dfs(v, t) {
-			c.cap[e]--
-			c.cap[e^1]++
-			return true
+}
+
+// undo removes the query's flow.
+func (c *Cuts) undo() {
+	for _, e := range c.log {
+		if c.flow[e] == 1 && c.sink[c.to[e]] {
+			c.into[c.to[c.rev[e]]]++
 		}
+		c.flow[e], c.flow[c.rev[e]] = 0, 0
 	}
-	return false
+	c.log = c.log[:0]
 }

@@ -1,8 +1,8 @@
 // Package graph provides the plain (centralized) graph substrate used to
 // verify distributed realizations: adjacency storage, BFS, tree and diameter
-// utilities, and a Dinic max-flow implementation for edge-connectivity
-// (Menger) checks. Vertices are dense indices 0..n-1: a realized overlay's
-// Gk positions, as ncc.Trace.Adjacency lists them and FromAdj views them.
+// utilities, and one max-flow routine, Cuts, for edge-connectivity (Menger)
+// checks. Vertices are dense indices 0..n-1: a realized overlay's Gk
+// positions, as ncc.Trace.Adjacency lists them and FromAdj views them.
 package graph
 
 import (

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -179,14 +180,29 @@ func TestQuickEdgeConnectivityMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestCutsThresholdMatchesEdgeConnectivity: one Cuts, reset before each
-// query, answers min(λ(s,t), k) for every ordered pair and every k up to
-// max degree + 1 on seeded random graphs of 2 to 16 vertices, so its
-// threshold test λ ≥ k agrees with EdgeConnectivity's fresh network.
+// bruteSetConnectivity returns λ(s,T) without flow code: the fewest edges
+// leaving a vertex subset that holds s and no vertex of T. Bit v of a subset
+// index, and of sinks for T, stands for vertex v; cuts[set] counts the edges
+// leaving set.
+func bruteSetConnectivity(cuts []int, s, sinks int) int {
+	best := math.MaxInt
+	for set, cut := range cuts {
+		if set>>s&1 == 1 && set&sinks == 0 {
+			best = min(best, cut)
+		}
+	}
+	return best
+}
+
+// TestCutsThresholdMatchesEdgeConnectivity grows one Cuts' sink set T a
+// vertex at a time, in a random order, on seeded random graphs of 2 to 12
+// vertices. After each step it asks every s outside T for min(λ(s,T), k) at
+// every k up to max degree + 1, against bruteSetConnectivity, so queries
+// that reach k and queries that fail short of it alternate on one network.
 func TestCutsThresholdMatchesEdgeConnectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for range 60 {
-		n, p := 2+rng.Intn(15), rng.Float64()
+		n, p := 2+rng.Intn(11), rng.Float64()
 		g := New(n)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
@@ -195,17 +211,27 @@ func TestCutsThresholdMatchesEdgeConnectivity(t *testing.T) {
 				}
 			}
 		}
+		cutSizes, edges := make([]int, 1<<n), g.Edges()
+		for set := range cutSizes {
+			for _, e := range edges {
+				if set>>e[0]&1 != set>>e[1]&1 {
+					cutSizes[set]++
+				}
+			}
+		}
 		maxDeg := slices.Max(g.Degrees())
-		cuts := g.Cuts()
-		for s := range n {
-			for d := range n {
-				if s == d {
+		cuts, sinks := g.Cuts(), 0
+		for _, x := range rng.Perm(n)[:n-1] {
+			cuts.AddSink(x)
+			sinks |= 1 << x
+			for s := range n {
+				if sinks>>s&1 == 1 {
 					continue
 				}
-				lam := g.EdgeConnectivity(s, d)
+				lam := bruteSetConnectivity(cutSizes, s, sinks)
 				for k := 0; k <= maxDeg+1; k++ {
-					if got := cuts.EdgeConnectivity(s, d, k); got != min(lam, k) || (got >= k) != (lam >= k) {
-						t.Fatalf("n=%d %v: λ(%d,%d) up to %d = %d, EdgeConnectivity %d", n, g.Edges(), s, d, k, got, lam)
+					if got := cuts.Flow(s, k); got != min(lam, k) {
+						t.Fatalf("n=%d %v, T %b: λ(%d,T) up to %d = %d, subsets give %d", n, edges, sinks, s, k, got, lam)
 					}
 				}
 			}

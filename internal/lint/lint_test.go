@@ -164,3 +164,20 @@ func TestGoldenScopedRunStaysSilent(t *testing.T) {
 			len(diags), diags[0])
 	}
 }
+
+// TestLoadHonoursBuildConstraints: testdata/buildtags holds a //go:build
+// race file and a //go:build !race file that each declare Race. Load keeps
+// only the one the default build context selects, so the package
+// type-checks without a redeclaration.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	pkgs, err := testLoader(t).Load([]string{"./internal/lint/testdata/buildtags"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	if p := pkgs[0]; len(p.Files) != 1 || len(p.TypeErrors) != 0 {
+		t.Fatalf("loaded %d files with type errors %v, want one file and none", len(p.Files), p.TypeErrors)
+	}
+}

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -94,7 +95,8 @@ func findModule(dir string) (root, modPath string, err error) {
 
 // Load resolves the given patterns ("./...", "./internal/ncc",
 // "./internal/...") against the module root and returns the type-checked
-// packages in deterministic import-path order. Test files are excluded;
+// packages in deterministic import-path order. Test files, and files the
+// default build context's constraints exclude, are left out;
 // directories named testdata or vendor, and hidden or underscore
 // directories, are skipped by "..." expansion but can still be named
 // explicitly (the golden tests load testdata packages that way).
@@ -193,6 +195,12 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// A file the build excludes may redeclare names of one it includes.
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

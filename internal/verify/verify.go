@@ -9,8 +9,8 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand/v2"
 	"slices"
 
 	"graphrealize/internal/graph"
@@ -91,66 +91,34 @@ func tree(adj [][]int, d []int, diam int, which string) error {
 
 // Connectivity checks a realization of the edge-connectivity thresholds
 // rho (Theorems 17 and 18): deg(v) ≥ ρ(v), m ≤ Σρ (twice
-// seq.ConnectivityLowerBound), and λ(u,v) ≥ min(ρ(u), ρ(v)) on the pairs
-// that pairs chooses. One flow network serves every pair, and each pair's
-// flow stops once it reaches min(ρ(u), ρ(v)).
+// seq.ConnectivityLowerBound), and λ(u,v) ≥ min(ρ(u), ρ(v)) on every pair,
+// exactly, by n−1 flows (DESIGN.md §8): in non-increasing ρ, each vertex x
+// needs λ(x,R) ≥ ρ(x) to the set R of the vertices before it.
 func Connectivity(adj [][]int, rho []int) error {
 	if err := format(adj, len(rho)); err != nil {
 		return err
 	}
-	m := 0
+	m, order := 0, make([]int, len(rho))
 	for v, a := range adj {
 		if len(a) < rho[v] {
 			return fmt.Errorf("verify: deg(%d) = %d below ρ = %d", v, len(a), rho[v])
 		}
-		m += len(a)
+		m, order[v] = m+len(a), v
 	}
 	if m, sum := m/2, seq.SumDegrees(rho); m > sum {
 		return fmt.Errorf("verify: m = %d above Σρ = %d", m, sum)
 	}
+	slices.SortStableFunc(order, func(u, v int) int { return cmp.Compare(rho[v], rho[u]) })
 	cuts := graph.FromAdj(adj).Cuts()
-	for _, p := range pairs(rho) {
-		u, v := p[0], p[1]
-		if want := min(rho[u], rho[v]); want > 0 {
-			if lam := cuts.EdgeConnectivity(u, v, want); lam < want {
-				return fmt.Errorf("verify: λ(%d,%d) = %d below min ρ = %d", u, v, lam, want)
-			}
+	for i := 1; i < len(order); i++ {
+		x := order[i]
+		cuts.AddSink(order[i-1])
+		if lam := cuts.Flow(x, rho[x]); lam < rho[x] {
+			// Its cut separates x from all of R, order[0] included.
+			return fmt.Errorf("verify: λ(%d,%d) ≤ %d below min ρ = %d", order[0], x, lam, rho[x])
 		}
 	}
 	return nil
-}
-
-// pairs returns the pairs Connectivity checks by max-flow: all of them up
-// to 32 vertices; above, a bounded 64 of them. Those are the two vertices
-// of largest ρ, which need the largest λ, and pairs drawn from a generator
-// seeded by n and Σρ, so that checking the same input twice checks the
-// same pairs.
-func pairs(rho []int) [][2]int {
-	n := len(rho)
-	var ps [][2]int
-	if n <= 32 {
-		for u := range n {
-			for v := u + 1; v < n; v++ {
-				ps = append(ps, [2]int{u, v})
-			}
-		}
-		return ps
-	}
-	byRho := make([]int, n)
-	for v := range byRho {
-		byRho[v] = v
-	}
-	slices.SortStableFunc(byRho, func(u, v int) int { return rho[v] - rho[u] })
-	ps = append(ps, [2]int{byRho[0], byRho[1]})
-	r := rand.New(rand.NewPCG(uint64(n), uint64(seq.SumDegrees(rho))))
-	for len(ps) < 64 {
-		u, v := r.IntN(n), r.IntN(n-1)
-		if v >= u {
-			v++
-		}
-		ps = append(ps, [2]int{u, v})
-	}
-	return ps
 }
 
 // format checks the Graph.Adj format: one list per input, each ascending

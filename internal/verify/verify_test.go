@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -72,7 +74,7 @@ func TestWorkedExamples(t *testing.T) {
 		{"connectivity: format first", Connectivity([][]int{{1}, {}}, []int{1, 0}), "listed at 0 only"},
 		{"connectivity: deg below ρ", Connectivity(cycle4, []int{3, 2, 2, 2}), "deg(0) = 2 below ρ = 3"},
 		{"connectivity: m > Σρ", Connectivity(k4, []int{1, 1, 1, 1}), "m = 6 above Σρ = 4"},
-		{"connectivity: λ below min ρ", Connectivity(twoTriangles, []int{2, 2, 2, 2, 2, 2}), "λ(0,3) = 0 below min ρ = 2"},
+		{"connectivity: λ below min ρ", Connectivity(twoTriangles, []int{2, 2, 2, 2, 2, 2}), "λ(0,3) ≤ 0 below min ρ = 2"},
 	} {
 		switch {
 		case c.want == "" && c.err != nil:
@@ -83,28 +85,119 @@ func TestWorkedExamples(t *testing.T) {
 	}
 }
 
-// TestConnectivityPairs pins how Connectivity chooses the pairs it checks
-// by max-flow: every pair up to 32 vertices; above, 64 pairs that start
-// with the two largest-ρ vertices and repeat on a repeated input.
-func TestConnectivityPairs(t *testing.T) {
-	if got := len(pairs(make([]int, 32))); got != 32*31/2 {
-		t.Fatalf("n=32: %d pairs, want all %d", got, 32*31/2)
+// FuzzConnectivity holds Connectivity to a reference that uses no flow
+// code, on graphs of at most 12 vertices: the degree and Σρ rules, and
+// λ(u,v) ≥ min(ρ(u), ρ(v)) on every pair with each λ found by enumerating
+// vertex subsets. n is len(rhoIn) up to 12 and ρ(v) is rhoIn[v] mod n; the
+// bits of edges pick the edges {0,1}, {0,2}, …, {n−2,n−1} in that order.
+// A refusal that names a pair must name one that violates its threshold.
+func FuzzConnectivity(f *testing.F) {
+	// twoTrianglesBridged is twoTriangles plus the edge {2,3}: every
+	// deg(v) ≥ 2 and m ≤ Σρ, but λ(0,3) = 1. pendantTriangle, the triangle
+	// 1-2-3 with the leaf 0 on 1, meets ρ = (1,2,2,2) only when vertex 0 is
+	// checked last, not in input order.
+	twoTrianglesBridged := [][]int{{1, 2}, {0, 2}, {0, 1, 3}, {2, 4, 5}, {3, 5}, {3, 4}}
+	pendantTriangle := [][]int{{1}, {0, 2, 3}, {1, 3}, {1, 2}}
+	for _, c := range []struct {
+		adj [][]int
+		rho []byte
+	}{
+		{nil, nil},
+		{[][]int{{}}, []byte{0}},
+		{cycle4, []byte{2, 2, 2, 2}},
+		{[][]int{{}, {}}, []byte{0, 0}},
+		{cycle4, []byte{3, 2, 2, 2}},
+		{k4, []byte{1, 1, 1, 1}},
+		{twoTriangles, []byte{2, 2, 2, 2, 2, 2}},
+		{twoTrianglesBridged, []byte{2, 2, 2, 2, 2, 2}},
+		{pendantTriangle, []byte{1, 2, 2, 2}},
+	} {
+		var edges []byte
+		for bit, p := range allPairs(len(c.adj)) {
+			if bit%8 == 0 {
+				edges = append(edges, 0)
+			}
+			if slices.Contains(c.adj[p[0]], p[1]) {
+				edges[bit/8] |= 1 << (bit % 8)
+			}
+		}
+		f.Add(c.rho, edges)
 	}
-	rho := make([]int, 40)
-	for v := range rho {
-		rho[v] = 1 + v%3
-	}
-	rho[33], rho[17] = 9, 8
-	ps := pairs(rho)
-	if len(ps) != 64 || ps[0] != [2]int{33, 17} {
-		t.Fatalf("n=40: %d pairs starting %v, want 64 starting {33 17}", len(ps), ps[0])
-	}
-	for _, p := range ps {
-		if p[0] == p[1] || min(p[0], p[1]) < 0 || max(p[0], p[1]) >= len(rho) {
-			t.Fatalf("n=40: pair %v", p)
+	f.Fuzz(func(t *testing.T, rhoIn, edges []byte) {
+		n := min(len(rhoIn), 12)
+		rho, adj := make([]int, n), make([][]int, n)
+		for v := range rho {
+			rho[v] = int(rhoIn[v]) % n
+		}
+		for bit, p := range allPairs(n) {
+			if bit/8 < len(edges) && edges[bit/8]>>(bit%8)&1 == 1 {
+				adj[p[0]] = append(adj[p[0]], p[1])
+				adj[p[1]] = append(adj[p[1]], p[0])
+			}
+		}
+		lam := subsetLambdas(adj)
+		m, sum, ok := 0, 0, true
+		for v, a := range adj {
+			m, sum, ok = m+len(a), sum+rho[v], ok && len(a) >= rho[v]
+		}
+		ok = ok && m/2 <= sum
+		for _, p := range allPairs(n) {
+			ok = ok && lam[p[0]][p[1]] >= min(rho[p[0]], rho[p[1]])
+		}
+		err := Connectivity(adj, rho)
+		if (err == nil) != ok {
+			t.Fatalf("ρ %v, graph %v: Connectivity says %v, the reference ok = %v", rho, adj, err, ok)
+		}
+		if err != nil && strings.Contains(err.Error(), "λ(") {
+			var u, v, bound, need int
+			if _, serr := fmt.Sscanf(err.Error(), "verify: λ(%d,%d) ≤ %d below min ρ = %d", &u, &v, &bound, &need); serr != nil {
+				t.Fatalf("ρ %v, graph %v: %v: %v", rho, adj, err, serr)
+			}
+			if lam[u][v] > bound || bound >= need || need != min(rho[u], rho[v]) {
+				t.Fatalf("ρ %v, graph %v: %v, but λ(%d,%d) = %d", rho, adj, err, u, v, lam[u][v])
+			}
+		}
+	})
+}
+
+// allPairs lists the pairs {u,v}, u < v, of n vertices in order.
+func allPairs(n int) [][2]int {
+	var ps [][2]int
+	for u := range n {
+		for v := u + 1; v < n; v++ {
+			ps = append(ps, [2]int{u, v})
 		}
 	}
-	if !slices.Equal(ps, pairs(rho)) {
-		t.Fatal("n=40: a repeated input chose different pairs")
+	return ps
+}
+
+// subsetLambdas returns λ(u,v) for every pair of adj's vertices: the fewest
+// edges leaving a vertex subset that holds u but not v, over all 2ⁿ subsets.
+func subsetLambdas(adj [][]int) [][]int {
+	n := len(adj)
+	lam := make([][]int, n)
+	for u := range lam {
+		lam[u] = make([]int, n)
+		for v := range lam[u] {
+			lam[u][v] = math.MaxInt
+		}
 	}
+	for set := range 1 << n {
+		cut := 0
+		for u, a := range adj {
+			for _, v := range a {
+				if set>>u&1 == 1 && set>>v&1 == 0 {
+					cut++
+				}
+			}
+		}
+		for u := range n {
+			for v := range n {
+				if set>>u&1 == 1 && set>>v&1 == 0 {
+					lam[u][v], lam[v][u] = min(lam[u][v], cut), min(lam[v][u], cut)
+				}
+			}
+		}
+	}
+	return lam
 }
