@@ -7,7 +7,7 @@
 // Usage:
 //
 //	treereal -n 64                       # random tree sequence
-//	treereal -seq 3,2,2,1,1,1,1,1       # explicit sequence (n=8? check Σd)
+//	treereal -seq 3,3,2,2,1,1,1,1        # explicit sequence: n = 8, Σd = 14 = 2(n−1)
 //	treereal -n 100 -family caterpillar
 package main
 

@@ -3,6 +3,7 @@ package ncc
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -704,6 +705,150 @@ func TestKnowsSemantics(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 	})
+}
+
+// knowsModel is one node of TestKnowsMatchesReferenceModel: a reference
+// map of the IDs the node has been taught, fed only from its initial
+// successor and its own inbox, and the known node IDs it may send to.
+type knowsModel struct {
+	ids, ghosts []ID // every node ID; IDs that name no node
+	known       map[ID]bool
+	peers       []ID // the known node IDs other than the node's own
+	steps       int  // steps left before Done
+	most        *int // the largest known set any node has reached
+}
+
+func (m *knowsModel) teach(id ID) {
+	if !m.known[id] {
+		m.known[id] = true
+		if !slices.Contains(m.ghosts, id) {
+			m.peers = append(m.peers, id)
+		}
+		*m.most = max(*m.most, len(m.known))
+	}
+}
+
+func (m *knowsModel) Resume(nd *Node, w Wake) Op {
+	for i := range w.Msgs {
+		m.teach(w.Msgs[i].Src)
+		for _, id := range w.Msgs[i].IDs() {
+			if id != None && id != nd.ID() {
+				m.teach(id)
+			}
+		}
+	}
+	return m.step(nd)
+}
+
+// step checks Knows against the model for every node ID, every ghost and
+// None, checks that Send refuses a node ID the model says is unknown and a
+// ghost the node knows, then sends up to three messages to known node IDs,
+// each carrying up to four IDs drawn from the node IDs, None, the node's
+// own ID and the ghosts.
+func (m *knowsModel) step(nd *Node) Op {
+	for _, id := range slices.Concat(m.ids, m.ghosts) {
+		if got := nd.Knows(id); got != m.known[id] {
+			nd.fail("Knows(%d) = %v, the model says %v", id, got, !got)
+		}
+	}
+	if nd.Knows(None) {
+		nd.fail("Knows(None) = true")
+	}
+	rng := nd.Rand()
+	if len(m.peers)+1 < len(m.ids) {
+		dst := m.ids[rng.Intn(len(m.ids))]
+		for m.known[dst] {
+			dst = m.ids[rng.Intn(len(m.ids))]
+		}
+		if err := sendRefused(nd, dst); err == nil || !strings.Contains(err.Error(), "unknown ID") {
+			nd.fail("Send to %d, which the model says is unknown: %v", dst, err)
+		}
+	}
+	for _, id := range m.ghosts {
+		if m.known[id] {
+			if err := sendRefused(nd, id); err == nil || !strings.Contains(err.Error(), "nonexistent ID") {
+				nd.fail("Send to %d, which names no node: %v", id, err)
+			}
+			break
+		}
+	}
+	m.steps--
+	if m.steps == 0 {
+		return Done()
+	}
+	for k := rng.Intn(4); k > 0 && len(m.peers) > 0; k-- {
+		carried := make([]ID, rng.Intn(MaxIDsPerMessage+1))
+		for i := range carried {
+			switch rng.Intn(4) {
+			case 0:
+				carried[i] = m.ids[rng.Intn(len(m.ids))]
+			case 1:
+				carried[i] = None
+			case 2:
+				carried[i] = nd.ID()
+			default:
+				carried[i] = m.ghosts[rng.Intn(len(m.ghosts))]
+			}
+		}
+		nd.Send(m.peers[rng.Intn(len(m.peers))], Message{}.WithIDs(carried...))
+	}
+	if rng.Intn(4) == 0 {
+		return Sleep(1+rng.Intn(3), m)
+	}
+	return Next(m)
+}
+
+// sendRefused calls nd.Send(dst) and returns the violation it raised, or
+// nil if it sent.
+func sendRefused(nd *Node, dst ID) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(protoError)
+			if !ok {
+				panic(r)
+			}
+			err = pe.err
+		}
+	}()
+	nd.Send(dst, Message{})
+	return nil
+}
+
+// TestKnowsMatchesReferenceModel runs random NCC0 protocols in which every
+// node keeps a reference model of what it knows (knowsModel) and requires,
+// at every step of every node, Knows to agree with it on every node ID and
+// on IDs that name no node (a message that carries one teaches it, though
+// Send refuses it), and Send to refuse an ID the model says is unknown. A
+// node sleeps now and then, so mail also reaches it while it sleeps, and
+// the largest knowledge set must pass 32 IDs, so sets grow through several
+// table sizes.
+func TestKnowsMatchesReferenceModel(t *testing.T) {
+	for _, n := range []int{63, 65, 127, 129} {
+		for seed := int64(1); seed <= 3; seed++ {
+			s := New(Config{N: n, Seed: seed})
+			ids := s.IDs()
+			ghosts := []ID{-3, ID(4*n*n + 1)}
+			for id := ID(1); len(ghosts) < 6; id++ {
+				if !slices.Contains(ids, id) {
+					ghosts = append(ghosts, id)
+				}
+			}
+			most := 0
+			tr, err := s.RunProgram(func(nd *Node) Op {
+				m := &knowsModel{ids: ids, ghosts: ghosts, known: map[ID]bool{nd.ID(): true}, steps: 32, most: &most}
+				if succ := nd.InitialSucc(); succ != None {
+					m.teach(succ)
+				}
+				return m.step(nd)
+			})
+			if err != nil {
+				t.Fatalf("n=%d seed %d: %v", n, seed, err)
+			}
+			if tr.Metrics.Messages == 0 || most <= 32 {
+				t.Fatalf("n=%d seed %d: %d messages, largest known set %d", n, seed, tr.Metrics.Messages, most)
+			}
+		}
+	}
 }
 
 func TestMessageTooManyIDs(t *testing.T) {

@@ -140,10 +140,25 @@ func format(adj [][]int, n int) error {
 			}
 		}
 	}
-	// Every list is sorted now, so each lookup may binary-search.
+	// Every list is sorted now, so one walk over u in ascending order
+	// matches both ends of every edge: matched[v] counts the entries of
+	// adj[v] matched so far, each the lower end of an edge and all below u,
+	// so an entry v > u of adj[u] must be adj[v][matched[v]], and by the
+	// time the walk reaches u its entries below u must all be matched.
+	matched := make([]int, n)
 	for u, a := range adj {
-		for _, v := range a {
-			if _, ok := slices.BinarySearch(adj[v], u); !ok {
+		i := matched[u]
+		if i < len(a) && a[i] < u {
+			return fmt.Errorf("verify: edge {%d,%d} listed at %d only", u, a[i], u)
+		}
+		for _, v := range a[i:] {
+			b, j := adj[v], matched[v]
+			switch {
+			case j < len(b) && b[j] == u:
+				matched[v]++
+			case j < len(b) && b[j] < u:
+				return fmt.Errorf("verify: edge {%d,%d} listed at %d only", v, b[j], v)
+			default:
 				return fmt.Errorf("verify: edge {%d,%d} listed at %d only", u, v, u)
 			}
 		}

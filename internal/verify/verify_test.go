@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -41,6 +42,8 @@ func TestWorkedExamples(t *testing.T) {
 		{"format: one list per input", Degrees(cycle4, []int{2, 2, 2}), "4 adjacency lists for 3 inputs"},
 		{"format: a self-loop", Degrees([][]int{{0, 1}, {0}}, []int{2, 1}), "self-loop at 0"},
 		{"format: an edge listed at one end only", Degrees([][]int{{1}, {}}, []int{1, 0}), "edge {0,1} listed at 0 only"},
+		{"format: an edge listed at its higher end only", Degrees([][]int{{}, {0}}, []int{0, 1}), "edge {1,0} listed at 1 only"},
+		{"format: an edge missing in the middle of a list", Degrees([][]int{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 2}}, []int{3, 3, 3, 2}), "edge {1,3} listed at 1 only"},
 		{"format: an unsorted list", Degrees([][]int{{2, 1}, {0}, {0}}, []int{2, 1, 1}), "list 0 is not ascending"},
 		{"format: a repeated edge", Degrees([][]int{{1, 1}, {0, 0}}, []int{2, 2}), "list 0 is not ascending and duplicate-free"},
 		{"format: a vertex out of range", Degrees([][]int{{2}, {}}, []int{1, 0}), "vertex 2, out of range"},
@@ -81,6 +84,60 @@ func TestWorkedExamples(t *testing.T) {
 			t.Errorf("%s: %v", c.name, c.err)
 		case c.want != "" && (c.err == nil || !strings.Contains(c.err.Error(), c.want)):
 			t.Errorf("%s: error %v, want one containing %q", c.name, c.err, c.want)
+		}
+	}
+}
+
+// symmetricRef is the reference for format's symmetry rule, on lists that
+// already passed its per-list rules: one binary search per listed edge.
+func symmetricRef(adj [][]int) bool {
+	for u, a := range adj {
+		for _, v := range a {
+			if _, ok := slices.BinarySearch(adj[v], u); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestFormatSymmetryMatchesReference compares format's one-pass symmetry
+// check with symmetricRef on random ascending, loop-free lists of up to 7
+// vertices: the verdicts must agree, and an edge format names as one-sided
+// must be listed at the named end and missing at the other.
+func TestFormatSymmetryMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(8)
+		adj := make([][]int, n)
+		for _, p := range allPairs(n) {
+			// Most edges are listed at both ends or none, so that symmetric
+			// inputs are common; the rest at one end only.
+			switch r := rng.Intn(16); {
+			case r < 6:
+				adj[p[0]] = append(adj[p[0]], p[1])
+				adj[p[1]] = append(adj[p[1]], p[0])
+			case r == 6:
+				adj[p[0]] = append(adj[p[0]], p[1])
+			case r == 7:
+				adj[p[1]] = append(adj[p[1]], p[0])
+			}
+		}
+		for _, a := range adj {
+			slices.Sort(a)
+		}
+		err := format(adj, n)
+		if ok := symmetricRef(adj); ok != (err == nil) {
+			t.Fatalf("%v: format says %v, the reference ok = %v", adj, err, ok)
+		}
+		if err != nil {
+			var u, v, at int
+			if _, serr := fmt.Sscanf(err.Error(), "verify: edge {%d,%d} listed at %d only", &u, &v, &at); serr != nil {
+				t.Fatalf("%v: %v: %v", adj, err, serr)
+			}
+			if at != u || !slices.Contains(adj[u], v) || slices.Contains(adj[v], u) {
+				t.Fatalf("%v: %v, but that edge is not listed at %d alone", adj, err, u)
+			}
 		}
 	}
 }

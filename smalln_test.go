@@ -34,17 +34,14 @@ func sequences(n, lo, hi int, nonIncreasing bool, fn func(d []int)) {
 	fill(0, hi)
 }
 
-// TestSmallNConformance runs, at seed 1 in NCC0 and NCC1, every
-// non-increasing sequence in [0, n−1]ⁿ for n ≤ 6 under the five degree and
-// tree kinds, and under connectivity every ρ in [1, n−1]ⁿ, in every order,
-// for 2 ≤ n ≤ 5 and every non-increasing one for n = 6. The unordered ρ test
-// how Result.Verify's connectivity check maps its sorted order back to the
-// input's vertices. For n ≤ 5 a degree job must also realize the same graph
-// under the oracle, odd-even and merge sorts: the oracle's round charge
-// stands for the real protocols only because they agree. (At n ≤ 4 an
-// oracle that broke key ties by descending ID still agreed; n = 5 catches
-// it at [3 3 3 3 2].)
-func TestSmallNConformance(t *testing.T) {
+// checkSmallN runs, at seed 1 in NCC0 and NCC1, every sequence in
+// [0, n−1]ⁿ under the five degree and tree kinds and every ρ in [1, n−1]ⁿ
+// under connectivity (n ≥ 2), for n ≤ maxN, through Result.Verify: in
+// every order for n ≤ orderN and only the non-increasing ones above it. For
+// a non-increasing d with n ≤ 5, a degree job must also realize the same
+// graph under the oracle, odd-even and merge sorts. A failure names the
+// job, its sequence and its options.
+func checkSmallN(t *testing.T, maxN, orderN int) {
 	runs := 0
 	run := func(j Job) *Result {
 		runs++
@@ -55,13 +52,14 @@ func TestSmallNConformance(t *testing.T) {
 		return &res
 	}
 	degreeKinds := []JobKind{JobDegrees, JobDegreesExplicit, JobUpperEnvelope, JobChainTree, JobMinDiamTree}
+	descending := func(a, b int) int { return b - a }
 	for _, model := range []Model{NCC0, NCC1} {
 		opt := &Options{Model: model, Seed: 1}
-		for n := 1; n <= 6; n++ {
-			sequences(n, 0, n-1, true, func(d []int) {
+		for n := 1; n <= maxN; n++ {
+			sequences(n, 0, n-1, n > orderN, func(d []int) {
 				for _, kind := range degreeKinds {
 					oracle := run(Job{Kind: kind, Seq: d, Opt: opt})
-					if kind != JobDegrees || n > 5 {
+					if kind != JobDegrees || n > 5 || !slices.IsSortedFunc(d, descending) {
 						continue
 					}
 					for _, sort := range []SortMethod{OddEvenSort, MergeSort} {
@@ -73,7 +71,7 @@ func TestSmallNConformance(t *testing.T) {
 				}
 			})
 			if n >= 2 {
-				sequences(n, 1, n-1, n == 6, func(rho []int) {
+				sequences(n, 1, n-1, n > orderN, func(rho []int) {
 					run(Job{Kind: JobConnectivity, Seq: rho, Opt: opt})
 				})
 			}
@@ -81,3 +79,13 @@ func TestSmallNConformance(t *testing.T) {
 	}
 	t.Logf("%d runs", runs)
 }
+
+// TestSmallNConformance checks every input up to n = 5 in every order, and
+// every non-increasing one at n = 6 (checkSmallN). Vertex i is given d[i],
+// so an input's order decides who messages whom under NCC0, and the
+// unordered inputs test how Result.Verify maps its sorted order back to
+// the input's vertices. The three sorts must agree because the oracle's
+// round charge stands for the real protocols only if they do. (At n ≤ 4
+// an oracle that broke key ties by descending ID still agreed; n = 5
+// catches it at [3 3 3 3 2].)
+func TestSmallNConformance(t *testing.T) { checkSmallN(t, 6, 5) }
