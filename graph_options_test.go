@@ -123,14 +123,12 @@ func TestTreeDiameterMatchesDiameter(t *testing.T) {
 
 func TestOptionsNormDefaults(t *testing.T) {
 	var nilOpt *Options
-	// Options carries a func field (Progress), so compare via the comparable
-	// cache-key projection.
-	if got := nilOpt.norm(); got.key() != (Options{}).key() {
+	if got := nilOpt.norm(); got != (Options{}) {
 		t.Fatalf("nil options must normalize to the zero value, got %+v", got)
 	}
 	o := &Options{Model: NCC1, Seed: 9, Strict: true, CapMul: 3, Sort: MergeSort, MaxRounds: 99}
 	got := o.norm()
-	if got.key() != o.key() {
+	if got != *o {
 		t.Fatalf("norm changed the options: %+v vs %+v", got, *o)
 	}
 	got.Seed = 1000

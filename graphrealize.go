@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"graphrealize/internal/connectivity"
 	"graphrealize/internal/core"
@@ -84,20 +83,6 @@ type Options struct {
 	// MaxRounds aborts runaway protocols (default 50M); a run that exceeds
 	// it fails with ErrBadInput.
 	MaxRounds int
-	// Progress, when non-nil, receives (rounds completed, messages delivered)
-	// at every round barrier of the run — the hook long-running services use
-	// to stream round-level progress. It is invoked on the goroutine running
-	// the simulation and must be fast and non-blocking. Progress does not
-	// affect the result and is excluded from Runner cache keys: a job served
-	// from the cache completes without any progress callbacks.
-	Progress func(round, msgs int)
-	// Profile, when non-nil, receives every completed round's wall-time split
-	// into compute, delivery, and barrier phases — the observability hook the
-	// server uses to feed its engine phase histograms. Like Progress it runs
-	// on the goroutine running the simulation, must be fast, never affects the
-	// result (timings stay out of Stats and traces), and is excluded from
-	// Runner cache keys: a job served from the cache reports no phases.
-	Profile func(compute, delivery, barrier time.Duration)
 }
 
 // Stats reports the cost of a run in the NCC model's currency.
@@ -109,7 +94,7 @@ type Stats struct {
 	Capacity      int   // per-node per-round message budget
 	MaxSent       int   // max messages sent by one node in one round
 	MaxRecv       int   // max messages received by one node in one round
-	CapViolations int   // (node, round) pairs exceeding the budget
+	CapViolations int   // messages sent past the budget + (node, round) pairs received past it
 	Phases        int   // Havel–Hakimi phases (degree realizations only)
 }
 
@@ -224,8 +209,6 @@ func (o Options) simConfig(ctx context.Context, n int, inputs []int) ncc.Config 
 		MaxRounds: o.MaxRounds,
 		Inputs:    inputs,
 		Stop:      ctx.Done(),
-		Progress:  o.Progress,
-		Profile:   o.Profile,
 	}
 }
 
@@ -333,7 +316,9 @@ func Execute(ctx context.Context, j Job) Result {
 	}
 	// The per-node continuations capture the kind alone, not the whole Job.
 	kind, o := j.Kind, j.Opt.norm()
-	s := ncc.New(o.simConfig(ctx, len(j.Seq), j.Seq))
+	cfg := o.simConfig(ctx, len(j.Seq), j.Seq)
+	cfg.Progress, cfg.Profile = j.Progress, j.Profile
+	s := ncc.New(cfg)
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		r := nd.Input()
 		// NCC1 connectivity (Theorem 17) needs no sorted setup.

@@ -20,7 +20,7 @@ import (
 // RealizeRequest is the body of POST /v1/realize/{alg}.
 type RealizeRequest struct {
 	// Sequence is the degree (or ρ) sequence to realize.
-	Sequence Sequence `json:"sequence"`
+	Sequence []int `json:"sequence"`
 	// Variant selects the algorithm flavour. degree: "implicit" (default),
 	// "explicit", or "envelope"; tree: "chain" (default) or "mindiam";
 	// connectivity: must be empty.

@@ -60,7 +60,7 @@ func (r *RealizeRequest) decodePlain(data []byte) bool {
 			if !ok {
 				return 0, false
 			}
-			r.Sequence = make(Sequence, n)
+			r.Sequence = make([]int, n)
 			scanInts(data, i, r.Sequence)
 			return end, true
 		case "variant":
@@ -201,37 +201,13 @@ func decodeInt[T int | int64](data []byte, i int, dst *T) (int, bool) {
 	return next, ok
 }
 
-// Sequence is a request's degree (or ρ) sequence. It decodes a plain JSON
-// integer array in one pass; any other value goes to encoding/json.
-type Sequence []int
-
-// UnmarshalJSON parses a JSON array of integers that fit an int into a new
-// slice of exactly its length; [] gives an empty, non-nil one, as with
-// encoding/json. Any other value (null, floats, exponents, strings, nested
-// values, out-of-range integers) is decoded by json.Unmarshal into a []int,
-// so the standard library decides every value and every error it decides
-// for a []int field. s is left as it was for that hand-over, even by an
-// array that fails part-way such as [1,2.5]: encoding/json reuses the slice
-// an earlier "sequence" member filled, keeping the elements it rejects.
-func (s *Sequence) UnmarshalJSON(data []byte) error {
-	i := skipSpace(data, 0)
-	n, end, ok := scanInts(data, i, nil)
-	if !ok || skipSpace(data, end) != len(data) {
-		return json.Unmarshal(data, (*[]int)(s))
-	}
-	out := make(Sequence, n)
-	scanInts(data, i, out)
-	*s = out
-	return nil
-}
-
 // scanInts walks the JSON array of integers at data[i] and returns how
 // many it holds and the index just past it, storing them in out unless out
 // is nil; a non-nil out must have that length. ok is false for anything
 // else, a syntax error or an integer parseInt does not take included. A
 // counting pass with a nil out allocates nothing, so a value left to
 // encoding/json costs the fast path nothing.
-func scanInts(data []byte, i int, out Sequence) (n, end int, ok bool) {
+func scanInts(data []byte, i int, out []int) (n, end int, ok bool) {
 	if i == len(data) || data[i] != '[' {
 		return 0, 0, false
 	}

@@ -201,7 +201,7 @@ func FuzzRealizeRequestDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var want api.RealizeRequest
 		wantErr := strictDecode(body, &want)
-		got := api.RealizeRequest{Sequence: api.Sequence{9}, Variant: "x", Options: &api.OptionsJSON{Seed: 3}, OmitEdges: true}
+		got := api.RealizeRequest{Sequence: []int{9}, Variant: "x", Options: &api.OptionsJSON{Seed: 3}, OmitEdges: true}
 		gotErr := api.DecodeRealizeRequest(body, &got)
 		if errText(gotErr) != errText(wantErr) {
 			t.Fatalf("%q: error %q, encoding/json says %q", body, errText(gotErr), errText(wantErr))
@@ -212,62 +212,61 @@ func FuzzRealizeRequestDecode(f *testing.F) {
 	})
 }
 
-// TestSequenceDecodeSizesByIntegers: the decoder's buffer grows with the
-// integers it parses, never with the body's length.
+// TestSequenceDecodeSizesByIntegers: the decoded sequence grows with the
+// integers the hand decoder parses, never with the body's length.
 func TestSequenceDecodeSizesByIntegers(t *testing.T) {
-	var s api.Sequence
-	body := "[" + strings.Repeat(" ", 1<<20) + "1]"
-	if err := json.Unmarshal([]byte(body), &s); err != nil {
+	body := `{"sequence":[` + strings.Repeat(" ", 1<<20) + "1]}"
+	var req api.RealizeRequest
+	if err := api.DecodeRealizeRequest([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(s, api.Sequence{1}) || cap(s) > 8 {
-		t.Fatalf("decoded %v with capacity %d, want [1] in a small buffer", s, cap(s))
+	if !slices.Equal(req.Sequence, []int{1}) || cap(req.Sequence) != 1 {
+		t.Fatalf("decoded %v with capacity %d, want [1] at its exact length", req.Sequence, cap(req.Sequence))
 	}
 }
 
-// TestSequenceDecodeAllocatesOnce pins the decoder's allocations: a plain
-// 4,096-int array costs one allocation, the result at its exact length, and
-// a value the fast path hands to encoding/json costs the fast path none.
+// TestSequenceDecodeAllocatesOnce pins the sequence's share of the hand
+// decoder's allocations: a body holding a plain 4,096-int sequence and
+// nothing else costs one allocation, the sequence at its exact length, and
+// a sequence the hand decoder hands to encoding/json costs no more than
+// encoding/json alone.
 func TestSequenceDecodeAllocatesOnce(t *testing.T) {
 	ints := make([]string, 4096)
 	for i := range ints {
 		ints[i] = strconv.Itoa(i%4 + 1)
 	}
-	body := []byte("[" + strings.Join(ints, ",") + "]")
-	var s api.Sequence
+	body := []byte(`{"sequence":[` + strings.Join(ints, ",") + "]}")
+	var req api.RealizeRequest
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := s.UnmarshalJSON(body); err != nil {
+		if err := api.DecodeRealizeRequest(body, &req); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 1 || len(s) != 4096 || cap(s) != 4096 || s[4095] != 4 {
+	if s := req.Sequence; allocs != 1 || len(s) != 4096 || cap(s) != 4096 || s[4095] != 4 {
 		t.Fatalf("%v allocations, len %d, cap %d: want one allocation of exactly 4096 ints", allocs, len(s), cap(s))
 	}
-	// [1,2.5] fails the fast path part-way and goes to encoding/json: it
+	// [1,2.5] fails the hand decoder part-way and goes to encoding/json: it
 	// must cost exactly what encoding/json alone costs.
-	fallback := []byte("[1,2.5]")
+	fallback := []byte(`{"sequence":[1,2.5]}`)
 	want := testing.AllocsPerRun(20, func() {
-		var v []int
-		_ = json.Unmarshal(fallback, &v)
+		req = api.RealizeRequest{}
+		_ = strictDecode(fallback, &req)
 	})
 	got := testing.AllocsPerRun(20, func() {
-		var v api.Sequence
-		_ = v.UnmarshalJSON(fallback)
+		_ = api.DecodeRealizeRequest(fallback, &req)
 	})
 	if got != want {
 		t.Fatalf("fallback: %v allocations, encoding/json alone %v", got, want)
 	}
 }
 
-// FuzzSequenceDecode is a differential test of Sequence.UnmarshalJSON
-// against encoding/json's own []int decoding. The fuzzed bytes are the value
-// of "sequence" in an otherwise valid body, decoded with
-// DisallowUnknownFields into two structs of one type name, so error texts
-// name the same field; with dup set, an earlier "sequence" member has
-// filled the slice already. Both sides must agree on success, on the ints
-// (nil-ness included) and on the error text. Called directly on the bytes,
-// which encoding/json never passes unchecked, UnmarshalJSON must agree with
-// json.Unmarshal into a []int as well.
+// FuzzSequenceDecode is a differential test of the hand decoder's sequence
+// scan against encoding/json's own []int decoding, with the fuzzed bytes as
+// the value of "sequence" in an otherwise valid body; with dup set, an
+// earlier "sequence" member has filled the slice already. It shares
+// FuzzRealizeRequestDecode's check, DecodeRealizeRequest against a strict
+// json.Decoder, but spends every mutation on the sequence value, where the
+// hand decoder parses integers itself.
 func FuzzSequenceDecode(f *testing.F) {
 	for _, v := range []string{
 		`[]`, `null`, `[1,null,2]`, `[-0,-5]`, `[01]`, `[1e2]`, `[1.5]`, `["a"]`, `[true]`,
@@ -280,12 +279,6 @@ func FuzzSequenceDecode(f *testing.F) {
 		f.Add([]byte(v), true)
 	}
 	f.Fuzz(func(t *testing.T, value []byte, dup bool) {
-		var direct api.Sequence
-		var ints []int
-		directErr := direct.UnmarshalJSON(value)
-		intsErr := json.Unmarshal(value, &ints)
-		compareDecodes(t, value, directErr, intsErr, direct, ints)
-
 		prefix := `{"sequence":`
 		if dup {
 			prefix += `[7,8,9],"sequence":`
@@ -296,41 +289,16 @@ func FuzzSequenceDecode(f *testing.F) {
 			// their own: no longer one faulty value in a valid body.
 			t.Skip()
 		}
-		want, wantErr := decodeInts(body)
-		got, gotErr := decodeSequence(body)
-		compareDecodes(t, body, gotErr, wantErr, got, want)
+		var want, got api.RealizeRequest
+		wantErr := strictDecode(body, &want)
+		gotErr := api.DecodeRealizeRequest(body, &got)
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("%q: error %q, encoding/json says %q", body, errText(gotErr), errText(wantErr))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decoded %#v, encoding/json decodes %#v", body, got, want)
+		}
 	})
-}
-
-// compareDecodes fails unless the Sequence decode of input matches
-// encoding/json's []int decode: the same error text and the same ints,
-// nil-ness included.
-func compareDecodes(t *testing.T, input []byte, gotErr, wantErr error, got, want []int) {
-	t.Helper()
-	if errText(gotErr) != errText(wantErr) {
-		t.Fatalf("%q: error %q, encoding/json says %q", input, errText(gotErr), errText(wantErr))
-	}
-	if (got == nil) != (want == nil) || !slices.Equal(got, want) {
-		t.Fatalf("%q: decoded %#v, encoding/json decodes %#v", input, got, want)
-	}
-}
-
-func decodeInts(body []byte) ([]int, error) {
-	type request struct {
-		Sequence []int `json:"sequence"`
-	}
-	var r request
-	err := strictDecode(body, &r)
-	return r.Sequence, err
-}
-
-func decodeSequence(body []byte) ([]int, error) {
-	type request struct {
-		Sequence api.Sequence `json:"sequence"`
-	}
-	var r request
-	err := strictDecode(body, &r)
-	return r.Sequence, err
 }
 
 func strictDecode(body []byte, v any) error {

@@ -221,8 +221,8 @@ func (b *Backend) run(ctx context.Context, j graphrealize.Job, replay bool) grap
 		// Round-level progress does not cross the proxy hop, but the queued
 		// → running transition does: the job runs from the moment it is
 		// first proxied (CLUSTER.md §8.2).
-		if len(tried) == 0 && j.Opt != nil && j.Opt.Progress != nil {
-			j.Opt.Progress(0, 0)
+		if len(tried) == 0 && j.Progress != nil {
+			j.Progress(0, 0)
 		}
 		out, err := b.proxy(ctx, addrs[owner], j)
 		if err == nil {

@@ -391,7 +391,7 @@ func TestBackendReportsDispatchAsRunning(t *testing.T) {
 	}
 	res := submit(t, b, graphrealize.Job{
 		Kind: graphrealize.JobDegrees, Seq: []int{2, 1, 1},
-		Opt: &graphrealize.Options{Seed: 5, Progress: progress},
+		Opt: &graphrealize.Options{Seed: 5}, Progress: progress,
 	})
 	if res.Err != nil {
 		t.Fatal(res.Err)

@@ -1,13 +1,16 @@
 package connectivity
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"graphrealize/internal/core"
 	"graphrealize/internal/gen"
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/sortnet"
 	"graphrealize/internal/verify"
 )
@@ -65,30 +68,45 @@ func meetsThresholds(t *testing.T, model ncc.Model, seed int64) {
 }
 
 func TestNCC0ExplicitStorage(t *testing.T) {
-	// Every phase-2 edge must be stored at both endpoints (explicit).
+	// Every edge must be stored once at each endpoint (explicit).
 	rho := gen.UniformRho(14, 4, 11)
 	tr, _ := runConn(t, rho, ncc.NCC0, 11)
-	counts := map[[2]ncc.ID]int{}
-	for _, nr := range tr.Nodes {
-		for _, p := range nr.Neighbors {
-			a, b := nr.ID, p
-			if a > b {
-				a, b = b, a
+	if err := errors.Join(ncctest.Storage(tr, true), verify.Connectivity(tr.Adjacency(), rho)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSmallNConnectivityStorage checks edge storage at the trace level,
+// which the facade's merged Graph cannot show: for every ρ in [1, n−1]ⁿ
+// with 2 ≤ n ≤ 5, RealizeNCC0 stores every edge exactly once at each
+// endpoint.
+func TestSmallNConnectivityStorage(t *testing.T) {
+	runs := 0
+	for n := 2; n <= 5; n++ {
+		rho := slices.Repeat([]int{1}, n)
+		for {
+			tr, err := runConn(nil, rho, ncc.NCC0, int64(runs))
+			if err == nil {
+				err = ncctest.Storage(tr, true)
 			}
-			counts[[2]ncc.ID{a, b}]++
+			if err != nil {
+				t.Fatalf("ρ = %v: %v", rho, err)
+			}
+			runs++
+			// The next ρ in [1, n−1]ⁿ, as an odometer.
+			i := 0
+			for i < n && rho[i] == n-1 {
+				rho[i] = 1
+				i++
+			}
+			if i == n {
+				break
+			}
+			rho[i]++
 		}
 	}
-	twice := 0
-	for _, c := range counts {
-		if c == 2 {
-			twice++
-		}
-		if c > 2 {
-			t.Fatalf("an edge was stored %d times", c)
-		}
-	}
-	if twice == 0 {
-		t.Fatal("no edge stored at both endpoints; realization is not explicit")
+	if runs != 1114 {
+		t.Fatalf("%d runs, want 1,114", runs)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"graphrealize/internal/gen"
 	"graphrealize/internal/graph"
 	"graphrealize/internal/ncc"
+	"graphrealize/internal/ncctest"
 	"graphrealize/internal/seq"
 	"graphrealize/internal/sortnet"
 	"graphrealize/internal/verify"
@@ -28,7 +29,13 @@ func runRealize(t *testing.T, d []int, mode Mode, method sortnet.Method, explici
 
 func runRealizeErr(d []int, mode Mode, method sortnet.Method, explicit bool, seed int64) (*ncc.Trace, error) {
 	s := ncc.New(ncc.Config{N: len(d), Seed: seed, Strict: true, Inputs: d})
-	return s.RunProgram(func(nd *ncc.Node) ncc.Op {
+	return s.RunProgram(realizeProgram(mode, method, explicit))
+}
+
+// realizeProgram is the protocol runRealizeErr runs: Realize with each
+// node's input as its degree, then MakeExplicit if explicit and realizable.
+func realizeProgram(mode Mode, method sortnet.Method, explicit bool) ncc.Proto {
+	return func(nd *ncc.Node) ncc.Op {
 		return Setup(nd, method, func(env *Env) ncc.Op {
 			deg := nd.Input()
 			return Realize(nd, env, deg, mode, true, func(out Outcome) ncc.Op {
@@ -45,7 +52,7 @@ func runRealizeErr(d []int, mode Mode, method sortnet.Method, explicit bool, see
 				return ncc.Done()
 			})
 		})
-	})
+	}
 }
 
 func b2i(b bool) int64 {
@@ -53,17 +60,6 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// multiEdgeFree checks that no edge was stored twice across the network
-// (which Trace.Adjacency would silently collapse).
-func multiEdgeFree(tr *ncc.Trace) bool {
-	for _, c := range edgeStorageCounts(tr) {
-		if c > 1 {
-			return false
-		}
-	}
-	return true
 }
 
 func TestRealizeGraphicFamilies(t *testing.T) {
@@ -95,8 +91,8 @@ func TestRealizeGraphicFamilies(t *testing.T) {
 		if err := verify.Degrees(tr.Adjacency(), d); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !multiEdgeFree(tr) {
-			t.Fatalf("%s: duplicate edge storage", name)
+		if err := ncctest.Storage(tr, false); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		// Per-node realized accounting must equal the input degree.
 		for i, id := range tr.IDs {
@@ -149,7 +145,8 @@ func TestQuickRealizeMatchesErdosGallai(t *testing.T) {
 				t.Logf("%v: %v", d, err)
 				return false
 			}
-			if !multiEdgeFree(tr) {
+			if err := ncctest.Storage(tr, false); err != nil {
+				t.Logf("%v: %v", d, err)
 				return false
 			}
 		}
@@ -193,8 +190,8 @@ func TestEnvelopeRealization(t *testing.T) {
 		if tr.Unrealizable {
 			t.Fatalf("%v: envelope mode must never be unrealizable", d)
 		}
-		if !multiEdgeFree(tr) {
-			t.Fatalf("%v: duplicate edges", d)
+		if err := ncctest.Storage(tr, false); err != nil {
+			t.Fatalf("%v: %v", d, err)
 		}
 		if err := verify.Envelope(tr.Adjacency(), d, realized(tr)); err != nil {
 			t.Fatalf("%v: %v", d, err)
@@ -290,21 +287,6 @@ func TestBystandersStayIsolated(t *testing.T) {
 	}
 }
 
-// edgeStorageCounts returns how many endpoints stored each canonical edge.
-func edgeStorageCounts(tr *ncc.Trace) map[[2]ncc.ID]int {
-	seen := map[[2]ncc.ID]int{}
-	for _, nr := range tr.Nodes {
-		for _, p := range nr.Neighbors {
-			a, b := nr.ID, p
-			if a > b {
-				a, b = b, a
-			}
-			seen[[2]ncc.ID{a, b}]++
-		}
-	}
-	return seen
-}
-
 func TestExplicitRealization(t *testing.T) {
 	for _, d := range [][]int{
 		gen.Regular(16, 5),
@@ -320,10 +302,8 @@ func TestExplicitRealization(t *testing.T) {
 			t.Fatalf("%v: %v", d, err)
 		}
 		// Explicit = every edge stored at both endpoints, exactly once each.
-		for e, c := range edgeStorageCounts(tr) {
-			if c != 2 {
-				t.Fatalf("%v: edge %v stored %d times, want 2", d, e, c)
-			}
+		if err := ncctest.Storage(tr, true); err != nil {
+			t.Fatalf("%v: %v", d, err)
 		}
 		// Reverse notifications equal the member-stored edge count per node.
 		for i, id := range tr.IDs {
@@ -335,6 +315,48 @@ func TestExplicitRealization(t *testing.T) {
 			}
 			_ = rev
 		}
+	}
+}
+
+// TestSmallNDegreeStorage checks edge storage at the trace level, which the
+// facade's merged Graph cannot show: for every graphic sequence in
+// [0, n−1]ⁿ with n ≤ 5 (every order of every multiset), in NCC0 and NCC1,
+// Realize stores each edge exactly once, and Realize followed by
+// MakeExplicit exactly once at each endpoint.
+func TestSmallNDegreeStorage(t *testing.T) {
+	runs := 0
+	for n := 1; n <= 5; n++ {
+		d := make([]int, n)
+		for {
+			if seq.IsGraphic(d) {
+				for _, model := range []ncc.Model{ncc.NCC0, ncc.NCC1} {
+					for _, explicit := range []bool{false, true} {
+						s := ncc.New(ncc.Config{N: n, Model: model, Seed: int64(runs), Strict: true, Inputs: d})
+						tr, err := s.RunProgram(realizeProgram(Exact, sortnet.Oracle, explicit))
+						if err == nil {
+							err = ncctest.Storage(tr, explicit)
+						}
+						if err != nil {
+							t.Fatalf("%v, model %v, explicit %t: %v", d, model, explicit, err)
+						}
+						runs++
+					}
+				}
+			}
+			// The next sequence in [0, n−1]ⁿ, as an odometer.
+			i := 0
+			for i < n && d[i] == n-1 {
+				d[i] = 0
+				i++
+			}
+			if i == n {
+				break
+			}
+			d[i]++
+		}
+	}
+	if runs != 2392 {
+		t.Fatalf("%d runs, want 2,392: 598 graphic sequences, two models, implicit and explicit", runs)
 	}
 }
 

@@ -6,7 +6,7 @@
 // A Manager wraps Runner.SubmitCtx with server-generated job IDs, a
 // lifecycle state machine (queued → running → done | failed | canceled →
 // expired), round-level progress snapshots fed by the engine's per-barrier
-// hook (ncc.Config.Progress, threaded through Options.Progress), coalescing
+// hook (ncc.Config.Progress, threaded through Job.Progress), coalescing
 // subscriber fan-out for event streams, bounded retention with two-phase
 // TTL garbage collection, and graceful drain on shutdown. Jobs run under a
 // manager-owned context, so they survive the submitting connection closing
@@ -253,29 +253,23 @@ func (m *Manager) newID() string {
 }
 
 // instrument returns the private copy of a job the backend actually runs:
-// its Options carry the record's progress hook (chained after any
-// caller-supplied hook, never overwriting it) and the manager's async
-// timeout default. The hook is excluded from the Runner's cache key, so a
-// cache-served job simply completes with no progress barriers.
+// it carries the record's progress hook (chained after any caller-supplied
+// hook, never overwriting it) and the manager's async timeout default. The
+// hook is not part of the Runner's cache key, so a cache-served job simply
+// completes with no progress barriers.
 func (m *Manager) instrument(rec *record, j graphrealize.Job) graphrealize.Job {
-	run := j
-	var opt graphrealize.Options
-	if j.Opt != nil {
-		opt = *j.Opt
-	}
-	if caller := opt.Progress; caller != nil {
-		opt.Progress = func(round, msgs int) {
+	if caller := j.Progress; caller != nil {
+		j.Progress = func(round, msgs int) {
 			rec.reportProgress(round, msgs)
 			caller(round, msgs)
 		}
 	} else {
-		opt.Progress = rec.reportProgress
+		j.Progress = rec.reportProgress
 	}
-	run.Opt = &opt
-	if m.cfg.JobTimeout != 0 && run.Timeout == 0 {
-		run.Timeout = m.cfg.JobTimeout
+	if m.cfg.JobTimeout != 0 && j.Timeout == 0 {
+		j.Timeout = m.cfg.JobTimeout
 	}
-	return run
+	return j
 }
 
 // Submit admits one job for asynchronous execution and returns its initial

@@ -51,8 +51,8 @@ func engineBackend(roundLen time.Duration) *fakeBackend {
 		ch := make(chan graphrealize.Result, 1)
 		go func() {
 			for round := 0; ; round++ {
-				if j.Opt != nil && j.Opt.Progress != nil {
-					j.Opt.Progress(round, 3*round)
+				if j.Progress != nil {
+					j.Progress(round, 3*round)
 				}
 				select {
 				case <-ctx.Done():
@@ -422,14 +422,14 @@ func TestJobTimeoutLandsInFailed(t *testing.T) {
 	}
 }
 
-// TestCallerProgressHookIsChained: a caller-supplied Options.Progress keeps
+// TestCallerProgressHookIsChained: a caller-supplied Job.Progress keeps
 // firing alongside the manager's own snapshot reporter.
 func TestCallerProgressHookIsChained(t *testing.T) {
 	m := jobs.New(jobs.Config{Backend: engineBackend(100 * time.Microsecond)})
 	defer closeNow(t, m)
 	var callerRounds atomic.Int64
 	j := job(1)
-	j.Opt.Progress = func(round, msgs int) { callerRounds.Store(int64(round)) }
+	j.Progress = func(round, msgs int) { callerRounds.Store(int64(round)) }
 	snap, err := m.Submit(j)
 	if err != nil {
 		t.Fatal(err)

@@ -132,7 +132,7 @@ type record struct {
 	err      error
 }
 
-// reportProgress is installed as the job's Options.Progress hook. It runs on
+// reportProgress is installed as the job's Progress hook. It runs on
 // the simulation's driver goroutine between rounds, so the hot path is two
 // atomic stores and a lock-free fan-out; only the first call (the queued →
 // running transition) takes the record mutex. The transition happens before

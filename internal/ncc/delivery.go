@@ -3,14 +3,16 @@ package ncc
 import "fmt"
 
 // delivery is the message-routing layer: it moves every active node's outbox
-// into the destinations' inboxes at the end of a round, enforces the model's
-// receive capacity, and keeps the spare receive buffers. It knows nothing
-// about rounds advancing or node scheduling — the engine calls route once per
-// barrier and reads back which awaiting nodes got mail.
+// into the destinations' inboxes at the end of a round, applying the model's
+// per-message rules on the way (capacity on both sides, NCC0 learning), and
+// keeps the spare receive buffers. It knows nothing about rounds advancing or
+// node scheduling — the engine calls route once per barrier and reads back
+// which awaiting nodes got mail.
 type delivery struct {
 	nodes    []*Node
 	capacity int
 	strict   bool
+	learn    bool // NCC0: receivers learn the IDs a message teaches
 
 	recvCnt []int   // per-node receive count, current round
 	touched []int   // scratch: indices with nonzero recvCnt this round
@@ -24,11 +26,12 @@ type delivery struct {
 	spare [][]Message
 }
 
-func newDelivery(nodes []*Node, capacity int, strict bool) *delivery {
+func newDelivery(nodes []*Node, capacity int, strict, learn bool) *delivery {
 	return &delivery{
 		nodes:    nodes,
 		capacity: capacity,
 		strict:   strict,
+		learn:    learn,
 		recvCnt:  make([]int, len(nodes)),
 	}
 }
@@ -51,32 +54,53 @@ func (d *delivery) recycle(buf []Message) {
 	}
 }
 
-// route delivers every active node's outbox, enforcing receive capacity, and
-// returns the awaiters that received mail plus the first strict-mode error.
-// A woken awaiter's state becomes stateWoken, so a second message in the
-// same round does not wake it again. Inbox order is deterministic: senders
-// are processed in Gk-index order (active is sorted) and each outbox in send
-// order. met is updated with message counts and congestion statistics for
-// the round.
+// route delivers every active node's outbox and applies the model's
+// per-message rules. Each message a node sends beyond its capacity in the
+// round adds one to Metrics.SendViolations, and each node that receives more
+// than its capacity adds one to RecvViolations. In Strict mode the round's
+// first send overflow is the error, else its first receive overflow. In NCC0
+// each receiver learns the sender and every ID the message carries other
+// than its own; no step can tell this from learning when the receiver next
+// steps, since a node reads its knowledge only in its own steps.
+//
+// route returns the awaiters that received mail. A woken awaiter's state
+// becomes stateWoken, so a second message in the same round does not wake it
+// again. Inbox order is deterministic: senders are processed in Gk-index
+// order (active is sorted) and each outbox in send order. met is updated
+// with message counts and congestion statistics for the round.
 func (d *delivery) route(active []*Node, round int, met *Metrics) (woken []*Node, err error) {
 	touched := d.touched[:0]
 	woken = d.woken[:0]
 	maxSent := 0
 	for _, nd := range active {
-		if len(nd.outbox) > maxSent {
-			maxSent = len(nd.outbox)
+		sent := len(nd.outbox)
+		maxSent = max(maxSent, sent)
+		if over := sent - d.capacity; over > 0 {
+			met.SendViolations += over
+			if d.strict && err == nil {
+				err = capacityError(fmt.Sprintf("ncc: round %d: send capacity exceeded (capacity %d)", round, d.capacity))
+			}
 		}
 		for i := range nd.outbox {
-			dsti := nd.outbox[i].dstIdx
+			m := &nd.outbox[i]
+			dsti := m.dstIdx
 			dst := d.nodes[dsti]
 			if d.recvCnt[dsti] == 0 {
 				touched = append(touched, int(dsti))
 			}
 			d.recvCnt[dsti]++
+			if d.learn {
+				dst.known.add(m.Src)
+				for _, id := range m.IDs() {
+					if id != dst.id {
+						dst.known.add(id)
+					}
+				}
+			}
 			if dst.inbox == nil {
 				dst.inbox = d.buffer()
 			}
-			dst.inbox = append(dst.inbox, nd.outbox[i])
+			dst.inbox = append(dst.inbox, *m)
 			met.Messages++
 			if dst.state == stateAwait {
 				dst.state = stateWoken

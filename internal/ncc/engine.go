@@ -60,13 +60,6 @@ func (s *Sim) drive() {
 		}
 
 		// Deliver messages sent this round.
-		if s.sendViol > 0 {
-			s.met.SendViolations += s.sendViol
-			s.sendViol = 0
-			if s.cfg.Strict {
-				s.firstErr = capacityError(fmt.Sprintf("ncc: round %d: send capacity exceeded (capacity %d)", s.round, s.capacity))
-			}
-		}
 		if s.doneCnt == s.n {
 			// Every protocol finished during this round's steps; the final
 			// slice performs no further communication and does not start a

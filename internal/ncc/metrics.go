@@ -20,7 +20,7 @@ type Metrics struct {
 	MaxSentPerRound int // max messages sent by any node in any round
 	MaxRecvPerRound int // max messages received by any node in any round
 
-	SendViolations int // (node,round) pairs exceeding the send capacity
+	SendViolations int // messages sent beyond the per-node per-round capacity
 	RecvViolations int // (node,round) pairs exceeding the receive capacity
 
 	// CollectiveCalls counts invocations of each collective operation by

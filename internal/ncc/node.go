@@ -45,9 +45,7 @@ type Node struct {
 	retired []Message // inbox handed to the last step; recycled at the next suspension
 	coll    *Collective
 	collIn  int64
-	collOut CollectiveOut
-
-	sentThisRound int
+	collOut any
 
 	neighbors    []ID
 	outputs      map[string]int64
@@ -119,9 +117,11 @@ func (nd *Node) Knows(id ID) bool {
 	return nd.known.has(id)
 }
 
-// Learn records that this node knows id without a message exchange. It is
-// used by the runner to install pre-existing knowledge and by collective
-// operations whose outputs carry IDs. Protocols themselves never need it.
+// Learn records that this node knows id without a message exchange. The
+// engine uses it to install the initial successor, and a protocol calls it
+// for the IDs a collective's output hands the node (the collective stands in
+// for messages that would have taught them); message delivery teaches IDs
+// itself.
 func (nd *Node) Learn(id ID) {
 	if nd.sim.cfg.Model == NCC0 && id != nd.id {
 		nd.known.add(id)
@@ -130,8 +130,8 @@ func (nd *Node) Learn(id ID) {
 
 // Send enqueues a message to dst for delivery at the end of the current
 // round. It enforces the model: dst must exist, differ from the sender, and —
-// in NCC0 — be known to the sender. Exceeding the per-round send capacity is
-// recorded as a violation (an error in Strict mode).
+// in NCC0 — be known to the sender. Delivery counts the messages beyond the
+// per-round send capacity as violations (an error in Strict mode).
 func (nd *Node) Send(dst ID, m Message) {
 	if dst == nd.id {
 		nd.fail("send to self")
@@ -145,10 +145,6 @@ func (nd *Node) Send(dst ID, m Message) {
 	}
 	if err := m.validate(); err != nil {
 		nd.fail("%v", err)
-	}
-	nd.sentThisRound++
-	if nd.sentThisRound > nd.sim.capacity {
-		nd.sim.sendViol++
 	}
 	m.Src = nd.id
 	m.dstIdx = int32(dsti)

@@ -98,16 +98,11 @@ type Collective struct {
 	// has finished); the engine reuses ins, so it is valid only during
 	// Run. Run returns the per-position outputs, or nil, and the number of
 	// rounds to charge, which must be justified by an analytic bound on
-	// the primitive being replaced.
-	Run func(s *Sim, ins []int64) (outs []CollectiveOut, chargeRounds int)
-}
-
-// CollectiveOut is one node's output of a collective. Val reaches the node
-// as Wake.Coll; Learn lists IDs the node acquires knowledge of (NCC0
-// bookkeeping for centrally executed primitives).
-type CollectiveOut struct {
-	Val   any
-	Learn []ID
+	// the primitive being replaced. outs[i] reaches the node at Gk position
+	// i as Wake.Coll; a node whose output names IDs learns them itself,
+	// with Node.Learn, as the messages the collective stands in for would
+	// have taught them.
+	Run func(s *Sim, ins []int64) (outs []any, chargeRounds int)
 }
 
 // Enter enters collective c with input in; k resumes, once every live node
@@ -142,29 +137,14 @@ func (s *Sim) step(nd *Node) {
 	var w Wake
 	k := nd.cont
 	if k != nil {
-		nd.sentThisRound = 0
 		in := nd.inbox
 		nd.inbox = nil
 		nd.retired = in
-		if s.cfg.Model == NCC0 {
-			for i := range in {
-				nd.known.add(in[i].Src)
-				for _, id := range in[i].IDs() {
-					if id != nd.id {
-						nd.known.add(id)
-					}
-				}
-			}
-		}
 		if nd.coll != nil {
-			// The delivered inbox (always empty at a collective barrier) was
-			// still taken and learned above.
-			out := nd.collOut
-			nd.coll, nd.collOut = nil, CollectiveOut{}
-			for _, id := range out.Learn {
-				nd.Learn(id)
-			}
-			w.Coll = out.Val
+			// The delivered inbox, always empty at a collective barrier, was
+			// still taken above.
+			w.Coll = nd.collOut
+			nd.coll, nd.collOut = nil, nil
 		} else {
 			w.Msgs = in
 		}

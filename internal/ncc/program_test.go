@@ -78,14 +78,14 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = i + 1
 	}
-	sum := &ncc.Collective{Name: "sum", Run: func(s *ncc.Sim, ins []int64) ([]ncc.CollectiveOut, int) {
+	sum := &ncc.Collective{Name: "sum", Run: func(s *ncc.Sim, ins []int64) ([]any, int) {
 		var total int64
 		for _, in := range ins {
 			total += in
 		}
-		outs := make([]ncc.CollectiveOut, len(ins))
+		outs := make([]any, len(ins))
 		for i := range outs {
-			outs[i].Val = total
+			outs[i] = total
 		}
 		return outs, 2
 	}}

@@ -163,14 +163,14 @@ func mixedProto(rounds int) ncc.Proto {
 
 // tally sums its inputs and hands every node the total, charging
 // ⌈log₂ n⌉ rounds.
-var tally = &ncc.Collective{Name: "tally", Run: func(s *ncc.Sim, ins []int64) ([]ncc.CollectiveOut, int) {
+var tally = &ncc.Collective{Name: "tally", Run: func(s *ncc.Sim, ins []int64) ([]any, int) {
 	var sum int64
 	for _, in := range ins {
 		sum += in
 	}
-	outs := make([]ncc.CollectiveOut, len(ins))
+	outs := make([]any, len(ins))
 	for i := range outs {
-		outs[i].Val = sum
+		outs[i] = sum
 	}
 	return outs, ncc.CeilLog2(s.N())
 }}

@@ -119,9 +119,8 @@ type Sim struct {
 	sleepers    sleepHeap
 	doneCnt     int
 
-	sendViol int     // send-capacity violations in the current round
-	entered  []*Node // the nodes that entered a collective this round, reused
-	collIns  []int64 // the inputs runCollective hands a Collective, reused
+	entered []*Node // the nodes that entered a collective this round, reused
+	collIns []int64 // the inputs runCollective hands a Collective, reused
 
 	met      Metrics
 	firstErr error
@@ -165,7 +164,7 @@ func New(cfg Config) *Sim {
 		}
 		s.nodes[i] = nd
 	}
-	s.del = newDelivery(s.nodes, capacity, cfg.Strict)
+	s.del = newDelivery(s.nodes, capacity, cfg.Strict, cfg.Model == NCC0)
 	s.met = Metrics{N: n, Capacity: capacity, CollectiveCalls: make(map[string]int)}
 	return s
 }

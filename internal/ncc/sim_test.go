@@ -2,6 +2,7 @@ package ncc
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -353,14 +354,14 @@ func TestFastForwardIsCheap(t *testing.T) {
 }
 
 func TestCollectiveSumAndCharge(t *testing.T) {
-	sum := &Collective{Name: "sum", Run: func(s *Sim, ins []int64) ([]CollectiveOut, int) {
+	sum := &Collective{Name: "sum", Run: func(s *Sim, ins []int64) ([]any, int) {
 		total := int64(0)
 		for _, in := range ins {
 			total += in
 		}
-		outs := make([]CollectiveOut, len(ins))
+		outs := make([]any, len(ins))
 		for i := range outs {
-			outs[i].Val = total
+			outs[i] = total
 		}
 		return outs, 13
 	}}
@@ -395,16 +396,18 @@ func TestCollectiveSumAndCharge(t *testing.T) {
 func TestCollectiveTeachesIDs(t *testing.T) {
 	s := New(Config{N: 6, Seed: 23, Strict: true})
 	ids := s.IDs()
-	// The collective introduces everyone to the head node's ID.
-	introduceHead := &Collective{Name: "introduce-head", Run: func(s *Sim, ins []int64) ([]CollectiveOut, int) {
-		outs := make([]CollectiveOut, s.N())
+	// The collective introduces everyone to the head node's ID, which each
+	// node learns from its output.
+	introduceHead := &Collective{Name: "introduce-head", Run: func(s *Sim, ins []int64) ([]any, int) {
+		outs := make([]any, s.N())
 		for i := range outs {
-			outs[i] = CollectiveOut{Val: int64(0), Learn: []ID{s.IDs()[0]}}
+			outs[i] = s.IDs()[0]
 		}
 		return outs, 1
 	}}
 	tr, err := s.RunProgram(func(nd *Node) Op {
 		return nd.Enter(introduceHead, 0, ContFunc(func(nd *Node, w Wake) Op {
+			nd.Learn(w.Coll.(ID))
 			if nd.ID() != ids[0] {
 				nd.Send(ids[0], Message{Kind: kindData, A: 1})
 			}
@@ -426,7 +429,7 @@ func TestCollectiveTeachesIDs(t *testing.T) {
 
 // noop is a collective that charges nothing and outputs nothing.
 func noop(name string) *Collective {
-	return &Collective{Name: name, Run: func(*Sim, []int64) ([]CollectiveOut, int) { return nil, 0 }}
+	return &Collective{Name: name, Run: func(*Sim, []int64) ([]any, int) { return nil, 0 }}
 }
 
 func TestCollectiveMismatchIsError(t *testing.T) {
@@ -994,5 +997,61 @@ func TestStrictRecvViolationInFinalRound(t *testing.T) {
 	}
 	if tr.Metrics.RecvViolations == 0 {
 		t.Fatalf("violation not recorded: %+v", tr.Metrics)
+	}
+}
+
+// TestCapacityViolationCounts pins what the violation metrics count:
+// SendViolations every message a node sends beyond capacity in a round,
+// RecvViolations every round in which a node receives beyond it. One node
+// that sends capacity+3 messages to one receiver counts 3 send violations
+// and 1 receive violation; senders that each stay under capacity but
+// together overfill one receiver count none and 1. A Strict run of each
+// fails with the error of the side that overflowed, the send side first
+// when both do.
+func TestCapacityViolationCounts(t *testing.T) {
+	const n, capacity = 8, 24 // NCC1 at the default CapMul: 8·⌈log₂ 8⌉
+	ids := New(Config{N: n, Model: NCC1, Seed: 5}).IDs()
+	dst := ids[n-1]
+	cases := []struct {
+		name       string
+		sends      []int // how many messages the node at Gk position i sends to dst
+		send, recv int   // the violations counted
+		strictErr  string
+	}{
+		{"send-overflow", []int{capacity + 3}, 3, 1,
+			"ncc: round 0: send capacity exceeded (capacity 24)"},
+		{"receive-overflow", []int{13, 13}, 0, 1,
+			fmt.Sprintf("ncc: round 0: node %d received 26 messages (capacity 24)", dst)},
+	}
+	for _, c := range cases {
+		for _, strict := range []bool{false, true} {
+			s := New(Config{N: n, Model: NCC1, Seed: 5, Strict: strict})
+			if s.Capacity() != capacity {
+				t.Fatalf("capacity %d, want %d", s.Capacity(), capacity)
+			}
+			tr, err := s.RunProgram(func(nd *Node) Op {
+				for i, k := range c.sends {
+					if nd.ID() == ids[i] {
+						for range k {
+							nd.Send(dst, Message{Kind: kindData})
+						}
+					}
+				}
+				return Next(ContFunc(finish))
+			})
+			m := tr.Metrics
+			if m.SendViolations != c.send || m.RecvViolations != c.recv {
+				t.Errorf("%s (strict %v): %d send and %d receive violations, want %d and %d",
+					c.name, strict, m.SendViolations, m.RecvViolations, c.send, c.recv)
+			}
+			switch {
+			case !strict && err != nil:
+				t.Errorf("%s: non-strict run failed: %v", c.name, err)
+			case strict && (err == nil || !errors.Is(err, ErrCapacity)):
+				t.Errorf("%s: strict run returned %v, want a capacity error", c.name, err)
+			case strict && err.Error() != c.strictErr:
+				t.Errorf("%s: strict error %q, want %q", c.name, err, c.strictErr)
+			}
+		}
 	}
 }

@@ -1,5 +1,6 @@
 // Package ncctest holds the trace digest that the engine's and the protocol
-// packages' tests use to pin recorded runs. Only tests import it.
+// packages' tests use to pin recorded runs, and a check of how a run stored
+// its edges. Only tests import it.
 package ncctest
 
 import (
@@ -40,4 +41,30 @@ func Expect(t testing.TB, label string, tr *ncc.Trace, err error, want string) {
 	if got := Digest(tr, err); got != want {
 		t.Errorf("%s: trace digest %s, recorded %s", label, got, want)
 	}
+}
+
+// Storage checks how a run stored its overlay edges, which only the trace
+// shows: Trace.Adjacency and the facade's Graph merge both endpoints' lists.
+// No node may list a peer twice, and every edge must be listed at both
+// endpoints if explicit, else at exactly one.
+func Storage(tr *ncc.Trace, explicit bool) error {
+	stored := make(map[[2]ncc.ID]bool)
+	for _, nr := range tr.Nodes {
+		for _, p := range nr.Neighbors {
+			e := [2]ncc.ID{nr.ID, p}
+			if stored[e] {
+				return fmt.Errorf("node %d stores its edge to %d twice", nr.ID, p)
+			}
+			stored[e] = true
+		}
+	}
+	for e := range stored {
+		switch back := stored[[2]ncc.ID{e[1], e[0]}]; {
+		case explicit && !back:
+			return fmt.Errorf("edge %d–%d is stored at %d only", e[0], e[1], e[0])
+		case !explicit && back:
+			return fmt.Errorf("edge %d–%d is stored at both endpoints", e[0], e[1])
+		}
+	}
+	return nil
 }

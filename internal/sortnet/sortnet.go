@@ -93,7 +93,7 @@ type Sorter struct {
 // the Theorem 3 round bound.
 var oracle = ncc.Collective{Name: "oracle-sort", Run: runOracle}
 
-func runOracle(s *ncc.Sim, ins []int64) ([]ncc.CollectiveOut, int) {
+func runOracle(s *ncc.Sim, ins []int64) ([]any, int) {
 	n := s.N()
 	ids := s.IDs()
 	type kv struct {
@@ -111,25 +111,19 @@ func runOracle(s *ncc.Sim, ins []int64) ([]ncc.CollectiveOut, int) {
 		}
 		return cmp.Compare(a.id, b.id)
 	})
-	// One Result and one Learn backing array serve every node: a node's
-	// output points into them, and the engine copies the IDs out before
-	// the node resumes.
-	outs := make([]ncc.CollectiveOut, n)
+	// One Result array serves every node: a node's output points into it.
+	outs := make([]any, n)
 	res := make([]Result, n)
-	learn := make([]ncc.ID, 0, 2*n)
 	for rank, p := range pairs {
 		r := &res[rank]
 		*r = Result{Rank: rank, Pred: ncc.None, Succ: ncc.None}
-		from := len(learn)
 		if rank > 0 {
 			r.Pred = pairs[rank-1].id
-			learn = append(learn, r.Pred)
 		}
 		if rank+1 < n {
 			r.Succ = pairs[rank+1].id
-			learn = append(learn, r.Succ)
 		}
-		outs[p.pos] = ncc.CollectiveOut{Val: r, Learn: learn[from:len(learn):len(learn)]}
+		outs[p.pos] = r
 	}
 	return outs, ChargedRounds(n)
 }
@@ -161,10 +155,14 @@ func (s *Sorter) Sort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	}
 }
 
-// Resume is the oracle sort's continuation: it delivers the node's output
-// of the collective.
-func (s *Sorter) Resume(_ *ncc.Node, w ncc.Wake) ncc.Op {
-	return s.k(*w.Coll.(*Result))
+// Resume is the oracle sort's continuation: the node learns its sorted
+// neighbors, as the real sorts' messages would have taught them, and gets
+// its output of the collective.
+func (s *Sorter) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
+	r := *w.Coll.(*Result)
+	nd.Learn(r.Pred)
+	nd.Learn(r.Succ)
+	return s.k(r)
 }
 
 // oddEvenState is the odd-even sort's per-node state, and its continuation:

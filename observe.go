@@ -51,15 +51,13 @@ type phaseAccum struct {
 	rounds                     int64
 }
 
-// observe returns a copy of j whose Options carry a Profile hook feeding both
-// the Runner's phase profile and acc, chained in front of any
-// caller-supplied hook (the instrument pattern internal/jobs uses for
-// Progress). The caller's Job is left untouched and the cache key is
-// unchanged by construction: Profile is excluded from optKey.
+// observe returns a copy of j whose Profile hook feeds both the Runner's
+// phase profile and acc, chained in front of any caller-supplied hook (the
+// instrument pattern internal/jobs uses for Progress). The caller's Job is
+// left untouched, and the hook is not part of the cache key.
 func (r *Runner) observe(j Job, acc *phaseAccum) Job {
-	opt := j.Opt.norm()
-	caller := opt.Profile
-	opt.Profile = func(compute, delivery, barrier time.Duration) {
+	caller := j.Profile
+	j.Profile = func(compute, delivery, barrier time.Duration) {
 		acc.compute += compute
 		acc.delivery += delivery
 		acc.barrier += barrier
@@ -69,7 +67,6 @@ func (r *Runner) observe(j Job, acc *phaseAccum) Job {
 			caller(compute, delivery, barrier)
 		}
 	}
-	j.Opt = &opt
 	return j
 }
 

@@ -61,9 +61,7 @@ func TestRunnerObsInstruments(t *testing.T) {
 	// new flight entry, and the submitter's own Profile hook never fires.
 	profiled := 0
 	j2 := j
-	opt := *j.Opt
-	opt.Profile = func(c, d, b time.Duration) { profiled++ }
-	j2.Opt = &opt
+	j2.Profile = func(c, d, b time.Duration) { profiled++ }
 	res2 := <-r.Submit(j2)
 	if res2.Err != nil || !res2.Cached {
 		t.Fatalf("second submit: err=%v cached=%v, want cached hit", res2.Err, res2.Cached)
@@ -80,15 +78,13 @@ func TestRunnerObsInstruments(t *testing.T) {
 }
 
 // TestRunnerObsChainsCallerProfile pins that the Runner's instrumentation
-// hook chains — not replaces — a caller-supplied Options.Profile.
+// hook chains — not replaces — a caller-supplied Job.Profile.
 func TestRunnerObsChainsCallerProfile(t *testing.T) {
 	r := NewRunner(1)
 	calls := 0
 	var total time.Duration
-	j := Job{Kind: JobDegrees, Seq: []int{2, 2, 2}, Opt: &Options{
-		Seed:    3,
-		Profile: func(c, d, b time.Duration) { calls++; total += c + d + b },
-	}}
+	j := Job{Kind: JobDegrees, Seq: []int{2, 2, 2}, Opt: &Options{Seed: 3},
+		Profile: func(c, d, b time.Duration) { calls++; total += c + d + b }}
 	if res := <-r.Submit(j); res.Err != nil {
 		t.Fatalf("run: %v", res.Err)
 	}

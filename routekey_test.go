@@ -31,10 +31,8 @@ func TestRouteKeyMatchesCacheIdentity(t *testing.T) {
 	decorated.Label = "sweep-row-3"
 	decorated.TraceID = "req-123"
 	decorated.Timeout = 5 * time.Second
-	opt := *base.Opt
-	opt.Progress = func(int, int) {}
-	opt.Profile = func(_, _, _ time.Duration) {}
-	decorated.Opt = &opt
+	decorated.Progress = func(int, int) {}
+	decorated.Profile = func(_, _, _ time.Duration) {}
 	if decorated.RouteKey() != key {
 		t.Fatal("outcome-neutral fields changed the route key; identical jobs would shard apart")
 	}

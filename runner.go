@@ -82,6 +82,20 @@ type Job struct {
 	// Timeout never affects a deterministic outcome, so it is not part of
 	// the result cache key.
 	Timeout time.Duration
+	// Progress, when non-nil, receives (rounds completed, messages delivered)
+	// at every round barrier of the run — the hook long-running services use
+	// to stream round-level progress. It is invoked on the goroutine running
+	// the simulation and must be fast and non-blocking. Progress does not
+	// affect the result and is not part of the cache key: a job served from
+	// the cache completes without any progress callbacks.
+	Progress func(round, msgs int)
+	// Profile, when non-nil, receives every completed round's wall-time split
+	// into compute, delivery, and barrier phases — the observability hook the
+	// server uses to feed its engine phase histograms. Like Progress it runs
+	// on the goroutine running the simulation, must be fast, never affects the
+	// result (timings stay out of Stats and traces), and is not part of the
+	// cache key: a job served from the cache reports no phases.
+	Profile func(compute, delivery, barrier time.Duration)
 }
 
 // Result is the outcome of one Job. Envelope is non-nil only for
@@ -495,8 +509,8 @@ func (r *Runner) run(ctx context.Context, j Job, key cacheKey) Result {
 	// cacheable; an abandoned run is not — the next requester must compute it.
 	// The stored entry carries no Job: every hit path overwrites it with the
 	// requester's job anyway, and retaining it would pin the submitter's
-	// Options (whose Progress hook can reference arbitrary caller state) for
-	// the entry's whole LRU lifetime.
+	// Progress hook, which can reference arbitrary caller state, for the
+	// entry's whole LRU lifetime.
 	if !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded) {
 		stored := res
 		stored.Job = Job{}
@@ -506,38 +520,15 @@ func (r *Runner) run(ctx context.Context, j Job, key cacheKey) Result {
 }
 
 // cacheKey identifies a job's deterministic result: the kind, the sequence
-// (compacted into a collision-free byte string), and the outcome-affecting
-// Options fields. Runs are deterministic for fixed options, so equal keys
-// imply equal results; varint-style delta coding keeps typical keys short.
+// (compacted into a collision-free byte string), and the normalized Options,
+// which hold exactly the fields that decide a result. Runs are deterministic
+// for fixed options, so equal keys imply equal results; varint-style delta
+// coding keeps typical keys short. The Job's other fields (Label, TraceID,
+// Timeout and the hooks) identify requests, not results, and stay out.
 type cacheKey struct {
 	kind JobKind
 	seq  string
-	opt  optKey
-}
-
-// optKey is the comparable projection of Options used in cache keys: every
-// field that affects a run's outcome, and nothing else. Progress and Profile
-// are observational (and, being funcs, not comparable), so jobs differing
-// only in their hooks share one cached result; Job.TraceID is likewise
-// excluded — correlation IDs identify requests, not results.
-type optKey struct {
-	model     Model
-	seed      int64
-	strict    bool
-	capMul    int
-	sort      SortMethod
-	maxRounds int
-}
-
-func (o Options) key() optKey {
-	return optKey{
-		model:     o.Model,
-		seed:      o.Seed,
-		strict:    o.Strict,
-		capMul:    o.CapMul,
-		sort:      o.Sort,
-		maxRounds: o.MaxRounds,
-	}
+	opt  Options
 }
 
 // cacheKey writes the sequence's varints straight into a string of exactly
@@ -560,7 +551,7 @@ func (j Job) cacheKey() cacheKey {
 	return cacheKey{
 		kind: j.Kind,
 		seq:  seq.String(),
-		opt:  j.Opt.norm().key(),
+		opt:  j.Opt.norm(),
 	}
 }
 
@@ -572,7 +563,7 @@ func zigzag(v int) uint64 { return uint64(v)<<1 ^ uint64(int64(v)>>63) }
 // collision-free rendering of exactly the fields that form the Runner's
 // result cache key — the kind, the zig-zag-varint-packed sequence, and the
 // outcome-affecting Options (Model, Seed, Strict, CapMul, Sort, MaxRounds).
-// Label, TraceID, Timeout, and the Progress/Profile hooks never
+// Label, TraceID, Timeout, and the Progress and Profile hooks never
 // contribute, mirroring their exclusion from the cache key. The cluster
 // coordinator hashes this key to pick a job's owning worker (CLUSTER.md §4),
 // so the distributed result cache shards: two jobs land on the same worker
@@ -580,8 +571,8 @@ func zigzag(v int) uint64 { return uint64(v)<<1 ^ uint64(int64(v)>>63) }
 func (j Job) RouteKey() string {
 	k := j.cacheKey()
 	return fmt.Sprintf("%s|%x|m%d.s%d.t%t.c%d.o%d.r%d",
-		k.kind, k.seq, int(k.opt.model), k.opt.seed, k.opt.strict,
-		k.opt.capMul, int(k.opt.sort), k.opt.maxRounds)
+		k.kind, k.seq, int(k.opt.Model), k.opt.Seed, k.opt.Strict,
+		k.opt.CapMul, int(k.opt.Sort), k.opt.MaxRounds)
 }
 
 // resultCache is a small mutex-guarded LRU keyed by cacheKey. order holds
