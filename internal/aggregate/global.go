@@ -96,7 +96,7 @@ func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(
 	}
 	finish := func() ncc.Op {
 		sendDown(nd, t, kDown, val)
-		return primitives.SyncAt(nd, upDeadline+K+3, ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op { return k(val) }))
+		return primitives.SyncAt(nd, upDeadline+K+3, ncc.ContFunc(func(*ncc.Node, []ncc.Message) ncc.Op { return k(val) }))
 	}
 	// Down phase: flood from the root.
 	down := func() ncc.Op {
@@ -107,9 +107,9 @@ func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(
 			return finish()
 		}
 		var wait ncc.ContFunc
-		wait = func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		wait = func(nd *ncc.Node, in []ncc.Message) ncc.Op {
 			waiting := true
-			for _, m := range w.Msgs {
+			for _, m := range in {
 				if m.Kind == kDown {
 					val = m.A
 					waiting = false
@@ -127,8 +127,8 @@ func Broadcast(nd *ncc.Node, t *primitives.Tree, have bool, value int64, k func(
 		if nd.Round() >= upDeadline {
 			return down()
 		}
-		return primitives.SyncAt(nd, nd.Round()+1, ncc.ContFunc(func(_ *ncc.Node, w ncc.Wake) ncc.Op {
-			for _, m := range w.Msgs {
+		return primitives.SyncAt(nd, nd.Round()+1, ncc.ContFunc(func(_ *ncc.Node, in []ncc.Message) ncc.Op {
+			for _, m := range in {
 				if m.Kind == kUp {
 					if t.IsRoot {
 						got, val = true, m.A
@@ -207,10 +207,10 @@ const (
 )
 
 // Resume runs the round the node woke in.
-func (s *Aggregator) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
+func (s *Aggregator) Resume(nd *ncc.Node, in []ncc.Message) ncc.Op {
 	switch s.phase {
 	case gatherUp:
-		for _, m := range w.Msgs {
+		for _, m := range in {
 			if m.Kind == kAggUp {
 				s.val = s.combine(s.val, m.A)
 				s.pending--
@@ -230,7 +230,7 @@ func (s *Aggregator) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 		return ncc.Await(s)
 	case awaitDown:
 		waiting := true
-		for _, m := range w.Msgs {
+		for _, m := range in {
 			if m.Kind == kAggDown {
 				s.val = m.A
 				waiting = false
@@ -312,8 +312,8 @@ func Collect(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID, k 
 	// a node at depth d learns of the end d rounds after the root flooded it.
 	resync := func() ncc.Op {
 		base := nd.Round() - t.Depth
-		return primitives.SyncAt(nd, base+K+3, ncc.ContFunc(func(_ *ncc.Node, w ncc.Wake) ncc.Op {
-			for _, m := range w.Msgs {
+		return primitives.SyncAt(nd, base+K+3, ncc.ContFunc(func(_ *ncc.Node, in []ncc.Message) ncc.Op {
+			for _, m := range in {
 				if m.Kind == kLeaderTok {
 					atLeader = append(atLeader, m.A)
 				}
@@ -323,7 +323,7 @@ func Collect(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID, k 
 	}
 	// ended is the round in which the (relayed) flood departs; its inbox is
 	// intentionally discarded, exactly as in the event loop below.
-	ended := ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return resync() })
+	ended := ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op { return resync() })
 	var iter func() ncc.Op
 	iter = func() ncc.Op {
 		// Ship up to budget tokens towards the root (or buffer at the root).
@@ -361,8 +361,8 @@ func Collect(nd *ncc.Node, t *primitives.Tree, tokens []int64, leader ncc.ID, k 
 			nd.Send(t.Parent, ncc.Message{Kind: kTokenDone})
 			sentDone = true
 		}
-		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			for _, m := range w.Msgs {
+		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+			for _, m := range in {
 				switch m.Kind {
 				case kToken:
 					queue = append(queue, m.A)

@@ -15,7 +15,7 @@ import (
 // recency (CLUSTER.md §3). The state machine is alive → suspect → dead:
 // silence longer than SuspectAfter makes a worker suspect (still routable),
 // silence longer than DeadAfter makes it dead (unroutable), and silence
-// longer than ExpireAfter removes the record entirely, after which the
+// longer than 5×DeadAfter removes the record entirely, after which the
 // worker must re-register.
 type State string
 
@@ -37,11 +37,9 @@ type RegistryConfig struct {
 	// suspect (default 3s). Suspect workers stay routable.
 	SuspectAfter time.Duration
 	// DeadAfter is the heartbeat silence after which a worker turns dead and
-	// leaves the routing set (default 10s). Must exceed SuspectAfter.
+	// leaves the routing set (default 10s). Must exceed SuspectAfter. After
+	// 5×DeadAfter of silence the record is removed entirely.
 	DeadAfter time.Duration
-	// ExpireAfter is the heartbeat silence after which a dead worker's
-	// record is removed entirely (default 5×DeadAfter).
-	ExpireAfter time.Duration
 }
 
 func (c RegistryConfig) norm() RegistryConfig {
@@ -50,9 +48,6 @@ func (c RegistryConfig) norm() RegistryConfig {
 	}
 	if c.DeadAfter <= c.SuspectAfter {
 		c.DeadAfter = max(10*time.Second, 2*c.SuspectAfter)
-	}
-	if c.ExpireAfter <= c.DeadAfter {
-		c.ExpireAfter = 5 * c.DeadAfter
 	}
 	return c
 }
@@ -183,12 +178,12 @@ func (r *Registry) stateOf(m *member, now time.Time) State {
 	}
 }
 
-// expireLocked removes members silent past ExpireAfter. Called under mu by
+// expireLocked removes members silent past 5×DeadAfter. Called under mu by
 // every mutating entry point, so abandoned records cannot accumulate.
 func (r *Registry) expireLocked() {
 	now := r.now()
 	for name, m := range r.members {
-		if now.Sub(m.last) >= r.cfg.ExpireAfter {
+		if now.Sub(m.last) >= 5*r.cfg.DeadAfter {
 			delete(r.members, name)
 			r.expired.Add(1)
 		}

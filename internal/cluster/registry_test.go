@@ -49,7 +49,7 @@ func stateOfName(t *testing.T, r *Registry, name string) string {
 // routing-set membership rule of §4.1 (suspect stays routable, dead does
 // not) checked at each step.
 func TestRegistryLivenessStateMachine(t *testing.T) {
-	cfg := RegistryConfig{SuspectAfter: 3 * time.Second, DeadAfter: 10 * time.Second, ExpireAfter: 50 * time.Second}
+	cfg := RegistryConfig{SuspectAfter: 3 * time.Second, DeadAfter: 10 * time.Second}
 	r, clk := newTestRegistry(cfg)
 	if err := r.Register(RegisterRequest{Name: "w1", Addr: "http://w1", Capacity: 4}); err != nil {
 		t.Fatal(err)
@@ -98,11 +98,11 @@ func TestRegistryLivenessStateMachine(t *testing.T) {
 		t.Fatalf("state after revival heartbeat = %s, want alive", got)
 	}
 
-	// Silence past ExpireAfter removes the record; the next heartbeat is
+	// Silence past 5×DeadAfter removes the record; the next heartbeat is
 	// ErrUnknownWorker, which the joiner turns into re-registration (§2.3).
-	clk.advance(cfg.ExpireAfter)
+	clk.advance(5 * cfg.DeadAfter)
 	if got := stateOfName(t, r, "w1"); got != "<gone>" {
-		t.Fatalf("state after ExpireAfter = %s, want record removed", got)
+		t.Fatalf("state after 5×DeadAfter = %s, want record removed", got)
 	}
 	if err := r.Heartbeat("w1", WorkerLoad{}); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("heartbeat after expiry = %v, want ErrUnknownWorker (CLUSTER.md §2.3)", err)
@@ -208,7 +208,7 @@ func TestRegistryReportFailure(t *testing.T) {
 // TestRegistrySnapshotFields: the §7.1 member table carries load from the
 // last heartbeat and a silence gauge that grows with the clock.
 func TestRegistrySnapshotFields(t *testing.T) {
-	cfg := RegistryConfig{SuspectAfter: 3 * time.Second, DeadAfter: 10 * time.Second, ExpireAfter: time.Hour}
+	cfg := RegistryConfig{SuspectAfter: 3 * time.Second, DeadAfter: 10 * time.Second}
 	r, clk := newTestRegistry(cfg)
 	if err := r.Register(RegisterRequest{Name: "w1", Addr: "http://w1", Capacity: 8}); err != nil {
 		t.Fatal(err)
@@ -240,15 +240,14 @@ func TestRegistrySnapshotFields(t *testing.T) {
 }
 
 // TestRegistryConfigNorm: zero config selects the documented §3.1 defaults,
-// and inverted settings are repaired to keep SuspectAfter < DeadAfter <
-// ExpireAfter.
+// and inverted settings are repaired to keep SuspectAfter < DeadAfter.
 func TestRegistryConfigNorm(t *testing.T) {
 	def := RegistryConfig{}.norm()
-	if def.SuspectAfter != 3*time.Second || def.DeadAfter != 10*time.Second || def.ExpireAfter != 50*time.Second {
+	if def.SuspectAfter != 3*time.Second || def.DeadAfter != 10*time.Second {
 		t.Fatalf("defaults = %+v", def)
 	}
 	inv := RegistryConfig{SuspectAfter: 20 * time.Second, DeadAfter: 5 * time.Second}.norm()
-	if inv.DeadAfter <= inv.SuspectAfter || inv.ExpireAfter <= inv.DeadAfter {
+	if inv.DeadAfter <= inv.SuspectAfter {
 		t.Fatalf("norm left thresholds unordered: %+v", inv)
 	}
 }
@@ -257,7 +256,7 @@ func TestRegistryConfigNorm(t *testing.T) {
 // concurrently; under -race (the Makefile race target includes this
 // package) it proves the lock discipline around the shared member table.
 func TestRegistryConcurrent(t *testing.T) {
-	r, clk := newTestRegistry(RegistryConfig{SuspectAfter: time.Second, DeadAfter: 2 * time.Second, ExpireAfter: time.Hour})
+	r, clk := newTestRegistry(RegistryConfig{SuspectAfter: time.Second, DeadAfter: 2 * time.Second})
 	names := []string{"w1", "w2", "w3", "w4"}
 	for _, n := range names {
 		if err := r.Register(RegisterRequest{Name: n, Addr: "http://" + n}); err != nil {

@@ -319,8 +319,8 @@ func (s *explicitState) send(nd *ncc.Node) ncc.Op {
 }
 
 // Resume stores the reverse edge of every notification.
-func (s *explicitState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
-	for _, m := range w.Msgs {
+func (s *explicitState) Resume(nd *ncc.Node, in []ncc.Message) ncc.Op {
+	for _, m := range in {
 		if m.Kind == kNotify {
 			nd.AddEdge(m.Src)
 			s.stored++

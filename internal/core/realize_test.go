@@ -305,7 +305,10 @@ func TestExplicitRealization(t *testing.T) {
 		if err := ncctest.Storage(tr, true); err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
-		// Reverse notifications equal the member-stored edge count per node.
+		// Each node realized the edges it stores, and the reverse
+		// notifications MakeExplicit counts add up to the implicit edge
+		// count, Σd/2.
+		var reversed, sum int64
 		for i, id := range tr.IDs {
 			fwd := len(tr.Nodes[i].Neighbors)
 			rev, _ := tr.Output(id, "reverse")
@@ -313,7 +316,13 @@ func TestExplicitRealization(t *testing.T) {
 			if int64(fwd) != realized {
 				t.Fatalf("node %d: stored %d edges but realized %d", id, fwd, realized)
 			}
-			_ = rev
+			reversed += rev
+		}
+		for _, di := range d {
+			sum += int64(di)
+		}
+		if reversed != sum/2 {
+			t.Fatalf("%v: MakeExplicit reported %d reverse edges, want Σd/2 = %d", d, reversed, sum/2)
 		}
 	}
 }

@@ -90,9 +90,6 @@ type Config struct {
 	// nil selects MemStore (nothing survives a restart — the historical
 	// behaviour).
 	Store Store
-	// CompactBytes is the WAL size that triggers a snapshot compaction
-	// outside of GC (default 4 MiB). Ignored by non-durable stores.
-	CompactBytes int64
 	// Owns, when non-nil, gates recovery of in-flight jobs: Open re-queues
 	// a queued-or-running job only if Owns accepts it, and records the rest
 	// as failed with ErrReassigned. Cluster workers set it to reject
@@ -104,8 +101,12 @@ type Config struct {
 	Owns func(j graphrealize.Job) bool
 }
 
-// Manager owns the asynchronous job lifecycle. Create with Open (or New),
-// submit with Submit, and call Close exactly once on shutdown.
+// compactBytes is the WAL size that triggers a snapshot compaction outside
+// of GC. Non-durable stores ignore it.
+const compactBytes = 4 << 20
+
+// Manager owns the asynchronous job lifecycle. Create with Open, submit
+// with Submit, and call Close exactly once on shutdown.
 type Manager struct {
 	cfg     Config
 	ledger  *ledger
@@ -142,17 +143,6 @@ type Manager struct {
 	gcDone chan struct{}
 }
 
-// New creates a Manager and starts its GC loop. It is Open for
-// configurations that cannot fail — with a non-durable (nil) Store,
-// recovery has nothing to read, so the error path is unreachable.
-func New(cfg Config) *Manager {
-	m, err := Open(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("jobs: New: %v", err))
-	}
-	return m
-}
-
 // Open creates a Manager, recovers any jobs surviving in cfg.Store, and
 // starts the GC loop. Terminal jobs are reloaded with their persisted
 // results; jobs that were queued or running at crash time are re-queued
@@ -180,9 +170,6 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	if cfg.Store == nil {
 		cfg.Store = MemStore{}
-	}
-	if cfg.CompactBytes <= 0 {
-		cfg.CompactBytes = 4 << 20
 	}
 	ctx, kill := context.WithCancel(context.Background())
 	m := &Manager{
@@ -458,10 +445,10 @@ func recordPersisted(rec *record) PersistedJob {
 	return persistedJob(rec, st, jerr, res, finished)
 }
 
-// maybeCompact folds the WAL into a snapshot when it outgrows the
-// configured bound.
+// maybeCompact folds the WAL into a snapshot when it outgrows
+// compactBytes.
 func (m *Manager) maybeCompact() {
-	if st := m.persist.Stats(); st.Durable && st.WALBytes >= m.cfg.CompactBytes {
+	if st := m.persist.Stats(); st.Durable && st.WALBytes >= compactBytes {
 		m.compact()
 	}
 }

@@ -101,7 +101,7 @@ func closeNow(t *testing.T, m *jobs.Manager) {
 func TestLifecycleAgainstRealRunner(t *testing.T) {
 	// End to end through a real Runner and the real engine hook: a 4-regular
 	// degree realization is large enough to cross many round barriers.
-	m := jobs.New(jobs.Config{Backend: graphrealize.NewRunner(2)})
+	m := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2)})
 	defer closeNow(t, m)
 
 	seq := make([]int, 64)
@@ -158,7 +158,7 @@ func TestCancelStopsRealEngineRun(t *testing.T) {
 	// a round barrier (ncc.ErrCanceled → context.Canceled → StateCanceled).
 	// OddEvenSort at n=256 runs long enough that cancellation after the
 	// first progress barrier always lands mid-run.
-	m := jobs.New(jobs.Config{Backend: graphrealize.NewRunner(2)})
+	m := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2)})
 	defer closeNow(t, m)
 
 	seq := make([]int, 256)
@@ -191,7 +191,7 @@ func TestCancelStopsRealEngineRun(t *testing.T) {
 }
 
 func TestProgressStreamFromEngineHook(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: engineBackend(time.Millisecond)})
+	m := openManager(t, jobs.Config{Backend: engineBackend(time.Millisecond)})
 	defer closeNow(t, m)
 
 	snap, err := m.Submit(job(1))
@@ -226,7 +226,7 @@ func TestProgressStreamFromEngineHook(t *testing.T) {
 }
 
 func TestSubscribeTerminalJobYieldsOneEvent(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: instantBackend()})
+	m := openManager(t, jobs.Config{Backend: instantBackend()})
 	defer closeNow(t, m)
 	snap, err := m.Submit(job(1))
 	if err != nil {
@@ -248,7 +248,7 @@ func TestSubscribeTerminalJobYieldsOneEvent(t *testing.T) {
 }
 
 func TestSubscribeUnknownJob(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: instantBackend()})
+	m := openManager(t, jobs.Config{Backend: instantBackend()})
 	defer closeNow(t, m)
 	if _, _, err := m.Subscribe("nope"); !errors.Is(err, jobs.ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
@@ -256,7 +256,7 @@ func TestSubscribeUnknownJob(t *testing.T) {
 }
 
 func TestTwoPhaseGC(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: instantBackend(), Retention: time.Minute})
+	m := openManager(t, jobs.Config{Backend: instantBackend(), Retention: time.Minute})
 	defer closeNow(t, m)
 	snap, err := m.Submit(job(1))
 	if err != nil {
@@ -289,7 +289,7 @@ func TestTwoPhaseGC(t *testing.T) {
 }
 
 func TestGCLoopRunsOnItsOwn(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: instantBackend(), Retention: 20 * time.Millisecond, GCInterval: 10 * time.Millisecond})
+	m := openManager(t, jobs.Config{Backend: instantBackend(), Retention: 20 * time.Millisecond, GCInterval: 10 * time.Millisecond})
 	defer closeNow(t, m)
 	snap, err := m.Submit(job(1))
 	if err != nil {
@@ -307,7 +307,7 @@ func TestGCLoopRunsOnItsOwn(t *testing.T) {
 }
 
 func TestMaxJobsEvictsFinishedFirst(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: instantBackend(), MaxJobs: 2})
+	m := openManager(t, jobs.Config{Backend: instantBackend(), MaxJobs: 2})
 	defer closeNow(t, m)
 	first, err := m.Submit(job(1))
 	if err != nil {
@@ -333,7 +333,7 @@ func TestMaxJobsEvictsFinishedFirst(t *testing.T) {
 }
 
 func TestMaxJobsAllLiveRefuses(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: engineBackend(time.Millisecond), MaxJobs: 1})
+	m := openManager(t, jobs.Config{Backend: engineBackend(time.Millisecond), MaxJobs: 1})
 	defer closeNow(t, m)
 	live, err := m.Submit(job(1))
 	if err != nil {
@@ -359,7 +359,7 @@ func TestRejectedSubmitEvictsNothing(t *testing.T) {
 		ch <- graphrealize.Result{Job: j, Graph: &graphrealize.Graph{N: len(j.Seq)}, Stats: &graphrealize.Stats{}}
 		return ch, nil
 	}}
-	m := jobs.New(jobs.Config{Backend: fb, MaxJobs: 1})
+	m := openManager(t, jobs.Config{Backend: fb, MaxJobs: 1})
 	defer closeNow(t, m)
 	done, err := m.Submit(job(1))
 	if err != nil {
@@ -394,7 +394,7 @@ func TestBackpressurePassesThrough(t *testing.T) {
 	fb := &fakeBackend{submit: func(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
 		return nil, graphrealize.ErrQueueFull
 	}}
-	m := jobs.New(jobs.Config{Backend: fb})
+	m := openManager(t, jobs.Config{Backend: fb})
 	defer closeNow(t, m)
 	if _, err := m.Submit(job(1)); !errors.Is(err, graphrealize.ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull passthrough, got %v", err)
@@ -410,7 +410,7 @@ func TestJobTimeoutLandsInFailed(t *testing.T) {
 		ch <- graphrealize.Result{Job: j, Err: context.DeadlineExceeded}
 		return ch, nil
 	}}
-	m := jobs.New(jobs.Config{Backend: fb})
+	m := openManager(t, jobs.Config{Backend: fb})
 	defer closeNow(t, m)
 	snap, err := m.Submit(job(1))
 	if err != nil {
@@ -425,7 +425,7 @@ func TestJobTimeoutLandsInFailed(t *testing.T) {
 // TestCallerProgressHookIsChained: a caller-supplied Job.Progress keeps
 // firing alongside the manager's own snapshot reporter.
 func TestCallerProgressHookIsChained(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: engineBackend(100 * time.Microsecond)})
+	m := openManager(t, jobs.Config{Backend: engineBackend(100 * time.Microsecond)})
 	defer closeNow(t, m)
 	var callerRounds atomic.Int64
 	j := job(1)
@@ -468,7 +468,7 @@ func TestJobTimeoutConfigThreadsThrough(t *testing.T) {
 		ch <- graphrealize.Result{Job: j, Graph: &graphrealize.Graph{N: len(j.Seq)}, Stats: &graphrealize.Stats{}}
 		return ch, nil
 	}}
-	m := jobs.New(jobs.Config{Backend: fb, JobTimeout: -1})
+	m := openManager(t, jobs.Config{Backend: fb, JobTimeout: -1})
 	defer closeNow(t, m)
 	if _, err := m.Submit(job(1)); err != nil {
 		t.Fatal(err)
@@ -484,7 +484,7 @@ func TestJobTimeoutConfigThreadsThrough(t *testing.T) {
 }
 
 func TestListAndFilter(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: instantBackend()})
+	m := openManager(t, jobs.Config{Backend: instantBackend()})
 	defer closeNow(t, m)
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -513,7 +513,7 @@ func TestListAndFilter(t *testing.T) {
 }
 
 func TestCloseDrainsThenForcesCancellation(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: engineBackend(time.Millisecond)})
+	m := openManager(t, jobs.Config{Backend: engineBackend(time.Millisecond)})
 	snap, err := m.Submit(job(1))
 	if err != nil {
 		t.Fatal(err)
@@ -551,7 +551,7 @@ func TestCloseDrainsThenForcesCancellation(t *testing.T) {
 // one event for a job whose GET now 404s).
 func TestGCSubscribeRaceNeverLosesTerminalEvent(t *testing.T) {
 	for i := 0; i < 50; i++ {
-		m := jobs.New(jobs.Config{Backend: instantBackend(), Retention: time.Nanosecond, GCInterval: time.Hour})
+		m := openManager(t, jobs.Config{Backend: instantBackend(), Retention: time.Nanosecond, GCInterval: time.Hour})
 		snap, err := m.Submit(job(int64(i)))
 		if err != nil {
 			t.Fatal(err)
@@ -602,7 +602,7 @@ func TestGCSubscribeRaceNeverLosesTerminalEvent(t *testing.T) {
 }
 
 func TestSubscriberGaugeAndSlowConsumerCoalesces(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: engineBackend(100 * time.Microsecond)})
+	m := openManager(t, jobs.Config{Backend: engineBackend(100 * time.Microsecond)})
 	defer closeNow(t, m)
 	snap, err := m.Submit(job(1))
 	if err != nil {

@@ -240,7 +240,7 @@ func TestFailedAndCanceledOutcomesSurviveRestart(t *testing.T) {
 // TestInMemoryManagerSurvivesNothing pins the default: without a Store,
 // restarting means starting empty (the pre-persistence behaviour).
 func TestInMemoryManagerSurvivesNothing(t *testing.T) {
-	m1 := jobs.New(jobs.Config{Backend: instantBackend()})
+	m1 := openManager(t, jobs.Config{Backend: instantBackend()})
 	snap, err := m1.Submit(job(1))
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestInMemoryManagerSurvivesNothing(t *testing.T) {
 	waitState(t, m1, snap.ID, jobs.StateDone)
 	closeNow(t, m1)
 
-	m2 := jobs.New(jobs.Config{Backend: instantBackend()})
+	m2 := openManager(t, jobs.Config{Backend: instantBackend()})
 	defer closeNow(t, m2)
 	if _, err := m2.Get(snap.ID); !errors.Is(err, jobs.ErrNotFound) {
 		t.Fatalf("in-memory jobs must not survive, got %v", err)
@@ -348,13 +348,16 @@ func TestCorruptWALTailToleratedOnOpen(t *testing.T) {
 	}
 }
 
-// TestCompactionTriggersOnWALGrowth: a tiny CompactBytes bound makes every
-// terminal append overflow the segment, so compaction runs without GC.
+// TestCompactionTriggersOnWALGrowth: a job whose sequence is 2 MiB of JSON
+// is logged twice, at submission and at its end, which grows the WAL past
+// its 4 MiB bound, so compaction runs without GC.
 func TestCompactionTriggersOnWALGrowth(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, jobs.Config{Backend: instantBackend(), Store: openFileStore(t, dir), CompactBytes: 1})
+	m := openManager(t, jobs.Config{Backend: instantBackend(), Store: openFileStore(t, dir)})
 	defer closeNow(t, m)
-	snap, err := m.Submit(job(1))
+	big := job(1)
+	big.Seq = make([]int, 1<<20)
+	snap, err := m.Submit(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +369,7 @@ func TestCompactionTriggersOnWALGrowth(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("WAL growth past CompactBytes must trigger compaction: %+v", m.StatsSnapshot().Store)
+	t.Fatalf("WAL growth past 4 MiB must trigger compaction: %+v", m.StatsSnapshot().Store)
 }
 
 // TestIDSequenceContinuesAfterRecovery: freshly minted IDs must not reuse

@@ -13,7 +13,7 @@ import (
 // restart via the durable log, and ride the recovered job spec.
 
 func TestTraceIDInSnapshotAndEvents(t *testing.T) {
-	m := jobs.New(jobs.Config{Backend: instantBackend()})
+	m := openManager(t, jobs.Config{Backend: instantBackend()})
 	defer closeNow(t, m)
 
 	snap, err := m.Submit(graphrealize.Job{

@@ -14,7 +14,7 @@ type relay struct {
 	send      bool
 }
 
-func (c *relay) Resume(nd *Node, _ Wake) Op {
+func (c *relay) Resume(nd *Node, _ []Message) Op {
 	if c.r >= c.rounds {
 		return Done()
 	}
@@ -27,7 +27,7 @@ func (c *relay) Resume(nd *Node, _ Wake) Op {
 
 // relayProto starts a relay at every node.
 func relayProto(rounds int, send bool) Proto {
-	return func(nd *Node) Op { return (&relay{rounds: rounds, send: send}).Resume(nd, Wake{}) }
+	return func(nd *Node) Op { return (&relay{rounds: rounds, send: send}).Resume(nd, nil) }
 }
 
 // BenchmarkDeliveryPooling drives the densest delivery workload — every node

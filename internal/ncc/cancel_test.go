@@ -19,7 +19,7 @@ func TestStopCancelsRunningProtocol(t *testing.T) {
 			if nd.ID() == first && r == 50 {
 				close(stop)
 			}
-			return Next(ContFunc(func(*Node, Wake) Op { return loop(r + 1) }))
+			return Next(ContFunc(func(*Node, []Message) Op { return loop(r + 1) }))
 		}
 		return loop(0)
 	})
@@ -54,7 +54,7 @@ func TestStopUnusedDoesNotAffectRun(t *testing.T) {
 			if i == 5 {
 				return Done()
 			}
-			return Next(ContFunc(func(*Node, Wake) Op { return loop(i + 1) }))
+			return Next(ContFunc(func(*Node, []Message) Op { return loop(i + 1) }))
 		}
 		return loop(0)
 	})

@@ -5,9 +5,10 @@ import "fmt"
 // delivery is the message-routing layer: it moves every active node's outbox
 // into the destinations' inboxes at the end of a round, applying the model's
 // per-message rules on the way (capacity on both sides, NCC0 learning), and
-// keeps the spare receive buffers. It knows nothing about rounds advancing or
-// node scheduling — the engine calls route once per barrier and reads back
-// which awaiting nodes got mail.
+// keeps the spare receive buffers. Every message reaches an inbox here, a
+// collective's included (deliver). It knows nothing about rounds advancing
+// or node scheduling — the engine calls route once per barrier and reads
+// back which awaiting nodes got mail.
 type delivery struct {
 	nodes    []*Node
 	capacity int
@@ -89,18 +90,7 @@ func (d *delivery) route(active []*Node, round int, met *Metrics) (woken []*Node
 				touched = append(touched, int(dsti))
 			}
 			d.recvCnt[dsti]++
-			if d.learn {
-				dst.known.add(m.Src)
-				for _, id := range m.IDs() {
-					if id != dst.id {
-						dst.known.add(id)
-					}
-				}
-			}
-			if dst.inbox == nil {
-				dst.inbox = d.buffer()
-			}
-			dst.inbox = append(dst.inbox, *m)
+			d.deliver(dst, m)
 			met.Messages++
 			if dst.state == stateAwait {
 				dst.state = stateWoken
@@ -129,4 +119,23 @@ func (d *delivery) route(active []*Node, round int, met *Metrics) (woken []*Node
 	d.touched = touched
 	d.woken = woken
 	return woken, err
+}
+
+// deliver appends m to dst's inbox and, in NCC0, teaches dst the sender and
+// every ID m carries other than its own. It counts nothing: route does that
+// for sent messages, and a collective's message is paid for by its charged
+// rounds.
+func (d *delivery) deliver(dst *Node, m *Message) {
+	if d.learn {
+		dst.known.add(m.Src)
+		for _, id := range m.IDs() {
+			if id != dst.id {
+				dst.known.add(id)
+			}
+		}
+	}
+	if dst.inbox == nil {
+		dst.inbox = d.buffer()
+	}
+	dst.inbox = append(dst.inbox, *m)
 }

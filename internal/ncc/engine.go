@@ -215,7 +215,8 @@ func (s *Sim) wakeSet(next []*Node) {
 	s.met.ActiveNodeRounds += int64(len(next))
 }
 
-// runCollective validates and executes a collective barrier. All live
+// runCollective validates and executes a collective barrier, then delivers
+// each entering node its message ahead of the round's sent ones. All live
 // (non-done) nodes must have entered the same *Collective; sleeping or
 // awaiting nodes indicate a protocol bug.
 func (s *Sim) runCollective(coll []*Node) bool {
@@ -232,14 +233,15 @@ func (s *Sim) runCollective(coll []*Node) bool {
 		return false
 	}
 	if s.collIns == nil {
-		s.collIns = make([]int64, s.n)
+		s.collIns, s.collOuts = make([]int64, s.n), make([]Message, s.n)
 	}
-	ins := s.collIns
+	ins, outs := s.collIns, s.collOuts
 	clear(ins)
+	clear(outs)
 	for _, nd := range coll {
 		ins[nd.idx] = nd.collIn
 	}
-	outs, charge := c.Run(s, ins)
+	charge := c.Run(s, ins, outs)
 	if charge < 0 {
 		charge = 0
 	}
@@ -247,9 +249,8 @@ func (s *Sim) runCollective(coll []*Node) bool {
 	s.met.CollectiveRounds += charge
 	s.met.CollectiveCalls[c.Name]++
 	for _, nd := range coll {
-		if outs != nil {
-			nd.collOut = outs[nd.idx]
-		}
+		s.del.deliver(nd, &outs[nd.idx])
+		nd.coll = nil
 		nd.state = stateRunning // they resume next round
 	}
 	return true

@@ -54,8 +54,8 @@ func (m Message) WithIDs(ids ...ID) Message {
 
 // IDs returns the node IDs m carries, in WithIDs order; it is empty when m
 // carries none. The slice aliases m itself: for a delivered message it is
-// valid only as long as the inbox holding it (see Wake.Msgs), so keep an ID,
-// not the slice, past the step that received it.
+// valid only as long as the inbox holding it (see Cont), so keep an ID, not
+// the slice, past the step that received it.
 func (m *Message) IDs() []ID {
 	return m.ids[:min(int(m.nIDs), MaxIDsPerMessage)]
 }

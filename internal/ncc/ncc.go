@@ -20,8 +20,8 @@
 //
 //	func proto(nd *ncc.Node) ncc.Op {
 //	    nd.Send(nd.InitialSucc(), ncc.Message{Kind: hello})
-//	    return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-//	        // w.Msgs holds the messages delivered this round.
+//	    return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+//	        // in holds the messages delivered this round.
 //	        ...
 //	        return ncc.Done()
 //	    }))
@@ -37,7 +37,8 @@
 // A primitive whose round cost has an analytic bound, such as the sort of
 // Theorem 3, may instead run centrally as a Collective: a value the protocol
 // holds and every live node enters with Node.Enter in the same round, after
-// which the engine charges the bound's rounds.
+// which the engine charges the bound's rounds and hands each node its result
+// as one message.
 //
 // Sim.RunProgram steps every node on the calling goroutine and enforces the
 // model: it validates knowledge on send, counts capacity on both ends,

@@ -32,10 +32,10 @@ type Node struct {
 
 	// Round plumbing. A step writes outbox, sets coll and collIn if it
 	// calls Enter, and returns its next Op, which sets state, wakeRound and
-	// cont; the engine reads them, fills inbox or collOut, and resumes cont
-	// when the node wakes. cont is nil until the entry step has run and
-	// again once the node is done; coll is non-nil from Enter until the
-	// node wakes.
+	// cont; the engine reads them, fills inbox, and resumes cont when the
+	// node wakes. cont is nil until the entry step has run and again once
+	// the node is done; coll is non-nil from Enter until the collective
+	// runs.
 	state     nodeState
 	wakeRound int
 	cont      Cont
@@ -45,7 +45,6 @@ type Node struct {
 	retired []Message // inbox handed to the last step; recycled at the next suspension
 	coll    *Collective
 	collIn  int64
-	collOut any
 
 	neighbors    []ID
 	outputs      map[string]int64
@@ -118,9 +117,9 @@ func (nd *Node) Knows(id ID) bool {
 }
 
 // Learn records that this node knows id without a message exchange. The
-// engine uses it to install the initial successor, and a protocol calls it
-// for the IDs a collective's output hands the node (the collective stands in
-// for messages that would have taught them); message delivery teaches IDs
+// engine calls it to install the initial successor, and
+// aggregate.FindByPosition for the ID an aggregation makes common
+// knowledge; message delivery, a collective's message included, teaches IDs
 // itself.
 func (nd *Node) Learn(id ID) {
 	if nd.sim.cfg.Model == NCC0 && id != nd.id {

@@ -19,29 +19,20 @@ import (
 // continuation runs as the node's compute slice for the round it wakes in —
 // it may Send, read Round(), and must end by returning the next Op.
 
-// Wake carries what a resumed continuation receives: the inbox for message
-// wakes (valid only until the node's next suspension) or the collective
-// output for collective wakes.
-type Wake struct {
-	// Msgs is the delivered inbox (nil after a collective).
-	Msgs []Message
-	// Coll is the collective output (nil unless woken from a collective).
-	Coll any
-}
-
 // Cont is a resumable protocol continuation: Resume is the node's compute
-// slice for the round it wakes in. A protocol's per-node state struct is
-// normally its own continuation — a pointer to it suspends the node, so
-// suspending allocates nothing — and ContFunc adapts a closure.
+// slice for the round it wakes in, and in is the inbox delivered since its
+// last step, valid only until the node suspends again. A protocol's per-node
+// state struct is normally its own continuation — a pointer to it suspends
+// the node, so suspending allocates nothing — and ContFunc adapts a closure.
 type Cont interface {
-	Resume(nd *Node, w Wake) Op
+	Resume(nd *Node, in []Message) Op
 }
 
 // ContFunc adapts a function to Cont.
-type ContFunc func(nd *Node, w Wake) Op
+type ContFunc func(nd *Node, in []Message) Op
 
 // Resume calls f.
-func (f ContFunc) Resume(nd *Node, w Wake) Op { return f(nd, w) }
+func (f ContFunc) Resume(nd *Node, in []Message) Op { return f(nd, in) }
 
 // Proto is a step-form protocol entry point: it runs the node's round-0
 // compute slice and returns the first suspension.
@@ -95,20 +86,21 @@ type Collective struct {
 	Name string
 	// Run executes the collective once every live node has entered it.
 	// ins[i] is the input of the node at Gk position i (0 for a node that
-	// has finished); the engine reuses ins, so it is valid only during
-	// Run. Run returns the per-position outputs, or nil, and the number of
-	// rounds to charge, which must be justified by an analytic bound on
-	// the primitive being replaced. outs[i] reaches the node at Gk position
-	// i as Wake.Coll; a node whose output names IDs learns them itself,
-	// with Node.Learn, as the messages the collective stands in for would
-	// have taught them.
-	Run func(s *Sim, ins []int64) (outs []any, chargeRounds int)
+	// has finished), and Run writes that node's result into outs[i], which
+	// the engine zeroes first. The engine reuses both, so they are valid
+	// only during Run. Run returns the number of rounds to charge, which
+	// must be justified by an analytic bound on the primitive being
+	// replaced. outs[i] reaches the node at Gk position i as the first
+	// message of its inbox, delivered like a sent one (in NCC0 it teaches
+	// the IDs it carries) but counted nowhere in Metrics: the charged rounds
+	// pay for the messages it stands in for.
+	Run func(s *Sim, ins []int64, outs []Message) (chargeRounds int)
 }
 
 // Enter enters collective c with input in; k resumes, once every live node
 // has entered c and the engine has run it and charged its rounds, with the
-// node's output in Wake.Coll. Enter records c and in on the node, so the Op
-// it returns must be the step's suspension.
+// collective's message first in its inbox. Enter records c and in on the
+// node, so the Op it returns must be the step's suspension.
 func (nd *Node) Enter(c *Collective, in int64, k Cont) Op {
 	if c == nil || c.Run == nil {
 		nd.fail("Enter: nil collective")
@@ -130,31 +122,19 @@ func (s *Sim) RunProgram(entry Proto) (*Trace, error) {
 }
 
 // step runs one node's compute slice for the current round: take the
-// delivered inbox (and the collective output), run the stored continuation —
-// or the entry in round 0 — and record the Op it returns as the node's
-// suspension. stepFrom recovers a panic in it.
+// delivered inbox, run the stored continuation on it — or the entry in round
+// 0 — and record the Op it returns as the node's suspension. stepFrom
+// recovers a panic in it.
 func (s *Sim) step(nd *Node) {
-	var w Wake
 	k := nd.cont
-	if k != nil {
-		in := nd.inbox
-		nd.inbox = nil
-		nd.retired = in
-		if nd.coll != nil {
-			// The delivered inbox, always empty at a collective barrier, was
-			// still taken above.
-			w.Coll = nd.collOut
-			nd.coll, nd.collOut = nil, nil
-		} else {
-			w.Msgs = in
-		}
-	}
-
-	if k != nil {
-		s.suspend(nd, k.Resume(nd, w))
-	} else {
+	if k == nil {
 		s.suspend(nd, s.entry(nd))
+		return
 	}
+	in := nd.inbox
+	nd.inbox = nil
+	nd.retired = in
+	s.suspend(nd, k.Resume(nd, in))
 }
 
 // suspend records op as nd's suspension, or retires nd if op is Done. It

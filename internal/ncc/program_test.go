@@ -11,8 +11,9 @@ import (
 
 // program_test.go pins the single-node semantics of the resumable-op
 // vocabulary (program.go), independent of any protocol package: each Op kind
-// maps onto exactly one engine barrier, Wake carries the delivered inbox or
-// the collective's output, and the engine rejects malformed ops.
+// maps onto exactly one engine barrier, a continuation receives the
+// delivered inbox, a collective's message first, and the engine rejects
+// malformed ops.
 
 // TestOpFitsInRegisters pins Op at four words: the compiler keeps a struct
 // that size in registers, and a larger Op goes through memory on every
@@ -30,12 +31,12 @@ func TestOpSingleNodeSemantics(t *testing.T) {
 	var at []int
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
 		at = append(at, nd.Round()) // entry runs in round 0
-		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
 			at = append(at, nd.Round()) // Next advances exactly one round
-			if len(w.Msgs) != 0 {
-				t.Errorf("Next delivered %d messages, want 0", len(w.Msgs))
+			if len(in) != 0 {
+				t.Errorf("Next delivered %d messages, want 0", len(in))
 			}
-			return ncc.Sleep(3, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			return ncc.Sleep(3, ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
 				at = append(at, nd.Round()) // Sleep(3) skips three rounds
 				return ncc.Done()
 			}))
@@ -50,7 +51,7 @@ func TestOpSingleNodeSemantics(t *testing.T) {
 }
 
 // TestOpAwaitWakeCarriesMessages checks that an Await continuation receives
-// the delivered inbox in Wake.Msgs.
+// the delivered inbox.
 func TestOpAwaitWakeCarriesMessages(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 2, Seed: 2, Strict: true})
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
@@ -58,9 +59,9 @@ func TestOpAwaitWakeCarriesMessages(t *testing.T) {
 			nd.Send(succ, ncc.Message{Kind: 7, A: 42})
 			return ncc.Done()
 		}
-		return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			if len(w.Msgs) != 1 || w.Msgs[0].Kind != 7 || w.Msgs[0].A != 42 {
-				t.Errorf("await woke with %+v, want one message Kind=7 A=42", w.Msgs)
+		return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+			if len(in) != 1 || in[0].Kind != 7 || in[0].A != 42 {
+				t.Errorf("await woke with %+v, want one message Kind=7 A=42", in)
 			}
 			return ncc.Done()
 		}))
@@ -71,28 +72,27 @@ func TestOpAwaitWakeCarriesMessages(t *testing.T) {
 }
 
 // TestOpCollectiveRoundTrip checks that Enter hands the node's input to the
-// collective's Run and that Wake.Coll carries the per-node output back.
+// collective's Run and that the node's message carries its output back.
 func TestOpCollectiveRoundTrip(t *testing.T) {
 	const n = 5
 	inputs := make([]int, n)
 	for i := range inputs {
 		inputs[i] = i + 1
 	}
-	sum := &ncc.Collective{Name: "sum", Run: func(s *ncc.Sim, ins []int64) ([]any, int) {
+	sum := &ncc.Collective{Name: "sum", Run: func(s *ncc.Sim, ins []int64, outs []ncc.Message) int {
 		var total int64
 		for _, in := range ins {
 			total += in
 		}
-		outs := make([]any, len(ins))
 		for i := range outs {
-			outs[i] = total
+			outs[i].A = total
 		}
-		return outs, 2
+		return 2
 	}}
 	s := ncc.New(ncc.Config{N: n, Seed: 3, Strict: true, Inputs: inputs})
 	tr, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return nd.Enter(sum, int64(nd.Input()), ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			nd.SetOutput("total", w.Coll.(int64))
+		return nd.Enter(sum, int64(nd.Input()), ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+			nd.SetOutput("total", in[0].A)
 			return ncc.Done()
 		}))
 	})
@@ -113,7 +113,7 @@ func TestOpCollectiveRoundTrip(t *testing.T) {
 // TestOpSleepValidation: a non-positive sleep is a protocol error.
 func TestOpSleepValidation(t *testing.T) {
 	entry := func(nd *ncc.Node) ncc.Op {
-		return ncc.Sleep(0, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() }))
+		return ncc.Sleep(0, ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op { return ncc.Done() }))
 	}
 	if _, err := ncc.New(ncc.Config{N: 1, Seed: 4}).RunProgram(entry); err == nil {
 		t.Fatal("Sleep(0) did not error")
@@ -128,15 +128,15 @@ func TestOpSequenceTraceIdentical(t *testing.T) {
 	entry := func(nd *ncc.Node) ncc.Op {
 		if succ := nd.InitialSucc(); succ != ncc.None {
 			nd.Send(succ, ncc.Message{Kind: 1, A: int64(nd.ID())})
-			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-				return ncc.Sleep(2, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+				return ncc.Sleep(2, ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
 					nd.SetOutput("sent", 1)
 					return ncc.Done()
 				}))
 			}))
 		}
-		return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			nd.SetOutput("got", w.Msgs[0].A)
+		return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+			nd.SetOutput("got", in[0].A)
 			return ncc.Done()
 		}))
 	}

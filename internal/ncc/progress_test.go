@@ -30,7 +30,7 @@ func TestProgressHookMonotone(t *testing.T) {
 			if succ != None {
 				nd.Send(succ, Message{})
 			}
-			return Next(ContFunc(func(*Node, Wake) Op { return loop(r + 1) }))
+			return Next(ContFunc(func(*Node, []Message) Op { return loop(r + 1) }))
 		}
 		return loop(0)
 	})

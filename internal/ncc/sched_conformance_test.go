@@ -138,15 +138,15 @@ func mixedProto(rounds int) ncc.Proto {
 		var loop func(r int) ncc.Op
 		loop = func(r int) ncc.Op {
 			if r >= rounds {
-				return nd.Enter(tally, 1, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-					nd.SetOutput("total", w.Coll.(int64))
+				return nd.Enter(tally, 1, ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+					nd.SetOutput("total", in[0].A)
 					if succ != ncc.None {
 						nd.AddEdge(succ)
 					}
 					return ncc.Done()
 				}))
 			}
-			k := ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) })
+			k := ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op { return loop(r + 1) })
 			switch {
 			case r%5 == 3 && succ != ncc.None:
 				nd.Send(succ, ncc.Message{Kind: 1, A: int64(r)})
@@ -163,16 +163,15 @@ func mixedProto(rounds int) ncc.Proto {
 
 // tally sums its inputs and hands every node the total, charging
 // ⌈log₂ n⌉ rounds.
-var tally = &ncc.Collective{Name: "tally", Run: func(s *ncc.Sim, ins []int64) ([]any, int) {
+var tally = &ncc.Collective{Name: "tally", Run: func(s *ncc.Sim, ins []int64, outs []ncc.Message) int {
 	var sum int64
 	for _, in := range ins {
 		sum += in
 	}
-	outs := make([]any, len(ins))
 	for i := range outs {
-		outs[i] = sum
+		outs[i].A = sum
 	}
-	return outs, ncc.CeilLog2(s.N())
+	return ncc.CeilLog2(s.N())
 }}
 
 // runMixed executes the mixed protocol under one host variant and returns its
@@ -289,7 +288,7 @@ func TestSchedConformanceDeadlock(t *testing.T) {
 		s := ncc.New(ncc.Config{N: 5, Seed: 2})
 		_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
 			// Nobody will ever write.
-			return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() }))
+			return ncc.Await(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op { return ncc.Done() }))
 		})
 		if !errors.Is(err, ncc.ErrDeadlock) {
 			t.Fatalf("want ErrDeadlock, got %v", err)
@@ -312,7 +311,7 @@ func TestSchedConformanceStopAtBarrier(t *testing.T) {
 			var loop func(r int) ncc.Op
 			loop = func(r int) ncc.Op {
 				spin(nd, r)
-				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return loop(r + 1) }))
+				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op { return loop(r + 1) }))
 			}
 			return loop(0)
 		})
@@ -377,8 +376,8 @@ func TestSchedConformanceSleepFastForward(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v schedVariant) {
 		s := ncc.New(ncc.Config{N: 8, Seed: 4})
 		tr, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
-			return ncc.Sleep(skip, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() }))
+			return ncc.Sleep(skip, ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op { return ncc.Done() }))
 			}))
 		})
 		if err != nil {
@@ -400,8 +399,8 @@ func TestSchedConformancePanicPropagates(t *testing.T) {
 		victim := s.IDs()[1]
 		_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
 			var loop ncc.ContFunc
-			loop = func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Next(loop) }
-			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			loop = func(nd *ncc.Node, in []ncc.Message) ncc.Op { return ncc.Next(loop) }
+			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
 				if nd.ID() == victim {
 					panic("boom")
 				}
@@ -441,7 +440,7 @@ func TestSchedConformanceStrictViolation(t *testing.T) {
 			s := ncc.New(ncc.Config{N: 4, Seed: 8, CapMul: 1, Strict: true, Model: ncc.NCC1})
 			_, err := v.run(t, s, func(nd *ncc.Node) ncc.Op {
 				tc.flood(nd)
-				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op { return ncc.Done() }))
+				return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op { return ncc.Done() }))
 			})
 			if !errors.Is(err, ncc.ErrCapacity) {
 				t.Fatalf("%s: want a strict capacity violation matching ErrCapacity, got %v", tc.name, err)

@@ -119,8 +119,9 @@ type Sim struct {
 	sleepers    sleepHeap
 	doneCnt     int
 
-	entered []*Node // the nodes that entered a collective this round, reused
-	collIns []int64 // the inputs runCollective hands a Collective, reused
+	entered  []*Node   // the nodes that entered a collective this round, reused
+	collIns  []int64   // the inputs runCollective hands a Collective, reused
+	collOuts []Message // the messages a Collective writes, reused
 
 	met      Metrics
 	firstErr error

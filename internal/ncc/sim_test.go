@@ -16,10 +16,10 @@ const (
 )
 
 // finish is the continuation that ends the protocol on wake.
-func finish(*Node, Wake) Op { return Done() }
+func finish(*Node, []Message) Op { return Done() }
 
 // forever checks in at every barrier and never returns.
-func forever(*Node, Wake) Op { return Next(ContFunc(forever)) }
+func forever(*Node, []Message) Op { return Next(ContFunc(forever)) }
 
 // helloProto converts the directed path into an undirected one (the one-round
 // conversion from §3.1 of the paper) and records the learned predecessor.
@@ -27,8 +27,8 @@ func helloProto(nd *Node) Op {
 	if s := nd.InitialSucc(); s != None {
 		nd.Send(s, Message{Kind: kindHello})
 	}
-	return Next(ContFunc(func(nd *Node, w Wake) Op {
-		for _, m := range w.Msgs {
+	return Next(ContFunc(func(nd *Node, in []Message) Op {
+		for _, m := range in {
 			if m.Kind == kindHello {
 				nd.SetOutput("pred", int64(m.Src))
 			}
@@ -102,9 +102,9 @@ func TestDeterminism(t *testing.T) {
 			if s := nd.InitialSucc(); s != None {
 				nd.Send(s, Message{Kind: kindData, A: nd.Rand().Int63n(1000)})
 			}
-			return Next(ContFunc(func(nd *Node, w Wake) Op {
+			return Next(ContFunc(func(nd *Node, in []Message) Op {
 				sum := int64(0)
-				for _, m := range w.Msgs {
+				for _, m := range in {
 					sum += m.A
 				}
 				nd.SetOutput("sum", sum)
@@ -151,8 +151,8 @@ func TestNCC1MayContactAnyone(t *testing.T) {
 		if nd.ID() == head {
 			nd.Send(tail, Message{Kind: kindData, A: 99})
 		}
-		return Next(ContFunc(func(nd *Node, w Wake) Op {
-			for _, m := range w.Msgs {
+		return Next(ContFunc(func(nd *Node, in []Message) Op {
+			for _, m := range in {
 				nd.SetOutput("got", m.A)
 			}
 			return Done()
@@ -264,7 +264,7 @@ func TestPanicInProtocolSurfacesAsError(t *testing.T) {
 	s := New(Config{N: 8, Seed: 9})
 	ids := s.IDs()
 	_, err := s.RunProgram(func(nd *Node) Op {
-		return Next(ContFunc(func(nd *Node, w Wake) Op {
+		return Next(ContFunc(func(nd *Node, in []Message) Op {
 			if nd.ID() == ids[3] {
 				panic("kaboom")
 			}
@@ -288,12 +288,12 @@ func TestSkipRoundsAccumulatesMail(t *testing.T) {
 					return Done()
 				}
 				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: int64(i)})
-				return Next(ContFunc(func(*Node, Wake) Op { return send(i + 1) }))
+				return Next(ContFunc(func(*Node, []Message) Op { return send(i + 1) }))
 			}
 			return send(0)
 		}
-		return Sleep(5, ContFunc(func(nd *Node, w Wake) Op {
-			nd.SetOutput("n", int64(len(w.Msgs)))
+		return Sleep(5, ContFunc(func(nd *Node, in []Message) Op {
+			nd.SetOutput("n", int64(len(in)))
 			return Done()
 		}))
 	})
@@ -311,14 +311,14 @@ func TestAwaitMessageWakesOnDelivery(t *testing.T) {
 	tr, err := s.RunProgram(func(nd *Node) Op {
 		switch nd.ID() {
 		case ids[0]:
-			return Sleep(4, ContFunc(func(nd *Node, w Wake) Op {
+			return Sleep(4, ContFunc(func(nd *Node, in []Message) Op {
 				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 7})
 				return Next(ContFunc(finish))
 			}))
 		case ids[1]:
-			return Await(ContFunc(func(nd *Node, w Wake) Op {
+			return Await(ContFunc(func(nd *Node, in []Message) Op {
 				nd.SetOutput("round", int64(nd.Round()))
-				nd.SetOutput("got", w.Msgs[0].A)
+				nd.SetOutput("got", in[0].A)
 				return Done()
 			}))
 		default:
@@ -354,22 +354,21 @@ func TestFastForwardIsCheap(t *testing.T) {
 }
 
 func TestCollectiveSumAndCharge(t *testing.T) {
-	sum := &Collective{Name: "sum", Run: func(s *Sim, ins []int64) ([]any, int) {
+	sum := &Collective{Name: "sum", Run: func(s *Sim, ins []int64, outs []Message) int {
 		total := int64(0)
 		for _, in := range ins {
 			total += in
 		}
-		outs := make([]any, len(ins))
 		for i := range outs {
-			outs[i] = total
+			outs[i].A = total
 		}
-		return outs, 13
+		return 13
 	}}
 	s := New(Config{N: 10, Seed: 19, Strict: true})
 	tr, err := s.RunProgram(func(nd *Node) Op {
-		return Next(ContFunc(func(nd *Node, w Wake) Op {
-			return nd.Enter(sum, 2, ContFunc(func(nd *Node, w Wake) Op {
-				nd.SetOutput("sum", w.Coll.(int64))
+		return Next(ContFunc(func(nd *Node, in []Message) Op {
+			return nd.Enter(sum, 2, ContFunc(func(nd *Node, in []Message) Op {
+				nd.SetOutput("sum", in[0].A)
 				return Done()
 			}))
 		}))
@@ -397,21 +396,22 @@ func TestCollectiveTeachesIDs(t *testing.T) {
 	s := New(Config{N: 6, Seed: 23, Strict: true})
 	ids := s.IDs()
 	// The collective introduces everyone to the head node's ID, which each
-	// node learns from its output.
-	introduceHead := &Collective{Name: "introduce-head", Run: func(s *Sim, ins []int64) ([]any, int) {
-		outs := make([]any, s.N())
+	// node learns from the delivery of the collective's message.
+	introduceHead := &Collective{Name: "introduce-head", Run: func(s *Sim, ins []int64, outs []Message) int {
 		for i := range outs {
-			outs[i] = s.IDs()[0]
+			outs[i] = Message{}.WithIDs(s.IDs()[0])
 		}
-		return outs, 1
+		return 1
 	}}
 	tr, err := s.RunProgram(func(nd *Node) Op {
-		return nd.Enter(introduceHead, 0, ContFunc(func(nd *Node, w Wake) Op {
-			nd.Learn(w.Coll.(ID))
+		return nd.Enter(introduceHead, 0, ContFunc(func(nd *Node, in []Message) Op {
+			if !nd.Knows(ids[0]) {
+				nd.fail("the collective's message did not teach the head's ID")
+			}
 			if nd.ID() != ids[0] {
 				nd.Send(ids[0], Message{Kind: kindData, A: 1})
 			}
-			return Next(ContFunc(func(nd *Node, w Wake) Op {
+			return Next(ContFunc(func(nd *Node, in []Message) Op {
 				if nd.ID() == ids[0] {
 					nd.SetOutput("heard", int64(nd.Round()))
 				}
@@ -427,9 +427,50 @@ func TestCollectiveTeachesIDs(t *testing.T) {
 	}
 }
 
-// noop is a collective that charges nothing and outputs nothing.
+// TestCollectiveMessageFirst: a collective hands each entering node its
+// message ahead of the messages sent in the round it entered, and Metrics
+// counts only those sent messages.
+func TestCollectiveMessageFirst(t *testing.T) {
+	s := New(Config{N: 4, Seed: 41, Strict: true})
+	ids := s.IDs()
+	label := &Collective{Name: "label", Run: func(s *Sim, ins []int64, outs []Message) int {
+		for i := range outs {
+			outs[i].A = 100 + int64(i)
+		}
+		return 1
+	}}
+	tr, err := s.RunProgram(func(nd *Node) Op {
+		if nd.ID() == ids[0] {
+			nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 7})
+		}
+		return nd.Enter(label, 0, ContFunc(func(nd *Node, in []Message) Op {
+			want := []int64{100 + int64(nd.idx)}
+			if nd.ID() == ids[1] {
+				want = append(want, 7)
+			}
+			got := make([]int64, len(in))
+			for i := range in {
+				got[i] = in[i].A
+			}
+			if !slices.Equal(got, want) {
+				nd.fail("woke with payloads %v, want %v", got, want)
+			}
+			return Done()
+		}))
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if m := tr.Metrics; m.Messages != 1 || m.MaxRecvPerRound != 1 {
+		t.Fatalf("Messages = %d, MaxRecvPerRound = %d, want 1 and 1: the collective's messages are not counted",
+			m.Messages, m.MaxRecvPerRound)
+	}
+}
+
+// noop is a collective that charges nothing and leaves every node's message
+// zero.
 func noop(name string) *Collective {
-	return &Collective{Name: name, Run: func(*Sim, []int64) ([]any, int) { return nil, 0 }}
+	return &Collective{Name: name, Run: func(*Sim, []int64, []Message) int { return 0 }}
 }
 
 func TestCollectiveMismatchIsError(t *testing.T) {
@@ -440,8 +481,8 @@ func TestCollectiveMismatchIsError(t *testing.T) {
 		if nd.ID() == ids[0] {
 			return nd.Enter(a, 0, ContFunc(finish))
 		}
-		return Next(ContFunc(func(*Node, Wake) Op {
-			return Next(ContFunc(func(*Node, Wake) Op { return Next(ContFunc(finish)) }))
+		return Next(ContFunc(func(*Node, []Message) Op {
+			return Next(ContFunc(func(*Node, []Message) Op { return Next(ContFunc(finish)) }))
 		}))
 	})
 	if err == nil {
@@ -484,7 +525,7 @@ func TestCollectiveMixedValuesIsError(t *testing.T) {
 func TestCollectiveNilIsViolation(t *testing.T) {
 	for _, c := range []*Collective{nil, {Name: "no-run"}} {
 		_, err := New(Config{N: 3, Seed: 37}).RunProgram(func(nd *Node) Op {
-			return Next(ContFunc(func(*Node, Wake) Op { return nd.Enter(c, 0, ContFunc(finish)) }))
+			return Next(ContFunc(func(*Node, []Message) Op { return nd.Enter(c, 0, ContFunc(finish)) }))
 		})
 		if err == nil || !strings.Contains(err.Error(), "Enter: nil collective") {
 			t.Fatalf("Enter(%v): got error %v, want a nil-collective violation", c, err)
@@ -625,21 +666,21 @@ func TestKnowsSemantics(t *testing.T) {
 					nd.fail("head must not know the tail initially")
 				}
 				nd.Send(ids[1], Message{}.WithIDs(nd.ID()))
-				return Next(ContFunc(func(nd *Node, w Wake) Op {
+				return Next(ContFunc(func(nd *Node, in []Message) Op {
 					// Carries only None and the receiver's own ID, from a
 					// sender the receiver already knows.
 					nd.Send(ids[1], Message{}.WithIDs(None, ids[1]))
 					return Done()
 				}))
 			case ids[1]:
-				return Next(ContFunc(func(nd *Node, w Wake) Op {
-					if len(w.Msgs) != 1 || !nd.Knows(w.Msgs[0].Src) {
+				return Next(ContFunc(func(nd *Node, in []Message) Op {
+					if len(in) != 1 || !nd.Knows(in[0].Src) {
 						nd.fail("receiver must learn sender")
 					}
 					before := nd.known.n
-					return Next(ContFunc(func(nd *Node, w Wake) Op {
-						if len(w.Msgs) != 1 {
-							nd.fail("want the (None, self) message, got %d", len(w.Msgs))
+					return Next(ContFunc(func(nd *Node, in []Message) Op {
+						if len(in) != 1 {
+							nd.fail("want the (None, self) message, got %d", len(in))
 						}
 						if nd.known.n != before || nd.Knows(None) {
 							nd.fail("a message carrying None and self taught %d IDs", nd.known.n-before)
@@ -648,7 +689,7 @@ func TestKnowsSemantics(t *testing.T) {
 					}))
 				}))
 			default:
-				return Next(ContFunc(func(*Node, Wake) Op { return Next(ContFunc(finish)) }))
+				return Next(ContFunc(func(*Node, []Message) Op { return Next(ContFunc(finish)) }))
 			}
 		})
 		if err != nil {
@@ -689,7 +730,7 @@ func TestKnowsSemantics(t *testing.T) {
 				}
 				return Done()
 			case ids[1]:
-				return Next(ContFunc(func(nd *Node, w Wake) Op {
+				return Next(ContFunc(func(nd *Node, in []Message) Op {
 					if nd.known.n != taught+1 {
 						nd.fail("knows %d IDs, want %d", nd.known.n, taught+1)
 					}
@@ -731,10 +772,10 @@ func (m *knowsModel) teach(id ID) {
 	}
 }
 
-func (m *knowsModel) Resume(nd *Node, w Wake) Op {
-	for i := range w.Msgs {
-		m.teach(w.Msgs[i].Src)
-		for _, id := range w.Msgs[i].IDs() {
+func (m *knowsModel) Resume(nd *Node, in []Message) Op {
+	for i := range in {
+		m.teach(in[i].Src)
+		for _, id := range in[i].IDs() {
 			if id != None && id != nd.ID() {
 				m.teach(id)
 			}
@@ -903,7 +944,7 @@ func TestSendToFinishedNodeIsDropped(t *testing.T) {
 		if nd.ID() == ids[1] {
 			return Done() // dies immediately
 		}
-		return Next(ContFunc(func(nd *Node, w Wake) Op {
+		return Next(ContFunc(func(nd *Node, in []Message) Op {
 			nd.Send(ids[1], Message{Kind: kindData})
 			return Next(ContFunc(finish))
 		}))
@@ -920,14 +961,14 @@ func TestAwaitAfterSkipOrdering(t *testing.T) {
 	ids := s.IDs()
 	tr, err := s.RunProgram(func(nd *Node) Op {
 		if nd.ID() == ids[0] {
-			return Sleep(3, ContFunc(func(nd *Node, w Wake) Op {
+			return Sleep(3, ContFunc(func(nd *Node, in []Message) Op {
 				nd.Send(nd.InitialSucc(), Message{Kind: kindData, A: 5})
 				return Next(ContFunc(finish))
 			}))
 		}
-		return Sleep(2, ContFunc(func(nd *Node, w Wake) Op {
-			return Await(ContFunc(func(nd *Node, w Wake) Op {
-				nd.SetOutput("got", w.Msgs[0].A)
+		return Sleep(2, ContFunc(func(nd *Node, in []Message) Op {
+			return Await(ContFunc(func(nd *Node, in []Message) Op {
+				nd.SetOutput("got", in[0].A)
 				return Done()
 			}))
 		}))

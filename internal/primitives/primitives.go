@@ -71,8 +71,8 @@ func BuildPath(nd *ncc.Node, k func(Path) ncc.Op) ncc.Op {
 		nd.Send(succ, ncc.Message{Kind: kHello})
 	}
 	p := Path{Pred: ncc.None, Succ: succ}
-	return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-		for _, m := range w.Msgs {
+	return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+		for _, m := range in {
 			if m.Kind == kHello {
 				p.Pred = m.Src
 			}
@@ -147,8 +147,8 @@ func (b *LevelsBuilder) introduce(nd *ncc.Node) ncc.Op {
 }
 
 // Resume adopts the level-(r+1) links introduced to this node.
-func (b *LevelsBuilder) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
-	for _, m := range w.Msgs {
+func (b *LevelsBuilder) Resume(nd *ncc.Node, in []ncc.Message) ncc.Op {
+	for _, m := range in {
 		switch m.Kind {
 		case kGrandPred:
 			b.l.Pred[b.r+1] = m.IDs()[0]
@@ -209,11 +209,11 @@ type tbfsState struct {
 }
 
 // Resume runs the accept or the adopt round.
-func (s *tbfsState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
+func (s *tbfsState) Resume(nd *ncc.Node, in []ncc.Message) ncc.Op {
 	if s.adopting {
-		return s.adopt(nd, w)
+		return s.adopt(nd, in)
 	}
-	return s.accept(nd, w)
+	return s.accept(nd, in)
 }
 
 // invite runs level i's invite round, or delivers the tree once level 0 is
@@ -242,9 +242,9 @@ func (s *tbfsState) invite(nd *ncc.Node) ncc.Op {
 
 // accept is the accept round: join under the first inviter (the uniqueness
 // argument of Theorem 1 shows competing invitations cannot occur).
-func (s *tbfsState) accept(nd *ncc.Node, w ncc.Wake) ncc.Op {
+func (s *tbfsState) accept(nd *ncc.Node, in []ncc.Message) ncc.Op {
 	if !s.inTree {
-		for _, m := range w.Msgs {
+		for _, m := range in {
 			if m.Kind != kInvite {
 				continue
 			}
@@ -261,8 +261,8 @@ func (s *tbfsState) accept(nd *ncc.Node, w ncc.Wake) ncc.Op {
 }
 
 // adopt records the children that accepted this level's invitations.
-func (s *tbfsState) adopt(nd *ncc.Node, w ncc.Wake) ncc.Op {
-	for _, m := range w.Msgs {
+func (s *tbfsState) adopt(nd *ncc.Node, in []ncc.Message) ncc.Op {
+	for _, m := range in {
 		if m.Kind == kAccept {
 			if m.A == 0 {
 				s.t.Left = m.Src
@@ -322,11 +322,11 @@ const (
 	endIntervals                       // sleeping until phase B ends
 )
 
-func (s *annotateState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
+func (s *annotateState) Resume(nd *ncc.Node, in []ncc.Message) ncc.Op {
 	t := s.t
 	switch s.phase {
 	case gatherSizes:
-		for _, m := range w.Msgs {
+		for _, m := range in {
 			if m.Kind != kSize {
 				continue
 			}
@@ -350,7 +350,7 @@ func (s *annotateState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 		return ncc.Await(s)
 	case awaitInterval:
 		waiting := true
-		for _, m := range w.Msgs {
+		for _, m := range in {
 			if m.Kind == kInterval {
 				s.lo = int(m.A)
 				waiting = false
@@ -409,7 +409,7 @@ func BuildAll(nd *ncc.Node, k func(Path, Levels, Tree) ncc.Op) ncc.Op {
 // waited; lockstep protocols use it as a barrier between phases.
 func SyncAt(nd *ncc.Node, round int, k ncc.Cont) ncc.Op {
 	if nd.Round() >= round {
-		return k.Resume(nd, ncc.Wake{})
+		return k.Resume(nd, nil)
 	}
 	return ncc.Sleep(round-nd.Round(), k)
 }

@@ -362,9 +362,9 @@ func TestSyncAtIsBarrier(t *testing.T) {
 		var idle func(i int) ncc.Op
 		idle = func(i int) ncc.Op {
 			if i < int(nd.ID()%7) {
-				return ncc.Next(ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op { return idle(i + 1) }))
+				return ncc.Next(ncc.ContFunc(func(*ncc.Node, []ncc.Message) ncc.Op { return idle(i + 1) }))
 			}
-			return SyncAt(nd, 10, ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op {
+			return SyncAt(nd, 10, ncc.ContFunc(func(*ncc.Node, []ncc.Message) ncc.Op {
 				if nd.Round() != 10 {
 					panic("SyncAt did not land on the target round")
 				}

@@ -56,12 +56,12 @@ func TestBuildAllStepMatchesBlocking(t *testing.T) {
 func TestSyncAtStepSingleNodeSemantics(t *testing.T) {
 	s := ncc.New(ncc.Config{N: 1, Seed: 9, Strict: true})
 	_, err := s.RunProgram(func(nd *ncc.Node) ncc.Op {
-		return SyncAt(nd, 6, ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return SyncAt(nd, 6, ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
 			if nd.Round() != 6 {
 				t.Errorf("resumed at round %d, want 6", nd.Round())
 			}
-			if len(w.Msgs) != 0 {
-				t.Errorf("resumed with %d messages, want 0", len(w.Msgs))
+			if len(in) != 0 {
+				t.Errorf("resumed with %d messages, want 0", len(in))
 			}
 			return ncc.Done()
 		}))

@@ -37,9 +37,9 @@ func BuildWarmupTree(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
 			nd.Send(succ, ncc.Message{Kind: kWGrandPred}.WithIDs(pred))
 			nd.Send(pred, ncc.Message{Kind: kWGrandSucc}.WithIDs(succ))
 		}
-		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
 			gpred, gsucc := ncc.None, ncc.None
-			for _, m := range w.Msgs {
+			for _, m := range in {
 				switch m.Kind {
 				case kWGrandPred:
 					gpred = m.IDs()[0]
@@ -61,11 +61,11 @@ func BuildWarmupTree(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
 				}
 				pred, succ = ncc.None, ncc.None
 			}
-			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
+			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
 				// Round 3: apply claims and switch to the odd/even sub-path links.
 				if !placed {
 					newPred, newSucc := gpred, gsucc
-					for _, m := range w.Msgs {
+					for _, m := range in {
 						if m.Kind == kWClaim {
 							t.Parent = m.Src
 							newPred = ncc.None // the claimant was our (grand-)predecessor
@@ -73,7 +73,7 @@ func BuildWarmupTree(nd *ncc.Node, p Path, k func(WarmTree) ncc.Op) ncc.Op {
 					}
 					pred, succ = newPred, newSucc
 				}
-				return ncc.Next(ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op { return iter(it + 1) }))
+				return ncc.Next(ncc.ContFunc(func(*ncc.Node, []ncc.Message) ncc.Op { return iter(it + 1) }))
 			}))
 		}))
 	}

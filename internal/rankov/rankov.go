@@ -172,8 +172,8 @@ func (s *Disseminator) round() ncc.Op {
 }
 
 // Resume queues the jobs that arrived for the next round.
-func (s *Disseminator) Resume(_ *ncc.Node, w ncc.Wake) ncc.Op {
-	for _, m := range w.Msgs {
+func (s *Disseminator) Resume(_ *ncc.Node, in []ncc.Message) ncc.Op {
+	for _, m := range in {
 		if m.Kind != kPacket {
 			continue
 		}
@@ -287,8 +287,8 @@ func (s *Scanner) pass(nd *ncc.Node) ncc.Op {
 }
 
 // Resume adds the accumulator received from rank−2^j.
-func (s *Scanner) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
-	for _, m := range w.Msgs {
+func (s *Scanner) Resume(nd *ncc.Node, in []ncc.Message) ncc.Op {
+	for _, m := range in {
 		if m.Kind == kScan {
 			s.acc += m.A
 		}
@@ -383,8 +383,8 @@ func (s *Shifter) hop(nd *ncc.Node) ncc.Op {
 }
 
 // Resume picks up the tokens that arrived this round.
-func (s *Shifter) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
-	for _, m := range w.Msgs {
+func (s *Shifter) Resume(nd *ncc.Node, in []ncc.Message) ncc.Op {
+	for _, m := range in {
 		if m.Kind != kShift {
 			continue
 		}

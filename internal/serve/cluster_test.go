@@ -187,7 +187,7 @@ func TestCoordinatorProxiesRealize(t *testing.T) {
 func TestCoordinatorNoWorkersIs503OnEveryRoute(t *testing.T) {
 	reg := cluster.NewRegistry(cluster.RegistryConfig{SuspectAfter: time.Minute})
 	b := cluster.NewBackend(cluster.BackendConfig{Registry: reg})
-	m := jobs.New(jobs.Config{Backend: b})
+	m := openJobs(t, jobs.Config{Backend: b})
 	t.Cleanup(func() { _ = m.Close(context.Background()) })
 	h := serve.New(serve.Config{Backend: b, Cluster: b, Jobs: m}).Handler()
 	for _, tc := range []struct{ path, body string }{

@@ -23,7 +23,7 @@ import (
 // with a message; and every 200 realize body passes checkRealizeBody.
 func FuzzServeRequest(f *testing.F) {
 	runner := graphrealize.NewRunnerConfig(graphrealize.RunnerConfig{Workers: 2, Queue: 8, JobTimeout: time.Second})
-	m := jobs.New(jobs.Config{Backend: runner, MaxJobs: 16, Retention: time.Second})
+	m := openJobs(f, jobs.Config{Backend: runner, MaxJobs: 16, Retention: time.Second})
 	f.Cleanup(func() { _ = m.Close(context.Background()) })
 	h := serve.New(serve.Config{Backend: runner, Jobs: m, MaxN: 64, MaxSeeds: 4}).Handler()
 

@@ -16,12 +16,22 @@ import (
 	"graphrealize/internal/serve"
 )
 
+// openJobs opens a job manager, failing tb if it cannot.
+func openJobs(tb testing.TB, cfg jobs.Config) *jobs.Manager {
+	tb.Helper()
+	m, err := jobs.Open(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
 // asyncServer wires a Server to a real Runner plus a job manager — the
 // production configuration of the async API.
 func asyncServer(t *testing.T) (http.Handler, *jobs.Manager) {
 	t.Helper()
 	runner := graphrealize.NewRunner(4)
-	m := jobs.New(jobs.Config{Backend: runner})
+	m := openJobs(t, jobs.Config{Backend: runner})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -319,7 +329,7 @@ func TestJobSubmitBackpressure(t *testing.T) {
 		},
 		stats: graphrealize.RunnerStats{Workers: 1},
 	}
-	m := jobs.New(jobs.Config{Backend: fb})
+	m := openJobs(t, jobs.Config{Backend: fb})
 	defer m.Close(context.Background())
 	h := serve.New(serve.Config{Backend: fb, Jobs: m}).Handler()
 	rec := do(t, h, http.MethodPost, "/v1/jobs", `{"kind":"degrees","sequence":[1,1]}`)

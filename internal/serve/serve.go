@@ -79,8 +79,6 @@ type Config struct {
 	MaxN int
 	// MaxSeeds caps the seeds of one sweep request (default 64).
 	MaxSeeds int
-	// MaxBodyBytes caps request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// Jobs, when non-nil, enables the asynchronous job API backed by this
 	// manager (which should wrap the same Backend so admission control is
 	// shared).
@@ -172,9 +170,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxSeeds <= 0 {
 		cfg.MaxSeeds = 64
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
 	}
 	s := &Server{cfg: cfg, started: time.Now(), routeHist: make(map[string]*obs.Histogram, len(routeNames))}
 	if ob, ok := cfg.Backend.(obsBackend); ok {
@@ -302,7 +297,10 @@ func (s *Server) writeFailure(w http.ResponseWriter, err error) {
 	writeError(w, code, "%s", msg)
 }
 
-// decode reads r's body once, within the MaxBodyBytes cap, into a pooled
+// maxBodyBytes caps request bodies.
+const maxBodyBytes = 1 << 20
+
+// decode reads r's body once, within the maxBodyBytes cap, into a pooled
 // buffer and decodes it into v: a realize request with
 // api.DecodeRealizeRequest, any other body with a json.Decoder that
 // disallows unknown fields. A body over the cap is 413, whatever it holds;
@@ -310,7 +308,7 @@ func (s *Server) writeFailure(w http.ResponseWriter, err error) {
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := getBuf()
 	defer putBuf(buf)
-	body, err := s.readBody(w, r, *buf)
+	body, err := readBody(w, r, *buf)
 	*buf = body
 	if err == nil {
 		if req, ok := v.(*api.RealizeRequest); ok {
@@ -336,9 +334,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // readBody appends r's whole body to b through a MaxBytesReader. b grows
 // once to a Content-Length within the cap, so that such a body is read
 // without regrowing it; a larger claim reserves nothing up front.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, b []byte) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+func readBody(w http.ResponseWriter, r *http.Request, b []byte) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
 		b = slices.Grow(b, int(n)+1) // +1: the read that sees EOF
 	}
 	for {

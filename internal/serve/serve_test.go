@@ -189,18 +189,19 @@ func TestRealizeOversizedN(t *testing.T) {
 	}
 }
 
-// TestRealizeOversizedBody: a body over MaxBodyBytes is 413 on the realize,
-// sweep and jobs routes, also when its first JSON value ends within the
-// cap: the server reads the whole body before it decodes.
+// TestRealizeOversizedBody: a body just over the 1 MiB cap is 413 on the
+// realize, sweep and jobs routes, also when its first JSON value ends
+// within the cap: the server reads the whole body before it decodes.
 func TestRealizeOversizedBody(t *testing.T) {
+	const limit = 1 << 20
 	runner := graphrealize.NewRunner(1)
-	m := jobs.New(jobs.Config{Backend: runner})
+	m := openJobs(t, jobs.Config{Backend: runner})
 	t.Cleanup(func() { _ = m.Close(context.Background()) })
-	h := serve.New(serve.Config{Backend: runner, Jobs: m, MaxBodyBytes: 64}).Handler()
+	h := serve.New(serve.Config{Backend: runner, Jobs: m}).Handler()
 	for _, path := range []string{"/v1/realize/degree", "/v1/sweep", "/v1/jobs"} {
 		for _, body := range []string{
-			`{"sequence":[` + strings.Repeat("1,", 200) + `1]}`,
-			`{"kind":"degrees","sequence":[1,1]}` + strings.Repeat(" ", 64),
+			`{"sequence":[` + strings.Repeat("1,", limit/2) + `1]}`,
+			`{"kind":"degrees","sequence":[1,1]}` + strings.Repeat(" ", limit),
 		} {
 			if rec := post(t, h, path, body); rec.Code != http.StatusRequestEntityTooLarge {
 				t.Errorf("%s, %d-byte body: oversized body must be 413, got %d: %s", path, len(body), rec.Code, rec.Body)

@@ -29,8 +29,8 @@ const (
 // then continues with k. Resumable: each round is one suspension.
 func (ms *mergeState) window(deadline int, h func(m ncc.Message), k func() ncc.Op) ncc.Op {
 	var loop ncc.ContFunc
-	loop = func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-		ms.apply(w.Msgs, h)
+	loop = func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+		ms.apply(in, h)
 		if ms.nd.Round() < deadline {
 			return ncc.Next(loop)
 		}
@@ -71,10 +71,10 @@ func (ms *mergeState) buildLinks(base int, k func() ncc.Op) ncc.Op {
 	var round func(r int) ncc.Op
 	round = func(r int) ncc.Op {
 		if r > K {
-			return primitives.SyncAt(nd, base+K+2, ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op { return k() }))
+			return primitives.SyncAt(nd, base+K+2, ncc.ContFunc(func(*ncc.Node, []ncc.Message) ncc.Op { return k() }))
 		}
-		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-			ms.apply(w.Msgs, func(m ncc.Message) {
+		return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+			ms.apply(in, func(m ncc.Message) {
 				lvl := int(m.B)
 				switch m.Kind {
 				case kMKeyP:

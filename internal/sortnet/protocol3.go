@@ -345,15 +345,15 @@ func (ms *mergeState) finalRanks(k func(Result) ncc.Op) ncc.Op {
 		var count func(j int) ncc.Op
 		count = func(j int) ncc.Op {
 			if j >= ms.K {
-				return primitives.SyncAt(nd, base+ms.K+2+ms.K+1, ncc.ContFunc(func(*ncc.Node, ncc.Wake) ncc.Op {
+				return primitives.SyncAt(nd, base+ms.K+2+ms.K+1, ncc.ContFunc(func(*ncc.Node, []ncc.Message) ncc.Op {
 					return k(Result{Rank: int(acc - 1), Pred: ms.pred, Succ: ms.succ})
 				}))
 			}
 			if ms.succAt[j].valid() {
 				nd.Send(ms.succAt[j].id, ncc.Message{Kind: kMRankP, A: acc})
 			}
-			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, w ncc.Wake) ncc.Op {
-				for _, m := range w.Msgs {
+			return ncc.Next(ncc.ContFunc(func(nd *ncc.Node, in []ncc.Message) ncc.Op {
+				for _, m := range in {
 					if m.Kind != kMRankP {
 						panic("sortnet: unexpected message during ranking")
 					}

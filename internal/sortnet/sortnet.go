@@ -89,11 +89,11 @@ type Sorter struct {
 }
 
 // oracle is the Oracle method's collective: it sorts (key, id) pairs
-// centrally and hands every node its rank and sorted neighbors, charging
-// the Theorem 3 round bound.
+// centrally and hands every node the kAssign message odd-even's last round
+// would have sent it, charging the Theorem 3 round bound.
 var oracle = ncc.Collective{Name: "oracle-sort", Run: runOracle}
 
-func runOracle(s *ncc.Sim, ins []int64) ([]any, int) {
+func runOracle(s *ncc.Sim, ins []int64, outs []ncc.Message) int {
 	n := s.N()
 	ids := s.IDs()
 	type kv struct {
@@ -111,21 +111,24 @@ func runOracle(s *ncc.Sim, ins []int64) ([]any, int) {
 		}
 		return cmp.Compare(a.id, b.id)
 	})
-	// One Result array serves every node: a node's output points into it.
-	outs := make([]any, n)
-	res := make([]Result, n)
 	for rank, p := range pairs {
-		r := &res[rank]
-		*r = Result{Rank: rank, Pred: ncc.None, Succ: ncc.None}
+		pred, succ := ncc.None, ncc.None
 		if rank > 0 {
-			r.Pred = pairs[rank-1].id
+			pred = pairs[rank-1].id
 		}
 		if rank+1 < n {
-			r.Succ = pairs[rank+1].id
+			succ = pairs[rank+1].id
 		}
-		outs[p.pos] = r
+		outs[p.pos] = ncc.Message{Kind: kAssign, A: int64(rank)}.WithIDs(pred, succ)
 	}
-	return outs, ChargedRounds(n)
+	return ChargedRounds(n)
+}
+
+// assignment decodes a kAssign message: the rank in A, then the sorted
+// predecessor and successor as IDs (None at a path end).
+func assignment(m *ncc.Message) Result {
+	ids := m.IDs()
+	return Result{Rank: int(m.A), Pred: ids[0], Succ: ids[1]}
 }
 
 // ChargedRounds is the round cost the oracle charges: ⌈log₂ n⌉³ (minimum 1),
@@ -155,14 +158,11 @@ func (s *Sorter) Sort(nd *ncc.Node, key int64, k func(Result) ncc.Op) ncc.Op {
 	}
 }
 
-// Resume is the oracle sort's continuation: the node learns its sorted
-// neighbors, as the real sorts' messages would have taught them, and gets
-// its output of the collective.
-func (s *Sorter) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
-	r := *w.Coll.(*Result)
-	nd.Learn(r.Pred)
-	nd.Learn(r.Succ)
-	return s.k(r)
+// Resume is the oracle sort's continuation: the collective's kAssign
+// message, first in the inbox, holds the node's rank and sorted neighbors,
+// and its delivery taught the node their IDs.
+func (s *Sorter) Resume(_ *ncc.Node, in []ncc.Message) ncc.Op {
+	return s.k(assignment(&in[0]))
 }
 
 // oddEvenState is the odd-even sort's per-node state, and its continuation:
@@ -223,10 +223,10 @@ func (o *oddEvenState) exchange(nd *ncc.Node) ncc.Op {
 }
 
 // Resume runs the round the node woke in.
-func (o *oddEvenState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
+func (o *oddEvenState) Resume(nd *ncc.Node, in []ncc.Message) ncc.Op {
 	switch o.phase {
 	case oeExchange:
-		for _, m := range w.Msgs {
+		for _, m := range in {
 			if m.Kind != kExchange || m.Src != o.partner {
 				continue
 			}
@@ -241,7 +241,7 @@ func (o *oddEvenState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 		return o.exchange(nd)
 	case oeNeighbors:
 		predPair, succPair := ncc.None, ncc.None
-		for _, m := range w.Msgs {
+		for _, m := range in {
 			if m.Kind != kNeighbor {
 				continue
 			}
@@ -263,9 +263,9 @@ func (o *oddEvenState) Resume(nd *ncc.Node, w ncc.Wake) ncc.Op {
 		o.phase = oeAssign
 		return ncc.Next(o)
 	case oeAssign:
-		for _, m := range w.Msgs {
-			if m.Kind == kAssign {
-				o.res = Result{Rank: int(m.A), Pred: m.IDs()[0], Succ: m.IDs()[1]}
+		for i := range in {
+			if in[i].Kind == kAssign {
+				o.res = assignment(&in[i])
 			}
 		}
 		o.phase = oeCheck

@@ -4,9 +4,9 @@ import (
 	"io"
 )
 
-// Limits bounds the resources a decoder will commit to one stream
+// limits bounds the resources a decoder will commit to one stream
 // (WIRE.md §7). The zero value selects the package defaults.
-type Limits struct {
+type limits struct {
 	// MaxNodes caps the vertex count a META chunk may declare
 	// (default DefaultMaxNodes).
 	MaxNodes int
@@ -15,7 +15,7 @@ type Limits struct {
 	MaxChunkBytes int
 }
 
-func (l Limits) norm() Limits {
+func (l limits) norm() limits {
 	if l.MaxNodes <= 0 {
 		l.MaxNodes = DefaultMaxNodes
 	}
@@ -44,18 +44,18 @@ type Message struct {
 }
 
 // Decode reads and validates one complete graphwire stream from r under
-// the default Limits. It consumes exactly the stream's bytes (header
+// the default limits. It consumes exactly the stream's bytes (header
 // through END chunk) and no more, so it can read directly from a network
 // body. Every malformed input — truncation, bad magic or version, CRC
 // mismatch, grammar violations, inconsistent dimensions — returns an
 // error wrapping ErrFormat; Decode never panics on arbitrary input
 // (WIRE.md §7, pinned by FuzzWireDecode).
 func Decode(r io.Reader) (*Message, error) {
-	return DecodeLimits(r, Limits{})
+	return decodeLimits(r, limits{})
 }
 
-// DecodeLimits is Decode with explicit resource Limits.
-func DecodeLimits(r io.Reader, lim Limits) (*Message, error) {
+// decodeLimits is Decode with explicit resource limits.
+func decodeLimits(r io.Reader, lim limits) (*Message, error) {
 	lim = lim.norm()
 	d := &decoder{r: r, lim: lim}
 	if err := d.header(); err != nil {
@@ -105,7 +105,7 @@ func DecodeLimits(r io.Reader, lim Limits) (*Message, error) {
 
 type decoder struct {
 	r   io.Reader
-	lim Limits
+	lim limits
 
 	next    int // first vertex the next ADJ chunk must cover
 	edges   int // edges accumulated across ADJ chunks

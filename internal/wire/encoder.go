@@ -20,10 +20,10 @@ import (
 type Encoder struct {
 	w io.Writer
 
-	// ChunkTarget is the ADJ payload size the encoder aims for before
-	// cutting a chunk (default DefaultChunkTarget). A vertex block is never
-	// split, so a payload can overshoot by one block.
-	ChunkTarget int
+	// chunkTarget is the ADJ payload size the encoder aims for before
+	// cutting a chunk: DefaultChunkTarget unless a test lowers it. A vertex
+	// block is never split, so a payload can overshoot by one block.
+	chunkTarget int
 
 	// Flush, when non-nil, runs after every framed chunk reaches w —
 	// the hook an HTTP handler uses to push frames to the client as they
@@ -40,7 +40,7 @@ type Encoder struct {
 
 // NewEncoder returns an Encoder streaming to w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: w, ChunkTarget: DefaultChunkTarget}
+	return &Encoder{w: w, chunkTarget: DefaultChunkTarget}
 }
 
 // writeHeader emits the 5-byte stream header once (WIRE.md §3).
@@ -143,9 +143,6 @@ func (e *Encoder) WriteGraph(n int, adj [][]int) error {
 		return err
 	}
 
-	if e.ChunkTarget <= 0 {
-		e.ChunkTarget = DefaultChunkTarget
-	}
 	// Assemble vertex blocks into bounded ADJ payloads. The payload prefix
 	// (type, first, count) is patched in when the chunk is cut, so blocks
 	// append straight into one reusable buffer.
@@ -190,7 +187,7 @@ func (e *Encoder) WriteGraph(n int, adj [][]int) error {
 			prev = v
 		}
 		count++
-		if len(body) >= e.ChunkTarget {
+		if len(body) >= e.chunkTarget {
 			if err := cut(); err != nil {
 				return err
 			}

@@ -34,7 +34,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Small limits keep a hostile META chunk from slowing the fuzzer
 		// down with large (but legal) allocations.
-		msg, err := DecodeLimits(bytes.NewReader(data), Limits{MaxNodes: 1 << 12, MaxChunkBytes: 1 << 16})
+		msg, err := decodeLimits(bytes.NewReader(data), limits{MaxNodes: 1 << 12, MaxChunkBytes: 1 << 16})
 		if err != nil {
 			if !errors.Is(err, ErrFormat) {
 				t.Fatalf("Decode error %v does not wrap ErrFormat", err)

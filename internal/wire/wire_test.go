@@ -103,7 +103,7 @@ func TestRoundTripRandomGraphs(t *testing.T) {
 			adj, m := randomGraph(rng, c.n, c.p)
 			var buf bytes.Buffer
 			enc := NewEncoder(&buf)
-			enc.ChunkTarget = target
+			enc.chunkTarget = target
 			if err := enc.WriteGraph(c.n, adj); err != nil {
 				t.Fatalf("n=%d target=%d WriteGraph: %v", c.n, target, err)
 			}
@@ -216,7 +216,7 @@ func TestEncoderStreamsBoundedChunks(t *testing.T) {
 	var buf bytes.Buffer
 	flushes := 0
 	enc := NewEncoder(&buf)
-	enc.ChunkTarget = 1 << 10
+	enc.chunkTarget = 1 << 10
 	enc.Flush = func() error { flushes++; return nil }
 	if err := enc.WriteGraph(2000, adj); err != nil {
 		t.Fatalf("WriteGraph: %v", err)
@@ -236,8 +236,8 @@ func TestEncoderStreamsBoundedChunks(t *testing.T) {
 		}
 		// One vertex block may overshoot the target; deg+deltas for one
 		// vertex of a p=0.02 graph on n=2000 stays far under 1 KiB.
-		if payload[0] == chunkAdj && len(payload) > enc.ChunkTarget+512 {
-			t.Fatalf("ADJ payload of %d bytes far exceeds the %d target", len(payload), enc.ChunkTarget)
+		if payload[0] == chunkAdj && len(payload) > enc.chunkTarget+512 {
+			t.Fatalf("ADJ payload of %d bytes far exceeds the %d target", len(payload), enc.chunkTarget)
 		}
 		chunks++
 	}
@@ -461,7 +461,7 @@ func TestDecoderLimits(t *testing.T) {
 		hdr := []byte{'G', 'R', 'W', 'F', Version}
 		s := appendFrame(hdr, append(uvarint([]byte{chunkMeta}, 1_000_000), 0))
 		s = appendFrame(s, []byte{chunkEnd})
-		_, err := DecodeLimits(bytes.NewReader(s), Limits{MaxNodes: 1000})
+		_, err := decodeLimits(bytes.NewReader(s), limits{MaxNodes: 1000})
 		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "limit") {
 			t.Fatalf("n over MaxNodes: got %v", err)
 		}
@@ -471,7 +471,7 @@ func TestDecoderLimits(t *testing.T) {
 		big := make([]byte, 100)
 		big[0] = chunkJMeta
 		s := appendFrame(hdr, big)
-		_, err := DecodeLimits(bytes.NewReader(s), Limits{MaxChunkBytes: 64})
+		_, err := decodeLimits(bytes.NewReader(s), limits{MaxChunkBytes: 64})
 		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "limit") {
 			t.Fatalf("chunk over MaxChunkBytes: got %v", err)
 		}
