@@ -11,6 +11,7 @@ package graphrealize_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -263,6 +264,47 @@ func TestEngineAllocCeilings(t *testing.T) {
 		})
 	}
 }
+
+// TestRunnerCachedHitAllocs pins a cached hit's lookup: SubmitCtx writes
+// the job's key into a pooled buffer and looks the cache up in place, so a
+// hit allocates one object, the channel that delivers it (two heap
+// allocations, since a Result holds pointers: the channel and its slot).
+// The job is built with its own Seq, so the hit matches the key's bytes,
+// not a shared slice.
+func TestRunnerCachedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's sync.Pool drops items on purpose, so counts vary")
+	}
+	r := graphrealize.NewRunner(1)
+	rho := gen.UniformRho(1024, 4, 1)
+	job := func() graphrealize.Job {
+		return graphrealize.Job{
+			Kind: graphrealize.JobConnectivity,
+			Seq:  slices.Clone(rho),
+			Opt:  &graphrealize.Options{Model: graphrealize.NCC1, Seed: 1},
+		}
+	}
+	if res := <-r.Submit(job()); res.Err != nil || res.Cached {
+		t.Fatalf("first run: cached %v, error %v", res.Cached, res.Err)
+	}
+	j := job()
+	var res graphrealize.Result
+	allocs := testing.AllocsPerRun(20, func() {
+		ch, err := r.SubmitCtx(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = <-ch
+	})
+	channel := testing.AllocsPerRun(20, func() { delivered = make(chan graphrealize.Result, 1) })
+	if !res.Cached || allocs != channel {
+		t.Fatalf("cached %v, %v allocations per hit: want a hit and only its channel's %v", res.Cached, allocs, channel)
+	}
+}
+
+// delivered holds the channel TestRunnerCachedHitAllocs makes for
+// reference, so that it is made on the heap like the one a hit returns.
+var delivered chan graphrealize.Result
 
 // BenchmarkAblationSortMethod compares the realization driven by the
 // charged oracle sort against the real O(n) odd-even protocol (DESIGN.md

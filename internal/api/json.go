@@ -25,13 +25,15 @@ import (
 // most once, spelled exactly; an options object holding only its seven
 // fields, each at most once; strings without escapes or bytes ≥ 0x80;
 // integers that fit their fields; and a sequence that is a plain integer
-// array, walked twice (count, then fill). Any other body goes to that
-// json.Decoder, so the standard library decides every other value and
-// every error. As with json.Decoder, bytes after the first JSON value are
-// ignored.
+// array, walked twice (count, then fill). Such a sequence is filled into
+// req.Sequence's array when that has room for it, and into a new array of
+// exactly its length otherwise, so a caller that passes an array in gives
+// up its contents. Any other body goes to that json.Decoder, so the
+// standard library decides every other value and every error. As with
+// json.Decoder, bytes after the first JSON value are ignored.
 func DecodeRealizeRequest(body []byte, req *RealizeRequest) error {
 	var plain RealizeRequest
-	if plain.decodePlain(body) {
+	if plain.decodePlain(body, req.Sequence) {
 		*req = plain
 		return nil
 	}
@@ -49,9 +51,9 @@ var (
 )
 
 // decodePlain decodes data into r if it has the plain shape
-// DecodeRealizeRequest describes; ok is false, with r part-filled, for any
-// other body.
-func (r *RealizeRequest) decodePlain(data []byte) bool {
+// DecodeRealizeRequest describes, filling the sequence into room's array
+// when it fits; ok is false, with r part-filled, for any other body.
+func (r *RealizeRequest) decodePlain(data []byte, room []int) bool {
 	var seen uint
 	_, ok := object(data, skipSpace(data, 0), func(name []byte, i int) (int, bool) {
 		switch known(requestFields, name, &seen) {
@@ -60,7 +62,13 @@ func (r *RealizeRequest) decodePlain(data []byte) bool {
 			if !ok {
 				return 0, false
 			}
-			r.Sequence = make([]int, n)
+			// A nil room would decode [] as nil, where encoding/json
+			// decodes an empty slice.
+			if room != nil && n <= cap(room) {
+				r.Sequence = room[:n]
+			} else {
+				r.Sequence = make([]int, n)
+			}
 			scanInts(data, i, r.Sequence)
 			return end, true
 		case "variant":

@@ -103,12 +103,14 @@ func checkAppendJSON(t *testing.T, r api.RealizeResponse, adj [][]int, g *graphr
 }
 
 // TestDecodeRealizeRequestAllocations pins the hand decoder on the plain
-// shape: perfbench hot-edges' n = 4,096 body costs the sequence, the
-// options and the model string, nothing for the body's syntax.
+// shape: perfbench hot-edges' n = 4,096 body, decoded into a fresh request,
+// costs the sequence, the options and the model string, nothing for the
+// body's syntax.
 func TestDecodeRealizeRequestAllocations(t *testing.T) {
 	body := plainBody(t, gen.UniformRho(4096, 4, 1), "", "ncc1", 1)
 	var req api.RealizeRequest
 	allocs := testing.AllocsPerRun(20, func() {
+		req = api.RealizeRequest{}
 		if err := api.DecodeRealizeRequest(body, &req); err != nil {
 			t.Fatal(err)
 		}
@@ -227,9 +229,11 @@ func TestSequenceDecodeSizesByIntegers(t *testing.T) {
 
 // TestSequenceDecodeAllocatesOnce pins the sequence's share of the hand
 // decoder's allocations: a body holding a plain 4,096-int sequence and
-// nothing else costs one allocation, the sequence at its exact length, and
-// a sequence the hand decoder hands to encoding/json costs no more than
-// encoding/json alone.
+// nothing else costs one allocation in a fresh request, the sequence at
+// its exact length, none in a request whose array has room for it, and
+// one, again at its exact length, in a request whose array is one int
+// short; a sequence the hand decoder hands to encoding/json costs no more
+// than encoding/json alone.
 func TestSequenceDecodeAllocatesOnce(t *testing.T) {
 	ints := make([]string, 4096)
 	for i := range ints {
@@ -237,13 +241,28 @@ func TestSequenceDecodeAllocatesOnce(t *testing.T) {
 	}
 	body := []byte(`{"sequence":[` + strings.Join(ints, ",") + "]}")
 	var req api.RealizeRequest
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := api.DecodeRealizeRequest(body, &req); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name        string
+		room        []int
+		allocs, cap int
+	}{
+		{"fresh", nil, 1, 4096},
+		{"room", make([]int, 0, 5000), 0, 5000},
+		{"one short", make([]int, 4095), 1, 4096},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			req = api.RealizeRequest{Sequence: c.room}
+			if err := api.DecodeRealizeRequest(body, &req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		s := req.Sequence
+		if allocs != float64(c.allocs) || len(s) != 4096 || cap(s) != c.cap || s[4095] != 4 {
+			t.Fatalf("%s: %v allocations, len %d, cap %d: want %d and 4096 ints in a cap of %d", c.name, allocs, len(s), cap(s), c.allocs, c.cap)
 		}
-	})
-	if s := req.Sequence; allocs != 1 || len(s) != 4096 || cap(s) != 4096 || s[4095] != 4 {
-		t.Fatalf("%v allocations, len %d, cap %d: want one allocation of exactly 4096 ints", allocs, len(s), cap(s))
+		if reused := c.room != nil && &s[0] == &c.room[:1][0]; reused != (c.allocs == 0) {
+			t.Fatalf("%s: decoded into the passed array: %v", c.name, reused)
+		}
 	}
 	// [1,2.5] fails the hand decoder part-way and goes to encoding/json: it
 	// must cost exactly what encoding/json alone costs.

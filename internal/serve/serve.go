@@ -65,6 +65,12 @@ const StatusClientClosedRequest = 499
 // Backend is the slice of the graphrealize.Runner API the service uses.
 // It is an interface so tests can pin queue-full and cancellation paths
 // deterministically.
+//
+// SubmitCtx borrows the job's sequence: the realize route lends j.Seq from
+// a pool for the one job, so SubmitCtx may read it until it delivers the
+// Result and must keep nothing of it after. The Runner meets this (its
+// cache stores no Job, and its flight recorder keeps only len(j.Seq)), and
+// so does cluster.Backend, which marshals the sequence before it delivers.
 type Backend interface {
 	SubmitCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error)
 	SubmitAllCtx(ctx context.Context, jobs []graphrealize.Job) ([]<-chan graphrealize.Result, error)
@@ -370,6 +376,11 @@ func putBuf(b *[]byte) {
 	}
 }
 
+// seqPool holds the arrays realize requests decode their sequences into.
+// handleRealize lends one to the Backend for its one job and keeps none
+// over MaxN ints, so pooled arrays stay within the longest job it takes.
+var seqPool = sync.Pool{New: func() any { return new([]int) }}
+
 // job builds the Job a realize, sweep or jobs request describes, once its
 // kind is resolved: it enforces the sequence's presence and the MaxN cap,
 // maps the options, and carries the request's trace ID. On failure it has
@@ -429,7 +440,16 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
-	var req api.RealizeRequest
+	seq := seqPool.Get().(*[]int)
+	req := api.RealizeRequest{Sequence: *seq}
+	defer func() {
+		// The decoder filled the pooled array, or made a larger one, or
+		// left the sequence to encoding/json: keep the largest that fits.
+		if c := cap(req.Sequence); c > cap(*seq) && c <= s.cfg.MaxN {
+			*seq = req.Sequence
+		}
+		seqPool.Put(seq)
+	}()
 	decodeStart := time.Now()
 	ok := s.decode(w, r, &req)
 	s.decodeHist.ObserveDuration(time.Since(decodeStart))

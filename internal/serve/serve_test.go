@@ -8,13 +8,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"graphrealize"
 	"graphrealize/internal/api"
+	"graphrealize/internal/gen"
 	"graphrealize/internal/jobs"
 	"graphrealize/internal/serve"
 )
@@ -186,6 +190,68 @@ func TestRealizeOversizedN(t *testing.T) {
 	rec := post(t, h, "/v1/realize/degree", body)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized n must be 413, got %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestRealizeLendsSequence: the realize route decodes each sequence into a
+// pooled array and lends it to the Runner for the one job. Four goroutines
+// post requests over eight sequences of different lengths, so arrays pass
+// between requests while misses run and hits are served, and every answer
+// must carry the edges a direct Execute of its own job gives. Under -race
+// it also catches a Backend that reads j.Seq after delivering the Result.
+func TestRealizeLendsSequence(t *testing.T) {
+	h := serve.New(serve.Config{Backend: graphrealize.NewRunner(2), MaxN: 64}).Handler()
+	type request struct {
+		body  string
+		edges [][2]int
+	}
+	requests := make([]request, 8)
+	for i := range requests {
+		rho, seed := gen.UniformRho(60-4*i, 3, int64(i+1)), int64(i)
+		body, err := json.Marshal(api.RealizeRequest{Sequence: rho, Options: &api.OptionsJSON{Model: "ncc1", Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := graphrealize.Execute(context.Background(), graphrealize.Job{
+			Kind: graphrealize.JobConnectivity, Seq: rho, Opt: &graphrealize.Options{Model: graphrealize.NCC1, Seed: seed},
+		})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		requests[i] = request{string(body), res.Graph.Edges()}
+	}
+	var hits, misses atomic.Int64
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 3 * len(requests) {
+				i := (3*g + k) % len(requests)
+				rec := post(t, h, "/v1/realize/connectivity", requests[i].body)
+				if rec.Code != http.StatusOK {
+					t.Errorf("request %d: %d: %s", i, rec.Code, rec.Body)
+					return
+				}
+				var resp api.RealizeResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Errorf("request %d: %v", i, err)
+					return
+				}
+				if !slices.Equal(resp.Edges, requests[i].edges) {
+					t.Errorf("request %d (cached %v): edges differ from Execute of its own job", i, resp.Cached)
+				}
+				if resp.Cached {
+					hits.Add(1)
+				} else {
+					misses.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if hits.Load() == 0 || misses.Load() == 0 {
+		t.Fatalf("%d hits and %d misses: want both", hits.Load(), misses.Load())
 	}
 }
 

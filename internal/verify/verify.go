@@ -9,9 +9,7 @@
 package verify
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"graphrealize/internal/graph"
 	"graphrealize/internal/seq"
@@ -98,17 +96,17 @@ func Connectivity(adj [][]int, rho []int) error {
 	if err := format(adj, len(rho)); err != nil {
 		return err
 	}
-	m, order := 0, make([]int, len(rho))
+	m := 0
 	for v, a := range adj {
 		if len(a) < rho[v] {
 			return fmt.Errorf("verify: deg(%d) = %d below ρ = %d", v, len(a), rho[v])
 		}
-		m, order[v] = m+len(a), v
+		m += len(a)
 	}
 	if m, sum := m/2, seq.SumDegrees(rho); m > sum {
 		return fmt.Errorf("verify: m = %d above Σρ = %d", m, sum)
 	}
-	slices.SortStableFunc(order, func(u, v int) int { return cmp.Compare(rho[v], rho[u]) })
+	order := byThreshold(rho)
 	cuts := graph.FromAdj(adj).Cuts()
 	for i := 1; i < len(order); i++ {
 		x := order[i]
@@ -119,6 +117,33 @@ func Connectivity(adj [][]int, rho []int) error {
 		}
 	}
 	return nil
+}
+
+// byThreshold returns the vertices in non-increasing ρ, ties in input
+// order, by a counting sort on max(ρ, 0). Connectivity calls it once the
+// degree rule holds, so every ρ(v) ≤ deg(v) ≤ n−1 and the sort is O(n); a
+// ρ ≤ 0 needs no flow, so such vertices may stand last in input order
+// whatever their value.
+func byThreshold(rho []int) []int {
+	top := 0
+	for _, r := range rho {
+		top = max(top, r)
+	}
+	next := make([]int, top+1) // bucket k's count, then its next slot
+	for _, r := range rho {
+		next[max(r, 0)]++
+	}
+	slot := 0
+	for k := top; k >= 0; k-- {
+		next[k], slot = slot, slot+next[k]
+	}
+	order := make([]int, len(rho))
+	for v, r := range rho {
+		k := max(r, 0)
+		order[next[k]] = v
+		next[k]++
+	}
+	return order
 }
 
 // format checks the Graph.Adj format: one list per input, each ascending

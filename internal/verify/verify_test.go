@@ -1,12 +1,15 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+
+	"graphrealize/internal/graph"
 )
 
 // Worked examples for every rule of the oracle. Each function has one
@@ -140,6 +143,106 @@ func TestFormatSymmetryMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConnectivityOrderMatchesStableSort holds Connectivity, which orders
+// the vertices by counting sort, to stableSortRef, the same check with the
+// order it replaced, slices.SortStableFunc by non-increasing ρ, on random
+// graphs of up to 12 vertices whose thresholds tie, are zero or negative:
+// the verdicts and the error texts must be the same. Where the degree rule
+// holds, byThreshold must also be the stable order by max(ρ, 0).
+func TestConnectivityOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	outcomes := map[string]int{}
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(13)
+		adj := make([][]int, n)
+		p := rng.Float64()
+		for _, e := range allPairs(n) {
+			if rng.Float64() < p {
+				adj[e[0]] = append(adj[e[0]], e[1])
+				adj[e[1]] = append(adj[e[1]], e[0])
+			}
+		}
+		rho := make([]int, n)
+		for v, a := range adj {
+			switch r := rng.Intn(16); {
+			case r < 2:
+				rho[v] = -rng.Intn(3)
+			case r == 2:
+				rho[v] = len(a) + 1
+			default:
+				rho[v] = rng.Intn(len(a) + 1)
+			}
+		}
+		err, want := Connectivity(adj, rho), stableSortRef(adj, rho)
+		if errText(err) != errText(want) {
+			t.Fatalf("ρ %v, graph %v: Connectivity says %q, the stable-sort reference %q", rho, adj, errText(err), errText(want))
+		}
+		outcome := "pass"
+		for _, rule := range []string{"verify: deg", "verify: m", "verify: λ"} {
+			if strings.HasPrefix(errText(err), rule) {
+				outcome = rule
+			}
+		}
+		outcomes[outcome]++
+		if slices.ContainsFunc(rho, func(r int) bool { return r >= n }) {
+			continue
+		}
+		order := make([]int, n)
+		for v := range order {
+			order[v] = v
+		}
+		slices.SortStableFunc(order, func(u, v int) int { return max(rho[v], 0) - max(rho[u], 0) })
+		if got := byThreshold(rho); !slices.Equal(got, order) {
+			t.Fatalf("ρ %v: byThreshold %v, stable order %v", rho, got, order)
+		}
+	}
+	for _, o := range []string{"pass", "verify: deg", "verify: m", "verify: λ"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no trial ended in %q: %v", o, outcomes)
+		}
+	}
+	t.Logf("outcomes: %v", outcomes)
+}
+
+// stableSortRef is Connectivity with the order it had before byThreshold:
+// slices.SortStableFunc by non-increasing ρ, negative values included.
+func stableSortRef(adj [][]int, rho []int) error {
+	if err := format(adj, len(rho)); err != nil {
+		return err
+	}
+	m, order := 0, make([]int, len(rho))
+	for v, a := range adj {
+		if len(a) < rho[v] {
+			return fmt.Errorf("verify: deg(%d) = %d below ρ = %d", v, len(a), rho[v])
+		}
+		m, order[v] = m+len(a), v
+	}
+	sum := 0
+	for _, r := range rho {
+		sum += r
+	}
+	if m/2 > sum {
+		return fmt.Errorf("verify: m = %d above Σρ = %d", m/2, sum)
+	}
+	slices.SortStableFunc(order, func(u, v int) int { return cmp.Compare(rho[v], rho[u]) })
+	cuts := graph.FromAdj(adj).Cuts()
+	for i := 1; i < len(order); i++ {
+		x := order[i]
+		cuts.AddSink(order[i-1])
+		if lam := cuts.Flow(x, rho[x]); lam < rho[x] {
+			return fmt.Errorf("verify: λ(%d,%d) ≤ %d below min ρ = %d", order[0], x, lam, rho[x])
+		}
+	}
+	return nil
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // FuzzConnectivity holds Connectivity to a reference that uses no flow

@@ -8,19 +8,19 @@ import (
 // (WIRE.md §7). The zero value selects the package defaults.
 type limits struct {
 	// MaxNodes caps the vertex count a META chunk may declare
-	// (default DefaultMaxNodes).
+	// (default defaultMaxNodes).
 	MaxNodes int
-	// MaxChunkBytes caps one chunk payload (default DefaultMaxChunkBytes).
+	// MaxChunkBytes caps one chunk payload (default defaultMaxChunkBytes).
 	// Streams produced by this package's Encoder stay far below it.
 	MaxChunkBytes int
 }
 
 func (l limits) norm() limits {
 	if l.MaxNodes <= 0 {
-		l.MaxNodes = DefaultMaxNodes
+		l.MaxNodes = defaultMaxNodes
 	}
 	if l.MaxChunkBytes <= 0 {
-		l.MaxChunkBytes = DefaultMaxChunkBytes
+		l.MaxChunkBytes = defaultMaxChunkBytes
 	}
 	return l
 }

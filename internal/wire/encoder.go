@@ -21,7 +21,7 @@ type Encoder struct {
 	w io.Writer
 
 	// chunkTarget is the ADJ payload size the encoder aims for before
-	// cutting a chunk: DefaultChunkTarget unless a test lowers it. A vertex
+	// cutting a chunk: defaultChunkTarget unless a test lowers it. A vertex
 	// block is never split, so a payload can overshoot by one block.
 	chunkTarget int
 
@@ -40,7 +40,7 @@ type Encoder struct {
 
 // NewEncoder returns an Encoder streaming to w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: w, chunkTarget: DefaultChunkTarget}
+	return &Encoder{w: w, chunkTarget: defaultChunkTarget}
 }
 
 // writeHeader emits the 5-byte stream header once (WIRE.md §3).

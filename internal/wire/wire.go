@@ -52,19 +52,19 @@ const (
 // (WIRE.md §4).
 const frameOverhead = 8
 
-// DefaultChunkTarget is the encoder's target ADJ chunk payload size
+// defaultChunkTarget is the encoder's target ADJ chunk payload size
 // (WIRE.md §4 recommends staying well under the decoder limit so readers
 // validate in bounded memory). A vertex block never splits across chunks,
 // so actual payloads may exceed the target by one block.
-const DefaultChunkTarget = 32 << 10
+const defaultChunkTarget = 32 << 10
 
-// DefaultMaxChunkBytes is the decoder's default cap on a single chunk
+// defaultMaxChunkBytes is the decoder's default cap on a single chunk
 // payload (WIRE.md §7): anything larger is rejected before allocation.
-const DefaultMaxChunkBytes = 1 << 20
+const defaultMaxChunkBytes = 1 << 20
 
-// DefaultMaxNodes is the decoder's default cap on the vertex count
+// defaultMaxNodes is the decoder's default cap on the vertex count
 // (WIRE.md §7), bounding the memory a hostile META chunk can demand.
-const DefaultMaxNodes = 1 << 24
+const defaultMaxNodes = 1 << 24
 
 // ErrFormat is the base class of every malformed-stream error the decoder
 // returns; test with errors.Is. Truncation, checksum failures, grammar

@@ -98,7 +98,7 @@ func TestRoundTripRandomGraphs(t *testing.T) {
 	}{
 		{0, 0}, {1, 0}, {2, 1}, {5, 0}, {17, 0.3}, {64, 0.1}, {257, 0.05}, {1000, 0.01},
 	}
-	for _, target := range []int{1, 16, DefaultChunkTarget} {
+	for _, target := range []int{1, 16, defaultChunkTarget} {
 		for _, c := range cases {
 			adj, m := randomGraph(rng, c.n, c.p)
 			var buf bytes.Buffer
@@ -230,7 +230,7 @@ func TestEncoderStreamsBoundedChunks(t *testing.T) {
 	r := bytes.NewReader(buf.Bytes()[headerSize:])
 	chunks := 0
 	for r.Len() > 0 {
-		payload, err := readFrame(r, DefaultMaxChunkBytes)
+		payload, err := readFrame(r, defaultMaxChunkBytes)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunks, err)
 		}

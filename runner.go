@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // runner.go is the batch and serving layer on top of the facade: a worker
@@ -255,9 +255,9 @@ func (r *Runner) Submit(j Job) <-chan Result {
 // the Result is receivable, the job's worker slot and admission unit have
 // been released: receive-then-resubmit never observes stale saturation.
 func (r *Runner) SubmitCtx(ctx context.Context, j Job) (<-chan Result, error) {
-	key := j.cacheKey()
-	if out, ok := r.cachedFastPath(j, key); ok {
-		return out, nil
+	res, key, hit := r.lookup(j)
+	if hit {
+		return r.deliverCached(j, res), nil
 	}
 	if !r.tryAdmit(1) {
 		r.rejected.Add(1)
@@ -275,9 +275,9 @@ func (r *Runner) SubmitCtx(ctx context.Context, j Job) (<-chan Result, error) {
 // error return is always nil for a Runner; it exists so scripted Backend
 // seams can exercise refusal paths.
 func (r *Runner) SubmitReplayCtx(ctx context.Context, j Job) (<-chan Result, error) {
-	key := j.cacheKey()
-	if out, ok := r.cachedFastPath(j, key); ok {
-		return out, nil
+	res, key, hit := r.lookup(j)
+	if hit {
+		return r.deliverCached(j, res), nil
 	}
 	r.replayed.Add(1)
 	return r.start(ctx, j, key, false), nil
@@ -294,52 +294,64 @@ func (r *Runner) SubmitReplayCtx(ctx context.Context, j Job) (<-chan Result, err
 // delivers no results, so counting its cached members as Submitted/CacheHits
 // would overcount — and double-count once the caller retries the batch.
 func (r *Runner) SubmitAllCtx(ctx context.Context, jobs []Job) ([]<-chan Result, error) {
-	hits := make([]Result, len(jobs))
+	results := make([]Result, len(jobs))
 	keys := make([]cacheKey, len(jobs))
-	var misses []int
+	hits := make([]bool, len(jobs))
+	misses := 0
 	for i, j := range jobs {
-		keys[i] = j.cacheKey()
-		if res, ok := r.cache.get(keys[i]); ok {
-			hits[i] = res
-		} else {
-			misses = append(misses, i)
+		results[i], keys[i], hits[i] = r.lookup(j)
+		if !hits[i] {
+			misses++
 		}
 	}
-	if len(misses) > 0 && !r.tryAdmit(len(misses)) {
-		r.rejected.Add(int64(len(misses)))
+	if misses > 0 && !r.tryAdmit(misses) {
+		r.rejected.Add(int64(misses))
 		return nil, ErrQueueFull
 	}
 	chans := make([]<-chan Result, len(jobs))
-	mi := 0
-	for i := range jobs {
-		if mi < len(misses) && misses[mi] == i {
-			chans[i] = r.start(ctx, jobs[i], keys[i], true)
-			mi++
-			continue
+	for i, j := range jobs {
+		if hits[i] {
+			chans[i] = r.deliverCached(j, results[i])
+		} else {
+			chans[i] = r.start(ctx, j, keys[i], true)
 		}
-		chans[i] = r.deliverCached(jobs[i], hits[i])
 	}
 	return chans, nil
 }
 
-// cachedFastPath serves a job straight from the result cache, bypassing
-// admission and the worker pool. Cached results are immutable, so the only
-// work is a map lookup — a hit must never queue behind real jobs or be
-// rejected by a saturated Runner. Hits count only toward Submitted and
-// CacheHits: Completed/Failed track executions, and re-counting a cached
-// error on every hit would fabricate a failure spike.
-func (r *Runner) cachedFastPath(j Job, key cacheKey) (<-chan Result, bool) {
-	res, hit := r.cache.get(key)
-	if !hit {
-		return nil, false
+// keyPool holds the buffers lookup writes key sequences into. A buffer
+// grown past maxPooledKey goes to the collector instead, so one long job
+// does not keep its key's bytes pinned.
+var keyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledKey = 64 << 10
+
+// lookup looks j up in the result cache without making its key: it writes
+// the sequence's varints into a pooled buffer and indexes the cache with
+// them in place. Only a miss makes the key string, the one its run stores
+// under. A hit bypasses admission and the worker pool: cached results are
+// immutable, so a hit must never queue behind real jobs or be rejected by
+// a saturated Runner.
+func (r *Runner) lookup(j Job) (res Result, key cacheKey, hit bool) {
+	buf := keyPool.Get().(*[]byte)
+	seq := appendVarints((*buf)[:0], j.Seq)
+	key.kind, key.opt = j.Kind, j.Opt.norm()
+	if res, hit = r.cache.find(key.kind, seq, key.opt); !hit {
+		key.seq = string(seq)
 	}
-	return r.deliverCached(j, res), true
+	if cap(seq) <= maxPooledKey {
+		*buf = seq
+		keyPool.Put(buf)
+	}
+	return res, key, hit
 }
 
 // deliverCached counts one cache-served submission and wraps the stored
 // result in a delivered channel. Callers must invoke it only once the result
 // is actually going to reach the requester — after batch admission, in
-// SubmitAllCtx's case.
+// SubmitAllCtx's case. Hits count only toward Submitted and CacheHits:
+// Completed/Failed track executions, and re-counting a cached error on
+// every hit would fabricate a failure spike.
 func (r *Runner) deliverCached(j Job, res Result) <-chan Result {
 	r.submitted.Add(1)
 	r.cacheHits.Add(1)
@@ -531,28 +543,34 @@ type cacheKey struct {
 	opt  Options
 }
 
-// cacheKey writes the sequence's varints straight into a string of exactly
-// their length: one allocation.
+// cacheKey makes j's key, its sequence's varints written at their exact
+// length: one allocation.
 func (j Job) cacheKey() cacheKey {
 	size := 0
 	for _, v := range j.Seq {
 		size += (bits.Len64(zigzag(v)|1) + 6) / 7
 	}
-	var seq strings.Builder
-	seq.Grow(size)
-	for _, v := range j.Seq {
-		u := zigzag(v)
-		for u >= 0x80 {
-			seq.WriteByte(byte(u) | 0x80)
-			u >>= 7
-		}
-		seq.WriteByte(byte(u))
-	}
+	seq := appendVarints(make([]byte, 0, size), j.Seq)
 	return cacheKey{
 		kind: j.Kind,
-		seq:  seq.String(),
-		opt:  j.Opt.norm(),
+		// Nothing writes seq again, so the string may share its bytes, as
+		// strings.Builder's String does.
+		seq: unsafe.String(unsafe.SliceData(seq), len(seq)),
+		opt: j.Opt.norm(),
 	}
+}
+
+// appendVarints appends each value of seq to b as its zig-zag varint.
+func appendVarints(b []byte, seq []int) []byte {
+	for _, v := range seq {
+		u := zigzag(v)
+		for u >= 0x80 {
+			b = append(b, byte(u)|0x80)
+			u >>= 7
+		}
+		b = append(b, byte(u))
+	}
+	return b
 }
 
 // zigzag maps v to an unsigned value whose varint stays short for the odd
@@ -599,11 +617,26 @@ func (c *resultCache) len() int {
 	return len(c.m)
 }
 
+// get returns the result cached under k.
 func (c *resultCache) get(k cacheKey) (Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[k]
-	if !ok {
+	return c.use(c.m[k])
+}
+
+// find is get for the key (kind, seq, opt), seq being the key's varints.
+// The key is written inside the index expression, which the compiler
+// compiles without copying seq into a string.
+func (c *resultCache) find(kind JobKind, seq []byte, opt Options) (Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.use(c.m[cacheKey{kind: kind, seq: string(seq), opt: opt}])
+}
+
+// use marks the entry e, if there is one, most recently used and returns
+// its result.
+func (c *resultCache) use(e *list.Element) (Result, bool) {
+	if e == nil {
 		return Result{}, false
 	}
 	c.order.MoveToFront(e)
