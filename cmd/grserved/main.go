@@ -60,7 +60,7 @@ import (
 type backendAPI interface {
 	SubmitCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error)
 	SubmitAllCtx(ctx context.Context, jobs []graphrealize.Job) ([]<-chan graphrealize.Result, error)
-	SubmitReplayCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error)
+	SubmitReplayCtx(ctx context.Context, j graphrealize.Job) <-chan graphrealize.Result
 	Stats() graphrealize.RunnerStats
 }
 
@@ -148,12 +148,10 @@ func main() {
 		MaxJobs:    *maxJobs,
 		JobTimeout: *asyncTimeout,
 		Store:      store,
-	}
-	if *join != "" {
 		// A cluster worker never re-runs in-flight jobs from its own durable
 		// store: the coordinator owns routing and has already failed its
 		// work over to a live worker (CLUSTER.md §6.4).
-		jcfg.Owns = func(graphrealize.Job) bool { return false }
+		ReassignInFlight: *join != "",
 	}
 	manager, err := jobs.Open(jcfg)
 	if err != nil {

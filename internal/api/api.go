@@ -64,11 +64,6 @@ type OptionsJSON struct {
 	Sort string `json:"sort,omitempty"`
 	// MaxRounds aborts runaway protocols.
 	MaxRounds int `json:"max_rounds,omitempty"`
-	// Scheduler is retired: every run uses the engine's one loop. The field
-	// is still decoded so that clients written when the engine offered three
-	// schedulers keep working; "barrier", "pool" and "flat" are ignored and
-	// any other value is rejected, as before.
-	Scheduler string `json:"scheduler,omitempty"`
 }
 
 // modelNames and sortNames spell each enum value on the wire, indexed by
@@ -114,11 +109,6 @@ func (o *OptionsJSON) Options() (*graphrealize.Options, error) {
 	sort, ok := enumOf(sortNames, o.Sort)
 	if !ok {
 		return nil, fmt.Errorf("unknown sort %q (want oracle, oddeven, or merge)", o.Sort)
-	}
-	switch strings.ToLower(o.Scheduler) {
-	case "", "barrier", "pool", "flat":
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (want barrier, pool or flat)", o.Scheduler)
 	}
 	return &graphrealize.Options{
 		Model:     graphrealize.Model(model),

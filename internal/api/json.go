@@ -22,7 +22,7 @@ import (
 // decodes from body into a zero RealizeRequest, error text included. The
 // plain shape every client sends is decoded by hand in one pass: one JSON
 // object in which sequence, variant, options and omit_edges each appear at
-// most once, spelled exactly; an options object holding only its seven
+// most once, spelled exactly; an options object holding only its six
 // fields, each at most once; strings without escapes or bytes ≥ 0x80;
 // integers that fit their fields; and a sequence that is a plain integer
 // array, walked twice (count, then fill). Such a sequence is filled into
@@ -47,7 +47,7 @@ func DecodeRealizeRequest(body []byte, req *RealizeRequest) error {
 // spelled as their json tags spell them.
 var (
 	requestFields = []string{"sequence", "variant", "options", "omit_edges"}
-	optionFields  = []string{"model", "seed", "strict", "cap_mul", "sort", "max_rounds", "scheduler"}
+	optionFields  = []string{"model", "seed", "strict", "cap_mul", "sort", "max_rounds"}
 )
 
 // decodePlain decodes data into r if it has the plain shape
@@ -102,8 +102,6 @@ func (o *OptionsJSON) decodePlain(data []byte, i int) (int, bool) {
 			return decodeString(data, i, &o.Sort)
 		case "max_rounds":
 			return decodeInt(data, i, &o.MaxRounds)
-		case "scheduler":
-			return decodeString(data, i, &o.Scheduler)
 		}
 		return 0, false
 	})

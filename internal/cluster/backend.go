@@ -113,8 +113,8 @@ func (b *Backend) SubmitCtx(ctx context.Context, j graphrealize.Job) (<-chan gra
 // never refuses an empty routing set: the registry lives in memory, so a
 // restarted coordinator replays before any worker has re-registered, and
 // the job waits, within its own deadline, for the first one.
-func (b *Backend) SubmitReplayCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
-	return b.start(ctx, j, true), nil
+func (b *Backend) SubmitReplayCtx(ctx context.Context, j graphrealize.Job) <-chan graphrealize.Result {
+	return b.start(ctx, j, true)
 }
 
 // replayPoll is how often a replayed job with no routable worker yet checks

@@ -19,8 +19,8 @@
 // jobs that were queued or running at crash time are re-queued on Open with
 // their recorded seeds, so the recovered runs realize bit-identical graphs.
 // Result graphs rest in the graphwire binary encoding (internal/wire,
-// WIRE.md §10); legacy stores whose records carry JSON edge lists are still
-// read and are rewritten in the wire form by the first compaction.
+// WIRE.md §10), and a recovered done job is served only after its result
+// passes Result.Verify.
 package jobs
 
 import (
@@ -47,7 +47,7 @@ var (
 	// backpressure, like the Runner's ErrQueueFull.
 	ErrTooManyJobs = errors.New("jobs: retained job limit reached")
 	// ErrReassigned marks an in-flight job found at recovery that this
-	// process no longer owns (Config.Owns said no): in a cluster the
+	// process no longer owns (Config.ReassignInFlight): in a cluster the
 	// coordinator re-homed it to another worker while this one was down, so
 	// re-running it here would execute the job twice (CLUSTER.md §6.4). The
 	// job is retained as failed — visible, never silently dropped — and the
@@ -59,10 +59,10 @@ var (
 // interface so tests can script admission and execution deterministically.
 type Backend interface {
 	SubmitCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error)
-	// SubmitReplayCtx re-admits a job recovered from the durable store,
-	// exempt from the admission bound: the job was admitted before the
-	// crash, so a colder post-restart queue must not refuse it.
-	SubmitReplayCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error)
+	// SubmitReplayCtx re-admits a job recovered from the durable store. It
+	// never refuses: the job was admitted before the crash, so a colder
+	// post-restart queue must not turn it away.
+	SubmitReplayCtx(ctx context.Context, j graphrealize.Job) <-chan graphrealize.Result
 	Stats() graphrealize.RunnerStats
 }
 
@@ -90,15 +90,14 @@ type Config struct {
 	// nil selects MemStore (nothing survives a restart — the historical
 	// behaviour).
 	Store Store
-	// Owns, when non-nil, gates recovery of in-flight jobs: Open re-queues
-	// a queued-or-running job only if Owns accepts it, and records the rest
-	// as failed with ErrReassigned. Cluster workers set it to reject
-	// everything (the coordinator owns routing and already failed their
-	// in-flight work over to a live worker, CLUSTER.md §6.4); single nodes
-	// and coordinators leave it nil, which re-queues everything — the
-	// pre-cluster behaviour. Terminal jobs always reload regardless: a
-	// finished result is correct wherever it is read.
-	Owns func(j graphrealize.Job) bool
+	// ReassignInFlight makes Open record every queued-or-running job it
+	// recovers as failed with ErrReassigned instead of re-queueing it.
+	// Cluster workers set it: the coordinator owns routing and already
+	// failed their in-flight work over to a live worker (CLUSTER.md §6.4).
+	// Single nodes and coordinators leave it false, which re-queues
+	// everything. Terminal jobs always reload: a finished result is correct
+	// wherever it is read.
+	ReassignInFlight bool
 }
 
 // compactBytes is the WAL size that triggers a snapshot compaction outside
@@ -304,7 +303,7 @@ func (m *Manager) Submit(j graphrealize.Job) (Snapshot, error) {
 		}
 	}
 	m.ledger.put(rec)
-	m.logPersist(m.persist.LogSubmitted(recordPersisted(rec)))
+	m.logPersist(m.persist.LogSubmitted(m.recordPersisted(rec)))
 	m.persistMu.RUnlock()
 	m.wg.Add(1)
 	go m.watch(rec, ch)
@@ -312,7 +311,8 @@ func (m *Manager) Submit(j graphrealize.Job) (Snapshot, error) {
 }
 
 // reloadTerminal rebuilds a finished job from its durable form: the result
-// is served from disk, no execution happens.
+// is served from disk, no execution happens. A done job's result must pass
+// Result.Verify for its job, so a done record without one fails too.
 func (m *Manager) reloadTerminal(pj *PersistedJob) {
 	job := pj.jobSpec()
 	rec := &record{
@@ -329,12 +329,21 @@ func (m *Manager) reloadTerminal(pj *PersistedJob) {
 		rec.err = errors.New(pj.Error)
 	}
 	res, err := pj.Result.result(job)
+	if err == nil && pj.State == StateDone {
+		checked := graphrealize.Result{Job: job}
+		if res != nil {
+			checked = *res
+		}
+		if verr := checked.Verify(); verr != nil {
+			err = fmt.Errorf("jobs: recovered result: %w", verr)
+		}
+	}
 	if err != nil {
-		// The record survived its WAL/snapshot checksum but its embedded
-		// graph is unreadable (possible only through out-of-band damage).
-		// Keep the job visible rather than silently dropping it, but as a
-		// failure that names the loss — never as a done job with a wrong
-		// graph.
+		// The record survived its WAL/snapshot checksum but its result is
+		// unreadable or wrong (out-of-band damage, or a form this build
+		// does not read). Keep the job visible rather than silently
+		// dropping it, but as a failure that names the cause — never as a
+		// done job with a wrong graph.
 		m.logPersist(err)
 		rec.state = StateFailed
 		rec.err = err
@@ -355,8 +364,8 @@ func (m *Manager) reloadTerminal(pj *PersistedJob) {
 // requeue re-runs a job that was queued or running at crash time, through
 // the Backend's admission-exempt replay path. The recorded seed travels in
 // the job's Options, so the re-run realizes the identical graph the
-// original would have. With Config.Owns set, jobs this process no longer
-// owns are recorded as failed with ErrReassigned instead of re-run.
+// original would have. With Config.ReassignInFlight set, the job is recorded
+// as failed with ErrReassigned instead of re-run.
 func (m *Manager) requeue(pj *PersistedJob) {
 	job := pj.jobSpec()
 	rec := &record{
@@ -366,7 +375,7 @@ func (m *Manager) requeue(pj *PersistedJob) {
 		recovered: true,
 		state:     StateQueued,
 	}
-	if m.cfg.Owns != nil && !m.cfg.Owns(job) {
+	if m.cfg.ReassignInFlight {
 		now := time.Now()
 		rec.mu.Lock()
 		rec.state = StateFailed
@@ -375,32 +384,14 @@ func (m *Manager) requeue(pj *PersistedJob) {
 		rec.mu.Unlock()
 		m.persistMu.RLock()
 		m.ledger.put(rec)
-		m.logPersist(m.persist.LogTerminal(recordPersisted(rec)))
+		m.logPersist(m.persist.LogTerminal(m.recordPersisted(rec)))
 		m.persistMu.RUnlock()
 		m.recoveredReassigned.Add(1)
 		return
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	rec.cancel = cancel
-	ch, err := m.cfg.Backend.SubmitReplayCtx(ctx, m.instrument(rec, job))
-	if err != nil {
-		// The backend cannot take the job back (it should — replay is
-		// admission-exempt — but the seam allows refusal): record the loss
-		// durably instead of dropping the job on the floor.
-		cancel()
-		now := time.Now()
-		jerr := fmt.Errorf("jobs: recovery resubmission refused: %w", err)
-		rec.mu.Lock()
-		rec.state = StateFailed
-		rec.err = jerr
-		rec.finished = now
-		rec.mu.Unlock()
-		m.persistMu.RLock()
-		m.ledger.put(rec)
-		m.logPersist(m.persist.LogTerminal(recordPersisted(rec)))
-		m.persistMu.RUnlock()
-		return
-	}
+	ch := m.cfg.Backend.SubmitReplayCtx(ctx, m.instrument(rec, job))
 	m.persistMu.RLock()
 	m.ledger.put(rec)
 	m.persistMu.RUnlock()
@@ -420,7 +411,9 @@ func (m *Manager) watch(rec *record, ch <-chan graphrealize.Result) {
 	now := time.Now()
 	st, jerr := outcomeOf(res)
 	m.persistMu.RLock()
-	m.logPersist(m.persist.LogTerminal(persistedJob(rec, st, jerr, &res, now)))
+	pj, err := persistedJob(rec, st, jerr, &res, now)
+	m.logPersist(err)
+	m.logPersist(m.persist.LogTerminal(pj))
 	rec.finishAt(res, now)
 	m.persistMu.RUnlock()
 	m.maybeCompact()
@@ -437,12 +430,14 @@ func (m *Manager) logPersist(err error) {
 // recordPersisted projects a record's current state onto its durable form
 // (the compaction and submission paths; the terminal path calls
 // persistedJob with the outcome passed explicitly, before it is visible in
-// the record).
-func recordPersisted(rec *record) PersistedJob {
+// the record). A result that fails to encode is a counted persist error.
+func (m *Manager) recordPersisted(rec *record) PersistedJob {
 	rec.mu.Lock()
 	st, finished, jerr, res := rec.state, rec.finished, rec.err, rec.result
 	rec.mu.Unlock()
-	return persistedJob(rec, st, jerr, res, finished)
+	pj, err := persistedJob(rec, st, jerr, res, finished)
+	m.logPersist(err)
+	return pj
 }
 
 // maybeCompact folds the WAL into a snapshot when it outgrows
@@ -462,7 +457,7 @@ func (m *Manager) compact() {
 	recs := m.ledger.oldestFirst()
 	live := make([]PersistedJob, 0, len(recs))
 	for _, rec := range recs {
-		live = append(live, recordPersisted(rec))
+		live = append(live, m.recordPersisted(rec))
 	}
 	m.logPersist(m.persist.Compact(live))
 }
@@ -518,7 +513,7 @@ type Stats struct {
 
 	RecoveredTerminal   int64      // terminal jobs reloaded from the store at open
 	RecoveredRequeued   int64      // non-terminal jobs re-queued at open
-	RecoveredReassigned int64      // in-flight jobs Config.Owns rejected at open
+	RecoveredReassigned int64      // in-flight jobs Config.ReassignInFlight failed at open
 	PersistErrors       int64      // Store operations that failed (durability degraded)
 	Store               StoreStats // the Store's own durability gauges
 }

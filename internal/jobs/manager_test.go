@@ -16,7 +16,7 @@ import (
 // engine that reports progress until its context dies.
 type fakeBackend struct {
 	submit func(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error)
-	replay func(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error)
+	replay func(ctx context.Context, j graphrealize.Job) <-chan graphrealize.Result
 }
 
 func (f *fakeBackend) SubmitCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
@@ -24,12 +24,14 @@ func (f *fakeBackend) SubmitCtx(ctx context.Context, j graphrealize.Job) (<-chan
 }
 
 // SubmitReplayCtx scripts the recovery path: replay, unless overridden,
-// behaves like a regular submission (the fake has no admission bound).
-func (f *fakeBackend) SubmitReplayCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
+// behaves like a regular submission (the fake has no admission bound). No
+// test recovers through a submit func that refuses.
+func (f *fakeBackend) SubmitReplayCtx(ctx context.Context, j graphrealize.Job) <-chan graphrealize.Result {
 	if f.replay != nil {
 		return f.replay(ctx, j)
 	}
-	return f.submit(ctx, j)
+	ch, _ := f.submit(ctx, j)
+	return ch
 }
 
 func (f *fakeBackend) Stats() graphrealize.RunnerStats { return graphrealize.RunnerStats{} }

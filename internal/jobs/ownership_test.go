@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"graphrealize"
 	"graphrealize/internal/jobs"
@@ -46,8 +45,8 @@ func crashWithInFlight(t *testing.T) (dir, doneID, inflightID string) {
 	return dir, fast.ID, slow.ID
 }
 
-// TestRecoveryReassignedNotRerun: with an Owns predicate rejecting every
-// job — how cmd/grserved opens the manager on a -join worker — recovery
+// TestRecoveryReassignedNotRerun: with ReassignInFlight set — how
+// cmd/grserved opens the manager on a -join worker — recovery
 // re-runs nothing, records the in-flight job as failed with ErrReassigned,
 // still reloads terminal jobs, and counts the outcome (CLUSTER.md §6.4).
 func TestRecoveryReassignedNotRerun(t *testing.T) {
@@ -57,15 +56,15 @@ func TestRecoveryReassignedNotRerun(t *testing.T) {
 	runner := graphrealize.NewRunner(2)
 	backend := &fakeBackend{
 		submit: runner.SubmitCtx,
-		replay: func(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
+		replay: func(ctx context.Context, j graphrealize.Job) <-chan graphrealize.Result {
 			replays.Add(1)
 			return runner.SubmitReplayCtx(ctx, j)
 		},
 	}
 	m := openManager(t, jobs.Config{
-		Backend: backend,
-		Store:   openFileStore(t, dir),
-		Owns:    func(graphrealize.Job) bool { return false },
+		Backend:          backend,
+		Store:            openFileStore(t, dir),
+		ReassignInFlight: true,
 	})
 	defer closeNow(t, m)
 
@@ -98,31 +97,6 @@ func TestRecoveryReassignedNotRerun(t *testing.T) {
 	}
 }
 
-// TestRecoveryOwnsSelective: the predicate is per-job — an owned in-flight
-// job still replays while an unowned one is reassigned, so a future
-// ownership rule finer than all-or-nothing composes with recovery as-is.
-func TestRecoveryOwnsSelective(t *testing.T) {
-	dir, _, inflightID := crashWithInFlight(t)
-
-	runner := graphrealize.NewRunner(2)
-	m := openManager(t, jobs.Config{
-		Backend: runner,
-		Store:   openFileStore(t, dir),
-		// Own exactly the crashed in-flight job's shape (seed 5).
-		Owns: func(j graphrealize.Job) bool { return j.Opt != nil && j.Opt.Seed == 5 },
-	})
-	defer closeNow(t, m)
-
-	snap := waitStateFor(t, m, inflightID, jobs.StateDone, 60*time.Second)
-	if !snap.Recovered {
-		t.Fatalf("owned in-flight job not marked recovered: %+v", snap)
-	}
-	st := m.StatsSnapshot()
-	if st.RecoveredRequeued != 1 || st.RecoveredReassigned != 0 {
-		t.Fatalf("recovery counters = %+v, want the owned job requeued", st)
-	}
-}
-
 // TestReassignedSurvivesSecondRestart: the ErrReassigned verdict is itself
 // durable — after another restart the job reloads as a terminal failure
 // (CLUSTER.md §6.4), not as a fresh in-flight record.
@@ -130,9 +104,9 @@ func TestReassignedSurvivesSecondRestart(t *testing.T) {
 	dir, _, inflightID := crashWithInFlight(t)
 
 	m1 := openManager(t, jobs.Config{
-		Backend: instantBackend(),
-		Store:   openFileStore(t, dir),
-		Owns:    func(graphrealize.Job) bool { return false },
+		Backend:          instantBackend(),
+		Store:            openFileStore(t, dir),
+		ReassignInFlight: true,
 	})
 	closeNow(t, m1)
 

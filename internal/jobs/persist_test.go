@@ -1,8 +1,12 @@
 package jobs_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,12 +18,14 @@ import (
 
 	"graphrealize"
 	"graphrealize/internal/jobs"
+	"graphrealize/internal/wire"
 )
 
 // persist_test.go is the black-box half of the persistence tests: FileStore
 // recovery through the Manager — crash simulation, terminal reload,
-// in-flight re-queue, determinism of recovered runs, and GC-driven
-// compaction of the on-disk store.
+// in-flight re-queue, determinism of recovered runs, GC-driven compaction
+// of the on-disk store, and the at-rest graphwire form (WIRE.md §10),
+// checked on reload by Result.Verify.
 
 // crashStore wraps a Store and, once crashed, silently swallows every write
 // — the closest a test can get to kill -9 without leaving the process: the
@@ -155,7 +161,7 @@ func TestCrashRecoveryServesTerminalAndRequeuesInFlight(t *testing.T) {
 	runner := graphrealize.NewRunner(2)
 	backend := &fakeBackend{
 		submit: runner.SubmitCtx,
-		replay: func(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
+		replay: func(ctx context.Context, j graphrealize.Job) <-chan graphrealize.Result {
 			replays.Add(1)
 			return runner.SubmitReplayCtx(ctx, j)
 		},
@@ -317,7 +323,7 @@ func TestExpiredJobSurvivesAsExpired(t *testing.T) {
 func TestCorruptWALTailToleratedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	cs := &crashStore{Store: openFileStore(t, dir)}
-	m1 := openManager(t, jobs.Config{Backend: instantBackend(), Store: cs})
+	m1 := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: cs})
 	snap, err := m1.Submit(job(1))
 	if err != nil {
 		t.Fatal(err)
@@ -413,4 +419,222 @@ func seqOf(t *testing.T, id string) int64 {
 		t.Fatalf("unparseable job ID %q: %v", id, err)
 	}
 	return n
+}
+
+// copyFixture clones a testdata directory into a temp dir, because opening
+// a store compacts (rewrites) it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	entries, err := os.ReadDir(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join("testdata", name, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// readStoreBytes returns the concatenated snapshot + WAL of a data dir.
+func readStoreBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	var out []byte
+	for _, f := range []string{"snapshot.json", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
+// TestJSONEraDirRecoversAndConverts opens a copy of a data directory written
+// by the pre-wire code (the committed testdata/jsonera fixture). This build
+// reads no JSON edge list, so the done job recovers as failed with an error
+// naming graph_wire, the failed job keeps its own error, the open-time
+// compaction leaves no "edges" on disk, and the verdict survives a reopen.
+func TestJSONEraDirRecoversAndConverts(t *testing.T) {
+	dir := copyFixture(t, "jsonera")
+	m := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: openFileStore(t, dir)})
+
+	done := waitStateFor(t, m, "j1-00000000a1b2", jobs.StateFailed, 5*time.Second)
+	if !done.Recovered || done.Result != nil || done.Err == nil || !strings.Contains(done.Err.Error(), "graph_wire") {
+		t.Fatalf("JSON-era done job recovered as %+v, want failed naming graph_wire", done)
+	}
+	failed := waitStateFor(t, m, "j2-00000000c3d4", jobs.StateFailed, 5*time.Second)
+	if failed.Err == nil || failed.Err.Error() != "degree sequence is not graphic" {
+		t.Fatalf("JSON-era failed job error = %v", failed.Err)
+	}
+	if err := m.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+
+	if bytes.Contains(readStoreBytes(t, dir), []byte(`"edges"`)) {
+		t.Fatal("compacted store still carries a JSON-era edges field")
+	}
+	m2 := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: openFileStore(t, dir)})
+	defer crashClose(m2)
+	again := waitStateFor(t, m2, "j1-00000000a1b2", jobs.StateFailed, 5*time.Second)
+	if again.Err == nil || again.Err.Error() != done.Err.Error() {
+		t.Fatalf("reopened JSON-era job error = %v, want %v", again.Err, done.Err)
+	}
+}
+
+// TestNewRecordsPersistGraphWire runs a real job against a FileStore and
+// checks the written form: graph_wire present, edges absent, and the graph
+// identical after a reopen.
+func TestNewRecordsPersistGraphWire(t *testing.T) {
+	dir := t.TempDir()
+	m := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: openFileStore(t, dir)})
+	snap, err := m.Submit(graphrealize.Job{Kind: graphrealize.JobDegrees, Seq: []int{3, 2, 2, 2, 1}, Opt: &graphrealize.Options{Seed: 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitStateFor(t, m, snap.ID, jobs.StateDone, 10*time.Second)
+	if err := m.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+
+	disk := readStoreBytes(t, dir)
+	if !bytes.Contains(disk, []byte(`"graph_wire"`)) {
+		t.Fatal("new terminal record does not carry graph_wire")
+	}
+	if bytes.Contains(disk, []byte(`"edges"`)) {
+		t.Fatal("new terminal record still writes the JSON-era edges field")
+	}
+
+	m2 := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: openFileStore(t, dir)})
+	defer crashClose(m2)
+	rec := waitStateFor(t, m2, snap.ID, jobs.StateDone, 5*time.Second)
+	if !reflect.DeepEqual(rec.Result.Graph.Adj, got.Result.Graph.Adj) {
+		t.Fatal("graph served after reopen differs from the original result")
+	}
+}
+
+// recoverFailed logs a done degrees job on seq whose stored result is res,
+// reopens the data directory under a Manager, and returns the job once it
+// has surfaced as failed. It must carry an error and no result.
+func recoverFailed(t *testing.T, seq []int, res *jobs.PersistedResult) jobs.Snapshot {
+	t.Helper()
+	dir := t.TempDir()
+	st := openFileStore(t, dir)
+	pj := jobs.PersistedJob{
+		ID:      "j1-deadbeef0000",
+		Kind:    int(graphrealize.JobDegrees),
+		Seq:     seq,
+		State:   jobs.StateDone,
+		Created: time.Now(),
+		Result:  res,
+	}
+	if err := st.LogTerminal(pj); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: openFileStore(t, dir)})
+	t.Cleanup(func() { crashClose(m) })
+	snap := waitStateFor(t, m, pj.ID, jobs.StateFailed, 5*time.Second)
+	if snap.Err == nil {
+		t.Fatal("damaged result surfaced without an error")
+	}
+	if snap.Result != nil {
+		t.Fatalf("damaged result still served: %v", snap.Result.Graph.Adj)
+	}
+	return snap
+}
+
+// TestCorruptGraphWireSurfacesAsFailure: a terminal record whose embedded
+// stream no longer decodes (out-of-band damage past the WAL checksum) must
+// surface as a failed job naming the loss — never a done job with a wrong
+// graph, and never a dropped job.
+func TestCorruptGraphWireSurfacesAsFailure(t *testing.T) {
+	recoverFailed(t, []int{0, 0}, &jobs.PersistedResult{N: 2, GraphWire: []byte("GRWF\x01 not a stream")})
+}
+
+// TestUnverifiedDoneRecordSurfacesAsFailure: recovery checks every done
+// record with Result.Verify, so a stored graph that decodes but does not
+// realize its job — a path where [2,2,2] asks for a triangle — and a done
+// record without a result surface as failed jobs that name the cause.
+func TestUnverifiedDoneRecordSurfacesAsFailure(t *testing.T) {
+	path, err := wire.EncodeGraph(3, [][]int{{1}, {0, 2}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		res  *jobs.PersistedResult
+		want string
+	}{
+		{"missing-edge", &jobs.PersistedResult{N: 3, GraphWire: path}, "deg(0) = 1, want 2"},
+		{"no-result", nil, "lacks its stats or a graph"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := recoverFailed(t, []int{2, 2, 2}, tc.res)
+			if !strings.Contains(snap.Err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", snap.Err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRetiredSchedulerFieldReplays: records written when the engine had
+// several drivers persist the chosen one as options.scheduler (2 was the
+// pool driver). The field is gone from PersistedOptions; such a record must
+// still replay — a queued job from the WAL re-runs to exactly the result a
+// fresh run of the same job produces, and a done job in the snapshot is
+// served as stored.
+func TestRetiredSchedulerFieldReplays(t *testing.T) {
+	dir := t.TempDir()
+	adj := [][]int{{1, 2, 3}, {0, 2}, {0, 1}, {0}}
+	gw, err := wire.EncodeGraph(4, adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := `{"format":1,"wal_seq":1,"saved_at":"2026-09-01T00:00:00Z","jobs":[` +
+		`{"id":"j1-0000000000a1","kind":0,"seq":[3,2,2,1],"options":{"seed":7,"scheduler":2},"state":"done",` +
+		`"created":"2026-09-01T00:00:00Z","finished":"2026-09-01T00:00:01Z",` +
+		`"result":{"n":4,"graph_wire":"` + base64.StdEncoding.EncodeToString(gw) + `","stats":{"Rounds":3}}}]}`
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(snapshot), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	payload := `{"seq":2,"op":"submit","job":{"id":"j2-0000000000b2","kind":0,"seq":[3,3,2,2,2,2],` +
+		`"options":{"seed":11,"scheduler":2},"state":"queued","created":"2026-09-01T00:00:02Z"}}`
+	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(line), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	m := openManager(t, jobs.Config{Backend: graphrealize.NewRunner(2), Store: openFileStore(t, dir)})
+	defer crashClose(m)
+	if st := m.StatsSnapshot().Store; st.ReplayErrors != 0 {
+		t.Fatalf("replay dropped %d records", st.ReplayErrors)
+	}
+
+	done := waitStateFor(t, m, "j1-0000000000a1", jobs.StateDone, 5*time.Second)
+	if done.Result == nil || !reflect.DeepEqual(done.Result.Graph.Adj, adj) {
+		t.Fatalf("snapshot job with a scheduler field recovered as %+v", done)
+	}
+
+	rerun := waitStateFor(t, m, "j2-0000000000b2", jobs.StateDone, 10*time.Second)
+	fresh := graphrealize.Execute(t.Context(), graphrealize.Job{
+		Kind: graphrealize.JobDegrees, Seq: []int{3, 3, 2, 2, 2, 2}, Opt: &graphrealize.Options{Seed: 11},
+	})
+	if fresh.Err != nil {
+		t.Fatal(fresh.Err)
+	}
+	if !rerun.Recovered || rerun.Result == nil ||
+		!reflect.DeepEqual(rerun.Result.Graph.Edges(), fresh.Graph.Edges()) ||
+		!reflect.DeepEqual(rerun.Result.Stats, fresh.Stats) {
+		t.Fatalf("replayed job differs from a fresh run:\n got %+v\nwant %+v", rerun.Result, fresh)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"graphrealize"
@@ -69,84 +68,49 @@ func (p *PersistedOptions) options() *graphrealize.Options {
 type PersistedResult struct {
 	N int `json:"n"`
 	// GraphWire is a complete single-graph graphwire stream — header,
-	// META + ADJ chunks, END (WIRE.md §10) — base64-coded by JSON. It is the
-	// written form for every new record; its per-chunk CRCs make at-rest
-	// byte comparison and corruption detection cheap.
-	GraphWire []byte `json:"graph_wire,omitempty"`
-	// Edges is the JSON-era (u < v) edge list. It is never written anymore,
-	// only read: the version sniff on recovery is simply which of the two
-	// graph fields a record carries, GraphWire preferred (WIRE.md §8), so
-	// data directories from before the wire format recover unchanged.
-	Edges    [][2]int           `json:"edges,omitempty"`
-	Envelope []int              `json:"envelope,omitempty"`
-	Stats    graphrealize.Stats `json:"stats"`
-	Cached   bool               `json:"cached,omitempty"`
+	// META + ADJ chunks, END (WIRE.md §10) — base64-coded by JSON. Its
+	// per-chunk CRCs make at-rest byte comparison and corruption detection
+	// cheap.
+	GraphWire []byte             `json:"graph_wire,omitempty"`
+	Envelope  []int              `json:"envelope,omitempty"`
+	Stats     graphrealize.Stats `json:"stats"`
+	Cached    bool               `json:"cached,omitempty"`
 }
 
-func persistedResult(res *graphrealize.Result) *PersistedResult {
+func persistedResult(res *graphrealize.Result) (*PersistedResult, error) {
 	if res == nil || res.Graph == nil {
-		return nil
+		return nil, nil
 	}
-	out := &PersistedResult{
-		N:        res.Graph.N,
-		Envelope: res.Envelope,
-		Cached:   res.Cached,
+	b, err := wire.EncodeGraph(res.Graph.N, res.Graph.Adj)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: encode result graph: %w", err)
 	}
+	out := &PersistedResult{N: res.Graph.N, GraphWire: b, Envelope: res.Envelope, Cached: res.Cached}
 	if res.Stats != nil {
 		out.Stats = *res.Stats
 	}
-	if b, err := wire.EncodeGraph(res.Graph.N, res.Graph.Adj); err == nil {
-		out.GraphWire = b
-	} else {
-		// A canonical Graph always encodes; if one ever does not, keep the
-		// result durable in the legacy form rather than lose it.
-		out.Edges = res.Graph.Edges()
-	}
-	return out
+	return out, nil
 }
 
-// result rebuilds the shared Result a recovered done-job serves, from
-// whichever graph form the record carries (wire-era GraphWire, or the
-// JSON-era Edges list).
+// result rebuilds the shared Result a recovered job serves from its
+// graph_wire stream. Records written before the wire format carry an
+// "edges" list instead, which this build does not read.
 func (p *PersistedResult) result(j graphrealize.Job) (*graphrealize.Result, error) {
 	if p == nil {
 		return nil, nil
 	}
-	var g *graphrealize.Graph
-	if len(p.GraphWire) > 0 {
-		msg, err := wire.Decode(bytes.NewReader(p.GraphWire))
-		if err != nil {
-			return nil, fmt.Errorf("jobs: persisted graph_wire: %w", err)
-		}
-		if !msg.HasGraph || msg.N != p.N {
-			return nil, fmt.Errorf("jobs: persisted graph_wire carries n=%d (HasGraph=%v), record says n=%d", msg.N, msg.HasGraph, p.N)
-		}
-		g = &graphrealize.Graph{N: msg.N, Adj: msg.Adj}
-	} else {
-		g = &graphrealize.Graph{N: p.N, Adj: make([][]int, p.N)}
-		for _, e := range p.Edges {
-			if e[0] < 0 || e[0] >= p.N || e[1] < 0 || e[1] >= p.N {
-				return nil, fmt.Errorf("jobs: persisted edge %v out of range [0,%d)", e, p.N)
-			}
-			if e[0] == e[1] {
-				return nil, fmt.Errorf("jobs: persisted edge %v is a self-loop", e)
-			}
-			g.Adj[e[0]] = append(g.Adj[e[0]], e[1])
-			g.Adj[e[1]] = append(g.Adj[e[1]], e[0])
-		}
-		for u, a := range g.Adj {
-			sort.Ints(a)
-			// An edge listed twice, in either orientation, repeats in both
-			// endpoints' lists; the lower endpoint's list is scanned first.
-			for i := 1; i < len(a); i++ {
-				if a[i] == a[i-1] {
-					return nil, fmt.Errorf("jobs: persisted edge %v listed twice", [2]int{u, a[i]})
-				}
-			}
-		}
+	if len(p.GraphWire) == 0 {
+		return nil, errors.New("jobs: persisted result has no graph_wire (a JSON-era record; commit 06814d8 is the last that reads one)")
+	}
+	msg, err := wire.Decode(bytes.NewReader(p.GraphWire))
+	if err != nil {
+		return nil, fmt.Errorf("jobs: persisted graph_wire: %w", err)
+	}
+	if !msg.HasGraph || msg.N != p.N {
+		return nil, fmt.Errorf("jobs: persisted graph_wire carries n=%d (HasGraph=%v), record says n=%d", msg.N, msg.HasGraph, p.N)
 	}
 	st := p.Stats
-	return &graphrealize.Result{Job: j, Graph: g, Envelope: p.Envelope, Stats: &st, Cached: p.Cached}, nil
+	return &graphrealize.Result{Job: j, Graph: &graphrealize.Graph{N: msg.N, Adj: msg.Adj}, Envelope: p.Envelope, Stats: &st, Cached: p.Cached}, nil
 }
 
 // PersistedJob is one job's full durable state: enough to serve a terminal
@@ -185,8 +149,10 @@ func (p *PersistedJob) jobSpec() graphrealize.Job {
 // persistedJob projects a record, with the given state, error, result and
 // finish time, onto its durable form. A job that failed or was canceled
 // persists its error and no result; a done one, or one expired after it was
-// done, its result.
-func persistedJob(rec *record, st State, jerr error, res *graphrealize.Result, finished time.Time) PersistedJob {
+// done, its result. If the result's graph fails to encode, which a
+// canonical Graph cannot, the record goes without it and the error says
+// why.
+func persistedJob(rec *record, st State, jerr error, res *graphrealize.Result, finished time.Time) (PersistedJob, error) {
 	rec.mu.Lock()
 	started := rec.started
 	rec.mu.Unlock()
@@ -203,12 +169,13 @@ func persistedJob(rec *record, st State, jerr error, res *graphrealize.Result, f
 		Started:  started,
 		Finished: finished,
 	}
+	var err error
 	if jerr != nil {
 		pj.Error = jerr.Error()
 	} else {
-		pj.Result = persistedResult(res)
+		pj.Result, err = persistedResult(res)
 	}
-	return pj
+	return pj, err
 }
 
 // StoreStats is a point-in-time snapshot of a Store's durability gauges.

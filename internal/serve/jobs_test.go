@@ -121,6 +121,7 @@ func TestJobValidation(t *testing.T) {
 		{"empty sequence", `{"kind":"degrees","sequence":[]}`, http.StatusBadRequest},
 		{"bad options", `{"kind":"degrees","sequence":[1,1],"options":{"model":"ncc9"}}`, http.StatusBadRequest},
 		{"unknown field", `{"kind":"degrees","sequenze":[1,1]}`, http.StatusBadRequest},
+		{"unknown option", `{"kind":"degrees","sequence":[1,1],"options":{"scheduler":"flat"}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

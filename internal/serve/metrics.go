@@ -120,21 +120,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			obs.HistogramSeries{Snap: o.Run.Snapshot()})
 
 		// Engine phase profile: a round-duration histogram, cumulative
-		// per-phase wall time, and the round counter. Every series keeps
-		// the scheduler label, fixed at the engine's one driver.
+		// per-phase wall time, and the round counter.
 		p := o.Phases
 		snap := p.Snapshot()
-		driver := fmt.Sprintf("scheduler=%q", engineDriver)
 		mw.histogram("graphrealize_engine_round_seconds", "Engine round duration.",
-			obs.HistogramSeries{Labels: driver, Snap: p.Round.Snapshot()})
+			obs.HistogramSeries{Snap: p.Round.Snapshot()})
 		mw.counterSeries("graphrealize_engine_phase_seconds_total",
 			"Cumulative engine round wall time split by phase.", []labeledCounter{
-				{labels: fmt.Sprintf("phase=%q,%s", "barrier", driver), value: snap.Barrier.Seconds()},
-				{labels: fmt.Sprintf("phase=%q,%s", "compute", driver), value: snap.Compute.Seconds()},
-				{labels: fmt.Sprintf("phase=%q,%s", "delivery", driver), value: snap.Delivery.Seconds()},
+				{labels: `phase="barrier"`, value: snap.Barrier.Seconds()},
+				{labels: `phase="compute"`, value: snap.Compute.Seconds()},
+				{labels: `phase="delivery"`, value: snap.Delivery.Seconds()},
 			})
-		mw.counterSeries("graphrealize_engine_rounds_total", "Engine rounds profiled.",
-			[]labeledCounter{{labels: driver, value: float64(snap.Rounds)}})
+		mw.counter("graphrealize_engine_rounds_total", "Engine rounds profiled.", float64(snap.Rounds))
 	}
 
 	if s.cfg.Jobs != nil {

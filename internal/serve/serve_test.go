@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -35,9 +34,11 @@ func (f *fakeBackend) SubmitCtx(ctx context.Context, j graphrealize.Job) (<-chan
 }
 
 // SubmitReplayCtx satisfies jobs.Backend (the manager's recovery path); the
-// fake has no admission bound to bypass, so it scripts like SubmitCtx.
-func (f *fakeBackend) SubmitReplayCtx(ctx context.Context, j graphrealize.Job) (<-chan graphrealize.Result, error) {
-	return f.submit(ctx, j)
+// fake has no admission bound to bypass, so it scripts like SubmitCtx. No
+// test here recovers a durable store through it.
+func (f *fakeBackend) SubmitReplayCtx(ctx context.Context, j graphrealize.Job) <-chan graphrealize.Result {
+	ch, _ := f.submit(ctx, j)
+	return ch
 }
 
 func (f *fakeBackend) SubmitAllCtx(ctx context.Context, jobs []graphrealize.Job) ([]<-chan graphrealize.Result, error) {
@@ -151,6 +152,7 @@ func TestRealizeRejectsMalformedRequests(t *testing.T) {
 	}{
 		{"malformed json", "/v1/realize/degree", `{"sequence":[3,`, http.StatusBadRequest},
 		{"unknown field", "/v1/realize/degree", `{"sequenze":[1,1]}`, http.StatusBadRequest},
+		{"unknown option", "/v1/realize/degree", `{"sequence":[1,1],"options":{"scheduler":"flat"}}`, http.StatusBadRequest},
 		{"empty sequence", "/v1/realize/degree", `{"sequence":[]}`, http.StatusBadRequest},
 		{"missing sequence", "/v1/realize/degree", `{}`, http.StatusBadRequest},
 		{"bad variant", "/v1/realize/degree", `{"sequence":[1,1],"variant":"nope"}`, http.StatusBadRequest},
@@ -370,6 +372,7 @@ func TestSweepValidation(t *testing.T) {
 	}{
 		{"unknown kind", `{"kind":"matching","sequence":[1,1],"seed_count":1}`, http.StatusBadRequest},
 		{"unknown field", `{"kind":"degrees","sequenze":[1,1],"seed_count":1}`, http.StatusBadRequest},
+		{"unknown option", `{"kind":"degrees","sequence":[1,1],"seed_count":1,"options":{"scheduler":"flat"}}`, http.StatusBadRequest},
 		{"no seeds", `{"kind":"degrees","sequence":[1,1]}`, http.StatusBadRequest},
 		{"too many seeds", `{"kind":"degrees","sequence":[1,1],"seed_count":9}`, http.StatusRequestEntityTooLarge},
 		{"absurd seed_count rejected before allocation", `{"kind":"degrees","sequence":[1,1],"seed_count":10000000000}`, http.StatusRequestEntityTooLarge},
@@ -510,59 +513,26 @@ func TestRetryAfterEmptyWindowFallback(t *testing.T) {
 	}
 }
 
-// TestSchedulerOptionOnWire pins the retired scheduler request field:
-// clients written against the three-driver engine still send it, so the
-// decoder keeps accepting "barrier", "pool" and "flat" in any case and
-// ignores them — the realization is exactly the one the request without the
-// field gets — while any other value is still a 400.
+// TestSchedulerOptionOnWire: the scheduler option, ignored since the engine
+// kept one driver, is gone from the request schema. A body that carries it,
+// in any spelling it ever took, has an unknown field and answers 400 naming
+// it on each route that decodes options.
 func TestSchedulerOptionOnWire(t *testing.T) {
-	h := realServer(t)
-	const seq = `[3,3,2,2,2,2,1,1]`
-	plain := decodeInto[api.RealizeResponse](t, post(t, h, "/v1/realize/degree",
-		`{"sequence":`+seq+`,"options":{"seed":5}}`))
-	if len(plain.Edges) == 0 {
-		t.Fatal("reference request returned no edges")
-	}
-	for _, sched := range []string{"pool", "barrier", "FLAT"} {
-		rec := post(t, h, "/v1/realize/degree", `{"sequence":`+seq+`,"options":{"seed":5,"scheduler":"`+sched+`"}}`)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("scheduler %q: %d %s", sched, rec.Code, rec.Body.String())
+	h, _ := asyncServer(t)
+	for _, sched := range []string{"barrier", "pool", "flat", "FLAT", "fiber"} {
+		opts := `"options":{"seed":5,"scheduler":"` + sched + `"}`
+		for _, req := range []struct{ path, body string }{
+			{"/v1/realize/degree", `{"sequence":[3,3,2,2,2,2,1,1],` + opts + `}`},
+			{"/v1/sweep", `{"kind":"degrees","sequence":[3,3,2,2,2,2,1,1],"seed_count":1,` + opts + `}`},
+			{"/v1/jobs", `{"kind":"degrees","sequence":[3,3,2,2,2,2,1,1],` + opts + `}`},
+		} {
+			rec := post(t, h, req.path, req.body)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s with scheduler %q: want 400, got %d: %s", req.path, sched, rec.Code, rec.Body.String())
+			}
+			if e := decodeInto[api.ErrorResponse](t, rec); !strings.Contains(e.Error, `unknown field "scheduler"`) {
+				t.Fatalf("%s with scheduler %q: error %q does not name the field", req.path, sched, e.Error)
+			}
 		}
-		got := decodeInto[api.RealizeResponse](t, rec)
-		if !reflect.DeepEqual(got.Edges, plain.Edges) || got.Stats != plain.Stats {
-			t.Fatalf("scheduler %q changed the result:\n got %+v %v\nwant %+v %v",
-				sched, got.Stats, got.Edges, plain.Stats, plain.Edges)
-		}
-	}
-	if rec := post(t, h, "/v1/realize/degree", `{"sequence":[1,1],"options":{"scheduler":"fiber"}}`); rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown scheduler must be 400, got %d", rec.Code)
-	}
-}
-
-// TestRetiredSchedulerSharesCacheEntry: the driver is no longer part of the
-// result cache key, so requests that differ only in the retired scheduler
-// field share one cache entry instead of one per driver.
-func TestRetiredSchedulerSharesCacheEntry(t *testing.T) {
-	h := realServer(t)
-	bodies := []string{
-		`{"sequence":[2,2,2],"options":{"seed":4}}`,
-		`{"sequence":[2,2,2],"options":{"seed":4,"scheduler":"barrier"}}`,
-		`{"sequence":[2,2,2],"options":{"seed":4,"scheduler":"pool"}}`,
-		`{"sequence":[2,2,2],"options":{"seed":4,"scheduler":"flat"}}`,
-	}
-	for i, body := range bodies {
-		rec := post(t, h, "/v1/realize/degree", body)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-		if got := decodeInto[api.RealizeResponse](t, rec); got.Cached != (i > 0) {
-			t.Fatalf("request %d (%s): cached=%v, want %v", i, body, got.Cached, i > 0)
-		}
-	}
-	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if st := decodeInto[serve.StatsResponse](t, rec); st.CacheLen != 1 || st.Executed != 1 {
-		t.Fatalf("cache_len=%d executed=%d, want one entry from one execution", st.CacheLen, st.Executed)
 	}
 }

@@ -164,9 +164,8 @@ func statsResponse(rs graphrealize.RunnerStats, uptime time.Duration, o *graphre
 	return resp
 }
 
-// engineDriver names the engine's one driver in /v1/stats phases and in the
-// scheduler label of the graphrealize_engine_* metric families, which keep
-// the shape they had when the engine had several drivers.
+// engineDriver names the engine's one driver in /v1/stats phases, a map
+// that keeps the shape it had when the engine had several drivers.
 const engineDriver = "flat"
 
 // JobRequest is the body of POST /v1/jobs: the same inputs as a synchronous

@@ -271,16 +271,14 @@ func (r *Runner) SubmitCtx(ctx context.Context, j Job) (<-chan Result, error) {
 // the crash, so a colder post-restart queue must not refuse it with
 // ErrQueueFull. Execution still shares the worker pool (a replay burst
 // cannot starve the machine, only the waiting line), cached results are
-// served as usual, and the context/timeout semantics match SubmitCtx. The
-// error return is always nil for a Runner; it exists so scripted Backend
-// seams can exercise refusal paths.
-func (r *Runner) SubmitReplayCtx(ctx context.Context, j Job) (<-chan Result, error) {
+// served as usual, and the context/timeout semantics match SubmitCtx.
+func (r *Runner) SubmitReplayCtx(ctx context.Context, j Job) <-chan Result {
 	res, key, hit := r.lookup(j)
 	if hit {
-		return r.deliverCached(j, res), nil
+		return r.deliverCached(j, res)
 	}
 	r.replayed.Add(1)
-	return r.start(ctx, j, key, false), nil
+	return r.start(ctx, j, key, false)
 }
 
 // SubmitAllCtx admits a batch of jobs atomically: either every non-cached
